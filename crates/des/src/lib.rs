@@ -22,7 +22,7 @@ pub mod stats;
 pub mod time;
 
 pub use backoff::Backoff;
-pub use exec::{yield_now, Completion, LaneTasks, TaskId, Tasks};
+pub use exec::{yield_now, LaneTasks, TaskId};
 pub use faults::{seed_from_env, FaultEvent, FaultKind, FaultPlan, MtbfModel};
 pub use queue::EventQueue;
 pub use rng::Rng;

@@ -145,8 +145,8 @@ fn run_impl(
 ) -> CkptRun {
     let p = machine.config().nodes();
     let (pr, pc) = choose_grid(p);
-    let cfg = machine.config().clone();
-    let pivot_cost = allreduce_latency(&cfg, pr, 16);
+    let cfg = machine.config();
+    let pivot_cost = allreduce_latency(cfg, pr, 16);
     let io_bw = cfg.net.bandwidth;
 
     let (mut times, report) = machine.run_recorded(plan, rec, move |node| {

@@ -45,12 +45,12 @@
 
 use crate::machine::MachineConfig;
 use crate::partition::LaneMap;
-use crate::sim::{Counters, Event, Msg, Node, RunReport, ShardState, SimCore};
+use crate::sim::{Counters, Dispatched, Event, Msg, Node, RunReport, ShardState, SimCore};
 use crate::topology::Topology;
 use des::faults::{FaultKind, FaultPlan};
 use des::time::{Dur, SimTime};
 use des::{LaneTasks, TaskId};
-use hpcc_trace::NullRecorder;
+use hpcc_trace::{NullRecorder, Recorder};
 use std::cell::RefCell;
 use std::future::Future;
 use std::ops::Range;
@@ -188,31 +188,37 @@ fn decide(shared: &Shared, lookahead: Dur) -> Decision {
     }
 }
 
-fn deadlock_panic(machine: &str, live: usize, stuck: &[String]) -> ! {
+pub(crate) fn deadlock_panic(machine: &str, live: usize, stuck: &[String]) -> ! {
     panic!(
         "deadlock on {machine}: {live} tasks parked, no events\n{}",
         stuck.join("\n")
     )
 }
 
-/// One lane: a shard-configured [`SimCore`], its executor, and the task
-/// handles of the node programs it owns.
-struct Lane<T> {
+/// One lane: a [`SimCore`], its executor, and the task handles of the
+/// node programs it owns. The single-queue engine ([`Machine::run`]) is
+/// one unsharded lane over every node.
+///
+/// [`Machine::run`]: crate::sim::Machine::run
+pub(crate) struct Lane<T> {
     lane: usize,
     range: Range<usize>,
-    core: Rc<RefCell<SimCore>>,
-    tasks: LaneTasks,
+    pub(crate) core: Rc<RefCell<SimCore>>,
+    pub(crate) tasks: LaneTasks,
     task_of: Vec<TaskId>,
     results: Rc<RefCell<Vec<Option<T>>>>,
 }
 
-fn setup<T, F, Fut>(
-    cfg: &MachineConfig,
-    map: &LaneMap,
-    crash: &std::sync::Arc<[SimTime]>,
+/// Build a lane up to its first quiescent point: core, this lane's share
+/// of the fault plan, one task per owned node, boot-time crashes applied.
+/// `sharding` is `(map, crash schedule, lane index)`; `None` builds the
+/// unsharded lane that owns every node and every fault.
+pub(crate) fn setup<T, F, Fut>(
+    cfg: Rc<MachineConfig>,
+    rec: Rc<dyn Recorder>,
+    sharding: Option<(&LaneMap, &std::sync::Arc<[SimTime]>, usize)>,
     link_owner: &[usize],
     plan: &FaultPlan,
-    lane: usize,
     program: &F,
 ) -> Lane<T>
 where
@@ -222,53 +228,51 @@ where
 {
     let n = cfg.nodes();
     let nlinks = cfg.topology.links();
-    let range = map.range(lane);
-    let core = Rc::new(RefCell::new(SimCore::with_queue_capacity(
-        Rc::new(cfg.clone()),
-        Rc::new(NullRecorder),
-        2 * range.len(),
-    )));
-    core.borrow_mut().shard = Some(ShardState {
+    let (lane, range) = match sharding {
+        Some((map, _, lane)) => (lane, map.range(lane)),
+        None => (0, 0..n),
+    };
+    // Steady state holds at most a wake or delivery per owned node;
+    // pre-size so the calendar never regrows mid-run.
+    let mut core = SimCore::with_queue_capacity(cfg, rec, 2 * range.len());
+    core.shard = sharding.map(|(map, crash, lane)| ShardState {
         lane,
         map: map.clone(),
         crash_time: std::sync::Arc::clone(crash),
         outbox: Vec::new(),
     });
-    let mut tasks = LaneTasks::with_capacity(range.len());
-    let results: Rc<RefCell<Vec<Option<T>>>> =
-        Rc::new(RefCell::new((0..range.len()).map(|_| None).collect()));
 
     // This lane's share of the fault plan: node faults by owner lane,
-    // link faults by the channel's source-node lane. Same boot-time
-    // rule as the legacy engine: t=0 faults apply before any program
-    // instruction runs.
+    // link faults by the channel's source-node lane. Faults at t=0 take
+    // effect before any program instruction runs (the machine was
+    // already broken at boot); later ones become calendar events racing
+    // the programs.
     let mut boot = Vec::new();
-    {
-        let mut c = core.borrow_mut();
-        for e in plan.events() {
-            let owner = match e.kind {
-                FaultKind::NodeCrash { node } | FaultKind::NodeSlow { node, .. } => {
-                    assert!(node < n, "fault plan targets node {node} of {n}");
-                    map.lane_of(node)
-                }
-                FaultKind::LinkDown { link, .. } => {
-                    assert!(link < nlinks, "fault plan targets link {link} of {nlinks}");
-                    link_owner[link]
-                }
-            };
-            if owner != lane {
-                continue;
+    for e in plan.events() {
+        let mine = match e.kind {
+            FaultKind::NodeCrash { node } | FaultKind::NodeSlow { node, .. } => {
+                assert!(node < n, "fault plan targets node {node} of {n}");
+                range.contains(&node)
             }
-            if e.at == SimTime::ZERO {
-                if let Some(node) = c.apply_fault(e.kind) {
-                    boot.push(node);
-                }
-            } else {
-                c.q.schedule(e.at, Event::Fault(e.kind));
+            FaultKind::LinkDown { link, .. } => {
+                assert!(link < nlinks, "fault plan targets link {link} of {nlinks}");
+                sharding.is_none() || link_owner[link] == lane
             }
+        };
+        if !mine {
+            continue;
+        }
+        if e.at == SimTime::ZERO {
+            boot.extend(core.apply_fault(e.kind));
+        } else {
+            core.q.schedule(e.at, Event::Fault(e.kind));
         }
     }
 
+    let core = Rc::new(RefCell::new(core));
+    let mut tasks = LaneTasks::with_capacity(range.len());
+    let results: Rc<RefCell<Vec<Option<T>>>> =
+        Rc::new(RefCell::new((0..range.len()).map(|_| None).collect()));
     let mut task_of = Vec::with_capacity(range.len());
     for rank in range.clone() {
         let node = Node::new_in(Rc::clone(&core), rank, n);
@@ -295,29 +299,38 @@ where
 }
 
 impl<T> Lane<T> {
-    /// Process every local event strictly below `horizon`, running the
-    /// executor after each — the legacy dispatch loop restricted to one
-    /// window. Like the legacy loop, it checks for completion *before*
-    /// each pop: once every program on this lane has finished, leftover
-    /// calendar entries (pending faults, stale timers) are abandoned.
-    fn process_window(&mut self, horizon: SimTime) {
-        while !self.tasks.all_done() {
-            let ev = self.core.borrow_mut().q.pop_before(horizon);
-            let Some((_, ev)) = ev else { break };
-            match ev {
-                Event::Deliver { dst, msg } => self.core.borrow_mut().deliver(dst, msg),
-                Event::Wake(c) => c.fulfil(()),
-                Event::Fault(kind) => {
-                    let crashed = self.core.borrow_mut().apply_fault(kind);
-                    if let Some(node) = crashed {
-                        self.tasks.abort(self.task_of[node - self.range.start]);
-                    }
-                }
-                Event::LinkUp { link } => self.core.borrow_mut().link_up(link),
-                Event::RecvDeadline { dst, token, after } => {
-                    self.core.borrow_mut().deadline(dst, token, after);
-                }
+    /// Pop the next calendar event — strictly below `horizon`, if one is
+    /// given — apply it, and queue or abort the task it names. False
+    /// when there is no such event. Callers run the executor after every
+    /// event: see [`SimCore::dispatch`] for why that order matters.
+    pub(crate) fn dispatch_one(&mut self, horizon: Option<SimTime>) -> bool {
+        let step = {
+            let mut core = self.core.borrow_mut();
+            let ev = match horizon {
+                Some(h) => core.q.pop_before(h),
+                None => core.q.pop(),
+            };
+            ev.map(|(_, ev)| core.dispatch(ev))
+        };
+        match step {
+            Some(Dispatched::Resume(rank)) => {
+                self.tasks.wake(self.task_of[rank - self.range.start]);
             }
+            Some(Dispatched::Abort(rank)) => {
+                self.tasks.abort(self.task_of[rank - self.range.start]);
+            }
+            Some(Dispatched::Nothing) => {}
+            None => return false,
+        }
+        true
+    }
+
+    /// Process every local event strictly below `horizon`, running the
+    /// executor after each. Completion is checked *before* each pop:
+    /// once every program on this lane has finished, leftover calendar
+    /// entries (pending faults, stale timers) are abandoned.
+    fn process_window(&mut self, horizon: SimTime) {
+        while !self.tasks.all_done() && self.dispatch_one(Some(horizon)) {
             self.tasks.run_ready();
         }
     }
@@ -375,7 +388,7 @@ impl<T> Lane<T> {
     }
 
     /// Abort every unfinished program on this lane (fault aftermath).
-    fn abort_orphans(&mut self) {
+    pub(crate) fn abort_orphans(&mut self) {
         let mut orphans = 0;
         for &t in &self.task_of {
             if self.tasks.abort(t) {
@@ -384,20 +397,10 @@ impl<T> Lane<T> {
         }
         self.core.borrow_mut().counters.faults.orphaned_tasks += orphans;
     }
-
-    fn stuck_report(&self) -> Vec<String> {
-        self.core
-            .borrow()
-            .blocked
-            .iter()
-            .enumerate()
-            .filter_map(|(r, b)| b.as_ref().map(|s| format!("  node {r}: {s}")))
-            .collect()
-    }
 }
 
 /// Per-lane scalar outcome, merged by [`assemble`].
-struct LaneOut<T> {
+pub(crate) struct LaneOut<T> {
     range: Range<usize>,
     results: Vec<Option<T>>,
     counters: Counters,
@@ -405,7 +408,7 @@ struct LaneOut<T> {
     events: u64,
 }
 
-fn finish<T>(lane: Lane<T>) -> LaneOut<T> {
+pub(crate) fn finish<T>(lane: Lane<T>) -> LaneOut<T> {
     // Drop the executor first: completed/aborted futures are gone, so
     // the lane core and result sink are uniquely held again.
     drop(lane.tasks);
@@ -424,7 +427,10 @@ fn finish<T>(lane: Lane<T>) -> LaneOut<T> {
     }
 }
 
-fn assemble<T>(cfg: &MachineConfig, outs: Vec<LaneOut<T>>) -> (Vec<Option<T>>, RunReport) {
+pub(crate) fn assemble<T>(
+    cfg: &MachineConfig,
+    outs: Vec<LaneOut<T>>,
+) -> (Vec<Option<T>>, RunReport) {
     let n = cfg.nodes();
     let nlinks = cfg.topology.links();
     let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
@@ -600,8 +606,12 @@ where
     F: Fn(Node) -> Fut,
     Fut: Future<Output = T> + 'static,
 {
+    let shared_cfg = Rc::new(cfg.clone());
     let mut ls: Vec<Lane<T>> = (0..lanes)
-        .map(|l| setup(cfg, map, crash, link_owner, plan, l, program))
+        .map(|l| {
+            let (cfg, rec) = (Rc::clone(&shared_cfg), Rc::new(NullRecorder));
+            setup(cfg, rec, Some((map, crash, l)), link_owner, plan, program)
+        })
         .collect();
     for l in &mut ls {
         l.flush(shared);
@@ -614,7 +624,10 @@ where
         match decide(shared, lookahead) {
             Decision::Done => break,
             Decision::Deadlock => {
-                let stuck: Vec<String> = ls.iter().flat_map(|l| l.stuck_report()).collect();
+                let stuck: Vec<String> = ls
+                    .iter()
+                    .flat_map(|l| l.core.borrow().stuck_report())
+                    .collect();
                 let live = ls.iter().map(|l| l.tasks.live()).sum();
                 deadlock_panic(&cfg.name, live, &stuck);
             }
@@ -663,7 +676,9 @@ where
             .map(|lane| {
                 let (barrier, shared, link_owner) = (&barrier, shared, link_owner);
                 s.spawn(move || {
-                    let mut l: Lane<T> = setup(cfg, map, crash, link_owner, plan, lane, program);
+                    let (cfg_rc, rec) = (Rc::new(cfg.clone()), Rc::new(NullRecorder));
+                    let sharding = Some((map, crash, lane));
+                    let mut l: Lane<T> = setup(cfg_rc, rec, sharding, link_owner, plan, program);
                     // Round structure: work -> flush -> barrier ->
                     // drain + publish -> barrier -> decide. Writes to
                     // `shared` happen strictly between the two barriers,
@@ -682,7 +697,7 @@ where
                                     .stuck
                                     .lock()
                                     .expect("stuck list")
-                                    .extend(l.stuck_report());
+                                    .extend(l.core.borrow().stuck_report());
                                 let leader = barrier.wait().is_leader();
                                 if leader {
                                     let stuck =

@@ -27,14 +27,16 @@ use bytes::Bytes;
 use des::backoff::{mix64, Backoff};
 use des::faults::{FaultKind, FaultPlan};
 use des::time::{Dur, SimTime};
-use des::{Completion, EventQueue, Tasks};
+use des::EventQueue;
 use hpcc_trace::{names, NullRecorder, Recorder, TrackId};
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
 use std::sync::Arc;
+use std::task::{Context, Poll};
 
 /// Typed NX communication error. The pre-fault simulator turned every
 /// one of these conditions into a panic; with fault injection they are
@@ -145,7 +147,11 @@ pub(crate) enum Event {
         dst: usize,
         msg: Msg,
     },
-    Wake(Completion<()>),
+    /// Timer `slot` of `SimCore::timers`, armed by `rank`, fires.
+    Wake {
+        rank: usize,
+        slot: u32,
+    },
     /// A scripted or seeded hardware fault fires.
     Fault(FaultKind),
     /// A failed channel comes back up (scheduled by its `LinkDown`).
@@ -160,12 +166,169 @@ pub(crate) enum Event {
     },
 }
 
+type RecvResult = Result<Msg, CommError>;
+
 struct PendingRecv {
     src: Option<usize>,
     tag: Option<u64>,
-    done: Completion<Result<Msg, CommError>>,
+    /// The posting task's wait in `SimCore::recvs`.
+    slot: u32,
     /// Identifies this posted recv to its `RecvDeadline`, if any.
     token: u64,
+}
+
+/// One single-shot wait of a node program on the simulator: a timer
+/// (`T = ()`) or a posted receive (`T = RecvResult`).
+enum Wait<T> {
+    Free,
+    /// Outstanding; the owning task is not suspended on it (yet).
+    Armed,
+    /// Outstanding and polled: completing it must resume the task.
+    Parked,
+    Done(T),
+    /// The waiting future was dropped (its task aborted) before the wait
+    /// completed; the completer frees the slot instead of filling it.
+    Abandoned,
+}
+
+/// A free-listed table of [`Wait`]s, so that a send, recv, compute or
+/// delay allocates nothing to suspend on. Every tenancy of a slot has
+/// exactly one completer (a calendar entry or a `PendingRecv`)
+/// and one [`WaitFuture`], and the slot is recycled only when both are
+/// finished with it, so a stale completer can never resume a later
+/// tenant and the table never outgrows the peak number of live waits.
+struct Waits<T> {
+    slots: Vec<Wait<T>>,
+    free: Vec<u32>,
+}
+
+/// Shared by the [`SimCore`] (completer) and its [`WaitFuture`]s.
+type WaitTable<T> = Rc<RefCell<Waits<T>>>;
+
+impl<T> Waits<T> {
+    fn table() -> WaitTable<T> {
+        Rc::new(RefCell::new(Waits {
+            slots: Vec::new(),
+            free: Vec::new(),
+        }))
+    }
+
+    /// A fresh wait and the future that awaits it.
+    fn arm(table: &WaitTable<T>) -> WaitFuture<T> {
+        let mut w = table.borrow_mut();
+        let slot = match w.free.pop() {
+            Some(slot) => {
+                w.slots[slot as usize] = Wait::Armed;
+                slot
+            }
+            None => {
+                w.slots.push(Wait::Armed);
+                (w.slots.len() - 1) as u32
+            }
+        };
+        WaitFuture {
+            table: Rc::clone(table),
+            slot,
+            taken: false,
+        }
+    }
+
+    fn release(&mut self, slot: u32) {
+        self.slots[slot as usize] = Wait::Free;
+        self.free.push(slot);
+    }
+
+    /// Completer side. True when a task is parked on the wait and must
+    /// be resumed.
+    fn complete(&mut self, slot: u32, value: T) -> bool {
+        match std::mem::replace(&mut self.slots[slot as usize], Wait::Done(value)) {
+            Wait::Armed => false,
+            Wait::Parked => true,
+            Wait::Abandoned => {
+                self.release(slot);
+                false
+            }
+            Wait::Free | Wait::Done(_) => unreachable!("wait slot {slot} completed twice"),
+        }
+    }
+
+    /// Waiter side: take the value if the wait is complete (recycling the
+    /// slot), else park on it.
+    fn poll(&mut self, slot: u32) -> Poll<T> {
+        match std::mem::replace(&mut self.slots[slot as usize], Wait::Parked) {
+            Wait::Done(value) => {
+                self.release(slot);
+                Poll::Ready(value)
+            }
+            Wait::Armed | Wait::Parked => Poll::Pending,
+            Wait::Free | Wait::Abandoned => unreachable!("wait slot {slot} polled after release"),
+        }
+    }
+
+    /// Waiter side: the future is dropped without having taken a value.
+    fn abandon(&mut self, slot: u32) {
+        match self.slots[slot as usize] {
+            Wait::Armed | Wait::Parked => self.slots[slot as usize] = Wait::Abandoned,
+            Wait::Done(_) => self.release(slot),
+            Wait::Free | Wait::Abandoned => {}
+        }
+    }
+
+    fn is_done(&self, slot: u32) -> bool {
+        matches!(self.slots[slot as usize], Wait::Done(_))
+    }
+}
+
+/// The task's end of a [`Wait`]. It registers no waker: the dispatch
+/// loop resumes the owning rank when [`Waits::complete`] says a task is
+/// parked ([`SimCore::dispatch`]).
+struct WaitFuture<T> {
+    table: WaitTable<T>,
+    slot: u32,
+    taken: bool,
+}
+
+impl<T> Future for WaitFuture<T> {
+    type Output = T;
+
+    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<T> {
+        let polled = self.table.borrow_mut().poll(self.slot);
+        self.taken = polled.is_ready();
+        polled
+    }
+}
+
+impl<T> Drop for WaitFuture<T> {
+    fn drop(&mut self) {
+        if self.taken {
+            return;
+        }
+        // Dropped mid-wait: the task was aborted (node crash, orphan
+        // sweep). `Drop` must not panic, so should the table be borrowed
+        // right now the slot is simply never reused.
+        if let Ok(mut waits) = self.table.try_borrow_mut() {
+            waits.abandon(self.slot);
+        }
+    }
+}
+
+/// What the executor owes the event [`SimCore::dispatch`] just applied.
+pub(crate) enum Dispatched {
+    Nothing,
+    /// The program of this rank was parked on the event: run it.
+    Resume(usize),
+    /// This rank's node crashed: abort its program.
+    Abort(usize),
+}
+
+impl Dispatched {
+    fn resume(parked: bool, rank: usize) -> Dispatched {
+        if parked {
+            Dispatched::Resume(rank)
+        } else {
+            Dispatched::Nothing
+        }
+    }
 }
 
 fn matches(want_src: Option<usize>, want_tag: Option<u64>, src: usize, tag: u64) -> bool {
@@ -259,8 +422,14 @@ pub(crate) struct SimCore {
     link_busy_until: Vec<SimTime>,
     mailbox: Vec<VecDeque<Msg>>,
     pending: Vec<VecDeque<PendingRecv>>,
-    pub(crate) blocked: Vec<Option<String>>,
+    /// The blocking recv each rank is parked in, as `(src, tag)` — only
+    /// ever formatted by [`SimCore::stuck_report`].
+    blocked: Vec<Option<(Option<usize>, Option<u64>)>>,
+    timers: WaitTable<()>,
+    recvs: WaitTable<RecvResult>,
     route_buf: Vec<LinkId>,
+    /// Reused buffer for formatted trace-span names.
+    label: String,
     pub(crate) counters: Counters,
     /// Fail-stop state per node.
     failed: Vec<bool>,
@@ -288,16 +457,9 @@ pub(crate) struct SimCore {
 }
 
 impl SimCore {
-    pub(crate) fn new(cfg: Rc<MachineConfig>, rec: Rc<dyn Recorder>) -> SimCore {
-        // Steady state holds at most a wake or delivery per node;
-        // pre-size so the calendar never regrows mid-run.
-        let cap = 2 * cfg.nodes();
-        SimCore::with_queue_capacity(cfg, rec, cap)
-    }
-
-    /// Like [`SimCore::new`] with an explicit calendar pre-size: a lane
-    /// of a sharded run only ever holds events for its own node block,
-    /// so sizing by the whole machine would waste a heap per lane.
+    /// `cap` pre-sizes the calendar: a lane only ever holds events for
+    /// its own node block, so sizing by the whole machine would waste a
+    /// heap per lane.
     pub(crate) fn with_queue_capacity(
         cfg: Rc<MachineConfig>,
         rec: Rc<dyn Recorder>,
@@ -327,7 +489,10 @@ impl SimCore {
             mailbox: (0..n).map(|_| VecDeque::new()).collect(),
             pending: (0..n).map(|_| VecDeque::new()).collect(),
             blocked: vec![None; n],
+            timers: Waits::table(),
+            recvs: Waits::table(),
             route_buf: Vec::new(),
+            label: String::new(),
             counters: Counters::default(),
             failed: vec![false; n],
             slow: vec![(1.0, SimTime::ZERO); n],
@@ -409,6 +574,11 @@ impl SimCore {
             // software send path and the router setup have run.
             let injected = now + net.send_overhead + net.wire_latency;
             let serial = Dur::from_secs_f64(bytes as f64 / net.bandwidth);
+            if self.rec_on {
+                // One name for every channel-occupancy span of the message.
+                self.label.clear();
+                let _ = write!(self.label, "{src}->{dst}");
+            }
             let end = match net.switching {
                 crate::machine::Switching::Wormhole => {
                     // The whole path is reserved once and held for the
@@ -428,12 +598,11 @@ impl SimCore {
                     if self.rec_on {
                         // Channel-occupancy spans: the whole path holds the
                         // reservation window the model just computed.
-                        let label = format!("{src}->{dst}");
                         for &l in &route {
                             self.rec.span(
                                 self.link_track[l],
                                 "link",
-                                &label,
+                                &self.label,
                                 start.nanos(),
                                 end.nanos(),
                             );
@@ -454,7 +623,7 @@ impl SimCore {
                             self.rec.span(
                                 self.link_track[l],
                                 "link",
-                                &format!("{src}->{dst}"),
+                                &self.label,
                                 start.nanos(),
                                 end.nanos(),
                             );
@@ -522,12 +691,39 @@ impl SimCore {
         Ok(())
     }
 
+    /// Apply one calendar event and say what the executor must do next.
+    ///
+    /// Ordering invariant: both dispatch loops apply exactly one event
+    /// between two `run_ready` passes, and a pass ends with the ready
+    /// queue empty. The at most one task an event resumes is therefore
+    /// queued alone, by id ([`des::LaneTasks::wake`]), and everything it then
+    /// wakes queues behind it — the same global FIFO poll order as when
+    /// each wait held a `Waker`, which is what makes a run a pure
+    /// function of its inputs.
+    pub(crate) fn dispatch(&mut self, ev: Event) -> Dispatched {
+        match ev {
+            Event::Deliver { dst, msg } => self.deliver(dst, msg),
+            Event::Wake { rank, slot } => {
+                Dispatched::resume(self.timers.borrow_mut().complete(slot, ()), rank)
+            }
+            Event::Fault(kind) => match self.apply_fault(kind) {
+                Some(node) => Dispatched::Abort(node),
+                None => Dispatched::Nothing,
+            },
+            Event::LinkUp { link } => {
+                self.link_up(link);
+                Dispatched::Nothing
+            }
+            Event::RecvDeadline { dst, token, after } => self.deadline(dst, token, after),
+        }
+    }
+
     /// Hand an arrived message to a posted recv or queue it. A message
     /// reaching a node that crashed while it was in flight is dropped.
-    pub(crate) fn deliver(&mut self, dst: usize, msg: Msg) {
+    fn deliver(&mut self, dst: usize, msg: Msg) -> Dispatched {
         if self.failed[dst] {
             self.counters.faults.messages_lost += 1;
-            return;
+            return Dispatched::Nothing;
         }
         let pend = &mut self.pending[dst];
         if let Some(pos) = pend
@@ -536,17 +732,51 @@ impl SimCore {
         {
             let p = pend.remove(pos).unwrap();
             self.blocked[dst] = None;
-            p.done.fulfil(Ok(msg));
+            Dispatched::resume(self.recvs.borrow_mut().complete(p.slot, Ok(msg)), dst)
         } else {
             self.counters.unexpected += 1;
             self.mailbox[dst].push_back(msg);
+            Dispatched::Nothing
         }
     }
 
-    fn timer(&mut self, delay: Dur) -> Completion<()> {
-        let c = Completion::new();
-        self.q.schedule_in(delay, Event::Wake(c.clone()));
-        c
+    /// A timer that resumes `rank` `delay` from now.
+    fn timer(&mut self, rank: usize, delay: Dur) -> WaitFuture<()> {
+        let wait = Waits::arm(&self.timers);
+        let slot = wait.slot;
+        self.q.schedule_in(delay, Event::Wake { rank, slot });
+        wait
+    }
+
+    /// Post a receive for `rank`: the wait a matching delivery will
+    /// complete, and the token a deadline can withdraw it by.
+    fn post_recv(
+        &mut self,
+        rank: usize,
+        src: Option<usize>,
+        tag: Option<u64>,
+    ) -> (WaitFuture<RecvResult>, u64) {
+        let wait = Waits::arm(&self.recvs);
+        let (slot, token) = (wait.slot, self.next_token);
+        self.next_token += 1;
+        self.pending[rank].push_back(PendingRecv {
+            src,
+            tag,
+            slot,
+            token,
+        });
+        (wait, token)
+    }
+
+    /// The deadlock report's per-node wait list.
+    pub(crate) fn stuck_report(&self) -> Vec<String> {
+        self.blocked
+            .iter()
+            .enumerate()
+            .filter_map(|(r, b)| {
+                b.map(|(src, tag)| format!("  node {r}: recv(src={src:?}, tag={tag:?})"))
+            })
+            .collect()
     }
 
     /// Apply one fault event. Returns the rank whose program must be
@@ -568,9 +798,13 @@ impl SimCore {
                     );
                 }
                 // The node's queued and matched-but-unconsumed messages
-                // die with it.
+                // die with it; failing its posted recvs hands their wait
+                // slots back once the aborted program drops its futures.
                 self.mailbox[node].clear();
-                self.pending[node].clear();
+                for p in std::mem::take(&mut self.pending[node]) {
+                    let failed = Err(CommError::NodeFailed(node));
+                    self.recvs.borrow_mut().complete(p.slot, failed);
+                }
                 self.blocked[node] = None;
                 Some(node)
             }
@@ -613,7 +847,7 @@ impl SimCore {
         }
     }
 
-    pub(crate) fn link_up(&mut self, link: LinkId) {
+    fn link_up(&mut self, link: LinkId) {
         if self.down[link] && self.q.now() >= self.down_until[link] {
             self.down[link] = false;
             self.down_links -= 1;
@@ -626,22 +860,24 @@ impl SimCore {
 
     /// Expire a `recv_timeout` deadline: if the posted recv is still
     /// outstanding, withdraw it and fail its waiter.
-    pub(crate) fn deadline(&mut self, dst: usize, token: u64, after: Dur) {
+    fn deadline(&mut self, dst: usize, token: u64, after: Dur) -> Dispatched {
         let pend = &mut self.pending[dst];
-        if let Some(pos) = pend.iter().position(|p| p.token == token) {
-            let p = pend.remove(pos).unwrap();
-            self.blocked[dst] = None;
-            self.counters.faults.timeouts += 1;
-            if self.rec_on {
-                self.rec.instant(
-                    self.node_track[dst],
-                    "fault",
-                    "timeout",
-                    self.q.now().nanos(),
-                );
-            }
-            p.done.fulfil(Err(CommError::Timeout { after }));
+        let Some(pos) = pend.iter().position(|p| p.token == token) else {
+            return Dispatched::Nothing;
+        };
+        let p = pend.remove(pos).unwrap();
+        self.blocked[dst] = None;
+        self.counters.faults.timeouts += 1;
+        if self.rec_on {
+            self.rec.instant(
+                self.node_track[dst],
+                "fault",
+                "timeout",
+                self.q.now().nanos(),
+            );
         }
+        let timed_out = Err(CommError::Timeout { after });
+        Dispatched::resume(self.recvs.borrow_mut().complete(p.slot, timed_out), dst)
     }
 }
 
@@ -682,11 +918,6 @@ impl Node {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.core.borrow().q.now()
-    }
-
-    /// A recorder is attached; callers gate trace-name formatting on this.
-    fn traced(&self) -> bool {
-        self.core.borrow().rec_on
     }
 
     /// Emit the interval `[t0, now]` on this node's trace track.
@@ -733,16 +964,21 @@ impl Node {
     /// before the failure detector answered).
     pub async fn try_send(&self, dst: usize, tag: u64, payload: Payload) -> Result<(), CommError> {
         assert!(dst < self.nranks, "send to rank {dst} of {}", self.nranks);
-        let (c, sent, t0) = {
+        let (timer, sent, t0) = {
             let mut core = self.core.borrow_mut();
             let t0 = core.q.now();
             let sent = core.inject(self.rank, dst, tag, payload);
             let ov = core.cfg.net.send_overhead;
-            (core.timer(ov), sent, t0)
+            (core.timer(self.rank, ov), sent, t0)
         };
-        c.wait().await;
-        if self.traced() {
-            self.trace_span("send", &format!("send->{dst}"), t0);
+        timer.await;
+        let mut core = self.core.borrow_mut();
+        let core = &mut *core;
+        if core.rec_on {
+            core.label.clear();
+            let _ = write!(core.label, "send->{dst}");
+            let (track, t1) = (core.node_track[self.rank], core.q.now().nanos());
+            core.rec.span(track, "send", &core.label, t0.nanos(), t1);
         }
         sent
     }
@@ -844,15 +1080,7 @@ impl Node {
                 if let Some(pos) = mbox.iter().position(|m| matches(src, tag, m.src, m.tag)) {
                     Ok(mbox.remove(pos).unwrap())
                 } else {
-                    let token = core.next_token;
-                    core.next_token += 1;
-                    let done: Completion<Result<Msg, CommError>> = Completion::new();
-                    core.pending[self.rank].push_back(PendingRecv {
-                        src,
-                        tag,
-                        done: done.clone(),
-                        token,
-                    });
+                    let (wait, token) = core.post_recv(self.rank, src, tag);
                     if let Some(after) = timeout {
                         core.q.schedule_in(
                             after,
@@ -863,15 +1091,15 @@ impl Node {
                             },
                         );
                     }
-                    core.blocked[self.rank] = Some(format!("recv(src={src:?}, tag={tag:?})"));
-                    Err(done)
+                    core.blocked[self.rank] = Some((src, tag));
+                    Err(wait)
                 };
             (waited, t0)
         };
         let (msg, buffered) = match waited {
             Ok(m) => (m, true),
-            Err(done) => {
-                let res = done.wait().await;
+            Err(wait) => {
+                let res = wait.await;
                 // The wait ended either at delivery or at the deadline;
                 // both are blocked time.
                 self.trace_span("blocked", "recv", t0);
@@ -881,16 +1109,16 @@ impl Node {
         // Receiver software overhead; an unexpected (buffered) message
         // also pays the system-buffer copy — the reason NX programmers
         // preposted their receives.
-        let (c, t1) = {
+        let (timer, t1) = {
             let mut core = self.core.borrow_mut();
             let mut ov = core.cfg.net.recv_overhead;
             if buffered {
                 ov += Dur::from_secs_f64(msg.payload.len_bytes() as f64 / core.cfg.node.mem_bw);
             }
             let t1 = core.q.now();
-            (core.timer(ov), t1)
+            (core.timer(self.rank, ov), t1)
         };
-        c.wait().await;
+        timer.await;
         self.trace_span("recv", "recv", t1);
         Ok(msg)
     }
@@ -921,21 +1149,19 @@ impl Node {
     pub fn irecv(&self, src: Option<usize>, tag: Option<u64>) -> RecvRequest {
         let mut core = self.core.borrow_mut();
         let mbox = &mut core.mailbox[self.rank];
-        let done: Completion<Result<Msg, CommError>> = Completion::new();
-        let mut buffered = false;
-        if let Some(pos) = mbox.iter().position(|m| matches(src, tag, m.src, m.tag)) {
-            done.fulfil(Ok(mbox.remove(pos).unwrap()));
-            buffered = true;
-        } else {
-            let token = core.next_token;
-            core.next_token += 1;
-            core.pending[self.rank].push_back(PendingRecv {
-                src,
-                tag,
-                done: done.clone(),
-                token,
-            });
-        }
+        let early = mbox
+            .iter()
+            .position(|m| matches(src, tag, m.src, m.tag))
+            .map(|pos| mbox.remove(pos).unwrap());
+        let buffered = early.is_some();
+        let done = match early {
+            Some(msg) => {
+                let done = Waits::arm(&core.recvs);
+                core.recvs.borrow_mut().complete(done.slot, Ok(msg));
+                done
+            }
+            None => core.post_recv(self.rank, src, tag).0,
+        };
         RecvRequest {
             node: self.clone(),
             done,
@@ -955,7 +1181,7 @@ impl Node {
     /// An active slowdown fault on the node stretches the cost; the
     /// factor-1.0 path is taken untouched so fault-free timing is exact.
     pub async fn compute(&self, kernel: Kernel, flops: f64) {
-        let (c, t0) = {
+        let (timer, t0) = {
             let mut core = self.core.borrow_mut();
             let mut d = core.cfg.node.compute_time(kernel, flops);
             let factor = core.slow_factor(self.rank);
@@ -965,20 +1191,20 @@ impl Node {
             core.counters.flops += flops;
             core.counters.compute_time += d;
             let t0 = core.q.now();
-            (core.timer(d), t0)
+            (core.timer(self.rank, d), t0)
         };
-        c.wait().await;
+        timer.await;
         self.trace_span("compute", kernel_label(kernel), t0);
     }
 
     /// Advance virtual time by an explicit duration (I/O, OS, modelling).
     pub async fn delay(&self, d: Dur) {
-        let (c, t0) = {
+        let (timer, t0) = {
             let mut core = self.core.borrow_mut();
             let t0 = core.q.now();
-            (core.timer(d), t0)
+            (core.timer(self.rank, d), t0)
         };
-        c.wait().await;
+        timer.await;
         self.trace_span("delay", "delay", t0);
     }
 }
@@ -1031,7 +1257,7 @@ impl Default for RetryPolicy {
 /// to take the message; [`RecvRequest::ready`] polls without blocking.
 pub struct RecvRequest {
     node: Node,
-    done: Completion<Result<Msg, CommError>>,
+    done: WaitFuture<RecvResult>,
     /// The message had already arrived unexpected and was system-buffered
     /// when this request was posted (extra copy charged at wait).
     buffered: bool,
@@ -1040,33 +1266,33 @@ pub struct RecvRequest {
 impl RecvRequest {
     /// Has the matching message arrived yet?
     pub fn ready(&self) -> bool {
-        self.done.is_fulfilled()
+        self.done.table.borrow().is_done(self.done.slot)
     }
 
     /// Block until the message is in, then charge the receive overhead
     /// (plus the buffer copy when the message pre-dated the post).
     pub async fn wait(self) -> Msg {
         let t0 = self.node.now();
-        let msg = match self.done.wait().await {
+        let msg = match self.done.await {
             Ok(msg) => msg,
             // irecv posts no deadline, so only a Deliver fulfils it.
             Err(e) => unreachable!("irecv cannot fail: {e}"),
         };
-        let (c, t1) = {
+        let (timer, t1) = {
             let mut core = self.node.core.borrow_mut();
             let mut ov = core.cfg.net.recv_overhead;
             if self.buffered {
                 ov += Dur::from_secs_f64(msg.payload.len_bytes() as f64 / core.cfg.node.mem_bw);
             }
             let t1 = core.q.now();
-            (core.timer(ov), t1)
+            (core.timer(self.node.rank, ov), t1)
         };
         if t1 > t0 {
             // Only the tail of the wait that actually parked the task is
             // blocked time (an already-fulfilled request costs nothing).
             self.node.trace_span("blocked", "irecv", t0);
         }
-        c.wait().await;
+        timer.await;
         self.node.trace_span("recv", "recv", t1);
         msg
     }
@@ -1177,119 +1403,38 @@ impl Machine {
         F: Fn(Node) -> Fut,
         Fut: Future<Output = T> + 'static,
     {
-        let n = self.cfg.nodes();
-        let nlinks = self.cfg.topology.links();
         let rec_on = rec.is_enabled();
         let des_track = if rec_on {
             rec.track(names::DES, "executor")
         } else {
             0
         };
-        let core = Rc::new(RefCell::new(SimCore::new(
-            Rc::clone(&self.cfg),
-            Rc::clone(&rec),
-        )));
-        let mut tasks = Tasks::new();
-        let results: Rc<RefCell<Vec<Option<T>>>> =
-            Rc::new(RefCell::new((0..n).map(|_| None).collect()));
-
-        // Faults at t=0 take effect before any program instruction runs
-        // (the machine was already broken at boot); later ones become
-        // calendar events racing the programs.
-        let mut boot_crashes = Vec::new();
-        {
-            let mut core = core.borrow_mut();
-            for e in plan.events() {
-                match e.kind {
-                    FaultKind::NodeCrash { node } | FaultKind::NodeSlow { node, .. } => {
-                        assert!(node < n, "fault plan targets node {node} of {n}");
-                    }
-                    FaultKind::LinkDown { link, .. } => {
-                        assert!(link < nlinks, "fault plan targets link {link} of {nlinks}");
-                    }
-                }
-                if e.at == SimTime::ZERO {
-                    if let Some(node) = core.apply_fault(e.kind) {
-                        boot_crashes.push(node);
-                    }
-                } else {
-                    core.q.schedule(e.at, Event::Fault(e.kind));
-                }
-            }
-        }
-
-        let mut task_of_rank = Vec::with_capacity(n);
-        for rank in 0..n {
-            let node = Node {
-                core: Rc::clone(&core),
-                rank,
-                nranks: n,
-            };
-            let fut = program(node);
-            let sink = Rc::clone(&results);
-            task_of_rank.push(tasks.spawn(async move {
-                let out = fut.await;
-                sink.borrow_mut()[rank] = Some(out);
-            }));
-        }
-
-        for node in boot_crashes {
-            tasks.abort(task_of_rank[node]);
-        }
-        tasks.run_ready();
+        let cfg = Rc::clone(&self.cfg);
+        let mut lane = crate::shard::setup(cfg, Rc::clone(&rec), None, &[], plan, &program);
         // Sample executor/event-queue depth every `SAMPLE_EVERY` dispatch
         // iterations — frequent enough to see backlog build-up, sparse
         // enough not to dominate the trace.
         const SAMPLE_EVERY: u64 = 64;
         let mut dispatches: u64 = 0;
-        while !tasks.all_done() {
-            let ev = core.borrow_mut().q.pop();
-            match ev {
-                Some((_, Event::Deliver { dst, msg })) => {
-                    core.borrow_mut().deliver(dst, msg);
+        while !lane.tasks.all_done() {
+            if !lane.dispatch_one(None) {
+                if lane.core.borrow().counters.faults.any() {
+                    // Graceful degradation: survivors blocked forever
+                    // on dead peers are casualties of the fault, not
+                    // a program bug. Abort them and finish the run.
+                    lane.abort_orphans();
+                    continue;
                 }
-                Some((_, Event::Wake(c))) => c.fulfil(()),
-                Some((_, Event::Fault(kind))) => {
-                    let crashed = core.borrow_mut().apply_fault(kind);
-                    if let Some(node) = crashed {
-                        tasks.abort(task_of_rank[node]);
-                    }
-                }
-                Some((_, Event::LinkUp { link })) => core.borrow_mut().link_up(link),
-                Some((_, Event::RecvDeadline { dst, token, after })) => {
-                    core.borrow_mut().deadline(dst, token, after);
-                }
-                None => {
-                    let mut core = core.borrow_mut();
-                    if core.counters.faults.any() {
-                        // Graceful degradation: survivors blocked forever
-                        // on dead peers are casualties of the fault, not
-                        // a program bug. Abort them and finish the run.
-                        for &task in task_of_rank.iter().take(n) {
-                            if tasks.abort(task) {
-                                core.counters.faults.orphaned_tasks += 1;
-                            }
-                        }
-                        continue;
-                    }
-                    let stuck: Vec<String> = core
-                        .blocked
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(r, b)| b.as_ref().map(|s| format!("  node {r}: {s}")))
-                        .collect();
-                    panic!(
-                        "deadlock on {}: {} tasks parked, no events\n{}",
-                        core.cfg.name,
-                        tasks.live(),
-                        stuck.join("\n")
-                    );
-                }
+                crate::shard::deadlock_panic(
+                    &self.cfg.name,
+                    lane.tasks.live(),
+                    &lane.core.borrow().stuck_report(),
+                );
             }
             if rec_on {
                 dispatches += 1;
                 if dispatches.is_multiple_of(SAMPLE_EVERY) {
-                    let c = core.borrow();
+                    let (c, tasks) = (lane.core.borrow(), &lane.tasks);
                     let ts = c.q.now().nanos();
                     rec.counter(des_track, "event_queue_depth", ts, c.q.len() as f64);
                     rec.counter(des_track, "ready_tasks", ts, tasks.ready_len() as f64);
@@ -1297,30 +1442,9 @@ impl Machine {
                     rec.counter(des_track, "task_polls", ts, tasks.polls() as f64);
                 }
             }
-            tasks.run_ready();
+            lane.tasks.run_ready();
         }
-
-        let core = core.borrow();
-        let elapsed = core.q.now() - SimTime::ZERO;
-        let denom = elapsed.as_secs_f64().max(1e-30);
-        let report = RunReport {
-            machine: core.cfg.name.clone(),
-            nodes: n,
-            elapsed,
-            messages: core.counters.messages,
-            bytes: core.counters.bytes,
-            flops: core.counters.flops,
-            events: core.q.events_processed(),
-            compute_fraction: core.counters.compute_time.as_secs_f64() / (n as f64 * denom),
-            link_utilization: core.counters.link_busy.as_secs_f64()
-                / (nlinks.max(1) as f64 * denom),
-            unexpected_messages: core.counters.unexpected,
-            faults: core.counters.faults,
-        };
-        let results = Rc::try_unwrap(results)
-            .unwrap_or_else(|_| unreachable!("all tasks done"))
-            .into_inner();
-        (results, report)
+        crate::shard::assemble(&self.cfg, vec![crate::shard::finish(lane)])
     }
 
     /// Run one program per node on the sharded conservative-parallel
@@ -1621,7 +1745,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "deadlock")]
+    #[should_panic(
+        expected = "4 tasks parked, no events\n  node 0: recv(src=None, tag=None)\n  node 1:"
+    )]
     fn deadlock_is_detected() {
         let m = tiny();
         let (_, _) = m.run(|node| async move {
@@ -1837,6 +1963,83 @@ mod tests {
         });
         assert_eq!(out, vec![Some(0), Some(1), Some(2), None]);
         assert_eq!(report.faults.node_crashes, 1);
+    }
+
+    #[test]
+    fn wait_slots_survive_a_crash_and_recycle() {
+        // Node 3 posts a recv and is killed 5 ms into a 100 ms compute:
+        // its timer is abandoned with the calendar entry still pending,
+        // its posted recv is failed. The survivors then run 150x more
+        // timers and recvs than the tables ever hold slots. The stale
+        // entry fires at 100 ms, mid-run; it must free the slot and
+        // resume nobody, so every delay still ends exactly on time.
+        const ROUNDS: u64 = 200;
+        let m = tiny();
+        let mut plan = FaultPlan::none();
+        plan.push(
+            SimTime::from_secs_f64(0.005),
+            FaultKind::NodeCrash { node: 3 },
+        );
+        let long = m.config().node.compute_time(Kernel::Dgemm, 3.5e6);
+        assert!(long > Dur::from_millis(50) && long < Dur::from_millis(150));
+        let (out, report) = m.run_with_faults(&plan, |node| async move {
+            if node.rank() == 3 {
+                let _posted = node.irecv(None, Some(9));
+                node.compute(Kernel::Dgemm, 3.5e6).await;
+                unreachable!("node 3 dies mid-compute");
+            }
+            let (next, prev) = ((node.rank() + 1) % 3, (node.rank() + 2) % 3);
+            let mut resumes = 0;
+            for round in 0..ROUNDS {
+                let t0 = node.now();
+                node.delay(Dur::from_millis(1)).await;
+                assert_eq!(node.now(), t0 + Dur::from_millis(1), "resumed on time");
+                node.send_virtual(next, round, 64).await;
+                node.recv(Some(prev), Some(round)).await;
+                resumes += 1;
+            }
+            let core = node.core.borrow();
+            let slots = (
+                core.timers.borrow().slots.len(),
+                core.recvs.borrow().slots.len(),
+            );
+            (resumes, slots.0, slots.1)
+        });
+        assert_eq!(out[3], None);
+        for survivor in &out[..3] {
+            let (resumes, timer_slots, recv_slots) = survivor.expect("survivor finished");
+            assert_eq!(resumes, ROUNDS);
+            // Peak live waits: one timer per node, one recv per node.
+            assert!(timer_slots <= 4, "{timer_slots} timer slots");
+            assert!(recv_slots <= 4, "{recv_slots} recv slots");
+        }
+        assert!(report.elapsed > long, "the stale timer fired mid-run");
+        assert_eq!(report.faults.node_crashes, 1);
+        assert_eq!(report.faults.orphaned_tasks, 0);
+    }
+
+    #[test]
+    fn wait_table_frees_an_abandoned_slot_only_at_its_completion() {
+        let table: WaitTable<u32> = Waits::table();
+        let a = Waits::arm(&table);
+        let slot_a = a.slot;
+        assert_eq!(table.borrow_mut().poll(slot_a), Poll::Pending);
+        drop(a);
+        // Still owned by its completer: a new wait must not share it.
+        let b = Waits::arm(&table);
+        assert_ne!(b.slot, slot_a);
+        assert!(!table.borrow_mut().complete(slot_a, 1), "nobody to resume");
+        let c = Waits::arm(&table);
+        assert_eq!(c.slot, slot_a, "freed by the stale completion, reused now");
+        let mut w = table.borrow_mut();
+        assert!(
+            !w.complete(b.slot, 2),
+            "armed, never polled: no task parked"
+        );
+        assert!(w.is_done(b.slot));
+        assert!(w.poll(c.slot).is_pending());
+        assert!(w.complete(c.slot, 3), "polled: its task must be resumed");
+        assert_eq!(w.slots.len(), 2);
     }
 
     #[test]
@@ -2254,6 +2457,49 @@ mod tests {
             .collect();
         assert!(instants.iter().any(|n| n == "crash"));
         assert!(instants.iter().any(|n| n == "timeout"));
+    }
+
+    #[test]
+    fn recorded_span_names_are_formatted_per_message() {
+        // The link and send labels come out of one reused buffer; two
+        // interleaved messages over both switching disciplines must
+        // still name every hop and every send after their own endpoints.
+        for cfg in [presets::delta(1, 4), presets::delta_store_and_forward(1, 4)] {
+            let rec = Rc::new(hpcc_trace::MemRecorder::new());
+            let m = Machine::new(cfg);
+            m.run_recorded(&FaultPlan::none(), rec.clone(), |node| async move {
+                match node.rank() {
+                    0 => node.send_virtual(3, 1, 4096).await,
+                    2 => node.send_virtual(1, 1, 4096).await,
+                    3 => drop(node.recv(Some(0), Some(1)).await),
+                    1 => drop(node.recv(Some(2), Some(1)).await),
+                    _ => {}
+                }
+            });
+            let mut spans: Vec<(&'static str, String)> = rec
+                .events()
+                .iter()
+                .filter_map(|e| match e {
+                    hpcc_trace::Event::Span { cat, name, .. }
+                        if *cat == "link" || *cat == "send" =>
+                    {
+                        Some((*cat, name.clone()))
+                    }
+                    _ => None,
+                })
+                .collect();
+            spans.sort();
+            let want = [
+                ("link", "0->3"),
+                ("link", "0->3"),
+                ("link", "0->3"),
+                ("link", "2->1"),
+                ("send", "send->1"),
+                ("send", "send->3"),
+            ];
+            let got: Vec<(&str, &str)> = spans.iter().map(|(c, n)| (*c, n.as_str())).collect();
+            assert_eq!(got, want);
+        }
     }
 
     proptest::proptest! {
