@@ -27,6 +27,7 @@ use des::time::SimTime;
 use nren_netsim::{
     fabric_to_wan, fat_tree, workload, FlowConfig, FlowSim, LinkClass, SolverMode, TransferSpec,
 };
+use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -93,6 +94,8 @@ fn run_once(
 ) -> NetRow {
     let flows = specs.len();
     let bytes: f64 = specs.iter().map(|s| s.bytes as f64).sum();
+    let pairs: HashSet<_> = specs.iter().map(|s| (s.src, s.dst)).collect();
+    let sources: HashSet<_> = specs.iter().map(|s| s.src).collect();
     let t = Instant::now();
     let (outcomes, stats) = FlowSim::with_config(net, cfg)
         .run_with_faults(specs, &[])
@@ -100,6 +103,16 @@ fn run_once(
     let wall = t.elapsed().as_secs_f64().max(1e-9);
     eprintln!("  [{scenario}] {label} @ {flows}: {:.1}s", wall);
     assert_eq!(outcomes.len(), flows, "{scenario}/{label}: lost flows");
+    // Routing is per source, not per flow: with no link transitions the
+    // run builds one tree per sender and reads each pair out of it once.
+    // A slide back to a Dijkstra per flow fails here, not as a slow row.
+    let routing = stats.routing;
+    assert!(
+        routing.misses <= pairs.len() as u64 && routing.trees <= sources.len() as u64,
+        "{scenario}/{label}: {routing:?} for {} pairs from {} sources",
+        pairs.len(),
+        sources.len()
+    );
     let makespan = stats.makespan.as_secs_f64();
     NetRow {
         scenario,

@@ -207,8 +207,10 @@ pub(crate) struct Engine {
     load: Vec<f64>,
     /// Saturation under the same tolerance `maxmin_rates` freezes with.
     sat: Vec<bool>,
-    /// Live entries crossing each directed link.
-    on: Vec<Vec<EntryId>>,
+    /// Live entries crossing each directed link, each beside the index
+    /// of this link in its route — the `pos` slot to patch when a
+    /// swap-remove moves it.
+    on: Vec<Vec<(u32, u32)>>,
     entries: Vec<Entry>,
     free: Vec<EntryId>,
     /// Live entries in a stable order (swap-removed); full re-solves and
@@ -231,7 +233,16 @@ pub(crate) struct Engine {
     dirty: Vec<EntryId>,
     touched_d: Vec<usize>,
     fr_rate: Vec<f64>,
-    fr_frozen: Vec<bool>,
+    // The affected set flattened for `fill`, indexed like `dirty`:
+    // weight, cap, and route dirs as CSR (`fr_off[i]..fr_off[i + 1]`).
+    fr_w: Vec<f64>,
+    fr_cap: Vec<f64>,
+    fr_off: Vec<usize>,
+    fr_dirs: Vec<usize>,
+    /// `dirty` indices still unfrozen, in `dirty` order.
+    fr_act: Vec<usize>,
+    /// Touched links still carrying unfrozen weight, in `touched_d` order.
+    fr_links: Vec<usize>,
     residual: Vec<f64>,
     wsum: Vec<f64>,
     lvl: Vec<f64>,
@@ -266,7 +277,12 @@ impl Engine {
             dirty: Vec::new(),
             touched_d: Vec::new(),
             fr_rate: Vec::new(),
-            fr_frozen: Vec::new(),
+            fr_w: Vec::new(),
+            fr_cap: Vec::new(),
+            fr_off: Vec::new(),
+            fr_dirs: Vec::new(),
+            fr_act: Vec::new(),
+            fr_links: Vec::new(),
             residual: vec![0.0; ndirs],
             wsum: vec![0.0; ndirs],
             lvl: vec![0.0; ndirs],
@@ -338,18 +354,16 @@ impl Engine {
 
     /// Bring the entry's drained-bytes and per-link carriage current.
     pub(crate) fn sync(&mut self, e: EntryId, now: SimTime) {
-        let ent = &self.entries[e];
+        let ent = &mut self.entries[e];
         if ent.synced >= now {
             return;
         }
         let dt = (now - ent.synced).as_secs_f64();
-        let (rate, weight) = (ent.rate, ent.weight);
-        self.entries[e].synced = now;
-        if rate > 0.0 && dt > 0.0 {
-            self.entries[e].drained += rate * dt;
-            let add = weight * rate * dt;
-            let route = self.entries[e].route.clone();
-            for &d in &route.dirs {
+        ent.synced = now;
+        if ent.rate > 0.0 && dt > 0.0 {
+            ent.drained += ent.rate * dt;
+            let add = ent.weight * ent.rate * dt;
+            for &d in &ent.route.dirs {
                 self.carried[d] += add;
             }
         }
@@ -361,31 +375,22 @@ impl Engine {
     }
 
     fn link_into_lists(&mut self, e: EntryId) {
-        let route = self.entries[e].route.clone();
-        self.entries[e].pos.clear();
-        for &d in &route.dirs {
-            self.entries[e].pos.push(self.on[d].len() as u32);
-            self.on[d].push(e);
+        let ent = &mut self.entries[e];
+        ent.pos.clear();
+        for (slot, &d) in ent.route.dirs.iter().enumerate() {
+            ent.pos.push(self.on[d].len() as u32);
+            self.on[d].push((e as u32, slot as u32));
         }
     }
 
     fn unlink_from_lists(&mut self, e: EntryId) {
-        let route = self.entries[e].route.clone();
-        for (slot, &d) in route.dirs.iter().enumerate() {
-            let p = self.entries[e].pos[slot] as usize;
-            debug_assert_eq!(self.on[d][p], e);
-            let last = self.on[d].len() - 1;
-            self.on[d].swap(p, last);
-            self.on[d].pop();
-            if p < self.on[d].len() {
-                let moved = self.on[d][p];
-                let ms = self.entries[moved]
-                    .route
-                    .dirs
-                    .iter()
-                    .position(|&x| x == d)
-                    .expect("moved entry crosses this dir");
-                self.entries[moved].pos[ms] = p as u32;
+        for slot in 0..self.entries[e].pos.len() {
+            let ent = &self.entries[e];
+            let (d, p) = (ent.route.dirs[slot], ent.pos[slot] as usize);
+            debug_assert_eq!(self.on[d][p], (e as u32, slot as u32));
+            self.on[d].swap_remove(p);
+            if let Some(&(moved, ms)) = self.on[d].get(p) {
+                self.entries[moved as usize].pos[ms as usize] = p as u32;
             }
         }
     }
@@ -469,14 +474,13 @@ impl Engine {
         now: SimTime,
     ) {
         self.sync(e, now);
-        let r = self.entries[e].rate;
-        let key = bytes + self.entries[e].drained;
-        self.entries[e].weight += 1.0;
-        self.entries[e].epoch += 1;
-        heap_push(&mut self.entries[e].members, Member { key, flow, started });
-        let route = self.entries[e].route.clone();
-        for &d in &route.dirs {
-            self.load[d] += r;
+        let ent = &mut self.entries[e];
+        let key = bytes + ent.drained;
+        ent.weight += 1.0;
+        ent.epoch += 1;
+        heap_push(&mut ent.members, Member { key, flow, started });
+        for &d in &ent.route.dirs {
+            self.load[d] += ent.rate;
         }
         self.live_members += 1;
         self.stats.peak_flows = self.stats.peak_flows.max(self.live_members);
@@ -487,13 +491,12 @@ impl Engine {
     /// Pop the head member (the one with the least bytes left). The
     /// caller must have `sync`ed the entry to `now`.
     pub(crate) fn pop_member(&mut self, e: EntryId) -> Member {
-        let m = heap_pop(&mut self.entries[e].members);
-        let r = self.entries[e].rate;
-        self.entries[e].weight -= 1.0;
-        self.entries[e].epoch += 1;
-        let route = self.entries[e].route.clone();
-        for &d in &route.dirs {
-            self.load[d] -= r;
+        let ent = &mut self.entries[e];
+        let m = heap_pop(&mut ent.members);
+        ent.weight -= 1.0;
+        ent.epoch += 1;
+        for &d in &ent.route.dirs {
+            self.load[d] -= ent.rate;
         }
         self.live_members -= 1;
         self.seed_entry(e);
@@ -508,19 +511,17 @@ impl Engine {
         mut f: impl FnMut(u32, f64, SimTime),
     ) {
         self.sync(e, now);
-        while !self.entries[e].members.is_empty() {
-            let drained = self.entries[e].drained;
-            let m = heap_pop(&mut self.entries[e].members);
+        let ent = &mut self.entries[e];
+        while !ent.members.is_empty() {
+            let m = heap_pop(&mut ent.members);
             self.live_members -= 1;
-            f(m.flow, (m.key - drained).max(0.0), m.started);
+            f(m.flow, (m.key - ent.drained).max(0.0), m.started);
         }
-        let w = std::mem::replace(&mut self.entries[e].weight, 0.0);
-        let r = self.entries[e].rate;
-        let route = self.entries[e].route.clone();
-        for &d in &route.dirs {
-            self.load[d] -= w * r;
+        let w = std::mem::replace(&mut ent.weight, 0.0);
+        for &d in &ent.route.dirs {
+            self.load[d] -= w * ent.rate;
         }
-        self.entries[e].epoch += 1;
+        ent.epoch += 1;
     }
 
     /// Retire an entry (all members completed or parked), releasing its
@@ -529,10 +530,8 @@ impl Engine {
         self.sync(e, now);
         let ent = &self.entries[e];
         debug_assert!(ent.alive && ent.members.is_empty());
-        let (w, r) = (ent.weight, ent.rate);
-        let route = ent.route.clone();
-        for &d in &route.dirs {
-            self.load[d] -= w * r;
+        for &d in &ent.route.dirs {
+            self.load[d] -= ent.weight * ent.rate;
             self.seeds_d.push(d);
         }
         self.unlink_from_lists(e);
@@ -552,21 +551,21 @@ impl Engine {
     /// members and rate; both old and new links are seeded.
     pub(crate) fn reroute(&mut self, e: EntryId, route: Rc<Route>, cap: f64, now: SimTime) {
         self.sync(e, now);
-        let (w, r) = (self.entries[e].weight, self.entries[e].rate);
-        let old = self.entries[e].route.clone();
-        for &d in &old.dirs {
-            self.load[d] -= w * r;
+        let ent = &self.entries[e];
+        let wr = ent.weight * ent.rate;
+        for &d in &ent.route.dirs {
+            self.load[d] -= wr;
             self.seeds_d.push(d);
         }
         self.unlink_from_lists(e);
         self.entries[e].route = route;
         self.entries[e].cap = cap;
         self.link_into_lists(e);
-        let new = self.entries[e].route.clone();
-        for &d in &new.dirs {
-            self.load[d] += w * r;
+        let ent = &mut self.entries[e];
+        for &d in &ent.route.dirs {
+            self.load[d] += wr;
         }
-        self.entries[e].epoch += 1;
+        ent.epoch += 1;
         self.seed_entry(e);
     }
 
@@ -574,8 +573,8 @@ impl Engine {
     /// in roster order (deterministic).
     pub(crate) fn entries_on_link(&self, l: usize, out: &mut Vec<EntryId>) {
         out.clear();
-        out.extend_from_slice(&self.on[2 * l]);
-        out.extend_from_slice(&self.on[2 * l + 1]);
+        let both = self.on[2 * l].iter().chain(&self.on[2 * l + 1]);
+        out.extend(both.map(|&(e, _)| e as usize));
         out.sort_unstable_by_key(|&e| self.roster_pos[e]);
     }
 
@@ -636,7 +635,7 @@ impl Engine {
                         lscan += 1;
                         if self.sat[d] {
                             for k in 0..self.on[d].len() {
-                                let m = self.on[d][k];
+                                let m = self.on[d][k].0 as usize;
                                 if self.e_stamp[m] != st {
                                     self.e_stamp[m] = st;
                                     self.dirty.push(m);
@@ -685,7 +684,10 @@ impl Engine {
                     self.residual[d] = (self.cap_v[d] - self.residual[d].max(0.0)).max(0.0);
                 }
             }
+            #[cfg(not(test))]
             self.fill();
+            #[cfg(test)]
+            self.fill_checked();
             if full {
                 break;
             }
@@ -703,95 +705,83 @@ impl Engine {
     /// [`maxmin_rates`] step for step (weight sums stand in for flow
     /// counts; both are exact integers in f64, so the increments — and
     /// therefore the freeze order — are identical to the expanded list).
+    ///
+    /// The set is flattened once; rounds then walk only what is still
+    /// unfrozen. `fr_act` and `fr_links` are compacted *stably*, so each
+    /// round visits entries and links in the order a scan that skips
+    /// frozen ones would, and every `residual[d] -= w * inc` lands in
+    /// the same sequence. `wsum` loses a frozen entry's weight by
+    /// subtraction, which is exact on integers.
     fn fill(&mut self) {
         let n = self.dirty.len();
         self.fr_rate.clear();
         self.fr_rate.resize(n, 0.0);
-        self.fr_frozen.clear();
-        self.fr_frozen.resize(n, false);
-        let mut unfrozen = 0usize;
-        for i in 0..n {
-            let e = self.dirty[i];
-            if self.entries[e].route.dirs.is_empty() {
-                self.fr_rate[i] = self.entries[e].cap;
-                self.fr_frozen[i] = true;
-            } else {
-                unfrozen += 1;
-            }
+        self.fr_w.clear();
+        self.fr_cap.clear();
+        self.fr_dirs.clear();
+        self.fr_off.clear();
+        self.fr_off.push(0);
+        self.fr_act.clear();
+        for &d in &self.touched_d {
+            self.wsum[d] = 0.0;
         }
-        while unfrozen > 0 {
-            for k in 0..self.touched_d.len() {
-                let d = self.touched_d[k];
-                self.wsum[d] = 0.0;
+        for (i, &e) in self.dirty.iter().enumerate() {
+            let ent = &self.entries[e];
+            self.fr_w.push(ent.weight);
+            self.fr_cap.push(ent.cap);
+            if ent.route.dirs.is_empty() {
+                self.fr_rate[i] = ent.cap;
+            } else {
+                self.fr_act.push(i);
             }
-            for i in 0..n {
-                if self.fr_frozen[i] {
-                    continue;
-                }
-                let e = self.dirty[i];
-                let w = self.entries[e].weight;
-                let nd = self.entries[e].route.dirs.len();
-                for k in 0..nd {
-                    let d = self.entries[e].route.dirs[k];
-                    self.wsum[d] += w;
-                }
+            for &d in &ent.route.dirs {
+                self.wsum[d] += ent.weight;
             }
+            self.fr_dirs.extend_from_slice(&ent.route.dirs);
+            self.fr_off.push(self.fr_dirs.len());
+        }
+        self.fr_links.clear();
+        let crossed = self.touched_d.iter().filter(|&&d| self.wsum[d] > 0.0);
+        self.fr_links.extend(crossed);
+        while !self.fr_act.is_empty() {
             let mut inc = f64::INFINITY;
-            for k in 0..self.touched_d.len() {
-                let d = self.touched_d[k];
-                if self.wsum[d] > 0.0 {
-                    inc = inc.min(self.residual[d].max(0.0) / self.wsum[d]);
-                }
+            for &d in &self.fr_links {
+                inc = inc.min(self.residual[d].max(0.0) / self.wsum[d]);
             }
-            for i in 0..n {
-                if !self.fr_frozen[i] {
-                    let e = self.dirty[i];
-                    inc = inc.min(self.entries[e].cap - self.fr_rate[i]);
-                }
+            for &i in &self.fr_act {
+                inc = inc.min(self.fr_cap[i] - self.fr_rate[i]);
             }
             if !inc.is_finite() {
                 break;
             }
             let inc = inc.max(0.0);
-            for i in 0..n {
-                if self.fr_frozen[i] {
-                    continue;
-                }
-                let e = self.dirty[i];
-                let w = self.entries[e].weight;
+            for &i in &self.fr_act {
                 self.fr_rate[i] += inc;
-                let nd = self.entries[e].route.dirs.len();
-                for k in 0..nd {
-                    let d = self.entries[e].route.dirs[k];
-                    self.residual[d] -= w * inc;
+                let step = self.fr_w[i] * inc;
+                for &d in &self.fr_dirs[self.fr_off[i]..self.fr_off[i + 1]] {
+                    self.residual[d] -= step;
                 }
             }
-            let mut any = false;
-            for i in 0..n {
-                if self.fr_frozen[i] {
-                    continue;
-                }
-                let e = self.dirty[i];
-                let cap = self.entries[e].cap;
+            let unfrozen = self.fr_act.len();
+            self.fr_act.retain(|&i| {
+                let cap = self.fr_cap[i];
+                let dirs = &self.fr_dirs[self.fr_off[i]..self.fr_off[i + 1]];
                 let capped = self.fr_rate[i] >= cap - 1e-9 * cap.max(1.0);
-                let mut saturated = false;
-                let nd = self.entries[e].route.dirs.len();
-                for k in 0..nd {
-                    let d = self.entries[e].route.dirs[k];
-                    if self.residual[d] <= 1e-9 * self.cap_v[d].max(1.0) {
-                        saturated = true;
-                        break;
+                let frozen = capped
+                    || dirs
+                        .iter()
+                        .any(|&d| self.residual[d] <= 1e-9 * self.cap_v[d].max(1.0));
+                if frozen {
+                    for &d in dirs {
+                        self.wsum[d] -= self.fr_w[i];
                     }
                 }
-                if capped || saturated {
-                    self.fr_frozen[i] = true;
-                    unfrozen -= 1;
-                    any = true;
-                }
-            }
-            if !any {
+                !frozen
+            });
+            if self.fr_act.len() == unfrozen {
                 break;
             }
+            self.fr_links.retain(|&d| self.wsum[d] > 0.0);
         }
     }
 
@@ -805,12 +795,8 @@ impl Engine {
             let d = self.touched_d[k];
             self.lvl[d] = f64::NEG_INFINITY;
         }
-        for i in 0..self.dirty.len() {
-            let e = self.dirty[i];
-            let r = self.fr_rate[i];
-            let nd = self.entries[e].route.dirs.len();
-            for k in 0..nd {
-                let d = self.entries[e].route.dirs[k];
+        for (i, &r) in self.fr_rate.iter().enumerate() {
+            for &d in &self.fr_dirs[self.fr_off[i]..self.fr_off[i + 1]] {
                 if r > self.lvl[d] {
                     self.lvl[d] = r;
                 }
@@ -825,7 +811,7 @@ impl Engine {
             let level = self.lvl[d];
             let tol = 1e-9 * level.abs().max(1.0);
             for j in 0..self.on[d].len() {
-                let m = self.on[d][j];
+                let m = self.on[d][j].0 as usize;
                 if self.e_stamp[m] != st && self.entries[m].rate > level + tol {
                     self.e_stamp[m] = st;
                     self.dirty.push(m);
@@ -887,6 +873,124 @@ impl Engine {
                 "incremental rate diverged at flow {i}: {w} vs reference {r}"
             );
         }
+    }
+}
+
+#[cfg(test)]
+impl Engine {
+    /// The fill as it stood before the working-set rewrite: every round
+    /// re-derives `wsum` and scans the whole affected set, frozen or
+    /// not. The oracle [`Engine::fill`] must match bit for bit.
+    #[allow(clippy::needless_range_loop)] // kept loop for loop as it was
+    fn fill_reference(&mut self) {
+        let n = self.dirty.len();
+        self.fr_rate.clear();
+        self.fr_rate.resize(n, 0.0);
+        let mut frozen = vec![false; n];
+        let mut unfrozen = 0usize;
+        for i in 0..n {
+            let e = self.dirty[i];
+            if self.entries[e].route.dirs.is_empty() {
+                self.fr_rate[i] = self.entries[e].cap;
+                frozen[i] = true;
+            } else {
+                unfrozen += 1;
+            }
+        }
+        while unfrozen > 0 {
+            for k in 0..self.touched_d.len() {
+                let d = self.touched_d[k];
+                self.wsum[d] = 0.0;
+            }
+            for i in 0..n {
+                if frozen[i] {
+                    continue;
+                }
+                let e = self.dirty[i];
+                let w = self.entries[e].weight;
+                let nd = self.entries[e].route.dirs.len();
+                for k in 0..nd {
+                    let d = self.entries[e].route.dirs[k];
+                    self.wsum[d] += w;
+                }
+            }
+            let mut inc = f64::INFINITY;
+            for k in 0..self.touched_d.len() {
+                let d = self.touched_d[k];
+                if self.wsum[d] > 0.0 {
+                    inc = inc.min(self.residual[d].max(0.0) / self.wsum[d]);
+                }
+            }
+            for i in 0..n {
+                if !frozen[i] {
+                    let e = self.dirty[i];
+                    inc = inc.min(self.entries[e].cap - self.fr_rate[i]);
+                }
+            }
+            if !inc.is_finite() {
+                break;
+            }
+            let inc = inc.max(0.0);
+            for i in 0..n {
+                if frozen[i] {
+                    continue;
+                }
+                let e = self.dirty[i];
+                let w = self.entries[e].weight;
+                self.fr_rate[i] += inc;
+                let nd = self.entries[e].route.dirs.len();
+                for k in 0..nd {
+                    let d = self.entries[e].route.dirs[k];
+                    self.residual[d] -= w * inc;
+                }
+            }
+            let mut any = false;
+            for i in 0..n {
+                if frozen[i] {
+                    continue;
+                }
+                let e = self.dirty[i];
+                let cap = self.entries[e].cap;
+                let capped = self.fr_rate[i] >= cap - 1e-9 * cap.max(1.0);
+                let mut saturated = false;
+                let nd = self.entries[e].route.dirs.len();
+                for k in 0..nd {
+                    let d = self.entries[e].route.dirs[k];
+                    if self.residual[d] <= 1e-9 * self.cap_v[d].max(1.0) {
+                        saturated = true;
+                        break;
+                    }
+                }
+                if capped || saturated {
+                    frozen[i] = true;
+                    unfrozen -= 1;
+                    any = true;
+                }
+            }
+            if !any {
+                break;
+            }
+        }
+    }
+
+    /// Both fills from the same residuals, rates and residuals compared
+    /// bit for bit. Every resolve of a unit-test build goes through here.
+    fn fill_checked(&mut self) {
+        let touched = self.touched_d.clone();
+        let residual_bits = |eng: &Engine| -> Vec<u64> {
+            touched.iter().map(|&d| eng.residual[d].to_bits()).collect()
+        };
+        let rate_bits =
+            |eng: &Engine| -> Vec<u64> { eng.fr_rate.iter().map(|r| r.to_bits()).collect() };
+        let before: Vec<f64> = touched.iter().map(|&d| self.residual[d]).collect();
+        self.fill_reference();
+        let want = (rate_bits(self), residual_bits(self));
+        for (&d, &r) in touched.iter().zip(&before) {
+            self.residual[d] = r;
+        }
+        self.fill();
+        assert_eq!(rate_bits(self), want.0, "fill rates diverged");
+        assert_eq!(residual_bits(self), want.1, "fill residuals diverged");
     }
 }
 
@@ -980,5 +1084,83 @@ mod tests {
         let total: f64 = carried.iter().sum();
         // Two hops, each carried 2 s at the bottleneck rate.
         assert!((total - 2.0 * 2.0 * cap).abs() < 1.0);
+    }
+
+    /// ≥ 200 seeded rosters through `resolve` (whose fill is
+    /// `fill_checked` here): weights > 1, window caps, empty routes,
+    /// never-fall-back incremental, default incremental and global.
+    #[test]
+    fn fill_matches_the_reference_on_seeded_rosters() {
+        use crate::topologies;
+        use des::rng::Rng;
+        let nets = [
+            topologies::nsfnet(LinkClass::T3),
+            topologies::delta_consortium(),
+            topologies::fat_tree(4, LinkClass::Gigabit, LinkClass::Gig100, "t.").net,
+        ];
+        let modes = [
+            SolverMode::Incremental { full_fraction: 1.0 },
+            SolverMode::Incremental {
+                full_fraction: 0.25,
+            },
+            SolverMode::Global,
+        ];
+        let (mut full, mut partial) = (0, 0);
+        for seed in 0..240u64 {
+            let mut rng = Rng::new(seed);
+            let net = &nets[seed as usize % nets.len()];
+            let cfg = FlowConfig {
+                solver: modes[(seed / 3) as usize % modes.len()],
+                verify: true,
+                ..FlowConfig::default()
+            };
+            let mut eng = Engine::new(net, &cfg);
+            let mut out = Vec::new();
+            let mut live: Vec<EntryId> = Vec::new();
+            let mut flow = 0u32;
+            for step in 0..6u64 {
+                let now = SimTime::from_secs_f64(step as f64 * 0.25);
+                for _ in 0..rng.range_u64(1, 12) {
+                    let src = rng.below(net.sites() as u64) as SiteId;
+                    // One in eight is a self-route: no links, frozen at its cap.
+                    let dst = if rng.chance(0.125) {
+                        src
+                    } else {
+                        rng.below(net.sites() as u64) as SiteId
+                    };
+                    let route = Rc::new(net.route(src, dst).expect("connected"));
+                    let cap = if src == dst || rng.chance(0.4) {
+                        rng.range_f64(1e3, 1e6)
+                    } else {
+                        f64::INFINITY
+                    };
+                    let e = eng.insert(route, src, dst, None, cap, 1e12, flow, now, now);
+                    flow += 1;
+                    for _ in 0..rng.below(4) {
+                        eng.join(e, 1e12, flow, now, now);
+                        flow += 1;
+                    }
+                    live.push(e);
+                }
+                // Retire a few, so later resolves start from a loaded net.
+                for _ in 0..rng.below(3) {
+                    if live.len() > 1 {
+                        let e = live.swap_remove(rng.below(live.len() as u64) as usize);
+                        eng.sync(e, now);
+                        while eng.member_count(e) > 0 {
+                            eng.pop_member(e);
+                        }
+                        eng.remove_entry(e, now);
+                    }
+                }
+                eng.resolve(net, now, &mut out);
+            }
+            full += eng.stats.full_resolves;
+            partial += eng.stats.resolves - eng.stats.full_resolves;
+        }
+        assert!(
+            full > 100 && partial > 100,
+            "{full} full, {partial} partial"
+        );
     }
 }

@@ -9,7 +9,7 @@
 //! a procurement.
 
 use crate::engine::{Engine, EntryId, FlowConfig, SolverStats};
-use crate::graph::{Net, Route, RouteCache};
+use crate::graph::{Net, Route, RouteCache, RouteStats};
 use crate::link::SiteId;
 use des::time::{Dur, SimTime};
 use hpcc_trace::{names, NullRecorder, Recorder, TrackId};
@@ -151,8 +151,9 @@ struct Transition {
 /// Max-min fair rates via progressive filling with per-flow caps.
 ///
 /// `flows` supplies each flow's directed-link list and its rate cap.
-/// Returns one rate per flow. Runs in O(iterations × links) where each
-/// iteration freezes at least one flow.
+/// Returns one rate per flow. Runs in O(rounds × flows × hops): every
+/// round walks each unfrozen flow's links (and every link once) and
+/// freezes at least one flow, so there are at most `flows` rounds.
 pub fn maxmin_rates(net: &Net, flows: &[(&[usize], f64)]) -> Vec<f64> {
     let n = flows.len();
     let mut rate = vec![0.0f64; n];
@@ -236,6 +237,8 @@ pub struct NetStats {
     pub makespan: des::time::SimTime,
     /// How hard the incremental solver worked.
     pub solver: SolverStats,
+    /// Route lookups and Dijkstra runs, validation included.
+    pub routing: RouteStats,
 }
 
 impl NetStats {
@@ -396,6 +399,16 @@ impl<'a> FlowSim<'a> {
     /// join two distinct, connected sites. Returns the first offender
     /// with both site names spelled out.
     pub fn check(&self, specs: &[TransferSpec]) -> Result<(), FlowError> {
+        self.check_cached(specs, &mut RouteCache::new())
+    }
+
+    /// [`FlowSim::check`] through `cache`, which it leaves holding every
+    /// spec's healthy-network route.
+    fn check_cached(
+        &self,
+        specs: &[TransferSpec],
+        cache: &mut RouteCache,
+    ) -> Result<(), FlowError> {
         for (index, s) in specs.iter().enumerate() {
             if s.src == s.dst {
                 return Err(FlowError::SelfTransfer {
@@ -403,7 +416,7 @@ impl<'a> FlowSim<'a> {
                     site: self.net.name(s.src).to_string(),
                 });
             }
-            if self.net.route(s.src, s.dst).is_none() {
+            if cache.route(self.net, s.src, s.dst, &[]).is_none() {
                 return Err(FlowError::Unroutable {
                     index,
                     src: self.net.name(s.src).to_string(),
@@ -425,18 +438,20 @@ impl<'a> FlowSim<'a> {
     /// Like [`FlowSim::run`], returning `Err` instead of panicking when
     /// a spec names a disconnected or degenerate site pair.
     pub fn try_run(&self, specs: Vec<TransferSpec>) -> Result<Vec<FlowRecord>, FlowError> {
-        self.check(&specs)?;
-        Ok(self.run_with_stats(specs).0)
+        self.try_run_with_stats(specs).map(|(records, _)| records)
     }
 
     /// Like [`FlowSim::run`], also returning per-link carriage stats.
     pub fn run_with_stats(&self, specs: Vec<TransferSpec>) -> (Vec<FlowRecord>, NetStats) {
-        if let Err(e) = self.check(&specs) {
-            panic!("{e}");
-        }
-        let (outcomes, stats) = self
-            .run_with_faults(specs, &[])
-            .expect("batch already checked");
+        self.try_run_with_stats(specs)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    fn try_run_with_stats(
+        &self,
+        specs: Vec<TransferSpec>,
+    ) -> Result<(Vec<FlowRecord>, NetStats), FlowError> {
+        let (outcomes, stats) = self.run_with_faults(specs, &[])?;
         let records = outcomes
             .into_iter()
             .map(|o| match o {
@@ -444,7 +459,7 @@ impl<'a> FlowSim<'a> {
                 FlowOutcome::Stalled { .. } => unreachable!("no faults, no stalls"),
             })
             .collect();
-        (records, stats)
+        Ok((records, stats))
     }
 
     /// Run the batch under a schedule of link outages. Flows whose route
@@ -471,7 +486,10 @@ impl<'a> FlowSim<'a> {
         faults: &[LinkFault],
         rec: &dyn Recorder,
     ) -> Result<(Vec<FlowOutcome>, NetStats), FlowError> {
-        self.check(&specs)?;
+        // The one validation of the batch; the routes it finds stay in
+        // the cache, whose mask (all links up) is the loop's initial one.
+        let mut cache = RouteCache::new();
+        self.check_cached(&specs, &mut cache)?;
         let rec_on = rec.is_enabled();
         let flow_track: Vec<TrackId> = if rec_on {
             specs
@@ -546,7 +564,6 @@ impl<'a> FlowSim<'a> {
         let mut ti = 0usize;
         let mut now;
         let mut engine = Engine::new(self.net, &self.cfg);
-        let mut cache = RouteCache::new();
         let mut open_aggs: HashMap<(SiteId, SiteId, Option<u64>), EntryId> = HashMap::new();
         let mut heap = DueHeap::new();
         let mut out_scratch: Vec<EntryId> = Vec::new();
@@ -898,6 +915,7 @@ impl<'a> FlowSim<'a> {
                 carried,
                 makespan,
                 solver,
+                routing: cache.stats(),
             },
         ))
     }

@@ -93,18 +93,19 @@ impl Net {
     /// count; missing entries mean "up". Returns `None` when the outage
     /// set partitions `src` from `dst`.
     pub fn route_avoiding(&self, src: SiteId, dst: SiteId, down: &[bool]) -> Option<Route> {
-        if src == dst {
-            return Some(Route {
-                dirs: Vec::new(),
-                latency: Dur::ZERO,
-                bottleneck: f64::INFINITY,
-            });
-        }
-        // Dijkstra on propagation latency (ns), tie-broken by hop count
-        // then site id for determinism.
+        self.shortest_paths(src, Some(dst), down).route(self, dst)
+    }
+
+    /// Dijkstra from `src` on propagation latency (ns), tie-broken by
+    /// hop count then site id for determinism. With `stop` the search
+    /// ends once that site is settled; without, it spans everything
+    /// reachable. A settled site's `prev` chain never changes afterwards
+    /// (relaxation is strict `<` and every ancestor settled earlier), so
+    /// the full tree holds exactly the path each early exit would find.
+    fn shortest_paths(&self, src: SiteId, stop: Option<SiteId>, down: &[bool]) -> PathTree {
         let n = self.sites();
         let mut dist = vec![(u64::MAX, u32::MAX); n];
-        let mut prev: Vec<Option<(SiteId, usize)>> = vec![None; n];
+        let mut prev = vec![u32::MAX; n];
         let mut heap = BinaryHeap::new();
         dist[src] = (0, 0);
         heap.push(std::cmp::Reverse((0u64, 0u32, src)));
@@ -112,7 +113,7 @@ impl Net {
             if (d, hops) > dist[u] {
                 continue;
             }
-            if u == dst {
+            if Some(u) == stop {
                 break;
             }
             for &(idx, v) in &self.adj[u] {
@@ -123,30 +124,12 @@ impl Net {
                 let nh = hops + 1;
                 if (nd, nh) < dist[v] {
                     dist[v] = (nd, nh);
-                    prev[v] = Some((u, idx));
+                    prev[v] = idx as u32;
                     heap.push(std::cmp::Reverse((nd, nh, v)));
                 }
             }
         }
-        if dist[dst].0 == u64::MAX {
-            return None;
-        }
-        let mut dirs = Vec::new();
-        let mut bottleneck = f64::INFINITY;
-        let mut cur = dst;
-        while cur != src {
-            let (p, idx) = prev[cur].expect("path exists");
-            let d = self.dir_id(idx, p);
-            bottleneck = bottleneck.min(self.capacity(d));
-            dirs.push(d);
-            cur = p;
-        }
-        dirs.reverse();
-        Some(Route {
-            dirs,
-            latency: Dur::from_nanos(dist[dst].0),
-            bottleneck,
-        })
+        PathTree { dist, prev }
     }
 
     /// Single-flow achievable rate along the route (min capacity), bytes/s.
@@ -175,17 +158,69 @@ impl Route {
     }
 }
 
+/// Shortest-path labels from one source: per site its (latency ns,
+/// hops) and the link it was reached over (`u32::MAX` at the source and
+/// at unreached sites).
+#[derive(Debug)]
+struct PathTree {
+    dist: Vec<(u64, u32)>,
+    prev: Vec<u32>,
+}
+
+impl PathTree {
+    /// Walk `prev` back from `dst` to the source (for which the walk is
+    /// empty: no links, zero latency, unbounded bottleneck); `None` if
+    /// the search never got to `dst`.
+    fn route(&self, net: &Net, dst: SiteId) -> Option<Route> {
+        let (latency, hops) = self.dist[dst];
+        if latency == u64::MAX {
+            return None;
+        }
+        let mut dirs = Vec::with_capacity(hops as usize);
+        let mut bottleneck = f64::INFINITY;
+        let mut cur = dst;
+        while self.prev[cur] != u32::MAX {
+            let idx = self.prev[cur] as usize;
+            let link = &net.links[idx];
+            let p = if link.a == cur { link.b } else { link.a };
+            let d = net.dir_id(idx, p);
+            bottleneck = bottleneck.min(net.capacity(d));
+            dirs.push(d);
+            cur = p;
+        }
+        dirs.reverse();
+        Some(Route {
+            dirs,
+            latency: Dur::from_nanos(latency),
+            bottleneck,
+        })
+    }
+}
+
+/// Work a [`RouteCache`] has done since construction.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RouteStats {
+    /// Lookups answered from an interned route.
+    pub hits: u64,
+    /// Lookups that had to read a route out of a tree.
+    pub misses: u64,
+    /// Single-source Dijkstra runs.
+    pub trees: u64,
+}
+
 /// Memoized routing: pinned static routes are identical for every flow
 /// between the same site pair under the same outage mask, so the flow
 /// engine interns them here instead of re-running Dijkstra per flow.
-/// Negative results (partitioned pairs) are cached too. Call
-/// [`RouteCache::invalidate`] whenever the outage mask changes.
+/// A miss builds (or reuses) the source's full shortest-path tree and
+/// reads the destination out of it, so a fan-out from one site costs
+/// one Dijkstra however many destinations it names. Negative results
+/// (partitioned pairs) are cached too. Call [`RouteCache::invalidate`]
+/// whenever the outage mask changes.
 #[derive(Debug, Default)]
 pub struct RouteCache {
     map: HashMap<(SiteId, SiteId), Option<Rc<Route>>>,
-    /// Cache statistics: (hits, misses) since construction.
-    hits: u64,
-    misses: u64,
+    trees: HashMap<SiteId, PathTree>,
+    stats: RouteStats,
 }
 
 impl RouteCache {
@@ -194,7 +229,8 @@ impl RouteCache {
     }
 
     /// The pinned route from `src` to `dst` under the current `down`
-    /// mask, shared via `Rc` across every flow on the pair.
+    /// mask, shared via `Rc` across every flow on the pair. Equal to
+    /// [`Net::route_avoiding`] on the same arguments.
     pub fn route(
         &mut self,
         net: &Net,
@@ -203,23 +239,27 @@ impl RouteCache {
         down: &[bool],
     ) -> Option<Rc<Route>> {
         if let Some(r) = self.map.get(&(src, dst)) {
-            self.hits += 1;
+            self.stats.hits += 1;
             return r.clone();
         }
-        self.misses += 1;
-        let r = net.route_avoiding(src, dst, down).map(Rc::new);
+        self.stats.misses += 1;
+        let tree = self.trees.entry(src).or_insert_with(|| {
+            self.stats.trees += 1;
+            net.shortest_paths(src, None, down)
+        });
+        let r = tree.route(net, dst).map(Rc::new);
         self.map.insert((src, dst), r.clone());
         r
     }
 
-    /// Drop every memoized route (the outage mask changed).
+    /// Drop every memoized route and tree (the outage mask changed).
     pub fn invalidate(&mut self) {
         self.map.clear();
+        self.trees.clear();
     }
 
-    /// (hits, misses) since construction.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
+    pub fn stats(&self) -> RouteStats {
+        self.stats
     }
 }
 
@@ -320,6 +360,14 @@ mod tests {
         );
     }
 
+    fn stats(hits: u64, misses: u64, trees: u64) -> RouteStats {
+        RouteStats {
+            hits,
+            misses,
+            trees,
+        }
+    }
+
     #[test]
     fn route_cache_interns_and_invalidates() {
         let (net, a, _, c) = line3();
@@ -327,7 +375,7 @@ mod tests {
         let r1 = cache.route(&net, a, c, &[]).unwrap();
         let r2 = cache.route(&net, a, c, &[]).unwrap();
         assert!(Rc::ptr_eq(&r1, &r2), "second lookup is interned");
-        assert_eq!(cache.stats(), (1, 1));
+        assert_eq!(cache.stats(), stats(1, 1, 1));
         assert_eq!(r1.bottleneck, net.bottleneck(&r1));
         // Negative results are cached too.
         let mut net2 = Net::new();
@@ -337,11 +385,11 @@ mod tests {
         let mut c2 = RouteCache::new();
         assert!(c2.route(&net2, x, y, &[]).is_none());
         assert!(c2.route(&net2, x, y, &[]).is_none());
-        assert_eq!(c2.stats(), (1, 1));
-        // Invalidation forgets everything.
+        assert_eq!(c2.stats(), stats(1, 1, 1));
+        // Invalidation forgets everything, trees included.
         cache.invalidate();
         let _ = cache.route(&net, a, c, &[]).unwrap();
-        assert_eq!(cache.stats(), (1, 2));
+        assert_eq!(cache.stats(), stats(1, 2, 2));
     }
 
     #[test]

@@ -32,6 +32,6 @@ pub use engine::{FlowConfig, SolverMode, SolverStats};
 pub use flow::{
     maxmin_rates, FlowError, FlowOutcome, FlowRecord, FlowSim, LinkFault, NetStats, TransferSpec,
 };
-pub use graph::{DirLinkId, Net, Route, RouteCache};
+pub use graph::{DirLinkId, Net, Route, RouteCache, RouteStats};
 pub use link::{Link, LinkClass, SiteId};
 pub use topologies::{dragonfly, fabric_to_wan, fat_tree, Fabric};

@@ -193,7 +193,7 @@ mod tests {
         let a = visualization_feasibility_cached(&net, &mut cache, delta, jpl, 1_000_000, 24.0);
         let b = visualization_feasibility_cached(&net, &mut cache, delta, jpl, 1_000_000, 24.0);
         assert_eq!(a, b);
-        assert_eq!(cache.stats(), (1, 1));
+        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
     }
 
     #[test]

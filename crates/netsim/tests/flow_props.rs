@@ -8,8 +8,8 @@
 use des::rng::Rng;
 use des::time::SimTime;
 use nren_netsim::{
-    fat_tree, topologies, workload, FlowConfig, FlowOutcome, FlowSim, LinkClass, LinkFault,
-    SolverMode, TransferSpec,
+    dragonfly, fat_tree, topologies, workload, FlowConfig, FlowOutcome, FlowSim, LinkClass,
+    LinkFault, RouteCache, SolverMode, TransferSpec,
 };
 
 fn random_faults(rng: &mut Rng, links: usize, n: usize, horizon_s: f64) -> Vec<LinkFault> {
@@ -213,4 +213,53 @@ fn fan_in_converges_to_equal_shares() {
             "got {d}, want ~{expect}"
         );
     }
+}
+
+/// The cache reads routes out of one full shortest-path tree per source;
+/// the per-pair early-exit search must not be able to tell. Fat-tree and
+/// dragonfly are all equal-latency ties; the denser masks partition.
+#[test]
+fn route_cache_equals_per_pair_dijkstra() {
+    let nets = [
+        topologies::nsfnet(LinkClass::T3),
+        topologies::delta_consortium(),
+        fat_tree(4, LinkClass::Gigabit, LinkClass::Gig100, "t.").net,
+        dragonfly(4, 3, 2, LinkClass::Gigabit, LinkClass::Gig100, "d.").net,
+    ];
+    let mut rng = Rng::new(0x7ee5);
+    let (mut detours, mut partitions) = (0, 0);
+    for net in &nets {
+        let mut cache = RouteCache::new();
+        let mut trees = 0;
+        for p_down in [0.0, 0.05, 0.2, 0.5] {
+            let down: Vec<bool> = net.links().iter().map(|_| rng.chance(p_down)).collect();
+            cache.invalidate();
+            for src in 0..net.sites() {
+                for dst in 0..net.sites() {
+                    let want = net.route_avoiding(src, dst, &down);
+                    let got = cache.route(net, src, dst, &down);
+                    match (&want, got.as_deref()) {
+                        (Some(w), Some(g)) => {
+                            assert_eq!(w.dirs, g.dirs, "{src}->{dst} at {p_down}");
+                            assert_eq!(w.latency, g.latency);
+                            assert_eq!(w.bottleneck, g.bottleneck);
+                            detours += (w.dirs != net.route(src, dst).unwrap().dirs) as u32;
+                        }
+                        (None, None) => partitions += 1,
+                        _ => panic!("{src}->{dst} at {p_down}: reachability differs"),
+                    }
+                }
+            }
+            // Every site was a source; none needed a second tree.
+            trees += net.sites() as u64;
+            assert_eq!(cache.stats().trees, trees);
+        }
+        let pairs = (net.sites() * net.sites()) as u64;
+        assert_eq!(
+            cache.stats().misses,
+            4 * pairs,
+            "each pair read once per mask"
+        );
+    }
+    assert!(detours > 0 && partitions > 0, "masks too gentle to matter");
 }

@@ -186,3 +186,60 @@ fn network_dominates_t1_partner_workflow() {
         "staging {stage}s vs solve {solve}s — T1 must dominate"
     );
 }
+
+/// The WAN engine's fast paths are invisible in its schedule: a fat-tree
+/// fan-out (routing-heavy) and an NSFnet churn through a mid-run outage
+/// (fill-, re-key- and re-route-heavy) finish every flow at the same
+/// nanosecond under the default config, with every resolve checked
+/// against the reference solver, and with a full re-solve on every event.
+#[test]
+fn wan_engine_schedule_is_independent_of_solver_path() {
+    use des::time::SimTime;
+    use nren_netsim::{
+        fat_tree, topologies, workload, FlowConfig, FlowOutcome, FlowSim, LinkClass, LinkFault,
+        Net, SolverMode, TransferSpec,
+    };
+
+    let fab = fat_tree(4, LinkClass::Gigabit, LinkClass::Gig100, "t.");
+    let fanout =
+        workload::fan_out_traffic(&fab.hosts, 4, &mut Rng::new(14), 200, 1e6, SimTime::ZERO);
+    let backbone = topologies::nsfnet(LinkClass::T3);
+    let churn = workload::poisson_traffic(&backbone, &mut Rng::new(15), 12.0, 4e6, 30.0);
+    let outage = [LinkFault {
+        link: 7,
+        down_at: SimTime::from_secs_f64(8.0),
+        up_at: SimTime::from_secs_f64(20.0),
+    }];
+
+    let finishes = |net: &Net, cfg: FlowConfig, specs: &[TransferSpec], faults: &[LinkFault]| {
+        let (outcomes, stats) = FlowSim::with_config(net, cfg)
+            .run_with_faults(specs.to_vec(), faults)
+            .unwrap();
+        assert!(stats.routing.trees <= (net.sites() * (2 * faults.len() + 1)) as u64);
+        outcomes
+            .iter()
+            .map(|o| match o {
+                FlowOutcome::Completed(r) => r.finished,
+                FlowOutcome::Stalled { .. } => panic!("the outage is repaired"),
+            })
+            .collect::<Vec<SimTime>>()
+    };
+    let default = FlowConfig::default();
+    let verified = FlowConfig {
+        verify: true,
+        ..default
+    };
+    let global = FlowConfig {
+        solver: SolverMode::Global,
+        ..default
+    };
+    for (net, specs, faults) in [
+        (&fab.net, &fanout, &[][..]),
+        (&backbone, &churn, &outage[..]),
+    ] {
+        let want = finishes(net, default, specs, faults);
+        assert!(want.len() >= 200);
+        assert_eq!(finishes(net, verified, specs, faults), want);
+        assert_eq!(finishes(net, global, specs, faults), want);
+    }
+}
