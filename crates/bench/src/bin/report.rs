@@ -48,11 +48,16 @@ fn bench_des(smoke: bool) -> String {
 
 /// Drive the scheduler service through the steady / overload / faulted
 /// scenarios, print the table, and drop the machine-readable snapshot.
-/// `--smoke` shrinks the streams and runs the batch-equivalence gate.
+/// `--smoke` shrinks the streams, runs the batch-equivalence gate and
+/// writes under `target/`, leaving the committed full-run file alone.
 fn bench_sched(smoke: bool) -> String {
     let rows = schedperf::snapshot(smoke);
     let json = schedperf::json(&rows);
-    let path = "BENCH_sched.json";
+    let path = if smoke {
+        "target/BENCH_sched.smoke.json"
+    } else {
+        "BENCH_sched.json"
+    };
     match std::fs::write(path, &json) {
         Ok(()) => format!("{}\nwrote {path}", schedperf::table(&rows)),
         Err(e) => format!("{}\ncould not write {path}: {e}", schedperf::table(&rows)),

@@ -2,9 +2,12 @@
 //! `delta_mesh::sched::service` driving the 528-node Delta through a
 //! sustained multi-tenant stream. The `report bench-sched` command
 //! prints the table and writes `BENCH_sched.json`; `--smoke` runs
-//! CI-sized streams and first asserts the batch-equivalence gate
-//! in-exhibit (a zero-fault, unlimited-config service run must replay
-//! the batch scheduler bit-for-bit).
+//! CI-sized streams, writes `target/BENCH_sched.smoke.json` instead (so
+//! CI never replaces the committed full-run file) and first asserts the
+//! batch-equivalence gate in-exhibit (a zero-fault, unlimited-config
+//! service run must replay the batch scheduler bit-for-bit). Every run
+//! asserts the overload contract and, on the zero-fault rows, the event
+//! ledger `events == submitted + completed`.
 //!
 //! Three scenarios, each a different operating regime:
 //!
@@ -221,6 +224,20 @@ pub fn snapshot(smoke: bool) -> Vec<SchedRow> {
         ov.shed > 0,
         "2x overload shed nothing — the load-shedding tiers are not engaging"
     );
+    // The event ledger of the zero-fault rows (inline admission, no quota
+    // updates): one Arrive per submission, one Finish per completion,
+    // nothing else. Arrivals never enter the calendar, so a cursor that
+    // dropped or double-counted one would show here.
+    for (r, sc) in rows.iter().zip(&scenarios) {
+        if sc.fault_mtbf_factor.is_none() {
+            assert_eq!(
+                r.events,
+                (r.subs + r.completed) as u64,
+                "{}: events != submitted + completed",
+                r.scenario
+            );
+        }
+    }
     rows
 }
 

@@ -117,6 +117,15 @@ impl<E> EventQueue<E> {
         self.schedule(self.now + delay, event);
     }
 
+    /// Move the clock to `at` without popping: the caller handled an
+    /// event of its own (one it keeps outside the calendar) at that time,
+    /// which must not lie beyond the next queued event.
+    #[inline]
+    pub fn advance_to(&mut self, at: SimTime) {
+        debug_assert!(at >= self.now && self.peek_time().is_none_or(|next| at <= next));
+        self.now = at;
+    }
+
     /// Timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|Reverse(e)| e.at)
@@ -191,6 +200,19 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule(SimTime(100), ());
         q.pop();
+        q.schedule(SimTime(50), ());
+    }
+
+    #[test]
+    #[should_panic(expected = "in the past")]
+    fn advance_to_moves_the_clock_but_pops_nothing() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime(100), ());
+        q.advance_to(SimTime(60));
+        assert_eq!(
+            (q.now(), q.len(), q.events_processed()),
+            (SimTime(60), 1, 0)
+        );
         q.schedule(SimTime(50), ());
     }
 

@@ -37,27 +37,85 @@ impl SubMesh {
     }
 }
 
+/// `anchor` value of a node no live allocation starts at.
+const NO_ALLOC: u32 = u32::MAX;
+
 /// Occupancy state of a 2-D mesh being space-shared.
+///
+/// A bitboard: `busy` and `failed` hold one bitmap per mesh row, `words`
+/// 64-bit words each, bit `j` of a row standing for column `j`. The
+/// columns past the mesh edge in a row's last word are born `failed`,
+/// so no frame can reach them and no scan masks them out.
 #[derive(Debug, Clone)]
 pub struct MeshSpace {
     rows: usize,
     cols: usize,
-    busy: Vec<bool>,
+    /// Words per row bitmap: `ceil(cols / 64)`.
+    words: usize,
+    busy: Vec<u64>,
     /// Permanently retired nodes (hardware failures). Kept separate from
     /// `busy` so freeing a sub-mesh that contains a failed node does not
     /// resurrect it.
-    failed: Vec<bool>,
+    failed: Vec<u64>,
     allocated: Vec<SubMesh>,
+    /// Top-left node of a live allocation → its index in `allocated`.
+    anchor: Vec<u32>,
+    /// Nodes neither busy nor failed.
+    free_count: usize,
+    failed_count: usize,
+    /// One row bitmap of scratch for `allocate`'s scan.
+    scan: Vec<u64>,
+}
+
+/// `(word, mask)` pairs covering columns `col..col + cols` of a row bitmap.
+fn span_words(col: usize, cols: usize) -> impl Iterator<Item = (usize, u64)> {
+    let end = col + cols;
+    (col / 64..end.div_ceil(64)).map(move |k| {
+        let lo = col.max(k * 64) - k * 64;
+        let hi = end.min((k + 1) * 64) - k * 64;
+        (k, (u64::MAX >> (64 - (hi - lo))) << lo)
+    })
+}
+
+/// `m &= m >> s` on a multi-word bitmap (bit `j` of word `k` is column
+/// `64 k + j`; zeros shift in past the last word). Ascending `k` reads
+/// only words not yet overwritten, so it runs in place.
+fn and_shr(m: &mut [u64], s: usize) {
+    let (q, b) = (s / 64, s % 64);
+    for k in 0..m.len() {
+        let lo = m.get(k + q).map_or(0, |w| w >> b);
+        let hi = match b {
+            0 => 0,
+            _ => m.get(k + q + 1).map_or(0, |w| w << (64 - b)),
+        };
+        m[k] &= lo | hi;
+    }
 }
 
 impl MeshSpace {
     pub fn new(rows: usize, cols: usize) -> MeshSpace {
+        assert!(
+            rows * cols < NO_ALLOC as usize,
+            "mesh too large for the allocation index"
+        );
+        let words = cols.div_ceil(64);
+        let mut failed = vec![0u64; rows * words];
+        if !cols.is_multiple_of(64) {
+            for row in failed.chunks_mut(words) {
+                row[words - 1] = u64::MAX << (cols % 64);
+            }
+        }
         MeshSpace {
             rows,
             cols,
-            busy: vec![false; rows * cols],
-            failed: vec![false; rows * cols],
+            words,
+            busy: vec![0; rows * words],
+            failed,
             allocated: Vec::new(),
+            anchor: vec![NO_ALLOC; rows * cols],
+            free_count: rows * cols,
+            failed_count: 0,
+            scan: vec![0; words],
         }
     }
 
@@ -82,27 +140,41 @@ impl MeshSpace {
     }
 
     pub fn free_nodes(&self) -> usize {
-        self.busy
-            .iter()
-            .zip(&self.failed)
-            .filter(|&(&b, &f)| !b && !f)
-            .count()
+        self.free_count
     }
 
     /// Nodes permanently retired by hardware failure.
     pub fn failed_nodes(&self) -> usize {
-        self.failed.iter().filter(|&&f| f).count()
+        self.failed_count
     }
 
     pub fn allocations(&self) -> &[SubMesh] {
         &self.allocated
     }
 
+    /// `(word index, bit)` of `node` (row-major id) in the bitmaps.
+    fn bit_of(&self, node: usize) -> (usize, u64) {
+        let (r, c) = (node / self.cols, node % self.cols);
+        (r * self.words + c / 64, 1 << (c % 64))
+    }
+
+    pub(crate) fn is_failed(&self, node: usize) -> bool {
+        let (w, bit) = self.bit_of(node);
+        self.failed[w] & bit != 0
+    }
+
     /// Permanently retire `node` (row-major id): it never satisfies
     /// another allocation. Idempotent; the node may currently be inside
     /// an allocated sub-mesh (the scheduler drains that job separately).
     pub fn fail_node(&mut self, node: usize) {
-        self.failed[node] = true;
+        let (w, bit) = self.bit_of(node);
+        if self.failed[w] & bit == 0 {
+            self.failed[w] |= bit;
+            self.failed_count += 1;
+            if self.busy[w] & bit == 0 {
+                self.free_count -= 1;
+            }
+        }
     }
 
     /// The allocated sub-mesh containing `node`, if any.
@@ -114,79 +186,133 @@ impl MeshSpace {
             .find(|a| r >= a.row && r < a.row + a.rows && c >= a.col && c < a.col + a.cols)
     }
 
-    fn fits_at(&self, row: usize, col: usize, r: usize, c: usize) -> bool {
-        if row + r > self.rows || col + c > self.cols {
-            return false;
+    /// The row-major first `r × c` frame clear of failed nodes and, with
+    /// `with_busy`, of busy ones. `acc` is one row bitmap of scratch.
+    ///
+    /// For each top row in turn: OR the occupancy of its `r` rows and
+    /// invert — the columns free in all of them — then AND that with
+    /// itself shifted right until bit `j` says columns `j..j + c` are
+    /// all free (doubling, ⌈log₂ c⌉ steps). The first top row with a
+    /// non-zero mask, and that mask's lowest set bit, are the first hit
+    /// of a row-major scan over every position.
+    fn first_fit(&self, r: usize, c: usize, with_busy: bool, acc: &mut [u64]) -> Option<SubMesh> {
+        if r > self.rows || c > self.cols {
+            return None;
         }
-        for i in row..row + r {
-            for j in col..col + c {
-                if self.busy[i * self.cols + j] || self.failed[i * self.cols + j] {
-                    return false;
+        let w = self.words;
+        for row in 0..=self.rows - r {
+            acc.fill(0);
+            for i in row..row + r {
+                for (k, a) in acc.iter_mut().enumerate() {
+                    *a |= self.failed[i * w + k];
+                    if with_busy {
+                        *a |= self.busy[i * w + k];
+                    }
                 }
             }
-        }
-        true
-    }
-
-    fn mark(&mut self, sm: &SubMesh, value: bool) {
-        for i in sm.row..sm.row + sm.rows {
-            for j in sm.col..sm.col + sm.cols {
-                debug_assert_ne!(self.busy[i * self.cols + j], value);
-                self.busy[i * self.cols + j] = value;
+            for a in acc.iter_mut() {
+                *a = !*a;
+            }
+            let mut have = 1;
+            while have < c {
+                let s = have.min(c - have);
+                and_shr(acc, s);
+                have += s;
+            }
+            if let Some(k) = acc.iter().position(|&a| a != 0) {
+                return Some(SubMesh {
+                    row,
+                    col: k * 64 + acc[k].trailing_zeros() as usize,
+                    rows: r,
+                    cols: c,
+                });
             }
         }
+        None
+    }
+
+    /// [`MeshSpace::first_fit`] for the upright shape over the whole
+    /// mesh, then — with `rotate` — for the transposed one.
+    fn find(
+        &self,
+        r: usize,
+        c: usize,
+        rotate: bool,
+        with_busy: bool,
+        acc: &mut [u64],
+    ) -> Option<SubMesh> {
+        assert!(r > 0 && c > 0);
+        match self.first_fit(r, c, with_busy, acc) {
+            None if rotate && r != c => self.first_fit(c, r, with_busy, acc),
+            found => found,
+        }
+    }
+
+    /// Set (`value`) or clear the busy bits of `sm`, one masked word-op
+    /// per row and word. Returns how many of its nodes have failed.
+    fn mark(&mut self, sm: &SubMesh, value: bool) -> usize {
+        let mut dead = 0;
+        for i in sm.row..sm.row + sm.rows {
+            for (k, mask) in span_words(sm.col, sm.cols) {
+                let at = i * self.words + k;
+                debug_assert_eq!(self.busy[at] & mask, if value { 0 } else { mask });
+                self.busy[at] ^= mask;
+                dead += (self.failed[at] & mask).count_ones() as usize;
+            }
+        }
+        dead
     }
 
     /// First-fit allocation of an `r × c` frame, scanning row-major.
     /// With `rotate`, the transposed shape is tried when the upright one
     /// does not fit anywhere.
     pub fn allocate(&mut self, r: usize, c: usize, rotate: bool) -> Option<SubMesh> {
-        assert!(r > 0 && c > 0);
-        let shapes: &[(usize, usize)] = if rotate && r != c {
-            &[(r, c), (c, r)]
-        } else {
-            &[(r, c)]
-        };
-        for &(r, c) in shapes {
-            for row in 0..self.rows.saturating_sub(r - 1) {
-                for col in 0..self.cols.saturating_sub(c - 1) {
-                    if self.fits_at(row, col, r, c) {
-                        let sm = SubMesh {
-                            row,
-                            col,
-                            rows: r,
-                            cols: c,
-                        };
-                        self.mark(&sm, true);
-                        self.allocated.push(sm);
-                        return Some(sm);
-                    }
-                }
-            }
-        }
-        None
+        let mut acc = std::mem::take(&mut self.scan);
+        let found = self.find(r, c, rotate, true, &mut acc);
+        self.scan = acc;
+        let sm = found?;
+        let dead = self.mark(&sm, true);
+        debug_assert_eq!(dead, 0, "a placement avoids failed nodes");
+        self.free_count -= sm.nodes();
+        self.anchor[sm.row * self.cols + sm.col] = self.allocated.len() as u32;
+        self.allocated.push(sm);
+        Some(sm)
+    }
+
+    /// Would [`MeshSpace::allocate`] succeed right now? Same scan, no
+    /// mark. Off the hot path, so it brings its own scratch row.
+    pub fn can_allocate(&self, r: usize, c: usize, rotate: bool) -> bool {
+        self.find(r, c, rotate, true, &mut vec![0; self.words])
+            .is_some()
+    }
+
+    /// Could the frame be placed if every allocation were released —
+    /// does it fit the nodes that have not failed?
+    pub(crate) fn fits_survivors(&self, r: usize, c: usize, rotate: bool) -> bool {
+        self.find(r, c, rotate, false, &mut vec![0; self.words])
+            .is_some()
     }
 
     /// Release a previously allocated sub-mesh.
     pub fn free(&mut self, sm: SubMesh) {
-        let pos = self
-            .allocated
-            .iter()
-            .position(|a| *a == sm)
-            .expect("freeing an unallocated sub-mesh");
+        let node = sm.row * self.cols + sm.col;
+        let pos = match self.anchor.get(node) {
+            Some(&pos) if pos != NO_ALLOC && self.allocated[pos as usize] == sm => pos as usize,
+            _ => panic!("freeing an unallocated sub-mesh"),
+        };
+        self.anchor[node] = NO_ALLOC;
         self.allocated.swap_remove(pos);
-        self.mark(&sm, false);
+        if let Some(moved) = self.allocated.get(pos) {
+            self.anchor[moved.row * self.cols + moved.col] = pos as u32;
+        }
+        self.free_count += sm.nodes() - self.mark(&sm, false);
     }
 
     /// True when the request is refused even though enough *total* free
     /// nodes exist — external fragmentation, the metric the sub-mesh
     /// allocation literature of the era optimised.
     pub fn is_fragmented_refusal(&self, r: usize, c: usize, rotate: bool) -> bool {
-        if self.free_nodes() < r * c {
-            return false;
-        }
-        let mut probe = self.clone();
-        probe.allocate(r, c, rotate).is_none()
+        self.free_nodes() >= r * c && !self.can_allocate(r, c, rotate)
     }
 }
 
@@ -299,35 +425,14 @@ mod tests {
 
     #[test]
     fn fragmentation_detected() {
-        // Checkerboard 1x1 allocations leave plenty of free nodes but no
-        // contiguous 2x2 frame.
+        // A checkerboard of 1x1 allocations leaves plenty of free nodes
+        // but no contiguous 2x2 frame. First-fit 1x1s fill row-major, so
+        // fill the board and free every other cell.
         let mut m = MeshSpace::new(4, 4);
-        let mut holders = Vec::new();
-        for i in 0..4 {
-            for j in 0..4 {
-                if (i + j) % 2 == 0 {
-                    holders.push(m.allocate(1, 1, false).unwrap());
-                }
-            }
-        }
-        // First-fit 1x1s fill row-major, so re-mark the board explicitly:
-        for h in holders {
-            m.free(h);
-        }
-        for i in 0..4 {
-            for j in 0..4 {
-                if (i + j) % 2 == 0 {
-                    // direct placement via fits_at path
-                    let sm = SubMesh {
-                        row: i,
-                        col: j,
-                        rows: 1,
-                        cols: 1,
-                    };
-                    assert!(m.fits_at(i, j, 1, 1));
-                    m.mark(&sm, true);
-                    m.allocated.push(sm);
-                }
+        let cells: Vec<SubMesh> = (0..16).map(|_| m.allocate(1, 1, false).unwrap()).collect();
+        for cell in cells {
+            if (cell.row + cell.col) % 2 == 1 {
+                m.free(cell);
             }
         }
         assert_eq!(m.free_nodes(), 8);
@@ -374,6 +479,175 @@ mod tests {
         let a = m.allocate(1, 1, false).unwrap();
         m.free(a);
         m.free(a);
+    }
+
+    /// The allocator this module had before the bitboard: one `bool` per
+    /// node, every frame position probed cell by cell in row-major order.
+    /// Kept as the independent reference the bitboard is checked against.
+    struct CellScan {
+        rows: usize,
+        cols: usize,
+        busy: Vec<bool>,
+        failed: Vec<bool>,
+        allocated: Vec<SubMesh>,
+    }
+
+    impl CellScan {
+        fn new(rows: usize, cols: usize) -> CellScan {
+            CellScan {
+                rows,
+                cols,
+                busy: vec![false; rows * cols],
+                failed: vec![false; rows * cols],
+                allocated: Vec::new(),
+            }
+        }
+
+        fn free_nodes(&self) -> usize {
+            (0..self.busy.len())
+                .filter(|&n| !self.busy[n] && !self.failed[n])
+                .count()
+        }
+
+        fn failed_nodes(&self) -> usize {
+            self.failed.iter().filter(|&&f| f).count()
+        }
+
+        fn allocation_containing(&self, node: usize) -> Option<SubMesh> {
+            let (r, c) = (node / self.cols, node % self.cols);
+            self.allocated
+                .iter()
+                .copied()
+                .find(|a| r >= a.row && r < a.row + a.rows && c >= a.col && c < a.col + a.cols)
+        }
+
+        fn fits_at(&self, row: usize, col: usize, r: usize, c: usize, with_busy: bool) -> bool {
+            (row..row + r).all(|i| {
+                (col..col + c).all(|j| {
+                    let n = i * self.cols + j;
+                    !(self.failed[n] || with_busy && self.busy[n])
+                })
+            })
+        }
+
+        fn find(&self, r: usize, c: usize, rotate: bool, with_busy: bool) -> Option<SubMesh> {
+            let shapes: &[(usize, usize)] = if rotate && r != c {
+                &[(r, c), (c, r)]
+            } else {
+                &[(r, c)]
+            };
+            for &(r, c) in shapes {
+                for row in 0..(self.rows + 1).saturating_sub(r) {
+                    for col in 0..(self.cols + 1).saturating_sub(c) {
+                        if self.fits_at(row, col, r, c, with_busy) {
+                            return Some(SubMesh {
+                                row,
+                                col,
+                                rows: r,
+                                cols: c,
+                            });
+                        }
+                    }
+                }
+            }
+            None
+        }
+
+        fn mark(&mut self, sm: &SubMesh, value: bool) {
+            for n in sm.node_ids(self.cols) {
+                assert_ne!(self.busy[n], value);
+                self.busy[n] = value;
+            }
+        }
+
+        fn allocate(&mut self, r: usize, c: usize, rotate: bool) -> Option<SubMesh> {
+            let sm = self.find(r, c, rotate, true)?;
+            self.mark(&sm, true);
+            self.allocated.push(sm);
+            Some(sm)
+        }
+
+        fn free(&mut self, sm: SubMesh) {
+            let pos = self.allocated.iter().position(|a| *a == sm).unwrap();
+            self.allocated.swap_remove(pos);
+            self.mark(&sm, false);
+        }
+    }
+
+    /// Seeded allocate / free / fail / lookup sequences through the
+    /// bitboard and the cell scan side by side: same answers and same
+    /// observable state after every step. The meshes straddle the word
+    /// boundary (64, 65 columns) and span several words (130).
+    #[test]
+    fn bitboard_matches_cell_scan_oracle() {
+        use des::rng::Rng;
+        const MESHES: [(usize, usize); 5] = [(16, 33), (1, 1), (4, 64), (5, 65), (3, 130)];
+        let mut sequences = 0;
+        for (mi, &(rows, cols)) in MESHES.iter().enumerate() {
+            for seed in 0..64u64 {
+                let rotate = seed % 2 == 0;
+                let mut rng = Rng::new(0xB17B0A2D ^ (mi as u64) << 32 ^ seed);
+                let mut fast = MeshSpace::new(rows, cols);
+                let mut slow = CellScan::new(rows, cols);
+                // Frames up to one past each edge, small ones favoured so
+                // the mesh fragments instead of filling in three steps.
+                let dim = |rng: &mut Rng, max: usize| match rng.below(4) {
+                    0 => 1 + rng.below(max as u64 + 1) as usize,
+                    _ => 1 + rng.below(max.min(6) as u64) as usize,
+                };
+                for _ in 0..120 {
+                    match rng.below(10) {
+                        0..=4 => {
+                            let (r, c) = (dim(&mut rng, rows), dim(&mut rng, cols));
+                            let want = slow.find(r, c, rotate, true).is_some();
+                            assert_eq!(fast.can_allocate(r, c, rotate), want);
+                            assert_eq!(fast.clone().allocate(r, c, rotate).is_some(), want);
+                            assert_eq!(
+                                fast.fits_survivors(r, c, rotate),
+                                slow.find(r, c, rotate, false).is_some()
+                            );
+                            assert_eq!(
+                                fast.is_fragmented_refusal(r, c, rotate),
+                                slow.free_nodes() >= r * c && !want
+                            );
+                            assert_eq!(fast.allocate(r, c, rotate), slow.allocate(r, c, rotate));
+                        }
+                        5..=7 if !slow.allocated.is_empty() => {
+                            let at = rng.below(slow.allocated.len() as u64) as usize;
+                            let sm = slow.allocated[at];
+                            fast.free(sm);
+                            slow.free(sm);
+                        }
+                        8 => {
+                            let node = rng.below((rows * cols) as u64) as usize;
+                            assert_eq!(fast.is_failed(node), slow.failed[node]);
+                            fast.fail_node(node);
+                            slow.failed[node] = true;
+                        }
+                        _ => {
+                            let node = rng.below((rows * cols) as u64) as usize;
+                            assert_eq!(
+                                fast.allocation_containing(node),
+                                slow.allocation_containing(node)
+                            );
+                        }
+                    }
+                    assert_eq!(fast.free_nodes(), slow.free_nodes());
+                    assert_eq!(fast.failed_nodes(), slow.failed_nodes());
+                    assert_eq!(fast.allocations(), &slow.allocated[..]);
+                }
+                sequences += 1;
+            }
+        }
+        assert!(sequences >= 300);
+    }
+
+    #[test]
+    #[should_panic(expected = "unallocated")]
+    fn freeing_a_frame_that_only_shares_an_anchor_panics() {
+        let mut m = MeshSpace::new(4, 4);
+        let a = m.allocate(2, 2, false).unwrap();
+        m.free(SubMesh { rows: 1, ..a });
     }
 
     #[test]

@@ -353,7 +353,7 @@ pub fn run_recorded(
         debug_assert!(running.is_empty() && space.allocations().is_empty());
         queue.retain(|&idx| {
             let (r, c) = jobs[idx].shape;
-            let fits = space.clone().allocate(r, c, true).is_some();
+            let fits = space.can_allocate(r, c, true);
             if !fits {
                 unrunnable.push(jobs[idx].id);
                 if rec_on {

@@ -45,7 +45,6 @@ use des::rng::Rng;
 use des::stats::{Histogram, Summary};
 use des::time::{Dur, SimTime};
 use hpcc_trace::{names, NullRecorder, Recorder, TrackId};
-use std::collections::{HashMap, HashSet};
 
 /// Scheduling class; the load shedder rejects the lowest class first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -322,6 +321,8 @@ impl ServiceReport {
 }
 
 enum Ev {
+    /// Never on the calendar: the trace is sorted, so arrivals are a
+    /// cursor beside it (see [`Svc::next_event`]).
     Arrive(usize),
     /// Batched admission: drain shard `s`'s buffer into pending.
     Admit(usize),
@@ -335,9 +336,78 @@ enum Ev {
 
 struct RunningJob {
     idx: usize,
-    attempt: u32,
     started: SimTime,
     placement: SubMesh,
+}
+
+/// `slot_of` value of a job that is not running.
+const NOT_RUNNING: u32 = u32::MAX;
+/// `shape_of` value of a shape that cannot fit the empty machine.
+const UNFIT: u32 = u32::MAX;
+
+/// The distinct normalized shapes of one run that fit the machine,
+/// interned to small ids so the per-shape scheduling state is flat
+/// vectors indexed by id instead of hashed sets of `(rows, cols)`.
+struct ShapeTable {
+    /// Normalized `(rows, cols)` per id.
+    dims: Vec<(usize, usize)>,
+    /// Pending entries carrying the shape.
+    pending: Vec<usize>,
+    /// Proven not to fit since the last free. Occupancy only grows
+    /// between frees, so a blocked shape stays blocked until then.
+    blocked: Vec<bool>,
+    /// Proven unable to *ever* fit the surviving mesh. Fail-stop nodes
+    /// never return, so this only grows.
+    dead: Vec<bool>,
+}
+
+impl ShapeTable {
+    /// Shape ids of `subs` (`UNFIT` for a shape the empty `rows × cols`
+    /// machine cannot hold) and the table they index.
+    fn intern(subs: &[Submission], rows: usize, cols: usize) -> (Vec<u32>, ShapeTable) {
+        // A normalized shape that fits has its short side within the
+        // machine's short side and its long side within the long one, so
+        // a dense table of that size maps shapes to ids without hashing.
+        let (short, long) = (rows.min(cols), rows.max(cols));
+        let mut id_of = vec![UNFIT; short * long];
+        let mut dims = Vec::new();
+        let shape_of = subs
+            .iter()
+            .map(|sub| {
+                let (r, c) = norm_shape(sub.shape);
+                if r == 0 || r > short || c > long {
+                    return UNFIT;
+                }
+                let id = &mut id_of[(r - 1) * long + c - 1];
+                if *id == UNFIT {
+                    *id = dims.len() as u32;
+                    dims.push((r, c));
+                }
+                *id
+            })
+            .collect();
+        let table = ShapeTable {
+            pending: vec![0; dims.len()],
+            blocked: vec![false; dims.len()],
+            dead: vec![false; dims.len()],
+            dims,
+        };
+        (shape_of, table)
+    }
+
+    /// How many shapes have a pending entry that could be placed right
+    /// now: not proven blocked since the last free, and within `free`
+    /// nodes.
+    fn startable(&self, free: usize) -> usize {
+        (0..self.dims.len())
+            .filter(|&id| self.pending[id] > 0 && self.may_fit(id, free))
+            .count()
+    }
+
+    fn may_fit(&self, id: usize, free: usize) -> bool {
+        let (r, c) = self.dims[id];
+        r * c <= free && !self.blocked[id]
+    }
 }
 
 /// Pending-queue sort key: (usage snapshot, arrival, id). `Arrival`
@@ -347,15 +417,27 @@ type Key = (u128, u64, u64);
 struct Svc<'a> {
     cfg: &'a ServiceConfig,
     subs: &'a [Submission],
+    /// Shape id per submission index.
+    shape_of: Vec<u32>,
+    shapes: ShapeTable,
     q: EventQueue<Ev>,
+    /// Submissions `..arrived` have arrived; the rest are the cursor's.
+    arrived: usize,
+    /// Timestamp of the event being handled. Node-time is integrated up
+    /// to here.
+    now: SimTime,
     space: MeshSpace,
     /// Ingest buffers (submission indices, arrival order).
     shard_buf: Vec<Vec<usize>>,
+    /// The buffer being drained by `flush_shard`; swapped, never freed.
+    flush_buf: Vec<usize>,
     /// An Admit event is already scheduled for this shard.
     shard_armed: Vec<bool>,
     /// Ordered pending queue.
     pending: Vec<(Key, usize)>,
     running: Vec<RunningJob>,
+    /// Job index → its position in `running`.
+    slot_of: Vec<u32>,
     attempt_of: Vec<u32>,
     outcome: Vec<Option<Outcome>>,
     killed: Vec<Vec<KilledAttempt>>,
@@ -364,21 +446,9 @@ struct Svc<'a> {
     quota: Vec<usize>,
     inflight_nodes: Vec<usize>,
     used_node_ns: Vec<u128>,
-    failed_node: Vec<bool>,
-    /// Σ nodes of live placements.
-    in_use: usize,
-    failed_count: usize,
-    /// Shapes (normalized) proven not to fit since the last free.
-    shape_blocked: HashSet<(usize, usize)>,
-    /// Normalized shape → count of pending entries carrying it.
-    pending_shapes: HashMap<(usize, usize), usize>,
-    /// Shapes proven unable to *ever* fit the surviving mesh. Fail-stop
-    /// nodes never return, so this only grows.
-    dead_shapes: HashSet<(usize, usize)>,
     /// Fair-share keys are stale (some tenant's usage changed).
     fair_dirty: bool,
-    // --- exact node-time integration ---
-    prev: SimTime,
+    /// Exact node-time integral up to `now`.
     acc: NodeTime,
     // --- counters ---
     completed: usize,
@@ -404,12 +474,6 @@ struct Svc<'a> {
     tenant_retries: Vec<u64>,
 }
 
-/// Does `shape` fit an empty `rows × cols` mesh, rotation allowed?
-fn fits_machine(shape: (usize, usize), rows: usize, cols: usize) -> bool {
-    let (r, c) = shape;
-    (r <= rows && c <= cols) || (c <= rows && r <= cols)
-}
-
 #[inline]
 fn norm_shape(shape: (usize, usize)) -> (usize, usize) {
     let (r, c) = shape;
@@ -417,30 +481,29 @@ fn norm_shape(shape: (usize, usize)) -> (usize, usize) {
 }
 
 impl<'a> Svc<'a> {
-    fn total_nodes(&self) -> usize {
-        self.cfg.rows * self.cfg.cols
+    /// Advance the clock to `at`, integrating node-time over the step
+    /// (call before mutating state). Busy time is attributed to
+    /// useful/lost at Finish/Fault; its integral is implicit as
+    /// `total - dead - idle`.
+    fn integrate_to(&mut self, at: SimTime) {
+        let dt = (at - self.now).nanos() as u128;
+        self.acc.total += (self.space.total_nodes() as u128) * dt;
+        self.acc.dead += (self.space.failed_nodes() as u128) * dt;
+        self.acc.idle += (self.space.free_nodes() as u128) * dt;
+        self.now = at;
     }
 
-    fn free_avail(&self) -> usize {
-        self.total_nodes() - self.failed_count - self.in_use
-    }
-
-    /// Integrate node-time up to `now` (call before mutating state).
-    fn integrate_to(&mut self, now: SimTime) {
-        let dt = (now - self.prev).nanos() as u128;
-        if dt > 0 {
-            let busy = self.in_use as u128;
-            let dead = self.failed_count as u128;
-            let idle = (self.total_nodes() - self.in_use - self.failed_count) as u128;
-            self.acc.total += (self.total_nodes() as u128) * dt;
-            self.acc.dead += dead * dt;
-            self.acc.idle += idle * dt;
-            // Busy time is attributed to useful/lost at Finish/Fault; the
-            // integral is tracked implicitly as total - dead - idle.
-            let _ = busy;
-            self.prev = now;
-        } else {
-            self.prev = now;
+    /// The next event in `(time, sequence)` order. An arrival wins every
+    /// timestamp tie: pre-loaded into the calendar, the arrivals would
+    /// hold sequence numbers `0..n`, below every other event's.
+    fn next_event(&mut self) -> Option<(SimTime, Ev)> {
+        match (self.subs.get(self.arrived), self.q.peek_time()) {
+            (Some(sub), other) if other.is_none_or(|t| sub.arrival <= t) => {
+                self.q.advance_to(sub.arrival);
+                self.arrived += 1;
+                Some((sub.arrival, Ev::Arrive(self.arrived - 1)))
+            }
+            _ => self.q.pop(),
         }
     }
 
@@ -469,7 +532,7 @@ impl<'a> Svc<'a> {
         if !self.rec_on {
             return;
         }
-        let now = self.q.now().nanos();
+        let now = self.now.nanos();
         let track = self.tenant_track(tenant);
         self.rec
             .counter(track, "admits", now, self.tenant_admits[tenant] as f64);
@@ -490,7 +553,7 @@ impl<'a> Svc<'a> {
         self.tenant_rejects[tenant] += 1;
         self.settle(idx, Outcome::Rejected(err));
         if self.rec_on {
-            let now = self.q.now().nanos();
+            let now = self.now.nanos();
             let track = self.svc_track;
             self.rec.instant(track, "reject", "rejected", now);
             self.trace_tenant(tenant);
@@ -506,57 +569,35 @@ impl<'a> Svc<'a> {
         };
         let key: Key = (usage, sub.arrival.nanos(), sub.id as u64);
         let at = self.pending.partition_point(|(k, _)| *k <= key);
-        *self
-            .pending_shapes
-            .entry(norm_shape(sub.shape))
-            .or_insert(0) += 1;
+        self.shapes.pending[self.shape_of[idx] as usize] += 1;
         self.pending.insert(at, (key, idx));
         self.max_pending = self.max_pending.max(self.pending.len());
     }
 
-    /// Bookkeeping for an entry leaving the pending queue.
-    fn note_unqueued(&mut self, shape: (usize, usize)) {
-        let key = norm_shape(shape);
-        let cnt = self
-            .pending_shapes
-            .get_mut(&key)
-            .expect("pending shape count underflow");
-        *cnt -= 1;
-        if *cnt == 0 {
-            self.pending_shapes.remove(&key);
-        }
-    }
-
-    /// An empty mesh with the current crash set applied: what could
-    /// *ever* be placed again.
-    fn survivor_space(&self) -> MeshSpace {
-        let mut probe = MeshSpace::new(self.cfg.rows, self.cfg.cols);
-        for (node, dead) in self.failed_node.iter().enumerate() {
-            if *dead {
-                probe.fail_node(node);
+    /// Retire every pending entry `fits` turns down as `Unrunnable`,
+    /// releasing its quota; the rest keep their order.
+    fn retire_unrunnable(&mut self, fits: impl Fn(&Self, usize) -> bool) {
+        let mut kept = 0;
+        for at in 0..self.pending.len() {
+            let (key, idx) = self.pending[at];
+            if fits(self, idx) {
+                self.pending[kept] = (key, idx);
+                kept += 1;
+            } else {
+                let sub = self.subs[idx];
+                self.shapes.pending[self.shape_of[idx] as usize] -= 1;
+                self.inflight_nodes[sub.tenant] -= sub.nodes();
+                self.reject(idx, AdmissionError::Unrunnable { shape: sub.shape });
             }
         }
-        probe
-    }
-
-    /// Shapes with at least one pending entry that could be placed right
-    /// now: not proven blocked since the last free, and within the free
-    /// node count.
-    fn startable_shapes(&self) -> HashSet<(usize, usize)> {
-        let free = self.free_avail();
-        self.pending_shapes
-            .keys()
-            .filter(|&&(r, c)| r * c <= free && !self.shape_blocked.contains(&(r, c)))
-            .copied()
-            .collect()
+        self.pending.truncate(kept);
     }
 
     /// Move one submission from its shard buffer through admission.
     fn admit_one(&mut self, idx: usize, shard: usize) {
         let sub = self.subs[idx];
-        if !fits_machine(sub.shape, self.cfg.rows, self.cfg.cols)
-            || self.dead_shapes.contains(&norm_shape(sub.shape))
-        {
+        let sid = self.shape_of[idx];
+        if sid == UNFIT || self.shapes.dead[sid as usize] {
             self.reject(idx, AdmissionError::Unrunnable { shape: sub.shape });
             return;
         }
@@ -593,10 +634,11 @@ impl<'a> Svc<'a> {
     }
 
     fn flush_shard(&mut self, shard: usize) {
-        let buf = std::mem::take(&mut self.shard_buf[shard]);
-        for idx in buf {
-            self.admit_one(idx, shard);
+        std::mem::swap(&mut self.shard_buf[shard], &mut self.flush_buf);
+        for at in 0..self.flush_buf.len() {
+            self.admit_one(self.flush_buf[at], shard);
         }
+        self.flush_buf.clear();
     }
 
     /// Start every pending job the policy allows. Faithful to the batch
@@ -617,7 +659,7 @@ impl<'a> Svc<'a> {
             self.pending.sort_by_key(|&(key, _)| key);
             self.fair_dirty = false;
         }
-        let now = self.q.now();
+        let now = self.now;
         // Only real allocator probes consume the backfill budget; entries
         // whose shape already failed this epoch (or exceeds the free-node
         // count) are skipped in O(1), and the scan ends outright once no
@@ -625,14 +667,21 @@ impl<'a> Svc<'a> {
         // un-placeable entries at the front of a deep queue exhausts the
         // budget and wedges the machine even when placeable work waits
         // just behind them.
-        let mut startable = self.startable_shapes();
+        //
+        // `startable` counts the shapes a probe could still succeed for.
+        // It is taken when a scan starts — nothing it reads changes
+        // before the next success except `blocked`, and a failed probe
+        // that blocks a shape takes it out of the count — so "this
+        // entry's shape is among them" is `may_fit` read live.
+        let mut free = self.space.free_nodes();
+        let mut startable = self.shapes.startable(free);
         let mut i = 0;
         let mut probes = 0usize;
-        while i < self.pending.len() && probes < self.cfg.backfill_depth && !startable.is_empty() {
+        while i < self.pending.len() && probes < self.cfg.backfill_depth && startable > 0 {
             let idx = self.pending[i].1;
             let (r, c) = self.subs[idx].shape;
-            let key = norm_shape((r, c));
-            if !startable.contains(&key) {
+            let sid = self.shape_of[idx] as usize;
+            if !self.shapes.may_fit(sid, free) {
                 // Known not to fit right now. FCFS still stops at the
                 // head — a refused head is the policy's break signal.
                 match self.cfg.policy {
@@ -645,26 +694,25 @@ impl<'a> Svc<'a> {
             }
             match self.space.allocate(r, c, true) {
                 Some(sm) => {
-                    let nodes = r * c;
                     self.pending.remove(i);
-                    self.note_unqueued((r, c));
-                    self.in_use += nodes;
+                    self.shapes.pending[sid] -= 1;
                     let attempt = self.attempt_of[idx];
                     self.q
                         .schedule(now + self.subs[idx].runtime, Ev::Finish(idx, attempt));
+                    self.slot_of[idx] = self.running.len() as u32;
                     self.running.push(RunningJob {
                         idx,
-                        attempt,
                         started: now,
                         placement: sm,
                     });
                     i = 0;
                     probes = 0;
-                    startable = self.startable_shapes();
+                    free = self.space.free_nodes();
+                    startable = self.shapes.startable(free);
                 }
                 None => {
-                    self.shape_blocked.insert(key);
-                    startable.remove(&key);
+                    self.shapes.blocked[sid] = true;
+                    startable -= 1;
                     probes += 1;
                     match self.cfg.policy {
                         Policy::Fcfs => break,
@@ -675,28 +723,39 @@ impl<'a> Svc<'a> {
         }
     }
 
+    /// Take the job at `pos` out of `running`, keeping `slot_of` exact.
+    fn stop_running(&mut self, pos: usize) -> RunningJob {
+        let entry = self.running.swap_remove(pos);
+        self.slot_of[entry.idx] = NOT_RUNNING;
+        if let Some(moved) = self.running.get(pos) {
+            self.slot_of[moved.idx] = pos as u32;
+        }
+        entry
+    }
+
+    /// Free a placement; every shape gets a fresh chance to fit.
+    fn release(&mut self, placement: SubMesh) {
+        self.space.free(placement);
+        self.shapes.blocked.fill(false);
+    }
+
     fn on_finish(&mut self, idx: usize, attempt: u32) {
         if attempt != self.attempt_of[idx] {
             return; // this placement was killed; a retry owns the job now
         }
-        let now = self.q.now();
-        let pos = self
-            .running
-            .iter()
-            .position(|rj| rj.idx == idx && rj.attempt == attempt)
-            .expect("finishing job is running");
-        let entry = self.running.swap_remove(pos);
+        let now = self.now;
+        let slot = self.slot_of[idx];
+        assert!(slot != NOT_RUNNING, "finishing job is running");
+        let entry = self.stop_running(slot as usize);
         let sub = self.subs[idx];
         let nodes = sub.nodes();
         let work = (nodes as u128) * (sub.runtime.nanos() as u128);
         self.acc.useful += work;
         self.used_node_ns[sub.tenant] += work;
         self.fair_dirty = true;
-        self.in_use -= nodes;
         self.inflight_nodes[sub.tenant] -= nodes;
         self.makespan = self.makespan.max(now - SimTime::ZERO);
-        self.space.free(entry.placement);
-        self.shape_blocked.clear();
+        self.release(entry.placement);
         let wait = entry.started - sub.arrival;
         self.waits.add_dur(wait);
         self.wait_hist.add(wait.as_secs_f64());
@@ -715,14 +774,12 @@ impl<'a> Svc<'a> {
     }
 
     fn on_fault(&mut self, node: usize) {
-        if self.failed_node[node] {
+        if self.space.is_failed(node) {
             return; // scripted plans may repeat a crash; fail-stop is once
         }
-        let now = self.q.now();
-        self.failed_node[node] = true;
+        let now = self.now;
         let victim = self.space.allocation_containing(node);
         self.space.fail_node(node);
-        self.failed_count += 1;
         self.makespan = self.makespan.max(now - SimTime::ZERO);
         if let Some(sm) = victim {
             let pos = self
@@ -730,7 +787,7 @@ impl<'a> Svc<'a> {
                 .iter()
                 .position(|rj| rj.placement == sm)
                 .expect("allocated sub-mesh has a running job");
-            let entry = self.running.swap_remove(pos);
+            let entry = self.stop_running(pos);
             let idx = entry.idx;
             let sub = self.subs[idx];
             let nodes = sub.nodes();
@@ -738,9 +795,7 @@ impl<'a> Svc<'a> {
             self.acc.lost_to_kills += partial;
             self.used_node_ns[sub.tenant] += partial;
             self.fair_dirty = true;
-            self.in_use -= nodes;
-            self.space.free(sm);
-            self.shape_blocked.clear();
+            self.release(sm);
             self.jobs_killed += 1;
             self.attempt_of[idx] += 1;
             if self.cfg.keep_records {
@@ -778,27 +833,16 @@ impl<'a> Svc<'a> {
         // left queued it would hold its slot and quota forever, and a
         // run of such entries at the queue front starves everything
         // behind it. Dead shapes also reject at admission from here on.
-        let newly_dead: Vec<(usize, usize)> = {
-            let probe = self.survivor_space();
-            self.pending_shapes
-                .keys()
-                .filter(|&&(r, c)| probe.clone().allocate(r, c, true).is_none())
-                .copied()
-                .collect()
-        };
-        if !newly_dead.is_empty() {
-            self.dead_shapes.extend(newly_dead.iter().copied());
-            let taken = std::mem::take(&mut self.pending);
-            for (key, idx) in taken {
-                let sub = self.subs[idx];
-                if self.dead_shapes.contains(&norm_shape(sub.shape)) {
-                    self.note_unqueued(sub.shape);
-                    self.inflight_nodes[sub.tenant] -= sub.nodes();
-                    self.reject(idx, AdmissionError::Unrunnable { shape: sub.shape });
-                } else {
-                    self.pending.push((key, idx));
-                }
+        let mut newly_dead = false;
+        for sid in 0..self.shapes.dims.len() {
+            let (r, c) = self.shapes.dims[sid];
+            if self.shapes.pending[sid] > 0 && !self.space.fits_survivors(r, c, true) {
+                self.shapes.dead[sid] = true;
+                newly_dead = true;
             }
+        }
+        if newly_dead {
+            self.retire_unrunnable(|svc, idx| !svc.shapes.dead[svc.shape_of[idx] as usize]);
         }
         if self.rec_on {
             self.rec
@@ -844,7 +888,7 @@ impl<'a> Svc<'a> {
         } else if !self.shard_armed[shard] {
             self.shard_armed[shard] = true;
             let every = self.cfg.admit_every.nanos();
-            let now = self.q.now().nanos();
+            let now = self.now.nanos();
             let boundary = now.div_ceil(every).saturating_mul(every);
             self.q.schedule(SimTime(boundary), Ev::Admit(shard));
         }
@@ -854,7 +898,7 @@ impl<'a> Svc<'a> {
         if !self.rec_on {
             return;
         }
-        let now = self.q.now().nanos();
+        let now = self.now.nanos();
         let t = self.svc_track;
         self.rec
             .counter(t, "pending_jobs", now, self.pending.len() as f64);
@@ -897,6 +941,16 @@ pub fn run_recorded(
     let n = subs.len();
     let nodes_total = cfg.rows * cfg.cols;
     assert!(nodes_total > 0, "service needs a machine");
+    // Outcomes are reported by id, so the ids must be a permutation of
+    // `0..n`; a bad trace is refused before anything is simulated.
+    let mut id_seen = vec![false; n];
+    for s in &subs {
+        assert!(
+            s.id < n && !std::mem::replace(&mut id_seen[s.id], true),
+            "submission ids must be dense and unique: {}",
+            s.id
+        );
+    }
     let n_tenants = subs
         .iter()
         .map(|s| s.tenant)
@@ -912,10 +966,11 @@ pub fn run_recorded(
         0
     };
 
-    let mut q: EventQueue<Ev> = EventQueue::with_capacity(n + plan.len() + 16);
-    for (i, s) in subs.iter().enumerate() {
-        q.schedule(s.arrival, Ev::Arrive(i));
-    }
+    // The calendar holds quota updates, faults and whatever the run
+    // schedules (a Finish per placement, Admit, Retry) — never arrivals.
+    let mut q: EventQueue<Ev> = EventQueue::with_capacity(
+        trace.quota_updates.len() + plan.len() + nodes_total.min(n) + shards,
+    );
     let mut quota_updates = trace.quota_updates.clone();
     quota_updates.sort_by_key(|&(at, t, _)| (at, t));
     for &(at, tenant, quota) in &quota_updates {
@@ -926,15 +981,22 @@ pub fn run_recorded(
         q.schedule(at, Ev::Fault(node));
     }
 
+    let (shape_of, shapes) = ShapeTable::intern(&subs, cfg.rows, cfg.cols);
     let mut svc = Svc {
         cfg,
         subs: &subs,
+        shape_of,
+        shapes,
         q,
+        arrived: 0,
+        now: SimTime::ZERO,
         space: MeshSpace::new(cfg.rows, cfg.cols),
         shard_buf: vec![Vec::new(); shards],
+        flush_buf: Vec::new(),
         shard_armed: vec![false; shards],
         pending: Vec::new(),
         running: Vec::new(),
+        slot_of: vec![NOT_RUNNING; n],
         attempt_of: vec![0; n],
         outcome: vec![None; n],
         killed: vec![Vec::new(); if cfg.keep_records { n } else { 0 }],
@@ -942,14 +1004,7 @@ pub fn run_recorded(
         quota: vec![cfg.quota_default; n_tenants],
         inflight_nodes: vec![0; n_tenants],
         used_node_ns: vec![0; n_tenants],
-        failed_node: vec![false; nodes_total],
-        in_use: 0,
-        failed_count: 0,
-        shape_blocked: HashSet::new(),
-        pending_shapes: HashMap::new(),
-        dead_shapes: HashSet::new(),
         fair_dirty: false,
-        prev: SimTime::ZERO,
         acc: NodeTime::default(),
         completed: 0,
         failed: 0,
@@ -976,7 +1031,7 @@ pub fn run_recorded(
     };
 
     loop {
-        while let Some((at, ev)) = svc.q.pop() {
+        while let Some((at, ev)) = svc.next_event() {
             svc.integrate_to(at);
             match ev {
                 Ev::Arrive(i) => svc.on_arrive(i),
@@ -992,36 +1047,28 @@ pub fn run_recorded(
             svc.try_start();
             svc.trace_queues();
         }
-        // Calendar drained. Anything still pending cannot be waiting on
-        // a Finish — nothing is running — so it either fits (start it)
-        // or no longer fits the fault-shrunk mesh (retire it as
-        // Unrunnable instead of blocking the queue forever).
+        // Trace and calendar drained. Anything still pending cannot be
+        // waiting on a Finish — nothing is running — so it either fits
+        // (start it) or no longer fits the fault-shrunk mesh (retire it
+        // as Unrunnable instead of blocking the queue forever).
         if svc.pending.is_empty() {
             break;
         }
         debug_assert!(svc.running.is_empty() && svc.space.allocations().is_empty());
-        let stuck: Vec<(Key, usize)> = std::mem::take(&mut svc.pending);
-        for (key, idx) in stuck {
+        svc.retire_unrunnable(|svc, idx| {
             let (r, c) = svc.subs[idx].shape;
-            if svc.space.clone().allocate(r, c, true).is_some() {
-                svc.pending.push((key, idx));
-            } else {
-                let sub = svc.subs[idx];
-                svc.note_unqueued(sub.shape);
-                svc.inflight_nodes[sub.tenant] -= sub.nodes();
-                svc.reject(idx, AdmissionError::Unrunnable { shape: sub.shape });
-            }
-        }
+            svc.space.can_allocate(r, c, true)
+        });
         if svc.pending.is_empty() {
             break;
         }
-        svc.shape_blocked.clear();
+        svc.shapes.blocked.fill(false);
         svc.try_start();
     }
 
     // Close the ledger: idle absorbs what is neither busy nor dead, and
     // busy splits exactly into useful + lost.
-    let span = svc.q.now() - SimTime::ZERO;
+    let span = svc.now - SimTime::ZERO;
     debug_assert_eq!(
         svc.acc.total - svc.acc.dead - svc.acc.idle,
         svc.acc.useful + svc.acc.lost_to_kills,
@@ -1031,18 +1078,11 @@ pub fn run_recorded(
     assert!(node_time.balanced(), "node-time ledger out of balance");
 
     // Re-index terminal states by submission id (subs were sorted by
-    // arrival above); every id must land exactly once.
-    let mut outcomes: Vec<Option<Outcome>> = vec![None; n];
+    // arrival above; the ids were checked to be a permutation).
+    let mut outcomes = vec![Outcome::Failed; n];
     for (i, o) in svc.outcome.iter().enumerate() {
-        let o = o.unwrap_or_else(|| panic!("submission {i} has no terminal state"));
-        let id = subs[i].id;
-        assert!(
-            id < n && outcomes[id].is_none(),
-            "submission ids must be dense and unique: {id}"
-        );
-        outcomes[id] = Some(o);
+        outcomes[subs[i].id] = o.unwrap_or_else(|| panic!("submission {i} has no terminal state"));
     }
-    let outcomes: Vec<Outcome> = outcomes.into_iter().map(Option::unwrap).collect();
     let denom = (nodes_total as f64) * svc.makespan.as_secs_f64();
     let frac = |num: f64| if denom > 0.0 { num / denom } else { 0.0 };
     ServiceReport {
@@ -1054,7 +1094,7 @@ pub fn run_recorded(
         unrunnable: svc.unrunnable,
         retries: svc.retries,
         jobs_killed: svc.jobs_killed,
-        nodes_failed: svc.failed_count,
+        nodes_failed: svc.space.failed_nodes(),
         makespan: svc.makespan,
         span,
         utilization: frac(node_time.useful as f64 / 1e9),
@@ -1064,7 +1104,8 @@ pub fn run_recorded(
         max_wait: svc.max_wait,
         max_pending: svc.max_pending,
         max_shard_depth: svc.max_shard_depth,
-        events: svc.q.events_processed(),
+        // One Arrive per submission, though none went through the calendar.
+        events: svc.q.events_processed() + svc.arrived as u64,
         node_time,
         outcomes,
         records: svc.records.into_iter().flatten().collect(),
@@ -1431,6 +1472,71 @@ mod tests {
         );
         assert_eq!(r.outcomes[1], Outcome::Completed);
         assert_eq!(r.unrunnable, 1);
+    }
+
+    #[test]
+    fn empty_shape_is_unrunnable() {
+        let tr = trace(vec![sub(0, 0, (0, 3), 10, 0), sub(1, 0, (1, 1), 10, 1)]);
+        let r = run(&tr, &ServiceConfig::new(4, 4));
+        assert_eq!(
+            r.outcomes[0],
+            Outcome::Rejected(AdmissionError::Unrunnable { shape: (0, 3) })
+        );
+        assert_eq!(r.outcomes[1], Outcome::Completed);
+    }
+
+    #[test]
+    #[should_panic(expected = "submission ids must be dense and unique: 0")]
+    fn duplicate_ids_are_refused_before_the_run() {
+        // The second submission can never be placed: had the run started,
+        // it would have ended on a different complaint or none at all.
+        let tr = trace(vec![sub(0, 0, (1, 1), 10, 0), sub(0, 0, (1, 1), 10, 1)]);
+        run(&tr, &ServiceConfig::new(4, 4));
+    }
+
+    #[test]
+    fn arrival_wins_timestamp_ties() {
+        let at = |s: u64| SimTime(s * 1_000_000_000);
+        // Quota update at the arrival's instant: the arrival is judged
+        // under the old quota.
+        let mut cfg = ServiceConfig::new(4, 4);
+        cfg.quota_default = 0;
+        let tr = ServiceTrace {
+            subs: vec![sub(0, 0, (1, 1), 10, 50), sub(1, 0, (1, 1), 10, 51)],
+            quota_updates: vec![(at(50), 0, 8)],
+        };
+        let r = run(&tr, &cfg);
+        assert!(matches!(
+            r.outcomes[0],
+            Outcome::Rejected(AdmissionError::QuotaExceeded { quota: 0, .. })
+        ));
+        assert_eq!(r.outcomes[1], Outcome::Completed);
+        // Crash at the arrival's instant: the job is placed on node 0
+        // first and the crash kills it.
+        let mut plan = FaultPlan::none();
+        plan.push(at(50), FaultKind::NodeCrash { node: 0 });
+        let tr = trace(vec![sub(0, 0, (1, 1), 10, 50)]);
+        let r = run_with_faults(&tr, &ServiceConfig::new(4, 4), &plan);
+        assert_eq!((r.jobs_killed, r.retries, r.completed), (1, 1, 1));
+        // Finish at the arrival's instant: the queue is still full when
+        // the arrival is admitted, so it is shed.
+        let mut cfg = ServiceConfig::new(1, 1);
+        cfg.pending_cap = 1;
+        let tr = trace(vec![
+            sub(0, 0, (1, 1), 50, 0), // runs 0..50
+            sub(1, 0, (1, 1), 10, 1), // fills the queue until 50
+            sub(2, 0, (1, 1), 10, 50),
+        ]);
+        let r = run(&tr, &cfg);
+        assert!(matches!(
+            r.outcomes[2],
+            Outcome::Rejected(AdmissionError::QueueFull { depth: 1, .. })
+        ));
+        assert_eq!(
+            r.events,
+            3 + 2,
+            "one Arrive each, one Finish per completion"
+        );
     }
 
     #[test]

@@ -10,53 +10,19 @@
 //!
 //! The counting allocator is process-wide, so this file holds one test.
 
+mod common;
+
 use delta_mesh::{presets, Machine};
 use hpcc_kernels::sim::lu2d;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-// Relaxed: a statistic that publishes no other data.
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter beside it is an
-// atomic increment that neither allocates nor unwinds.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's obligations for `alloc` are passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's obligations for `alloc_zeroed` are passed through.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `ptr` came from this allocator, which is `System`
-        // underneath, with `layout`; the caller guarantees the rest.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was returned by `System` for `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
-static GLOBAL: Counting = Counting;
+static GLOBAL: common::Counting = common::Counting;
 
 /// (heap allocations, simulated events) of one LU-2D run of order `n`.
 fn lu2d_cost(machine: &Machine, n: usize) -> (u64, u64) {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = common::allocs();
     let result = lu2d::run(machine, n, 32);
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = common::allocs() - before;
     (allocs, result.report.events)
 }
 

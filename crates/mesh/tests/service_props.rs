@@ -13,14 +13,33 @@
 //!    (`useful + lost + dead + idle == total`, in `u128` node-ns).
 //! 3. **Replay.** The same `(trace, config, plan)` triple reproduces the
 //!    same report, bit for bit, retries and jitter included.
+//! 4. **Tie order.** The service takes arrivals from a cursor beside the
+//!    calendar, an arrival winning every timestamp tie. On traces whose
+//!    times are all multiples of one grain — so arrivals collide with
+//!    finishes, faults, admission boundaries and quota updates at nearly
+//!    every event — the batch scheduler, which still pre-loads arrivals
+//!    into its heap, is the independent oracle for that rule.
 
 use delta_mesh::sched::service::{
-    self, assert_batch_equivalent, service_workload, Outcome, ServiceConfig,
+    self, assert_batch_equivalent, service_workload, Outcome, ServiceConfig, ServiceTrace,
 };
 use delta_mesh::Policy;
-use des::faults::{FaultPlan, MtbfModel};
-use des::time::Dur;
+use des::faults::{FaultKind, FaultPlan, MtbfModel};
+use des::rng::Rng;
+use des::time::{Dur, SimTime};
 use proptest::prelude::*;
+
+/// `service_workload` with every arrival and runtime rounded up to a
+/// whole multiple of `grain_s` seconds, so timestamps collide constantly.
+fn quantized_workload(n: usize, tenants: usize, seed: u64, grain_s: u64) -> ServiceTrace {
+    let mut tr = service_workload(n, tenants, 0.7, 16, 33, seed);
+    let grain = grain_s * 1_000_000_000;
+    for s in &mut tr.subs {
+        s.arrival = SimTime(s.arrival.nanos().div_ceil(grain) * grain);
+        s.runtime = Dur(s.runtime.nanos().div_ceil(grain).max(1) * grain);
+    }
+    tr
+}
 
 /// A service config with every production limit engaged, derived from
 /// the case seed so cap/quota/retry corners all get visited.
@@ -103,6 +122,76 @@ proptest! {
             .map(|s| (s.nodes() as u128) * (s.runtime.nanos() as u128))
             .sum();
         prop_assert_eq!(r.node_time.useful, expect_useful);
+    }
+
+    /// Whole-grain traces replay the batch scheduler bit-for-bit: the
+    /// arrival cursor breaks timestamp ties the way the pre-loaded heap
+    /// does.
+    #[test]
+    fn tied_timestamps_match_batch_bit_for_bit(
+        n in 50usize..300,
+        tenants in 2usize..30,
+        seed in 0u64..10_000,
+        grain_s in 1u64..40,
+    ) {
+        let tr = quantized_workload(n, tenants, seed, grain_s);
+        let ties = tr.subs.windows(2).filter(|w| w[0].arrival == w[1].arrival).count();
+        prop_assert!(grain_s < 5 || ties > 0, "grain {} s produced no arrival ties", grain_s);
+        assert_batch_equivalent(&tr, 16, 33, Policy::Fcfs);
+        assert_batch_equivalent(&tr, 16, 33, Policy::Backfill);
+    }
+
+    /// With faults, batched admission and quota updates all landing on
+    /// the same grain, the report does not depend on how the trace was
+    /// laid out: submissions and quota updates pre-sorted or shuffled.
+    #[test]
+    fn tied_timestamps_ignore_trace_layout(
+        n in 100usize..600,
+        seed in 0u64..10_000,
+        grain_s in 1u64..40,
+    ) {
+        let grain = grain_s * 1_000_000_000;
+        let mut sorted = quantized_workload(n, 12, seed, grain_s);
+        let last = sorted.subs.last().unwrap().arrival.nanos() / grain;
+        let mut rng = Rng::new(seed ^ 0x71E5);
+        let mut plan = FaultPlan::none();
+        for _ in 0..8 {
+            let node = rng.below(16 * 33) as usize;
+            plan.push(SimTime(rng.below(last + 1) * grain), FaultKind::NodeCrash { node });
+        }
+        for _ in 0..12 {
+            let quota = [16usize, 64, 256, usize::MAX][rng.below(4) as usize];
+            let at = SimTime(rng.below(last + 1) * grain);
+            sorted.quota_updates.push((at, rng.below(12) as usize, quota));
+        }
+        // Two updates of one tenant at one instant apply in trace order;
+        // keep one so the layouts describe the same stream.
+        sorted.quota_updates.sort_by_key(|&(at, tenant, _)| (at, tenant));
+        sorted.quota_updates.dedup_by_key(|&mut (at, tenant, _)| (at, tenant));
+        let mut shuffled = sorted.clone();
+        rng.shuffle(&mut shuffled.subs);
+        rng.shuffle(&mut shuffled.quota_updates);
+
+        let mut cfg = bounded_config(seed);
+        cfg.admit_every = Dur(grain);
+        cfg.keep_records = true;
+        let a = service::run_with_faults(&sorted, &cfg, &plan);
+        let b = service::run_with_faults(&shuffled, &cfg, &plan);
+        prop_assert_eq!(&a.outcomes, &b.outcomes);
+        prop_assert_eq!(&a.records, &b.records);
+        prop_assert_eq!(a.node_time, b.node_time);
+        prop_assert_eq!(
+            (a.events, a.makespan, a.span, a.shed, a.quota_rejects, a.unrunnable),
+            (b.events, b.makespan, b.span, b.shed, b.quota_rejects, b.unrunnable)
+        );
+        prop_assert_eq!(
+            (a.retries, a.jobs_killed, a.nodes_failed, a.max_pending, a.max_shard_depth),
+            (b.retries, b.jobs_killed, b.nodes_failed, b.max_pending, b.max_shard_depth)
+        );
+        prop_assert_eq!(
+            (a.mean_wait, a.p99_wait, a.max_wait),
+            (b.mean_wait, b.p99_wait, b.max_wait)
+        );
     }
 
     /// Same inputs, same report — bit for bit, jittered retries and all.
