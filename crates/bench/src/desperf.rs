@@ -1,8 +1,8 @@
-//! DES engine throughput: wall-clock events/sec of the sharded
-//! conservative runtime against the legacy single-queue engine, swept
-//! over mesh size × lane count. The `report bench-des` command prints
-//! the table and writes `BENCH_des.json`; `--smoke` runs a small sweep
-//! and additionally asserts single-lane bit-identity in-exhibit.
+//! Exhibit DES-1, the event-engine scale table: wall-clock events/sec of
+//! the sharded conservative runtime against the legacy single-queue
+//! engine, swept over mesh size (4k to 100k nodes) × lane count.
+//! `report bench-des` prints it. The 528-node Delta under this workload
+//! is the `mesh_halo` workload of `benchmark/`.
 //!
 //! The workload is a halo exchange with a long-range partner per node:
 //! nearest-neighbour traffic keeps every lane busy, and the cross-mesh
@@ -13,11 +13,11 @@
 //! O(1). Per-lane calendars and the allocation-free lane executor do
 //! the rest.
 
+use crate::best_of;
 use delta_mesh::{presets, FaultPlan, Kernel, Machine, Node};
-use std::fmt::Write as _;
-use std::time::Instant;
+use hpcc_core::{fnum, Table};
 
-/// One measured (mesh, engine, lanes) configuration.
+/// One measured (mesh, lanes) configuration.
 pub struct DesRow {
     /// Mesh shape.
     pub rows: usize,
@@ -28,6 +28,10 @@ pub struct DesRow {
     pub steps: usize,
     /// Simulator events dispatched across all lanes.
     pub events: u64,
+    /// Synchronization windows executed (0 on the legacy engine).
+    pub rounds: u64,
+    /// Messages exchanged through the cross-lane mailboxes.
+    pub mail_msgs: u64,
     /// Wall time, milliseconds.
     pub ms: f64,
     /// events / wall second — the figure of merit.
@@ -86,70 +90,29 @@ async fn workload(node: Node, rows: usize, cols: usize, steps: usize) -> f64 {
     acc
 }
 
+/// Best-of-2 damps scheduler noise; a single rep made the biggest
+/// configs swing ±15% run to run.
 fn measure(rows: usize, cols: usize, lanes: usize, steps: usize) -> DesRow {
     let m = Machine::new(presets::delta(rows, cols));
-    // Best-of-2 damps scheduler noise; a single rep made the biggest
-    // configs swing ±15% run to run.
-    let reps = 2;
-    let mut best = f64::MAX;
-    let mut events = 0;
-    for _ in 0..reps {
-        let t = Instant::now();
-        let (_, rep) = if lanes <= 1 {
-            m.run(|node| workload(node, rows, cols, steps))
-        } else {
-            m.run_sharded(lanes, |node| workload(node, rows, cols, steps))
-        };
-        best = best.min(t.elapsed().as_secs_f64().max(1e-9));
-        events = rep.events;
-    }
+    let plan = FaultPlan::none();
+    let (secs, (_, _, stats)) = best_of(2, || {
+        m.run_sharded_stats(lanes, &plan, |node| workload(node, rows, cols, steps))
+    });
     DesRow {
         rows,
         cols,
         lanes,
         steps,
-        events,
-        ms: best * 1e3,
-        events_per_sec: events as f64 / best,
+        events: stats.events,
+        rounds: stats.rounds,
+        mail_msgs: stats.mail_msgs,
+        ms: secs * 1e3,
+        events_per_sec: stats.events as f64 / secs,
     }
 }
 
-/// Single-lane bit-identity gate: the window runtime forced through one
-/// lane must reproduce the legacy engine exactly — same outputs, same
-/// report, down to elapsed virtual time and event count. Panics on any
-/// mismatch; run by `--smoke` so CI trips before a divergence can ship.
-fn assert_single_lane_identity(rows: usize, cols: usize, steps: usize) {
-    let m = Machine::new(presets::delta(rows, cols));
-    let plan = FaultPlan::none();
-    let (legacy_out, legacy_rep) =
-        m.run_with_faults(&plan, |node| workload(node, rows, cols, steps));
-    let (win_out, win_rep) =
-        m.run_windowed_exact(1, &plan, |node| workload(node, rows, cols, steps));
-    assert_eq!(
-        legacy_out, win_out,
-        "single-lane window runtime diverged from the legacy engine (outputs)"
-    );
-    assert_eq!(
-        legacy_rep, win_rep,
-        "single-lane window runtime diverged from the legacy engine (report)"
-    );
-}
-
-/// The sweep: mesh sizes from the 528-node Delta to past 100k nodes,
-/// lane counts 1..8. `smoke` restricts to the Delta and two lane counts
-/// (CI-sized) and runs the bit-identity gate first.
-pub fn snapshot(smoke: bool) -> Vec<DesRow> {
-    // (rows, cols, halo steps): fewer steps as the mesh grows, so every
-    // configuration finishes in seconds even on the legacy engine.
-    let sizes: &[(usize, usize, usize)] = if smoke {
-        &[(16, 33, 2)]
-    } else {
-        &[(16, 33, 8), (64, 64, 4), (128, 128, 2), (250, 400, 2)]
-    };
-    let lane_counts: &[usize] = if smoke { &[1, 2, 4] } else { &[1, 2, 4, 8] };
-    if smoke {
-        assert_single_lane_identity(16, 33, 2);
-    }
+/// Every `(rows, cols, halo steps)` mesh at every lane count.
+fn sweep(sizes: &[(usize, usize, usize)], lane_counts: &[usize]) -> Vec<DesRow> {
     let mut rows = Vec::new();
     for &(r, c, steps) in sizes {
         for &lanes in lane_counts {
@@ -159,58 +122,55 @@ pub fn snapshot(smoke: bool) -> Vec<DesRow> {
     rows
 }
 
-/// Human-readable table with per-size speedup over the lanes=1 baseline.
-pub fn table(rows: &[DesRow]) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "DES engine throughput (halo + long-range workload)");
-    let _ = writeln!(s, "{:-<72}", "");
-    let _ = writeln!(
-        s,
-        "{:>9} {:>9} {:>6} {:>6} {:>10} {:>10} {:>12} {:>8}",
-        "mesh", "nodes", "lanes", "steps", "events", "ms", "events/s", "speedup"
+/// The sweep: 4k nodes to past 100k, lane counts 1..8. Fewer steps as
+/// the mesh grows, so every configuration finishes in seconds even on
+/// the legacy engine.
+pub fn snapshot() -> Vec<DesRow> {
+    sweep(&[(64, 64, 4), (128, 128, 2), (250, 400, 2)], &[1, 2, 4, 8])
+}
+
+/// The table `report bench-des` prints, with per-size speedup over the
+/// lanes=1 baseline.
+pub fn table(rows: &[DesRow]) -> Table {
+    let mut t = Table::new(
+        "Exhibit DES-1 — event-engine throughput (halo + long-range workload)",
+        &[
+            "Mesh",
+            "Nodes",
+            "Lanes",
+            "Steps",
+            "Events",
+            "Rounds",
+            "Mail msgs",
+            "ms",
+            "events/s",
+            "Speedup",
+        ],
     );
     for r in rows {
         let base = rows
             .iter()
             .find(|b| b.rows == r.rows && b.cols == r.cols && b.lanes == 1)
             .map_or(r.events_per_sec, |b| b.events_per_sec);
-        let _ = writeln!(
-            s,
-            "{:>9} {:>9} {:>6} {:>6} {:>10} {:>10.1} {:>12.0} {:>7.2}x",
+        t.row(&[
             format!("{}x{}", r.rows, r.cols),
-            r.rows * r.cols,
-            r.lanes,
-            r.steps,
-            r.events,
-            r.ms,
-            r.events_per_sec,
-            r.events_per_sec / base
-        );
+            (r.rows * r.cols).to_string(),
+            r.lanes.to_string(),
+            r.steps.to_string(),
+            r.events.to_string(),
+            r.rounds.to_string(),
+            r.mail_msgs.to_string(),
+            fnum(r.ms, 1),
+            fnum(r.events_per_sec, 0),
+            format!("{:.2}x", r.events_per_sec / base),
+        ]);
     }
-    s
+    t
 }
 
-/// The JSON snapshot (hand-rolled — the harness carries no serde).
-pub fn json(rows: &[DesRow]) -> String {
-    let mut s = String::from("{\n  \"bench\": \"des\",\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"rows\": {}, \"cols\": {}, \"nodes\": {}, \"lanes\": {}, \
-             \"steps\": {}, \"events\": {}, \"ms\": {:.3}, \"events_per_sec\": {:.1}}}",
-            r.rows,
-            r.cols,
-            r.rows * r.cols,
-            r.lanes,
-            r.steps,
-            r.events,
-            r.ms,
-            r.events_per_sec
-        );
-        s.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
+/// `report bench-des`: measure and print.
+pub fn report() -> String {
+    table(&snapshot()).to_string()
 }
 
 #[cfg(test)]
@@ -222,26 +182,27 @@ mod tests {
         let (rows, cols, steps) = (4, 4, 2);
         let m = Machine::new(presets::delta(rows, cols));
         let (a, _) = m.run(|node| workload(node, rows, cols, steps));
-        let (b, _) = m.run_sharded(2, |node| workload(node, rows, cols, steps));
-        assert_eq!(a, b);
-        assert_single_lane_identity(rows, cols, steps);
+        let (b, _, _) = m.run_sharded_stats(2, &FaultPlan::none(), |node| {
+            workload(node, rows, cols, steps)
+        });
+        assert_eq!(a.into_iter().map(Some).collect::<Vec<_>>(), b);
+        // Single-lane bit-identity: the window runtime forced through
+        // one lane reproduces the legacy engine exactly — same outputs,
+        // same report, down to elapsed virtual time and event count.
+        let plan = FaultPlan::none();
+        let legacy = m.run_with_faults(&plan, |node| workload(node, rows, cols, steps));
+        let windowed = m.run_windowed_exact(1, &plan, |node| workload(node, rows, cols, steps));
+        assert_eq!(legacy, windowed);
     }
 
     #[test]
-    fn json_is_well_formed_enough() {
-        let rows = vec![DesRow {
-            rows: 4,
-            cols: 4,
-            lanes: 2,
-            steps: 2,
-            events: 100,
-            ms: 1.5,
-            events_per_sec: 66_666.7,
-        }];
-        let j = json(&rows);
-        assert!(j.starts_with('{') && j.trim_end().ends_with('}'));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        let t = table(&rows);
-        assert!(t.contains("events/s") && t.contains("4x4"));
+    fn tiny_sweep_fills_the_lane_columns() {
+        let rows = sweep(&[(4, 4, 2)], &[1, 2]);
+        assert_eq!(rows.len(), 2);
+        assert_eq!((rows[0].rounds, rows[0].mail_msgs), (0, 0));
+        assert!(rows[1].rounds > 0 && rows[1].mail_msgs > 0);
+        assert!(rows.iter().all(|r| r.events > 0 && r.events_per_sec > 0.0));
+        let t = table(&rows).to_string();
+        assert!(t.contains("events/s") && t.contains("4x4") && t.contains("1.00x"));
     }
 }

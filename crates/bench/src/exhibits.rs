@@ -633,12 +633,11 @@ pub fn scheduler() -> String {
 /// SCHED-1: the long-running scheduler *service* on the same 528-node
 /// Delta — admission control, per-tenant quotas, priority shed tiers,
 /// and seeded retry/backoff across three operating regimes. Every
-/// number is deterministic (fixed seeds); the wall-clock companion that
-/// writes `BENCH_sched.json` is `report bench-sched`.
+/// number is deterministic (fixed seeds); the wall-clock companion at a
+/// million submissions is `report bench-sched`.
 pub fn sched_service() -> String {
     use delta_mesh::sched::service::{self, ServiceConfig};
-    use delta_mesh::{service_workload, FaultPlan, MtbfModel};
-    use des::time::Dur;
+    use delta_mesh::{service_workload, FaultPlan};
 
     let mut t = Table::new(
         "Exhibit SCHED-1 — Scheduler service under steady load, 2x overload, and faults",
@@ -659,22 +658,9 @@ pub fn sched_service() -> String {
     // (~528/k of the machine dies mid-run); `None` runs fault-free.
     let mut run = |name: &str, n: usize, load: f64, cfg: &ServiceConfig, mtbf: Option<f64>| {
         let tr = service_workload(n, 64, load, 16, 33, 1992);
-        let plan = match mtbf {
-            Some(k) => {
-                let span_s = tr
-                    .subs
-                    .last()
-                    .map_or(0.0, |s| s.arrival.nanos() as f64 / 1e9);
-                FaultPlan::seeded(
-                    1992,
-                    &MtbfModel::node_crashes(Dur::from_secs_f64(k * span_s)),
-                    16 * 33,
-                    0,
-                    Dur::from_secs_f64(span_s),
-                )
-            }
-            None => FaultPlan::none(),
-        };
+        let plan = mtbf.map_or_else(FaultPlan::none, |k| {
+            crate::schedperf::crashes_over_span(&tr, 1992, k, 16 * 33)
+        });
         let r = service::run_with_faults(&tr, cfg, &plan);
         t.row(&[
             name.into(),
@@ -716,7 +702,7 @@ pub fn sched_service() -> String {
          cap and the excess is shed lowest-tier-first with typed errors; under\n\
          node crashes killed jobs retry on capped seeded backoff until the\n\
          budget ends. Zero-fault, unlimited-config runs replay the batch\n\
-         scheduler bit-for-bit (asserted by `report bench-sched --smoke`).\n"
+         scheduler bit-for-bit (`service_props::service_matches_batch_bit_for_bit`).\n"
     )
 }
 
@@ -1128,14 +1114,13 @@ pub fn timeline() -> String {
 pub fn index() -> String {
     let mut t = Table::new(
         "Exhibit index (hpcc_core::exhibits registry)",
-        &["Id", "Kind", "Report cmd", "Bench", "Title"],
+        &["Id", "Kind", "Report cmd", "Title"],
     );
     for e in hpcc_core::registry() {
         t.row(&[
             e.id.to_string(),
             format!("{:?}", e.kind),
             e.report_cmd.to_string(),
-            e.bench.unwrap_or("-").to_string(),
             e.title.chars().take(58).collect(),
         ]);
     }

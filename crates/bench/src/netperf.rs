@@ -1,10 +1,10 @@
-//! WAN flow-engine throughput: the incremental max-min solver against
-//! the full-recompute baseline, and the paper's T1→T3→gigabit upgrade
-//! story replayed with modern fat-tree/dragonfly fabrics on each coast.
-//! The `report bench-net` command prints the tables and writes
-//! `BENCH_net.json`; `--smoke` runs CI-sized scales with the per-event
-//! equivalence verifier enabled — every resolve is checked against the
-//! reference `maxmin_rates` re-solve to 1e-9 relative.
+//! Exhibit NET-1, the WAN flow-engine scale tables: the incremental
+//! max-min solver against the full-recompute baseline up to a million
+//! concurrent flows, and the paper's T1→T3→gigabit upgrade story
+//! replayed with modern fat-tree/dragonfly fabrics on each coast.
+//! `report bench-net` prints both and asserts the headline claims. The
+//! engine at thousands of flows, outage included, is the `wan_flows`
+//! workload of `benchmark/`.
 //!
 //! Two scenarios:
 //!
@@ -22,19 +22,17 @@
 //!   measured, and the speedup column is the events/sec ratio against
 //!   the baseline at the same flow count.
 
+use crate::timed;
 use des::rng::Rng;
 use des::time::SimTime;
+use hpcc_core::{fnum, Table};
 use nren_netsim::{
     fabric_to_wan, fat_tree, workload, FlowConfig, FlowSim, LinkClass, SolverMode, TransferSpec,
 };
 use std::collections::HashSet;
-use std::fmt::Write as _;
-use std::time::Instant;
 
 /// One measured network-engine configuration.
 pub struct NetRow {
-    /// `"upgrade"` or `"scale"`.
-    pub scenario: &'static str,
     /// WAN tier label, or the solver under test.
     pub label: String,
     /// Concurrent transfers offered.
@@ -61,7 +59,8 @@ pub struct NetRow {
 }
 
 /// The incremental engine as shipped: affected-set solver plus
-/// short-flow aggregation under 16 MiB.
+/// short-flow aggregation under 16 MiB. `verify` checks every resolve
+/// against the reference solver — affordable at unit-test sizes only.
 fn incremental_cfg(verify: bool) -> FlowConfig {
     FlowConfig {
         solver: SolverMode::Incremental {
@@ -89,33 +88,27 @@ fn run_once(
     net: &nren_netsim::Net,
     specs: Vec<TransferSpec>,
     cfg: FlowConfig,
-    scenario: &'static str,
     label: String,
 ) -> NetRow {
     let flows = specs.len();
     let bytes: f64 = specs.iter().map(|s| s.bytes as f64).sum();
     let pairs: HashSet<_> = specs.iter().map(|s| (s.src, s.dst)).collect();
     let sources: HashSet<_> = specs.iter().map(|s| s.src).collect();
-    let t = Instant::now();
-    let (outcomes, stats) = FlowSim::with_config(net, cfg)
-        .run_with_faults(specs, &[])
-        .expect("fault-free run cannot error");
-    let wall = t.elapsed().as_secs_f64().max(1e-9);
-    eprintln!("  [{scenario}] {label} @ {flows}: {:.1}s", wall);
-    assert_eq!(outcomes.len(), flows, "{scenario}/{label}: lost flows");
+    let (wall, run) = timed(|| FlowSim::with_config(net, cfg).run_with_faults(specs, &[]));
+    let (outcomes, stats) = run.expect("fault-free run cannot error");
+    assert_eq!(outcomes.len(), flows, "{label}: lost flows");
     // Routing is per source, not per flow: with no link transitions the
     // run builds one tree per sender and reads each pair out of it once.
     // A slide back to a Dijkstra per flow fails here, not as a slow row.
     let routing = stats.routing;
     assert!(
         routing.misses <= pairs.len() as u64 && routing.trees <= sources.len() as u64,
-        "{scenario}/{label}: {routing:?} for {} pairs from {} sources",
+        "{label}: {routing:?} for {} pairs from {} sources",
         pairs.len(),
         sources.len()
     );
     let makespan = stats.makespan.as_secs_f64();
     NetRow {
-        scenario,
         label,
         flows,
         events: stats.solver.events,
@@ -130,9 +123,9 @@ fn run_once(
     }
 }
 
-/// The upgrade story: coast-to-coast transfers between modern fabrics,
-/// WAN tier swept from the 1992 starting point to 400G.
-fn upgrade_rows(smoke: bool) -> Vec<NetRow> {
+/// The upgrade story: coast-to-coast transfers of `bytes` each between
+/// modern fabrics, WAN tier swept from the 1992 starting point to 400G.
+fn upgrade_rows(bytes: u64, verify: bool) -> Vec<NetRow> {
     let tiers = [
         LinkClass::T1,
         LinkClass::T3,
@@ -140,7 +133,6 @@ fn upgrade_rows(smoke: bool) -> Vec<NetRow> {
         LinkClass::Gig100,
         LinkClass::Gig400,
     ];
-    let bytes: u64 = if smoke { 1 << 20 } else { 16 << 20 };
     tiers
         .iter()
         .map(|&wan| {
@@ -153,8 +145,7 @@ fn upgrade_rows(smoke: bool) -> Vec<NetRow> {
             run_once(
                 &net,
                 specs,
-                incremental_cfg(smoke),
-                "upgrade",
+                incremental_cfg(verify),
                 wan.label().to_string(),
             )
         })
@@ -168,45 +159,31 @@ fn fan_out(fab: &nren_netsim::Fabric, flows: usize) -> Vec<TransferSpec> {
     workload::fan_out_traffic(&fab.hosts, 16, &mut rng, flows, 1e6, SimTime::ZERO)
 }
 
-/// The scale sweep: baseline where it can finish, incremental
-/// throughout, speedup computed at matched flow counts.
-fn scale_rows(smoke: bool) -> Vec<NetRow> {
+/// The scale sweep: the full-recompute baseline at `baseline_scales`
+/// (where it can finish), the incremental engine at `incr_scales`,
+/// speedup computed at matched flow counts.
+fn scale_rows(baseline_scales: &[usize], incr_scales: &[usize], verify: bool) -> Vec<NetRow> {
     let fab = fat_tree(8, LinkClass::Gigabit, LinkClass::Gig100, "f.");
-    let (baseline_scales, incr_scales): (&[usize], &[usize]) = if smoke {
-        (&[2_000], &[2_000])
-    } else {
-        (&[10_000, 100_000], &[10_000, 100_000, 1_000_000])
-    };
     let mut rows = Vec::new();
     for &n in baseline_scales {
         rows.push(run_once(
             &fab.net,
             fan_out(&fab, n),
             baseline_cfg(),
-            "scale",
             "global (baseline)".into(),
         ));
     }
     for &n in incr_scales {
-        // Smoke keeps the per-event verifier on: each resolve is
-        // checked against the reference solver — the equivalence gate.
         let mut r = run_once(
             &fab.net,
             fan_out(&fab, n),
-            incremental_cfg(smoke),
-            "scale",
-            if smoke {
-                "incremental (verified)".into()
-            } else {
-                "incremental".into()
-            },
+            incremental_cfg(verify),
+            "incremental".into(),
         );
-        if let Some(base) = rows.iter().find(|b| {
-            b.scenario == "scale"
-                && b.flows == n
-                && b.speedup == 0.0
-                && b.label.starts_with("global")
-        }) {
+        if let Some(base) = rows
+            .iter()
+            .find(|b| b.flows == n && b.label.starts_with("global"))
+        {
             r.speedup = r.events_per_sec / base.events_per_sec;
         }
         assert_eq!(r.peak_flows as usize, n, "engine dropped concurrency");
@@ -215,100 +192,83 @@ fn scale_rows(smoke: bool) -> Vec<NetRow> {
     rows
 }
 
-/// The sweep. `smoke` shrinks every scale to CI size and turns on the
-/// per-event incremental-vs-reference verifier; the full run asserts
-/// the headline claims — 1M concurrent flows held, and ≥10× baseline
-/// events/sec at the largest scale the baseline finishes.
-pub fn snapshot(smoke: bool) -> Vec<NetRow> {
-    let mut rows = upgrade_rows(smoke);
-    let scale = scale_rows(smoke);
-    if !smoke {
-        let top = scale
-            .iter()
-            .filter(|r| r.speedup > 0.0)
-            .max_by_key(|r| r.flows)
-            .expect("scale sweep lost its baseline comparison");
-        assert!(
-            top.speedup >= 10.0,
-            "incremental engine only {:.1}x over full recompute at {} flows",
-            top.speedup,
-            top.flows
-        );
-        let million = scale.iter().find(|r| r.flows == 1_000_000).unwrap();
-        assert_eq!(million.peak_flows, 1_000_000);
-    }
-    rows.extend(scale);
-    rows
+/// The (upgrade, scale) rows at full size, with the headline claims
+/// asserted: 1M concurrent flows held, and ≥10× baseline events/sec at
+/// the largest scale the baseline finishes.
+pub fn snapshot() -> (Vec<NetRow>, Vec<NetRow>) {
+    let scale = scale_rows(&[10_000, 100_000], &[10_000, 100_000, 1_000_000], false);
+    let top = scale
+        .iter()
+        .filter(|r| r.speedup > 0.0)
+        .max_by_key(|r| r.flows)
+        .expect("scale sweep lost its baseline comparison");
+    assert!(
+        top.speedup >= 10.0,
+        "incremental engine only {:.1}x over full recompute at {} flows",
+        top.speedup,
+        top.flows
+    );
+    let million = scale.iter().find(|r| r.flows == 1_000_000).unwrap();
+    assert_eq!(million.peak_flows, 1_000_000);
+    (upgrade_rows(16 << 20, false), scale)
 }
 
-/// Human-readable tables, one per scenario.
-pub fn table(rows: &[NetRow]) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "WAN upgrade story (modern fabrics, WAN tier swept)");
-    let _ = writeln!(s, "{:-<72}", "");
-    let _ = writeln!(
-        s,
-        "{:>18} {:>6} {:>12} {:>12} {:>12}",
-        "WAN tier", "flows", "makespan s", "MB/s", "events"
+/// The upgrade-story table `report bench-net` prints.
+pub fn upgrade_table(rows: &[NetRow]) -> Table {
+    let mut t = Table::new(
+        "Exhibit NET-1 — WAN upgrade story (modern fabrics, WAN tier swept)",
+        &["WAN tier", "Flows", "Makespan s", "MB/s", "Events"],
     );
-    for r in rows.iter().filter(|r| r.scenario == "upgrade") {
-        let _ = writeln!(
-            s,
-            "{:>18} {:>6} {:>12.2} {:>12.2} {:>12}",
-            r.label, r.flows, r.makespan_s, r.mbytes_per_sec, r.events
-        );
+    for r in rows {
+        t.row(&[
+            r.label.clone(),
+            r.flows.to_string(),
+            fnum(r.makespan_s, 2),
+            fnum(r.mbytes_per_sec, 2),
+            r.events.to_string(),
+        ]);
     }
-    let _ = writeln!(s);
-    let _ = writeln!(s, "Flow-engine scaling (128-host fat-tree fan-out)");
-    let _ = writeln!(s, "{:-<88}", "");
-    let _ = writeln!(
-        s,
-        "{:>24} {:>8} {:>9} {:>10} {:>12} {:>10} {:>8}",
-        "solver", "flows", "events", "ms", "events/s", "dirty/ev", "speedup"
-    );
-    for r in rows.iter().filter(|r| r.scenario == "scale") {
-        let speed = if r.speedup > 0.0 {
-            format!("{:.1}x", r.speedup)
-        } else {
-            "-".into()
-        };
-        let _ = writeln!(
-            s,
-            "{:>24} {:>8} {:>9} {:>10.1} {:>12.0} {:>10.1} {:>8}",
-            r.label, r.flows, r.events, r.ms, r.events_per_sec, r.mean_dirty, speed
-        );
-    }
-    s
+    t
 }
 
-/// The JSON snapshot (hand-rolled — the harness carries no serde).
-pub fn json(rows: &[NetRow]) -> String {
-    let mut s = String::from("{\n  \"bench\": \"net\",\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"scenario\": \"{}\", \"label\": \"{}\", \"flows\": {}, \
-             \"events\": {}, \"ms\": {:.3}, \"events_per_sec\": {:.1}, \
-             \"makespan_s\": {:.6}, \"mbytes_per_sec\": {:.3}, \
-             \"peak_flows\": {}, \"mean_dirty\": {:.2}, \
-             \"full_resolves\": {}, \"speedup\": {:.2}}}",
-            r.scenario,
-            r.label,
-            r.flows,
-            r.events,
-            r.ms,
-            r.events_per_sec,
-            r.makespan_s,
-            r.mbytes_per_sec,
-            r.peak_flows,
-            r.mean_dirty,
-            r.full_resolves,
-            r.speedup
-        );
-        s.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
+/// The scale-sweep table `report bench-net` prints.
+pub fn scale_table(rows: &[NetRow]) -> Table {
+    let mut t = Table::new(
+        "Exhibit NET-1 — flow-engine scaling (128-host fat-tree fan-out)",
+        &[
+            "Solver",
+            "Flows",
+            "Events",
+            "ms",
+            "events/s",
+            "Dirty/ev",
+            "Full res.",
+            "Speedup",
+        ],
+    );
+    for r in rows {
+        t.row(&[
+            r.label.clone(),
+            r.flows.to_string(),
+            r.events.to_string(),
+            fnum(r.ms, 1),
+            fnum(r.events_per_sec, 0),
+            fnum(r.mean_dirty, 1),
+            r.full_resolves.to_string(),
+            if r.speedup > 0.0 {
+                format!("{:.1}x", r.speedup)
+            } else {
+                "-".into()
+            },
+        ]);
     }
-    s.push_str("  ]\n}\n");
-    s
+    t
+}
+
+/// `report bench-net`: measure, assert the headline claims, print.
+pub fn report() -> String {
+    let (upgrade, scale) = snapshot();
+    format!("{}\n{}", upgrade_table(&upgrade), scale_table(&scale))
 }
 
 #[cfg(test)]
@@ -317,7 +277,7 @@ mod tests {
 
     #[test]
     fn upgrade_story_monotone_in_wan_tier() {
-        let rows = upgrade_rows(true);
+        let rows = upgrade_rows(1 << 20, true);
         assert_eq!(rows.len(), 5);
         for w in rows.windows(2) {
             assert!(
@@ -329,11 +289,14 @@ mod tests {
         }
         // T1 cannot move 16 coast-to-coast megabytes quickly; 400G can.
         assert!(rows[0].makespan_s > rows[4].makespan_s * 10.0);
+        assert_eq!(upgrade_table(&rows).n_rows(), 5);
     }
 
+    /// Every resolve of the incremental row is checked against the
+    /// reference solver (`verify`), then the two engines are compared.
     #[test]
-    fn smoke_scale_rows_verify_and_compare() {
-        let rows = scale_rows(true);
+    fn small_scale_rows_verify_and_compare() {
+        let rows = scale_rows(&[2_000], &[2_000], true);
         assert_eq!(rows.len(), 2);
         let base = &rows[0];
         let incr = &rows[1];
@@ -343,28 +306,6 @@ mod tests {
         // (aggregation and lazy drains are schedule-preserving).
         let rel = (base.makespan_s - incr.makespan_s).abs() / base.makespan_s;
         assert!(rel < 1e-6, "makespans diverged: {rel}");
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let rows = vec![NetRow {
-            scenario: "scale",
-            label: "incremental".into(),
-            flows: 1000,
-            events: 2000,
-            ms: 12.0,
-            events_per_sec: 166_000.0,
-            makespan_s: 42.0,
-            mbytes_per_sec: 55.5,
-            peak_flows: 1000,
-            mean_dirty: 17.2,
-            full_resolves: 3,
-            speedup: 25.0,
-        }];
-        let j = json(&rows);
-        assert!(j.starts_with('{') && j.trim_end().ends_with('}'));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        let t = table(&rows);
-        assert!(t.contains("events/s") && t.contains("incremental"));
+        assert!(scale_table(&rows).to_string().contains("events/s"));
     }
 }

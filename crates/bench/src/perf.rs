@@ -1,14 +1,16 @@
-//! Host-kernel performance snapshot: measured GFLOP/s for the packed
-//! GEMM engine and every kernel the v2 engine accelerates — LU, FFT,
-//! SpMV/CG and the shallow-water sweep — each against its scalar seed
-//! baseline. The `report bench-kernels` command prints the table,
-//! enforces the perf gates ([`gates`]) and writes `BENCH_kernels.json`
-//! so perf regressions show up in diffs.
+//! Exhibit KERN-2, the host-kernel scale table: measured GFLOP/s for the
+//! packed GEMM engine and every kernel the v2 engine accelerates — LU up
+//! to n = 2048, a 2^20-point FFT, SpMV/CG and the shallow-water sweep —
+//! each against its scalar seed baseline. `report bench-kernels` prints
+//! the table and enforces the perf gates ([`gates`]). The cache-resident
+//! sizes are the `kernels` workload of `benchmark/`, which is where
+//! regressions are caught; this table is the near-peak claim.
 
+use crate::{best_of, timed};
 use des::rng::Rng;
+use hpcc_core::{fnum, Table};
 use hpcc_kernels::{cg, fft, gemm, lu, mat::Mat, matmul, shallow};
 use std::fmt::Write as _;
-use std::time::Instant;
 
 /// One measured kernel configuration.
 pub struct PerfRow {
@@ -18,10 +20,35 @@ pub struct PerfRow {
     pub n: usize,
     /// Threads the configuration ran with (1 = sequential path).
     pub threads: usize,
-    /// Best-of-reps wall time, milliseconds.
+    /// Fastest-rep wall time, milliseconds.
     pub ms: f64,
     /// FLOPs credited / wall time.
     pub gflops: f64,
+}
+
+impl PerfRow {
+    fn new(kernel: &'static str, n: usize, threads: usize, flops: f64, secs: f64) -> PerfRow {
+        PerfRow {
+            kernel,
+            n,
+            threads,
+            ms: secs * 1e3,
+            gflops: flops / secs / 1e9,
+        }
+    }
+
+    /// Time `f`: fastest of three reps (four under n = 1024). The first
+    /// also pages in buffers and spins up the pool, so it rarely wins.
+    fn measure(
+        kernel: &'static str,
+        n: usize,
+        threads: usize,
+        flops: f64,
+        f: impl FnMut(),
+    ) -> PerfRow {
+        let reps = if n >= 1024 { 3 } else { 4 };
+        PerfRow::new(kernel, n, threads, flops, best_of(reps, f).0)
+    }
 }
 
 /// The seed's LU trailing update (row-oriented axpy loops, no packing),
@@ -97,29 +124,6 @@ fn lu_factor_rowupdate(a: &mut Mat, nb: usize) -> Result<Vec<usize>, lu::Singula
     Ok(piv)
 }
 
-fn time_best<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    f(); // warm-up: page in buffers, spin up the pool
-    let mut best = f64::MAX;
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
-}
-
-fn row<F: FnMut()>(kernel: &'static str, n: usize, threads: usize, flops: f64, f: F) -> PerfRow {
-    let reps = if n >= 1024 { 2 } else { 3 };
-    let secs = time_best(reps, f);
-    PerfRow {
-        kernel,
-        n,
-        threads,
-        ms: secs * 1e3,
-        gflops: flops / secs / 1e9,
-    }
-}
-
 /// Thread counts to sweep for the parallel kernels: powers of two up to
 /// the host's parallelism, always ending at the true maximum. A 1-CPU
 /// host gets `[1]` — an honest single row instead of an unpinned
@@ -140,228 +144,227 @@ fn thread_sweep() -> Vec<usize> {
     ts
 }
 
-/// Run the snapshot: GEMM up to the LU comparison size (2048), LU
-/// sequential vs Rayon at the seed block (nb=64) and the v2 default
-/// ([`lu::DEFAULT_NB`]), then the rest of the v2 engine against its scalar seed
-/// baselines — FFT, SpMV (packed plan vs CSR row loop), a CG iteration
-/// and the shallow-water step. Each parallel row pins the Rayon pool to
-/// its thread count — the sweep *measures* parallel speedup instead of
-/// assuming the default pool did something. `smoke` shrinks every size
-/// so CI can run the full path (and the [`gates`]) in seconds.
-pub fn snapshot(smoke: bool) -> Vec<PerfRow> {
-    let sweep = thread_sweep();
-    let pool_for = |t: usize| {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(t)
-            .build()
-            .expect("thread pool")
-    };
+/// A Rayon pool pinned to `t` threads, so a parallel row *measures* its
+/// speedup instead of assuming the default pool did something.
+fn pool_for(t: usize) -> rayon::ThreadPool {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(t)
+        .build()
+        .expect("thread pool")
+}
+
+/// GEMM at order `n`: the seed's blocked loop (small `n` only), the
+/// packed engine, and the packed engine across the thread sweep.
+fn gemm_rows(n: usize, sweep: &[usize]) -> Vec<PerfRow> {
+    let mut rng = Rng::new(1);
+    let a = Mat::random(n, n, &mut rng);
+    let b = Mat::random(n, n, &mut rng);
+    let flops = matmul::matmul_flops(n, n, n);
     let mut rows = Vec::new();
-
-    // The n=2048 GEMM reference for the lu/gemm gate is measured inside
-    // the LU section below, interleaved with the LU reps.
-    let gemm_sizes: &[usize] = if smoke { &[256] } else { &[256, 512, 1024] };
-    for &n in gemm_sizes {
-        let mut rng = Rng::new(1);
-        let a = Mat::random(n, n, &mut rng);
-        let b = Mat::random(n, n, &mut rng);
-        let flops = matmul::matmul_flops(n, n, n);
-        if n <= 512 {
-            rows.push(row("matmul_blocked48", n, 1, flops, || {
-                std::hint::black_box(matmul::matmul_blocked(&a, &b, 48));
-            }));
-        }
-        rows.push(row("gemm", n, 1, flops, || {
-            std::hint::black_box(gemm::gemm(&a, &b));
+    if n <= 512 {
+        rows.push(PerfRow::measure("matmul_blocked48", n, 1, flops, || {
+            std::hint::black_box(matmul::matmul_blocked(&a, &b, 48));
         }));
-        for &t in &sweep {
-            let pool = pool_for(t);
-            rows.push(row("gemm_par", n, t, flops, || {
-                pool.install(|| std::hint::black_box(gemm::gemm_par(&a, &b)));
-            }));
-        }
     }
-
-    let lu_sizes: &[usize] = if smoke { &[512] } else { &[512, 1024, 2048] };
-    for &n in lu_sizes {
-        let mut rng = Rng::new(2);
-        let a = Mat::random(n, n, &mut rng);
-        // Factor-only FLOPs (2n³/3), not the full LINPACK credit: the
-        // solve is not timed here.
-        let flops = 2.0 * (n as f64).powi(3) / 3.0;
-        rows.push(row("lu_legacy_nb64", n, 1, flops, || {
-            let mut f = a.clone();
-            std::hint::black_box(lu_factor_rowupdate(&mut f, 64).unwrap());
+    rows.push(PerfRow::measure("gemm", n, 1, flops, || {
+        std::hint::black_box(gemm::gemm(&a, &b));
+    }));
+    for &t in sweep {
+        let pool = pool_for(t);
+        rows.push(PerfRow::measure("gemm_par", n, t, flops, || {
+            pool.install(|| std::hint::black_box(gemm::gemm_par(&a, &b)));
         }));
-        // The par-never-slower gate compares the next two rows per nb,
-        // so their reps are interleaved: slow thermal drift (the usual
-        // few-percent wobble on a busy host) then hits both sides
-        // equally instead of penalising whichever ran second. The
-        // lu/gemm ratio gate gets the same treatment: its n=2048 GEMM
-        // reference is timed in this rep loop (same sample count, same
-        // conditions), not minutes earlier. The input clone stays
-        // outside every timed region — the factorisation is in-place.
-        let gemm_b = (n == 2048).then(|| Mat::random(n, n, &mut rng));
-        let mut gemm_best = f64::MAX;
-        for (nb, seq_name, par_name) in [
-            (64usize, "lu_factor_nb64", "lu_factor_par_nb64"),
-            (lu::DEFAULT_NB, "lu_factor", "lu_factor_par"),
-        ] {
-            let reps = match n {
-                n if n >= 2048 => 3,
-                1024 => 5,
-                _ => 6,
+    }
+    rows
+}
+
+/// LU at order `n`: the seed row-update baseline, then sequential vs
+/// Rayon at the seed block (nb=64) and the v2 default
+/// ([`lu::DEFAULT_NB`]), `reps` interleaved reps each. `gemm_ref` adds
+/// the same-order GEMM row the lu/gemm gate compares against.
+fn lu_rows(n: usize, sweep: &[usize], reps: usize, gemm_ref: bool) -> Vec<PerfRow> {
+    let mut rng = Rng::new(2);
+    let a = Mat::random(n, n, &mut rng);
+    // Factor-only FLOPs (2n³/3), not the full LINPACK credit: the
+    // solve is not timed here.
+    let flops = 2.0 * (n as f64).powi(3) / 3.0;
+    // The factorisation is in-place, so every timed call gets a fresh
+    // clone made outside the timed region.
+    let factor = |f: &dyn Fn(&mut Mat)| {
+        let mut m = a.clone();
+        timed(|| f(&mut m)).0
+    };
+    let legacy = |m: &mut Mat| {
+        std::hint::black_box(lu_factor_rowupdate(m, 64).unwrap());
+    };
+    let legacy = factor(&legacy).min(factor(&legacy));
+    let mut rows = vec![PerfRow::new("lu_legacy_nb64", n, 1, flops, legacy)];
+    // The par-never-slower gate compares the next two rows per nb,
+    // so their reps are interleaved: slow thermal drift (the usual
+    // few-percent wobble on a busy host) then hits both sides
+    // equally instead of penalising whichever ran second. The
+    // lu/gemm ratio gate gets the same treatment: its GEMM
+    // reference is timed in this rep loop (same sample count, same
+    // conditions), not minutes earlier.
+    let gemm_b = gemm_ref.then(|| Mat::random(n, n, &mut rng));
+    let mut gemm_best = f64::MAX;
+    let pools: Vec<_> = sweep.iter().map(|&t| pool_for(t)).collect();
+    for (nb, seq_name, par_name) in [
+        (64usize, "lu_factor_nb64", "lu_factor_par_nb64"),
+        (lu::DEFAULT_NB, "lu_factor", "lu_factor_par"),
+    ] {
+        factor(&|m| {
+            std::hint::black_box(lu::lu_factor(m, nb).unwrap()); // warm-up
+        });
+        let mut seq_best = f64::MAX;
+        let mut par_best = vec![f64::MAX; sweep.len()];
+        for rep in 0..reps {
+            let time_seq = |best: &mut f64| {
+                *best = best.min(factor(&|m| {
+                    std::hint::black_box(lu::lu_factor(m, nb).unwrap());
+                }));
             };
-            {
-                let mut f = a.clone(); // warm-up
-                std::hint::black_box(lu::lu_factor(&mut f, nb).unwrap());
-            }
-            let mut seq_best = f64::MAX;
-            let mut par_best = vec![f64::MAX; sweep.len()];
-            let pools: Vec<_> = sweep.iter().map(|&t| pool_for(t)).collect();
-            for rep in 0..reps {
-                let time_seq = |best: &mut f64| {
-                    let mut f = a.clone();
-                    let t0 = Instant::now();
-                    std::hint::black_box(lu::lu_factor(&mut f, nb).unwrap());
-                    *best = (*best).min(t0.elapsed().as_secs_f64());
-                };
-                let time_par = |par_best: &mut [f64]| {
-                    for (pool, best) in pools.iter().zip(par_best) {
-                        let mut f = a.clone();
-                        let t0 = Instant::now();
-                        pool.install(|| {
-                            std::hint::black_box(lu::lu_factor_par(&mut f, nb).unwrap())
-                        });
-                        *best = (*best).min(t0.elapsed().as_secs_f64());
-                    }
-                };
-                // Alternate which side runs first so any per-rep warm-up
-                // effect cancels instead of always favouring one row.
-                if rep % 2 == 0 {
-                    time_seq(&mut seq_best);
-                    time_par(&mut par_best);
-                } else {
-                    time_par(&mut par_best);
-                    time_seq(&mut seq_best);
+            let time_par = |par_best: &mut [f64]| {
+                for (pool, best) in pools.iter().zip(par_best) {
+                    *best = best.min(factor(&|m| {
+                        pool.install(|| std::hint::black_box(lu::lu_factor_par(m, nb).unwrap()));
+                    }));
                 }
-                if nb == lu::DEFAULT_NB {
-                    if let Some(b) = &gemm_b {
-                        let t0 = Instant::now();
-                        std::hint::black_box(gemm::gemm(&a, b));
-                        gemm_best = gemm_best.min(t0.elapsed().as_secs_f64());
-                    }
-                }
+            };
+            // Alternate which side runs first so any per-rep warm-up
+            // effect cancels instead of always favouring one row.
+            if rep % 2 == 0 {
+                time_seq(&mut seq_best);
+                time_par(&mut par_best);
+            } else {
+                time_par(&mut par_best);
+                time_seq(&mut seq_best);
             }
-            rows.push(PerfRow {
-                kernel: seq_name,
-                n,
-                threads: 1,
-                ms: seq_best * 1e3,
-                gflops: flops / seq_best / 1e9,
-            });
-            for (&t, &secs) in sweep.iter().zip(&par_best) {
-                rows.push(PerfRow {
-                    kernel: par_name,
-                    n,
-                    threads: t,
-                    ms: secs * 1e3,
-                    gflops: flops / secs / 1e9,
-                });
+            if nb == lu::DEFAULT_NB {
+                if let Some(b) = &gemm_b {
+                    gemm_best = gemm_best.min(timed(|| std::hint::black_box(gemm::gemm(&a, b))).0);
+                }
             }
         }
-        if gemm_best < f64::MAX {
-            let gflops = matmul::matmul_flops(n, n, n);
-            rows.push(PerfRow {
-                kernel: "gemm",
-                n,
-                threads: 1,
-                ms: gemm_best * 1e3,
-                gflops: gflops / gemm_best / 1e9,
-            });
+        rows.push(PerfRow::new(seq_name, n, 1, flops, seq_best));
+        for (&t, &secs) in sweep.iter().zip(&par_best) {
+            rows.push(PerfRow::new(par_name, n, t, flops, secs));
         }
     }
+    if gemm_ref {
+        let flops = matmul::matmul_flops(n, n, n);
+        rows.push(PerfRow::new("gemm", n, 1, flops, gemm_best));
+    }
+    rows
+}
 
-    // FFT: a forward+inverse pair per rep (credited as two transforms)
-    // so the timing needs no per-rep buffer reset.
-    let fft_n = if smoke { 1 << 14 } else { 1 << 20 };
-    {
-        let mut rng = Rng::new(4);
-        let mut x: Vec<fft::Cpx> = (0..fft_n)
-            .map(|_| fft::Cpx::new(rng.next_f64() - 0.5, rng.next_f64() - 0.5))
-            .collect();
-        let flops = 2.0 * fft::fft_flops(fft_n);
-        rows.push(row("fft_baseline", fft_n, 1, flops, || {
+/// FFT of `len` points, seed radix-2 loop vs the v2 engine: a
+/// forward+inverse pair per rep (credited as two transforms) so the
+/// timing needs no per-rep buffer reset.
+fn fft_rows(len: usize) -> Vec<PerfRow> {
+    let mut rng = Rng::new(4);
+    let mut x: Vec<fft::Cpx> = (0..len)
+        .map(|_| fft::Cpx::new(rng.next_f64() - 0.5, rng.next_f64() - 0.5))
+        .collect();
+    let flops = 2.0 * fft::fft_flops(len);
+    vec![
+        PerfRow::measure("fft_baseline", len, 1, flops, || {
             fft::fft_baseline(&mut x);
             fft::ifft_baseline(&mut x);
             std::hint::black_box(&mut x);
-        }));
-        rows.push(row("fft", fft_n, 1, flops, || {
+        }),
+        PerfRow::measure("fft", len, 1, flops, || {
             fft::fft(&mut x);
             fft::ifft(&mut x);
             std::hint::black_box(&mut x);
-        }));
-    }
+        }),
+    ]
+}
 
-    // SpMV on the 5-point Poisson operator. g=256 keeps x L2-resident
-    // (the compute-bound regime the interleaved plan targets); the
-    // larger grid is DRAM-bound and honest about it. 50 products per
-    // rep so each timing is well above clock granularity.
-    let spmv_grids: &[usize] = if smoke { &[64] } else { &[256, 1024] };
-    for &g in spmv_grids {
-        let a = cg::Csr::poisson2d(g);
-        let n = a.n();
-        let plan = cg::SpmvPlan::new(&a);
-        let mut rng = Rng::new(5);
-        let x: Vec<f64> = (0..n).map(|_| rng.next_f64() - 0.5).collect();
-        let mut y = vec![0.0; n];
-        const PRODUCTS: usize = 50;
-        let flops = PRODUCTS as f64 * 2.0 * a.nnz() as f64;
-        rows.push(row("spmv_csr", n, 1, flops, || {
-            for _ in 0..PRODUCTS {
-                a.spmv(&x, &mut y);
-            }
-            std::hint::black_box(&mut y);
-        }));
-        rows.push(row("spmv_plan", n, 1, flops, || {
-            for _ in 0..PRODUCTS {
-                plan.spmv(&x, &mut y);
-            }
-            std::hint::black_box(&mut y);
-        }));
-        // A full CG iteration (SpMV + 5 vector ops) through the same plan.
-        let b: Vec<f64> = vec![1.0; n];
-        let iters = 25;
-        let flops = iters as f64 * cg::cg_iter_flops(n, a.nnz());
-        rows.push(row("cg_iter", n, 1, flops, || {
-            let mut xs = vec![0.0; n];
-            std::hint::black_box(cg::cg(&a, &b, &mut xs, 0.0, iters, false));
-        }));
-    }
+/// SpMV on the 5-point Poisson operator of a `g`×`g` grid, CSR row loop
+/// vs the packed plan, and a CG iteration through the same plan. 50
+/// products per rep so each timing is well above clock granularity.
+fn spmv_rows(g: usize) -> Vec<PerfRow> {
+    let a = cg::Csr::poisson2d(g);
+    let n = a.n();
+    let plan = cg::SpmvPlan::new(&a);
+    let mut rng = Rng::new(5);
+    let x: Vec<f64> = (0..n).map(|_| rng.next_f64() - 0.5).collect();
+    let mut y = vec![0.0; n];
+    const PRODUCTS: usize = 50;
+    let flops = PRODUCTS as f64 * 2.0 * a.nnz() as f64;
+    let csr = PerfRow::measure("spmv_csr", n, 1, flops, || {
+        for _ in 0..PRODUCTS {
+            a.spmv(&x, &mut y);
+        }
+        std::hint::black_box(&mut y);
+    });
+    let packed = PerfRow::measure("spmv_plan", n, 1, flops, || {
+        for _ in 0..PRODUCTS {
+            plan.spmv(&x, &mut y);
+        }
+        std::hint::black_box(&mut y);
+    });
+    // A full CG iteration (SpMV + 5 vector ops) through the same plan.
+    let b: Vec<f64> = vec![1.0; n];
+    let iters = 25;
+    let flops = iters as f64 * cg::cg_iter_flops(n, a.nnz());
+    let cg_iter = PerfRow::measure("cg_iter", n, 1, flops, || {
+        let mut xs = vec![0.0; n];
+        std::hint::black_box(cg::cg(&a, &b, &mut xs, 0.0, iters, false));
+    });
+    vec![csr, packed, cg_iter]
+}
 
-    // Shallow water: the fused/vectorised v2 step against the seed
-    // sweep, several steps per rep.
-    let sw_m = if smoke { 128 } else { 512 };
-    {
-        const STEPS: usize = 10;
-        let flops = STEPS as f64 * shallow::step_flops(sw_m);
-        let mut base = shallow::Shallow::new(sw_m);
-        base.step_baseline(false); // past the leapfrog start-up
-        rows.push(row("shallow_baseline", sw_m, 1, flops, || {
+/// Shallow water on an `m`×`m` grid: the fused/vectorised v2 step
+/// against the seed sweep, several steps per rep.
+fn shallow_rows(m: usize) -> Vec<PerfRow> {
+    const STEPS: usize = 10;
+    let flops = STEPS as f64 * shallow::step_flops(m);
+    let mut base = shallow::Shallow::new(m);
+    base.step_baseline(false); // past the leapfrog start-up
+    let mut v2 = shallow::Shallow::new(m);
+    v2.step(false);
+    vec![
+        PerfRow::measure("shallow_baseline", m, 1, flops, || {
             for _ in 0..STEPS {
                 base.step_baseline(false);
             }
             std::hint::black_box(&base.p);
-        }));
-        let mut v2 = shallow::Shallow::new(sw_m);
-        v2.step(false);
-        rows.push(row("shallow_step", sw_m, 1, flops, || {
+        }),
+        PerfRow::measure("shallow_step", m, 1, flops, || {
             for _ in 0..STEPS {
                 v2.step(false);
             }
             std::hint::black_box(&v2.p);
-        }));
+        }),
+    ]
+}
+
+/// Sizes the [`gates`] are stated at.
+const LU_GATE_N: usize = 2048;
+const FFT_LEN: usize = 1 << 20;
+/// L2-resident: the compute-bound regime the interleaved plan targets.
+const SPMV_GRID: usize = 256;
+const SHALLOW_M: usize = 512;
+
+/// Run the table: GEMM, LU up to the lu/gemm comparison size, then the
+/// rest of the v2 engine against its scalar seed baselines.
+pub fn snapshot() -> Vec<PerfRow> {
+    let sweep = thread_sweep();
+    let mut rows = Vec::new();
+    for n in [512, 1024] {
+        rows.extend(gemm_rows(n, &sweep));
     }
+    for (n, reps) in [(512, 6), (1024, 5), (LU_GATE_N, 3)] {
+        rows.extend(lu_rows(n, &sweep, reps, n == LU_GATE_N));
+    }
+    rows.extend(fft_rows(FFT_LEN));
+    // The larger grid is DRAM-bound and honest about it.
+    for g in [SPMV_GRID, 1024] {
+        rows.extend(spmv_rows(g));
+    }
+    rows.extend(shallow_rows(SHALLOW_M));
     rows
 }
 
@@ -371,16 +374,17 @@ pub fn snapshot(smoke: bool) -> Vec<PerfRow> {
 /// * `lu_factor_par` must never be slower than `lu_factor` — the pool
 ///   fan-out must fall through to the identical sequential sweep when it
 ///   cannot help (10% measurement tolerance).
-/// * At n=2048 (full runs) LU must sustain ≥ 80% of the same-run GEMM
-///   rate — the near-peak target the packed TRSM/panel kernels exist for.
+/// * At n=2048 LU must sustain ≥ 80% of the same-run GEMM rate — the
+///   near-peak target the packed TRSM/panel kernels exist for.
 /// * The v2 FFT, SpMV-plan and shallow sweeps must hold ≥ 1.5× over
-///   their scalar seed baselines in the compute-bound rows (full runs).
+///   their scalar seed baselines in the compute-bound rows.
 pub fn gates(rows: &[PerfRow]) -> String {
     let mut s = String::new();
-    let best = |kernel: &str, n: usize| -> Option<&PerfRow> {
+    let best = |kernel: &str, n: usize| -> &PerfRow {
         rows.iter()
             .filter(|r| r.kernel == kernel && r.n == n)
             .min_by(|a, b| a.ms.total_cmp(&b.ms))
+            .unwrap_or_else(|| panic!("gate: no {kernel} row at n={n}"))
     };
 
     for (seq, par) in [
@@ -388,95 +392,67 @@ pub fn gates(rows: &[PerfRow]) -> String {
         ("lu_factor", "lu_factor_par"),
     ] {
         for r in rows.iter().filter(|r| r.kernel == seq) {
-            if let Some(p) = best(par, r.n) {
-                assert!(
-                    p.ms <= r.ms * 1.10,
-                    "gate: {par} ({:.1} ms) slower than {seq} ({:.1} ms) at n={}",
-                    p.ms,
-                    r.ms,
-                    r.n
-                );
-            }
+            let p = best(par, r.n);
+            assert!(
+                p.ms <= r.ms * 1.10,
+                "gate: {par} ({:.1} ms) slower than {seq} ({:.1} ms) at n={}",
+                p.ms,
+                r.ms,
+                r.n
+            );
         }
     }
     let _ = writeln!(s, "gate lu_factor_par >= lu_factor: ok");
 
-    if let (Some(l), Some(g)) = (best("lu_factor", 2048), best("gemm", 2048)) {
-        let ratio = l.gflops / g.gflops;
-        assert!(
-            ratio >= 0.80,
-            "gate: LU at n=2048 is {:.0}% of GEMM (< 80%)",
-            ratio * 100.0
-        );
-        let _ = writeln!(
-            s,
-            "gate lu/gemm at n=2048: {:.0}% of the packed GEMM rate (>= 80%)",
-            ratio * 100.0
-        );
-    }
-
-    for (fast, base, n, need) in [
-        ("fft", "fft_baseline", 1 << 20, 1.5),
-        ("spmv_plan", "spmv_csr", 256 * 256, 1.5),
-        ("shallow_step", "shallow_baseline", 512, 1.5),
-    ] {
-        if let (Some(f), Some(b)) = (best(fast, n), best(base, n)) {
-            let speedup = b.ms / f.ms;
-            assert!(
-                speedup >= need,
-                "gate: {fast} only {speedup:.2}x over {base} at n={n} (< {need}x)"
-            );
-            let _ = writeln!(s, "gate {fast}/{base} at n={n}: {speedup:.2}x (>= {need}x)");
-        }
-    }
-    s
-}
-
-/// Human-readable table for the report output.
-pub fn table(rows: &[PerfRow]) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "Host kernel performance snapshot (best-of-reps)");
-    let _ = writeln!(s, "{:-<64}", "");
+    let ratio = best("lu_factor", LU_GATE_N).gflops / best("gemm", LU_GATE_N).gflops;
+    assert!(
+        ratio >= 0.80,
+        "gate: LU at n={LU_GATE_N} is {:.0}% of GEMM (< 80%)",
+        ratio * 100.0
+    );
     let _ = writeln!(
         s,
-        "{:<20} {:>6} {:>8} {:>12} {:>10}",
-        "kernel", "n", "threads", "time (ms)", "GFLOP/s"
+        "gate lu/gemm at n={LU_GATE_N}: {:.0}% of the packed GEMM rate (>= 80%)",
+        ratio * 100.0
     );
-    for r in rows {
-        let _ = writeln!(
-            s,
-            "{:<20} {:>6} {:>8} {:>12.2} {:>10.2}",
-            r.kernel, r.n, r.threads, r.ms, r.gflops
+
+    for (fast, base, n) in [
+        ("fft", "fft_baseline", FFT_LEN),
+        ("spmv_plan", "spmv_csr", SPMV_GRID * SPMV_GRID),
+        ("shallow_step", "shallow_baseline", SHALLOW_M),
+    ] {
+        let speedup = best(base, n).ms / best(fast, n).ms;
+        assert!(
+            speedup >= 1.5,
+            "gate: {fast} only {speedup:.2}x over {base} at n={n} (< 1.5x)"
         );
-    }
-    let blocked = rows
-        .iter()
-        .find(|r| r.kernel == "matmul_blocked48" && r.n == 512);
-    let packed = rows.iter().find(|r| r.kernel == "gemm" && r.n == 512);
-    if let (Some(b), Some(g)) = (blocked, packed) {
-        let _ = writeln!(
-            s,
-            "\npacked/blocked speedup at n=512 (1 thread): {:.2}x",
-            g.gflops / b.gflops
-        );
+        let _ = writeln!(s, "gate {fast}/{base} at n={n}: {speedup:.2}x (>= 1.5x)");
     }
     s
 }
 
-/// The JSON snapshot (hand-rolled — the harness carries no serde).
-pub fn json(rows: &[PerfRow]) -> String {
-    let mut s = String::from("{\n  \"bench\": \"kernels\",\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"kernel\": \"{}\", \"n\": {}, \"threads\": {}, \
-             \"ms\": {:.3}, \"gflops\": {:.3}}}",
-            r.kernel, r.n, r.threads, r.ms, r.gflops
-        );
-        s.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
+/// The table `report bench-kernels` prints.
+pub fn table(rows: &[PerfRow]) -> Table {
+    let mut t = Table::new(
+        "Exhibit KERN-2 — host kernel engine (fastest rep)",
+        &["Kernel", "n", "Threads", "ms", "GFLOP/s"],
+    );
+    for r in rows {
+        t.row(&[
+            r.kernel.to_string(),
+            r.n.to_string(),
+            r.threads.to_string(),
+            fnum(r.ms, 2),
+            fnum(r.gflops, 2),
+        ]);
     }
-    s.push_str("  ]\n}\n");
-    s
+    t
+}
+
+/// `report bench-kernels`: measure, enforce the [`gates`], print.
+pub fn report() -> String {
+    let rows = snapshot();
+    format!("{}\n{}", table(&rows), gates(&rows))
 }
 
 #[cfg(test)]
@@ -499,29 +475,42 @@ mod tests {
         );
     }
 
+    /// Every row builder at a size that runs in milliseconds: the labels
+    /// the gates look up are all produced, and the table carries them.
     #[test]
-    fn json_is_well_formed_enough() {
-        let rows = vec![
-            PerfRow {
-                kernel: "gemm",
-                n: 64,
-                threads: 1,
-                ms: 1.25,
-                gflops: 0.42,
-            },
-            PerfRow {
-                kernel: "gemm_par",
-                n: 64,
-                threads: 4,
-                ms: 0.5,
-                gflops: 1.0,
-            },
-        ];
-        let j = json(&rows);
-        assert!(j.starts_with('{') && j.trim_end().ends_with('}'));
-        assert_eq!(j.matches("\"kernel\"").count(), 2);
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
+    fn row_builders_label_what_the_gates_read() {
+        let sweep = [1, 2];
+        let mut rows = gemm_rows(48, &sweep);
+        rows.extend(lu_rows(96, &sweep, 1, true));
+        rows.extend(fft_rows(1 << 8));
+        rows.extend(spmv_rows(8));
+        rows.extend(shallow_rows(16));
+        for kernel in [
+            "matmul_blocked48",
+            "gemm_par",
+            "lu_legacy_nb64",
+            "lu_factor_nb64",
+            "lu_factor_par_nb64",
+            "lu_factor",
+            "lu_factor_par",
+            "fft_baseline",
+            "fft",
+            "spmv_csr",
+            "spmv_plan",
+            "cg_iter",
+            "shallow_baseline",
+            "shallow_step",
+        ] {
+            assert!(rows.iter().any(|r| r.kernel == kernel), "no {kernel} row");
+        }
+        assert_eq!(rows.iter().filter(|r| r.kernel == "gemm").count(), 2);
+        assert_eq!(
+            rows.iter().filter(|r| r.kernel == "lu_factor_par").count(),
+            2
+        );
+        assert!(rows.iter().all(|r| r.ms > 0.0 && r.gflops > 0.0));
         let t = table(&rows);
-        assert!(t.contains("gemm_par") && t.contains("GFLOP/s"));
+        assert_eq!(t.n_rows(), rows.len());
+        assert!(t.to_string().contains("GFLOP/s"));
     }
 }

@@ -1,20 +1,17 @@
-//! Scheduler-service throughput: wall-clock submissions/sec of
-//! `delta_mesh::sched::service` driving the 528-node Delta through a
-//! sustained multi-tenant stream. The `report bench-sched` command
-//! prints the table and writes `BENCH_sched.json`; `--smoke` runs
-//! CI-sized streams, writes `target/BENCH_sched.smoke.json` instead (so
-//! CI never replaces the committed full-run file) and first asserts the
-//! batch-equivalence gate in-exhibit (a zero-fault, unlimited-config
-//! service run must replay the batch scheduler bit-for-bit). Every run
-//! asserts the overload contract and, on the zero-fault rows, the event
-//! ledger `events == submitted + completed`.
+//! Exhibit SCHED-1's wall-clock companion, the scheduler scale table:
+//! submissions/sec of `delta_mesh::sched::service` driving the 528-node
+//! Delta through a sustained multi-tenant stream, a million submissions
+//! long. `report bench-sched` prints it and asserts the overload
+//! contract and, on the zero-fault rows, the event ledger `events ==
+//! submitted + completed`. The same three regimes at ten-thousand-
+//! submission length are the `sched_stream` workload of `benchmark/`.
 //!
 //! Three scenarios, each a different operating regime:
 //!
 //! - `steady` — 0.6x offered load (under the packable capacity of the
 //!   heavy-tailed shape mix), no faults: the sustained-rate headline
-//!   (the full run pushes 1,000,000 submissions end-to-end through
-//!   admission, placement, and completion).
+//!   (1,000,000 submissions end-to-end through admission, placement,
+//!   and completion).
 //! - `overload-2x` — 2.0x offered load with bounded queues and finite
 //!   tenant quotas: the service must stay bounded and shed with typed
 //!   errors rather than grow its queues.
@@ -22,11 +19,11 @@
 //!   retry under capped, jittered backoff, and shapes the shrunken
 //!   mesh can never host again are retired as `Unrunnable`.
 
-use delta_mesh::sched::service::{self, assert_batch_equivalent, ServiceConfig, ServiceReport};
-use delta_mesh::{service_workload, FaultPlan, MtbfModel, Policy};
+use crate::timed;
+use delta_mesh::sched::service::{self, ServiceConfig, ServiceReport, ServiceTrace};
+use delta_mesh::{service_workload, FaultPlan, MtbfModel};
 use des::time::Dur;
-use std::fmt::Write as _;
-use std::time::Instant;
+use hpcc_core::{fnum, Table};
 
 /// One measured scenario.
 pub struct SchedRow {
@@ -34,31 +31,12 @@ pub struct SchedRow {
     pub scenario: &'static str,
     /// Submissions in the stream.
     pub subs: usize,
-    /// Distinct tenants.
-    pub tenants: usize,
     /// Offered load as a fraction of machine capacity.
     pub load: f64,
-    /// Wall time, milliseconds.
-    pub ms: f64,
-    /// Submissions processed per wall second — the figure of merit.
-    pub subs_per_sec: f64,
-    /// Simulator events dispatched.
-    pub events: u64,
-    pub completed: usize,
-    pub failed: usize,
-    /// Load-shedding rejections across the three priority tiers.
-    pub shed: u64,
-    pub quota_rejects: u64,
-    pub unrunnable: u64,
-    pub retries: u64,
-    /// Busy node-time over total node-time.
-    pub utilization: f64,
-    pub mean_wait_s: f64,
-    pub p99_wait_s: f64,
-    /// High-water mark of the central pending queue.
-    pub max_pending: usize,
-    /// High-water mark across submission shards.
-    pub max_shard_depth: usize,
+    /// Wall time of the service run, seconds.
+    pub secs: f64,
+    /// What the service did with the stream.
+    pub report: ServiceReport,
 }
 
 /// One scenario: a workload recipe plus the service config and fault
@@ -75,9 +53,7 @@ struct Scenario {
     tenants: usize,
     load: f64,
     cfg: ServiceConfig,
-    /// `Some(k)` draws node crashes from an MTBF of `k x` the stream's
-    /// arrival span, so the expected dead-node fraction (~528/k of the
-    /// machine) is the same at smoke and full scale.
+    /// `Some(k)` runs under [`crashes_over_span`] at factor `k`.
     fault_mtbf_factor: Option<f64>,
 }
 
@@ -95,8 +71,8 @@ fn steady(subs: usize) -> Scenario {
 fn overload(subs: usize, cap: usize) -> Scenario {
     // Bounded queues and finite quotas: under 2x offered load the
     // backlog must hit the caps and shed, not grow without bound. The
-    // cap scales with the stream so the shed tiers engage at smoke size
-    // too, not only after a 300k-submission backlog.
+    // cap scales with the stream so the shed tiers engage on a short
+    // stream too, not only after a 300k-submission backlog.
     let mut cfg = ServiceConfig::new(16, 33);
     cfg.pending_cap = cap;
     cfg.shard_cap = cap;
@@ -123,6 +99,18 @@ fn faulted(subs: usize) -> Scenario {
     }
 }
 
+/// Seeded node crashes at an MTBF of `k ×` the arrival span of `tr`,
+/// over that span: about `nodes / k` of the machine dies while the
+/// stream is live, not in the drain tail, at any stream length.
+pub fn crashes_over_span(tr: &ServiceTrace, seed: u64, k: f64, nodes: usize) -> FaultPlan {
+    let span_s = tr
+        .subs
+        .last()
+        .map_or(0.0, |s| s.arrival.nanos() as f64 / 1e9);
+    let mtbf = MtbfModel::node_crashes(Dur::from_secs_f64(k * span_s));
+    FaultPlan::seeded(seed, &mtbf, nodes, 0, Dur::from_secs_f64(span_s))
+}
+
 fn measure(sc: &Scenario) -> SchedRow {
     // Workload generation is untimed; only the service run is measured.
     let tr = service_workload(
@@ -133,220 +121,144 @@ fn measure(sc: &Scenario) -> SchedRow {
         sc.cfg.cols,
         0x5EED,
     );
-    let plan = match sc.fault_mtbf_factor {
-        Some(k) => {
-            // The crash horizon is the arrival span itself: failures land
-            // while the stream is live, not in the drain tail.
-            let span_s = tr
-                .subs
-                .last()
-                .map_or(0.0, |s| s.arrival.nanos() as f64 / 1e9);
-            FaultPlan::seeded(
-                0xFA11,
-                &MtbfModel::node_crashes(Dur::from_secs_f64(k * span_s)),
-                sc.cfg.rows * sc.cfg.cols,
-                0,
-                Dur::from_secs_f64(span_s),
-            )
-        }
-        None => FaultPlan::none(),
-    };
-    let t = Instant::now();
-    let r = service::run_with_faults(&tr, &sc.cfg, &plan);
-    let wall = t.elapsed().as_secs_f64().max(1e-9);
-    row_from(sc, &r, wall)
-}
-
-fn row_from(sc: &Scenario, r: &ServiceReport, wall: f64) -> SchedRow {
+    let plan = sc.fault_mtbf_factor.map_or_else(FaultPlan::none, |k| {
+        crashes_over_span(&tr, 0xFA11, k, sc.cfg.rows * sc.cfg.cols)
+    });
+    let (secs, report) = timed(|| service::run_with_faults(&tr, &sc.cfg, &plan));
     SchedRow {
         scenario: sc.name,
         subs: sc.subs,
-        tenants: sc.tenants,
         load: sc.load,
-        ms: wall * 1e3,
-        subs_per_sec: sc.subs as f64 / wall,
-        events: r.events,
-        completed: r.completed,
-        failed: r.failed,
-        shed: r.shed_total(),
-        quota_rejects: r.quota_rejects,
-        unrunnable: r.unrunnable,
-        retries: r.retries,
-        utilization: r.utilization,
-        mean_wait_s: r.mean_wait.nanos() as f64 / 1e9,
-        p99_wait_s: r.p99_wait.nanos() as f64 / 1e9,
-        max_pending: r.max_pending,
-        max_shard_depth: r.max_shard_depth,
+        secs,
+        report,
     }
 }
 
-/// The batch-equivalence gate: a zero-fault service run under the
-/// unlimited config must replay the batch scheduler bit-for-bit, under
-/// both placement policies. Panics on any divergence; run by `--smoke`
-/// so CI trips before a drift can ship.
-fn assert_equivalence_gate() {
-    let tr = service_workload(2_000, 16, 0.7, 16, 33, 0xE0);
-    assert_batch_equivalent(&tr, 16, 33, Policy::Fcfs);
-    assert_batch_equivalent(&tr, 16, 33, Policy::Backfill);
-}
-
-/// Run the three scenarios. `smoke` shrinks the streams to CI size and
-/// runs the equivalence gate first; the full run pushes 1,000,000
-/// submissions through the steady scenario.
-pub fn snapshot(smoke: bool) -> Vec<SchedRow> {
-    if smoke {
-        assert_equivalence_gate();
-    }
-    let scenarios = if smoke {
-        vec![steady(20_000), overload(10_000, 256), faulted(10_000)]
-    } else {
-        vec![
-            steady(1_000_000),
-            overload(300_000, 2_048),
-            faulted(200_000),
-        ]
-    };
+/// Run `scenarios` and assert what must hold of any of them at any
+/// stream length: the overload contract and the zero-fault event ledger.
+fn run(scenarios: &[Scenario]) -> Vec<SchedRow> {
     let rows: Vec<SchedRow> = scenarios.iter().map(measure).collect();
-    // The overload contract, asserted on every run: bounded queues held
-    // their caps and the excess was shed with typed errors.
-    let (ov, sc) = rows
-        .iter()
-        .zip(&scenarios)
-        .find(|(r, _)| r.scenario == "overload-2x")
-        .unwrap();
-    let cap = sc.cfg.pending_cap;
-    assert!(
-        ov.max_pending <= cap,
-        "overload run burst the pending cap: {} > {cap}",
-        ov.max_pending
-    );
-    assert!(
-        ov.shed > 0,
-        "2x overload shed nothing — the load-shedding tiers are not engaging"
-    );
-    // The event ledger of the zero-fault rows (inline admission, no quota
-    // updates): one Arrive per submission, one Finish per completion,
-    // nothing else. Arrivals never enter the calendar, so a cursor that
-    // dropped or double-counted one would show here.
-    for (r, sc) in rows.iter().zip(&scenarios) {
+    for (row, sc) in rows.iter().zip(scenarios) {
+        let (scenario, report) = (row.scenario, &row.report);
+        if sc.load > 1.0 {
+            // Bounded queues held their caps and the excess was shed
+            // with typed errors.
+            let cap = sc.cfg.pending_cap;
+            assert!(
+                report.max_pending <= cap,
+                "{scenario} burst the pending cap: {} > {cap}",
+                report.max_pending
+            );
+            assert!(
+                report.shed_total() > 0,
+                "{scenario} shed nothing — the load-shedding tiers are not engaging"
+            );
+        }
+        // Zero-fault rows (inline admission, no quota updates): one
+        // Arrive per submission, one Finish per completion, nothing
+        // else. Arrivals never enter the calendar, so a cursor that
+        // dropped or double-counted one would show here.
         if sc.fault_mtbf_factor.is_none() {
             assert_eq!(
-                r.events,
-                (r.subs + r.completed) as u64,
-                "{}: events != submitted + completed",
-                r.scenario
+                report.events,
+                (sc.subs + report.completed) as u64,
+                "{scenario}: events != submitted + completed"
             );
         }
     }
     rows
 }
 
-/// Human-readable table.
-pub fn table(rows: &[SchedRow]) -> String {
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "Scheduler service throughput (multi-tenant stream on the 16x33 Delta)"
-    );
-    let _ = writeln!(s, "{:-<100}", "");
-    let _ = writeln!(
-        s,
-        "{:>11} {:>9} {:>6} {:>9} {:>9} {:>8} {:>7} {:>7} {:>7} {:>6} {:>9} {:>8}",
-        "scenario",
-        "subs",
-        "load",
-        "subs/s",
-        "completed",
-        "shed",
-        "quota",
-        "retries",
-        "failed",
-        "util",
-        "p99 wait",
-        "ms"
-    );
-    for r in rows {
-        let _ = writeln!(
-            s,
-            "{:>11} {:>9} {:>5.2}x {:>9.0} {:>9} {:>8} {:>7} {:>7} {:>7} {:>5.1}% {:>8.1}s {:>8.0}",
-            r.scenario,
-            r.subs,
-            r.load,
-            r.subs_per_sec,
-            r.completed,
-            r.shed,
-            r.quota_rejects,
-            r.retries,
-            r.failed,
-            r.utilization * 100.0,
-            r.p99_wait_s,
-            r.ms
-        );
-    }
-    let _ = writeln!(
-        s,
-        "\nEvery submission reaches exactly one terminal state; queue high-water\n\
-         marks stay within the configured caps (overload contract asserted)."
-    );
-    s
+/// The three scenarios at full length: 1,000,000 submissions through
+/// the steady one.
+pub fn snapshot() -> Vec<SchedRow> {
+    run(&[
+        steady(1_000_000),
+        overload(300_000, 2_048),
+        faulted(200_000),
+    ])
 }
 
-/// The JSON snapshot (hand-rolled — the harness carries no serde).
-pub fn json(rows: &[SchedRow]) -> String {
-    let mut s = String::from("{\n  \"bench\": \"sched\",\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"scenario\": \"{}\", \"subs\": {}, \"tenants\": {}, \"load\": {:.2}, \
-             \"ms\": {:.3}, \"subs_per_sec\": {:.1}, \"events\": {}, \"completed\": {}, \
-             \"failed\": {}, \"shed\": {}, \"quota_rejects\": {}, \"unrunnable\": {}, \
-             \"retries\": {}, \"utilization\": {:.4}, \"mean_wait_s\": {:.3}, \
-             \"p99_wait_s\": {:.3}, \"max_pending\": {}, \"max_shard_depth\": {}}}",
-            r.scenario,
-            r.subs,
-            r.tenants,
-            r.load,
-            r.ms,
-            r.subs_per_sec,
-            r.events,
-            r.completed,
-            r.failed,
-            r.shed,
-            r.quota_rejects,
-            r.unrunnable,
-            r.retries,
-            r.utilization,
-            r.mean_wait_s,
-            r.p99_wait_s,
-            r.max_pending,
-            r.max_shard_depth
-        );
-        s.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
+/// The table `report bench-sched` prints.
+pub fn table(rows: &[SchedRow]) -> Table {
+    let mut t = Table::new(
+        "Exhibit SCHED-1 (wall clock) — scheduler service throughput, multi-tenant stream on \
+         the 16x33 Delta",
+        &[
+            "Scenario",
+            "Subs",
+            "Load",
+            "subs/s",
+            "Completed",
+            "Shed",
+            "Quota rej.",
+            "Unrunnable",
+            "Retries",
+            "Failed",
+            "Util %",
+            "p99 wait (s)",
+            "Max queue",
+            "ms",
+        ],
+    );
+    for row in rows {
+        let (r, secs) = (&row.report, row.secs);
+        t.row(&[
+            row.scenario.to_string(),
+            row.subs.to_string(),
+            format!("{:.2}x", row.load),
+            fnum(row.subs as f64 / secs, 0),
+            r.completed.to_string(),
+            r.shed_total().to_string(),
+            r.quota_rejects.to_string(),
+            r.unrunnable.to_string(),
+            r.retries.to_string(),
+            r.failed.to_string(),
+            fnum(r.utilization * 100.0, 1),
+            fnum(r.p99_wait.nanos() as f64 / 1e9, 1),
+            r.max_pending.to_string(),
+            fnum(secs * 1e3, 0),
+        ]);
     }
-    s.push_str("  ]\n}\n");
-    s
+    t
+}
+
+/// `report bench-sched`: measure, assert the contracts, print.
+pub fn report() -> String {
+    format!(
+        "{}\nEvery submission reaches exactly one terminal state; queue high-water\n\
+         marks stay within the configured caps (overload contract asserted).\n",
+        table(&snapshot())
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use delta_mesh::sched::Policy;
 
+    /// The three regimes on streams short enough for a unit test: the
+    /// contracts `run` asserts hold, and each regime shows its signature.
     #[test]
-    fn json_is_well_formed_enough() {
-        let sc = overload(100, 64);
-        let tr = service_workload(100, 8, 2.0, 16, 33, 7);
-        let r = service::run(&tr, &sc.cfg);
-        let rows = vec![row_from(&sc, &r, 0.01)];
-        let j = json(&rows);
-        assert!(j.starts_with('{') && j.trim_end().ends_with('}'));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-        let t = table(&rows);
+    fn short_streams_keep_the_contracts() {
+        let rows = run(&[steady(4_000), overload(4_000, 128), faulted(4_000)]);
+        let [steady, overload, faulted] = &rows[..] else {
+            panic!("three scenarios, three rows");
+        };
+        assert_eq!(steady.report.completed, 4_000);
+        assert_eq!(steady.report.shed_total() + steady.report.retries, 0);
+        assert!(overload.report.completed < 4_000);
+        assert!(faulted.report.retries + faulted.report.unrunnable > 0);
+        let t = table(&rows).to_string();
         assert!(t.contains("subs/s") && t.contains("overload-2x"));
     }
 
+    /// A zero-fault run under the unlimited config replays the batch
+    /// scheduler bit-for-bit, under both placement policies.
     #[test]
     fn equivalence_gate_passes() {
-        assert_equivalence_gate();
+        let tr = service_workload(2_000, 16, 0.7, 16, 33, 0xE0);
+        service::assert_batch_equivalent(&tr, 16, 33, Policy::Fcfs);
+        service::assert_batch_equivalent(&tr, 16, 33, Policy::Backfill);
     }
 }

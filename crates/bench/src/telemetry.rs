@@ -1,8 +1,8 @@
-//! Live-telemetry service benchmark (exhibit OBS-2): the streaming
-//! recorder and its HTTP front door under load. The `report telemetry`
-//! command prints the table and writes `BENCH_telemetry.json`; `--smoke`
-//! shrinks the scenarios for CI and (like every bench) asserts the gates
-//! in-exhibit:
+//! Exhibit OBS-2, the live-telemetry scale table: the streaming
+//! recorder and its HTTP front door under load. `report telemetry`
+//! prints it and asserts the gates below. The recorder at steady state
+//! beside live readers, sized for repeated passes, is the
+//! `telemetry_live` workload of `benchmark/`.
 //!
 //! * the synthetic pump sustains the target recorder events/sec with
 //!   four concurrent `/metrics` + `/trace` scrapers attached,
@@ -25,9 +25,11 @@
 //! runtime exporting its lane diagnostics as first-class
 //! [`hpcc_trace::names::DES_LANES`] counters.
 
+use crate::best_of;
 use delta_mesh::sched::{consortium_workload, run_recorded, Policy};
 use delta_mesh::{presets, FaultKind, FaultPlan, Kernel, Machine, MtbfModel, Node};
 use des::time::{Dur, SimTime};
+use hpcc_core::{fnum, Table};
 use hpcc_kernels::sim::lu2d;
 use hpcc_trace::{names, NullRecorder, Recorder, StreamRecorder, TelemetryServer};
 use nren_netsim::{topologies, FlowSim, LinkFault};
@@ -36,7 +38,7 @@ use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One measured scenario.
@@ -90,37 +92,10 @@ fn http_get(addr: SocketAddr, path: &str) -> std::io::Result<(u16, String)> {
     Ok((status, body))
 }
 
-/// Latencies (ms) of all scrape round-trips, collected across threads.
-struct ScrapeLog {
-    lat_ms: Mutex<Vec<f64>>,
-}
-
-impl ScrapeLog {
-    fn new() -> ScrapeLog {
-        ScrapeLog {
-            lat_ms: Mutex::new(Vec::new()),
-        }
-    }
-
-    fn record(&self, ms: f64) {
-        self.lat_ms.lock().expect("scrape log").push(ms);
-    }
-
-    /// (scrapes, p50 ms, p99 ms) with `Histogram`'s ceil-rank rule.
-    fn stats(&self) -> (u64, f64, f64) {
-        let mut v = self.lat_ms.lock().expect("scrape log").clone();
-        if v.is_empty() {
-            return (0, 0.0, 0.0);
-        }
-        v.sort_by(f64::total_cmp);
-        let q = |p: f64| v[((p * v.len() as f64).ceil() as usize).max(1) - 1];
-        (v.len() as u64, q(0.5), q(0.99))
-    }
-}
-
 /// Run `work` with `nscrapers` HTTP readers polling `/metrics` and
 /// tailing `/trace` against `rec` the whole time. Returns the work's
-/// value plus scrape statistics.
+/// value plus (scrapes, p50 ms, p99 ms) of the scrape round-trips, by
+/// `Histogram`'s ceil-rank rule.
 fn with_scrapers<R>(
     rec: &Arc<StreamRecorder>,
     nscrapers: usize,
@@ -128,42 +103,45 @@ fn with_scrapers<R>(
 ) -> (R, u64, f64, f64) {
     let srv = TelemetryServer::start(Arc::clone(rec), "127.0.0.1:0").expect("bind telemetry");
     let addr = srv.addr();
-    let done = Arc::new(AtomicBool::new(false));
-    let log = Arc::new(ScrapeLog::new());
-    let out = std::thread::scope(|scope| {
-        for _ in 0..nscrapers {
-            let done = Arc::clone(&done);
-            let log = Arc::clone(&log);
-            scope.spawn(move || {
-                let mut cursor = 0u64;
-                loop {
-                    let t = Instant::now();
-                    let (code, body) = http_get(addr, "/metrics").expect("scrape /metrics");
-                    assert_eq!(code, 200, "scrape failed");
-                    assert!(body.contains("hpcc_recorder_events_total"));
-                    let (code, chunk) = http_get(addr, &format!("/trace?since={cursor}&max=2048"))
-                        .expect("tail /trace");
-                    assert_eq!(code, 200, "tail failed");
-                    let doc = hpcc_trace::json::parse(&chunk).expect("chunk is valid JSON");
-                    cursor = doc
-                        .get("next")
-                        .and_then(hpcc_trace::json::Json::as_f64)
-                        .expect("chunk cursor") as u64;
-                    log.record(t.elapsed().as_secs_f64() * 1e3);
-                    if done.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-            });
+    let done = AtomicBool::new(false);
+    let scrape_until_done = || {
+        let (mut cursor, mut lat_ms) = (0u64, Vec::new());
+        loop {
+            let t = Instant::now();
+            let (code, body) = http_get(addr, "/metrics").expect("scrape /metrics");
+            assert_eq!(code, 200, "scrape failed");
+            assert!(body.contains("hpcc_recorder_events_total"));
+            let (code, chunk) =
+                http_get(addr, &format!("/trace?since={cursor}&max=2048")).expect("tail /trace");
+            assert_eq!(code, 200, "tail failed");
+            let doc = hpcc_trace::json::parse(&chunk).expect("chunk is valid JSON");
+            cursor = doc
+                .get("next")
+                .and_then(hpcc_trace::json::Json::as_f64)
+                .expect("chunk cursor") as u64;
+            lat_ms.push(t.elapsed().as_secs_f64() * 1e3);
+            if done.load(Ordering::SeqCst) {
+                return lat_ms;
+            }
+            std::thread::sleep(Duration::from_millis(2));
         }
-        let r = work();
+    };
+    let (out, mut lat_ms) = std::thread::scope(|scope| {
+        let scrapers: Vec<_> = (0..nscrapers)
+            .map(|_| scope.spawn(scrape_until_done))
+            .collect();
+        let out = work();
         done.store(true, Ordering::SeqCst);
-        r
+        let lat_ms: Vec<f64> = scrapers
+            .into_iter()
+            .flat_map(|h| h.join().expect("scraper"))
+            .collect();
+        (out, lat_ms)
     });
     srv.stop();
-    let (scrapes, p50, p99) = log.stats();
-    (out, scrapes, p50, p99)
+    lat_ms.sort_by(f64::total_cmp);
+    let q = |p: f64| lat_ms[((p * lat_ms.len() as f64).ceil() as usize).max(1) - 1];
+    (out, lat_ms.len() as u64, q(0.5), q(0.99))
 }
 
 /// Ledger residue of a snapshot: events neither aggregated nor in the
@@ -179,11 +157,10 @@ fn unaccounted(snap: &hpcc_trace::MetricsSnapshot) -> u64 {
 }
 
 /// The throughput headline: one simulation-thread stand-in emitting
-/// spans flat out while four scrapers poll. The recorder keeps a
+/// `n` spans flat out while four scrapers poll. The recorder keeps a
 /// realistic ring (64k-event window) so eviction — the counted drop
 /// path — is actually exercised at rate.
-fn pump(smoke: bool) -> TelemetryRow {
-    let n: u64 = if smoke { 600_000 } else { 4_000_000 };
+fn pump(n: u64) -> TelemetryRow {
     let scrapers = 4;
     let rec = Arc::new(StreamRecorder::with_ring(1024, 64));
     let track = rec.track(names::MESH_NODES, "node 0");
@@ -213,34 +190,15 @@ fn pump(smoke: bool) -> TelemetryRow {
     }
 }
 
-/// Best-of-`reps` wall time of `f`, with the result of the first rep.
-fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
-    let t = Instant::now();
-    let first = f();
-    let mut best = t.elapsed().as_secs_f64().max(1e-9);
-    for _ in 1..reps {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64().max(1e-9));
-    }
-    (best, first)
-}
-
 /// Measure one engine scenario: `run(recorder)` must be a deterministic
 /// simulation returning a `Debug`-comparable outcome. Times the
 /// NullRecorder baseline and the recorded run (no scrapers, for a fair
 /// overhead figure), then repeats the recorded run under `scrapers`
 /// concurrent readers for the scrape stats and the identity assertion.
-fn engine_scenario(
-    name: &'static str,
-    smoke: bool,
-    run: impl Fn(Rc<dyn Recorder>) -> String,
-) -> TelemetryRow {
-    let reps = if smoke { 3 } else { 2 };
-    let (t_null, base) = best_of(reps, || run(Rc::new(NullRecorder)));
-    let (t_rec, recd) = best_of(reps, || {
-        let rec = Arc::new(StreamRecorder::new());
-        run(Rc::new(Arc::clone(&rec)) as Rc<dyn Recorder>)
+fn engine_scenario(name: &'static str, run: impl Fn(Rc<dyn Recorder>) -> String) -> TelemetryRow {
+    let (t_null, base) = best_of(2, || run(Rc::new(NullRecorder)));
+    let (t_rec, recd) = best_of(2, || {
+        run(Rc::new(Arc::new(StreamRecorder::new())) as Rc<dyn Recorder>)
     });
     assert_eq!(base, recd, "{name}: recording perturbed the simulation");
 
@@ -270,15 +228,10 @@ fn engine_scenario(
     }
 }
 
-/// Faulted LU-2D (the OBS-1 scenario shapes) through the streaming
-/// recorder.
-fn lu2d_scenario(smoke: bool) -> TelemetryRow {
-    let (mesh, n, nb) = if smoke {
-        ((2, 4), 1_200, 32)
-    } else {
-        ((4, 4), 2_500, 32)
-    };
-    engine_scenario("lu2d-faulted", smoke, move |rec| {
+/// Faulted LU-2D (the OBS-1 scenario shapes) of order `n`, panel width
+/// `nb`, on a `mesh.0`×`mesh.1` Delta through the streaming recorder.
+fn lu2d_scenario(mesh: (usize, usize), n: usize, nb: usize) -> TelemetryRow {
+    engine_scenario("lu2d-faulted", move |rec| {
         let machine = Machine::new(presets::delta(mesh.0, mesh.1));
         let mut plan = FaultPlan::none();
         plan.push(
@@ -304,9 +257,8 @@ fn lu2d_scenario(smoke: bool) -> TelemetryRow {
 /// placement-search work per job dwarfs the handful of counters and
 /// lifecycle spans each job records — one-time track interning
 /// amortizes away above ~100 jobs.
-fn sched_scenario(smoke: bool) -> TelemetryRow {
-    let njobs = if smoke { 150 } else { 400 };
-    engine_scenario("sched-faulted", smoke, move |rec| {
+fn sched_scenario(njobs: usize) -> TelemetryRow {
+    engine_scenario("sched-faulted", move |rec| {
         let jobs = consortium_workload(njobs, 14, 60.0, 1992);
         let plan = FaultPlan::seeded(
             1992,
@@ -325,9 +277,8 @@ fn sched_scenario(smoke: bool) -> TelemetryRow {
 /// WAN background traffic through a first-hop outage: a Poisson flow
 /// mix large enough that the max-min solver's resolve work dominates
 /// the per-flow lifecycle spans and rate counters it records.
-fn wan_scenario(smoke: bool) -> TelemetryRow {
-    let horizon_s = if smoke { 40.0 } else { 160.0 };
-    engine_scenario("wan-faulted", smoke, move |rec| {
+fn wan_scenario(horizon_s: f64) -> TelemetryRow {
+    engine_scenario("wan-faulted", move |rec| {
         let net = topologies::delta_consortium();
         let delta = net.site(topologies::DELTA_SITE).unwrap();
         let jpl = net.site("JPL").unwrap();
@@ -351,9 +302,8 @@ fn wan_scenario(smoke: bool) -> TelemetryRow {
 /// The sharded conservative-parallel DES runtime: a halo + long-range
 /// workload across 4 event lanes, with the lane diagnostics (windows,
 /// per-lane events, mailbox traffic) exported as `DES_LANES` counters.
-fn sharded_scenario(smoke: bool) -> TelemetryRow {
-    let (rows, cols, steps) = if smoke { (16, 33, 2) } else { (32, 33, 2) };
-    let row = engine_scenario("sharded-mesh", smoke, move |rec| {
+fn sharded_scenario(rows: usize, cols: usize, steps: usize) -> TelemetryRow {
+    engine_scenario("sharded-mesh", move |rec| {
         let m = Machine::new(presets::delta(rows, cols));
         let (results, report, stats) =
             m.run_sharded_stats(4, &FaultPlan::none(), move |node: Node| async move {
@@ -370,29 +320,30 @@ fn sharded_scenario(smoke: bool) -> TelemetryRow {
             });
         stats.emit(&*rec, report.elapsed.nanos());
         format!("{results:?} {report:?} {stats:?}")
-    });
-    row
+    })
 }
 
-pub fn snapshot(smoke: bool) -> Vec<TelemetryRow> {
+/// The five scenarios at full size: a 4M-span pump, and engine runs
+/// long enough that their overhead figures are above timer noise.
+pub fn snapshot() -> Vec<TelemetryRow> {
     vec![
-        pump(smoke),
-        lu2d_scenario(smoke),
-        sched_scenario(smoke),
-        wan_scenario(smoke),
-        sharded_scenario(smoke),
+        pump(4_000_000),
+        lu2d_scenario((4, 4), 2_500, 32),
+        sched_scenario(400),
+        wan_scenario(160.0),
+        sharded_scenario(32, 33, 2),
     ]
 }
 
 /// Assert the acceptance gates; panics on violation, returns the
 /// summary lines printed under the table.
-pub fn gates(rows: &[TelemetryRow], smoke: bool) -> String {
+pub fn gates(rows: &[TelemetryRow]) -> String {
     let mut s = String::new();
     let pump = rows
         .iter()
         .find(|r| r.scenario == "pump")
         .expect("pump row");
-    let floor = if smoke { 2.5e5 } else { 1.0e6 };
+    let floor = 1.0e6;
     assert!(
         pump.events_per_sec >= floor,
         "pump sustained {:.0} events/sec < {floor:.0} floor",
@@ -434,8 +385,8 @@ pub fn gates(rows: &[TelemetryRow], smoke: bool) -> String {
     // * metrics regime (sched, wan, sharded lanes) — counters and
     //   coarse lifecycle spans, the always-on live-service mode. The
     //   mean must stay within 10% of the NullRecorder baseline (the
-    //   mean, because per-scenario sub-10ms walls jitter at smoke
-    //   sizes while the mean is stable).
+    //   mean, because the shortest scenario's wall jitters by a few
+    //   percent while the mean is stable).
     // * trace regime (lu2d) — a span for every message and compute
     //   interval on a simulator whose events cost ~200ns each, i.e. a
     //   deliberate pay-per-event Perfetto capture. Recording roughly
@@ -471,74 +422,65 @@ pub fn gates(rows: &[TelemetryRow], smoke: bool) -> String {
     s
 }
 
-/// Human-readable table.
-pub fn table(rows: &[TelemetryRow]) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "Live telemetry service (StreamRecorder + HTTP scrape)");
-    let _ = writeln!(s, "{:-<100}", "");
-    let _ = writeln!(
-        s,
-        "{:>14} {:>9} {:>9} {:>12} {:>5} {:>7} {:>8} {:>8} {:>9} {:>9} {:>10}",
-        "scenario",
-        "events",
-        "ms",
-        "events/s",
-        "scrp",
-        "scrapes",
-        "p50 ms",
-        "p99 ms",
-        "evicted",
-        "overhead",
-        "identical"
+/// The table `report telemetry` prints.
+pub fn table(rows: &[TelemetryRow]) -> Table {
+    let mut t = Table::new(
+        "Exhibit OBS-2 — live telemetry service (StreamRecorder + HTTP scrape)",
+        &[
+            "Scenario",
+            "Events",
+            "ms",
+            "events/s",
+            "Scrapers",
+            "Scrapes",
+            "p50 ms",
+            "p99 ms",
+            "Evicted",
+            "Overhead %",
+            "Identical",
+        ],
     );
     for r in rows {
-        let _ = writeln!(
-            s,
-            "{:>14} {:>9} {:>9.1} {:>12.0} {:>5} {:>7} {:>8.2} {:>8.2} {:>9} {:>8.1}% {:>10}",
-            r.scenario,
-            r.events,
-            r.wall_ms,
-            r.events_per_sec,
-            r.scrapers,
-            r.scrapes,
-            r.scrape_p50_ms,
-            r.scrape_p99_ms,
-            r.ring_evicted,
-            r.overhead_pct,
-            if r.identical { "yes" } else { "NO" }
-        );
+        t.row(&[
+            r.scenario.to_string(),
+            r.events.to_string(),
+            fnum(r.wall_ms, 1),
+            fnum(r.events_per_sec, 0),
+            r.scrapers.to_string(),
+            r.scrapes.to_string(),
+            fnum(r.scrape_p50_ms, 2),
+            fnum(r.scrape_p99_ms, 2),
+            r.ring_evicted.to_string(),
+            fnum(r.overhead_pct, 1),
+            if r.identical { "yes" } else { "NO" }.to_string(),
+        ]);
     }
-    s
+    t
 }
 
-/// The JSON snapshot (hand-rolled — the harness carries no serde).
-pub fn json(rows: &[TelemetryRow]) -> String {
-    let mut s = String::from("{\n  \"bench\": \"telemetry\",\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"scenario\": \"{}\", \"events\": {}, \"wall_ms\": {:.3}, \
-             \"events_per_sec\": {:.1}, \"scrapers\": {}, \"scrapes\": {}, \
-             \"scrape_p50_ms\": {:.3}, \"scrape_p99_ms\": {:.3}, \
-             \"ring_evicted\": {}, \"unaccounted\": {}, \
-             \"overhead_pct\": {:.2}, \"identical\": {}}}",
-            r.scenario,
-            r.events,
-            r.wall_ms,
-            r.events_per_sec,
-            r.scrapers,
-            r.scrapes,
-            r.scrape_p50_ms,
-            r.scrape_p99_ms,
-            r.ring_evicted,
-            r.unaccounted,
-            r.overhead_pct,
-            r.identical
-        );
-        s.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
+/// `report telemetry`: measure, enforce the [`gates`], print.
+pub fn report() -> String {
+    let rows = snapshot();
+    format!("{}\n{}", table(&rows), gates(&rows))
+}
+
+/// `report prom-sample`: one deterministic `/metrics` exposition from a
+/// small recorded scenario — exactly what a live `TelemetryServer` would
+/// serve. CI lints this output for Prometheus text-format essentials.
+pub fn prom_sample() -> String {
+    let rec = StreamRecorder::new();
+    let compute = rec.track(names::MESH_NODES, "node 0");
+    let solver = rec.track(names::WAN_SOLVER, "engine");
+    let mut t = 0u64;
+    for i in 0u64..64 {
+        let dur = 1_000 + i * i * 500;
+        rec.span(compute, "compute", "dgefa panel", t, t + dur);
+        t += dur + 250;
     }
-    s.push_str("  ]\n}\n");
-    s
+    rec.counter(solver, "full_resolves", t, 17.0);
+    rec.counter(solver, "dirty", t, 3.0);
+    rec.instant(compute, "fault", "node crash", t);
+    rec.prometheus_text()
 }
 
 #[cfg(test)]
@@ -561,14 +503,38 @@ mod tests {
         assert_eq!(unaccounted(&snap), 0);
     }
 
-    /// Smoke-sized sharded scenario exports the DES_LANES counters and
+    /// A Delta-sized sharded scenario exports the DES_LANES counters and
     /// stays deterministic.
     #[test]
     fn sharded_scenario_exports_lane_counters() {
-        let row = sharded_scenario(true);
+        let row = sharded_scenario(16, 33, 2);
         assert!(row.identical);
         assert_eq!(row.unaccounted, 0);
         // engine track counters + one per lane.
         assert!(row.events >= 5 + 4);
+    }
+
+    /// Every scenario builder at a size that runs in milliseconds: the
+    /// correctness half of the gates (ledger, identity) holds and the
+    /// table carries one line per scenario.
+    #[test]
+    fn small_scenarios_balance_and_stay_identical() {
+        let rows = vec![
+            pump(20_000),
+            lu2d_scenario((2, 2), 256, 32),
+            sched_scenario(40),
+            wan_scenario(10.0),
+        ];
+        for r in &rows {
+            assert_eq!(r.unaccounted, 0, "{}", r.scenario);
+            assert!(r.identical, "{}", r.scenario);
+            assert!(
+                r.events > 0 && r.scrapes >= r.scrapers as u64,
+                "{}",
+                r.scenario
+            );
+        }
+        assert_eq!(rows[0].events, 20_000);
+        assert_eq!(table(&rows).n_rows(), 4);
     }
 }

@@ -24,9 +24,6 @@ pub struct Exhibit {
     pub report_cmd: &'static str,
     /// Modules implementing the pieces.
     pub modules: &'static [&'static str],
-    /// Bench covering it, if any: a Criterion group or a `report
-    /// bench-*` command.
-    pub bench: Option<&'static str>,
 }
 
 /// Every exhibit in the deck, in page order, plus the derived series
@@ -39,7 +36,6 @@ pub fn registry() -> &'static [Exhibit] {
             kind: ExhibitKind::Narrative,
             report_cmd: "goals",
             modules: &["hpcc_core::program::GOALS"],
-            bench: None,
         },
         Exhibit {
             id: "T4-1b",
@@ -47,7 +43,6 @@ pub fn registry() -> &'static [Exhibit] {
             kind: ExhibitKind::Narrative,
             report_cmd: "goals",
             modules: &["hpcc_core::program::AUTHORITY"],
-            bench: None,
         },
         Exhibit {
             id: "T4-2",
@@ -55,7 +50,6 @@ pub fn registry() -> &'static [Exhibit] {
             kind: ExhibitKind::Figure,
             report_cmd: "responsibilities",
             modules: &["hpcc_core::responsibilities"],
-            bench: Some("program_model"),
         },
         Exhibit {
             id: "T4-3a",
@@ -63,7 +57,6 @@ pub fn registry() -> &'static [Exhibit] {
             kind: ExhibitKind::Table,
             report_cmd: "funding",
             modules: &["hpcc_core::funding::FundingTable"],
-            bench: Some("program_model"),
         },
         Exhibit {
             id: "T4-3b",
@@ -71,7 +64,6 @@ pub fn registry() -> &'static [Exhibit] {
             kind: ExhibitKind::Figure,
             report_cmd: "components",
             modules: &["hpcc_core::funding::FundingTable::component_split"],
-            bench: None,
         },
         Exhibit {
             id: "T4-3c",
@@ -79,7 +71,6 @@ pub fn registry() -> &'static [Exhibit] {
             kind: ExhibitKind::Narrative,
             report_cmd: "goals",
             modules: &["hpcc_core::program::APPROACH"],
-            bench: None,
         },
         Exhibit {
             id: "T4-4a",
@@ -87,7 +78,6 @@ pub fn registry() -> &'static [Exhibit] {
             kind: ExhibitKind::Table,
             report_cmd: "delta-peak",
             modules: &["delta_mesh::presets::delta_528"],
-            bench: Some("sim_machines"),
         },
         Exhibit {
             id: "T4-4b",
@@ -95,7 +85,6 @@ pub fn registry() -> &'static [Exhibit] {
             kind: ExhibitKind::Table,
             report_cmd: "delta-linpack",
             modules: &["hpcc_kernels::sim::lu2d", "delta_mesh"],
-            bench: Some("sim_linpack"),
         },
         Exhibit {
             id: "F-T4-4c",
@@ -103,7 +92,6 @@ pub fn registry() -> &'static [Exhibit] {
             kind: ExhibitKind::Figure,
             report_cmd: "linpack-sweep",
             modules: &["hpcc_kernels::sim::lu2d"],
-            bench: Some("sim_linpack"),
         },
         Exhibit {
             id: "F-T4-4d",
@@ -111,7 +99,6 @@ pub fn registry() -> &'static [Exhibit] {
             kind: ExhibitKind::Figure,
             report_cmd: "mpp-series",
             modules: &["delta_mesh::presets", "hpcc_kernels::sim::lu2d"],
-            bench: Some("sim_machines"),
         },
         Exhibit {
             id: "T4-5a",
@@ -119,7 +106,6 @@ pub fn registry() -> &'static [Exhibit] {
             kind: ExhibitKind::Figure,
             report_cmd: "consortium-net",
             modules: &["nren_netsim::topologies::delta_consortium"],
-            bench: Some("netsim"),
         },
         Exhibit {
             id: "F-T4-5b",
@@ -127,7 +113,6 @@ pub fn registry() -> &'static [Exhibit] {
             kind: ExhibitKind::Figure,
             report_cmd: "nren-upgrade",
             modules: &["nren_netsim::topologies::nsfnet"],
-            bench: Some("netsim"),
         },
         Exhibit {
             id: "T4-5c",
@@ -135,7 +120,6 @@ pub fn registry() -> &'static [Exhibit] {
             kind: ExhibitKind::Table,
             report_cmd: "casa",
             modules: &["nren_netsim::topologies::casa_testbed"],
-            bench: Some("netsim"),
         },
         Exhibit {
             id: "T4-5d",
@@ -143,7 +127,6 @@ pub fn registry() -> &'static [Exhibit] {
             kind: ExhibitKind::Narrative,
             report_cmd: "consortium-net",
             modules: &["hpcc_core::consortium::CSC_MEMBERS"],
-            bench: None,
         },
         Exhibit {
             id: "T4-6",
@@ -151,7 +134,6 @@ pub fn registry() -> &'static [Exhibit] {
             kind: ExhibitKind::Narrative,
             report_cmd: "cas",
             modules: &["hpcc_core::consortium", "hpcc_kernels::cfd"],
-            bench: Some("kernels/cfd"),
         },
         Exhibit {
             id: "T4-4e",
@@ -159,7 +141,6 @@ pub fn registry() -> &'static [Exhibit] {
             kind: ExhibitKind::Table,
             report_cmd: "scheduler",
             modules: &["delta_mesh::partition", "delta_mesh::sched"],
-            bench: Some("ablations/scheduler"),
         },
         Exhibit {
             id: "AB-1",
@@ -167,7 +148,6 @@ pub fn registry() -> &'static [Exhibit] {
             kind: ExhibitKind::Table,
             report_cmd: "ablations",
             modules: &["delta_mesh::machine::Switching", "delta_mesh::collective"],
-            bench: Some("ablations"),
         },
         Exhibit {
             id: "RES-1",
@@ -182,7 +162,6 @@ pub fn registry() -> &'static [Exhibit] {
                 "nren_netsim::flow",
                 "hpcc_kernels::sim::lu2d",
             ],
-            bench: Some("ablations/resilience"),
         },
         Exhibit {
             id: "SCHED-1",
@@ -195,7 +174,6 @@ pub fn registry() -> &'static [Exhibit] {
                 "des::backoff",
                 "delta_mesh::partition",
             ],
-            bench: Some("bench-sched"),
         },
         Exhibit {
             id: "NET-1",
@@ -210,7 +188,6 @@ pub fn registry() -> &'static [Exhibit] {
                 "nren_netsim::topologies",
                 "nren_netsim::workload",
             ],
-            bench: Some("bench-net"),
         },
         Exhibit {
             id: "OBS-1",
@@ -224,7 +201,6 @@ pub fn registry() -> &'static [Exhibit] {
                 "nren_netsim::flow",
                 "hpcc_kernels::sim::lu2d",
             ],
-            bench: None,
         },
         Exhibit {
             id: "OBS-2",
@@ -240,7 +216,6 @@ pub fn registry() -> &'static [Exhibit] {
                 "nren_netsim::flow",
                 "hpcc_kernels::sim::lu2d",
             ],
-            bench: Some("telemetry"),
         },
         Exhibit {
             id: "GC-0",
@@ -248,7 +223,6 @@ pub fn registry() -> &'static [Exhibit] {
             kind: ExhibitKind::Figure,
             report_cmd: "kernel-profile",
             modules: &["hpcc_kernels::sim"],
-            bench: Some("simulator"),
         },
         Exhibit {
             id: "TL-1",
@@ -256,7 +230,6 @@ pub fn registry() -> &'static [Exhibit] {
             kind: ExhibitKind::Narrative,
             report_cmd: "timeline",
             modules: &["hpcc_core::timeline"],
-            bench: None,
         },
         Exhibit {
             id: "GC-1",
@@ -270,7 +243,6 @@ pub fn registry() -> &'static [Exhibit] {
                 "hpcc_kernels::fft",
                 "hpcc_kernels::cg",
             ],
-            bench: Some("kernels"),
         },
     ]
 }
@@ -310,15 +282,6 @@ mod tests {
         for e in registry() {
             assert!(!e.report_cmd.is_empty(), "{}", e.id);
             assert!(!e.modules.is_empty(), "{}", e.id);
-        }
-    }
-
-    #[test]
-    fn quantitative_exhibits_have_benches() {
-        for e in registry() {
-            if e.kind == ExhibitKind::Table {
-                assert!(e.bench.is_some(), "table {} lacks a bench", e.id);
-            }
         }
     }
 

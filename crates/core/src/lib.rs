@@ -7,7 +7,7 @@
 //! components (HPCS / ASTA / NREN / BRHR), a $654.8M → $802.9M budget
 //! crosscut, and two consortia around the Intel Touchstone Delta. This
 //! crate types all of it and carries the [`exhibits`] registry that maps
-//! every table and figure of the deck to the module and bench that
+//! every table and figure of the deck to the module and command that
 //! regenerates it.
 //!
 //! ```

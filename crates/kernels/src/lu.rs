@@ -33,7 +33,7 @@
 //! The sweet spot for the block width on AVX2 hosts is `nb = 192`
 //! ([`DEFAULT_NB`]): deep enough that the trailing update runs at the
 //! packed engine's near-peak rate, narrow enough that panel+TRSM stay a
-//! small fraction of the time (see `BENCH_kernels.json`).
+//! small fraction of the time (see EXPERIMENTS.md, KERN-2).
 
 use crate::gemm;
 use crate::mat::Mat;
@@ -48,7 +48,7 @@ const PANEL_BASE: usize = 16;
 
 /// Default block width for AVX2-class hosts: the measured knee where the
 /// trailing `dgemm_update` reaches the packed engine's full rate (see
-/// `BENCH_kernels.json`).
+/// EXPERIMENTS.md, KERN-2).
 pub const DEFAULT_NB: usize = 192;
 
 /// Factorisation failure: zero (or non-finite) pivot column at the

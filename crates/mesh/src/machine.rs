@@ -105,8 +105,8 @@ impl KernelEff {
 
     /// Efficiencies *measured* on this repo's own kernel engine — the
     /// calibration loop the simulator's per-kernel treatment exists
-    /// for. Numbers are from `report bench-kernels`
-    /// (`BENCH_kernels.json`) on the AVX2 development host: peak =
+    /// for. Numbers are from `report bench-kernels` (EXPERIMENTS.md,
+    /// KERN-2) on the AVX2 development host: peak =
     /// 2.1 GHz × 16 DP FLOP/cycle (two 4-wide FMA ports) = 33.6
     /// GFLOP/s, and each fraction below is a measured sustained rate
     /// over that peak:
@@ -383,7 +383,7 @@ pub mod presets {
     /// The AVX2 development host this repo's kernels are measured on,
     /// as a machine model: one 2.1 GHz core with two 4-wide FMA ports
     /// (33.6 GFLOP/s peak), kernel efficiencies calibrated from
-    /// `BENCH_kernels.json` ([`KernelEff::avx2_measured`]). Closes the
+    /// EXPERIMENTS.md KERN-2 ([`KernelEff::avx2_measured`]). Closes the
     /// loop between the simulator and the engine: a modelled kernel
     /// time on this preset is checkable against a wall-clock run.
     pub fn avx2_host() -> MachineConfig {

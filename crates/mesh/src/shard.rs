@@ -27,7 +27,8 @@
 //! identically on every run. Remote failure checks read a crash
 //! schedule precomputed from the fault plan instead of shared mutable
 //! state. The inline (single-thread) and threaded modes produce the
-//! same answer; `HPCC_LANE_MODE=threads|inline` forces one for testing.
+//! same answer; the host's core count picks one, and the unit test at
+//! the bottom of this file forces both and compares them.
 //!
 //! Changing the lane *count* changes cross-lane message timing (see
 //! below), so only final results of timing-insensitive programs are
@@ -59,7 +60,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
 
 #[derive(Clone, Copy, PartialEq)]
-enum LaneMode {
+pub(crate) enum LaneMode {
     /// All lanes round-robin on the calling thread. Deterministic and
     /// barrier-free; the right choice on a single-CPU host where OS
     /// threads would only add context switches.
@@ -69,11 +70,6 @@ enum LaneMode {
 }
 
 fn pick_mode() -> LaneMode {
-    match std::env::var("HPCC_LANE_MODE").as_deref() {
-        Ok("inline") => return LaneMode::Inline,
-        Ok("threads") => return LaneMode::Threads,
-        _ => {}
-    }
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -465,10 +461,9 @@ pub(crate) fn assemble<T>(
 }
 
 /// Lane-runtime diagnostics for one sharded run: window count, event
-/// throughput per lane, and cross-lane mailbox traffic. This is the
-/// `HPCC_LANE_STATS` diagnostic promoted to a first-class value —
-/// returned by [`crate::sim::Machine::run_sharded_stats`] and exportable
-/// as [`hpcc_trace::names::DES_LANES`] track counters via
+/// throughput per lane, and cross-lane mailbox traffic. Returned by
+/// [`crate::sim::Machine::run_sharded_stats`] and exportable as
+/// [`hpcc_trace::names::DES_LANES`] track counters via
 /// [`LaneStats::emit`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaneStats {
@@ -513,8 +508,26 @@ impl LaneStats {
 }
 
 /// Entry point used by [`crate::sim::Machine`]: run `program` on every
-/// node across `lanes` event-engine shards.
+/// node across `lanes` event-engine shards, on threads when the host has
+/// more than one CPU and inline otherwise.
 pub(crate) fn run<T, F, Fut>(
+    cfg: &MachineConfig,
+    lanes: usize,
+    plan: &FaultPlan,
+    program: &F,
+) -> (Vec<Option<T>>, RunReport, LaneStats)
+where
+    T: Send + 'static,
+    F: Fn(Node) -> Fut + Sync,
+    Fut: Future<Output = T> + 'static,
+{
+    run_in(pick_mode(), cfg, lanes, plan, program)
+}
+
+/// [`run`] with the lane mode chosen by the caller. A single lane has
+/// nobody to synchronize with and always runs inline.
+pub(crate) fn run_in<T, F, Fut>(
+    mode: LaneMode,
     cfg: &MachineConfig,
     lanes: usize,
     plan: &FaultPlan,
@@ -539,11 +552,7 @@ where
         Vec::new()
     };
     let shared = Shared::new(lanes);
-    let mode = if lanes > 1 {
-        pick_mode()
-    } else {
-        LaneMode::Inline
-    };
+    let mode = if lanes > 1 { mode } else { LaneMode::Inline };
     let outs = match mode {
         LaneMode::Inline => run_inline(
             cfg,
@@ -575,16 +584,6 @@ where
         mail_msgs: shared.mail_msgs.load(Ordering::Relaxed),
         per_lane_events: outs.iter().map(|o| o.events).collect(),
     };
-    if std::env::var("HPCC_LANE_STATS").is_ok() {
-        eprintln!(
-            "[lane-stats] lanes={} rounds={} events={} mail={} ev/round={:.1}",
-            stats.lanes,
-            stats.rounds,
-            stats.events,
-            stats.mail_msgs,
-            stats.events_per_round()
-        );
-    }
     let (results, report) = assemble(cfg, outs);
     (results, report, stats)
 }
@@ -739,4 +738,60 @@ where
             })
             .collect()
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::machine::{presets, Kernel};
+    use des::faults::MtbfModel;
+
+    /// Ring exchange with a compute phase per step: every lane boundary
+    /// carries mailbox traffic both ways (the rank wrap-around included).
+    /// Receives carry a deadline, so a crashed neighbour costs a timeout
+    /// instead of a deadlock.
+    async fn ring_step(node: Node, n: usize) -> f64 {
+        let me = node.rank();
+        let (right, left) = ((me + 1) % n, (me + n - 1) % n);
+        let mut acc = 0.0;
+        for s in 0..3u64 {
+            node.compute(Kernel::Stencil, 2.0e4).await;
+            node.send_f64s(right, s, &[me as f64]).await;
+            let wait = Dur::from_millis(40);
+            acc += match node.recv_f64s_timeout(Some(left), Some(s), wait).await {
+                Ok(v) => v[0],
+                Err(_) => -1.0,
+            };
+        }
+        acc
+    }
+
+    /// The determinism contract's last clause: inline and threaded lanes
+    /// agree on results, report and lane diagnostics, fault-free and with
+    /// nodes crashing mid-run. The host's core count never picks both, so
+    /// nothing else in the suite compares them.
+    #[test]
+    fn inline_and_threaded_lanes_are_bit_identical() {
+        let cfg = presets::delta(8, 4);
+        let n = cfg.nodes();
+        let program = |node| ring_step(node, n);
+        // Crashes land inside the fault-free run's span: about one node
+        // in five dies while its neighbours are still exchanging.
+        let clean = FaultPlan::none();
+        let span = run_in(LaneMode::Inline, &cfg, 2, &clean, &program)
+            .1
+            .elapsed;
+        let crashes = FaultPlan::seeded(0xC0FFEE, &MtbfModel::node_crashes(span * 4), n, 0, span);
+        assert!(!crashes.events().is_empty(), "crash plan is empty");
+        for plan in [clean, crashes] {
+            for lanes in [2usize, 4] {
+                let inline = run_in(LaneMode::Inline, &cfg, lanes, &plan, &program);
+                let threads = run_in(LaneMode::Threads, &cfg, lanes, &plan, &program);
+                assert_eq!(inline.2.lanes, lanes);
+                assert!(inline.2.mail_msgs > 0, "no cross-lane traffic");
+                assert_eq!(inline.1.faults.node_crashes > 0, !plan.events().is_empty());
+                assert_eq!(inline, threads, "lanes={lanes}");
+            }
+        }
+    }
 }

@@ -1448,7 +1448,8 @@ impl Machine {
     }
 
     /// Run one program per node on the sharded conservative-parallel
-    /// engine: the mesh is split into `lanes` contiguous row blocks
+    /// engine under a [`FaultPlan`] (`FaultPlan::none()` for a clean
+    /// run): the mesh is split into `lanes` contiguous row blocks
     /// ([`crate::partition::LaneMap`]), each with its own event calendar
     /// and executor, synchronized by bounded-lag windows whose width is
     /// the network's cross-lane [`crate::machine::NetModel::lookahead`].
@@ -1461,47 +1462,19 @@ impl Machine {
     /// lane-count-invariant for timing-insensitive programs while
     /// per-event timestamps may differ from the single-lane schedule.
     /// Lanes execute on threads when the host has more than one CPU,
-    /// inline round-robin otherwise (`HPCC_LANE_MODE=threads|inline`
-    /// overrides).
-    pub fn run_sharded<T, F, Fut>(&self, lanes: usize, program: F) -> (Vec<T>, RunReport)
-    where
-        T: Send + 'static,
-        F: Fn(Node) -> Fut + Sync,
-        Fut: Future<Output = T> + 'static,
-    {
-        let (results, report) = self.run_sharded_with_faults(lanes, &FaultPlan::none(), program);
-        let results = results
-            .into_iter()
-            .map(|o| o.expect("node completed"))
-            .collect();
-        (results, report)
-    }
-
-    /// Sharded run under a [`FaultPlan`] — the lane-parallel counterpart
-    /// of [`Machine::run_with_faults`]. Node crashes and slowdowns are
+    /// inline round-robin otherwise; both modes give the same answer.
+    ///
+    /// This is the lane-parallel counterpart of
+    /// [`Machine::run_with_faults`]: node crashes and slowdowns are
     /// applied by the lane owning the node, link outages by the lane
     /// owning the channel's source node; cross-lane messages check the
     /// destination's precomputed crash schedule instead of shared state.
-    pub fn run_sharded_with_faults<T, F, Fut>(
-        &self,
-        lanes: usize,
-        plan: &FaultPlan,
-        program: F,
-    ) -> (Vec<Option<T>>, RunReport)
-    where
-        T: Send + 'static,
-        F: Fn(Node) -> Fut + Sync,
-        Fut: Future<Output = T> + 'static,
-    {
-        let (results, report, _stats) = self.run_sharded_stats(lanes, plan, program);
-        (results, report)
-    }
-
-    /// [`Machine::run_sharded_with_faults`] plus the lane-runtime
-    /// diagnostics ([`crate::shard::LaneStats`]): windows executed,
-    /// per-lane event throughput, cross-lane mailbox traffic. On the
-    /// single-lane (legacy-engine) path the stats degenerate to one lane
-    /// carrying every event with zero windows and zero mailbox traffic.
+    ///
+    /// Also returns the lane-runtime diagnostics
+    /// ([`crate::shard::LaneStats`]): windows executed, per-lane event
+    /// throughput, cross-lane mailbox traffic. On the single-lane
+    /// (legacy-engine) path the stats degenerate to one lane carrying
+    /// every event with zero windows and zero mailbox traffic.
     pub fn run_sharded_stats<T, F, Fut>(
         &self,
         lanes: usize,

@@ -174,8 +174,8 @@ proptest! {
         let (base_out, base_rep) =
             m.run_windowed_exact(1, &plan, |node| halo_step(node, rows, cols));
         for lanes in [2usize, 4] {
-            let (out, rep) =
-                m.run_sharded_with_faults(lanes, &plan, |node| halo_step(node, rows, cols));
+            let (out, rep, _) =
+                m.run_sharded_stats(lanes, &plan, |node| halo_step(node, rows, cols));
             prop_assert_eq!(&base_out, &out, "lanes={}", lanes);
             prop_assert_eq!(base_rep.faults.node_crashes, rep.faults.node_crashes);
             prop_assert_eq!(base_rep.faults.slowdowns, rep.faults.slowdowns);
@@ -197,12 +197,9 @@ proptest! {
     ) {
         let m = Machine::new(presets::delta(rows, cols));
         let plan = boot_crash_plan(seed, rows * cols);
-        let (out1, rep1) =
-            m.run_sharded_with_faults(lanes, &plan, |node| halo_step(node, rows, cols));
-        let (out2, rep2) =
-            m.run_sharded_with_faults(lanes, &plan, |node| halo_step(node, rows, cols));
-        prop_assert_eq!(out1, out2);
-        prop_assert_eq!(rep1, rep2);
+        let run1 = m.run_sharded_stats(lanes, &plan, |node| halo_step(node, rows, cols));
+        let run2 = m.run_sharded_stats(lanes, &plan, |node| halo_step(node, rows, cols));
+        prop_assert_eq!(run1, run2);
     }
 
     /// The legacy recorded engine is untouched: seeded traced runs
@@ -221,7 +218,7 @@ proptest! {
         let (out1, rep1) = m.run_recorded(&plan, Rc::clone(&rec1) as _, |node| {
             recovering_step(node, cols)
         });
-        let _ = m.run_sharded_with_faults(2, &plan, |node| halo_step(node, rows, cols));
+        let _ = m.run_sharded_stats(2, &plan, |node| halo_step(node, rows, cols));
         let rec2 = Rc::new(MemRecorder::new());
         let (out2, rep2) = m.run_recorded(&plan, Rc::clone(&rec2) as _, |node| {
             recovering_step(node, cols)
@@ -242,8 +239,10 @@ fn mesh48_all_lane_counts_agree() {
     let cols = 6;
     let m = Machine::new(presets::delta(rows, cols));
     let (base, _) = m.run(|node| halo_step(node, 8, 6));
+    let base: Vec<_> = base.into_iter().map(Some).collect();
     for lanes in [2usize, 4, 8] {
-        let (out, rep) = m.run_sharded(lanes, |node| halo_step(node, 8, 6));
+        let (out, rep, _) =
+            m.run_sharded_stats(lanes, &FaultPlan::none(), |node| halo_step(node, 8, 6));
         assert_eq!(base, out, "lanes={lanes}");
         assert!(rep.events > 0);
         assert_eq!(rep.nodes, rows * cols);

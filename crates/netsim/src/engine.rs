@@ -67,7 +67,8 @@ pub struct FlowConfig {
     pub aggregate_below: u64,
     /// After every resolve, re-derive the allocation with the reference
     /// [`maxmin_rates`] and assert each flow matches within 1e-9
-    /// relative. Expensive — for tests and the `--smoke` gate.
+    /// relative. Expensive — for tests (`flow_props.rs`, `hpcc-bench`'s
+    /// `netperf` unit tests).
     pub verify: bool,
 }
 

@@ -106,7 +106,7 @@ pub mod names {
     pub const WAN_SOLVER: &str = "wan solver";
     /// Sharded-DES lane runtime: one track per event lane plus an
     /// aggregate track; counters are events, windows, and cross-lane
-    /// mailbox traffic (the `HPCC_LANE_STATS` diagnostics, first-class).
+    /// mailbox traffic (`delta_mesh::LaneStats`).
     pub const DES_LANES: &str = "des lanes";
     /// Host-side kernel tracks (wall-clock time base).
     pub const HOST: &str = "host";
