@@ -1,16 +1,16 @@
 //! Exhibit DES-1, the event-engine scale table: wall-clock events/sec of
-//! the sharded conservative runtime against the legacy single-queue
-//! engine, swept over mesh size (4k to 100k nodes) × lane count.
+//! the mesh engine at several lanes against the same dispatch loop at
+//! one (the single-queue engine), swept over mesh size (4k to 100k
+//! nodes) × lane count.
 //! `report bench-des` prints it. The 528-node Delta under this workload
 //! is the `mesh_halo` workload of `benchmark/`.
 //!
 //! The workload is a halo exchange with a long-range partner per node:
 //! nearest-neighbour traffic keeps every lane busy, and the cross-mesh
-//! messages are where the engines genuinely differ — the legacy
-//! wormhole model walks the whole route to reserve channels (O(hops)
+//! messages are where the lane count genuinely matters — inside a lane
+//! the wormhole model walks the whole route to reserve channels (O(hops)
 //! per message, and routes on a 250×400 mesh run to hundreds of hops),
-//! while the sharded runtime times cross-lane messages analytically in
-//! O(1). Per-lane calendars and the allocation-free lane executor do
+//! while cross-lane messages are timed analytically in O(1). Per-lane calendars and the allocation-free lane executor do
 //! the rest.
 
 use crate::best_of;
@@ -22,13 +22,13 @@ pub struct DesRow {
     /// Mesh shape.
     pub rows: usize,
     pub cols: usize,
-    /// Event-engine lanes (1 = the legacy single-queue engine).
+    /// Event-engine lanes (1 = the single-queue engine).
     pub lanes: usize,
     /// Halo steps the workload ran.
     pub steps: usize,
     /// Simulator events dispatched across all lanes.
     pub events: u64,
-    /// Synchronization windows executed (0 on the legacy engine).
+    /// Synchronization windows executed (0 at one lane).
     pub rounds: u64,
     /// Messages exchanged through the cross-lane mailboxes.
     pub mail_msgs: u64,
@@ -123,8 +123,8 @@ fn sweep(sizes: &[(usize, usize, usize)], lane_counts: &[usize]) -> Vec<DesRow> 
 }
 
 /// The sweep: 4k nodes to past 100k, lane counts 1..8. Fewer steps as
-/// the mesh grows, so every configuration finishes in seconds even on
-/// the legacy engine.
+/// the mesh grows, so every configuration finishes in seconds even at
+/// one lane.
 pub fn snapshot() -> Vec<DesRow> {
     sweep(&[(64, 64, 4), (128, 128, 2), (250, 400, 2)], &[1, 2, 4, 8])
 }

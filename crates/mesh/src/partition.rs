@@ -350,7 +350,7 @@ impl LaneMap {
         LaneMap { starts }
     }
 
-    /// Single-lane map (the legacy engine's view of the machine).
+    /// Single-lane map (the single-queue engine's view of the machine).
     pub fn single(topo: &Topology) -> LaneMap {
         LaneMap::new(topo, 1)
     }

@@ -2,9 +2,9 @@
 //!
 //! The machine is split into contiguous node blocks ("lanes", one per
 //! group of mesh rows — [`LaneMap`]). Each lane owns an event calendar,
-//! an executor ([`LaneTasks`]) and the futures of its node programs, so
-//! within a lane the simulation is exactly the legacy engine. Lanes are
-//! synchronized with the classic bounded-lag (CMB/YAWNS-style) rule:
+//! an executor ([`LaneTasks`]) and the futures of its node programs.
+//! Lanes are synchronized with the classic bounded-lag (CMB/YAWNS-style)
+//! rule:
 //!
 //! 1. `T` = minimum next-event time across all lanes,
 //! 2. every lane processes its local events in `[T, T + L)` where `L`
@@ -16,6 +16,25 @@
 //!    through a per-(destination, source) mailbox and scheduled into the
 //!    destination calendars, and the next window begins.
 //!
+//! ## One loop
+//!
+//! Every run of the mesh engine is `drive`: a worker owns a slice of
+//! lanes and takes them through the round *work → flush → barrier →
+//! drain + publish → barrier → decide* — two barrier waits per window.
+//! The host's core count picks the worker count (`workers_for`): all
+//! lanes on the calling thread on one CPU (a one-party barrier never
+//! blocks), one scoped thread per lane otherwise. The single-queue
+//! engine ([`Machine::run`]) is the same loop over one *unsharded* lane
+//! with no horizon: a lone lane has no peer to wait for, so its one
+//! window is the whole run and it counts no synchronization round.
+//!
+//! The loop also holds the liveness rule: the run is over the moment no
+//! program is live, whatever is left on the calendars (pending faults,
+//! stale timers); until then every lane keeps dispatching, so a fault
+//! owned by a lane whose own programs are done still strikes.
+//!
+//! [`Machine::run`]: crate::sim::Machine::run
+//!
 //! ## Determinism contract
 //!
 //! A sharded run is a pure function of (machine config, fault plan,
@@ -26,9 +45,9 @@
 //! destination calendar's tie-breaking sequence numbers are assigned
 //! identically on every run. Remote failure checks read a crash
 //! schedule precomputed from the fault plan instead of shared mutable
-//! state. The inline (single-thread) and threaded modes produce the
-//! same answer; the host's core count picks one, and the unit test at
-//! the bottom of this file forces both and compares them.
+//! state. The worker count cannot change the answer either: the unit
+//! tests at the bottom of this file force one worker and one per lane
+//! and compare them.
 //!
 //! Changing the lane *count* changes cross-lane message timing (see
 //! below), so only final results of timing-insensitive programs are
@@ -51,7 +70,7 @@ use crate::topology::Topology;
 use des::faults::{FaultKind, FaultPlan};
 use des::time::{Dur, SimTime};
 use des::{LaneTasks, TaskId};
-use hpcc_trace::{NullRecorder, Recorder};
+use hpcc_trace::{names, NullRecorder, Recorder, TrackId};
 use std::cell::RefCell;
 use std::future::Future;
 use std::ops::Range;
@@ -59,24 +78,13 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
 
-#[derive(Clone, Copy, PartialEq)]
-pub(crate) enum LaneMode {
-    /// All lanes round-robin on the calling thread. Deterministic and
-    /// barrier-free; the right choice on a single-CPU host where OS
-    /// threads would only add context switches.
-    Inline,
-    /// One OS thread per lane, three barriers per window.
-    Threads,
-}
-
-fn pick_mode() -> LaneMode {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if cores > 1 {
-        LaneMode::Threads
-    } else {
-        LaneMode::Inline
+/// Workers for `lanes` lanes: one thread per lane when the host has more
+/// than one CPU, everything on the calling thread otherwise (OS threads
+/// would only add context switches there).
+fn workers_for(lanes: usize) -> usize {
+    match std::thread::available_parallelism() {
+        Ok(cores) if cores.get() > 1 => lanes,
+        _ => 1,
     }
 }
 
@@ -133,8 +141,8 @@ struct Shared {
     /// Cross-lane messages exchanged through the mailboxes — boundary
     /// traffic volume, surfaced through [`LaneStats`].
     mail_msgs: AtomicU64,
-    /// Blocked-node diagnostics, filled only on the deadlock path.
-    stuck: Mutex<Vec<String>>,
+    /// Blocked-node diagnostics by lane, filled only on the deadlock path.
+    stuck: Mutex<Vec<(usize, Vec<String>)>>,
 }
 
 impl Shared {
@@ -151,12 +159,18 @@ impl Shared {
             stuck: Mutex::new(Vec::new()),
         }
     }
+
+    /// Unfinished node programs, machine-wide, at the last publish.
+    fn live(&self) -> usize {
+        self.live.iter().map(|a| a.load(Ordering::SeqCst)).sum()
+    }
 }
 
-/// What every lane decides (identically) at a window boundary.
+/// What every worker decides (identically) at a window boundary.
 enum Decision {
-    /// Process local events strictly below this horizon.
-    Run(SimTime),
+    /// Process local events strictly below this horizon (`None`: the
+    /// lone unsharded lane, which runs to completion).
+    Run(Option<SimTime>),
     /// Calendars are empty but programs survive a faulted run: abort
     /// them as orphans and finish.
     Orphans,
@@ -164,7 +178,10 @@ enum Decision {
     Deadlock,
 }
 
-fn decide(shared: &Shared, lookahead: Dur) -> Decision {
+fn decide(shared: &Shared, lookahead: Option<Dur>) -> Decision {
+    if shared.live() == 0 {
+        return Decision::Done;
+    }
     let t = shared
         .next
         .iter()
@@ -172,11 +189,7 @@ fn decide(shared: &Shared, lookahead: Dur) -> Decision {
         .min()
         .expect("at least one lane");
     if t != u64::MAX {
-        return Decision::Run(SimTime(t) + lookahead);
-    }
-    let live: usize = shared.live.iter().map(|a| a.load(Ordering::SeqCst)).sum();
-    if live == 0 {
-        Decision::Done
+        Decision::Run(lookahead.map(|l| SimTime(t) + l))
     } else if shared.faulted.load(Ordering::SeqCst) {
         Decision::Orphans
     } else {
@@ -184,11 +197,67 @@ fn decide(shared: &Shared, lookahead: Dur) -> Decision {
     }
 }
 
-pub(crate) fn deadlock_panic(machine: &str, live: usize, stuck: &[String]) -> ! {
-    panic!(
-        "deadlock on {machine}: {live} tasks parked, no events\n{}",
-        stuck.join("\n")
-    )
+/// The one dispatch loop of the mesh engine. A worker takes its lanes
+/// through the round *work → flush → barrier → drain + publish → barrier
+/// → decide*; the lanes arrive from [`setup`] at their first quiescent
+/// point, which is the first round's work. Writes to `shared` happen
+/// strictly between the two barriers, reads strictly after the second,
+/// so every worker decides on the same snapshot.
+///
+/// Liveness rule: the run is over the moment no program is live,
+/// whatever is left on the calendars; until then a lane dispatches below
+/// the horizon while it, or any peer at the last publish, has a live
+/// program — a fault owned by a lane whose own programs are done still
+/// strikes, as it would on one calendar.
+fn drive<T>(ls: &mut [Lane<T>], shared: &Shared, barrier: &Barrier, lookahead: Option<Dur>) {
+    loop {
+        for l in ls.iter_mut() {
+            l.flush(shared);
+        }
+        barrier.wait();
+        for l in ls.iter_mut() {
+            l.drain(shared);
+            l.publish(shared);
+        }
+        barrier.wait();
+        match decide(shared, lookahead) {
+            Decision::Done => return,
+            Decision::Deadlock => {
+                for l in ls.iter() {
+                    let report = (l.lane, l.core.borrow().stuck_report());
+                    shared.stuck.lock().expect("stuck list").push(report);
+                }
+                if barrier.wait().is_leader() {
+                    // Lanes own ascending rank blocks: lane order is rank
+                    // order, whichever worker got to the list first.
+                    let mut stuck = std::mem::take(&mut *shared.stuck.lock().expect("stuck list"));
+                    stuck.sort_by_key(|&(lane, _)| lane);
+                    let stuck: Vec<String> = stuck.into_iter().flat_map(|(_, s)| s).collect();
+                    panic!(
+                        "deadlock on {}: {} tasks parked, no events\n{}",
+                        ls[0].core.borrow().cfg.name,
+                        shared.live(),
+                        stuck.join("\n")
+                    );
+                }
+                return;
+            }
+            // Graceful degradation: survivors blocked forever on dead
+            // peers are casualties of the fault, not a program bug.
+            Decision::Orphans => ls.iter_mut().for_each(Lane::abort_orphans),
+            Decision::Run(horizon) => {
+                // A round is a synchronization; the lone lane has none.
+                if horizon.is_some() && ls[0].lane == 0 {
+                    shared.rounds.fetch_add(1, Ordering::Relaxed);
+                }
+                let live = shared.live();
+                for l in ls.iter_mut() {
+                    let peers_live = live > l.tasks.live();
+                    l.process_window(horizon, peers_live);
+                }
+            }
+        }
+    }
 }
 
 /// One lane: a [`SimCore`], its executor, and the task handles of the
@@ -196,20 +265,24 @@ pub(crate) fn deadlock_panic(machine: &str, live: usize, stuck: &[String]) -> ! 
 /// one unsharded lane over every node.
 ///
 /// [`Machine::run`]: crate::sim::Machine::run
-pub(crate) struct Lane<T> {
+struct Lane<T> {
     lane: usize,
     range: Range<usize>,
-    pub(crate) core: Rc<RefCell<SimCore>>,
-    pub(crate) tasks: LaneTasks,
+    core: Rc<RefCell<SimCore>>,
+    tasks: LaneTasks,
     task_of: Vec<TaskId>,
     results: Rc<RefCell<Vec<Option<T>>>>,
+    /// The recorder's "des" track when tracing, and the dispatches made
+    /// so far: executor/calendar depth is sampled onto it.
+    des: Option<(Rc<dyn Recorder>, TrackId)>,
+    dispatches: u64,
 }
 
 /// Build a lane up to its first quiescent point: core, this lane's share
 /// of the fault plan, one task per owned node, boot-time crashes applied.
 /// `sharding` is `(map, crash schedule, lane index)`; `None` builds the
 /// unsharded lane that owns every node and every fault.
-pub(crate) fn setup<T, F, Fut>(
+fn setup<T, F, Fut>(
     cfg: Rc<MachineConfig>,
     rec: Rc<dyn Recorder>,
     sharding: Option<(&LaneMap, &std::sync::Arc<[SimTime]>, usize)>,
@@ -228,6 +301,9 @@ where
         Some((map, _, lane)) => (lane, map.range(lane)),
         None => (0, 0..n),
     };
+    let des = rec
+        .is_enabled()
+        .then(|| (Rc::clone(&rec), rec.track(names::DES, "executor")));
     // Steady state holds at most a wake or delivery per owned node;
     // pre-size so the calendar never regrows mid-run.
     let mut core = SimCore::with_queue_capacity(cfg, rec, 2 * range.len());
@@ -291,15 +367,22 @@ where
         tasks,
         task_of,
         results,
+        des,
+        dispatches: 0,
     }
 }
+
+/// Sample executor/event-queue depth every this many dispatches —
+/// frequent enough to see backlog build-up, sparse enough not to
+/// dominate the trace.
+const SAMPLE_EVERY: u64 = 64;
 
 impl<T> Lane<T> {
     /// Pop the next calendar event — strictly below `horizon`, if one is
     /// given — apply it, and queue or abort the task it names. False
     /// when there is no such event. Callers run the executor after every
     /// event: see [`SimCore::dispatch`] for why that order matters.
-    pub(crate) fn dispatch_one(&mut self, horizon: Option<SimTime>) -> bool {
+    fn dispatch_one(&mut self, horizon: Option<SimTime>) -> bool {
         let step = {
             let mut core = self.core.borrow_mut();
             let ev = match horizon {
@@ -321,23 +404,34 @@ impl<T> Lane<T> {
         true
     }
 
-    /// Process every local event strictly below `horizon`, running the
-    /// executor after each. Completion is checked *before* each pop:
-    /// once every program on this lane has finished, leftover calendar
-    /// entries (pending faults, stale timers) are abandoned.
-    fn process_window(&mut self, horizon: SimTime) {
-        while !self.tasks.all_done() && self.dispatch_one(Some(horizon)) {
+    /// Process local events below `horizon`, running the executor after
+    /// each, while this lane or a peer has a live program (see [`drive`]).
+    /// Checked *before* each pop, so the lone lane stops the moment its
+    /// last program finishes.
+    fn process_window(&mut self, horizon: Option<SimTime>, peers_live: bool) {
+        while (peers_live || !self.tasks.all_done()) && self.dispatch_one(horizon) {
+            if let Some((rec, track)) = &self.des {
+                self.dispatches += 1;
+                if self.dispatches.is_multiple_of(SAMPLE_EVERY) {
+                    let (c, tasks) = (self.core.borrow(), &self.tasks);
+                    let ts = c.q.now().nanos();
+                    rec.counter(*track, "event_queue_depth", ts, c.q.len() as f64);
+                    rec.counter(*track, "ready_tasks", ts, tasks.ready_len() as f64);
+                    rec.counter(*track, "live_tasks", ts, tasks.live() as f64);
+                    rec.counter(*track, "task_polls", ts, tasks.polls() as f64);
+                }
+            }
             self.tasks.run_ready();
         }
     }
 
-    /// Hand this window's cross-lane sends to their destination slots.
+    /// Hand this window's cross-lane sends to their destination slots
+    /// (the unsharded lane has none).
     fn flush(&mut self, shared: &Shared) {
         let mut core = self.core.borrow_mut();
-        let sh = core.shard.as_mut().expect("lane core is sharded");
-        if sh.outbox.is_empty() {
+        let Some(sh) = core.shard.as_mut().filter(|sh| !sh.outbox.is_empty()) else {
             return;
-        }
+        };
         shared
             .mail_msgs
             .fetch_add(sh.outbox.len() as u64, Ordering::Relaxed);
@@ -366,16 +460,7 @@ impl<T> Lane<T> {
 
     fn publish(&self, shared: &Shared) {
         let core = self.core.borrow();
-        // A finished lane reports an empty calendar even if events are
-        // still queued — the legacy engine stops dispatching the moment
-        // its last task completes, and the abandoned events must not
-        // keep dragging the global horizon (or the elapsed clock)
-        // forward.
-        let next = if self.tasks.all_done() {
-            u64::MAX
-        } else {
-            core.q.peek_time().map_or(u64::MAX, |t| t.0)
-        };
+        let next = core.q.peek_time().map_or(u64::MAX, |t| t.0);
         shared.next[self.lane].store(next, Ordering::SeqCst);
         shared.live[self.lane].store(self.tasks.live(), Ordering::SeqCst);
         if core.counters.faults.any() {
@@ -384,7 +469,7 @@ impl<T> Lane<T> {
     }
 
     /// Abort every unfinished program on this lane (fault aftermath).
-    pub(crate) fn abort_orphans(&mut self) {
+    fn abort_orphans(&mut self) {
         let mut orphans = 0;
         for &t in &self.task_of {
             if self.tasks.abort(t) {
@@ -396,7 +481,7 @@ impl<T> Lane<T> {
 }
 
 /// Per-lane scalar outcome, merged by [`assemble`].
-pub(crate) struct LaneOut<T> {
+struct LaneOut<T> {
     range: Range<usize>,
     results: Vec<Option<T>>,
     counters: Counters,
@@ -404,7 +489,7 @@ pub(crate) struct LaneOut<T> {
     events: u64,
 }
 
-pub(crate) fn finish<T>(lane: Lane<T>) -> LaneOut<T> {
+fn finish<T>(lane: Lane<T>) -> LaneOut<T> {
     // Drop the executor first: completed/aborted futures are gone, so
     // the lane core and result sink are uniquely held again.
     drop(lane.tasks);
@@ -423,16 +508,25 @@ pub(crate) fn finish<T>(lane: Lane<T>) -> LaneOut<T> {
     }
 }
 
-pub(crate) fn assemble<T>(
+/// Merge the lanes' outcomes into one machine-wide result, report and
+/// lane diagnostics.
+fn assemble<T>(
     cfg: &MachineConfig,
+    shared: &Shared,
     outs: Vec<LaneOut<T>>,
-) -> (Vec<Option<T>>, RunReport) {
+) -> (Vec<Option<T>>, RunReport, LaneStats) {
+    let stats = LaneStats {
+        lanes: outs.len(),
+        rounds: shared.rounds.load(Ordering::Relaxed),
+        events: outs.iter().map(|o| o.events).sum(),
+        mail_msgs: shared.mail_msgs.load(Ordering::Relaxed),
+        per_lane_events: outs.iter().map(|o| o.events).collect(),
+    };
     let n = cfg.nodes();
     let nlinks = cfg.topology.links();
     let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
     let mut counters = Counters::default();
     let mut end = SimTime::ZERO;
-    let mut events = 0u64;
     for out in outs {
         let start = out.range.start;
         for (i, r) in out.results.into_iter().enumerate() {
@@ -440,7 +534,6 @@ pub(crate) fn assemble<T>(
         }
         counters.absorb(&out.counters);
         end = end.max(out.now);
-        events += out.events;
     }
     let elapsed = end - SimTime::ZERO;
     let denom = elapsed.as_secs_f64().max(1e-30);
@@ -451,25 +544,26 @@ pub(crate) fn assemble<T>(
         messages: counters.messages,
         bytes: counters.bytes,
         flops: counters.flops,
-        events,
+        events: stats.events,
         compute_fraction: counters.compute_time.as_secs_f64() / (n as f64 * denom),
         link_utilization: counters.link_busy.as_secs_f64() / (nlinks.max(1) as f64 * denom),
         unexpected_messages: counters.unexpected,
         faults: counters.faults,
     };
-    (results, report)
+    (results, report, stats)
 }
 
-/// Lane-runtime diagnostics for one sharded run: window count, event
+/// Lane-runtime diagnostics for one run: window count, event
 /// throughput per lane, and cross-lane mailbox traffic. Returned by
 /// [`crate::sim::Machine::run_sharded_stats`] and exportable as
 /// [`hpcc_trace::names::DES_LANES`] track counters via
 /// [`LaneStats::emit`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaneStats {
-    /// Lanes the machine was split into (1 = legacy single-queue run).
+    /// Lanes the machine was split into (1 = the single-queue engine).
     pub lanes: usize,
-    /// Synchronization windows executed (0 on the legacy engine).
+    /// Synchronization windows executed (0 at one unsharded lane: its
+    /// one window is the whole run and synchronizes with nobody).
     pub rounds: u64,
     /// Events processed, summed over lanes.
     pub events: u64,
@@ -507,9 +601,27 @@ impl LaneStats {
     }
 }
 
-/// Entry point used by [`crate::sim::Machine`]: run `program` on every
-/// node across `lanes` event-engine shards, on threads when the host has
-/// more than one CPU and inline otherwise.
+/// The single-queue engine: one unsharded lane that owns every node and
+/// every fault, driven without a horizon on the calling thread.
+pub(crate) fn run_lone<T, F, Fut>(
+    cfg: &Rc<MachineConfig>,
+    rec: Rc<dyn Recorder>,
+    plan: &FaultPlan,
+    program: &F,
+) -> (Vec<Option<T>>, RunReport, LaneStats)
+where
+    T: 'static,
+    F: Fn(Node) -> Fut,
+    Fut: Future<Output = T> + 'static,
+{
+    let shared = Shared::new(1);
+    let mut lane = [setup(Rc::clone(cfg), rec, None, &[], plan, program)];
+    drive(&mut lane, &shared, &Barrier::new(1), None);
+    assemble(cfg, &shared, lane.into_iter().map(finish).collect())
+}
+
+/// Run `program` on every node across `lanes` event-engine shards, with
+/// the worker count the host's core count picks.
 pub(crate) fn run<T, F, Fut>(
     cfg: &MachineConfig,
     lanes: usize,
@@ -521,13 +633,13 @@ where
     F: Fn(Node) -> Fut + Sync,
     Fut: Future<Output = T> + 'static,
 {
-    run_in(pick_mode(), cfg, lanes, plan, program)
+    run_in(workers_for(lanes), cfg, lanes, plan, program)
 }
 
-/// [`run`] with the lane mode chosen by the caller. A single lane has
-/// nobody to synchronize with and always runs inline.
-pub(crate) fn run_in<T, F, Fut>(
-    mode: LaneMode,
+/// [`run`] with the worker count chosen by the caller: 1 (the calling
+/// thread drives every lane) or `lanes` (a scoped thread each).
+fn run_in<T, F, Fut>(
+    workers: usize,
     cfg: &MachineConfig,
     lanes: usize,
     plan: &FaultPlan,
@@ -540,7 +652,7 @@ where
 {
     let map = LaneMap::new(&cfg.topology, lanes);
     let lanes = map.lanes();
-    let lookahead = cfg.net.lookahead();
+    let lookahead = Some(cfg.net.lookahead());
     let crash = crash_times(cfg.nodes(), plan);
     let link_owner = if plan
         .events()
@@ -552,204 +664,52 @@ where
         Vec::new()
     };
     let shared = Shared::new(lanes);
-    let mode = if lanes > 1 { mode } else { LaneMode::Inline };
-    let outs = match mode {
-        LaneMode::Inline => run_inline(
-            cfg,
-            &map,
-            &crash,
-            &link_owner,
-            plan,
-            lanes,
-            lookahead,
-            &shared,
-            program,
-        ),
-        LaneMode::Threads => run_threads(
-            cfg,
-            &map,
-            &crash,
-            &link_owner,
-            plan,
-            lanes,
-            lookahead,
-            &shared,
-            program,
-        ),
-    };
-    let stats = LaneStats {
-        lanes,
-        rounds: shared.rounds.load(Ordering::Relaxed),
-        events: outs.iter().map(|o| o.events).sum(),
-        mail_msgs: shared.mail_msgs.load(Ordering::Relaxed),
-        per_lane_events: outs.iter().map(|o| o.events).collect(),
-    };
-    let (results, report) = assemble(cfg, outs);
-    (results, report, stats)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_inline<T, F, Fut>(
-    cfg: &MachineConfig,
-    map: &LaneMap,
-    crash: &std::sync::Arc<[SimTime]>,
-    link_owner: &[usize],
-    plan: &FaultPlan,
-    lanes: usize,
-    lookahead: Dur,
-    shared: &Shared,
-    program: &F,
-) -> Vec<LaneOut<T>>
-where
-    T: 'static,
-    F: Fn(Node) -> Fut,
-    Fut: Future<Output = T> + 'static,
-{
-    let shared_cfg = Rc::new(cfg.clone());
-    let mut ls: Vec<Lane<T>> = (0..lanes)
-        .map(|l| {
-            let (cfg, rec) = (Rc::clone(&shared_cfg), Rc::new(NullRecorder));
-            setup(cfg, rec, Some((map, crash, l)), link_owner, plan, program)
-        })
-        .collect();
-    for l in &mut ls {
-        l.flush(shared);
-    }
-    for l in &mut ls {
-        l.drain(shared);
-        l.publish(shared);
-    }
-    loop {
-        match decide(shared, lookahead) {
-            Decision::Done => break,
-            Decision::Deadlock => {
-                let stuck: Vec<String> = ls
-                    .iter()
-                    .flat_map(|l| l.core.borrow().stuck_report())
-                    .collect();
-                let live = ls.iter().map(|l| l.tasks.live()).sum();
-                deadlock_panic(&cfg.name, live, &stuck);
-            }
-            Decision::Orphans => {
-                for l in &mut ls {
-                    l.abort_orphans();
-                    l.publish(shared);
-                }
-            }
-            Decision::Run(horizon) => {
-                shared.rounds.fetch_add(1, Ordering::Relaxed);
-                for l in &mut ls {
-                    l.process_window(horizon);
-                    l.flush(shared);
-                }
-                for l in &mut ls {
-                    l.drain(shared);
-                    l.publish(shared);
-                }
-            }
-        }
-    }
-    ls.into_iter().map(finish).collect()
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_threads<T, F, Fut>(
-    cfg: &MachineConfig,
-    map: &LaneMap,
-    crash: &std::sync::Arc<[SimTime]>,
-    link_owner: &[usize],
-    plan: &FaultPlan,
-    lanes: usize,
-    lookahead: Dur,
-    shared: &Shared,
-    program: &F,
-) -> Vec<LaneOut<T>>
-where
-    T: Send + 'static,
-    F: Fn(Node) -> Fut + Sync,
-    Fut: Future<Output = T> + 'static,
-{
-    let barrier = Barrier::new(lanes);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..lanes)
-            .map(|lane| {
-                let (barrier, shared, link_owner) = (&barrier, shared, link_owner);
-                s.spawn(move || {
-                    let (cfg_rc, rec) = (Rc::new(cfg.clone()), Rc::new(NullRecorder));
-                    let sharding = Some((map, crash, lane));
-                    let mut l: Lane<T> = setup(cfg_rc, rec, sharding, link_owner, plan, program);
-                    // Round structure: work -> flush -> barrier ->
-                    // drain + publish -> barrier -> decide. Writes to
-                    // `shared` happen strictly between the two barriers,
-                    // reads strictly after the second, so every lane
-                    // decides on the same snapshot.
-                    l.flush(shared);
-                    barrier.wait();
-                    l.drain(shared);
-                    l.publish(shared);
-                    barrier.wait();
-                    loop {
-                        match decide(shared, lookahead) {
-                            Decision::Done => break,
-                            Decision::Deadlock => {
-                                shared
-                                    .stuck
-                                    .lock()
-                                    .expect("stuck list")
-                                    .extend(l.core.borrow().stuck_report());
-                                let leader = barrier.wait().is_leader();
-                                if leader {
-                                    let stuck =
-                                        std::mem::take(&mut *shared.stuck.lock().expect("stuck"));
-                                    let live =
-                                        shared.live.iter().map(|a| a.load(Ordering::SeqCst)).sum();
-                                    deadlock_panic(&cfg.name, live, &stuck);
-                                }
-                                break;
-                            }
-                            Decision::Orphans => {
-                                l.abort_orphans();
-                                barrier.wait();
-                                l.publish(shared);
-                                barrier.wait();
-                            }
-                            Decision::Run(horizon) => {
-                                if lane == 0 {
-                                    shared.rounds.fetch_add(1, Ordering::Relaxed);
-                                }
-                                l.process_window(horizon);
-                                l.flush(shared);
-                                barrier.wait();
-                                l.drain(shared);
-                                l.publish(shared);
-                                barrier.wait();
-                            }
-                        }
-                    }
-                    finish(l)
-                })
+    let workers = workers.min(lanes);
+    assert!(workers == 1 || workers == lanes, "{workers} workers");
+    let barrier = Barrier::new(workers);
+    // A lane is built, driven and finished by one worker: its `Rc`s never
+    // leave the thread.
+    let work = |mine: Range<usize>| -> Vec<LaneOut<T>> {
+        let cfg = Rc::new(cfg.clone());
+        let mut ls: Vec<Lane<T>> = mine
+            .map(|l| {
+                let (cfg, rec, sharding) =
+                    (Rc::clone(&cfg), Rc::new(NullRecorder), (&map, &crash, l));
+                setup(cfg, rec, Some(sharding), &link_owner, plan, program)
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(out) => out,
-                Err(e) => std::panic::resume_unwind(e),
-            })
-            .collect()
-    })
+        drive(&mut ls, &shared, &barrier, lookahead);
+        ls.into_iter().map(finish).collect()
+    };
+    let outs = if workers == 1 {
+        work(0..lanes)
+    } else {
+        std::thread::scope(|s| {
+            let work = &work;
+            let handles: Vec<_> = (0..lanes)
+                .map(|l| s.spawn(move || work(l..l + 1)))
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
+        })
+    };
+    assemble(cfg, &shared, outs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::machine::{presets, Kernel};
+    use crate::sim::{FaultStats, Machine};
     use des::faults::MtbfModel;
 
     /// Ring exchange with a compute phase per step: every lane boundary
     /// carries mailbox traffic both ways (the rank wrap-around included).
     /// Receives carry a deadline, so a crashed neighbour costs a timeout
-    /// instead of a deadlock.
+    /// instead of a deadlock — except the closing hand-off from the last
+    /// rank to rank 0, lanes away, which a dead sender strands for good.
     async fn ring_step(node: Node, n: usize) -> f64 {
         let me = node.rank();
         let (right, left) = ((me + 1) % n, (me + n - 1) % n);
@@ -763,35 +723,108 @@ mod tests {
                 Err(_) => -1.0,
             };
         }
+        if me == n - 1 {
+            node.send_f64s(0, 99, &[acc]).await;
+        } else if me == 0 {
+            acc += node.recv_f64s(Some(n - 1), Some(99)).await[0];
+        }
         acc
     }
 
-    /// The determinism contract's last clause: inline and threaded lanes
-    /// agree on results, report and lane diagnostics, fault-free and with
-    /// nodes crashing mid-run. The host's core count never picks both, so
+    /// The determinism contract's last clause: one worker and one worker
+    /// per lane agree on results, report and lane diagnostics — fault-free,
+    /// with nodes crashing mid-run, with lane-owned link outages, and with
+    /// a crash that leaves a receiver in another lane to be aborted as an
+    /// orphan. The host's core count only ever picks one worker count, so
     /// nothing else in the suite compares them.
     #[test]
-    fn inline_and_threaded_lanes_are_bit_identical() {
+    fn worker_counts_are_bit_identical() {
         let cfg = presets::delta(8, 4);
-        let n = cfg.nodes();
+        let (n, links) = (cfg.nodes(), cfg.topology.links());
         let program = |node| ring_step(node, n);
-        // Crashes land inside the fault-free run's span: about one node
-        // in five dies while its neighbours are still exchanging.
+        // Faults land inside the fault-free run's span: about one node in
+        // five dies while its neighbours are still exchanging.
         let clean = FaultPlan::none();
-        let span = run_in(LaneMode::Inline, &cfg, 2, &clean, &program)
-            .1
-            .elapsed;
+        let span = run_in(1, &cfg, 2, &clean, &program).1.elapsed;
         let crashes = FaultPlan::seeded(0xC0FFEE, &MtbfModel::node_crashes(span * 4), n, 0, span);
-        assert!(!crashes.events().is_empty(), "crash plan is empty");
-        for plan in [clean, crashes] {
+        let outages = MtbfModel::link_outages(span * 8, span / 4);
+        let outages = FaultPlan::seeded(0xFACADE, &outages, 0, links, span);
+        let mut stranding = FaultPlan::none();
+        stranding.push(
+            SimTime::ZERO + span / 2,
+            FaultKind::NodeCrash { node: n - 1 },
+        );
+        type Struck = fn(&FaultStats) -> bool;
+        let plans: [(FaultPlan, Struck); 4] = [
+            (clean, |f| !f.any()),
+            (crashes, |f| f.node_crashes > 0),
+            (outages, |f| f.link_faults > 0 && f.node_crashes == 0),
+            (stranding, |f| f.node_crashes == 1 && f.orphaned_tasks == 1),
+        ];
+        for (i, (plan, struck)) in plans.iter().enumerate() {
             for lanes in [2usize, 4] {
-                let inline = run_in(LaneMode::Inline, &cfg, lanes, &plan, &program);
-                let threads = run_in(LaneMode::Threads, &cfg, lanes, &plan, &program);
-                assert_eq!(inline.2.lanes, lanes);
-                assert!(inline.2.mail_msgs > 0, "no cross-lane traffic");
-                assert_eq!(inline.1.faults.node_crashes > 0, !plan.events().is_empty());
-                assert_eq!(inline, threads, "lanes={lanes}");
+                let one = run_in(1, &cfg, lanes, plan, &program);
+                assert_eq!(one.2.lanes, lanes);
+                assert!(one.2.mail_msgs > 0, "no cross-lane traffic");
+                assert!(struck(&one.1.faults), "plan {i}: {:?}", one.1.faults);
+                let per_lane = run_in(lanes, &cfg, lanes, plan, &program);
+                assert_eq!(one, per_lane, "plan {i}, lanes={lanes}");
             }
+        }
+    }
+
+    /// The liveness rule: a fault owned by a lane whose own programs are
+    /// done still strikes while a peer lane has a live program, exactly as
+    /// on the single-queue engine. Here it turns rank 0's wait on node 7
+    /// from a deadlock into an orphan.
+    #[test]
+    fn fault_in_a_finished_lane_still_strikes() {
+        let m = Machine::new(presets::delta(4, 2));
+        let mut plan = FaultPlan::none();
+        plan.push(SimTime(1_000), FaultKind::NodeCrash { node: 7 });
+        let program = |node: Node| async move {
+            if node.rank() == 0 {
+                node.recv(Some(7), None).await;
+            }
+            node.rank()
+        };
+        let (out, report) = m.run_with_faults(&plan, program);
+        assert_eq!(out[0], None);
+        assert_eq!(report.faults.node_crashes, 1);
+        assert_eq!(report.faults.orphaned_tasks, 1);
+        assert_eq!(report.elapsed, Dur::from_micros(1));
+        for workers in [1, 2] {
+            let (lane_out, lane_report, _) = run_in(workers, m.config(), 2, &plan, &program);
+            assert_eq!(lane_out, out, "workers={workers}");
+            assert_eq!(lane_report.faults, report.faults, "workers={workers}");
+            assert_eq!(lane_report.elapsed, report.elapsed, "workers={workers}");
+        }
+    }
+
+    /// A multi-lane deadlock names every parked node in rank order,
+    /// whichever worker reaches the report first.
+    #[test]
+    fn deadlock_report_is_rank_ordered_at_any_worker_count() {
+        let cfg = presets::delta(4, 2);
+        let message = |workers: usize| {
+            let everyone_waits = |node: Node| async move {
+                node.recv(None, None).await;
+            };
+            let run = || run_in(workers, &cfg, 2, &FaultPlan::none(), &everyone_waits);
+            let panic = std::panic::catch_unwind(run).expect_err("deadlock goes unnoticed");
+            panic.downcast_ref::<String>().expect("message").clone()
+        };
+        let nodes: Vec<String> = (0..cfg.nodes())
+            .map(|r| format!("  node {r}: recv(src=None, tag=None)"))
+            .collect();
+        let expected = format!(
+            "deadlock on {}: 8 tasks parked, no events\n{}",
+            cfg.name,
+            nodes.join("\n")
+        );
+        assert_eq!(message(1), expected);
+        for _ in 0..20 {
+            assert_eq!(message(2), expected);
         }
     }
 }

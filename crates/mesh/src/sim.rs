@@ -418,7 +418,7 @@ pub(crate) struct SimCore {
     pub(crate) q: EventQueue<Event>,
     /// Shared with the owning [`Machine`] and every [`Node`] handle —
     /// the config is immutable for the whole run, so nobody clones it.
-    cfg: Rc<MachineConfig>,
+    pub(crate) cfg: Rc<MachineConfig>,
     link_busy_until: Vec<SimTime>,
     mailbox: Vec<VecDeque<Msg>>,
     pending: Vec<VecDeque<PendingRecv>>,
@@ -451,8 +451,8 @@ pub(crate) struct SimCore {
     node_track: Vec<TrackId>,
     link_track: Vec<TrackId>,
     /// `Some` when this core is one lane of a sharded run; `None` for the
-    /// legacy single-queue engine (every pre-existing entry point), which
-    /// keeps the fault-free fast paths untouched.
+    /// lone lane of the single-queue engine, which owns every node and
+    /// never takes a cross-lane branch.
     pub(crate) shard: Option<ShardState>,
 }
 
@@ -693,7 +693,7 @@ impl SimCore {
 
     /// Apply one calendar event and say what the executor must do next.
     ///
-    /// Ordering invariant: both dispatch loops apply exactly one event
+    /// Ordering invariant: the dispatch loop applies exactly one event
     /// between two `run_ready` passes, and a pass ends with the ready
     /// queue empty. The at most one task an event resumes is therefore
     /// queued alone, by id ([`des::LaneTasks::wake`]), and everything it then
@@ -1403,48 +1403,8 @@ impl Machine {
         F: Fn(Node) -> Fut,
         Fut: Future<Output = T> + 'static,
     {
-        let rec_on = rec.is_enabled();
-        let des_track = if rec_on {
-            rec.track(names::DES, "executor")
-        } else {
-            0
-        };
-        let cfg = Rc::clone(&self.cfg);
-        let mut lane = crate::shard::setup(cfg, Rc::clone(&rec), None, &[], plan, &program);
-        // Sample executor/event-queue depth every `SAMPLE_EVERY` dispatch
-        // iterations — frequent enough to see backlog build-up, sparse
-        // enough not to dominate the trace.
-        const SAMPLE_EVERY: u64 = 64;
-        let mut dispatches: u64 = 0;
-        while !lane.tasks.all_done() {
-            if !lane.dispatch_one(None) {
-                if lane.core.borrow().counters.faults.any() {
-                    // Graceful degradation: survivors blocked forever
-                    // on dead peers are casualties of the fault, not
-                    // a program bug. Abort them and finish the run.
-                    lane.abort_orphans();
-                    continue;
-                }
-                crate::shard::deadlock_panic(
-                    &self.cfg.name,
-                    lane.tasks.live(),
-                    &lane.core.borrow().stuck_report(),
-                );
-            }
-            if rec_on {
-                dispatches += 1;
-                if dispatches.is_multiple_of(SAMPLE_EVERY) {
-                    let (c, tasks) = (lane.core.borrow(), &lane.tasks);
-                    let ts = c.q.now().nanos();
-                    rec.counter(des_track, "event_queue_depth", ts, c.q.len() as f64);
-                    rec.counter(des_track, "ready_tasks", ts, tasks.ready_len() as f64);
-                    rec.counter(des_track, "live_tasks", ts, tasks.live() as f64);
-                    rec.counter(des_track, "task_polls", ts, tasks.polls() as f64);
-                }
-            }
-            lane.tasks.run_ready();
-        }
-        crate::shard::assemble(&self.cfg, vec![crate::shard::finish(lane)])
+        let (results, report, _) = crate::shard::run_lone(&self.cfg, rec, plan, &program);
+        (results, report)
     }
 
     /// Run one program per node on the sharded conservative-parallel
@@ -1454,15 +1414,17 @@ impl Machine {
     /// and executor, synchronized by bounded-lag windows whose width is
     /// the network's cross-lane [`crate::machine::NetModel::lookahead`].
     ///
-    /// `lanes <= 1` (or a machine too small to split) runs on the legacy
-    /// single-queue engine — bit-identical to [`Machine::run`] by
-    /// construction, since it *is* that code path. Multi-lane runs keep
+    /// `lanes <= 1` (or a machine too small to split) is the single-queue
+    /// engine — bit-identical to [`Machine::run`] by construction, since
+    /// it *is* that call: one unsharded lane, no horizon. Multi-lane runs
+    /// go through the same dispatch loop ([`crate::shard`]); they keep
     /// exact link-occupancy timing inside each lane and time cross-lane
     /// messages analytically (uncontended), so final results are
     /// lane-count-invariant for timing-insensitive programs while
     /// per-event timestamps may differ from the single-lane schedule.
-    /// Lanes execute on threads when the host has more than one CPU,
-    /// inline round-robin otherwise; both modes give the same answer.
+    /// One worker thread per lane drives them when the host has more
+    /// than one CPU, the calling thread drives them all otherwise; the
+    /// worker count cannot change the answer.
     ///
     /// This is the lane-parallel counterpart of
     /// [`Machine::run_with_faults`]: node crashes and slowdowns are
@@ -1472,9 +1434,9 @@ impl Machine {
     ///
     /// Also returns the lane-runtime diagnostics
     /// ([`crate::shard::LaneStats`]): windows executed, per-lane event
-    /// throughput, cross-lane mailbox traffic. On the single-lane
-    /// (legacy-engine) path the stats degenerate to one lane carrying
-    /// every event with zero windows and zero mailbox traffic.
+    /// throughput, cross-lane mailbox traffic. At one lane they are one
+    /// lane carrying every event, zero rounds (nobody to synchronize
+    /// with) and zero mailbox traffic.
     pub fn run_sharded_stats<T, F, Fut>(
         &self,
         lanes: usize,
@@ -1488,23 +1450,14 @@ impl Machine {
     {
         let lanes = LaneMap::new(&self.cfg.topology, lanes).lanes();
         if lanes <= 1 {
-            // One lane IS the legacy engine: same code, same bits.
-            let (results, report) = self.run_with_faults(plan, program);
-            let stats = crate::shard::LaneStats {
-                lanes: 1,
-                rounds: 0,
-                events: report.events,
-                mail_msgs: 0,
-                per_lane_events: vec![report.events],
-            };
-            return (results, report, stats);
+            return crate::shard::run_lone(&self.cfg, Rc::new(NullRecorder), plan, &program);
         }
         crate::shard::run(&self.cfg, lanes, plan, &program)
     }
 
-    /// Test hook: force the window runtime even at one lane, where its
-    /// event order must reproduce the legacy engine exactly. Not part of
-    /// the public API contract.
+    /// Test hook: one *sharded* lane under the lookahead horizon, where
+    /// the windowed event order must reproduce [`Machine::run_with_faults`]
+    /// exactly. Not part of the public API contract.
     #[doc(hidden)]
     pub fn run_windowed_exact<T, F, Fut>(
         &self,
@@ -1517,8 +1470,7 @@ impl Machine {
         F: Fn(Node) -> Fut + Sync,
         Fut: Future<Output = T> + 'static,
     {
-        let lanes = LaneMap::new(&self.cfg.topology, lanes).lanes();
-        let (results, report, _stats) = crate::shard::run(&self.cfg, lanes, plan, &program);
+        let (results, report, _) = crate::shard::run(&self.cfg, lanes, plan, &program);
         (results, report)
     }
 }

@@ -1,16 +1,19 @@
-//! Property tests for the sharded conservative-parallel engine.
+//! Property tests for the mesh engine across lane counts. Every entry
+//! point runs the one dispatch loop (`shard::drive`); these are the
+//! proofs that the lane count and the horizon do not leak into results.
 //!
 //! Three invariants, in decreasing strictness:
 //!
-//! 1. **Single-lane bit-identity.** One lane of the window runtime is
-//!    the legacy dispatch loop with an infinite horizon: identical
-//!    event order, identical outputs, identical report — compared
-//!    field-for-field including elapsed virtual time and event counts,
-//!    under seeded fault plans and `recv_timeout`-based recovery.
-//! 2. **Legacy engine untouched.** Seeded runs with a `MemRecorder`
-//!    attached replay bit-identically run-to-run (the refactored
-//!    executor preserves poll order), and running the sharded engine
-//!    in between perturbs nothing (no global state).
+//! 1. **Single-lane bit-identity.** One sharded lane under the lookahead
+//!    horizon (`run_windowed_exact`) and the single-queue engine (one
+//!    unsharded lane, no horizon) give identical event order, identical
+//!    outputs, identical report — compared field-for-field including
+//!    elapsed virtual time and event counts, under seeded fault plans
+//!    and `recv_timeout`-based recovery.
+//! 2. **No residue.** Seeded single-queue runs with a `MemRecorder`
+//!    attached replay bit-identically run-to-run (the executor
+//!    preserves poll order), and a multi-lane run in between perturbs
+//!    nothing (no global state).
 //! 3. **Lane-count invariance.** For timing-insensitive programs,
 //!    final results and fault accounting do not depend on how many
 //!    lanes the mesh is split into — only per-event timestamps may
@@ -202,9 +205,8 @@ proptest! {
         prop_assert_eq!(run1, run2);
     }
 
-    /// The legacy recorded engine is untouched: seeded traced runs
-    /// replay bit-identically, with a sharded run in between to prove
-    /// the new engine leaves no residue.
+    /// Seeded traced single-queue runs replay bit-identically, with a
+    /// multi-lane run in between to prove it leaves no residue.
     #[test]
     fn recorded_legacy_runs_survive_sharded_interleaving(
         rows in 1usize..4,
@@ -230,7 +232,7 @@ proptest! {
     }
 }
 
-/// Zero-fault sharded runs complete and agree with the legacy engine on
+/// Zero-fault sharded runs complete and agree with `Machine::run` on
 /// results for a deterministic program (plain #[test]: the all-lanes
 /// sweep on the 16x33 Delta is too big for a proptest case budget).
 #[test]

@@ -243,3 +243,66 @@ fn wan_engine_schedule_is_independent_of_solver_path() {
         assert_eq!(finishes(net, global, specs, faults), want);
     }
 }
+
+/// One dispatch loop behind every mesh entry point: a halo exchange gives
+/// the same outputs from `Machine::run`, from one lane and from two
+/// lanes; the one-lane call *is* the single-queue engine (same results,
+/// same report, no synchronization round, no mailbox traffic).
+#[test]
+fn mesh_entry_points_agree_at_one_and_two_lanes() {
+    use delta_mesh::{FaultPlan, LaneStats, Node};
+
+    const COLS: usize = 6;
+    async fn halo(node: Node) -> f64 {
+        let (me, n) = (node.rank(), node.nranks());
+        let mut nbrs = Vec::new();
+        if me >= COLS {
+            nbrs.push(me - COLS);
+        }
+        if me + COLS < n {
+            nbrs.push(me + COLS);
+        }
+        if me % COLS > 0 {
+            nbrs.push(me - 1);
+        }
+        if (me + 1) % COLS > 0 {
+            nbrs.push(me + 1);
+        }
+        node.compute(Kernel::Stencil, 1.0e5).await;
+        for &nb in &nbrs {
+            node.send_f64s(nb, me as u64, &[(me * 10 + 1) as f64]).await;
+        }
+        let mut acc = 0.0;
+        for &nb in &nbrs {
+            acc += node.recv_f64s(Some(nb), Some(nb as u64)).await[0];
+        }
+        acc
+    }
+
+    let m = Machine::new(presets::delta(8, COLS));
+    let clean = FaultPlan::none();
+    let (base, _) = m.run(halo);
+    let base: Vec<Option<f64>> = base.into_iter().map(Some).collect();
+    let single = m.run_with_faults(&clean, halo);
+    let (out1, report1, stats1) = m.run_sharded_stats(1, &clean, halo);
+    let (out2, report2, stats2) = m.run_sharded_stats(2, &clean, halo);
+
+    assert_eq!(base, single.0);
+    assert_eq!((out1, report1.clone()), single);
+    assert_eq!(
+        stats1,
+        LaneStats {
+            lanes: 1,
+            rounds: 0,
+            events: report1.events,
+            mail_msgs: 0,
+            per_lane_events: vec![report1.events],
+        }
+    );
+    assert_eq!(out2, base);
+    assert_eq!(report2.messages, report1.messages);
+    assert_eq!(stats2.lanes, 2);
+    // One row of six columns sends up and one sends down across the cut.
+    assert_eq!(stats2.mail_msgs, 2 * COLS as u64);
+    assert!(stats2.rounds > 0);
+}
