@@ -31,11 +31,9 @@ use delta_mesh::{presets, FaultKind, FaultPlan, Kernel, Machine, MtbfModel, Node
 use des::time::{Dur, SimTime};
 use hpcc_core::{fnum, Table};
 use hpcc_kernels::sim::lu2d;
-use hpcc_trace::{names, NullRecorder, Recorder, StreamRecorder, TelemetryServer};
+use hpcc_trace::{http, names, NullRecorder, Recorder, StreamRecorder, TelemetryServer};
 use nren_netsim::{topologies, FlowSim, LinkFault};
 use std::fmt::Write as _;
-use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpStream};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -70,28 +68,6 @@ pub struct TelemetryRow {
     pub identical: bool,
 }
 
-/// Blocking GET against the telemetry server; returns (status, body).
-fn http_get(addr: SocketAddr, path: &str) -> std::io::Result<(u16, String)> {
-    let mut sock = TcpStream::connect(addr)?;
-    sock.set_read_timeout(Some(Duration::from_secs(10)))?;
-    write!(
-        sock,
-        "GET {path} HTTP/1.1\r\nHost: hpcc\r\nConnection: close\r\n\r\n"
-    )?;
-    let mut raw = String::new();
-    sock.read_to_string(&mut raw)?;
-    let status = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    Ok((status, body))
-}
-
 /// Run `work` with `nscrapers` HTTP readers polling `/metrics` and
 /// tailing `/trace` against `rec` the whole time. Returns the work's
 /// value plus (scrapes, p50 ms, p99 ms) of the scrape round-trips, by
@@ -108,11 +84,11 @@ fn with_scrapers<R>(
         let (mut cursor, mut lat_ms) = (0u64, Vec::new());
         loop {
             let t = Instant::now();
-            let (code, body) = http_get(addr, "/metrics").expect("scrape /metrics");
+            let (code, body) = http::get(addr, "/metrics").expect("scrape /metrics");
             assert_eq!(code, 200, "scrape failed");
             assert!(body.contains("hpcc_recorder_events_total"));
             let (code, chunk) =
-                http_get(addr, &format!("/trace?since={cursor}&max=2048")).expect("tail /trace");
+                http::get(addr, &format!("/trace?since={cursor}&max=2048")).expect("tail /trace");
             assert_eq!(code, 200, "tail failed");
             let doc = hpcc_trace::json::parse(&chunk).expect("chunk is valid JSON");
             cursor = doc

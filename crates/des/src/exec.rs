@@ -69,7 +69,7 @@ type BoxedTask = Pin<Box<dyn Future<Output = ()> + 'static>>;
 /// Each task's [`Waker`] is built once at spawn and reused for every
 /// poll, and the run queue is a plain `VecDeque` owned by the executor:
 /// spawning, [`LaneTasks::wake`] and polling allocate nothing and take
-/// no lock. Only a fired `Waker` goes through the shared [`WakeQueue`].
+/// no lock. Only a fired `Waker` goes through the shared `WakeQueue`.
 pub struct LaneTasks {
     slots: Vec<Option<BoxedTask>>,
     wakers: Vec<Waker>,

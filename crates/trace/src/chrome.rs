@@ -1,4 +1,4 @@
-//! Chrome `trace_event` JSON exporter.
+//! Chrome `trace_event` JSON writer — the only one in the crate.
 //!
 //! Emits the "JSON object format" (`{"traceEvents": [...]}`) understood by
 //! Perfetto and `chrome://tracing`. Each recorded process becomes a Chrome
@@ -7,173 +7,168 @@
 //! counters `ph:"C"`; `process_name` / `thread_name` metadata events label
 //! the rows.
 //!
+//! The row functions (`tracks`, `span`, `instant`, `counter`)
+//! append to the caller's `String` and allocate nothing per row or per
+//! field. [`MemRecorder::to_chrome_json`] and
+//! [`crate::StreamRecorder::trace_chunk`] are envelopes around them, so a
+//! post-hoc document and a live chunk spell every row the same way.
+//!
 //! Timestamps are microseconds. Simulator times are exact integer
 //! nanoseconds, so they are written as exact decimals (`ns/1000` with a
-//! three-digit fraction) rather than routed through floating point. Events
-//! are sorted by (pid, tid, ts), which makes per-track timestamps
-//! monotonically non-decreasing — the property the golden test and the CI
-//! check assert.
+//! three-digit fraction) rather than routed through floating point. The
+//! post-hoc export sorts events by (pid, tid, ts), which makes per-track
+//! timestamps monotonically non-decreasing — the property the golden test
+//! and the CI check assert.
 
-use crate::{Event, MemRecorder, Track, TrackId};
+use std::fmt::{self, Write as _};
+
+use crate::{Event, MemRecorder, Tracks};
 
 impl MemRecorder {
     /// Serialize the buffered trace to Chrome `trace_event` JSON.
     pub fn to_chrome_json(&self) -> String {
-        self.with(export)
-    }
-}
-
-/// pid/tid assignment for one track: pids number distinct process names in
-/// first-appearance order, tids number tracks within their process. Shared
-/// with the streaming chunk exporter so live chunks and post-hoc exports
-/// agree on row identity.
-pub(crate) fn layout(tracks: &[Track]) -> Vec<(u32, u32)> {
-    let mut processes: Vec<&str> = Vec::new();
-    let mut per_process_tids: Vec<u32> = Vec::new();
-    let mut out = Vec::with_capacity(tracks.len());
-    for t in tracks {
-        let pidx = match processes.iter().position(|p| *p == t.process) {
-            Some(i) => i,
-            None => {
-                processes.push(&t.process);
-                per_process_tids.push(0);
-                processes.len() - 1
+        let inner = self.inner.borrow();
+        let mut out = String::with_capacity(128 + inner.events.len() * 96);
+        out.push_str("{\"traceEvents\":[");
+        tracks(&mut out, &inner.tracks);
+        // Sort events by (pid, tid, ts); the sort is stable, so simultaneous
+        // events keep emission order.
+        let mut ordered: Vec<&Event> = inner.events.iter().collect();
+        ordered.sort_by_key(|e| (inner.tracks.chrome_id(e.track()), e.ts_ns()));
+        for e in ordered {
+            let id = inner.tracks.chrome_id(e.track());
+            match e {
+                Event::Span {
+                    cat,
+                    name,
+                    start_ns,
+                    end_ns,
+                    ..
+                } => span(&mut out, id, cat, name, *start_ns, *end_ns),
+                Event::Instant {
+                    cat, name, at_ns, ..
+                } => instant(&mut out, id, cat, name, *at_ns),
+                Event::Counter {
+                    name, at_ns, value, ..
+                } => counter(&mut out, id, name, *at_ns, *value),
             }
-        };
-        per_process_tids[pidx] += 1;
-        out.push((pidx as u32 + 1, per_process_tids[pidx]));
+        }
+        out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
+        out
     }
-    out
 }
 
-fn export(tracks: &[Track], events: &[Event]) -> String {
-    let ids = layout(tracks);
-    let mut out = String::with_capacity(128 + events.len() * 96);
-    out.push_str("{\"traceEvents\":[");
-    let mut first = true;
-    let push = |s: String, out: &mut String, first: &mut bool| {
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-        out.push('\n');
-        out.push_str(&s);
-    };
+/// Start the next row of the `traceEvents` array `out` ends in: every row
+/// but the one right after the opening bracket follows a comma.
+fn next_row(out: &mut String) {
+    if !out.ends_with('[') {
+        out.push(',');
+    }
+    out.push('\n');
+}
 
-    // Metadata: name each process once, each thread (track) once.
-    let mut named_pids: Vec<u32> = Vec::new();
-    for (track, &(pid, tid)) in tracks.iter().zip(&ids) {
-        if !named_pids.contains(&pid) {
-            named_pids.push(pid);
-            push(
-                format!(
-                    "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\
-                     \"args\":{{\"name\":{}}}}}",
-                    quote(&track.process)
-                ),
-                &mut out,
-                &mut first,
+/// Metadata rows: name each process once, each thread (track) once. A
+/// process is named ahead of its first track, which is the one with tid 1.
+pub(crate) fn tracks(out: &mut String, tracks: &Tracks) {
+    for (id, track) in tracks.rows().iter().enumerate() {
+        let (pid, tid) = tracks.chrome_id(id as u32);
+        let (process, thread) = (Quote(&track.process), Quote(&track.thread));
+        if tid == 1 {
+            next_row(out);
+            let _ = write!(
+                out,
+                "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\
+                 \"args\":{{\"name\":{process}}}}}"
             );
         }
-        push(
-            format!(
-                "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":{}}}}}",
-                quote(&track.thread)
-            ),
-            &mut out,
-            &mut first,
+        next_row(out);
+        let _ = write!(
+            out,
+            "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\
+             \"args\":{{\"name\":{thread}}}}}"
         );
     }
-
-    // Sort events by (pid, tid, ts); the sort is stable, so simultaneous
-    // events keep emission order.
-    let mut ordered: Vec<&Event> = events.iter().collect();
-    ordered.sort_by_key(|e| {
-        let (pid, tid) = id_of(e.track(), &ids);
-        (pid, tid, e.ts_ns())
-    });
-
-    for e in ordered {
-        let (pid, tid) = id_of(e.track(), &ids);
-        let rec = match e {
-            Event::Span {
-                cat,
-                name,
-                start_ns,
-                end_ns,
-                ..
-            } => format!(
-                "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"dur\":{},\
-                 \"cat\":{},\"name\":{}}}",
-                us(*start_ns),
-                us(end_ns - start_ns),
-                quote(cat),
-                quote(name)
-            ),
-            Event::Instant {
-                cat, name, at_ns, ..
-            } => format!(
-                "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\
-                 \"cat\":{},\"name\":{}}}",
-                us(*at_ns),
-                quote(cat),
-                quote(name)
-            ),
-            Event::Counter {
-                name, at_ns, value, ..
-            } => format!(
-                "{{\"ph\":\"C\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"name\":{},\
-                 \"args\":{{\"value\":{}}}}}",
-                us(*at_ns),
-                quote(name),
-                num(*value)
-            ),
-        };
-        push(rec, &mut out, &mut first);
-    }
-
-    out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
-    out
 }
 
-fn id_of(track: TrackId, ids: &[(u32, u32)]) -> (u32, u32) {
-    // Events on unregistered tracks (disabled-recorder dummy id) land on a
-    // synthetic (0, 0) row rather than panicking.
-    ids.get(track as usize).copied().unwrap_or((0, 0))
+/// A complete event: the interval `[start_ns, end_ns]` on row `(pid, tid)`.
+pub(crate) fn span(
+    out: &mut String,
+    (pid, tid): (u32, u32),
+    cat: &str,
+    name: &str,
+    start_ns: u64,
+    end_ns: u64,
+) {
+    let (ts, dur, cat, name) = (Us(start_ns), Us(end_ns - start_ns), Quote(cat), Quote(name));
+    next_row(out);
+    let _ = write!(
+        out,
+        "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"dur\":{dur},\
+         \"cat\":{cat},\"name\":{name}}}"
+    );
+}
+
+/// A thread-scoped instant event.
+pub(crate) fn instant(out: &mut String, (pid, tid): (u32, u32), cat: &str, name: &str, at_ns: u64) {
+    let (ts, cat, name) = (Us(at_ns), Quote(cat), Quote(name));
+    next_row(out);
+    let _ = write!(
+        out,
+        "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\
+         \"cat\":{cat},\"name\":{name}}}"
+    );
+}
+
+/// A counter sample; a non-finite value is written as 0.
+pub(crate) fn counter(
+    out: &mut String,
+    (pid, tid): (u32, u32),
+    name: &str,
+    at_ns: u64,
+    value: f64,
+) {
+    let (ts, name) = (Us(at_ns), Quote(name));
+    let value = if value.is_finite() { value } else { 0.0 };
+    next_row(out);
+    let _ = write!(
+        out,
+        "{{\"ph\":\"C\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"name\":{name},\
+         \"args\":{{\"value\":{value}}}}}"
+    );
 }
 
 /// Exact microsecond rendering of an integer nanosecond count.
-pub(crate) fn us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
-}
+struct Us(u64);
 
-/// Finite JSON number; non-finite samples are clamped to 0.
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
+impl fmt::Display for Us {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}.{:03}", self.0 / 1_000, self.0 % 1_000)
     }
 }
 
-/// JSON string literal with escaping.
-pub(crate) fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// JSON string literal with escaping. Everything that needs an escape is
+/// one ASCII byte, so the runs between them are written whole.
+struct Quote<'a>(&'a str);
+
+impl fmt::Display for Quote<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_char('"')?;
+        let mut rest = self.0;
+        while let Some(i) = rest.find(|c: char| c == '"' || c == '\\' || c < ' ') {
+            f.write_str(&rest[..i])?;
+            match rest.as_bytes()[i] {
+                b'"' => f.write_str("\\\"")?,
+                b'\\' => f.write_str("\\\\")?,
+                b'\n' => f.write_str("\\n")?,
+                b'\r' => f.write_str("\\r")?,
+                b'\t' => f.write_str("\\t")?,
+                b => write!(f, "\\u{b:04x}")?,
+            }
+            rest = &rest[i + 1..];
         }
+        f.write_str(rest)?;
+        f.write_char('"')
     }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -259,10 +254,10 @@ mod tests {
 
     #[test]
     fn timestamps_are_exact_microsecond_decimals() {
-        assert_eq!(us(0), "0.000");
-        assert_eq!(us(999), "0.999");
-        assert_eq!(us(1_000), "1.000");
-        assert_eq!(us(1_234_567), "1234.567");
+        assert_eq!(Us(0).to_string(), "0.000");
+        assert_eq!(Us(999).to_string(), "0.999");
+        assert_eq!(Us(1_000).to_string(), "1.000");
+        assert_eq!(Us(1_234_567).to_string(), "1234.567");
     }
 
     #[test]

@@ -19,6 +19,10 @@
 //! atomic cells and clones `Arc`s of frozen ring chunks, so any number of
 //! concurrent dashboard readers leave the simulation thread's fast path
 //! untouched.
+//!
+//! Parsing is apart from socket I/O: `route` maps the bytes of a request
+//! head to an endpoint or a refusal, so hostile heads are fuzzed without a
+//! socket. [`get`] is the matching minimal client.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -28,9 +32,9 @@ use std::time::Duration;
 
 use crate::stream::StreamRecorder;
 
-/// Handle for a running telemetry endpoint. Dropping the handle without
-/// calling [`TelemetryServer::stop`] leaves the accept thread running
-/// until process exit (harmless for exhibits; tests should `stop()`).
+/// Handle for a running telemetry endpoint. Dropping the handle stops
+/// the server just as [`TelemetryServer::stop`] does: it joins the accept
+/// thread.
 pub struct TelemetryServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -111,6 +115,56 @@ impl Drop for TelemetryServer {
     }
 }
 
+/// Longest request head read; a head that reaches it unterminated is
+/// answered `431`.
+const MAX_HEAD: usize = 16 * 1024;
+
+/// What a well-formed request asks for.
+#[derive(Debug, PartialEq)]
+enum Route {
+    Healthz,
+    Metrics,
+    Trace { since: u64, max: usize },
+}
+
+fn terminated(head: &[u8]) -> bool {
+    head.windows(4).any(|w| w == b"\r\n\r\n")
+}
+
+/// The endpoint the request head `head` (the bytes read so far) names, or
+/// the status and body that refuse it. Only a `GET` is ever routed.
+fn route(head: &[u8]) -> Result<Route, (u16, &'static str)> {
+    if head.len() > MAX_HEAD && !terminated(head) {
+        return Err((431, "request head too large\n"));
+    }
+    let head = String::from_utf8_lossy(head);
+    let mut parts = head.lines().next().unwrap_or("").split_whitespace();
+    let (Some(method), Some(target)) = (parts.next(), parts.next()) else {
+        return Err((400, "bad request\n"));
+    };
+    if method != "GET" {
+        return Err((405, "method not allowed\n"));
+    }
+    let (path, query) = target.split_once('?').unwrap_or((target, ""));
+    match path {
+        "/healthz" => Ok(Route::Healthz),
+        "/metrics" => Ok(Route::Metrics),
+        "/trace" => {
+            let (mut since, mut max) = (0, 100_000);
+            for kv in query.split('&') {
+                let (k, v) = kv.split_once('=').unwrap_or((kv, ""));
+                match k {
+                    "since" => since = v.parse().map_err(|_| (400, "bad since\n"))?,
+                    "max" => max = v.parse().map_err(|_| (400, "bad max\n"))?,
+                    _ => {}
+                }
+            }
+            Ok(Route::Trace { since, max })
+        }
+        _ => Err((404, "not found\n")),
+    }
+}
+
 fn handle(mut sock: TcpStream, rec: &StreamRecorder) -> std::io::Result<()> {
     sock.set_read_timeout(Some(Duration::from_secs(5)))?;
     sock.set_write_timeout(Some(Duration::from_secs(5)))?;
@@ -118,68 +172,26 @@ fn handle(mut sock: TcpStream, rec: &StreamRecorder) -> std::io::Result<()> {
     // endpoint is a GET.
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
-    loop {
+    while !terminated(&buf) && buf.len() <= MAX_HEAD {
         let n = sock.read(&mut chunk)?;
         if n == 0 {
             break;
         }
         buf.extend_from_slice(&chunk[..n]);
-        if buf.windows(4).any(|w| w == b"\r\n\r\n") || buf.len() > 16 * 1024 {
-            break;
-        }
     }
-    let head = String::from_utf8_lossy(&buf);
-    let Some(request_line) = head.lines().next() else {
-        return respond(&mut sock, 400, "text/plain", "bad request\n");
-    };
-    let mut parts = request_line.split_whitespace();
-    let (method, target) = match (parts.next(), parts.next()) {
-        (Some(m), Some(t)) => (m, t),
-        _ => return respond(&mut sock, 400, "text/plain", "bad request\n"),
-    };
-    if method != "GET" {
-        return respond(&mut sock, 405, "text/plain", "method not allowed\n");
-    }
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (target, ""),
-    };
-    match path {
-        "/healthz" => respond(&mut sock, 200, "text/plain", "ok\n"),
-        "/metrics" => {
-            let body = rec.prometheus_text();
-            respond(
-                &mut sock,
-                200,
-                "text/plain; version=0.0.4; charset=utf-8",
-                &body,
-            )
-        }
-        "/trace" => {
-            let mut since = 0u64;
-            let mut max = 100_000usize;
-            for kv in query.split('&').filter(|s| !s.is_empty()) {
-                let (k, v) = kv.split_once('=').unwrap_or((kv, ""));
-                match k {
-                    "since" => match v.parse() {
-                        Ok(s) => since = s,
-                        Err(_) => {
-                            return respond(&mut sock, 400, "text/plain", "bad since\n");
-                        }
-                    },
-                    "max" => match v.parse() {
-                        Ok(m) => max = m,
-                        Err(_) => {
-                            return respond(&mut sock, 400, "text/plain", "bad max\n");
-                        }
-                    },
-                    _ => {}
-                }
-            }
+    match route(&buf) {
+        Ok(Route::Healthz) => respond(&mut sock, 200, "text/plain", "ok\n"),
+        Ok(Route::Metrics) => respond(
+            &mut sock,
+            200,
+            "text/plain; version=0.0.4; charset=utf-8",
+            &rec.prometheus_text(),
+        ),
+        Ok(Route::Trace { since, max }) => {
             let (body, _next) = rec.trace_chunk(since, max);
             respond(&mut sock, 200, "application/json", &body)
         }
-        _ => respond(&mut sock, 404, "text/plain", "not found\n"),
+        Err((status, body)) => respond(&mut sock, status, "text/plain", body),
     }
 }
 
@@ -189,6 +201,7 @@ fn respond(sock: &mut TcpStream, status: u16, ctype: &str, body: &str) -> std::i
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        431 => "Request Header Fields Too Large",
         _ => "Error",
     };
     let head = format!(
@@ -201,32 +214,34 @@ fn respond(sock: &mut TcpStream, status: u16, ctype: &str, body: &str) -> std::i
     sock.flush()
 }
 
+/// Blocking `GET` against a telemetry server — the minimal client the
+/// tests and the `report telemetry` scrapers share. Returns (status, body);
+/// a response without a parseable status line reads as status 0.
+pub fn get(addr: SocketAddr, path: &str) -> std::io::Result<(u16, String)> {
+    let mut sock = TcpStream::connect(addr)?;
+    sock.set_read_timeout(Some(Duration::from_secs(10)))?;
+    write!(
+        sock,
+        "GET {path} HTTP/1.1\r\nHost: hpcc\r\nConnection: close\r\n\r\n"
+    )?;
+    let mut raw = String::new();
+    sock.read_to_string(&mut raw)?;
+    let status = raw
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0);
+    let body = raw
+        .split_once("\r\n\r\n")
+        .map(|(_, b)| b.to_string())
+        .unwrap_or_default();
+    Ok((status, body))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Recorder;
-
-    /// Minimal HTTP client for tests and the bench harness.
-    pub fn get(addr: SocketAddr, path: &str) -> std::io::Result<(u16, String)> {
-        let mut sock = TcpStream::connect(addr)?;
-        sock.set_read_timeout(Some(Duration::from_secs(5)))?;
-        write!(
-            sock,
-            "GET {path} HTTP/1.1\r\nHost: hpcc\r\nConnection: close\r\n\r\n"
-        )?;
-        let mut raw = String::new();
-        sock.read_to_string(&mut raw)?;
-        let status: u16 = raw
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0);
-        let body = raw
-            .split_once("\r\n\r\n")
-            .map(|(_, b)| b.to_string())
-            .unwrap_or_default();
-        Ok((status, body))
-    }
 
     fn server_with_data() -> (TelemetryServer, Arc<StreamRecorder>) {
         let rec = Arc::new(StreamRecorder::new());
@@ -273,6 +288,122 @@ mod tests {
         assert_eq!(code, 400);
 
         assert!(srv.requests() >= 5);
+        srv.stop();
+    }
+
+    #[test]
+    fn route_maps_heads_to_endpoints_and_refusals() {
+        assert_eq!(route(b"GET /healthz HTTP/1.1\r\n\r\n"), Ok(Route::Healthz));
+        assert_eq!(
+            route(b"GET /metrics?x=1 HTTP/1.1\r\n\r\n"),
+            Ok(Route::Metrics)
+        );
+        assert_eq!(
+            route(b"GET /trace HTTP/1.1\r\n\r\n"),
+            Ok(Route::Trace {
+                since: 0,
+                max: 100_000
+            })
+        );
+        assert_eq!(
+            route(b"GET /trace?&max=7&since=42&other HTTP/1.1\r\n\r\n"),
+            Ok(Route::Trace { since: 42, max: 7 })
+        );
+        let status = |head: &[u8]| route(head).map_err(|(status, _)| status);
+        assert_eq!(status(b""), Err(400));
+        assert_eq!(status(b"GET\r\n\r\n"), Err(400));
+        assert_eq!(status(b"POST /metrics HTTP/1.1\r\n\r\n"), Err(405));
+        assert_eq!(status(b"GET /nope HTTP/1.1\r\n\r\n"), Err(404));
+        assert_eq!(status(b"GET /trace?since=-1 HTTP/1.1\r\n\r\n"), Err(400));
+        // One past u64::MAX.
+        assert_eq!(
+            status(b"GET /trace?since=18446744073709551616 HTTP/1.1\r\n\r\n"),
+            Err(400)
+        );
+        assert_eq!(
+            status(b"GET /trace?max=99999999999999999999999 HTTP/1.1\r\n\r\n"),
+            Err(400)
+        );
+        // A head cut off at the cap is refused, not parsed as if complete;
+        // one that ends within it is served.
+        let mut long = b"GET /healthz?".to_vec();
+        long.resize(MAX_HEAD + 1, b'&');
+        assert_eq!(status(&long), Err(431));
+        long.truncate(MAX_HEAD - 3);
+        long.extend_from_slice(b" \r\n\r\n");
+        assert_eq!(route(&long), Ok(Route::Healthz));
+    }
+
+    /// Seeded fuzz of the request parser, no sockets: hostile heads never
+    /// panic it, and nothing but a `GET` is ever routed.
+    #[test]
+    fn fuzzed_heads_never_panic_and_only_get_is_routed() {
+        const METHODS: &[&[u8]] = &[b"GET", b"GET", b"POST", b"get", b"GETGET", b"", b"\xff"];
+        const SEPS: &[&[u8]] = &[b" ", b" ", b"\t", b"", b"\r\n", b"\0"];
+        const PATHS: &[&[u8]] = &[b"/healthz", b"/metrics", b"/trace", b"/trace", b"/", b""];
+        const QUERY: &[&[u8]] = &[
+            b"?",
+            b"&",
+            b"=",
+            b"since=",
+            b"max=",
+            b"7",
+            b"-1",
+            b"18446744073709551615",
+            b"18446744073709551616",
+            b"\xc3",
+            b"\xff\xfe",
+            b" ",
+        ];
+        const TAILS: &[&[u8]] = &[b" HTTP/1.1\r\n\r\n", b"\r\n\r\n", b"\r\n", b"\n", b""];
+        let mut rng = des::rng::Rng::new(1992);
+        let mut routed = 0;
+        for case in 0..10_000 {
+            let mut head = Vec::new();
+            match case % 8 {
+                0 => {} // empty
+                1 => head.resize(MAX_HEAD + 1, *rng.choose(b"?&=")),
+                shape => {
+                    head.extend_from_slice(rng.choose::<&[u8]>(METHODS));
+                    head.extend_from_slice(rng.choose::<&[u8]>(SEPS));
+                    head.extend_from_slice(rng.choose::<&[u8]>(PATHS));
+                    if rng.chance(0.75) {
+                        head.push(b'?');
+                    }
+                    for _ in 0..rng.below(8) {
+                        head.extend_from_slice(rng.choose::<&[u8]>(QUERY));
+                    }
+                    if shape == 2 {
+                        // Padded to either side of the cap.
+                        let len = rng.range_u64(MAX_HEAD as u64 - 8, MAX_HEAD as u64 + 8);
+                        head.resize(len as usize, *rng.choose(b"?&=a"));
+                    }
+                    head.extend_from_slice(rng.choose::<&[u8]>(TAILS));
+                }
+            }
+            if route(&head).is_ok() {
+                routed += 1;
+                let text = String::from_utf8_lossy(&head);
+                assert_eq!(
+                    text.split_whitespace().next(),
+                    Some("GET"),
+                    "routed a non-GET: {text:?}"
+                );
+            }
+        }
+        assert!(routed > 500, "only {routed} heads reached an endpoint");
+    }
+
+    /// The cap over a socket: exactly one byte past it and no terminator,
+    /// so the server has read all that was sent before it answers.
+    #[test]
+    fn oversized_head_is_answered_431() {
+        let (srv, _rec) = server_with_data();
+        let mut sock = TcpStream::connect(srv.addr()).unwrap();
+        sock.write_all(&vec![b'a'; MAX_HEAD + 1]).unwrap();
+        let mut raw = String::new();
+        sock.read_to_string(&mut raw).unwrap();
+        assert!(raw.starts_with("HTTP/1.1 431 "), "{raw}");
         srv.stop();
     }
 

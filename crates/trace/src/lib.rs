@@ -3,7 +3,7 @@
 //! The simulators (the Delta mesh, the NREN flow model, the scheduler) and
 //! the host kernels emit *spans* (an interval on a track), *instants*
 //! (a point event) and *counters* (a sampled value) through the [`Recorder`]
-//! trait. Two recorders ship here:
+//! trait. Three recorders ship here:
 //!
 //! * [`NullRecorder`] — every hook is a no-op behind a single `is_enabled()`
 //!   branch. All pre-existing entry points route through it, so an
@@ -16,6 +16,17 @@
 //!   plain-text metrics summary ([`MemRecorder::metrics_summary`]: p50/p99
 //!   latency histograms, top-k hottest links, per-node blocked-time
 //!   breakdown).
+//! * [`StreamRecorder`] — aggregates online behind atomics and keeps a
+//!   bounded ring of recent events, so a [`TelemetryServer`] can serve
+//!   `/metrics` and `/trace` while the simulation is hot (see [`stream`]).
+//!
+//! The two enabled recorders share one data model: the private `Tracks`
+//! registry interns tracks and assigns their Chrome rows, and [`chrome`]
+//! is the only writer of `trace_event` rows. They stay two because they
+//! keep different things: `MemRecorder` every event with its whole name
+//! (the ground truth `StreamRecorder` is tested against, and what the
+//! summary's per-group histograms need), `StreamRecorder` a bounded tail
+//! with names cut at 31 bytes.
 //!
 //! A *track* is a (process, thread) pair — e.g. `("mesh nodes", "node 12")`
 //! — and maps onto a Chrome pid/tid so each mesh node and each channel gets
@@ -166,10 +177,62 @@ pub struct Track {
     pub thread: String,
 }
 
+/// The track registry of both enabled recorders: interns (process,
+/// thread) pairs and assigns each track its Chrome row when it registers —
+/// pids number distinct process names in first-appearance order, tids
+/// number the tracks within their process, both from 1 — so live chunks
+/// and post-hoc exports agree on row identity and no export recomputes it.
+#[derive(Default)]
+pub(crate) struct Tracks {
+    rows: Vec<Track>,
+    /// Chrome (pid, tid) of each row.
+    ids: Vec<(u32, u32)>,
+    /// process → (pid, thread → track). Nested, so looking a track up
+    /// borrows both names and allocates nothing.
+    index: HashMap<String, (u32, HashMap<String, TrackId>)>,
+}
+
+impl Tracks {
+    pub(crate) fn get(&self, process: &str, thread: &str) -> Option<TrackId> {
+        self.index.get(process)?.1.get(thread).copied()
+    }
+
+    /// The id of `(process, thread)`, registered now if it is new.
+    pub(crate) fn intern(&mut self, process: &str, thread: &str) -> TrackId {
+        if let Some(id) = self.get(process, thread) {
+            return id;
+        }
+        let id = self.rows.len() as TrackId;
+        let next_pid = self.index.len() as u32 + 1;
+        let (pid, threads) = self
+            .index
+            .entry(process.to_string())
+            .or_insert_with(|| (next_pid, HashMap::new()));
+        threads.insert(thread.to_string(), id);
+        self.ids.push((*pid, threads.len() as u32));
+        self.rows.push(Track {
+            process: process.to_string(),
+            thread: thread.to_string(),
+        });
+        id
+    }
+
+    /// The registered tracks, in id order.
+    pub(crate) fn rows(&self) -> &[Track] {
+        &self.rows
+    }
+
+    /// Chrome (pid, tid) of `track`. An event on an unregistered track (a
+    /// disabled recorder's dummy id) lands on a synthetic (0, 0) row
+    /// rather than panicking.
+    pub(crate) fn chrome_id(&self, track: TrackId) -> (u32, u32) {
+        self.ids.get(track as usize).copied().unwrap_or((0, 0))
+    }
+}
+
 #[derive(Default)]
 struct MemInner {
-    tracks: Vec<Track>,
-    index: HashMap<(String, String), TrackId>,
+    tracks: Tracks,
     events: Vec<Event>,
 }
 
@@ -196,12 +259,12 @@ impl MemRecorder {
 
     /// Number of registered tracks.
     pub fn track_count(&self) -> usize {
-        self.inner.borrow().tracks.len()
+        self.inner.borrow().tracks.rows().len()
     }
 
     /// Snapshot of the registered tracks, in registration (id) order.
     pub fn tracks(&self) -> Vec<Track> {
-        self.inner.borrow().tracks.clone()
+        self.inner.borrow().tracks.rows().to_vec()
     }
 
     /// Snapshot of the buffered events, in emission order.
@@ -212,7 +275,7 @@ impl MemRecorder {
     /// Run `f` over the buffered state without cloning it.
     pub fn with<R>(&self, f: impl FnOnce(&[Track], &[Event]) -> R) -> R {
         let inner = self.inner.borrow();
-        f(&inner.tracks, &inner.events)
+        f(inner.tracks.rows(), &inner.events)
     }
 }
 
@@ -222,18 +285,7 @@ impl Recorder for MemRecorder {
     }
 
     fn track(&self, process: &str, thread: &str) -> TrackId {
-        let mut inner = self.inner.borrow_mut();
-        let key = (process.to_string(), thread.to_string());
-        if let Some(&id) = inner.index.get(&key) {
-            return id;
-        }
-        let id = inner.tracks.len() as TrackId;
-        inner.tracks.push(Track {
-            process: key.0.clone(),
-            thread: key.1.clone(),
-        });
-        inner.index.insert(key, id);
-        id
+        self.inner.borrow_mut().tracks.intern(process, thread)
     }
 
     fn span(&self, track: TrackId, cat: &'static str, name: &str, start_ns: u64, end_ns: u64) {
@@ -347,6 +399,27 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(r.track_count(), 2);
         assert_eq!(r.tracks()[a as usize].thread, "node 0");
+    }
+
+    /// Interleaved process registration: pids follow first appearance,
+    /// tids count within the process, an unknown id maps to row (0, 0).
+    #[test]
+    fn tracks_number_chrome_rows_in_first_appearance_order() {
+        let mut t = Tracks::default();
+        let names = [
+            ("a", "x"),
+            ("b", "y"),
+            ("a", "z"),
+            ("c", "w"),
+            ("b", "v"),
+            ("a", "x"),
+        ];
+        let ids = names.map(|(process, thread)| t.intern(process, thread));
+        assert_eq!(ids, [0, 1, 2, 3, 4, 0]);
+        let rows: Vec<(u32, u32)> = (0..6).map(|id| t.chrome_id(id)).collect();
+        assert_eq!(rows, [(1, 1), (2, 1), (1, 2), (3, 1), (2, 2), (0, 0)]);
+        assert_eq!(t.get("b", "v"), Some(4));
+        assert_eq!(t.get("b", "x"), None);
     }
 
     #[test]

@@ -29,13 +29,20 @@
 //!
 //! ## Perturbation budget
 //!
-//! The writer-side cost per event is: one `RwLock` read lock (uncontended
-//! CAS), a ≤8-entry linear cell probe, 3–5 relaxed atomic RMWs, and one
-//! uncontended `Mutex` push into the active ring chunk. There are no
-//! allocations on the hot path (ring names are inlined up to
-//! [`SmallName::CAP`] bytes, then truncated) and readers never hold a lock
-//! the writer's fast path needs: scrapes read atomics and clone `Arc`s of
-//! frozen chunks. Like every recorder, it is a pure observer — recorded
+//! The writer-side cost per event is: one `RwLock` read lock held across
+//! a ≤8-entry linear cell probe and the cell's 1–5 relaxed atomic RMWs
+//! (the cells live in the registry, so the update runs under the guard
+//! that found them — no `Arc` to clone and drop), two more for the
+//! totals, and one uncontended `Mutex` push into the active ring chunk.
+//! Only the first event of a (track, category) takes the write lock, to
+//! insert its cell. There are no allocations on the hot path (ring names
+//! are inlined up to `SmallName::CAP` = 31 bytes, then truncated) and
+//! readers never take a lock the writer's per-event path needs
+//! exclusively: scrapes share the registry's read lock, load atomics and
+//! clone `Arc`s of frozen chunks. A reader holds that lock only while it
+//! builds its answer in memory (≈ 0.2 ms per 1,024 `/trace` events),
+//! never across socket I/O, so all it can delay is the insertion of a new
+//! cell or track. Like every recorder, it is a pure observer — recorded
 //! runs stay bit-identical to unrecorded ones (asserted in exhibit OBS-2).
 //!
 //! ## Accounting ledger
@@ -53,11 +60,11 @@
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 use des::stats::Histogram;
 
-use crate::{Recorder, Track, TrackId};
+use crate::{chrome, Recorder, Track, TrackId, Tracks};
 
 /// Sub-buckets per power of two in the log-linear histogram.
 const MINOR_BITS: u32 = 3;
@@ -98,16 +105,16 @@ pub fn bucket_hi(i: usize) -> u64 {
 /// Inline string for ring events: the hot path must not allocate. Longer
 /// names are truncated at a char boundary — the aggregation cells (which
 /// key on category, not name) are unaffected.
-#[derive(Clone, Copy)]
-pub struct SmallName {
+#[derive(Clone, Copy, PartialEq)]
+pub(crate) struct SmallName {
     len: u8,
     bytes: [u8; SmallName::CAP],
 }
 
 impl SmallName {
-    pub const CAP: usize = 31;
+    pub(crate) const CAP: usize = 31;
 
-    pub fn new(s: &str) -> SmallName {
+    pub(crate) fn new(s: &str) -> SmallName {
         let mut end = s.len().min(Self::CAP);
         while end > 0 && !s.is_char_boundary(end) {
             end -= 1;
@@ -120,7 +127,7 @@ impl SmallName {
         }
     }
 
-    pub fn as_str(&self) -> &str {
+    pub(crate) fn as_str(&self) -> &str {
         std::str::from_utf8(&self.bytes[..self.len as usize]).expect("truncated on char boundary")
     }
 }
@@ -133,35 +140,30 @@ impl std::fmt::Debug for SmallName {
 
 /// One recent event in the ring, fixed-size (no heap).
 #[derive(Debug, Clone, Copy)]
-pub struct RingEvent {
-    pub track: TrackId,
-    pub cat: &'static str,
-    pub name: SmallName,
-    pub kind: RingKind,
+pub(crate) struct RingEvent {
+    track: TrackId,
+    cat: &'static str,
+    name: SmallName,
+    kind: RingKind,
 }
 
 #[derive(Debug, Clone, Copy)]
-pub enum RingKind {
+pub(crate) enum RingKind {
     Span { start_ns: u64, end_ns: u64 },
     Instant { at_ns: u64 },
     Counter { at_ns: u64, value: f64 },
 }
 
-/// A frozen, published run of consecutive events. `base_seq` is the
-/// global sequence number of `events[0]`.
-pub struct Chunk {
-    pub base_seq: u64,
-    pub events: Vec<RingEvent>,
-}
-
-struct RingActive {
+/// A run of consecutive events: the writer's active buffer, then frozen
+/// and published. `base_seq` is the global sequence number of `events[0]`.
+pub(crate) struct Chunk {
     base_seq: u64,
     events: Vec<RingEvent>,
 }
 
 struct Ring {
     /// Writer-side buffer; readers never lock it.
-    active: Mutex<RingActive>,
+    active: Mutex<Chunk>,
     /// Frozen chunks, oldest first. Readers clone `Arc`s out under a
     /// briefly-held lock; the writer locks it once per `chunk_cap`
     /// events to publish.
@@ -192,7 +194,7 @@ pub struct RingLedger {
 impl Ring {
     fn new(chunk_cap: usize, max_chunks: usize) -> Ring {
         Ring {
-            active: Mutex::new(RingActive {
+            active: Mutex::new(Chunk {
                 base_seq: 0,
                 events: Vec::with_capacity(chunk_cap),
             }),
@@ -208,36 +210,28 @@ impl Ring {
         let mut active = self.active.lock().expect("ring active");
         active.events.push(ev);
         if active.events.len() >= self.chunk_cap {
-            let full = std::mem::replace(&mut active.events, Vec::with_capacity(self.chunk_cap));
-            let chunk = Arc::new(Chunk {
-                base_seq: active.base_seq,
-                events: full,
-            });
-            active.base_seq += self.chunk_cap as u64;
-            drop(active);
-            self.publish(chunk);
+            self.freeze(active);
         }
     }
 
     /// Publish the active chunk even if partially full (phase boundaries,
     /// end of run) so tail readers see everything emitted so far.
     fn flush(&self) {
-        let mut active = self.active.lock().expect("ring active");
-        if active.events.is_empty() {
-            return;
+        let active = self.active.lock().expect("ring active");
+        if !active.events.is_empty() {
+            self.freeze(active);
         }
-        let n = active.events.len();
-        let part = std::mem::replace(&mut active.events, Vec::with_capacity(self.chunk_cap));
-        let chunk = Arc::new(Chunk {
-            base_seq: active.base_seq,
-            events: part,
-        });
-        active.base_seq += n as u64;
-        drop(active);
-        self.publish(chunk);
     }
 
-    fn publish(&self, chunk: Arc<Chunk>) {
+    /// Swap a fresh buffer in for the active chunk and publish the old
+    /// one; chunks past `max_chunks` are evicted, oldest first, and counted.
+    fn freeze(&self, mut active: MutexGuard<'_, Chunk>) {
+        let next = Chunk {
+            base_seq: active.base_seq + active.events.len() as u64,
+            events: Vec::with_capacity(self.chunk_cap),
+        };
+        let chunk = Arc::new(std::mem::replace(&mut *active, next));
+        drop(active);
         let mut pubs = self.published.lock().expect("ring published");
         pubs.push_back(chunk);
         while pubs.len() > self.max_chunks {
@@ -260,7 +254,7 @@ impl Ring {
 
     fn ledger(&self) -> RingLedger {
         // Lock order: active then published — same as the writer's
-        // publish path, so a concurrent snapshot cannot deadlock and the
+        // `freeze`, so a concurrent snapshot cannot deadlock and the
         // two counts come from one consistent cut.
         let active = self.active.lock().expect("ring active");
         let pubs = self.published.lock().expect("ring published");
@@ -284,8 +278,8 @@ struct SpanCell {
     max_ns: AtomicU64,
 }
 
-impl SpanCell {
-    fn new() -> SpanCell {
+impl Default for SpanCell {
+    fn default() -> SpanCell {
         SpanCell {
             buckets: (0..NBUCKETS).map(|_| AtomicU64::new(0)).collect(),
             count: AtomicU64::new(0),
@@ -294,7 +288,9 @@ impl SpanCell {
             max_ns: AtomicU64::new(0),
         }
     }
+}
 
+impl SpanCell {
     #[inline]
     fn add(&self, dur_ns: u64) {
         self.buckets[bucket_of(dur_ns)].fetch_add(1, Ordering::Relaxed);
@@ -324,15 +320,17 @@ struct CounterCell {
     max_bits: AtomicU64,
 }
 
-impl CounterCell {
-    fn new() -> CounterCell {
+impl Default for CounterCell {
+    fn default() -> CounterCell {
         CounterCell {
             last_bits: AtomicU64::new(0f64.to_bits()),
             samples: AtomicU64::new(0),
             max_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
         }
     }
+}
 
+impl CounterCell {
     #[inline]
     fn sample(&self, value: f64) {
         self.last_bits.store(value.to_bits(), Ordering::Relaxed);
@@ -358,15 +356,15 @@ impl CounterCell {
 /// (≤ ~8), so a linear probe over a small Vec beats hashing.
 #[derive(Default)]
 struct TrackCells {
-    spans: Vec<(&'static str, Arc<SpanCell>)>,
-    counters: Vec<(&'static str, Arc<CounterCell>)>,
-    instants: Vec<((&'static str, SmallName), Arc<AtomicU64>)>,
+    spans: Vec<(&'static str, SpanCell)>,
+    counters: Vec<(&'static str, CounterCell)>,
+    instants: Vec<((&'static str, SmallName), AtomicU64)>,
 }
 
 #[derive(Default)]
 struct Registry {
-    tracks: Vec<Track>,
-    index: HashMap<(String, String), TrackId>,
+    tracks: Tracks,
+    /// Indexed by track id; a track's entry appears with its first event.
     cells: Vec<TrackCells>,
 }
 
@@ -477,93 +475,41 @@ impl StreamRecorder {
 
     /// Registered tracks, in id order.
     pub fn tracks(&self) -> Vec<Track> {
-        self.reg.read().expect("registry").tracks.clone()
+        self.reg.read().expect("registry").tracks.rows().to_vec()
     }
 
-    fn span_cell(&self, track: TrackId, cat: &'static str) -> Arc<SpanCell> {
-        {
-            let reg = self.reg.read().expect("registry");
-            if let Some(tc) = reg.cells.get(track as usize) {
-                if let Some((_, cell)) = tc
-                    .spans
-                    .iter()
-                    .find(|(c, _)| std::ptr::eq(*c, cat) || *c == cat)
-                {
-                    return Arc::clone(cell);
-                }
-            }
-        }
-        let mut reg = self.reg.write().expect("registry");
+    /// Apply `update` to the cell keyed `key` in the directory `dir` picks
+    /// out of `track`'s cells, under the registry guard: the read guard
+    /// when the cell exists (every event but a key's first), the write
+    /// guard to insert it.
+    fn with_cell<K: Copy + PartialEq, C: Default>(
+        &self,
+        track: TrackId,
+        key: K,
+        dir: impl Fn(&TrackCells) -> &Vec<(K, C)>,
+        dir_mut: impl Fn(&mut TrackCells) -> &mut Vec<(K, C)>,
+        update: impl Fn(&C),
+    ) {
         let idx = track as usize;
+        let hit = |dir: &Vec<(K, C)>| {
+            let cell = dir.iter().find(|(k, _)| *k == key);
+            cell.map(|(_, cell)| update(cell)).is_some()
+        };
+        let reg = self.reg.read().expect("registry");
+        if reg.cells.get(idx).is_some_and(|tc| hit(dir(tc))) {
+            return;
+        }
+        drop(reg);
+        let mut reg = self.reg.write().expect("registry");
         if reg.cells.len() <= idx {
             reg.cells.resize_with(idx + 1, TrackCells::default);
         }
-        let tc = &mut reg.cells[idx];
-        if let Some((_, cell)) = tc.spans.iter().find(|(c, _)| *c == cat) {
-            return Arc::clone(cell);
+        let dir = dir_mut(&mut reg.cells[idx]);
+        // Probe again: another writer may have inserted it in between.
+        if !hit(dir) {
+            dir.push((key, C::default()));
+            hit(dir);
         }
-        let cell = Arc::new(SpanCell::new());
-        tc.spans.push((cat, Arc::clone(&cell)));
-        cell
-    }
-
-    fn counter_cell(&self, track: TrackId, name: &'static str) -> Arc<CounterCell> {
-        {
-            let reg = self.reg.read().expect("registry");
-            if let Some(tc) = reg.cells.get(track as usize) {
-                if let Some((_, cell)) = tc
-                    .counters
-                    .iter()
-                    .find(|(c, _)| std::ptr::eq(*c, name) || *c == name)
-                {
-                    return Arc::clone(cell);
-                }
-            }
-        }
-        let mut reg = self.reg.write().expect("registry");
-        let idx = track as usize;
-        if reg.cells.len() <= idx {
-            reg.cells.resize_with(idx + 1, TrackCells::default);
-        }
-        let tc = &mut reg.cells[idx];
-        if let Some((_, cell)) = tc.counters.iter().find(|(c, _)| *c == name) {
-            return Arc::clone(cell);
-        }
-        let cell = Arc::new(CounterCell::new());
-        tc.counters.push((name, Arc::clone(&cell)));
-        cell
-    }
-
-    fn instant_cell(&self, track: TrackId, cat: &'static str, name: &str) -> Arc<AtomicU64> {
-        let small = SmallName::new(name);
-        {
-            let reg = self.reg.read().expect("registry");
-            if let Some(tc) = reg.cells.get(track as usize) {
-                if let Some((_, cell)) = tc
-                    .instants
-                    .iter()
-                    .find(|((c, n), _)| *c == cat && n.as_str() == small.as_str())
-                {
-                    return Arc::clone(cell);
-                }
-            }
-        }
-        let mut reg = self.reg.write().expect("registry");
-        let idx = track as usize;
-        if reg.cells.len() <= idx {
-            reg.cells.resize_with(idx + 1, TrackCells::default);
-        }
-        let tc = &mut reg.cells[idx];
-        if let Some((_, cell)) = tc
-            .instants
-            .iter()
-            .find(|((c, n), _)| *c == cat && n.as_str() == small.as_str())
-        {
-            return Arc::clone(cell);
-        }
-        let cell = Arc::new(AtomicU64::new(0));
-        tc.instants.push(((cat, small), Arc::clone(&cell)));
-        cell
     }
 
     /// Aggregate snapshot: per-(process, category) span quantiles (via
@@ -571,7 +517,6 @@ impl StreamRecorder {
     /// instant series, the self-accounting totals, and the ring ledger.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let reg = self.reg.read().expect("registry");
-        // --- span groups ---
         struct Group {
             hist: Histogram,
             count: u64,
@@ -580,10 +525,11 @@ impl StreamRecorder {
             max_ns: u64,
         }
         let mut groups: HashMap<(String, &'static str), Group> = HashMap::new();
-        for (id, tc) in reg.cells.iter().enumerate() {
-            let Some(track) = reg.tracks.get(id) else {
-                continue;
-            };
+        let mut counters = Vec::new();
+        let mut instants = Vec::new();
+        // A track's cells appear with its first event; cells under an id
+        // nobody registered have no (process, thread) to be served as.
+        for (track, tc) in reg.tracks.rows().iter().zip(&reg.cells) {
             for (cat, cell) in &tc.spans {
                 let g = groups
                     .entry((track.process.clone(), cat))
@@ -601,6 +547,25 @@ impl StreamRecorder {
                 g.sum_ns += cell.sum_ns.load(Ordering::Relaxed);
                 g.min_ns = g.min_ns.min(cell.min_ns.load(Ordering::Relaxed));
                 g.max_ns = g.max_ns.max(cell.max_ns.load(Ordering::Relaxed));
+            }
+            for (name, cell) in &tc.counters {
+                counters.push(CounterSeries {
+                    process: track.process.clone(),
+                    thread: track.thread.clone(),
+                    name,
+                    last: f64::from_bits(cell.last_bits.load(Ordering::Relaxed)),
+                    max: f64::from_bits(cell.max_bits.load(Ordering::Relaxed)),
+                    samples: cell.samples.load(Ordering::Relaxed),
+                });
+            }
+            for ((cat, name), cell) in &tc.instants {
+                instants.push(InstantSeries {
+                    process: track.process.clone(),
+                    thread: track.thread.clone(),
+                    category: cat,
+                    name: name.as_str().to_string(),
+                    count: cell.load(Ordering::Relaxed),
+                });
             }
         }
         let mut spans: Vec<SpanGroup> = groups
@@ -627,34 +592,7 @@ impl StreamRecorder {
             .collect();
         spans.sort_by(|a, b| (&a.process, a.category).cmp(&(&b.process, b.category)));
 
-        // --- counter + instant series ---
-        let mut counters = Vec::new();
-        let mut instants = Vec::new();
-        for (id, tc) in reg.cells.iter().enumerate() {
-            let Some(track) = reg.tracks.get(id) else {
-                continue;
-            };
-            for (name, cell) in &tc.counters {
-                counters.push(CounterSeries {
-                    process: track.process.clone(),
-                    thread: track.thread.clone(),
-                    name,
-                    last: f64::from_bits(cell.last_bits.load(Ordering::Relaxed)),
-                    max: f64::from_bits(cell.max_bits.load(Ordering::Relaxed)),
-                    samples: cell.samples.load(Ordering::Relaxed),
-                });
-            }
-            for ((cat, name), cell) in &tc.instants {
-                instants.push(InstantSeries {
-                    process: track.process.clone(),
-                    thread: track.thread.clone(),
-                    category: cat,
-                    name: name.as_str().to_string(),
-                    count: cell.load(Ordering::Relaxed),
-                });
-            }
-        }
-        let tracks = reg.tracks.len() as u64;
+        let tracks = reg.tracks.rows().len() as u64;
         drop(reg);
         MetricsSnapshot {
             spans,
@@ -791,94 +729,36 @@ impl StreamRecorder {
     /// reader missed to eviction are reported in the `lagged` field, not
     /// silently skipped.
     pub fn trace_chunk(&self, since: u64, max_events: usize) -> (String, u64) {
-        let tracks = self.tracks();
-        let ids = crate::chrome::layout(&tracks);
+        let reg = self.reg.read().expect("registry");
         let chunks = self.ring.read_since(since);
-        let ledger = self.ring.ledger();
-        let lagged = ledger.oldest_seq.saturating_sub(since);
+        let oldest = self.ring.ledger().oldest_seq;
+        let lagged = oldest.saturating_sub(since);
 
         let mut out = String::with_capacity(1024);
-        let mut next = since.max(ledger.oldest_seq);
+        let mut next = since.max(oldest);
         let _ = write!(
             out,
-            "{{\"since\":{since},\"oldest\":{},\"lagged\":{lagged},\"traceEvents\":[",
-            ledger.oldest_seq
+            "{{\"since\":{since},\"oldest\":{oldest},\"lagged\":{lagged},\"traceEvents\":["
         );
-        let mut first = true;
-        let mut push = |s: String, out: &mut String| {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push('\n');
-            out.push_str(&s);
-        };
         // Track metadata first, so every chunk is independently loadable.
-        let mut named_pids: Vec<u32> = Vec::new();
-        for (track, &(pid, tid)) in tracks.iter().zip(&ids) {
-            if !named_pids.contains(&pid) {
-                named_pids.push(pid);
-                push(
-                    format!(
-                        "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\
-                         \"args\":{{\"name\":{}}}}}",
-                        crate::chrome::quote(&track.process)
-                    ),
-                    &mut out,
-                );
-            }
-            push(
-                format!(
-                    "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\
-                     \"args\":{{\"name\":{}}}}}",
-                    crate::chrome::quote(&track.thread)
-                ),
-                &mut out,
-            );
-        }
-        let mut emitted = 0usize;
-        'chunks: for chunk in &chunks {
-            for (i, ev) in chunk.events.iter().enumerate() {
-                let seq = chunk.base_seq + i as u64;
-                if seq < since {
-                    continue;
+        chrome::tracks(&mut out, &reg.tracks);
+        let retained = chunks.iter().flat_map(|chunk| {
+            let seqs = chunk.base_seq..;
+            seqs.zip(&chunk.events).filter(|&(seq, _)| seq >= since)
+        });
+        for (seq, ev) in retained.take(max_events) {
+            let id = reg.tracks.chrome_id(ev.track);
+            let name = ev.name.as_str();
+            match ev.kind {
+                RingKind::Span { start_ns, end_ns } => {
+                    chrome::span(&mut out, id, ev.cat, name, start_ns, end_ns)
                 }
-                if emitted >= max_events {
-                    break 'chunks;
+                RingKind::Instant { at_ns } => chrome::instant(&mut out, id, ev.cat, name, at_ns),
+                RingKind::Counter { at_ns, value } => {
+                    chrome::counter(&mut out, id, name, at_ns, value)
                 }
-                let (pid, tid) = ids.get(ev.track as usize).copied().unwrap_or((0, 0));
-                let rec = match ev.kind {
-                    RingKind::Span { start_ns, end_ns } => format!(
-                        "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"dur\":{},\
-                         \"cat\":{},\"name\":{}}}",
-                        crate::chrome::us(start_ns),
-                        crate::chrome::us(end_ns - start_ns),
-                        crate::chrome::quote(ev.cat),
-                        crate::chrome::quote(ev.name.as_str())
-                    ),
-                    RingKind::Instant { at_ns } => format!(
-                        "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\
-                         \"cat\":{},\"name\":{}}}",
-                        crate::chrome::us(at_ns),
-                        crate::chrome::quote(ev.cat),
-                        crate::chrome::quote(ev.name.as_str())
-                    ),
-                    RingKind::Counter { at_ns, value } => format!(
-                        "{{\"ph\":\"C\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"name\":{},\
-                         \"args\":{{\"value\":{}}}}}",
-                        crate::chrome::us(at_ns),
-                        crate::chrome::quote(ev.name.as_str()),
-                        if value.is_finite() {
-                            format!("{value}")
-                        } else {
-                            "0".to_string()
-                        }
-                    ),
-                };
-                push(rec, &mut out);
-                emitted += 1;
-                next = seq + 1;
             }
+            next = seq + 1;
         }
         let _ = write!(out, "\n],\"next\":{next}}}\n");
         (out, next)
@@ -891,30 +771,25 @@ impl Recorder for StreamRecorder {
     }
 
     fn track(&self, process: &str, thread: &str) -> TrackId {
-        {
-            let reg = self.reg.read().expect("registry");
-            if let Some(&id) = reg.index.get(&(process.to_string(), thread.to_string())) {
-                return id;
-            }
-        }
-        let mut reg = self.reg.write().expect("registry");
-        let key = (process.to_string(), thread.to_string());
-        if let Some(&id) = reg.index.get(&key) {
+        let reg = self.reg.read().expect("registry");
+        if let Some(id) = reg.tracks.get(process, thread) {
             return id;
         }
-        let id = reg.tracks.len() as TrackId;
-        reg.tracks.push(Track {
-            process: key.0.clone(),
-            thread: key.1.clone(),
-        });
-        reg.index.insert(key, id);
-        reg.cells.push(TrackCells::default());
-        id
+        drop(reg);
+        let mut reg = self.reg.write().expect("registry");
+        reg.tracks.intern(process, thread)
     }
 
     fn span(&self, track: TrackId, cat: &'static str, name: &str, start_ns: u64, end_ns: u64) {
         debug_assert!(start_ns <= end_ns, "span ends before it starts");
-        self.span_cell(track, cat).add(end_ns - start_ns);
+        let dur_ns = end_ns - start_ns;
+        self.with_cell(
+            track,
+            cat,
+            |tc| &tc.spans,
+            |tc| &mut tc.spans,
+            |cell: &SpanCell| cell.add(dur_ns),
+        );
         self.spans_total.fetch_add(1, Ordering::Relaxed);
         self.events_total.fetch_add(1, Ordering::Relaxed);
         self.ring.push(RingEvent {
@@ -926,20 +801,34 @@ impl Recorder for StreamRecorder {
     }
 
     fn instant(&self, track: TrackId, cat: &'static str, name: &str, at_ns: u64) {
-        self.instant_cell(track, cat, name)
-            .fetch_add(1, Ordering::Relaxed);
+        let name = SmallName::new(name);
+        self.with_cell(
+            track,
+            (cat, name),
+            |tc| &tc.instants,
+            |tc| &mut tc.instants,
+            |count: &AtomicU64| {
+                count.fetch_add(1, Ordering::Relaxed);
+            },
+        );
         self.instants_total.fetch_add(1, Ordering::Relaxed);
         self.events_total.fetch_add(1, Ordering::Relaxed);
         self.ring.push(RingEvent {
             track,
             cat,
-            name: SmallName::new(name),
+            name,
             kind: RingKind::Instant { at_ns },
         });
     }
 
     fn counter(&self, track: TrackId, name: &'static str, at_ns: u64, value: f64) {
-        self.counter_cell(track, name).sample(value);
+        self.with_cell(
+            track,
+            name,
+            |tc| &tc.counters,
+            |tc| &mut tc.counters,
+            |cell: &CounterCell| cell.sample(value),
+        );
         self.counters_total.fetch_add(1, Ordering::Relaxed);
         self.events_total.fetch_add(1, Ordering::Relaxed);
         self.ring.push(RingEvent {

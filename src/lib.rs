@@ -11,6 +11,7 @@
 //! | NREN | [`nren_netsim`] | Flow-level simulator of the 1992 research WANs (NSFnet, CASA, consortium) |
 //! | program | [`hpcc_core`] | Agencies, components, budgets, consortia, exhibit registry |
 //! | substrate | [`des`] | Deterministic discrete-event engine + cooperative async executor |
+//! | telemetry | [`hpcc_trace`] | Recorders the simulators report into: Chrome trace export, text summary, live `/metrics` + `/trace` server |
 //!
 //! ```
 //! // One line per layer: machine, program, network, workload.
@@ -25,6 +26,7 @@ pub use delta_mesh;
 pub use des;
 pub use hpcc_core;
 pub use hpcc_kernels;
+pub use hpcc_trace;
 pub use nren_netsim;
 
 /// Most-used items across the workspace.

@@ -306,3 +306,55 @@ fn mesh_entry_points_agree_at_one_and_two_lanes() {
     assert_eq!(stats2.mail_msgs, 2 * COLS as u64);
     assert!(stats2.rounds > 0);
 }
+
+/// The trace crate's tier-1 smoke: the same small LU under each of the
+/// three recorders. Recording observes without perturbing (equal
+/// results), the buffered recorder's Chrome export parses and its
+/// per-node breakdown sums to the elapsed time, and the streaming
+/// recorder's ledger accounts for every event.
+#[test]
+fn recorders_observe_without_perturbing() {
+    use delta_mesh::FaultPlan;
+    use hpcc_kernels::sim::lu2d;
+    use hpcc_trace::{json, MemRecorder, NullRecorder, Recorder, StreamRecorder};
+    use std::rc::Rc;
+    use std::sync::Arc;
+
+    let machine = Machine::new(presets::delta(2, 2));
+    let run =
+        |rec: Rc<dyn Recorder>| lu2d::run_traced(&machine, 128, 16, &FaultPlan::none(), rec).result;
+    let mem = Rc::new(MemRecorder::new());
+    let stream = Arc::new(StreamRecorder::with_ring(16, 4));
+    let plain = run(Rc::new(NullRecorder));
+    for rec in [
+        Rc::clone(&mem) as Rc<dyn Recorder>,
+        Rc::new(Arc::clone(&stream)),
+    ] {
+        assert_eq!(format!("{:?}", run(rec)), format!("{plain:?}"));
+    }
+
+    let doc = json::parse(&mem.to_chrome_json()).expect("the Chrome export is valid JSON");
+    let rows = doc.get("traceEvents").and_then(json::Json::as_arr).unwrap();
+    assert!(
+        rows.len() > mem.len(),
+        "every event plus the track metadata"
+    );
+    let elapsed_ns = plain.report.elapsed.nanos();
+    let breakdown = mem.node_breakdown(elapsed_ns);
+    assert_eq!(breakdown.len(), 4);
+    for row in breakdown {
+        assert_eq!(row.total_ns(), elapsed_ns, "{}", row.thread);
+    }
+
+    let snap = stream.metrics_snapshot();
+    assert_eq!(snap.events_total, mem.len() as u64);
+    assert_eq!(
+        snap.events_total,
+        snap.spans_total + snap.counters_total + snap.instants_total
+    );
+    assert_eq!(
+        snap.events_total,
+        snap.ring.retained_events + snap.ring.active_events + snap.ring.evicted_events
+    );
+    assert!(snap.ring.evicted_events > 0, "a 64-event ring must wrap");
+}
