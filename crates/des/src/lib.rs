@@ -12,8 +12,11 @@
 //!
 //! Everything here is single-threaded and bit-reproducible: integer virtual
 //! time, FIFO tie-breaking, a locally implemented Xoshiro256** generator.
+//! The one exception is [`barrier`], the meeting point of the threads
+//! that each drive such an engine as one lane of a parallel run.
 
 pub mod backoff;
+pub mod barrier;
 pub mod exec;
 pub mod faults;
 pub mod queue;
@@ -22,6 +25,7 @@ pub mod stats;
 pub mod time;
 
 pub use backoff::Backoff;
+pub use barrier::{host_cores, WindowBarrier};
 pub use exec::{yield_now, LaneTasks, TaskId};
 pub use faults::{seed_from_env, FaultEvent, FaultKind, FaultPlan, MtbfModel};
 pub use queue::EventQueue;

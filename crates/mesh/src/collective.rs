@@ -14,7 +14,7 @@
 //! byte counts for paper-scale modelling.
 
 use crate::machine::Kernel;
-use crate::sim::{Node, Payload};
+use crate::sim::{F64s, Node, Payload};
 use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -112,7 +112,7 @@ impl Comm {
         self.node.recv(src, Some(self.p2p_tag(tag))).await.payload
     }
 
-    pub async fn recv_f64s(&self, from: Option<usize>, tag: u64) -> Arc<[f64]> {
+    pub async fn recv_f64s(&self, from: Option<usize>, tag: u64) -> F64s {
         self.recv(from, tag).await.into_f64s()
     }
 
@@ -147,8 +147,8 @@ impl Comm {
     /// Binomial-tree broadcast. The root passes `Some(data)`; everyone
     /// receives the payload.
     pub async fn bcast(&self, root: usize, data: Option<Arc<[f64]>>) -> Arc<[f64]> {
-        let out = self.bcast_payload(root, data.map(Payload::F64)).await;
-        out.into_f64s()
+        let data = data.map(|d| Payload::F64(d.into()));
+        self.bcast_payload(root, data).await.into_f64s().into()
     }
 
     /// Timing-only broadcast of `bytes`. Long messages use the

@@ -41,5 +41,5 @@ pub use sched::service::{
 };
 pub use sched::{consortium_workload, Job, JobRecord, KilledAttempt, Policy, SchedReport};
 pub use shard::LaneStats;
-pub use sim::{CommError, FaultStats, Machine, Msg, Node, Payload, RetryPolicy, RunReport};
+pub use sim::{CommError, F64s, FaultStats, Machine, Msg, Node, Payload, RetryPolicy, RunReport};
 pub use topology::{LinkId, Topology};

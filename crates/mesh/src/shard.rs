@@ -21,12 +21,42 @@
 //! Every run of the mesh engine is `drive`: a worker owns a slice of
 //! lanes and takes them through the round *work → flush → barrier →
 //! drain + publish → barrier → decide* — two barrier waits per window.
-//! The host's core count picks the worker count (`workers_for`): all
+//! The host's core count picks the worker count ([`workers_for`]): all
 //! lanes on the calling thread on one CPU (a one-party barrier never
-//! blocks), one scoped thread per lane otherwise. The single-queue
+//! blocks); otherwise one thread per lane — the calling thread drives
+//! lane 0 and a scoped thread each of the others, so a run never has
+//! more runnable threads than lanes. The single-queue
 //! engine ([`Machine::run`]) is the same loop over one *unsharded* lane
 //! with no horizon: a lone lane has no peer to wait for, so its one
 //! window is the whole run and it counts no synchronization round.
+//!
+//! ## The barrier protocol
+//!
+//! A window is tens of microseconds of events, so the workers meet at a
+//! [`des::WindowBarrier`]: a waiter spins on a generation counter and
+//! sleeps in the kernel only when its peer is more than a window or so
+//! late — or at once when there are more workers than CPUs, or while
+//! the peers keep coming late (somebody else is using the cores).
+//! Nothing in a round but the barrier orders one worker against
+//! another, and the barrier is enough: everything a worker wrote before
+//! a wait happens-before everything any worker reads after that wait
+//! returns. So
+//!
+//! * *flush* (push into the peers' mailbox slots) → first wait →
+//!   *drain* (take this lane's slots): a drain sees every message of the
+//!   window, and the slot locks are never contended;
+//! * *publish* (store this lane's next event time and live count) →
+//!   second wait → *decide* (read every lane's): all workers decide on
+//!   the same snapshot;
+//! * the next round's writes cannot overtake this round's reads: a
+//!   flush comes after the second wait, which every drain of this round
+//!   precedes, and a publish after the next first wait, which every
+//!   decide of this round precedes.
+//!
+//! A worker that unwinds — a node program panicked — poisons the
+//! barrier on its way out; its peers panic out of their wait instead of
+//! waiting for ever, the scope joins, and the original panic is resumed
+//! on the caller.
 //!
 //! The loop also holds the liveness rule: the run is over the moment no
 //! program is live, whatever is left on the calendars (pending faults,
@@ -69,22 +99,25 @@ use crate::sim::{Counters, Dispatched, Event, Msg, Node, RunReport, ShardState, 
 use crate::topology::Topology;
 use des::faults::{FaultKind, FaultPlan};
 use des::time::{Dur, SimTime};
-use des::{LaneTasks, TaskId};
+use des::{LaneTasks, TaskId, WindowBarrier};
 use hpcc_trace::{names, NullRecorder, Recorder, TrackId};
 use std::cell::RefCell;
 use std::future::Future;
 use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::Mutex;
 
 /// Workers for `lanes` lanes: one thread per lane when the host has more
 /// than one CPU, everything on the calling thread otherwise (OS threads
-/// would only add context switches there).
-fn workers_for(lanes: usize) -> usize {
-    match std::thread::available_parallelism() {
-        Ok(cores) if cores.get() > 1 => lanes,
-        _ => 1,
+/// would only add context switches there). The core count is
+/// [`des::host_cores`], read once per process.
+pub fn workers_for(lanes: usize) -> usize {
+    if des::host_cores() > 1 {
+        lanes
+    } else {
+        1
     }
 }
 
@@ -200,16 +233,17 @@ fn decide(shared: &Shared, lookahead: Option<Dur>) -> Decision {
 /// The one dispatch loop of the mesh engine. A worker takes its lanes
 /// through the round *work → flush → barrier → drain + publish → barrier
 /// → decide*; the lanes arrive from [`setup`] at their first quiescent
-/// point, which is the first round's work. Writes to `shared` happen
-/// strictly between the two barriers, reads strictly after the second,
-/// so every worker decides on the same snapshot.
+/// point, which is the first round's work. Mailboxes are written before
+/// the first wait and read after it, `next` / `live` / `faulted` written
+/// between the two and read after the second, so every worker decides on
+/// the same snapshot (the module doc has the ordering argument).
 ///
 /// Liveness rule: the run is over the moment no program is live,
 /// whatever is left on the calendars; until then a lane dispatches below
 /// the horizon while it, or any peer at the last publish, has a live
 /// program — a fault owned by a lane whose own programs are done still
 /// strikes, as it would on one calendar.
-fn drive<T>(ls: &mut [Lane<T>], shared: &Shared, barrier: &Barrier, lookahead: Option<Dur>) {
+fn drive<T>(ls: &mut [Lane<T>], shared: &Shared, barrier: &WindowBarrier, lookahead: Option<Dur>) {
     loop {
         for l in ls.iter_mut() {
             l.flush(shared);
@@ -227,7 +261,7 @@ fn drive<T>(ls: &mut [Lane<T>], shared: &Shared, barrier: &Barrier, lookahead: O
                     let report = (l.lane, l.core.borrow().stuck_report());
                     shared.stuck.lock().expect("stuck list").push(report);
                 }
-                if barrier.wait().is_leader() {
+                if barrier.wait() {
                     // Lanes own ascending rank blocks: lane order is rank
                     // order, whichever worker got to the list first.
                     let mut stuck = std::mem::take(&mut *shared.stuck.lock().expect("stuck list"));
@@ -311,7 +345,7 @@ where
         lane,
         map: map.clone(),
         crash_time: std::sync::Arc::clone(crash),
-        outbox: Vec::new(),
+        outbox: vec![Vec::new(); map.lanes()],
     });
 
     // This lane's share of the fault plan: node faults by owner lane,
@@ -425,22 +459,25 @@ impl<T> Lane<T> {
         }
     }
 
-    /// Hand this window's cross-lane sends to their destination slots
-    /// (the unsharded lane has none).
+    /// Hand this window's cross-lane sends to their destination slots,
+    /// one lock per destination lane that has mail (the unsharded lane
+    /// has none).
     fn flush(&mut self, shared: &Shared) {
         let mut core = self.core.borrow_mut();
-        let Some(sh) = core.shard.as_mut().filter(|sh| !sh.outbox.is_empty()) else {
+        let Some(sh) = core.shard.as_mut() else {
             return;
         };
-        shared
-            .mail_msgs
-            .fetch_add(sh.outbox.len() as u64, Ordering::Relaxed);
-        for (dst, msg) in sh.outbox.drain(..) {
-            let dlane = sh.map.lane_of(dst);
+        for (dlane, out) in sh.outbox.iter_mut().enumerate() {
+            if out.is_empty() {
+                continue;
+            }
+            shared
+                .mail_msgs
+                .fetch_add(out.len() as u64, Ordering::Relaxed);
             shared.mail[dlane][self.lane]
                 .lock()
                 .expect("mail slot")
-                .push((dst, msg));
+                .append(out);
         }
     }
 
@@ -616,7 +653,7 @@ where
 {
     let shared = Shared::new(1);
     let mut lane = [setup(Rc::clone(cfg), rec, None, &[], plan, program)];
-    drive(&mut lane, &shared, &Barrier::new(1), None);
+    drive(&mut lane, &shared, &WindowBarrier::new(1), None);
     assemble(cfg, &shared, lane.into_iter().map(finish).collect())
 }
 
@@ -637,7 +674,9 @@ where
 }
 
 /// [`run`] with the worker count chosen by the caller: 1 (the calling
-/// thread drives every lane) or `lanes` (a scoped thread each).
+/// thread drives every lane) or `lanes` (the calling thread drives lane
+/// 0, a scoped thread each of the others — a run never has more runnable
+/// threads than lanes).
 fn run_in<T, F, Fut>(
     workers: usize,
     cfg: &MachineConfig,
@@ -666,10 +705,13 @@ where
     let shared = Shared::new(lanes);
     let workers = workers.min(lanes);
     assert!(workers == 1 || workers == lanes, "{workers} workers");
-    let barrier = Barrier::new(workers);
+    let barrier = WindowBarrier::new(workers);
     // A lane is built, driven and finished by one worker: its `Rc`s never
     // leave the thread.
     let work = |mine: Range<usize>| -> Vec<LaneOut<T>> {
+        // A worker that unwinds (a node program panicked, a fault plan
+        // named a node that is not there) will not reach the next wait.
+        let _poison = barrier.poison_on_panic();
         let cfg = Rc::new(cfg.clone());
         let mut ls: Vec<Lane<T>> = mine
             .map(|l| {
@@ -684,16 +726,32 @@ where
     let outs = if workers == 1 {
         work(0..lanes)
     } else {
-        std::thread::scope(|s| {
+        let joined: Vec<_> = std::thread::scope(|s| {
             let work = &work;
-            let handles: Vec<_> = (0..lanes)
+            let spawned: Vec<_> = (1..lanes)
                 .map(|l| s.spawn(move || work(l..l + 1)))
                 .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect()
-        })
+            let mine = catch_unwind(AssertUnwindSafe(|| work(0..1)));
+            let theirs = spawned.into_iter().map(|h| h.join());
+            std::iter::once(mine).chain(theirs).collect()
+        });
+        // One worker's panic becomes every worker's: resume the one that
+        // is not the barrier's echo of it.
+        let mut outs = Vec::with_capacity(lanes);
+        let mut panic = None;
+        for worker in joined {
+            match worker {
+                Ok(out) => outs.extend(out),
+                Err(e) if panic.as_deref().is_none_or(WindowBarrier::is_peer_panic) => {
+                    panic = Some(e)
+                }
+                Err(_) => {}
+            }
+        }
+        if let Some(e) = panic {
+            resume_unwind(e);
+        }
+        outs
     };
     assemble(cfg, &shared, outs)
 }
@@ -762,7 +820,7 @@ mod tests {
             (stranding, |f| f.node_crashes == 1 && f.orphaned_tasks == 1),
         ];
         for (i, (plan, struck)) in plans.iter().enumerate() {
-            for lanes in [2usize, 4] {
+            for lanes in [2usize, 3, 4] {
                 let one = run_in(1, &cfg, lanes, plan, &program);
                 assert_eq!(one.2.lanes, lanes);
                 assert!(one.2.mail_msgs > 0, "no cross-lane traffic");
@@ -806,11 +864,11 @@ mod tests {
     #[test]
     fn deadlock_report_is_rank_ordered_at_any_worker_count() {
         let cfg = presets::delta(4, 2);
-        let message = |workers: usize| {
+        let message = |workers: usize, lanes: usize| {
             let everyone_waits = |node: Node| async move {
                 node.recv(None, None).await;
             };
-            let run = || run_in(workers, &cfg, 2, &FaultPlan::none(), &everyone_waits);
+            let run = || run_in(workers, &cfg, lanes, &FaultPlan::none(), &everyone_waits);
             let panic = std::panic::catch_unwind(run).expect_err("deadlock goes unnoticed");
             panic.downcast_ref::<String>().expect("message").clone()
         };
@@ -822,9 +880,40 @@ mod tests {
             cfg.name,
             nodes.join("\n")
         );
-        assert_eq!(message(1), expected);
-        for _ in 0..20 {
-            assert_eq!(message(2), expected);
+        for lanes in [2, 3] {
+            assert_eq!(message(1, lanes), expected);
+            for _ in 0..20 {
+                assert_eq!(message(lanes, lanes), expected);
+            }
+        }
+    }
+
+    /// A node program that panics takes the run down with its own panic,
+    /// whichever worker was driving it: the peers, who would otherwise
+    /// wait at the window barrier for a lane that is gone, are released
+    /// and their echo of the panic is not what the caller sees.
+    #[test]
+    fn node_program_panic_propagates_at_any_worker_count() {
+        let cfg = presets::delta(4, 2);
+        let n = cfg.nodes();
+        // The culprit on the calling thread's lane, then on a spawned one.
+        for culprit in [0, n - 1] {
+            let program = move |node: Node| async move {
+                if node.rank() == culprit {
+                    node.delay(Dur::from_micros(50)).await;
+                    panic!("node {culprit} gives up");
+                }
+                node.recv(Some(culprit), None).await;
+            };
+            for workers in [1, 2] {
+                let run = || run_in(workers, &cfg, 2, &FaultPlan::none(), &program);
+                let panic = std::panic::catch_unwind(run).expect_err("panic swallowed");
+                assert_eq!(
+                    panic.downcast_ref::<String>().map(String::as_str),
+                    Some(format!("node {culprit} gives up").as_str()),
+                    "workers={workers}"
+                );
+            }
         }
     }
 }

@@ -71,17 +71,93 @@ impl fmt::Display for CommError {
 
 impl std::error::Error for CommError {}
 
+/// The doubles of a [`Payload::F64`]. Up to [`F64s::INLINE`] of them are
+/// held in place — the halo values, pivots and partial sums that make up
+/// most messages cost no heap allocation to send, clone or hand across a
+/// lane boundary — and longer ones sit behind an `Arc`, so a clone is a
+/// reference count whatever the length. Reads as a `[f64]`.
+#[derive(Clone)]
+pub struct F64s(Doubles);
+
+#[derive(Clone)]
+enum Doubles {
+    Inline { len: u8, buf: [f64; F64s::INLINE] },
+    Shared(Arc<[f64]>),
+}
+
+impl F64s {
+    /// Longest slice held without a heap allocation. Two keeps [`Msg`]
+    /// inside one cache line.
+    pub const INLINE: usize = 2;
+}
+
+impl std::ops::Deref for F64s {
+    type Target = [f64];
+
+    fn deref(&self) -> &[f64] {
+        match &self.0 {
+            Doubles::Inline { len, buf } => &buf[..usize::from(*len)],
+            Doubles::Shared(xs) => xs,
+        }
+    }
+}
+
+impl PartialEq for F64s {
+    fn eq(&self, other: &F64s) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for F64s {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+impl From<&[f64]> for F64s {
+    fn from(xs: &[f64]) -> F64s {
+        if xs.len() <= F64s::INLINE {
+            let mut buf = [0.0; F64s::INLINE];
+            buf[..xs.len()].copy_from_slice(xs);
+            F64s(Doubles::Inline {
+                len: xs.len() as u8,
+                buf,
+            })
+        } else {
+            F64s(Doubles::Shared(Arc::from(xs)))
+        }
+    }
+}
+
+/// Shares the allocation the caller already made, whatever its length.
+impl From<Arc<[f64]>> for F64s {
+    fn from(xs: Arc<[f64]>) -> F64s {
+        F64s(Doubles::Shared(xs))
+    }
+}
+
+/// Free for doubles that arrived behind an `Arc`; allocates for inline
+/// ones.
+impl From<F64s> for Arc<[f64]> {
+    fn from(xs: F64s) -> Arc<[f64]> {
+        match xs.0 {
+            Doubles::Inline { .. } => Arc::from(&*xs),
+            Doubles::Shared(xs) => xs,
+        }
+    }
+}
+
 /// Message contents: real doubles, raw bytes, or a timing-only byte count.
 #[derive(Debug, Clone)]
 pub enum Payload {
-    F64(Arc<[f64]>),
+    F64(F64s),
     Bytes(Bytes),
     Virtual(u64),
 }
 
 impl Payload {
     pub fn from_f64s(xs: &[f64]) -> Payload {
-        Payload::F64(Arc::from(xs))
+        Payload::F64(xs.into())
     }
 
     /// On-the-wire size in bytes.
@@ -104,7 +180,7 @@ impl Payload {
     }
 
     /// Take the doubles, or report the mismatched payload kind.
-    pub fn try_into_f64s(self) -> Result<Arc<[f64]>, CommError> {
+    pub fn try_into_f64s(self) -> Result<F64s, CommError> {
         match self {
             Payload::F64(v) => Ok(v),
             other => Err(CommError::PayloadType {
@@ -124,7 +200,7 @@ impl Payload {
 
     /// Take the doubles; panics on a non-F64 payload. Use
     /// [`Payload::try_into_f64s`] where the caller can recover.
-    pub fn into_f64s(self) -> Arc<[f64]> {
+    pub fn into_f64s(self) -> F64s {
         match self.try_into_f64s() {
             Ok(v) => v,
             Err(e) => panic!("{e}"),
@@ -409,9 +485,10 @@ pub(crate) struct ShardState {
     /// First crash instant per node (`SimTime::MAX` = never), precomputed
     /// from the fault plan so remote-failure checks need no shared state.
     pub(crate) crash_time: Arc<[SimTime]>,
-    /// Cross-lane messages generated this window, in send order. Each
-    /// `Msg` already carries its arrival time.
-    pub(crate) outbox: Vec<(usize, Msg)>,
+    /// Cross-lane messages generated this window, by destination lane,
+    /// each in send order and tagged with the receiving rank. Each `Msg`
+    /// already carries its arrival time.
+    pub(crate) outbox: Vec<Vec<(usize, Msg)>>,
 }
 
 pub(crate) struct SimCore {
@@ -531,8 +608,9 @@ impl SimCore {
         payload: Payload,
     ) -> Result<(), CommError> {
         if let Some(sh) = &self.shard {
-            if sh.map.lane_of(dst) != sh.lane {
-                return self.inject_remote(src, dst, tag, payload);
+            let dlane = sh.map.lane_of(dst);
+            if dlane != sh.lane {
+                return self.inject_remote(dlane, src, dst, tag, payload);
             }
         }
         let now = self.q.now();
@@ -659,6 +737,7 @@ impl SimCore {
     /// it to the destination lane's calendar at the next horizon.
     fn inject_remote(
         &mut self,
+        dlane: usize,
         src: usize,
         dst: usize,
         tag: u64,
@@ -678,7 +757,7 @@ impl SimCore {
         let net = &self.cfg.net;
         let hops = self.cfg.topology.hops(src, dst);
         let arrival = now + net.send_overhead + net.transfer_time(bytes, hops);
-        sh.outbox.push((
+        sh.outbox[dlane].push((
             dst,
             Msg {
                 src,
@@ -1124,7 +1203,7 @@ impl Node {
     }
 
     /// Receive and unwrap a doubles payload.
-    pub async fn recv_f64s(&self, src: Option<usize>, tag: Option<u64>) -> Arc<[f64]> {
+    pub async fn recv_f64s(&self, src: Option<usize>, tag: Option<u64>) -> F64s {
         self.recv(src, tag).await.payload.into_f64s()
     }
 
@@ -1135,7 +1214,7 @@ impl Node {
         src: Option<usize>,
         tag: Option<u64>,
         timeout: Dur,
-    ) -> Result<Arc<[f64]>, CommError> {
+    ) -> Result<F64s, CommError> {
         self.recv_timeout(src, tag, timeout)
             .await?
             .payload
@@ -1422,9 +1501,11 @@ impl Machine {
     /// messages analytically (uncontended), so final results are
     /// lane-count-invariant for timing-insensitive programs while
     /// per-event timestamps may differ from the single-lane schedule.
-    /// One worker thread per lane drives them when the host has more
-    /// than one CPU, the calling thread drives them all otherwise; the
-    /// worker count cannot change the answer.
+    /// One thread per lane drives them when the host has more than one
+    /// CPU (the calling thread takes lane 0), the calling thread drives
+    /// them all otherwise; the worker count cannot change the answer. A
+    /// node program that panics takes the run down with that panic on
+    /// either.
     ///
     /// This is the lane-parallel counterpart of
     /// [`Machine::run_with_faults`]: node crashes and slowdowns are
@@ -2478,5 +2559,39 @@ mod tests {
             Payload::from_f64s(&[1.0]).try_as_f64s().unwrap(),
             &[1.0][..]
         );
+    }
+
+    /// `F64s` reads as its source slice at every length around the inline
+    /// limit; up to the limit the doubles live inside the value (so a
+    /// clone cannot allocate), past it a clone shares the allocation, as
+    /// does a conversion from and back to an `Arc`.
+    #[test]
+    fn f64s_equals_its_source_slice_inline_or_shared() {
+        let source = [1.5, -2.0, 3.25, 4.0, 5.5];
+        for len in 0..=source.len() {
+            let xs = F64s::from(&source[..len]);
+            assert_eq!(*xs, source[..len]);
+            assert_eq!(Payload::F64(xs.clone()).len_bytes(), 8 * len as u64);
+            let copy = xs.clone();
+            assert_eq!(copy, xs);
+            let value = std::ptr::from_ref(&copy) as usize;
+            let held_in_place =
+                (value..value + size_of::<F64s>()).contains(&(copy.as_ptr() as usize));
+            assert_eq!(held_in_place, len <= F64s::INLINE, "len {len}");
+            if len > F64s::INLINE {
+                assert_eq!(copy.as_ptr(), xs.as_ptr(), "a clone shares");
+            }
+            let arc: Arc<[f64]> = Arc::from(&source[..len]);
+            let back: Arc<[f64]> = F64s::from(Arc::clone(&arc)).into();
+            assert!(Arc::ptr_eq(&arc, &back), "len {len}");
+            assert_eq!(*Arc::<[f64]>::from(xs), source[..len]);
+        }
+    }
+
+    /// A message, inline doubles included, is one cache line: it is moved
+    /// through the calendar, the mailboxes and the wait slots by value.
+    #[test]
+    fn msg_fits_a_cache_line() {
+        assert!(size_of::<Msg>() <= 64, "{} bytes", size_of::<Msg>());
     }
 }

@@ -253,6 +253,12 @@ fn mesh_entry_points_agree_at_one_and_two_lanes() {
     use delta_mesh::{FaultPlan, LaneStats, Node};
 
     const COLS: usize = 6;
+    /// What `rank` sends each neighbour: one double from an even rank
+    /// (held inside the message), three from an odd one (behind an
+    /// `Arc`). Both kinds cross the lane cut, in both directions.
+    fn body(rank: usize) -> Vec<f64> {
+        vec![(rank * 10 + 1) as f64; 1 + 2 * (rank % 2)]
+    }
     async fn halo(node: Node) -> f64 {
         let (me, n) = (node.rank(), node.nranks());
         let mut nbrs = Vec::new();
@@ -270,11 +276,13 @@ fn mesh_entry_points_agree_at_one_and_two_lanes() {
         }
         node.compute(Kernel::Stencil, 1.0e5).await;
         for &nb in &nbrs {
-            node.send_f64s(nb, me as u64, &[(me * 10 + 1) as f64]).await;
+            node.send_f64s(nb, me as u64, &body(me)).await;
         }
         let mut acc = 0.0;
         for &nb in &nbrs {
-            acc += node.recv_f64s(Some(nb), Some(nb as u64)).await[0];
+            let got = node.recv_f64s(Some(nb), Some(nb as u64)).await;
+            assert_eq!(*got, body(nb)[..], "{nb} -> {me}");
+            acc += got[0];
         }
         acc
     }
