@@ -12,20 +12,44 @@
 //! sixteen rows, columns (`u32`) and values side by side, short rows
 //! padded with explicit `(col 0, 0.0)` entries to the block's longest
 //! row. The AVX2 kernel then keeps one row per lane across four
-//! 4-lane accumulators: load 16 values, assemble the 16 `x[col]`
-//! operands with scalar loads (no `vgatherdpd` — slower than plain
-//! loads on most AVX2 parts), multiply, add. Sixteen rows per block is
-//! deliberate: the per-lane add chain is latency-bound, and four
-//! independent accumulator registers overlap it. Each lane performs
-//! exactly the scalar row sum's operations in exactly its order —
-//! multiply then add, no FMA — so the packed kernel reproduces
-//! [`Csr::spmv`] bit-for-bit (for finite `x`; a padded `0.0·x[0]`
-//! contributes an exact `±0.0`). The parallel variant fans the same
-//! blocks out over Rayon and is bit-identical at any thread count,
-//! matching `spmv_par`'s per-row determinism. [`cg`] builds one plan
-//! up front and runs every iteration's SpMV through it.
+//! 4-lane accumulators: load 16 values, fetch the 16 `x[col]`
+//! operands, multiply, add. Sixteen rows per block is deliberate: the
+//! per-lane add chain is latency-bound, and four independent
+//! accumulator registers overlap it. Each lane performs exactly the
+//! scalar row sum's operations in exactly its order — multiply then
+//! add, no FMA — so the packed kernel reproduces [`Csr::spmv`]
+//! bit-for-bit (for finite `x`, and up to the sign of a zero: a padded
+//! `0.0·x[0]` contributes an exact `±0.0`, and a lane starts at `+0.0`
+//! where `Sum` starts at `−0.0`).
+//!
+//! **Unit-stride quarters.** Neighbouring rows of a banded operator
+//! read neighbouring columns: entry `e` of rows `r..r+4` of the 5-point
+//! Laplacian is columns `c..c+4`. The plan records, per group and per
+//! 4-lane quarter, whether its columns are `c, c+1, c+2, c+3`; such a
+//! quarter's operands are one unaligned vector load of `x[c..c+4]`, any
+//! other quarter's are four scalar loads (no `vgatherdpd` — slower than
+//! plain loads on most AVX2 parts). The operands are the same values
+//! either way, so the flag changes how they are fetched and nothing
+//! about the result. A quarter that mixes entries with padding (column
+//! 0) is not a run, and a run's last column is itself a stored index
+//! `< n`, so the load is in bounds even when the run ends at column
+//! `n − 1`.
+//!
+//! The parallel variant fans the same blocks out over Rayon and is
+//! bit-identical at any thread count, matching `spmv_par`'s per-row
+//! determinism.
+//!
+//! ## The CG loop
+//!
+//! [`cg`] builds one plan up front and each iteration is three sweeps:
+//! the product `Ap`, the curvature `p·Ap`, and one fused pass that
+//! updates `x` and `r` and leaves the new `r·r` behind, followed by the
+//! direction update on the `r` it has just written. The reductions use
+//! [`vecops`](crate::mat::vecops)' one summation order, so the fused
+//! pass equals `axpy; axpy; dot` bit for bit and the solve gives the
+//! same bits on every host and thread count.
 
-use crate::mat::vecops::{axpy, dot, norm2};
+use crate::mat::vecops::{cg_update, dot, norm2, xpby};
 use crate::simd;
 use rayon::prelude::*;
 
@@ -138,6 +162,8 @@ impl Csr {
 
 /// Rows per packed block: four 4-lane accumulator chains' worth.
 const BLOCK_ROWS: usize = 16;
+/// Lanes per accumulator register; a block is four such quarters.
+const QUARTER: usize = 4;
 
 /// Packed 16-row-interleaved SpMV plan (see the module docs). Build once
 /// per matrix, reuse for every product; results are bit-identical to
@@ -151,6 +177,9 @@ pub struct SpmvPlan {
     block_ptr: Vec<usize>,
     cols: Vec<u32>,
     vals: Vec<f64>,
+    /// Per group, bit `q` set when quarter `q`'s four columns are
+    /// `c, c+1, c+2, c+3`: its operands are `x[c..c+4]`, one load.
+    unit: Vec<u8>,
 }
 
 impl SpmvPlan {
@@ -158,36 +187,46 @@ impl SpmvPlan {
     pub fn new(a: &Csr) -> SpmvPlan {
         let n = a.n;
         assert!(n < u32::MAX as usize, "SpmvPlan stores u32 columns");
-        let nblocks = n.div_ceil(BLOCK_ROWS);
-        let mut block_ptr = Vec::with_capacity(nblocks + 1);
-        let mut cols = Vec::new();
-        let mut vals = Vec::new();
+        let rowlen = |r: usize| a.indptr[r + 1] - a.indptr[r];
+        let mut block_ptr = Vec::with_capacity(n.div_ceil(BLOCK_ROWS) + 1);
+        let mut groups = 0;
         block_ptr.push(0);
-        for b in 0..nblocks {
-            let r0 = BLOCK_ROWS * b;
-            let rows_here = BLOCK_ROWS.min(n - r0);
-            let rowlen = |l: usize| a.indptr[r0 + l + 1] - a.indptr[r0 + l];
-            let maxlen = (0..rows_here).map(rowlen).max().unwrap_or(0);
-            for e in 0..maxlen {
-                for l in 0..BLOCK_ROWS {
-                    if l < rows_here && e < rowlen(l) {
-                        let idx = a.indptr[r0 + l] + e;
-                        cols.push(a.indices[idx] as u32);
-                        vals.push(a.data[idx]);
-                    } else {
-                        // Padding: an exact no-op lane (0.0 · x[0]).
-                        cols.push(0);
-                        vals.push(0.0);
-                    }
-                }
-            }
-            block_ptr.push(cols.len() / BLOCK_ROWS);
+        for r0 in (0..n).step_by(BLOCK_ROWS) {
+            let rows = r0..n.min(r0 + BLOCK_ROWS);
+            groups += rows.map(rowlen).max().unwrap_or(0);
+            block_ptr.push(groups);
         }
+        // Everything starts as padding — an exact no-op lane (0.0 · x[0])
+        // — and each row's entries overwrite their own lane.
+        let mut cols = vec![0u32; BLOCK_ROWS * groups];
+        let mut vals = vec![0.0; BLOCK_ROWS * groups];
+        for r in 0..n {
+            let at = BLOCK_ROWS * block_ptr[r / BLOCK_ROWS] + r % BLOCK_ROWS;
+            let entries = a.indptr[r]..a.indptr[r + 1];
+            for (e, idx) in entries.enumerate() {
+                cols[at + BLOCK_ROWS * e] = a.indices[idx] as u32;
+                vals[at + BLOCK_ROWS * e] = a.data[idx];
+            }
+        }
+        // What `blocks_avx2`'s vector loads rely on; the module docs say
+        // why a run is always in bounds.
+        let unit = cols
+            .chunks_exact(BLOCK_ROWS)
+            .map(|cg| {
+                let mut bits = 0;
+                for (q, quarter) in cg.chunks_exact(QUARTER).enumerate() {
+                    let run = quarter.windows(2).all(|w| w[1] == w[0] + 1);
+                    bits |= u8::from(run) << q;
+                }
+                bits
+            })
+            .collect();
         SpmvPlan {
             n,
             block_ptr,
             cols,
             vals,
+            unit,
         }
     }
 
@@ -206,10 +245,7 @@ impl SpmvPlan {
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.n);
         assert_eq!(y.len(), self.n);
-        let use_simd = simd::avx2_fma_available();
-        for (b, yb) in y.chunks_mut(BLOCK_ROWS).enumerate() {
-            self.block(b, x, yb, use_simd);
-        }
+        self.blocks(0, x, y);
     }
 
     /// y = A·x through the packed plan, Rayon over 16-row blocks.
@@ -218,68 +254,97 @@ impl SpmvPlan {
     pub fn spmv_par(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.n);
         assert_eq!(y.len(), self.n);
-        let use_simd = simd::avx2_fma_available();
         y.par_chunks_mut(BLOCK_ROWS)
             .enumerate()
-            .for_each(|(b, yb)| self.block(b, x, yb, use_simd));
+            .for_each(|(b, yb)| self.blocks(b, x, yb));
     }
 
-    /// One block: `yb` holds the block's 1–16 output rows.
-    #[inline]
-    fn block(&self, b: usize, x: &[f64], yb: &mut [f64], use_simd: bool) {
-        let groups = self.block_ptr[b]..self.block_ptr[b + 1];
-        let cols = &self.cols[BLOCK_ROWS * groups.start..BLOCK_ROWS * groups.end];
-        let vals = &self.vals[BLOCK_ROWS * groups.start..BLOCK_ROWS * groups.end];
-        let mut acc = [0.0f64; BLOCK_ROWS];
-        if use_simd {
-            #[cfg(target_arch = "x86_64")]
+    /// The rows of `y`, which start at block `b0`: one dispatch for all
+    /// of them.
+    fn blocks(&self, b0: usize, x: &[f64], y: &mut [f64]) {
+        #[cfg(target_arch = "x86_64")]
+        if simd::avx2_fma_available() {
+            // SAFETY: AVX2 was detected at run time, and `x.len() == n`
+            // (asserted by both callers) is what the kernel's loads need.
+            return unsafe { self.blocks_avx2(b0, x, y) };
+        }
+        self.blocks_portable(b0, x, y);
+    }
+
+    /// The semantic reference: lane `l` of a block accumulates row `l`'s
+    /// products in entry order.
+    fn blocks_portable(&self, b0: usize, x: &[f64], y: &mut [f64]) {
+        for (b, yb) in (b0..).zip(y.chunks_mut(BLOCK_ROWS)) {
+            let span = BLOCK_ROWS * self.block_ptr[b]..BLOCK_ROWS * self.block_ptr[b + 1];
+            let mut acc = [0.0f64; BLOCK_ROWS];
+            for (cg, vg) in self.cols[span.clone()]
+                .chunks_exact(BLOCK_ROWS)
+                .zip(self.vals[span].chunks_exact(BLOCK_ROWS))
             {
-                // SAFETY: dispatch guarded by `avx2_fma_available`.
-                unsafe { block_avx2(cols, vals, x, &mut acc) };
-                yb.copy_from_slice(&acc[..yb.len()]);
-                return;
+                for l in 0..BLOCK_ROWS {
+                    acc[l] += vg[l] * x[cg[l] as usize];
+                }
             }
+            yb.copy_from_slice(&acc[..yb.len()]);
         }
-        for (cg, vg) in cols
-            .chunks_exact(BLOCK_ROWS)
-            .zip(vals.chunks_exact(BLOCK_ROWS))
-        {
-            for l in 0..BLOCK_ROWS {
-                acc[l] += vg[l] * x[cg[l] as usize];
-            }
-        }
-        yb.copy_from_slice(&acc[..yb.len()]);
     }
-}
 
-/// AVX2 block kernel: one row per lane over four accumulator registers
-/// (independent add chains overlap the FP-add latency), `x` operands
-/// assembled with scalar loads, multiply-then-add (no FMA) — per lane
-/// exactly the scalar row sum, so bit-identical to [`Csr::spmv`] on
-/// finite input.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn block_avx2(cols: &[u32], vals: &[f64], x: &[f64], acc: &mut [f64; BLOCK_ROWS]) {
-    use std::arch::x86_64::*;
-    let mut s = [_mm256_setzero_pd(); 4];
-    let xp = x.as_ptr();
-    for (cg, vg) in cols
-        .chunks_exact(BLOCK_ROWS)
-        .zip(vals.chunks_exact(BLOCK_ROWS))
-    {
-        for q in 0..4 {
-            let v = _mm256_loadu_pd(vg.as_ptr().add(4 * q));
-            let g = _mm256_set_pd(
-                *xp.add(cg[4 * q + 3] as usize),
-                *xp.add(cg[4 * q + 2] as usize),
-                *xp.add(cg[4 * q + 1] as usize),
-                *xp.add(cg[4 * q] as usize),
-            );
-            s[q] = _mm256_add_pd(s[q], _mm256_mul_pd(v, g));
+    /// AVX2 clone of [`Self::blocks_portable`]: one row per lane over
+    /// four accumulator registers (independent add chains overlap the
+    /// FP-add latency), multiply-then-add (no FMA) — per lane exactly the
+    /// scalar row sum, so bit-identical to [`Csr::spmv`] on finite input.
+    /// A unit-stride quarter loads its four `x` operands at once, any
+    /// other assembles them with scalar loads (no `vgatherdpd`); the
+    /// operands are the same either way.
+    ///
+    /// # Safety
+    /// The host must have AVX2 and `x.len()` must be `self.n`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn blocks_avx2(&self, b0: usize, x: &[f64], y: &mut [f64]) {
+        use std::arch::x86_64::*;
+        let xp = x.as_ptr();
+        for (b, yb) in (b0..).zip(y.chunks_mut(BLOCK_ROWS)) {
+            let groups = self.block_ptr[b]..self.block_ptr[b + 1];
+            let span = BLOCK_ROWS * groups.start..BLOCK_ROWS * groups.end;
+            let mut s = [_mm256_setzero_pd(); BLOCK_ROWS / QUARTER];
+            for ((cg, vg), &unit) in self.cols[span.clone()]
+                .chunks_exact(BLOCK_ROWS)
+                .zip(self.vals[span].chunks_exact(BLOCK_ROWS))
+                .zip(&self.unit[groups])
+            {
+                for (q, sq) in s.iter_mut().enumerate() {
+                    let c = &cg[QUARTER * q..QUARTER * (q + 1)];
+                    // SAFETY: every stored column is `< n == x.len()`
+                    // (`Csr::from_triplets` asserts it, padding is 0 and
+                    // a plan has a group only if `n > 0`), so the scalar
+                    // loads are in bounds; a unit quarter's `c[3]` is
+                    // `c[0] + 3`, so `x[c[0]..c[0] + 4]` is too. `vg` is a
+                    // 16-element chunk and `q < 4`.
+                    let (v, g) = unsafe {
+                        let v = _mm256_loadu_pd(vg.as_ptr().add(QUARTER * q));
+                        let g = if unit >> q & 1 == 1 {
+                            _mm256_loadu_pd(xp.add(c[0] as usize))
+                        } else {
+                            _mm256_set_pd(
+                                *xp.add(c[3] as usize),
+                                *xp.add(c[2] as usize),
+                                *xp.add(c[1] as usize),
+                                *xp.add(c[0] as usize),
+                            )
+                        };
+                        (v, g)
+                    };
+                    *sq = _mm256_add_pd(*sq, _mm256_mul_pd(v, g));
+                }
+            }
+            let mut acc = [0.0f64; BLOCK_ROWS];
+            for (q, sq) in s.iter().enumerate() {
+                // SAFETY: `acc` has 16 elements and `q < 4`.
+                unsafe { _mm256_storeu_pd(acc.as_mut_ptr().add(QUARTER * q), *sq) };
+            }
+            yb.copy_from_slice(&acc[..yb.len()]);
         }
-    }
-    for (q, sv) in s.iter().enumerate() {
-        _mm256_storeu_pd(acc.as_mut_ptr().add(4 * q), *sv);
     }
 }
 
@@ -293,6 +358,10 @@ pub struct CgResult {
 
 /// Conjugate gradient for SPD systems: solves A·x = b in place on `x`
 /// (initial guess in). `parallel` selects the Rayon SpMV.
+///
+/// A direction with `p·Ap ≤ 0` (or NaN) means `A` is not positive
+/// definite: the solve stops there with `converged: false`, `x` and the
+/// residual those of the last completed iteration.
 pub fn cg(
     a: &Csr,
     b: &[f64],
@@ -309,30 +378,30 @@ pub fn cg(
     // One packed plan for the whole solve; every iteration's product
     // runs through it (bit-identical to the CSR row loop).
     let plan = SpmvPlan::new(a);
-    let mut ax = vec![0.0; n];
-    let spmv = |p: &SpmvPlan, x: &[f64], y: &mut [f64]| {
+    let mut ap = vec![0.0; n];
+    let spmv = |x: &[f64], y: &mut [f64]| {
         if parallel {
-            p.spmv_par(x, y)
+            plan.spmv_par(x, y)
         } else {
-            p.spmv(x, y)
+            plan.spmv(x, y)
         }
     };
-    spmv(&plan, x, &mut ax);
-    let mut r: Vec<f64> = b.iter().zip(&ax).map(|(bi, axi)| bi - axi).collect();
+    spmv(x, &mut ap);
+    let mut r: Vec<f64> = b.iter().zip(&ap).map(|(bi, axi)| bi - axi).collect();
     let mut p = r.clone();
     let mut rs = dot(&r, &r);
 
+    // Three sweeps per iteration: the product, p·Ap, and the fused
+    // update (which leaves r·r behind) with the direction update.
     let mut iters = 0;
     while iters < max_iters && rs.sqrt() / bnorm > tol {
-        spmv(&plan, &p, &mut ax); // ax = A p
-        let alpha = rs / dot(&p, &ax).max(1e-300);
-        axpy(alpha, &p, x);
-        axpy(-alpha, &ax, &mut r);
-        let rs_new = dot(&r, &r);
-        let beta = rs_new / rs;
-        for (pi, ri) in p.iter_mut().zip(&r) {
-            *pi = ri + beta * *pi;
+        spmv(&p, &mut ap);
+        let curvature = dot(&p, &ap);
+        if curvature.is_nan() || curvature <= 0.0 {
+            break;
         }
+        let rs_new = cg_update(rs / curvature, &p, &ap, x, &mut r);
+        xpby(&r, rs_new / rs, &mut p);
         rs = rs_new;
         iters += 1;
     }
@@ -353,6 +422,7 @@ mod tests {
     use super::*;
     use crate::lu::{lu_factor, lu_solve};
     use crate::mat::Mat;
+    use des::rng::Rng;
 
     #[test]
     fn csr_builds_and_dedups() {
@@ -388,29 +458,96 @@ mod tests {
         assert_eq!(ys, yp);
     }
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Poisson's five points with the right-hand neighbour as the
+    /// *last* entry of each row: quarters that are runs, and runs that
+    /// end at column n − 1.
+    fn banded(n: usize, rng: &mut Rng) -> Csr {
+        let mut t = Vec::new();
+        for r in 0..n {
+            for c in r.saturating_sub(2)..n.min(r + 3) {
+                t.push((r, c, rng.range_f64(-1.0, 1.0)));
+            }
+        }
+        Csr::from_triplets(n, &t)
+    }
+
+    /// About one row in five empty, the others 1–7 scattered entries.
+    fn scattered(n: usize, rng: &mut Rng) -> Csr {
+        let mut t = Vec::new();
+        for r in 0..n {
+            if rng.next_f64() < 0.2 {
+                continue;
+            }
+            for _ in 0..1 + (rng.next_f64() * 7.0) as usize {
+                let c = (rng.next_f64() * n as f64) as usize;
+                t.push((r, c.min(n - 1), rng.range_f64(-1.0, 1.0)));
+            }
+        }
+        Csr::from_triplets(n, &t)
+    }
+
+    /// Sixteen rows whose one entry sits at column `r + 4`: four runs,
+    /// the last ending at column n − 1 = 19. Row 5 has an entry in
+    /// front, which breaks its quarter (and no other) in group 0 and
+    /// leaves group 1 all padding but one lane. Rows 16..20 are empty.
+    fn ragged_diagonal() -> Csr {
+        let mut t: Vec<_> = (0..16).map(|r| (r, r + 4, 1.0 + r as f64)).collect();
+        t.push((5, 0, -2.0));
+        Csr::from_triplets(20, &t)
+    }
+
     #[test]
     fn plan_spmv_is_exactly_csr_spmv() {
-        // Tail blocks (n % 4 ≠ 0), empty rows, ragged row lengths —
-        // the packed plan must reproduce the row loop bit-for-bit.
-        let cases: Vec<Csr> = vec![
+        // Tail blocks (n % 16 ≠ 0), empty rows, ragged row lengths, runs
+        // up to the last column, a single row — the packed plan must
+        // reproduce the row loop bit-for-bit, sequential and parallel.
+        let mut rng = Rng::new(22);
+        let mut cases: Vec<Csr> = vec![
             Csr::poisson2d(13),
             Csr::from_triplets(7, &[(0, 6, 2.5), (3, 0, -1.25), (3, 3, 4.0), (6, 2, 0.5)]),
             Csr::from_triplets(1, &[(0, 0, 3.0)]),
+            Csr::from_triplets(1, &[]),
+            ragged_diagonal(),
         ];
+        for n in [5, 16, 37, 100, 131] {
+            cases.push(banded(n, &mut rng));
+            cases.push(scattered(n, &mut rng));
+        }
         for a in &cases {
             let n = a.n();
-            let x: Vec<f64> = (0..n).map(|i| ((i * 11) % 17) as f64 - 8.0).collect();
+            let x: Vec<f64> = (0..n).map(|_| rng.range_f64(-8.0, 8.0)).collect();
             let plan = SpmvPlan::new(a);
             assert!(plan.packed_entries() >= a.nnz());
             let mut yr = vec![0.0; n];
-            let mut yp = vec![0.0; n];
-            let mut ypp = vec![0.0; n];
+            let mut yp = vec![f64::NAN; n];
+            let mut ypp = vec![f64::NAN; n];
+            let mut yport = vec![f64::NAN; n];
             a.spmv(&x, &mut yr);
             plan.spmv(&x, &mut yp);
             plan.spmv_par(&x, &mut ypp);
-            assert_eq!(yr, yp, "plan vs row loop (n={n})");
-            assert_eq!(yp, ypp, "plan par vs seq (n={n})");
+            plan.blocks_portable(0, &x, &mut yport);
+            // `+ 0.0` folds the empty row's −0.0 (`Sum` starts there)
+            // into the plan's +0.0; every other value keeps its bits.
+            let yr: Vec<f64> = yr.iter().map(|v| v + 0.0).collect();
+            assert_eq!(bits(&yr), bits(&yp), "plan vs row loop (n={n})");
+            assert_eq!(bits(&yp), bits(&ypp), "plan par vs seq (n={n})");
+            assert_eq!(bits(&yp), bits(&yport), "dispatched vs portable (n={n})");
         }
+    }
+
+    #[test]
+    fn plan_marks_exactly_the_unit_stride_quarters() {
+        // Group 0: quarter 1 is (8, 0, 10, 11). Group 1: (0, 9, 0, 0)
+        // and three padding quarters (0, 0, 0, 0), none of them a run.
+        assert_eq!(SpmvPlan::new(&ragged_diagonal()).unit, vec![0b1101, 0]);
+        // Interior Poisson rows read consecutive columns entry by entry.
+        let plan = SpmvPlan::new(&Csr::poisson2d(64));
+        let runs: u32 = plan.unit.iter().map(|u| u.count_ones()).sum();
+        assert_eq!((runs, plan.unit.len() * 4), (4706, 5088));
     }
 
     #[test]
@@ -490,6 +627,59 @@ mod tests {
         let r = cg(&a, &b, &mut x, 1e-10, 100, false);
         assert_eq!(r.iterations, 0);
         assert!(r.converged);
+    }
+
+    #[test]
+    fn cg_stops_at_a_direction_without_positive_curvature() {
+        // Indefinite: the first step is fine (p·Ap = 1), the second
+        // direction has p·Ap < 0. The answer is the first iterate.
+        let a = Csr::from_triplets(2, &[(0, 0, 2.0), (1, 1, -1.0)]);
+        let mut x = vec![0.0; 2];
+        let r = cg(&a, &[1.0, 1.0], &mut x, 1e-10, 100, false);
+        assert!(!r.converged);
+        assert_eq!((r.iterations, x.as_slice()), (1, &[2.0, 2.0][..]));
+        assert!((r.residual - 3.0).abs() < 1e-15);
+
+        // Singular: A = 0 has no curvature anywhere; x is not touched.
+        let zero = Csr::from_triplets(3, &[]);
+        let mut x = vec![0.5; 3];
+        let r = cg(&zero, &[1.0, 2.0, 2.0], &mut x, 1e-10, 100, false);
+        assert!(!r.converged);
+        assert_eq!((r.iterations, r.residual), (0, 1.0));
+        assert_eq!(x, vec![0.5; 3]);
+
+        // A NaN entry: there is no finite residual to report, and no
+        // step is taken.
+        let nan = Csr::from_triplets(2, &[(0, 0, 1.0), (1, 1, f64::NAN)]);
+        let mut x = vec![0.25; 2];
+        let r = cg(&nan, &[1.0, 0.0], &mut x, 1e-10, 100, false);
+        assert!(!r.converged && r.iterations == 0);
+        assert_eq!(x, vec![0.25; 2]);
+    }
+
+    #[test]
+    fn cg_on_the_benchmark_fixture() {
+        // The `kernels` workload's solve and its acceptance test: 64²
+        // Poisson, seeded right-hand side in [-1, 1), tolerance 1e-8.
+        // The count moves with the right-hand side (191–200 over thirty
+        // seeds); a redefined `dot` may move it by a rounding, no more.
+        let a = Csr::poisson2d(64);
+        let n = a.n();
+        let mut rng = Rng::new(4);
+        let b: Vec<f64> = (0..n).map(|_| rng.range_f64(-1.0, 1.0)).collect();
+        let mut x = vec![0.0; n];
+        let res = cg(&a, &b, &mut x, 1e-8, 10_000, false);
+        assert!(res.converged);
+        assert!(
+            res.iterations.abs_diff(198) <= 2,
+            "{} iterations",
+            res.iterations
+        );
+        let mut ax = vec![0.0; n];
+        a.spmv(&x, &mut ax);
+        let r: Vec<f64> = ax.iter().zip(&b).map(|(p, q)| p - q).collect();
+        let true_residual = norm2(&r) / norm2(&b);
+        assert!(true_residual < 1e-7, "true residual {true_residual}");
     }
 
     #[test]

@@ -52,12 +52,46 @@ pub struct Shallow {
     uold: Vec<f64>,
     vold: Vec<f64>,
     pold: Vec<f64>,
-    // Work arrays.
+    work: Work,
+    pub steps_taken: usize,
+}
+
+/// What a step writes before it reads: the phase-1 fields and the spare
+/// `u`/`v`/`p` triple the leapfrog update fills and phase 3 rotates in
+/// (the outgoing time level becomes the next spare). Sized by the first
+/// step; a clone starts empty, since nothing in here outlives a step.
+#[derive(Debug, Default)]
+struct Work {
     cu: Vec<f64>,
     cv: Vec<f64>,
     z: Vec<f64>,
     h: Vec<f64>,
-    pub steps_taken: usize,
+    unew: Vec<f64>,
+    vnew: Vec<f64>,
+    pnew: Vec<f64>,
+}
+
+impl Clone for Work {
+    fn clone(&self) -> Work {
+        Work::default()
+    }
+}
+
+impl Work {
+    fn size(&mut self, len: usize) {
+        let Work {
+            cu,
+            cv,
+            z,
+            h,
+            unew,
+            vnew,
+            pnew,
+        } = self;
+        for a in [cu, cv, z, h, unew, vnew, pnew] {
+            a.resize(len, 0.0);
+        }
+    }
 }
 
 impl Shallow {
@@ -102,10 +136,7 @@ impl Shallow {
             uold: u.clone(),
             vold: v.clone(),
             pold: p.clone(),
-            cu: vec![0.0; m * m],
-            cv: vec![0.0; m * m],
-            z: vec![0.0; m * m],
-            h: vec![0.0; m * m],
+            work: Work::default(),
             u,
             v,
             p,
@@ -145,6 +176,8 @@ impl Shallow {
         let m = self.m;
         let fsdx = 4.0 / self.dx;
         let fsdy = 4.0 / self.dy;
+        self.work.size(m * m);
+        let w = &mut self.work;
 
         // --- Phase 1: mass fluxes, vorticity, Bernoulli head (fused). ---
         {
@@ -174,15 +207,14 @@ impl Shallow {
                     }
                     phase1_row(&args, cu_r, cv_r, z_r, h_r);
                 };
-            let mut rows: Vec<_> = self
-                .cu
-                .chunks_mut(m)
-                .zip(self.cv.chunks_mut(m))
-                .zip(self.z.chunks_mut(m))
-                .zip(self.h.chunks_mut(m))
-                .enumerate()
-                .map(|(i, (((cu_r, cv_r), z_r), h_r))| (i, cu_r, cv_r, z_r, h_r))
-                .collect();
+            let mut rows: Vec<_> =
+                w.cu.chunks_mut(m)
+                    .zip(w.cv.chunks_mut(m))
+                    .zip(w.z.chunks_mut(m))
+                    .zip(w.h.chunks_mut(m))
+                    .enumerate()
+                    .map(|(i, (((cu_r, cv_r), z_r), h_r))| (i, cu_r, cv_r, z_r, h_r))
+                    .collect();
             if parallel {
                 rows.par_iter_mut()
                     .for_each(|(i, cu_r, cv_r, z_r, h_r)| kernel(*i, cu_r, cv_r, z_r, h_r));
@@ -197,11 +229,8 @@ impl Shallow {
         let tdts8 = self.tdt / 8.0;
         let tdtsdx = self.tdt / self.dx;
         let tdtsdy = self.tdt / self.dy;
-        let mut unew = vec![0.0; m * m];
-        let mut vnew = vec![0.0; m * m];
-        let mut pnew = vec![0.0; m * m];
         {
-            let (cu, cv, z, h) = (&self.cu, &self.cv, &self.z, &self.h);
+            let (cu, cv, z, h) = (&w.cu, &w.cv, &w.z, &w.h);
             let (uold, vold, pold) = (&self.uold, &self.vold, &self.pold);
             let kernel = |i: usize, un_r: &mut [f64], vn_r: &mut [f64], pn_r: &mut [f64]| {
                 let im = (i + m - 1) % m;
@@ -233,10 +262,11 @@ impl Shallow {
                 }
                 phase2_row(&args, un_r, vn_r, pn_r);
             };
-            let mut rows: Vec<_> = unew
+            let mut rows: Vec<_> = w
+                .unew
                 .chunks_mut(m)
-                .zip(vnew.chunks_mut(m))
-                .zip(pnew.chunks_mut(m))
+                .zip(w.vnew.chunks_mut(m))
+                .zip(w.pnew.chunks_mut(m))
                 .enumerate()
                 .map(|(i, ((un_r, vn_r), pn_r))| (i, un_r, vn_r, pn_r))
                 .collect();
@@ -264,13 +294,13 @@ impl Shallow {
                     old[k] = cur[k] + alpha * (new[k] - 2.0 * cur[k] + old[k]);
                 }
             };
-            filter(&mut self.uold, &self.u, &unew);
-            filter(&mut self.vold, &self.v, &vnew);
-            filter(&mut self.pold, &self.p, &pnew);
+            filter(&mut self.uold, &self.u, &w.unew);
+            filter(&mut self.vold, &self.v, &w.vnew);
+            filter(&mut self.pold, &self.p, &w.pnew);
         }
-        self.u = unew;
-        self.v = vnew;
-        self.p = pnew;
+        std::mem::swap(&mut self.u, &mut w.unew);
+        std::mem::swap(&mut self.v, &mut w.vnew);
+        std::mem::swap(&mut self.p, &mut w.pnew);
         self.steps_taken += 1;
     }
 
@@ -281,6 +311,8 @@ impl Shallow {
         let m = self.m;
         let fsdx = 4.0 / self.dx;
         let fsdy = 4.0 / self.dy;
+        self.work.size(m * m);
+        let w = &mut self.work;
 
         // --- Phase 1: mass fluxes, vorticity, Bernoulli head. ---
         {
@@ -318,10 +350,10 @@ impl Shallow {
                                 + v[i * m + j] * v[i * m + j]);
                 }
             };
-            apply_rows(&mut self.cu, m, parallel, row_cu);
-            apply_rows(&mut self.cv, m, parallel, row_cv);
-            apply_rows(&mut self.z, m, parallel, row_z);
-            apply_rows(&mut self.h, m, parallel, row_h);
+            apply_rows(&mut w.cu, m, parallel, row_cu);
+            apply_rows(&mut w.cv, m, parallel, row_cv);
+            apply_rows(&mut w.z, m, parallel, row_z);
+            apply_rows(&mut w.h, m, parallel, row_h);
         }
 
         // --- Phase 2: leapfrog update. ---
@@ -332,7 +364,7 @@ impl Shallow {
         let mut vnew = vec![0.0; m * m];
         let mut pnew = vec![0.0; m * m];
         {
-            let (cu, cv, z, h) = (&self.cu, &self.cv, &self.z, &self.h);
+            let (cu, cv, z, h) = (&w.cu, &w.cv, &w.z, &w.h);
             let (uold, vold, pold) = (&self.uold, &self.vold, &self.pold);
             let row_u = |i: usize, out: &mut [f64]| {
                 let im = (i + m - 1) % m;
@@ -624,21 +656,33 @@ mod tests {
         // The fused/vectorised engine against the seed sweeps, and the
         // portable clone against the dispatched one: every path must
         // produce the same bits (m = 20 exercises the wrap peels; 50
-        // steps cross the leapfrog start-up and the Asselin filter).
-        let mut v2 = Shallow::new(20);
-        let mut base = Shallow::new(20);
-        let mut portable = Shallow::new(20);
-        for _ in 0..50 {
-            v2.step(false);
-            base.step_baseline(false);
-            portable.step_portable(false);
+        // steps cross the leapfrog start-up and the Asselin filter),
+        // sequential and parallel. A clone carries no work arrays: taken
+        // before the first step and in mid-run, it must step like the
+        // model it was cloned from.
+        for parallel in [false, true] {
+            let fresh = Shallow::new(20);
+            assert!(fresh.work.cu.is_empty());
+            let mut v2 = fresh.clone();
+            let mut base = fresh.clone();
+            let mut portable = fresh;
+            for step in 0..50 {
+                if step == 25 {
+                    assert_eq!(v2.work.unew.len(), 400);
+                    v2 = v2.clone();
+                    assert!(v2.work.unew.is_empty());
+                }
+                v2.step(parallel);
+                base.step_baseline(parallel);
+                portable.step_portable(parallel);
+            }
+            assert_eq!(v2.p, base.p, "v2 vs seed sweeps");
+            assert_eq!(v2.u, base.u);
+            assert_eq!(v2.v, base.v);
+            assert_eq!(v2.p, portable.p, "dispatched vs portable");
+            assert_eq!(v2.u, portable.u);
+            assert_eq!(v2.v, portable.v);
         }
-        assert_eq!(v2.p, base.p, "v2 vs seed sweeps");
-        assert_eq!(v2.u, base.u);
-        assert_eq!(v2.v, base.v);
-        assert_eq!(v2.p, portable.p, "dispatched vs portable");
-        assert_eq!(v2.u, portable.u);
-        assert_eq!(v2.v, portable.v);
     }
 
     #[test]

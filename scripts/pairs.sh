@@ -1,0 +1,104 @@
+#!/usr/bin/env bash
+# Ten alternating pairs of two revisions on one benchmark workload: the
+# protocol every perf PR's numbers come from (ROADMAP item 1b).
+#
+#   scripts/pairs.sh <rev-a> <rev-b> <workload> [seed] [pairs] [seconds]
+#   scripts/pairs.sh HEAD . kernels                # parent against the working tree
+#   scripts/pairs.sh HEAD~1 HEAD mesh_halo 424242 10 10
+#
+# A revision is anything `git rev-parse` takes; `.` is the working tree
+# as `git stash create` sees it (tracked and staged files, so `git add`
+# new ones first). Each revision is exported once to
+# target/pairs/<tree>/tree and built into its own target/pairs/<tree>/target,
+# then run from its tree with the driver's command (BENCHMARK.json's
+# `command`, its `run_seconds` by default). Which side goes first
+# alternates pair by pair. Prints every run, each side's median and
+# quartiles, and how many pairs <rev-b> won on wall_s; a gain is claimed
+# only at wins >= 9/10 and medians further apart than <rev-a>'s
+# inter-quartile distance. Run it with nothing else going on the host.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+if [ $# -lt 3 ]; then
+    echo "usage: $0 <rev-a> <rev-b> <workload> [seed] [pairs] [seconds]" >&2
+    exit 2
+fi
+workload=$3
+seed=${4:-1992}
+pairs=${5:-10}
+seconds=${6:-$(jq -r .run_seconds BENCHMARK.json)}
+metrics=(wall_s setup_s peak_rss_mb allocs_per_pass)
+
+resolve() {
+    local rev=$1
+    if [ "$rev" = . ]; then
+        rev=$(git stash create)
+        rev=${rev:-HEAD} # a clean tree has nothing to stash
+    fi
+    git rev-parse --verify --quiet "$rev^{commit}"
+}
+
+# Export and build one revision; leaves its directory in $dir, named by
+# the tree so that an unchanged working tree is exported and built once.
+prepare() {
+    dir=$PWD/target/pairs/$(git rev-parse "$1^{tree}")
+    if [ ! -d "$dir/tree" ]; then
+        mkdir -p "$dir/tree"
+        git archive "$1" | tar -x -C "$dir/tree"
+    fi
+    (cd "$dir/tree" && CARGO_TARGET_DIR=$dir/target \
+        cargo build --release --quiet --offline --manifest-path benchmark/Cargo.toml)
+}
+
+# One run of the driver's command from side $1's tree $2 (a run that
+# fails its own verification exits non-zero and stops the script);
+# prints the row and appends it to $rows.
+run() {
+    (cd "$2/tree" && CARGO_TARGET_DIR=$2/target \
+        cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0) |
+        awk -v OFS='\t' -v side="$1" -v pair="$3" '{ m[$1] = $2 }
+            END { print pair, side, m["wall_s"], m["setup_s"], m["peak_rss_mb"],
+                        m["allocs_per_pass"], m["ops_failed"], m["result_digest"] }' |
+        tee -a "$rows"
+}
+
+# Median and quartiles (linear interpolation between order statistics)
+# of column $2 over side $1's rows.
+summary() {
+    awk -F'\t' -v side="$1" -v col="$2" '$2 == side { print $col }' "$rows" | sort -g |
+        awk '{ v[NR] = $1 }
+             function q(p,   h, lo) { h = 1 + p * (NR - 1); lo = int(h); return v[lo] + (h - lo) * (v[lo < NR ? lo + 1 : lo] - v[lo]) }
+             END { printf "%.6g\t%.6g\t%.6g", q(0.25), q(0.5), q(0.75) }'
+}
+
+sha_a=$(resolve "$1")
+sha_b=$(resolve "$2")
+prepare "$sha_a" && dir_a=$dir
+prepare "$sha_b" && dir_b=$dir
+rows=$(mktemp)
+trap 'rm -f "$rows"' EXIT
+
+echo "a = $1 ($sha_a)   b = $2 ($sha_b)"
+echo "workload $workload  seed $seed  pairs $pairs  seconds $seconds  host $(nproc) cpu  $(date -u +%F)"
+printf 'pair\tside\twall_s\tsetup_s\tpeak_rss_mb\tallocs_per_pass\tops_failed\tresult_digest\n'
+for pair in $(seq 1 "$pairs"); do
+    if [ $((pair % 2)) -eq 1 ]; then
+        run a "$dir_a" "$pair"
+        run b "$dir_b" "$pair"
+    else
+        run b "$dir_b" "$pair"
+        run a "$dir_a" "$pair"
+    fi
+done
+
+printf '\nmetric\tside\tq1\tmedian\tq3\n'
+for i in "${!metrics[@]}"; do
+    for side in a b; do
+        printf '%s\t%s\t%s\n' "${metrics[$i]}" "$side" "$(summary "$side" $((i + 3)))"
+    done
+done
+awk -F'\t' '$2 == "a" { a[$1] = $3 } $2 == "b" { b[$1] = $3 } { failed[$2] += $7 }
+    END { for (p in a) { n++; if (b[p] < a[p]) wins++; else if (b[p] == a[p]) ties++ }
+          printf "\nwall_s: b wins %d of %d pairs (%d ties)   ops_failed a %d  b %d\n",
+                 wins, n, ties, failed["a"], failed["b"] }' "$rows"

@@ -366,3 +366,55 @@ fn recorders_observe_without_perturbing() {
     );
     assert!(snap.ring.evicted_events > 0, "a 64-event ring must wrap");
 }
+
+/// The host kernels' fast paths against their references, at sizes the
+/// crate's own tests do not share: the packed SpMV plan equals the CSR
+/// row loop bit for bit, CG agrees with a dense LU solve, and the
+/// vectorised shallow-water step equals the seed sweeps bit for bit on
+/// a *cloned* model (a clone carries no work arrays; its first step
+/// sizes them).
+#[test]
+fn kernels_fast_paths_agree_with_their_references() {
+    use hpcc_kernels::cg::{cg, Csr, SpmvPlan};
+    use hpcc_kernels::shallow::Shallow;
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+    let a = Csr::poisson2d(13);
+    let mut rng = Rng::new(22);
+    let x: Vec<f64> = (0..a.n()).map(|_| rng.range_f64(-1.0, 1.0)).collect();
+    let (mut y_csr, mut y_plan) = (vec![0.0; a.n()], vec![0.0; a.n()]);
+    a.spmv(&x, &mut y_csr);
+    SpmvPlan::new(&a).spmv(&x, &mut y_plan);
+    assert_eq!(bits(&y_csr), bits(&y_plan));
+
+    let g = 5;
+    let a = Csr::poisson2d(g);
+    let b: Vec<f64> = (0..a.n()).map(|_| rng.range_f64(-1.0, 1.0)).collect();
+    let mut x = vec![0.0; a.n()];
+    assert!(cg(&a, &b, &mut x, 1e-13, 1_000, false).converged);
+    let mut dense = Mat::from_fn(a.n(), a.n(), |i, j| {
+        let (di, dj) = ((i / g).abs_diff(j / g), (i % g).abs_diff(j % g));
+        match di + dj {
+            0 => 4.0,
+            1 => -1.0,
+            _ => 0.0,
+        }
+    });
+    let piv = lu_factor(&mut dense, 8).unwrap();
+    for (p, q) in x.iter().zip(&lu_solve(&dense, &piv, &b)) {
+        assert!((p - q).abs() < 1e-10, "{p} vs {q}");
+    }
+
+    let mut sea = Shallow::new(16);
+    let mut reference = sea.clone();
+    sea.step(false); // `sea` has its work arrays now; its clone will not
+    reference.step_baseline(false);
+    let mut sea = sea.clone();
+    for _ in 1..8 {
+        sea.step(false);
+        reference.step_baseline(false);
+    }
+    assert_eq!(bits(&sea.p), bits(&reference.p));
+    assert_eq!(bits(&sea.u), bits(&reference.u));
+    assert_eq!(bits(&sea.v), bits(&reference.v));
+}
