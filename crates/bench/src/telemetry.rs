@@ -93,7 +93,7 @@ fn with_scrapers<R>(
             let doc = hpcc_trace::json::parse(&chunk).expect("chunk is valid JSON");
             cursor = doc
                 .get("next")
-                .and_then(hpcc_trace::json::Json::as_f64)
+                .and_then(hpcc_trace::json::Value::as_f64)
                 .expect("chunk cursor") as u64;
             lat_ms.push(t.elapsed().as_secs_f64() * 1e3);
             if done.load(Ordering::SeqCst) {

@@ -18,7 +18,8 @@
 //! `Connection: close`), all of them strictly readers: a scrape loads
 //! atomic cells and clones `Arc`s of frozen ring chunks, so any number of
 //! concurrent dashboard readers leave the simulation thread's fast path
-//! untouched.
+//! untouched. At most `MAX_CONNECTIONS` of those threads exist at once;
+//! a connection beyond that is answered `503` from the accept thread.
 //!
 //! Parsing is apart from socket I/O: `route` maps the bytes of a request
 //! head to an endpoint or a refusal, so hostile heads are fuzzed without a
@@ -26,7 +27,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -53,6 +54,7 @@ impl TelemetryServer {
         let requests = Arc::new(AtomicU64::new(0));
         let stop2 = Arc::clone(&stop);
         let requests2 = Arc::clone(&requests);
+        let in_flight = Arc::new(AtomicUsize::new(0));
         let accept = std::thread::Builder::new()
             .name("hpcc-telemetry".into())
             .spawn(move || {
@@ -61,6 +63,10 @@ impl TelemetryServer {
                         break;
                     }
                     let Ok(sock) = conn else { continue };
+                    let Some(slot) = Slot::take(&in_flight) else {
+                        refuse(sock);
+                        continue;
+                    };
                     let rec = Arc::clone(&rec);
                     let requests = Arc::clone(&requests2);
                     // One short-lived thread per connection; handlers
@@ -68,8 +74,14 @@ impl TelemetryServer {
                     let _ = std::thread::Builder::new()
                         .name("hpcc-telemetry-conn".into())
                         .spawn(move || {
+                            // Locals drop in reverse: the slot is given
+                            // back, also by a panicking handler, before
+                            // the socket closes, so a client that has seen
+                            // its connection end finds the slot free.
+                            let mut sock = sock;
+                            let _slot = slot;
                             requests.fetch_add(1, Ordering::Relaxed);
-                            let _ = handle(sock, &rec);
+                            let _ = handle(&mut sock, &rec);
                         });
                 }
             })?;
@@ -112,6 +124,32 @@ impl Drop for TelemetryServer {
         if self.accept.is_some() {
             self.shutdown();
         }
+    }
+}
+
+/// Connection threads alive at once, at most. A handler holds its slot
+/// for as long as its peer keeps it waiting (up to the socket timeouts),
+/// so without the cap idle connections could pile up threads.
+const MAX_CONNECTIONS: usize = 64;
+
+/// One of the [`MAX_CONNECTIONS`] slots, given back on drop.
+struct Slot(Arc<AtomicUsize>);
+
+impl Slot {
+    /// A free slot, if there is one. Only the accept thread takes slots,
+    /// so the check cannot race another taker.
+    fn take(in_flight: &Arc<AtomicUsize>) -> Option<Slot> {
+        if in_flight.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
+            return None;
+        }
+        in_flight.fetch_add(1, Ordering::SeqCst);
+        Some(Slot(Arc::clone(in_flight)))
+    }
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -165,7 +203,19 @@ fn route(head: &[u8]) -> Result<Route, (u16, &'static str)> {
     }
 }
 
-fn handle(mut sock: TcpStream, rec: &StreamRecorder) -> std::io::Result<()> {
+/// Answer `503` from the accept thread and close. Closing on unread data
+/// resets the connection and the peer may never see the status, so what
+/// a client that sends its request in one write has sent is read first;
+/// an idle peer is waited for only briefly, this being the accept thread.
+fn refuse(mut sock: TcpStream) {
+    let brief = Some(Duration::from_millis(10));
+    let _ = sock.set_read_timeout(brief);
+    let _ = sock.set_write_timeout(brief);
+    let _ = sock.read(&mut [0u8; 512]);
+    let _ = respond(&mut sock, 503, "text/plain", "too many connections\n");
+}
+
+fn handle(sock: &mut TcpStream, rec: &StreamRecorder) -> std::io::Result<()> {
     sock.set_read_timeout(Some(Duration::from_secs(5)))?;
     sock.set_write_timeout(Some(Duration::from_secs(5)))?;
     // Read until the end of the request head. Bodies are ignored: every
@@ -180,18 +230,18 @@ fn handle(mut sock: TcpStream, rec: &StreamRecorder) -> std::io::Result<()> {
         buf.extend_from_slice(&chunk[..n]);
     }
     match route(&buf) {
-        Ok(Route::Healthz) => respond(&mut sock, 200, "text/plain", "ok\n"),
+        Ok(Route::Healthz) => respond(sock, 200, "text/plain", "ok\n"),
         Ok(Route::Metrics) => respond(
-            &mut sock,
+            sock,
             200,
             "text/plain; version=0.0.4; charset=utf-8",
             &rec.prometheus_text(),
         ),
         Ok(Route::Trace { since, max }) => {
             let (body, _next) = rec.trace_chunk(since, max);
-            respond(&mut sock, 200, "application/json", &body)
+            respond(sock, 200, "application/json", &body)
         }
-        Err((status, body)) => respond(&mut sock, status, "text/plain", body),
+        Err((status, body)) => respond(sock, status, "text/plain", body),
     }
 }
 
@@ -202,6 +252,7 @@ fn respond(sock: &mut TcpStream, status: u16, ctype: &str, body: &str) -> std::i
         404 => "Not Found",
         405 => "Method Not Allowed",
         431 => "Request Header Fields Too Large",
+        503 => "Service Unavailable",
         _ => "Error",
     };
     let head = format!(
@@ -220,9 +271,9 @@ fn respond(sock: &mut TcpStream, status: u16, ctype: &str, body: &str) -> std::i
 pub fn get(addr: SocketAddr, path: &str) -> std::io::Result<(u16, String)> {
     let mut sock = TcpStream::connect(addr)?;
     sock.set_read_timeout(Some(Duration::from_secs(10)))?;
-    write!(
-        sock,
-        "GET {path} HTTP/1.1\r\nHost: hpcc\r\nConnection: close\r\n\r\n"
+    // One write: a server refusing the connection reads it in one piece.
+    sock.write_all(
+        format!("GET {path} HTTP/1.1\r\nHost: hpcc\r\nConnection: close\r\n\r\n").as_bytes(),
     )?;
     let mut raw = String::new();
     sock.read_to_string(&mut raw)?;
@@ -270,7 +321,10 @@ mod tests {
         let (code, body) = get(addr, "/trace?since=0").unwrap();
         assert_eq!(code, 200);
         let doc = crate::json::parse(&body).expect("trace chunk is valid JSON");
-        let next = doc.get("next").and_then(crate::json::Json::as_f64).unwrap() as u64;
+        let next = doc
+            .get("next")
+            .and_then(crate::json::Value::as_f64)
+            .unwrap() as u64;
         assert_eq!(next, 3);
 
         // Tail from the cursor: empty chunk, same cursor.
@@ -278,7 +332,9 @@ mod tests {
         assert_eq!(code, 200);
         let doc = crate::json::parse(&body).unwrap();
         assert_eq!(
-            doc.get("next").and_then(crate::json::Json::as_f64).unwrap() as u64,
+            doc.get("next")
+                .and_then(crate::json::Value::as_f64)
+                .unwrap() as u64,
             next
         );
 
@@ -407,6 +463,38 @@ mod tests {
         srv.stop();
     }
 
+    /// The cap over sockets: connections are accepted in order, so the one
+    /// after `MAX_CONNECTIONS` idle ones is the one refused.
+    #[test]
+    fn connections_past_the_cap_are_answered_503() {
+        let (srv, _rec) = server_with_data();
+        let addr = srv.addr();
+        let mut idle: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+            .map(|_| TcpStream::connect(addr).unwrap())
+            .collect();
+        let mut raw = String::new();
+        let mut over = TcpStream::connect(addr).unwrap();
+        over.read_to_string(&mut raw).unwrap();
+        assert!(raw.starts_with("HTTP/1.1 503 "), "{raw}");
+
+        // One held connection is served to its end, which frees its slot...
+        let mut held = idle.pop().unwrap();
+        held.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+        raw.clear();
+        held.read_to_string(&mut raw).unwrap();
+        assert!(raw.starts_with("HTTP/1.1 200 "), "{raw}");
+        let (code, body) = get(addr, "/healthz").unwrap();
+        assert_eq!((code, body.as_str()), (200, "ok\n"));
+        // ...which the next connection takes, and the one after is refused.
+        idle.push(TcpStream::connect(addr).unwrap());
+        raw.clear();
+        let mut over = TcpStream::connect(addr).unwrap();
+        over.read_to_string(&mut raw).unwrap();
+        assert!(raw.starts_with("HTTP/1.1 503 "), "{raw}");
+        drop(idle);
+        srv.stop();
+    }
+
     #[test]
     fn many_concurrent_readers_against_live_writes() {
         let (srv, rec) = server_with_data();
@@ -436,8 +524,10 @@ mod tests {
                             get(addr, &format!("/trace?since={cursor}&max=4096")).expect("tail");
                         assert_eq!(code, 200);
                         let doc = crate::json::parse(&body).expect("valid chunk");
-                        cursor =
-                            doc.get("next").and_then(crate::json::Json::as_f64).unwrap() as u64;
+                        cursor = doc
+                            .get("next")
+                            .and_then(crate::json::Value::as_f64)
+                            .unwrap() as u64;
                     }
                 });
             }

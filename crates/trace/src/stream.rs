@@ -734,7 +734,8 @@ impl StreamRecorder {
         let oldest = self.ring.ledger().oldest_seq;
         let lagged = oldest.saturating_sub(since);
 
-        let mut out = String::with_capacity(1024);
+        let held: usize = chunks.iter().map(|chunk| chunk.events.len()).sum();
+        let mut out = String::with_capacity(chrome::capacity(&reg.tracks, held.min(max_events)));
         let mut next = since.max(oldest);
         let _ = write!(
             out,
@@ -991,11 +992,10 @@ mod tests {
         let doc = crate::json::parse(&json).expect("chunk is valid JSON");
         let events = doc
             .get("traceEvents")
-            .and_then(crate::json::Json::as_arr)
+            .and_then(crate::json::Value::as_arr)
             .unwrap();
         let xs = events
-            .iter()
-            .filter(|e| e.get("ph").and_then(crate::json::Json::as_str) == Some("X"))
+            .filter(|e| e.get("ph").and_then(crate::json::Value::as_str).as_deref() == Some("X"))
             .count();
         assert_eq!(xs, 10);
         // Page from the cursor: nothing new.
@@ -1004,10 +1004,9 @@ mod tests {
         let doc2 = crate::json::parse(&json2).unwrap();
         let xs2 = doc2
             .get("traceEvents")
-            .and_then(crate::json::Json::as_arr)
+            .and_then(crate::json::Value::as_arr)
             .unwrap()
-            .iter()
-            .filter(|e| e.get("ph").and_then(crate::json::Json::as_str) == Some("X"))
+            .filter(|e| e.get("ph").and_then(crate::json::Value::as_str).as_deref() == Some("X"))
             .count();
         assert_eq!(xs2, 0);
         // Mid-stream cursor sees only the tail.
@@ -1015,10 +1014,9 @@ mod tests {
         let doc3 = crate::json::parse(&json3).unwrap();
         let xs3 = doc3
             .get("traceEvents")
-            .and_then(crate::json::Json::as_arr)
+            .and_then(crate::json::Value::as_arr)
             .unwrap()
-            .iter()
-            .filter(|e| e.get("ph").and_then(crate::json::Json::as_str) == Some("X"))
+            .filter(|e| e.get("ph").and_then(crate::json::Value::as_str).as_deref() == Some("X"))
             .count();
         assert_eq!(xs3, 3);
     }
@@ -1035,7 +1033,7 @@ mod tests {
         let doc = crate::json::parse(&json).unwrap();
         let lagged = doc
             .get("lagged")
-            .and_then(crate::json::Json::as_f64)
+            .and_then(crate::json::Value::as_f64)
             .unwrap();
         assert_eq!(lagged as u64, 32);
     }

@@ -2,9 +2,10 @@
 # Ten alternating pairs of two revisions on one benchmark workload: the
 # protocol every perf PR's numbers come from (ROADMAP item 1b).
 #
-#   scripts/pairs.sh <rev-a> <rev-b> <workload> [seed] [pairs] [seconds]
+#   scripts/pairs.sh <rev-a> <rev-b> <workload> [seed] [pairs] [seconds] [--layers <metric>[,<metric>...]]
 #   scripts/pairs.sh HEAD . kernels                # parent against the working tree
 #   scripts/pairs.sh HEAD~1 HEAD mesh_halo 424242 10 10
+#   scripts/pairs.sh HEAD~1 HEAD telemetry_live 1992 10 10 --layers trace.http.chunk_s,trace.http.scrape_s
 #
 # A revision is anything `git rev-parse` takes; `.` is the working tree
 # as `git stash create` sees it (tracked and staged files, so `git add`
@@ -15,19 +16,31 @@
 # alternates pair by pair. Prints every run, each side's median and
 # quartiles, and how many pairs <rev-b> won on wall_s; a gain is claimed
 # only at wins >= 9/10 and medians further apart than <rev-a>'s
-# inter-quartile distance. Run it with nothing else going on the host.
+# inter-quartile distance. With --layers the pairs are traced runs
+# (`--trace 1`, which reports BENCHMARK.json's per-layer metrics and not
+# the end-to-end ones): the named metrics take the place of the four
+# end-to-end columns and the wins (lower wins) are counted on the first
+# one named - where a saving went, after a first table showed there is one.
+# Run it with nothing else going on the host.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-if [ $# -lt 3 ]; then
-    echo "usage: $0 <rev-a> <rev-b> <workload> [seed] [pairs] [seconds]" >&2
+metrics=(wall_s setup_s peak_rss_mb allocs_per_pass) trace=0
+if [ $# -ge 2 ] && [ "${*: -2:1}" = --layers ]; then
+    IFS=, read -ra metrics <<<"${*: -1}"
+    trace=1
+    set -- "${@:1:$#-2}"
+fi
+if [ $# -lt 3 ] || [ $# -gt 6 ]; then
+    echo "usage: $0 <rev-a> <rev-b> <workload> [seed] [pairs] [seconds] [--layers <metric>[,<metric>...]]" >&2
     exit 2
 fi
 workload=$3
 seed=${4:-1992}
 pairs=${5:-10}
 seconds=${6:-$(jq -r .run_seconds BENCHMARK.json)}
-metrics=(wall_s setup_s peak_rss_mb allocs_per_pass)
+# A row is: pair, side, the metrics, ops_failed, result_digest.
+failed_col=$((${#metrics[@]} + 3))
 
 resolve() {
     local rev=$1
@@ -56,10 +69,12 @@ prepare() {
 run() {
     (cd "$2/tree" && CARGO_TARGET_DIR=$2/target \
         cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
-        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0) |
-        awk -v OFS='\t' -v side="$1" -v pair="$3" '{ m[$1] = $2 }
-            END { print pair, side, m["wall_s"], m["setup_s"], m["peak_rss_mb"],
-                        m["allocs_per_pass"], m["ops_failed"], m["result_digest"] }' |
+        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace "$trace") |
+        awk -v OFS='\t' -v side="$1" -v pair="$3" -v names="${metrics[*]}" '{ m[$1] = $2 }
+            END { row = pair OFS side
+                  n = split(names, name, " ")
+                  for (i = 1; i <= n; i++) row = row OFS m[name[i]]
+                  print row, m["ops_failed"], m["result_digest"] }' |
         tee -a "$rows"
 }
 
@@ -81,7 +96,7 @@ trap 'rm -f "$rows"' EXIT
 
 echo "a = $1 ($sha_a)   b = $2 ($sha_b)"
 echo "workload $workload  seed $seed  pairs $pairs  seconds $seconds  host $(nproc) cpu  $(date -u +%F)"
-printf 'pair\tside\twall_s\tsetup_s\tpeak_rss_mb\tallocs_per_pass\tops_failed\tresult_digest\n'
+printf 'pair\tside\t%s\tops_failed\tresult_digest\n' "$(IFS=$'\t'; echo "${metrics[*]}")"
 for pair in $(seq 1 "$pairs"); do
     if [ $((pair % 2)) -eq 1 ]; then
         run a "$dir_a" "$pair"
@@ -98,7 +113,8 @@ for i in "${!metrics[@]}"; do
         printf '%s\t%s\t%s\n' "${metrics[$i]}" "$side" "$(summary "$side" $((i + 3)))"
     done
 done
-awk -F'\t' '$2 == "a" { a[$1] = $3 } $2 == "b" { b[$1] = $3 } { failed[$2] += $7 }
+awk -F'\t' -v first="${metrics[0]}" -v failed_col="$failed_col" '
+    $2 == "a" { a[$1] = $3 } $2 == "b" { b[$1] = $3 } { failed[$2] += $failed_col }
     END { for (p in a) { n++; if (b[p] < a[p]) wins++; else if (b[p] == a[p]) ties++ }
-          printf "\nwall_s: b wins %d of %d pairs (%d ties)   ops_failed a %d  b %d\n",
-                 wins, n, ties, failed["a"], failed["b"] }' "$rows"
+          printf "\n%s: b wins %d of %d pairs (%d ties)   ops_failed a %d  b %d\n",
+                 first, wins, n, ties, failed["a"], failed["b"] }' "$rows"

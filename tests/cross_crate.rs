@@ -341,8 +341,12 @@ fn recorders_observe_without_perturbing() {
         assert_eq!(format!("{:?}", run(rec)), format!("{plain:?}"));
     }
 
-    let doc = json::parse(&mem.to_chrome_json()).expect("the Chrome export is valid JSON");
-    let rows = doc.get("traceEvents").and_then(json::Json::as_arr).unwrap();
+    let chrome = mem.to_chrome_json();
+    let doc = json::parse(&chrome).expect("the Chrome export is valid JSON");
+    let rows = doc
+        .get("traceEvents")
+        .and_then(json::Value::as_arr)
+        .unwrap();
     assert!(
         rows.len() > mem.len(),
         "every event plus the track metadata"
