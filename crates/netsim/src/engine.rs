@@ -197,6 +197,16 @@ fn heap_pop(v: &mut Vec<Member>) -> Member {
     out
 }
 
+/// Link `d`'s slot in `Engine::ln`: `ln[off..off + len]` holds the
+/// affected entries crossing it that were unfrozen at its last
+/// compaction, in `dirty` order; `live` of them are still unfrozen.
+#[derive(Debug, Clone, Copy, Default)]
+struct LinkList {
+    off: usize,
+    len: u32,
+    live: u32,
+}
+
 /// The materialised allocation state for one simulation run.
 pub(crate) struct Engine {
     mode: SolverMode,
@@ -234,16 +244,21 @@ pub(crate) struct Engine {
     dirty: Vec<EntryId>,
     touched_d: Vec<usize>,
     fr_rate: Vec<f64>,
-    // The affected set flattened for `fill`, indexed like `dirty`:
-    // weight, cap, and route dirs as CSR (`fr_off[i]..fr_off[i + 1]`).
+    // The affected set flattened for `fill`, indexed like `dirty`.
     fr_w: Vec<f64>,
-    fr_cap: Vec<f64>,
-    fr_off: Vec<usize>,
-    fr_dirs: Vec<usize>,
-    /// `dirty` indices still unfrozen, in `dirty` order.
-    fr_act: Vec<usize>,
-    /// Touched links still carrying unfrozen weight, in `touched_d` order.
+    /// Whether the entry is still unfrozen (at the common water level).
+    fr_live: Vec<bool>,
+    /// Unfrozen entries with a finite cap, in `dirty` order, with the cap.
+    fr_capped: Vec<(usize, f64)>,
+    /// Entries frozen in the current round.
+    fr_frz: Vec<usize>,
+    /// Touched links still carrying unfrozen entries, in `touched_d` order.
     fr_links: Vec<usize>,
+    /// Per-link lists of `dirty` indices, in `dirty` order, one slot per
+    /// touched link (see [`LinkList`]). Slots are sized from `on[d].len()`
+    /// and the array only grows.
+    ln: Vec<u32>,
+    lists: Vec<LinkList>,
     residual: Vec<f64>,
     wsum: Vec<f64>,
     lvl: Vec<f64>,
@@ -279,11 +294,12 @@ impl Engine {
             touched_d: Vec::new(),
             fr_rate: Vec::new(),
             fr_w: Vec::new(),
-            fr_cap: Vec::new(),
-            fr_off: Vec::new(),
-            fr_dirs: Vec::new(),
-            fr_act: Vec::new(),
+            fr_live: Vec::new(),
+            fr_capped: Vec::new(),
+            fr_frz: Vec::new(),
             fr_links: Vec::new(),
+            ln: Vec::new(),
+            lists: vec![LinkList::default(); ndirs],
             residual: vec![0.0; ndirs],
             wsum: vec![0.0; ndirs],
             lvl: vec![0.0; ndirs],
@@ -611,47 +627,43 @@ impl Engine {
         self.seeds_e.clear();
         self.seeds_d.clear();
 
-        let n_alive = self.roster.len();
-        let mut full = matches!(self.mode, SolverMode::Global);
+        let (mut full, frac) = match self.mode {
+            SolverMode::Incremental { full_fraction } => (false, full_fraction),
+            SolverMode::Global => (true, 0.0),
+        };
+        let limit = frac * self.roster.len() as f64;
         let (mut scan, mut lscan) = (0usize, 0usize);
         loop {
-            if !full {
-                // Closure: pull in everything a rate change can reach
-                // through links that were saturated before the event.
-                while scan < self.dirty.len() || lscan < self.touched_d.len() {
-                    while scan < self.dirty.len() {
-                        let e = self.dirty[scan];
-                        scan += 1;
-                        let nd = self.entries[e].route.dirs.len();
-                        for k in 0..nd {
-                            let d = self.entries[e].route.dirs[k];
-                            if self.d_stamp[d] != st {
-                                self.d_stamp[d] = st;
-                                self.touched_d.push(d);
-                            }
+            // Closure: pull in everything a rate change can reach through
+            // links that were saturated before the event. Entries and
+            // links are two FIFO queues, so the order they are drained in
+            // does not change either sequence. `A` only grows: once it
+            // passes the fallback threshold the decision is final, and
+            // the full path below overwrites `dirty` and `touched_d`.
+            while !full && (scan < self.dirty.len() || lscan < self.touched_d.len()) {
+                if scan < self.dirty.len() {
+                    let e = self.dirty[scan];
+                    scan += 1;
+                    for &d in &self.entries[e].route.dirs {
+                        if self.d_stamp[d] != st {
+                            self.d_stamp[d] = st;
+                            self.touched_d.push(d);
                         }
                     }
-                    while lscan < self.touched_d.len() {
-                        let d = self.touched_d[lscan];
-                        lscan += 1;
-                        if self.sat[d] {
-                            for k in 0..self.on[d].len() {
-                                let m = self.on[d][k].0 as usize;
-                                if self.e_stamp[m] != st {
-                                    self.e_stamp[m] = st;
-                                    self.dirty.push(m);
-                                }
+                } else {
+                    let d = self.touched_d[lscan];
+                    lscan += 1;
+                    if self.sat[d] {
+                        for &(m, _) in &self.on[d] {
+                            let m = m as usize;
+                            if self.e_stamp[m] != st {
+                                self.e_stamp[m] = st;
+                                self.dirty.push(m);
                             }
                         }
                     }
                 }
-                let frac = match self.mode {
-                    SolverMode::Incremental { full_fraction } => full_fraction,
-                    SolverMode::Global => 0.0,
-                };
-                if self.dirty.len() as f64 > frac * n_alive as f64 {
-                    full = true;
-                }
+                full = self.dirty.len() as f64 > limit;
             }
             if full {
                 // Bounded fallback: one re-solve of everyone from raw
@@ -707,82 +719,144 @@ impl Engine {
     /// counts; both are exact integers in f64, so the increments — and
     /// therefore the freeze order — are identical to the expanded list).
     ///
-    /// The set is flattened once; rounds then walk only what is still
-    /// unfrozen. `fr_act` and `fr_links` are compacted *stably*, so each
-    /// round visits entries and links in the order a scan that skips
-    /// frozen ones would, and every `residual[d] -= w * inc` lands in
-    /// the same sequence. `wsum` loses a frozen entry's weight by
-    /// subtraction, which is exact on integers.
+    /// The fill is link-major, and three facts keep it bit-equal to the
+    /// entry-by-entry sweep:
+    ///
+    /// * every entry starts at `0.0` and every round adds the same `inc`
+    ///   to each unfrozen one, so all unfrozen entries hold one rate —
+    ///   `level` — bit for bit; an entry's rate is written once, when it
+    ///   freezes;
+    /// * the cap term is a min of `cap − level` over the finite caps (an
+    ///   infinite cap never lowers it) and keeps its place after the
+    ///   link terms;
+    /// * the only order-sensitive float operation is the sequence of
+    ///   `residual[d] -= w * inc` on one link, and each link runs it over
+    ///   its own list, which holds its entries in `dirty` order.
+    ///
+    /// A link is tested for saturation once per round, right after its
+    /// subtraction, and its list is compacted (stably) only when it lost
+    /// an entry. `wsum` loses a frozen entry's weight by subtraction,
+    /// which is exact on integers.
     fn fill(&mut self) {
         let n = self.dirty.len();
         self.fr_rate.clear();
         self.fr_rate.resize(n, 0.0);
         self.fr_w.clear();
-        self.fr_cap.clear();
-        self.fr_dirs.clear();
-        self.fr_off.clear();
-        self.fr_off.push(0);
-        self.fr_act.clear();
+        self.fr_live.clear();
+        self.fr_capped.clear();
+        // `on[d]` holds every live entry crossing `d`, so its length
+        // bounds the affected entries that can land in `d`'s list.
+        let mut end = 0;
         for &d in &self.touched_d {
             self.wsum[d] = 0.0;
+            self.lists[d] = LinkList {
+                off: end,
+                len: 0,
+                live: 0,
+            };
+            end += self.on[d].len();
         }
+        if self.ln.len() < end {
+            self.ln.resize(end, 0);
+        }
+        let mut live = 0usize;
         for (i, &e) in self.dirty.iter().enumerate() {
             let ent = &self.entries[e];
             self.fr_w.push(ent.weight);
-            self.fr_cap.push(ent.cap);
-            if ent.route.dirs.is_empty() {
+            let linked = !ent.route.dirs.is_empty();
+            self.fr_live.push(linked);
+            if !linked {
                 self.fr_rate[i] = ent.cap;
-            } else {
-                self.fr_act.push(i);
+                continue;
+            }
+            live += 1;
+            if ent.cap.is_finite() {
+                self.fr_capped.push((i, ent.cap));
             }
             for &d in &ent.route.dirs {
                 self.wsum[d] += ent.weight;
+                let l = &mut self.lists[d];
+                self.ln[l.off + l.len as usize] = i as u32;
+                l.len += 1;
+                l.live += 1;
             }
-            self.fr_dirs.extend_from_slice(&ent.route.dirs);
-            self.fr_off.push(self.fr_dirs.len());
         }
         self.fr_links.clear();
-        let crossed = self.touched_d.iter().filter(|&&d| self.wsum[d] > 0.0);
+        let crossed = self.touched_d.iter().filter(|&&d| self.lists[d].len > 0);
         self.fr_links.extend(crossed);
-        while !self.fr_act.is_empty() {
+        let mut level = 0.0f64;
+        while live > 0 {
             let mut inc = f64::INFINITY;
             for &d in &self.fr_links {
                 inc = inc.min(self.residual[d].max(0.0) / self.wsum[d]);
             }
-            for &i in &self.fr_act {
-                inc = inc.min(self.fr_cap[i] - self.fr_rate[i]);
+            for &(_, cap) in &self.fr_capped {
+                inc = inc.min(cap - level);
             }
             if !inc.is_finite() {
                 break;
             }
             let inc = inc.max(0.0);
-            for &i in &self.fr_act {
-                self.fr_rate[i] += inc;
-                let step = self.fr_w[i] * inc;
-                for &d in &self.fr_dirs[self.fr_off[i]..self.fr_off[i + 1]] {
-                    self.residual[d] -= step;
+            level += inc;
+            self.fr_frz.clear();
+            for &d in &self.fr_links {
+                let l = self.lists[d];
+                let list = &self.ln[l.off..l.off + l.len as usize];
+                let mut r = self.residual[d];
+                for &i in list {
+                    r -= self.fr_w[i as usize] * inc;
                 }
-            }
-            let unfrozen = self.fr_act.len();
-            self.fr_act.retain(|&i| {
-                let cap = self.fr_cap[i];
-                let dirs = &self.fr_dirs[self.fr_off[i]..self.fr_off[i + 1]];
-                let capped = self.fr_rate[i] >= cap - 1e-9 * cap.max(1.0);
-                let frozen = capped
-                    || dirs
-                        .iter()
-                        .any(|&d| self.residual[d] <= 1e-9 * self.cap_v[d].max(1.0));
-                if frozen {
-                    for &d in dirs {
-                        self.wsum[d] -= self.fr_w[i];
+                self.residual[d] = r;
+                if r <= 1e-9 * self.cap_v[d].max(1.0) {
+                    for &i in list {
+                        let i = i as usize;
+                        if self.fr_live[i] {
+                            self.fr_live[i] = false;
+                            self.fr_rate[i] = level;
+                            self.fr_frz.push(i);
+                        }
                     }
                 }
-                !frozen
-            });
-            if self.fr_act.len() == unfrozen {
+            }
+            for &(i, cap) in &self.fr_capped {
+                if self.fr_live[i] && level >= cap - 1e-9 * cap.max(1.0) {
+                    self.fr_live[i] = false;
+                    self.fr_rate[i] = level;
+                    self.fr_frz.push(i);
+                }
+            }
+            live -= self.fr_frz.len();
+            if self.fr_frz.is_empty() || live == 0 {
                 break;
             }
-            self.fr_links.retain(|&d| self.wsum[d] > 0.0);
+            for &i in &self.fr_frz {
+                let w = self.fr_w[i];
+                for &d in &self.entries[self.dirty[i]].route.dirs {
+                    self.wsum[d] -= w;
+                    self.lists[d].live -= 1;
+                }
+            }
+            self.fr_capped.retain(|&(i, _)| self.fr_live[i]);
+            self.fr_links.retain(|&d| {
+                let l = &mut self.lists[d];
+                if l.live < l.len {
+                    let mut kept = l.off;
+                    for k in l.off..l.off + l.len as usize {
+                        let i = self.ln[k];
+                        if self.fr_live[i as usize] {
+                            self.ln[kept] = i;
+                            kept += 1;
+                        }
+                    }
+                    l.len = l.live;
+                }
+                l.live > 0
+            });
+        }
+        for (rate, &unfrozen) in self.fr_rate.iter_mut().zip(&self.fr_live) {
+            if unfrozen {
+                *rate = level;
+            }
         }
     }
 
@@ -796,8 +870,8 @@ impl Engine {
             let d = self.touched_d[k];
             self.lvl[d] = f64::NEG_INFINITY;
         }
-        for (i, &r) in self.fr_rate.iter().enumerate() {
-            for &d in &self.fr_dirs[self.fr_off[i]..self.fr_off[i + 1]] {
+        for (&e, &r) in self.dirty.iter().zip(&self.fr_rate) {
+            for &d in &self.entries[e].route.dirs {
                 if r > self.lvl[d] {
                     self.lvl[d] = r;
                 }
@@ -1087,9 +1161,57 @@ mod tests {
         assert!((total - 2.0 * 2.0 * cap).abs() < 1.0);
     }
 
+    /// Opens an uncapped entry of `weight` members on `route`.
+    fn open(eng: &mut Engine, route: &Rc<Route>, weight: u32) -> EntryId {
+        let t0 = SimTime::ZERO;
+        let e = eng.insert(route.clone(), 0, 0, None, f64::INFINITY, 1e9, 0, t0, t0);
+        for f in 1..weight {
+            eng.join(e, 1e9, f, t0, t0);
+        }
+        e
+    }
+
+    /// Link a→b carries weights 3, 1, 2 in `dirty` order and 1, 2, 3 in
+    /// `on` order (a swap-remove reordered the roster, not the link's
+    /// list). At T1 capacity the residual's bits tell the orders apart,
+    /// so a fill that walked `on[d]` would fail `fill_checked` here.
+    #[test]
+    fn fill_subtracts_in_dirty_order() {
+        let (net, _, r_ab) = line();
+        let r_bc = Rc::new(net.route(1, 2).unwrap());
+        let cfg = FlowConfig {
+            solver: SolverMode::Global,
+            verify: true,
+            ..FlowConfig::default()
+        };
+        let mut eng = Engine::new(&net, &cfg);
+        let x = open(&mut eng, &r_bc, 1);
+        let a = open(&mut eng, &r_ab, 1);
+        let b = open(&mut eng, &r_ab, 2);
+        let c = open(&mut eng, &r_ab, 3);
+        eng.pop_member(x);
+        eng.remove_entry(x, SimTime::ZERO);
+        eng.resolve(&net, SimTime::ZERO, &mut Vec::new());
+
+        let d = r_ab.dirs[0];
+        let on: Vec<EntryId> = eng.on[d].iter().map(|&(e, _)| e as usize).collect();
+        assert_eq!(
+            (eng.dirty.as_slice(), on.as_slice()),
+            (&[c, a, b][..], &[a, b, c][..])
+        );
+        let cap = eng.cap_v[d];
+        let along = |ws: [f64; 3]| ws.iter().fold(cap, |r, w| r - w * (cap / 6.0)).to_bits();
+        assert_eq!(eng.residual[d].to_bits(), along([3.0, 1.0, 2.0]));
+        assert_ne!(along([3.0, 1.0, 2.0]), along([1.0, 2.0, 3.0]), "`on` order");
+        assert_ne!(along([3.0, 1.0, 2.0]), along([2.0, 1.0, 3.0]), "reversed");
+    }
+
     /// ≥ 200 seeded rosters through `resolve` (whose fill is
     /// `fill_checked` here): weights > 1, window caps, empty routes,
-    /// never-fall-back incremental, default incremental and global.
+    /// never-fall-back incremental, default incremental and global. The
+    /// last 80 open with a tie: entries on one route, one of them capped
+    /// at exactly the route's fair share, so the cap and the saturating
+    /// bottleneck freeze in the same round.
     #[test]
     fn fill_matches_the_reference_on_seeded_rosters() {
         use crate::topologies;
@@ -1107,7 +1229,7 @@ mod tests {
             SolverMode::Global,
         ];
         let (mut full, mut partial) = (0, 0);
-        for seed in 0..240u64 {
+        for seed in 0..320u64 {
             let mut rng = Rng::new(seed);
             let net = &nets[seed as usize % nets.len()];
             let cfg = FlowConfig {
@@ -1119,6 +1241,34 @@ mod tests {
             let mut out = Vec::new();
             let mut live: Vec<EntryId> = Vec::new();
             let mut flow = 0u32;
+            if seed >= 240 {
+                let (src, dst) = loop {
+                    let s = rng.below(net.sites() as u64) as SiteId;
+                    let d = rng.below(net.sites() as u64) as SiteId;
+                    if s != d {
+                        break (s, d);
+                    }
+                };
+                let route = Rc::new(net.route(src, dst).expect("connected"));
+                let weights: Vec<u32> = (0..rng.range_u64(2, 5))
+                    .map(|_| rng.range_u64(1, 3) as u32)
+                    .collect();
+                let share = net.bottleneck(&route) / weights.iter().sum::<u32>() as f64;
+                let capped = rng.below(weights.len() as u64) as usize;
+                for (k, &w) in weights.iter().enumerate() {
+                    let cap = if k == capped { share } else { f64::INFINITY };
+                    let t0 = SimTime::ZERO;
+                    let e = eng.insert(route.clone(), src, dst, None, cap, 1e12, flow, t0, t0);
+                    for _ in 1..w {
+                        flow += 1;
+                        eng.join(e, 1e12, flow, t0, t0);
+                    }
+                    flow += 1;
+                    live.push(e);
+                }
+                eng.resolve(net, SimTime::ZERO, &mut out);
+                assert!(live.iter().all(|&e| eng.rate(e) == share), "seed {seed}");
+            }
             for step in 0..6u64 {
                 let now = SimTime::from_secs_f64(step as f64 * 0.25);
                 for _ in 0..rng.range_u64(1, 12) {

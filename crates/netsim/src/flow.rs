@@ -686,13 +686,13 @@ impl<'a> FlowSim<'a> {
                                 }
                             }
                         } else {
-                            // A repair may reconnect parked flows.
-                            let mut i = 0;
-                            while i < parked.len() {
-                                let spec = &specs[parked[i].id];
+                            // A repair may reconnect parked flows: one
+                            // stable pass, reviving in parked order (entry
+                            // ids and the roster order depend on it).
+                            parked.retain(|p| {
+                                let spec = &specs[p.id];
                                 match cache.route(self.net, spec.src, spec.dst, &down) {
                                     Some(route) => {
-                                        let p = parked.remove(i);
                                         if rec_on {
                                             rec.span(
                                                 flow_track[p.id],
@@ -720,10 +720,11 @@ impl<'a> FlowSim<'a> {
                                             p.started.unwrap_or(now),
                                             now,
                                         );
+                                        false
                                     }
-                                    None => i += 1,
+                                    None => true,
                                 }
-                            }
+                            });
                         }
                     }
                 }
@@ -883,16 +884,18 @@ impl<'a> FlowSim<'a> {
             .map(|r| r.finished)
             .max()
             .unwrap_or(SimTime::ZERO);
+        // Exactly the unfinished flows are parked, each once: sorted by
+        // id, the parked list lines up with the unfinished records.
+        parked.sort_unstable_by_key(|p| p.id);
+        let mut parked = parked.into_iter();
         let outcomes: Vec<FlowOutcome> = records
             .into_iter()
             .enumerate()
             .map(|(id, r)| match r {
                 Some(rec) => FlowOutcome::Completed(rec),
                 None => {
-                    let p = parked
-                        .iter()
-                        .find(|p| p.id == id)
-                        .expect("unfinished flow is parked");
+                    let p = parked.next().expect("unfinished flow is parked");
+                    assert_eq!(p.id, id, "unfinished flow is parked");
                     if rec_on {
                         rec.instant(flow_track[id], "fault", "stalled", p.since.nanos());
                     }
@@ -1242,6 +1245,85 @@ mod tests {
                 assert!((delivered / cap - 2.0).abs() < 0.01, "2 s of bytes moved");
             }
             FlowOutcome::Completed(_) => panic!("must stall across the horizon"),
+        }
+    }
+
+    /// A hub with two T1 spokes, both cut at 1 s; only the Y spoke comes
+    /// back, at 4 s. Hand-checked schedule of the small batch:
+    /// f0 (S→Y, 2 C bytes) and f1 (S→X, 10 C) share S–H at C/2 until
+    /// both park at 1 s; f2 (S→Y, 1 C) and f3 (S→X, 1 C) arrive at 2 s
+    /// and park on arrival; the repair revives f0 (1.5 C left) and f2,
+    /// which share S–H at C/2: f2 is done at 6 s, f0 at 6.5 s, each plus
+    /// 2 ms of path latency; f1 and f3 stall. Adding 20,000 S→X flows
+    /// that arrive while X is cut, some before f2 and some after, changes
+    /// none of that, and each of them stalls where it arrived.
+    #[test]
+    fn many_parked_flows_stall_and_a_partial_repair_revives_the_rest() {
+        let mut net = Net::new();
+        let s = net.add_site("S");
+        let h = net.add_site("H");
+        let x = net.add_site("X");
+        let y = net.add_site("Y");
+        for far in [h, x, y] {
+            let near = if far == h { s } else { h };
+            net.add_link(near, far, LinkClass::T1, Dur::from_millis(1));
+        }
+        let at = SimTime::from_secs_f64;
+        let faults = [
+            LinkFault {
+                link: 1,
+                down_at: at(1.0),
+                up_at: SimTime::MAX,
+            },
+            LinkFault {
+                link: 2,
+                down_at: at(1.0),
+                up_at: at(4.0),
+            },
+        ];
+        let c = LinkClass::T1.bytes_per_sec();
+        let small = vec![
+            TransferSpec::new(s, y, (2.0 * c) as u64, SimTime::ZERO),
+            TransferSpec::new(s, x, (10.0 * c) as u64, SimTime::ZERO),
+            TransferSpec::new(s, y, c as u64, at(2.0)),
+            TransferSpec::new(s, x, c as u64, at(2.0)),
+        ];
+        // (completed, started, finished or stalled_at, delivered)
+        let summary = |o: &FlowOutcome| match o {
+            FlowOutcome::Completed(r) => (true, Some(r.started), r.finished, 0.0),
+            FlowOutcome::Stalled {
+                started,
+                delivered,
+                stalled_at,
+                ..
+            } => (false, *started, *stalled_at, *delivered),
+        };
+        let sim = FlowSim::new(&net);
+        let (alone, _) = sim.run_with_faults(small.clone(), &faults).unwrap();
+        let alone: Vec<_> = alone.iter().map(summary).collect();
+        let near = |t: SimTime, secs: f64| (t.as_secs_f64() - secs).abs() < 1e-3;
+        assert!(alone[0].0 && alone[0].1 == Some(SimTime::ZERO) && near(alone[0].2, 6.502));
+        assert_eq!(alone[1], (false, Some(SimTime::ZERO), at(1.0), c / 2.0));
+        assert!(alone[2].0 && alone[2].1 == Some(at(4.0)) && near(alone[2].2, 6.002));
+        assert_eq!(alone[3], (false, None, at(2.0), 0.0));
+
+        let extra = |k: u64| {
+            let start = at(1.5) + Dur::from_micros(100 * k);
+            TransferSpec::new(s, x, c as u64, start)
+        };
+        let mut big: Vec<TransferSpec> = small[..2].to_vec();
+        big.extend((0..10_000).map(extra));
+        big.extend_from_slice(&small[2..]);
+        big.extend((10_000..20_000).map(extra));
+        let (outcomes, _) = sim.run_with_faults(big.clone(), &faults).unwrap();
+        let small_ids = [0, 1, 10_002, 10_003];
+        for (want, &id) in alone.iter().zip(&small_ids) {
+            assert_eq!(summary(&outcomes[id]), *want, "flow {id}");
+        }
+        for (id, (o, spec)) in outcomes.iter().zip(&big).enumerate() {
+            if !small_ids.contains(&id) {
+                assert_eq!(summary(o), (false, None, spec.start, 0.0), "flow {id}");
+            }
         }
     }
 

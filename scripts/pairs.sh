@@ -16,7 +16,10 @@
 # alternates pair by pair. Prints every run, each side's median and
 # quartiles, and how many pairs <rev-b> won on wall_s; a gain is claimed
 # only at wins >= 9/10 and medians further apart than <rev-a>'s
-# inter-quartile distance. With --layers the pairs are traced runs
+# inter-quartile distance. The summary line ends `digests: equal` when
+# every run's result_digest is side a's first one, and
+# `digests: DIFFER (a <hex>, <side> <hex>)` naming the first run that
+# is not. With --layers the pairs are traced runs
 # (`--trace 1`, which reports BENCHMARK.json's per-layer metrics and not
 # the end-to-end ones): the named metrics take the place of the four
 # end-to-end columns and the wins (lower wins) are counted on the first
@@ -115,6 +118,12 @@ for i in "${!metrics[@]}"; do
 done
 awk -F'\t' -v first="${metrics[0]}" -v failed_col="$failed_col" '
     $2 == "a" { a[$1] = $3 } $2 == "b" { b[$1] = $3 } { failed[$2] += $failed_col }
+    { digest = $(failed_col + 1); gsub(/"/, "", digest) }
+    $2 == "a" && ref == "" { ref = digest }
+    { side[NR] = $2; dig[NR] = digest }
     END { for (p in a) { n++; if (b[p] < a[p]) wins++; else if (b[p] == a[p]) ties++ }
-          printf "\n%s: b wins %d of %d pairs (%d ties)   ops_failed a %d  b %d\n",
-                 first, wins, n, ties, failed["a"], failed["b"] }' "$rows"
+          digests = "equal"
+          for (i = 1; i <= NR; i++)
+              if (dig[i] != ref) { digests = "DIFFER (a " ref ", " side[i] " " dig[i] ")"; break }
+          printf "\n%s: b wins %d of %d pairs (%d ties)   ops_failed a %d  b %d   digests: %s\n",
+                 first, wins, n, ties, failed["a"], failed["b"], digests }' "$rows"

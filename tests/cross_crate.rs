@@ -244,6 +244,55 @@ fn wan_engine_schedule_is_independent_of_solver_path() {
     }
 }
 
+/// The netsim crate's tier-1 smoke, on the traffic `campaign` stages:
+/// ~300 results leave the Delta for the partner sites, staggered, one
+/// LINPACK panel each. Enough of them overlap that the incremental
+/// solver falls back to full re-solves; every flow still finishes at the
+/// same nanosecond under the default config, with every resolve checked
+/// against the reference solver, and with a full re-solve on every
+/// event — and checking changes none of the solver's counters.
+#[test]
+fn consortium_staging_matches_the_reference_solver() {
+    use des::time::SimTime;
+    use nren_netsim::{topologies, FlowConfig, FlowSim, SolverMode, TransferSpec};
+
+    let net = topologies::delta_consortium();
+    let delta = net.site(topologies::DELTA_SITE).unwrap();
+    let partners = topologies::partner_sites(&net);
+    let mut rng = Rng::new(1992);
+    let mut t = 0.0;
+    let specs: Vec<TransferSpec> = (0..300)
+        .map(|k| {
+            t += rng.exp(0.05);
+            let n = [512, 768, 1024][rng.below(3) as usize];
+            let dst = partners[k % partners.len()];
+            TransferSpec::new(delta, dst, 8 * 32 * n, SimTime::from_secs_f64(t))
+        })
+        .collect();
+    let run = |cfg: FlowConfig| {
+        let (records, stats) = FlowSim::with_config(&net, cfg).run_with_stats(specs.clone());
+        let finished: Vec<u64> = records.iter().map(|r| r.finished.nanos()).collect();
+        (finished, stats.solver)
+    };
+    let default = FlowConfig::default();
+    let (want, stats) = run(default);
+    let (verified, verified_stats) = run(FlowConfig {
+        verify: true,
+        ..default
+    });
+    let (global, _) = run(FlowConfig {
+        solver: SolverMode::Global,
+        ..default
+    });
+    assert_eq!(verified, want);
+    assert_eq!(global, want);
+    assert_eq!(format!("{verified_stats:?}"), format!("{stats:?}"));
+    assert!(
+        stats.full_resolves > 0 && stats.full_resolves < stats.resolves,
+        "{stats:?}"
+    );
+}
+
 /// One dispatch loop behind every mesh entry point: a halo exchange gives
 /// the same outputs from `Machine::run`, from one lane and from two
 /// lanes; the one-lane call *is* the single-queue engine (same results,
