@@ -398,11 +398,11 @@ pub fn cas() -> String {
     out
 }
 
-/// GC-1: host-parallel Grand Challenge kernels (Rayon vs sequential).
+/// GC-1: host-parallel Grand Challenge kernels (parallel vs sequential).
 pub fn grand_challenges() -> String {
     use std::time::Instant;
     let mut t = Table::new(
-        "GC-1 — Grand Challenge kernels on the host (sequential vs Rayon)",
+        "GC-1 — Grand Challenge kernels on the host (sequential vs parallel)",
         &[
             "Kernel (Grand Challenge)",
             "Size",
@@ -411,7 +411,7 @@ pub fn grand_challenges() -> String {
             "Speedup",
         ],
     );
-    let threads = rayon::current_num_threads();
+    let threads = des::host_cores();
 
     let time = |f: &mut dyn FnMut()| {
         let s = Instant::now();

@@ -18,7 +18,8 @@ pub struct PerfRow {
     pub kernel: &'static str,
     /// Problem order n (square problems).
     pub n: usize,
-    /// Threads the configuration ran with (1 = sequential path).
+    /// Workers the configuration ran on: 1 for a sequential kernel,
+    /// [`des::host_cores`] for a `*_par` one.
     pub threads: usize,
     /// Fastest-rep wall time, milliseconds.
     pub ms: f64,
@@ -38,7 +39,7 @@ impl PerfRow {
     }
 
     /// Time `f`: fastest of three reps (four under n = 1024). The first
-    /// also pages in buffers and spins up the pool, so it rarely wins.
+    /// also pages in buffers, so it rarely wins.
     fn measure(
         kernel: &'static str,
         n: usize,
@@ -124,38 +125,9 @@ fn lu_factor_rowupdate(a: &mut Mat, nb: usize) -> Result<Vec<usize>, lu::Singula
     Ok(piv)
 }
 
-/// Thread counts to sweep for the parallel kernels: powers of two up to
-/// the host's parallelism, always ending at the true maximum. A 1-CPU
-/// host gets `[1]` — an honest single row instead of an unpinned
-/// measurement mislabelled with the default pool size.
-fn thread_sweep() -> Vec<usize> {
-    let max = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut ts = vec![1usize];
-    let mut t = 2;
-    while t <= max {
-        ts.push(t);
-        t *= 2;
-    }
-    if *ts.last().unwrap() != max {
-        ts.push(max);
-    }
-    ts
-}
-
-/// A Rayon pool pinned to `t` threads, so a parallel row *measures* its
-/// speedup instead of assuming the default pool did something.
-fn pool_for(t: usize) -> rayon::ThreadPool {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(t)
-        .build()
-        .expect("thread pool")
-}
-
 /// GEMM at order `n`: the seed's blocked loop (small `n` only), the
-/// packed engine, and the packed engine across the thread sweep.
-fn gemm_rows(n: usize, sweep: &[usize]) -> Vec<PerfRow> {
+/// packed engine, sequential and on every host core.
+fn gemm_rows(n: usize) -> Vec<PerfRow> {
     let mut rng = Rng::new(1);
     let a = Mat::random(n, n, &mut rng);
     let b = Mat::random(n, n, &mut rng);
@@ -169,20 +141,23 @@ fn gemm_rows(n: usize, sweep: &[usize]) -> Vec<PerfRow> {
     rows.push(PerfRow::measure("gemm", n, 1, flops, || {
         std::hint::black_box(gemm::gemm(&a, &b));
     }));
-    for &t in sweep {
-        let pool = pool_for(t);
-        rows.push(PerfRow::measure("gemm_par", n, t, flops, || {
-            pool.install(|| std::hint::black_box(gemm::gemm_par(&a, &b)));
-        }));
-    }
+    rows.push(PerfRow::measure(
+        "gemm_par",
+        n,
+        des::host_cores(),
+        flops,
+        || {
+            std::hint::black_box(gemm::gemm_par(&a, &b));
+        },
+    ));
     rows
 }
 
 /// LU at order `n`: the seed row-update baseline, then sequential vs
-/// Rayon at the seed block (nb=64) and the v2 default
+/// parallel at the seed block (nb=64) and the v2 default
 /// ([`lu::DEFAULT_NB`]), `reps` interleaved reps each. `gemm_ref` adds
 /// the same-order GEMM row the lu/gemm gate compares against.
-fn lu_rows(n: usize, sweep: &[usize], reps: usize, gemm_ref: bool) -> Vec<PerfRow> {
+fn lu_rows(n: usize, reps: usize, gemm_ref: bool) -> Vec<PerfRow> {
     let mut rng = Rng::new(2);
     let a = Mat::random(n, n, &mut rng);
     // Factor-only FLOPs (2n³/3), not the full LINPACK credit: the
@@ -208,7 +183,6 @@ fn lu_rows(n: usize, sweep: &[usize], reps: usize, gemm_ref: bool) -> Vec<PerfRo
     // conditions), not minutes earlier.
     let gemm_b = gemm_ref.then(|| Mat::random(n, n, &mut rng));
     let mut gemm_best = f64::MAX;
-    let pools: Vec<_> = sweep.iter().map(|&t| pool_for(t)).collect();
     for (nb, seq_name, par_name) in [
         (64usize, "lu_factor_nb64", "lu_factor_par_nb64"),
         (lu::DEFAULT_NB, "lu_factor", "lu_factor_par"),
@@ -216,20 +190,17 @@ fn lu_rows(n: usize, sweep: &[usize], reps: usize, gemm_ref: bool) -> Vec<PerfRo
         factor(&|m| {
             std::hint::black_box(lu::lu_factor(m, nb).unwrap()); // warm-up
         });
-        let mut seq_best = f64::MAX;
-        let mut par_best = vec![f64::MAX; sweep.len()];
+        let (mut seq_best, mut par_best) = (f64::MAX, f64::MAX);
         for rep in 0..reps {
             let time_seq = |best: &mut f64| {
                 *best = best.min(factor(&|m| {
                     std::hint::black_box(lu::lu_factor(m, nb).unwrap());
                 }));
             };
-            let time_par = |par_best: &mut [f64]| {
-                for (pool, best) in pools.iter().zip(par_best) {
-                    *best = best.min(factor(&|m| {
-                        pool.install(|| std::hint::black_box(lu::lu_factor_par(m, nb).unwrap()));
-                    }));
-                }
+            let time_par = |best: &mut f64| {
+                *best = best.min(factor(&|m| {
+                    std::hint::black_box(lu::lu_factor_par(m, nb).unwrap());
+                }));
             };
             // Alternate which side runs first so any per-rep warm-up
             // effect cancels instead of always favouring one row.
@@ -247,9 +218,13 @@ fn lu_rows(n: usize, sweep: &[usize], reps: usize, gemm_ref: bool) -> Vec<PerfRo
             }
         }
         rows.push(PerfRow::new(seq_name, n, 1, flops, seq_best));
-        for (&t, &secs) in sweep.iter().zip(&par_best) {
-            rows.push(PerfRow::new(par_name, n, t, flops, secs));
-        }
+        rows.push(PerfRow::new(
+            par_name,
+            n,
+            des::host_cores(),
+            flops,
+            par_best,
+        ));
     }
     if gemm_ref {
         let flops = matmul::matmul_flops(n, n, n);
@@ -351,13 +326,12 @@ const SHALLOW_M: usize = 512;
 /// Run the table: GEMM, LU up to the lu/gemm comparison size, then the
 /// rest of the v2 engine against its scalar seed baselines.
 pub fn snapshot() -> Vec<PerfRow> {
-    let sweep = thread_sweep();
     let mut rows = Vec::new();
     for n in [512, 1024] {
-        rows.extend(gemm_rows(n, &sweep));
+        rows.extend(gemm_rows(n));
     }
     for (n, reps) in [(512, 6), (1024, 5), (LU_GATE_N, 3)] {
-        rows.extend(lu_rows(n, &sweep, reps, n == LU_GATE_N));
+        rows.extend(lu_rows(n, reps, n == LU_GATE_N));
     }
     rows.extend(fft_rows(FFT_LEN));
     // The larger grid is DRAM-bound and honest about it.
@@ -371,9 +345,10 @@ pub fn snapshot() -> Vec<PerfRow> {
 /// The perf gates `report bench-kernels` enforces, returned as summary
 /// lines. Panics (fails the report) when a gate is violated:
 ///
-/// * `lu_factor_par` must never be slower than `lu_factor` — the pool
-///   fan-out must fall through to the identical sequential sweep when it
-///   cannot help (10% measurement tolerance).
+/// * `lu_factor_par` must never be slower than `lu_factor` — with one
+///   worker or one row panel it runs the identical sequential sweep, and
+///   more workers must not cost more than they give (10% measurement
+///   tolerance).
 /// * At n=2048 LU must sustain ≥ 80% of the same-run GEMM rate — the
 ///   near-peak target the packed TRSM/panel kernels exist for.
 /// * The v2 FFT, SpMV-plan and shallow sweeps must hold ≥ 1.5× over
@@ -479,9 +454,8 @@ mod tests {
     /// the gates look up are all produced, and the table carries them.
     #[test]
     fn row_builders_label_what_the_gates_read() {
-        let sweep = [1, 2];
-        let mut rows = gemm_rows(48, &sweep);
-        rows.extend(lu_rows(96, &sweep, 1, true));
+        let mut rows = gemm_rows(48);
+        rows.extend(lu_rows(96, 1, true));
         rows.extend(fft_rows(1 << 8));
         rows.extend(spmv_rows(8));
         rows.extend(shallow_rows(16));
@@ -504,9 +478,12 @@ mod tests {
             assert!(rows.iter().any(|r| r.kernel == kernel), "no {kernel} row");
         }
         assert_eq!(rows.iter().filter(|r| r.kernel == "gemm").count(), 2);
+        for r in rows.iter().filter(|r| r.kernel.contains("_par")) {
+            assert_eq!(r.threads, des::host_cores(), "{}", r.kernel);
+        }
         assert_eq!(
             rows.iter().filter(|r| r.kernel == "lu_factor_par").count(),
-            2
+            1
         );
         assert!(rows.iter().all(|r| r.ms > 0.0 && r.gflops > 0.0));
         let t = table(&rows);

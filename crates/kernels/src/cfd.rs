@@ -9,8 +9,6 @@
 //! Grid convention: `Grid` stores (n+2)×(n+2) points including the
 //! boundary ring; solvers update interior points only.
 
-use rayon::prelude::*;
-
 /// A square scalar field with a one-cell boundary ring.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Grid {
@@ -77,14 +75,15 @@ pub struct Convergence {
 }
 
 /// One Jacobi sweep: `dst` interior = average of `src` neighbours minus
-/// h²/4 · rhs. Returns the max update delta.
-fn jacobi_sweep(src: &Grid, dst: &mut Grid, rhs: &Grid, parallel: bool) -> f64 {
+/// h²/4 · rhs, its rows shared out over `workers` workers. Returns the
+/// max update delta.
+fn jacobi_sweep(src: &Grid, dst: &mut Grid, rhs: &Grid, workers: usize) -> f64 {
     let n = src.n;
     let s = src.stride();
     let h2 = 1.0 / ((n + 1) as f64 * (n + 1) as f64);
     let src_d = &src.data;
     let rhs_d = &rhs.data;
-    let row_op = |(idx, row): (usize, &mut [f64])| -> f64 {
+    let row_op = |idx: usize, row: &mut [f64]| -> f64 {
         let i = idx + 1; // interior row index
         let mut local_max = 0.0f64;
         for j in 1..=n {
@@ -101,30 +100,22 @@ fn jacobi_sweep(src: &Grid, dst: &mut Grid, rhs: &Grid, parallel: bool) -> f64 {
     };
     // dst rows 1..=n, each (n+2) long.
     let interior = &mut dst.data[s..(n + 1) * s];
-    if parallel {
-        interior
-            .par_chunks_mut(s)
-            .enumerate()
-            .map(row_op)
-            .reduce(|| 0.0, f64::max)
-    } else {
-        interior
-            .chunks_mut(s)
-            .enumerate()
-            .map(row_op)
-            .fold(0.0, f64::max)
-    }
+    par::map(interior, s, workers, row_op)
+        .into_iter()
+        .fold(0.0, f64::max)
 }
 
 /// Jacobi iteration until the max update falls below `tol` (or
-/// `max_iters`). `parallel` selects the Rayon row-parallel sweep.
+/// `max_iters`). `parallel` shares each sweep's rows out over
+/// [`des::host_cores`] workers.
 pub fn jacobi(u: &mut Grid, rhs: &Grid, tol: f64, max_iters: usize, parallel: bool) -> Convergence {
     assert_eq!(u.n, rhs.n);
     let mut other = u.clone();
+    let workers = crate::workers(parallel);
     let mut delta = f64::INFINITY;
     let mut iters = 0;
     while iters < max_iters && delta > tol {
-        delta = jacobi_sweep(u, &mut other, rhs, parallel);
+        delta = jacobi_sweep(u, &mut other, rhs, workers);
         // Swap buffers; `other` now holds the newest iterate.
         std::mem::swap(u, &mut other);
         iters += 1;

@@ -1,5 +1,5 @@
 //! Sparse conjugate gradient — the DOE "energy and grand challenge
-//! computational research" kernel: CSR storage, sequential and Rayon
+//! computational research" kernel: CSR storage, sequential and parallel
 //! SpMV, and a preconditioner-free CG solver.
 //!
 //! ## Engine v2: the packed SpMV plan
@@ -35,9 +35,9 @@
 //! `< n`, so the load is in bounds even when the run ends at column
 //! `n − 1`.
 //!
-//! The parallel variant fans the same blocks out over Rayon and is
-//! bit-identical at any thread count, matching `spmv_par`'s per-row
-//! determinism.
+//! The parallel variant deals the same blocks out to its workers in
+//! contiguous bands and is bit-identical at any worker count, matching
+//! `spmv_par`'s per-row determinism.
 //!
 //! ## The CG loop
 //!
@@ -51,7 +51,6 @@
 
 use crate::mat::vecops::{cg_update, dot, norm2, xpby};
 use crate::simd;
-use rayon::prelude::*;
 
 /// Compressed sparse row matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -150,13 +149,14 @@ impl Csr {
         }
     }
 
-    /// y = A·x, Rayon over rows (bit-identical to sequential).
+    /// y = A·x, rows shared out over [`des::host_cores`] workers
+    /// (bit-identical to sequential).
     pub fn spmv_par(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.n);
         assert_eq!(y.len(), self.n);
-        y.par_iter_mut()
-            .enumerate()
-            .for_each(|(i, yi)| *yi = self.row_dot(i, x));
+        par::for_each(y, 1, crate::workers(true), |i, yi| {
+            yi[0] = self.row_dot(i, x);
+        });
     }
 }
 
@@ -243,20 +243,26 @@ impl SpmvPlan {
 
     /// y = A·x through the packed plan, sequential.
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.n);
-        assert_eq!(y.len(), self.n);
-        self.blocks(0, x, y);
+        self.spmv_with(x, y, 1);
     }
 
-    /// y = A·x through the packed plan, Rayon over 16-row blocks.
-    /// Blocks are independent, so this is bit-identical to [`Self::spmv`]
-    /// at any thread count.
+    /// y = A·x through the packed plan, its 16-row blocks shared out over
+    /// [`des::host_cores`] workers. Blocks are independent, so this is
+    /// bit-identical to [`Self::spmv`] at any worker count.
     pub fn spmv_par(&self, x: &[f64], y: &mut [f64]) {
+        self.spmv_with(x, y, crate::workers(true));
+    }
+
+    /// y = A·x on `workers` workers, one band of whole blocks each: one
+    /// kernel dispatch per band, and at one worker a single dispatch for
+    /// every row.
+    fn spmv_with(&self, x: &[f64], y: &mut [f64], workers: usize) {
         assert_eq!(x.len(), self.n);
         assert_eq!(y.len(), self.n);
-        y.par_chunks_mut(BLOCK_ROWS)
-            .enumerate()
-            .for_each(|(b, yb)| self.blocks(b, x, yb));
+        let band = self.n.div_ceil(BLOCK_ROWS).div_ceil(workers).max(1);
+        par::for_each(y, band * BLOCK_ROWS, workers, |i, yb| {
+            self.blocks(i * band, x, yb)
+        });
     }
 
     /// The rows of `y`, which start at block `b0`: one dispatch for all
@@ -357,7 +363,8 @@ pub struct CgResult {
 }
 
 /// Conjugate gradient for SPD systems: solves A·x = b in place on `x`
-/// (initial guess in). `parallel` selects the Rayon SpMV.
+/// (initial guess in). `parallel` runs the products on
+/// [`des::host_cores`] workers.
 ///
 /// A direction with `p·Ap ≤ 0` (or NaN) means `A` is not positive
 /// definite: the solve stops there with `converged: false`, `x` and the
@@ -379,13 +386,8 @@ pub fn cg(
     // runs through it (bit-identical to the CSR row loop).
     let plan = SpmvPlan::new(a);
     let mut ap = vec![0.0; n];
-    let spmv = |x: &[f64], y: &mut [f64]| {
-        if parallel {
-            plan.spmv_par(x, y)
-        } else {
-            plan.spmv(x, y)
-        }
-    };
+    let workers = crate::workers(parallel);
+    let spmv = |x: &[f64], y: &mut [f64]| plan.spmv_with(x, y, workers);
     spmv(x, &mut ap);
     let mut r: Vec<f64> = b.iter().zip(&ap).map(|(bi, axi)| bi - axi).collect();
     let mut p = r.clone();
@@ -536,6 +538,13 @@ mod tests {
             assert_eq!(bits(&yr), bits(&yp), "plan vs row loop (n={n})");
             assert_eq!(bits(&yp), bits(&ypp), "plan par vs seq (n={n})");
             assert_eq!(bits(&yp), bits(&yport), "dispatched vs portable (n={n})");
+            // Split whatever the host's core count, more workers than
+            // blocks included.
+            for workers in [2, 3, 7] {
+                let mut yw = vec![f64::NAN; n];
+                plan.spmv_with(&x, &mut yw, workers);
+                assert_eq!(bits(&yp), bits(&yw), "plan on {workers} workers (n={n})");
+            }
         }
     }
 

@@ -33,7 +33,6 @@
 //! baseline and accuracy anchor.
 
 use crate::simd;
-use rayon::prelude::*;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -137,7 +136,7 @@ impl FftPlan {
 thread_local! {
     /// Thread-local plan cache keyed by transform length. `fft2d` row
     /// and column passes, repeated solves, and the bench harness all
-    /// hit the same tables; Rayon workers each warm their own copy.
+    /// hit the same tables; a spawned `fft2d` worker builds its own copy.
     static PLANS: RefCell<HashMap<usize, Rc<FftPlan>>> = RefCell::new(HashMap::new());
 }
 
@@ -343,38 +342,27 @@ fn fft_dir_baseline(x: &mut [Cpx], inverse: bool) {
 }
 
 /// 2-D FFT of an n×n row-major grid: FFT all rows, transpose, FFT all
-/// rows again, transpose back. `parallel` uses Rayon over rows; every
-/// row (and, via the transpose, every column) pass shares one cached
-/// twiddle plan per worker thread.
+/// rows again, transpose back. `parallel` shares the rows out over
+/// [`des::host_cores`] workers; every row (and, via the transpose, every
+/// column) pass shares one cached twiddle plan per worker thread.
+#[allow(clippy::ptr_arg)] // the published signature takes the `Vec`
 pub fn fft2d(data: &mut Vec<Cpx>, n: usize, parallel: bool) {
-    assert_eq!(data.len(), n * n);
-    let pass = |d: &mut Vec<Cpx>| {
-        if parallel {
-            d.par_chunks_mut(n).for_each(fft);
-        } else {
-            d.chunks_mut(n).for_each(fft);
-        }
-    };
-    pass(data);
-    transpose(data, n);
-    pass(data);
-    transpose(data, n);
+    rows_then_columns(data, n, parallel, fft);
 }
 
 /// Inverse 2-D FFT.
+#[allow(clippy::ptr_arg)] // the published signature takes the `Vec`
 pub fn ifft2d(data: &mut Vec<Cpx>, n: usize, parallel: bool) {
+    rows_then_columns(data, n, parallel, ifft);
+}
+
+fn rows_then_columns(data: &mut [Cpx], n: usize, parallel: bool, transform: fn(&mut [Cpx])) {
     assert_eq!(data.len(), n * n);
-    let pass = |d: &mut Vec<Cpx>| {
-        if parallel {
-            d.par_chunks_mut(n).for_each(ifft);
-        } else {
-            d.chunks_mut(n).for_each(ifft);
-        }
-    };
-    pass(data);
-    transpose(data, n);
-    pass(data);
-    transpose(data, n);
+    let workers = crate::workers(parallel);
+    for _ in 0..2 {
+        par::for_each(data, n, workers, |_, row| transform(row));
+        transpose(data, n);
+    }
 }
 
 fn transpose(data: &mut [Cpx], n: usize) {

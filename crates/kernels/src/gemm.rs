@@ -10,7 +10,7 @@
 //! for jc in steps of NC over columns of C          (outer, cache-oblivious)
 //!   for pc in steps of KC over the inner dimension (fixed accumulation order)
 //!     pack B[pc.., jc..] into Bp  — row-major NR-column panels
-//!     for ic in steps of MC over rows of C         (parallelised with Rayon)
+//!     for ic in steps of MC over rows of C         (split over workers)
 //!       A is pre-packed into Ap   — column-major MR-row panels
 //!       for jr in steps of NR, ir in steps of MR:
 //!         microkernel: MR×NR register tile += Ap panel · Bp panel
@@ -24,18 +24,17 @@
 //!
 //! ## Determinism
 //!
-//! The `pc` (inner-dimension) loop is strictly sequential and parallelism
-//! is only over disjoint MC-row panels of C, so every element of C is
-//! accumulated in the same order regardless of thread count: sequential
-//! and parallel runs are bit-identical (the property `lu_factor` /
-//! `lu_factor_par` promise).
+//! The `pc` (inner-dimension) loop is strictly sequential and the
+//! workers only share out disjoint MC-row panels of C, so every element
+//! of C is accumulated in the same order at every worker count:
+//! sequential and parallel runs are bit-identical (the property
+//! `lu_factor` / `lu_factor_par` promise).
 //!
 //! `matmul_naive` remains the correctness oracle; property tests assert
 //! equivalence on awkward shapes.
 
 use crate::mat::Mat;
 use hpcc_trace::{names, Recorder, WallTrack};
-use rayon::prelude::*;
 use std::cell::RefCell;
 
 /// Microkernel tile height (rows of C per register tile).
@@ -207,8 +206,8 @@ fn microkernel(
 
 /// Drive the macro-tile loops over one pre-packed A. `c` holds `m` rows
 /// of leading dimension `ldc` with the logical C starting at column
-/// `c_col`; `C ±= A·B` with `sub` choosing the sign. Parallelism is over
-/// MC-row panels of C only (see module docs: bit-identical to
+/// `c_col`; `C ±= A·B` with `sub` choosing the sign. The `workers`
+/// share out MC-row panels of C only (see module docs: bit-identical to
 /// sequential).
 #[allow(clippy::too_many_arguments)]
 fn gemm_packed(
@@ -221,12 +220,12 @@ fn gemm_packed(
     n: usize,
     kdim: usize,
     sub: bool,
-    parallel: bool,
+    workers: usize,
     trace: Option<&WallTrack<'_>>,
 ) {
     // The wall-clock hook is host-thread-only: tracing forces the
     // sequential sweep (the parallel path would need a Sync recorder).
-    debug_assert!(trace.is_none() || !parallel);
+    debug_assert!(trace.is_none() || workers == 1);
     if m == 0 || n == 0 {
         return;
     }
@@ -254,9 +253,8 @@ fn gemm_packed(
                 let bp: &[f64] = &bp_buf;
                 let a_strip = &apacked[m_pad * pc..m_pad * pc + m_pad * kcs];
 
-                // One task per MC-row panel of C; row chunks are disjoint.
-                let panel_rows = MC * ldc;
-                let update_panel = |(ci, cchunk): (usize, &mut [f64])| {
+                // One chunk per MC-row panel of C; row chunks are disjoint.
+                let update_panel = |ci: usize, cchunk: &mut [f64]| {
                     let ic = ci * MC;
                     let mc_eff = MC.min(m - ic);
                     let mut jr = 0;
@@ -284,19 +282,11 @@ fn gemm_packed(
                     }
                 };
                 // `c` covers exactly m rows; chunk it MC rows at a time.
+                // One worker or one panel (m <= MC) runs the sweep inline,
+                // which is what makes `lu_factor_par` never slower than
+                // `lu_factor` on a single-core host.
                 let t_kern = trace.map(WallTrack::now_ns);
-                // Rayon fan-out only pays for itself with real threads
-                // and more than one MC-row panel; otherwise fall through
-                // to the identical sequential sweep (this is what makes
-                // `lu_factor_par` never slower than `lu_factor` on a
-                // single-core host — same code path, zero overhead).
-                if parallel && m > MC && rayon::current_num_threads() > 1 {
-                    c.par_chunks_mut(panel_rows)
-                        .enumerate()
-                        .for_each(update_panel);
-                } else {
-                    c.chunks_mut(panel_rows).enumerate().for_each(update_panel);
-                }
+                par::for_each(c, MC * ldc, workers, update_panel);
                 if let (Some(t), Some(t0)) = (trace, t_kern) {
                     t.span_from("kernel", "microkernel", t0);
                 }
@@ -309,13 +299,13 @@ fn gemm_packed(
 
 /// `C = A·B` through the packed engine. Sequential.
 pub fn gemm(a: &Mat, b: &Mat) -> Mat {
-    gemm_impl(a, b, false, None)
+    gemm_impl(a, b, 1, None)
 }
 
-/// `C = A·B` through the packed engine, Rayon-parallel over row panels.
-/// Bit-identical to [`gemm`].
+/// `C = A·B` through the packed engine, its row panels shared out over
+/// [`des::host_cores`] workers. Bit-identical to [`gemm`].
 pub fn gemm_par(a: &Mat, b: &Mat) -> Mat {
-    gemm_impl(a, b, true, None)
+    gemm_impl(a, b, crate::workers(true), None)
 }
 
 /// [`gemm`] under a [`Recorder`]: pack and microkernel phases land as
@@ -324,10 +314,10 @@ pub fn gemm_par(a: &Mat, b: &Mat) -> Mat {
 /// the clock around phases that run either way.
 pub fn gemm_recorded(a: &Mat, b: &Mat, rec: &dyn Recorder) -> Mat {
     let wt = WallTrack::new(rec, names::HOST, "gemm");
-    gemm_impl(a, b, false, Some(&wt))
+    gemm_impl(a, b, 1, Some(&wt))
 }
 
-fn gemm_impl(a: &Mat, b: &Mat, parallel: bool, trace: Option<&WallTrack<'_>>) -> Mat {
+fn gemm_impl(a: &Mat, b: &Mat, workers: usize, trace: Option<&WallTrack<'_>>) -> Mat {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
     let (m, kdim, n) = (a.rows(), a.cols(), b.cols());
     let mut c = Mat::zeros(m, n);
@@ -365,7 +355,7 @@ fn gemm_impl(a: &Mat, b: &Mat, parallel: bool, trace: Option<&WallTrack<'_>>) ->
             n,
             kdim,
             false,
-            parallel,
+            workers,
             trace,
         );
     });
@@ -379,7 +369,8 @@ fn gemm_impl(a: &Mat, b: &Mat, parallel: bool, trace: Option<&WallTrack<'_>>) ->
 /// `ldb` with its logical block at column `b_col`.
 ///
 /// A is packed (into a reused thread-local buffer) before C is touched,
-/// so the in-place aliasing of the LU layout is safe.
+/// so the in-place aliasing of the LU layout is safe. `parallel` shares
+/// the rows of C out over [`des::host_cores`] workers.
 #[allow(clippy::too_many_arguments)]
 pub fn dgemm_update(
     ac: &mut [f64],
@@ -393,6 +384,25 @@ pub fn dgemm_update(
     ldb: usize,
     b_col: usize,
     parallel: bool,
+) {
+    let workers = crate::workers(parallel);
+    dgemm_update_with(ac, ld, a_col, c_col, m, n, kdim, b, ldb, b_col, workers);
+}
+
+/// [`dgemm_update`] on `workers` workers.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn dgemm_update_with(
+    ac: &mut [f64],
+    ld: usize,
+    a_col: usize,
+    c_col: usize,
+    m: usize,
+    n: usize,
+    kdim: usize,
+    b: &[f64],
+    ldb: usize,
+    b_col: usize,
+    workers: usize,
 ) {
     if m == 0 || n == 0 || kdim == 0 {
         return;
@@ -423,7 +433,7 @@ pub fn dgemm_update(
             n,
             kdim,
             true,
-            parallel,
+            workers,
             None,
         );
     });
@@ -499,19 +509,26 @@ mod tests {
         assert!(c.as_slice().iter().all(|&v| v == 0.0));
     }
 
+    /// Three MC-row panels, split whatever the host's core count: at 2
+    /// and 3 workers, and at 7 (more workers than panels).
     #[test]
     fn parallel_is_bit_identical_to_sequential() {
         let mut rng = Rng::new(9);
         let a = Mat::random(300, 180, &mut rng);
         let b = Mat::random(180, 220, &mut rng);
-        assert_eq!(gemm(&a, &b), gemm_par(&a, &b));
+        let seq = gemm(&a, &b);
+        assert_eq!(seq, gemm_par(&a, &b));
+        for workers in [2, 3, 7] {
+            assert_eq!(seq, gemm_impl(&a, &b, workers, None), "{workers} workers");
+        }
     }
 
     #[test]
     fn dgemm_update_matches_reference() {
-        // Build an LU-shaped layout: rows of `ac` hold [A | C] blocks.
+        // Build an LU-shaped layout: rows of `ac` hold [A | C] blocks,
+        // tall enough for two MC-row panels.
         let mut rng = Rng::new(11);
-        let (m, n, kdim) = (37, 29, 12);
+        let (m, n, kdim) = (MC + 37, 29, 12);
         let ld = kdim + n;
         let a = Mat::random(m, kdim, &mut rng);
         let b = Mat::random(kdim, n, &mut rng);
@@ -522,10 +539,11 @@ mod tests {
             ac[i * ld..i * ld + kdim].copy_from_slice(a.row(i));
             ac[i * ld + kdim..(i + 1) * ld].copy_from_slice(c0.row(i));
         }
-        let mut ac_par = ac.clone();
+        let ac0 = ac.clone();
 
         let ab = matmul_naive(&a, &b);
         dgemm_update(&mut ac, ld, 0, kdim, m, n, kdim, b.as_slice(), n, 0, false);
+        let mut ac_par = ac0.clone();
         dgemm_update(
             &mut ac_par,
             ld,
@@ -540,6 +558,23 @@ mod tests {
             true,
         );
         assert_eq!(ac, ac_par, "update must be deterministic across modes");
+        for workers in [2, 3, 7] {
+            let mut ac_w = ac0.clone();
+            dgemm_update_with(
+                &mut ac_w,
+                ld,
+                0,
+                kdim,
+                m,
+                n,
+                kdim,
+                b.as_slice(),
+                n,
+                0,
+                workers,
+            );
+            assert_eq!(ac, ac_w, "{workers} workers");
+        }
         for i in 0..m {
             for j in 0..n {
                 let want = c0[(i, j)] - ab[(i, j)];
@@ -584,5 +619,42 @@ mod tests {
         assert!(kernels >= 1, "microkernel sweep span");
         // A disabled recorder emits nothing and still matches.
         assert_eq!(gemm_recorded(&a, &b, &hpcc_trace::NullRecorder), plain);
+    }
+
+    /// Can this host run two FMA streams at once? The microkernel's
+    /// register tile over L1-resident panels, on one worker and then on
+    /// two through `par`; prints the throughput ratio: ≈ 2 when the two
+    /// workers have FMA units of their own, ≈ 1 when they share one
+    /// core's. It gates nothing (the answer depends on the host). Run
+    /// with `cargo test --release -p hpcc-kernels --lib -- --ignored
+    /// --nocapture two_fma_streams`.
+    #[test]
+    #[ignore]
+    fn two_fma_streams_probe() {
+        const CALLS: usize = 200_000;
+        let ap = vec![1e-9; MR * KC];
+        let bp = vec![1e-9; NR * KC];
+        let secs = |workers: usize| {
+            let mut tiles = vec![0.0; workers * MR * NR];
+            let t = std::time::Instant::now();
+            par::for_each(&mut tiles, MR * NR, workers, |_, tile| {
+                for _ in 0..CALLS {
+                    microkernel(KC, &ap, &bp, tile, NR, MR, NR, false);
+                }
+            });
+            std::hint::black_box(&tiles);
+            t.elapsed().as_secs_f64()
+        };
+        let best = |workers| (0..3).map(|_| secs(workers)).fold(f64::MAX, f64::min);
+        let (one, two) = (best(1), best(2));
+        let gflops = gemm_flops(MR, KC, NR) * CALLS as f64 / one / 1e9;
+        println!(
+            "FMA streams: 1 worker {:.1} ms ({gflops:.1} GF/s), 2 workers {:.1} ms, \
+             throughput ratio {:.2} (host_cores {})",
+            one * 1e3,
+            two * 1e3,
+            2.0 * one / two,
+            des::host_cores()
+        );
     }
 }

@@ -2,7 +2,10 @@
 //!
 //! One crate, three execution styles for each kernel family:
 //! * **sequential** reference implementations (correctness anchors),
-//! * **Rayon host-parallel** variants (today's shared-memory testbed),
+//! * **host-parallel** variants (today's shared-memory testbed): the
+//!   same loop as the sequential one, its chunks dealt out by the
+//!   `par` fork-join helper over [`des::host_cores`] workers, with the
+//!   same bits at every worker count,
 //! * **simulator-hosted** variants in [`sim`] that run as `delta-mesh`
 //!   node programs to reproduce the paper's Touchstone Delta numbers.
 //!
@@ -27,3 +30,9 @@ pub mod nbody;
 pub mod shallow;
 pub mod sim;
 pub mod simd;
+
+/// The worker count behind a kernel's `parallel` flag: every CPU this
+/// process may run on, or the calling thread alone.
+fn workers(parallel: bool) -> usize {
+    parallel.then(des::host_cores).unwrap_or(1)
+}

@@ -2,7 +2,7 @@
 //! report FLOP rate — the procedure behind the exhibit's "13 GFLOPS ...
 //! ON A LINPAC BENCHMARK CODE OF ORDER 25,000 BY 25,000".
 //!
-//! On the host this runs real arithmetic (sequential or Rayon). The
+//! On the host this runs real arithmetic (sequential or parallel). The
 //! simulated-Delta variant lives in [`crate::sim::lu2d`].
 
 use crate::lu::{linpack_flops, lu_factor, lu_factor_par, lu_solve, Singular};
@@ -15,7 +15,8 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
     Sequential,
-    Rayon,
+    /// [`lu_factor_par`]: the trailing updates on every host core.
+    Parallel,
 }
 
 /// Result of one LINPACK run.
@@ -44,7 +45,7 @@ pub fn run(n: usize, block: usize, mode: Mode, seed: u64) -> Result<LinpackResul
     let start = Instant::now();
     let piv = match mode {
         Mode::Sequential => lu_factor(&mut f, block)?,
-        Mode::Rayon => lu_factor_par(&mut f, block)?,
+        Mode::Parallel => lu_factor_par(&mut f, block)?,
     };
     let x = lu_solve(&f, &piv, &b);
     let seconds = start.elapsed().as_secs_f64();
@@ -76,8 +77,8 @@ mod tests {
     }
 
     #[test]
-    fn rayon_run_passes() {
-        let r = run(160, 32, Mode::Rayon, 2).unwrap();
+    fn parallel_run_passes() {
+        let r = run(160, 32, Mode::Parallel, 2).unwrap();
         assert!(r.passed, "residual {}", r.residual);
     }
 

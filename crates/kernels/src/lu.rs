@@ -25,10 +25,10 @@
 //!   runs out of L1 with 4-row FMA tiles (AVX2+FMA, runtime-dispatched
 //!   with the original row-oriented loop as the portable fallback).
 //! * **Update** — `A22 -= L21·U12` through the packed GEMM engine;
-//!   the Rayon variant parallelises over disjoint MC-row panels of the
-//!   trailing matrix (fixed decomposition, one task per panel), which
-//!   keeps every element's accumulation order independent of thread
-//!   count: sequential and parallel runs are bit-identical.
+//!   the parallel variant shares disjoint MC-row panels of the trailing
+//!   matrix out over its workers (fixed decomposition, one chunk per
+//!   panel), which keeps every element's accumulation order independent
+//!   of the worker count: sequential and parallel runs are bit-identical.
 //!
 //! The sweet spot for the block width on AVX2 hosts is `nb = 192`
 //! ([`DEFAULT_NB`]): deep enough that the trailing update runs at the
@@ -67,16 +67,22 @@ impl std::error::Error for Singular {}
 /// In-place LU with partial pivoting. Returns the pivot vector:
 /// `piv[j]` is the row swapped with row `j` at step `j`.
 pub fn lu_factor(a: &mut Mat, nb: usize) -> Result<Vec<usize>, Singular> {
-    lu_factor_impl(a, nb, false, simd::avx2_fma_available(), None)
+    lu_factor_impl(a, nb, 1, simd::avx2_fma_available(), None)
 }
 
-/// Rayon-parallel variant (parallel trailing update). Bit-identical to
-/// [`lu_factor`] and — by construction — never runs slower: the single
-/// serial phases are shared and the parallel path only fans the trailing
-/// update out over disjoint row panels (falling through to the exact
-/// sequential sweep when the pool has one thread).
+/// Parallel variant: the trailing update's row panels are shared out
+/// over [`des::host_cores`] workers. Bit-identical to [`lu_factor`] and
+/// — by construction — never runs slower: the serial phases are shared,
+/// and with one worker (or one panel) the update is the same sequential
+/// sweep.
 pub fn lu_factor_par(a: &mut Mat, nb: usize) -> Result<Vec<usize>, Singular> {
-    lu_factor_impl(a, nb, true, simd::avx2_fma_available(), None)
+    lu_factor_impl(
+        a,
+        nb,
+        crate::workers(true),
+        simd::avx2_fma_available(),
+        None,
+    )
 }
 
 /// [`lu_factor`] with the AVX2 panel/TRSM paths disabled — the portable
@@ -85,7 +91,7 @@ pub fn lu_factor_par(a: &mut Mat, nb: usize) -> Result<Vec<usize>, Singular> {
 /// factors (the SIMD paths fuse multiply-adds, so last-bit rounding may
 /// differ).
 pub fn lu_factor_portable(a: &mut Mat, nb: usize) -> Result<Vec<usize>, Singular> {
-    lu_factor_impl(a, nb, false, false, None)
+    lu_factor_impl(a, nb, 1, false, None)
 }
 
 /// [`lu_factor`] under a [`Recorder`]: each block step's panel
@@ -99,13 +105,13 @@ pub fn lu_factor_recorded(
     rec: &dyn Recorder,
 ) -> Result<Vec<usize>, Singular> {
     let wt = WallTrack::new(rec, names::HOST, "lu");
-    lu_factor_impl(a, nb, false, simd::avx2_fma_available(), Some(&wt))
+    lu_factor_impl(a, nb, 1, simd::avx2_fma_available(), Some(&wt))
 }
 
 fn lu_factor_impl(
     a: &mut Mat,
     nb: usize,
-    parallel: bool,
+    workers: usize,
     use_simd: bool,
     trace: Option<&WallTrack<'_>>,
 ) -> Result<Vec<usize>, Singular> {
@@ -177,7 +183,7 @@ fn lu_factor_impl(
             let split = (k + kb) * ncols;
             let (upper, lower) = a.as_mut_slice().split_at_mut(split);
             let t_update = trace.map(WallTrack::now_ns);
-            gemm::dgemm_update(
+            gemm::dgemm_update_with(
                 lower,
                 ncols,
                 k,
@@ -188,7 +194,7 @@ fn lu_factor_impl(
                 &upper[k * ncols..],
                 ncols,
                 k + kb,
-                parallel,
+                workers,
             );
             if let (Some(t), Some(t0)) = (trace, t_update) {
                 t.span_from("update", "update", t0);
@@ -637,16 +643,31 @@ mod tests {
         assert_eq!(fs, fp, "parallel update must not reorder arithmetic");
     }
 
+    /// At nb = 64 the first trailing updates span two and three MC-row
+    /// panels, so 2, 3 and 7 workers split them whatever the host's core
+    /// count; at the default nb the one trailing update is a single panel.
     #[test]
-    fn parallel_is_bit_identical_at_default_nb() {
+    fn parallel_is_bit_identical_at_any_worker_count() {
         let mut rng = Rng::new(43);
         let a = Mat::random(300, 300, &mut rng);
-        let mut fs = a.clone();
-        let ps = lu_factor(&mut fs, DEFAULT_NB).unwrap();
-        let mut fp = a.clone();
-        let pp = lu_factor_par(&mut fp, DEFAULT_NB).unwrap();
-        assert_eq!(ps, pp);
-        assert_eq!(fs, fp, "parallel update must not reorder arithmetic");
+        for nb in [64, DEFAULT_NB] {
+            let mut fs = a.clone();
+            let ps = lu_factor(&mut fs, nb).unwrap();
+            let mut fp = a.clone();
+            let pp = lu_factor_par(&mut fp, nb).unwrap();
+            assert_eq!(ps, pp);
+            assert_eq!(fs, fp, "parallel update must not reorder arithmetic");
+            for workers in [2, 3, 7] {
+                let mut fw = a.clone();
+                let simd = simd::avx2_fma_available();
+                let pw = lu_factor_impl(&mut fw, nb, workers, simd, None).unwrap();
+                assert_eq!(
+                    (ps.as_slice(), &fs),
+                    (pw.as_slice(), &fw),
+                    "nb {nb}, {workers} workers"
+                );
+            }
+        }
     }
 
     #[test]

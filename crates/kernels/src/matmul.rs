@@ -54,7 +54,7 @@ pub fn matmul_blocked(a: &Mat, b: &Mat, bs: usize) -> Mat {
     c
 }
 
-/// Rayon-parallel multiply through the packed engine: MC-row panels of
+/// Parallel multiply through the packed engine: MC-row panels of
 /// C are independent, so [`gemm::gemm_par`] parallelises over them while
 /// keeping the accumulation order fixed (bit-identical to sequential).
 pub fn matmul_par(a: &Mat, b: &Mat) -> Mat {

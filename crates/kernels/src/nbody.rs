@@ -1,11 +1,10 @@
 //! Gravitational N-body — the space-sciences Grand Challenge kernel.
 //!
-//! Direct O(n²) summation (sequential and Rayon) and a Barnes–Hut
+//! Direct O(n²) summation (sequential and parallel) and a Barnes–Hut
 //! quadtree (O(n log n)) with an opening angle θ. Leapfrog (kick-drift-
 //! kick) integration. Plummer softening keeps close encounters finite.
 
 use des::rng::Rng;
-use rayon::prelude::*;
 
 /// Gravitational constant in simulation units.
 pub const G: f64 = 1.0;
@@ -52,40 +51,40 @@ fn pair_accel(xi: f64, yi: f64, xj: f64, yj: f64, mj: f64, eps2: f64) -> (f64, f
 
 /// Direct-summation accelerations, sequential.
 pub fn accel_direct(bodies: &[Body], eps: f64) -> Vec<(f64, f64)> {
-    let eps2 = eps * eps;
-    bodies
-        .iter()
-        .map(|bi| {
-            let mut a = (0.0, 0.0);
-            for bj in bodies {
-                if (bi.x, bi.y) != (bj.x, bj.y) {
-                    let (ax, ay) = pair_accel(bi.x, bi.y, bj.x, bj.y, bj.mass, eps2);
-                    a.0 += ax;
-                    a.1 += ay;
-                }
-            }
-            a
-        })
-        .collect()
+    accel_direct_with(bodies, eps, 1)
 }
 
-/// Direct-summation accelerations, Rayon over bodies.
+/// Direct-summation accelerations, the target bodies shared out over
+/// [`des::host_cores`] workers. Bit-identical to [`accel_direct`].
 pub fn accel_direct_par(bodies: &[Body], eps: f64) -> Vec<(f64, f64)> {
+    accel_direct_with(bodies, eps, crate::workers(true))
+}
+
+fn accel_direct_with(bodies: &[Body], eps: f64, workers: usize) -> Vec<(f64, f64)> {
     let eps2 = eps * eps;
-    bodies
-        .par_iter()
-        .map(|bi| {
-            let mut a = (0.0, 0.0);
-            for bj in bodies {
-                if (bi.x, bi.y) != (bj.x, bj.y) {
-                    let (ax, ay) = pair_accel(bi.x, bi.y, bj.x, bj.y, bj.mass, eps2);
-                    a.0 += ax;
-                    a.1 += ay;
-                }
+    per_body(bodies, workers, |bi, a| {
+        for bj in bodies {
+            if (bi.x, bi.y) != (bj.x, bj.y) {
+                let (ax, ay) = pair_accel(bi.x, bi.y, bj.x, bj.y, bj.mass, eps2);
+                a.0 += ax;
+                a.1 += ay;
             }
-            a
-        })
-        .collect()
+        }
+    })
+}
+
+/// The acceleration of each body in order, each summed from zero by
+/// `accumulate(body, &mut acc)` on one of `workers` workers.
+fn per_body(
+    bodies: &[Body],
+    workers: usize,
+    accumulate: impl Fn(&Body, &mut (f64, f64)) + Sync,
+) -> Vec<(f64, f64)> {
+    let mut acc = vec![(0.0, 0.0); bodies.len()];
+    par::for_each(&mut acc, 1, workers, |i, a| {
+        accumulate(&bodies[i], &mut a[0])
+    });
+    acc
 }
 
 // ----- Barnes–Hut quadtree --------------------------------------------------
@@ -198,9 +197,12 @@ impl QuadNode {
 }
 
 /// Build a quadtree and evaluate accelerations with opening angle
-/// `theta` (0.5 is the classic choice). Rayon over target bodies.
+/// `theta` (0.5 is the classic choice), the target bodies shared out
+/// over [`des::host_cores`] workers. No bodies, no accelerations.
 pub fn accel_barnes_hut(bodies: &[Body], theta: f64, eps: f64) -> Vec<(f64, f64)> {
-    assert!(!bodies.is_empty());
+    if bodies.is_empty() {
+        return Vec::new();
+    }
     let (mut lo_x, mut hi_x, mut lo_y, mut hi_y) = (
         f64::INFINITY,
         f64::NEG_INFINITY,
@@ -219,14 +221,9 @@ pub fn accel_barnes_hut(bodies: &[Body], theta: f64, eps: f64) -> Vec<(f64, f64)
         root.insert(i, bodies, 0);
     }
     let eps2 = eps * eps;
-    bodies
-        .par_iter()
-        .map(|b| {
-            let mut a = (0.0, 0.0);
-            root.accel_on(b.x, b.y, theta, eps2, &mut a);
-            a
-        })
-        .collect()
+    per_body(bodies, crate::workers(true), |b, a| {
+        root.accel_on(b.x, b.y, theta, eps2, a);
+    })
 }
 
 /// Which force evaluator a step uses.
@@ -313,6 +310,33 @@ mod tests {
         assert!(a[0].0 > 0.0 && a[1].0 < 0.0, "mutual attraction");
         assert!((a[0].0 + a[1].0).abs() < 1e-15, "Newton's third law");
         assert!((a[0].0 - 0.25).abs() < 1e-12, "G·m/r² at r=2");
+    }
+
+    /// No bodies and one body: every evaluator returns one zero
+    /// acceleration per body, and a step moves a lone body in a straight
+    /// line.
+    #[test]
+    fn evaluators_agree_on_zero_and_one_body() {
+        let lone = Body {
+            x: 0.25,
+            y: -0.5,
+            vx: 1.0,
+            vy: 2.0,
+            mass: 3.0,
+        };
+        for forces in [Forces::Direct, Forces::DirectPar, Forces::BarnesHut(500)] {
+            let mut none: Vec<Body> = Vec::new();
+            step(&mut none, 0.1, 0.01, forces);
+            assert!(none.is_empty(), "{forces:?}");
+            let mut one = vec![lone];
+            step(&mut one, 0.5, 0.01, forces);
+            assert_eq!((one[0].x, one[0].y), (0.75, 0.5), "{forces:?}");
+            assert_eq!((one[0].vx, one[0].vy), (1.0, 2.0), "{forces:?}");
+        }
+        assert!(accel_barnes_hut(&[], 0.5, 0.01).is_empty());
+        assert_eq!(accel_direct(&[lone], 0.01), vec![(0.0, 0.0)]);
+        assert_eq!(accel_direct_par(&[lone], 0.01), vec![(0.0, 0.0)]);
+        assert_eq!(accel_barnes_hut(&[lone], 0.5, 0.01), vec![(0.0, 0.0)]);
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //! * **Fused per-row passes** — the four phase-1 fields (`cu`, `cv`,
 //!   `z`, `h`) are produced in one pass over each row (one read of the
 //!   `p`/`u`/`v` neighbourhoods instead of four), and likewise the
-//!   three phase-2 leapfrog fields; rows fan out over Rayon exactly as
-//!   before.
+//!   three phase-2 leapfrog fields; rows are shared out over the
+//!   workers exactly as before.
 //! * **AVX2 dispatch** — the row kernels are compiled twice, once
 //!   portable and once under `#[target_feature(avx2, fma)]`, selected
 //!   at runtime via [`crate::simd::avx2_fma_available`]. Rust never
@@ -33,7 +33,6 @@
 //!   v2 and baseline engines side by side.
 
 use crate::simd;
-use rayon::prelude::*;
 
 /// Model state: velocity components `u`, `v` and pressure/height `p`
 /// on an `m × m` periodic grid (flat row-major arrays).
@@ -160,19 +159,20 @@ impl Shallow {
         self.steps_taken as f64 * self.dt
     }
 
-    /// Advance one leapfrog step. `parallel` uses Rayon row-parallel
-    /// sweeps that are bit-identical to the sequential ones.
+    /// Advance one leapfrog step. `parallel` shares each sweep's rows out
+    /// over [`des::host_cores`] workers, bit-identical to the sequential
+    /// sweep.
     pub fn step(&mut self, parallel: bool) {
-        self.step_impl(parallel, simd::avx2_fma_available());
+        self.step_impl(crate::workers(parallel), simd::avx2_fma_available());
     }
 
     /// [`Self::step`] with the AVX2 row kernels pinned off — the
     /// portable engine (bit-identical; asserted by the tests).
     pub fn step_portable(&mut self, parallel: bool) {
-        self.step_impl(parallel, false);
+        self.step_impl(crate::workers(parallel), false);
     }
 
-    fn step_impl(&mut self, parallel: bool, use_simd: bool) {
+    fn step_impl(&mut self, workers: usize, use_simd: bool) {
         let m = self.m;
         let fsdx = 4.0 / self.dx;
         let fsdy = 4.0 / self.dy;
@@ -212,17 +212,11 @@ impl Shallow {
                     .zip(w.cv.chunks_mut(m))
                     .zip(w.z.chunks_mut(m))
                     .zip(w.h.chunks_mut(m))
-                    .enumerate()
-                    .map(|(i, (((cu_r, cv_r), z_r), h_r))| (i, cu_r, cv_r, z_r, h_r))
                     .collect();
-            if parallel {
-                rows.par_iter_mut()
-                    .for_each(|(i, cu_r, cv_r, z_r, h_r)| kernel(*i, cu_r, cv_r, z_r, h_r));
-            } else {
-                for (i, cu_r, cv_r, z_r, h_r) in rows.iter_mut() {
-                    kernel(*i, cu_r, cv_r, z_r, h_r);
-                }
-            }
+            par::for_each(&mut rows, 1, workers, |i, row| {
+                let (((cu_r, cv_r), z_r), h_r) = &mut row[0];
+                kernel(i, cu_r, cv_r, z_r, h_r);
+            });
         }
 
         // --- Phase 2: leapfrog update (fused). ---
@@ -267,17 +261,11 @@ impl Shallow {
                 .chunks_mut(m)
                 .zip(w.vnew.chunks_mut(m))
                 .zip(w.pnew.chunks_mut(m))
-                .enumerate()
-                .map(|(i, ((un_r, vn_r), pn_r))| (i, un_r, vn_r, pn_r))
                 .collect();
-            if parallel {
-                rows.par_iter_mut()
-                    .for_each(|(i, un_r, vn_r, pn_r)| kernel(*i, un_r, vn_r, pn_r));
-            } else {
-                for (i, un_r, vn_r, pn_r) in rows.iter_mut() {
-                    kernel(*i, un_r, vn_r, pn_r);
-                }
-            }
+            par::for_each(&mut rows, 1, workers, |i, row| {
+                let ((un_r, vn_r), pn_r) = &mut row[0];
+                kernel(i, un_r, vn_r, pn_r);
+            });
         }
 
         // --- Phase 3: Robert–Asselin time filter and rotation. ---
@@ -306,9 +294,11 @@ impl Shallow {
 
     /// The seed step: wrap-indexed, one sweep per field. Kept as the
     /// scalar bench baseline and the bit-identity reference for the v2
-    /// sweeps. `parallel` uses Rayon row-parallel sweeps.
+    /// sweeps. `parallel` shares each sweep's rows out over
+    /// [`des::host_cores`] workers.
     pub fn step_baseline(&mut self, parallel: bool) {
         let m = self.m;
+        let workers = crate::workers(parallel);
         let fsdx = 4.0 / self.dx;
         let fsdy = 4.0 / self.dy;
         self.work.size(m * m);
@@ -350,10 +340,10 @@ impl Shallow {
                                 + v[i * m + j] * v[i * m + j]);
                 }
             };
-            apply_rows(&mut w.cu, m, parallel, row_cu);
-            apply_rows(&mut w.cv, m, parallel, row_cv);
-            apply_rows(&mut w.z, m, parallel, row_z);
-            apply_rows(&mut w.h, m, parallel, row_h);
+            par::for_each(&mut w.cu, m, workers, row_cu);
+            par::for_each(&mut w.cv, m, workers, row_cv);
+            par::for_each(&mut w.z, m, workers, row_z);
+            par::for_each(&mut w.h, m, workers, row_h);
         }
 
         // --- Phase 2: leapfrog update. ---
@@ -397,9 +387,9 @@ impl Shallow {
                         - tdtsdy * (cv[i * m + jp] - cv[i * m + j]);
                 }
             };
-            apply_rows(&mut unew, m, parallel, row_u);
-            apply_rows(&mut vnew, m, parallel, row_v);
-            apply_rows(&mut pnew, m, parallel, row_p);
+            par::for_each(&mut unew, m, workers, row_u);
+            par::for_each(&mut vnew, m, workers, row_v);
+            par::for_each(&mut pnew, m, workers, row_p);
         }
 
         // --- Phase 3: Robert–Asselin time filter and rotation. ---
@@ -591,15 +581,6 @@ fn phase2_row(a: &Phase2Rows<'_>, un: &mut [f64], vn: &mut [f64], pn: &mut [f64]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn phase2_row_avx2(a: &Phase2Rows<'_>, un: &mut [f64], vn: &mut [f64], pn: &mut [f64]) {
     phase2_row(a, un, vn, pn);
-}
-
-/// Fill `out` row by row with `f(i, row)`, optionally with Rayon.
-fn apply_rows(out: &mut [f64], m: usize, parallel: bool, f: impl Fn(usize, &mut [f64]) + Sync) {
-    if parallel {
-        out.par_chunks_mut(m).enumerate().for_each(|(i, r)| f(i, r));
-    } else {
-        out.chunks_mut(m).enumerate().for_each(|(i, r)| f(i, r));
-    }
 }
 
 /// FLOPs per time step of an m×m grid (the benchmark's own accounting:

@@ -14,7 +14,7 @@ proptest! {
     /// LU: the dispatched engine (AVX2 TRSM + panel where available)
     /// agrees with the pinned-portable engine at every block width —
     /// same pivot sequence, factors within the 1e-10 residual budget
-    /// the FMA fusion is allowed — and the Rayon variant is
+    /// the FMA fusion is allowed — and the parallel variant is
     /// bit-identical to sequential. A whole-matrix block (nb ≥ n)
     /// cross-checks the blocking itself.
     #[test]
@@ -94,7 +94,7 @@ proptest! {
 
     /// SpMV: the interleaved packed plan reproduces the CSR row loop
     /// bit-for-bit on random sparse matrices (including empty rows and
-    /// duplicate entries), sequentially and through Rayon.
+    /// duplicate entries), sequentially and in parallel.
     #[test]
     fn spmv_plan_is_exactly_csr(
         n in 1usize..160,

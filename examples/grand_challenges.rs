@@ -1,5 +1,5 @@
 //! The ASTA column of exhibit T4-2: Grand Challenge kernels for each
-//! mission agency, run for real on the host (sequential vs Rayon) with
+//! mission agency, run for real on the host (sequential vs parallel) with
 //! their physics invariants checked as they go.
 //!
 //! Run with: `cargo run --release --example grand_challenges`
@@ -25,7 +25,7 @@ fn main() {
         u.set_boundary(|x, y| x + y);
         cfd::sor(&mut u, &rhs, None, 1e-6, 100_000).iterations
     });
-    let jac_iters = timed("Jacobi (Rayon rows)", || {
+    let jac_iters = timed("Jacobi (parallel rows)", || {
         let mut u = cfd::Grid::new(256);
         u.set_boundary(|x, y| x + y);
         cfd::jacobi(&mut u, &rhs, 1e-6, 1_000_000, true).iterations
@@ -34,7 +34,7 @@ fn main() {
 
     // NOAA: ocean and atmosphere — shallow water equations.
     println!("NOAA / ocean-atmosphere — shallow water, 256^2, 120 steps:");
-    let sw = timed("leapfrog + Asselin filter (Rayon)", || {
+    let sw = timed("leapfrog + Asselin filter (parallel)", || {
         let mut sw = shallow::Shallow::new(256);
         sw.run(120, true);
         sw
@@ -48,7 +48,7 @@ fn main() {
     // Space sciences: N-body.
     println!("Space sciences — 4,000-body cluster, one force evaluation:");
     let bodies = nbody::random_cluster(4_000, 7);
-    let exact = timed("direct O(n^2), Rayon", || {
+    let exact = timed("direct O(n^2), parallel", || {
         nbody::accel_direct_par(&bodies, 0.05)
     });
     let approx = timed("Barnes-Hut quadtree, theta=0.5", || {
@@ -72,7 +72,7 @@ fn main() {
 
     // Earth/space transforms.
     println!("Earth & space sciences — 1024^2 complex 2-D FFT:");
-    let spectrum = timed("rows-transpose-rows (Rayon)", || {
+    let spectrum = timed("rows-transpose-rows (parallel)", || {
         let n = 1024;
         let mut d: Vec<fft::Cpx> = (0..n * n)
             .map(|i| fft::Cpx::new((i as f64 * 0.37).sin(), 0.0))
@@ -87,7 +87,7 @@ fn main() {
 
     // DOE: energy research — sparse iterative solvers.
     println!("DOE / energy — Poisson 300^2 via conjugate gradient:");
-    let res = timed("CG with Rayon SpMV", || {
+    let res = timed("CG with parallel SpMV", || {
         let a = cg::Csr::poisson2d(300);
         let b = vec![1.0; a.n()];
         let mut x = vec![0.0; a.n()];

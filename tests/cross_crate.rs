@@ -471,3 +471,38 @@ fn kernels_fast_paths_agree_with_their_references() {
     assert_eq!(bits(&sea.u), bits(&reference.u));
     assert_eq!(bits(&sea.v), bits(&reference.v));
 }
+
+/// The scheduler's two implementations on one small stream: under
+/// `ServiceConfig::batch_equivalent` and no faults, the service places
+/// every job where and when the batch scheduler does, under both
+/// policies, and its node-time ledger balances exactly, its useful share
+/// being the batch schedule's node-seconds.
+#[test]
+fn scheduler_service_matches_batch_on_a_small_stream() {
+    use delta_mesh::sched::{self, service};
+    use delta_mesh::{FaultPlan, Policy};
+    let (rows, cols) = (16, 33);
+    let stream = service::service_workload(40, 6, 0.7, rows, cols, 1992);
+    for policy in [Policy::Fcfs, Policy::Backfill] {
+        let none = FaultPlan::none();
+        let batch = sched::run_with_faults(rows, cols, stream.as_jobs(), policy, &none);
+        let cfg = service::ServiceConfig::batch_equivalent(rows, cols, policy);
+        let svc = service::run_with_faults(&stream, &cfg, &none);
+        assert_eq!((svc.completed, batch.jobs), (40, 40), "{policy:?}");
+        assert_eq!(svc.makespan, batch.makespan, "{policy:?}");
+        assert_eq!(svc.records, batch.records, "{policy:?}");
+        let ledger = svc.node_time;
+        assert!(ledger.balanced(), "{policy:?}: {ledger:?}");
+        let useful: u128 = batch
+            .records
+            .iter()
+            .map(|r| r.job.nodes() as u128 * u128::from(r.job.runtime.nanos()))
+            .sum();
+        assert_eq!(ledger.useful, useful, "{policy:?}");
+        assert_eq!(
+            ledger.total,
+            (rows * cols) as u128 * u128::from(svc.span.nanos())
+        );
+        assert_eq!(ledger.lost_to_kills + ledger.dead, 0, "{policy:?}");
+    }
+}

@@ -266,7 +266,7 @@ proptest! {
 
     /// LU through the GEMM-engine trailing update stays backward stable:
     /// ‖PA − LU‖/‖A‖ stays at roundoff across block sizes, for the
-    /// sequential and the Rayon path alike.
+    /// sequential and the parallel path alike.
     #[test]
     fn lu_residual_small_all_block_sizes(
         seed in 0u64..500,
