@@ -52,25 +52,14 @@ pub fn choose_grid(p: usize) -> (usize, usize) {
 }
 
 /// Number of global indices in `[from, n)` whose block `(i/nb) % p == coord`.
+///
+/// Closed form: blocks repeat with period `nb·p`, each period gives
+/// `coord` exactly `nb` indices, and the partial last period gives it
+/// whatever of `[coord·nb, coord·nb + nb)` lies below the cut.
 fn local_count(from: usize, n: usize, nb: usize, p: usize, coord: usize) -> usize {
-    if from >= n {
-        return 0;
-    }
-    let mut count = 0;
-    let mut b = from / nb;
-    loop {
-        let blk_start = b * nb;
-        if blk_start >= n {
-            break;
-        }
-        if b % p == coord {
-            let lo = blk_start.max(from);
-            let hi = (blk_start + nb).min(n);
-            count += hi - lo;
-        }
-        b += 1;
-    }
-    count
+    let period = nb * p;
+    let below = |x: usize| (x / period) * nb + nb.min((x % period).saturating_sub(coord * nb));
+    below(n) - below(from.min(n))
 }
 
 /// Latency of a `p`-way recursive-doubling allreduce of `bytes` on the
@@ -370,6 +359,48 @@ mod tests {
         assert_eq!(choose_grid(16), (4, 4));
         assert_eq!(choose_grid(13), (1, 13));
         assert_eq!(choose_grid(1), (1, 1));
+    }
+
+    /// Oracle for `local_count`: walk the blocks from `from` to `n` and
+    /// add up the ones `coord` owns.
+    fn local_count_walk(from: usize, n: usize, nb: usize, p: usize, coord: usize) -> usize {
+        if from >= n {
+            return 0;
+        }
+        let mut count = 0;
+        let mut b = from / nb;
+        loop {
+            let blk_start = b * nb;
+            if blk_start >= n {
+                break;
+            }
+            if b % p == coord {
+                let lo = blk_start.max(from);
+                let hi = (blk_start + nb).min(n);
+                count += hi - lo;
+            }
+            b += 1;
+        }
+        count
+    }
+
+    #[test]
+    fn local_count_matches_the_block_walk() {
+        for nb in [1, 2, 3, 7, 32, 64] {
+            for p in [1, 2, 3, 5, 22] {
+                for n in [0, 1, 5, 31, 32, 33, 100, 257] {
+                    for from in [0, 1, 2, 13, 31, 32, 64, 99, 100, 256, 257, 300] {
+                        for coord in 0..p {
+                            assert_eq!(
+                                local_count(from, n, nb, p, coord),
+                                local_count_walk(from, n, nb, p, coord),
+                                "from={from} n={n} nb={nb} p={p} coord={coord}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -534,9 +534,9 @@ pub(crate) struct SimCore {
 }
 
 impl SimCore {
-    /// `cap` pre-sizes the calendar: a lane only ever holds events for
-    /// its own node block, so sizing by the whole machine would waste a
-    /// heap per lane.
+    /// `cap` pre-sizes the calendar (its heap and each fixed-delay FIFO):
+    /// a lane only ever holds events for its own node block, so sizing by
+    /// the whole machine would waste a heap per lane.
     pub(crate) fn with_queue_capacity(
         cfg: Rc<MachineConfig>,
         rec: Rc<dyn Recorder>,
@@ -559,8 +559,13 @@ impl SimCore {
         } else {
             Vec::new()
         };
+        // A send, and a receive that found no buffered copy to pay for,
+        // arm the node's one timer at exactly the configured overhead:
+        // those wakes take the calendar's FIFO lanes instead of its heap.
+        let q = EventQueue::with_capacity(cap)
+            .with_fixed_delays(&[cfg.net.send_overhead, cfg.net.recv_overhead]);
         SimCore {
-            q: EventQueue::with_capacity(cap),
+            q,
             cfg,
             link_busy_until: vec![SimTime::ZERO; links],
             mailbox: (0..n).map(|_| VecDeque::new()).collect(),

@@ -97,17 +97,24 @@ impl Topology {
         }
         match *self {
             Topology::Mesh2D { rows, cols } => {
-                let (mut r, mut c) = (from / cols, from % cols);
+                // Consecutive hops along a row or a column have consecutive
+                // channel ids in [`mesh_link`]'s layout, so each leg is a
+                // range: no per-hop coordinate division.
+                let (r0, c0) = (from / cols, from % cols);
                 let (r1, c1) = (to / cols, to % cols);
-                while c != c1 {
-                    let next = if c1 > c { c + 1 } else { c - 1 };
-                    out.push(mesh_link(rows, cols, r * cols + c, r * cols + next));
-                    c = next;
+                let h = rows * (cols - 1);
+                let v = cols * (rows - 1);
+                let row = r0 * (cols - 1);
+                if c1 > c0 {
+                    out.extend((c0..c1).map(|c| row + c)); // east
+                } else {
+                    out.extend((c1..c0).rev().map(|c| h + row + c)); // west
                 }
-                while r != r1 {
-                    let next = if r1 > r { r + 1 } else { r - 1 };
-                    out.push(mesh_link(rows, cols, r * cols + c, next * cols + c));
-                    r = next;
+                let col = c1 * (rows - 1);
+                if r1 > r0 {
+                    out.extend((r0..r1).map(|r| 2 * h + col + r)); // south
+                } else {
+                    out.extend((r1..r0).rev().map(|r| 2 * h + v + col + r)); // north
                 }
             }
             Topology::Hypercube { dim } => {
@@ -342,6 +349,42 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s), "all link ids covered");
+    }
+
+    #[test]
+    fn mesh_route_matches_hop_by_hop_links() {
+        // The reference: walk XY one hop at a time, naming each channel
+        // by its endpoints.
+        fn walk(rows: usize, cols: usize, from: usize, to: usize) -> Vec<LinkId> {
+            let (mut r, mut c) = (from / cols, from % cols);
+            let (r1, c1) = (to / cols, to % cols);
+            let mut out = Vec::new();
+            while c != c1 {
+                let next = if c1 > c { c + 1 } else { c - 1 };
+                out.push(mesh_link(rows, cols, r * cols + c, r * cols + next));
+                c = next;
+            }
+            while r != r1 {
+                let next = if r1 > r { r + 1 } else { r - 1 };
+                out.push(mesh_link(rows, cols, r * cols + c, next * cols + c));
+                r = next;
+            }
+            out
+        }
+        let mut route = Vec::new();
+        for (rows, cols) in [(1, 5), (5, 1), (3, 4), (8, 8), (16, 33)] {
+            let topo = Topology::Mesh2D { rows, cols };
+            for from in 0..topo.nodes() {
+                for to in 0..topo.nodes() {
+                    topo.route(from, to, &mut route);
+                    assert_eq!(
+                        route,
+                        walk(rows, cols, from, to),
+                        "{rows}x{cols} {from}->{to}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
