@@ -687,7 +687,6 @@ pub fn sched_service() -> String {
     );
     let mut bounded = ServiceConfig::new(16, 33);
     bounded.pending_cap = 128;
-    bounded.shard_cap = 128;
     bounded.quota_default = 128;
     run("overload 2x", 8_000, 2.0, &bounded, None);
     run(

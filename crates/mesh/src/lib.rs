@@ -36,8 +36,8 @@ pub use des::faults::{FaultEvent, FaultKind, FaultPlan, MtbfModel};
 pub use machine::{presets, Kernel, KernelEff, MachineConfig, NetModel, NodeModel, Switching};
 pub use partition::{LaneMap, MeshSpace, SubMesh};
 pub use sched::service::{
-    service_workload, AdmissionError, Order, Outcome, Priority, RetryBudget, ServiceConfig,
-    ServiceReport, ServiceTrace, ShedTiers, Submission,
+    service_workload, AdmissionError, Outcome, Priority, RetryBudget, ServiceConfig, ServiceReport,
+    ServiceTrace, Submission,
 };
 pub use sched::{consortium_workload, Job, JobRecord, KilledAttempt, Policy, SchedReport};
 pub use shard::LaneStats;

@@ -12,26 +12,26 @@
 //! The pipeline, per submission:
 //!
 //! ```text
-//!  Arrive ──▶ shard buffer ──▶ admission ──▶ pending queue ──▶ placement
-//!              (bounded,        │ Unrunnable   (bounded,         │ first-fit
-//!               per-shard)      │ QuotaExceeded  ordered)        │ + backfill
-//!                               │ QueueFull /                    ▼
-//!                               ▼ shed tiers                  running ──▶ Completed
-//!                            Rejected                            │ fault
-//!                                                                ▼
-//!                                               backoff timer ◀─ killed
-//!                                               (capped, jittered,
-//!                                                budgeted) ──▶ Failed
+//!  Arrive ──▶ admission ──▶ pending queue ──▶ placement
+//!              │ Unrunnable    (bounded,         │ first-fit
+//!              │ QuotaExceeded  arrival order)   │ + backfill
+//!              │ QueueFull /                     ▼
+//!              ▼ shed tiers                   running ──▶ Completed
+//!           Rejected                             │ fault
+//!                                                ▼
+//!                               backoff timer ◀─ killed
+//!                               (capped, jittered,
+//!                                budgeted) ──▶ Failed
 //! ```
 //!
 //! Determinism: the service is a plain DES on the shared calendar —
 //! every decision is a pure function of `(trace, config, fault plan)`,
-//! retry jitter included ([`des::backoff::Backoff`] is seeded). With
-//! immediate admission (`admit_every == 0`), under-capacity zero-fault
-//! runs replay the batch scheduler's event sequence exactly:
-//! [`assert_batch_equivalent`] checks the schedules bit-for-bit and is
-//! run by the property tests (`service_props.rs`) and `hpcc-bench`'s
-//! `schedperf` unit test.
+//! retry jitter included ([`des::backoff::Backoff`] is seeded).
+//! Admission happens at arrival and adds no calendar entry, so
+//! under-capacity zero-fault runs replay the batch scheduler's event
+//! sequence exactly: [`assert_batch_equivalent`] checks the schedules
+//! bit-for-bit and is run by the property tests (`service_props.rs`)
+//! and `hpcc-bench`'s `schedperf` unit test.
 //!
 //! Accounting is exact: node-time is integrated in integer node-ns over
 //! every event, so `useful + lost_to_kills + dead + idle == total` is an
@@ -98,9 +98,10 @@ impl Submission {
 /// returned to the tenant instead of growing any queue without bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionError {
-    /// A bounded queue (shard buffer, or the pending queue via a shed
-    /// tier) refused the submission. `depth` is the occupancy observed.
-    QueueFull { shard: usize, depth: usize },
+    /// The pending queue refused the submission: it is full, or deep
+    /// enough that the submission's priority class is shed. `depth` is
+    /// the queue's occupancy observed (0 under a `shard_cap` of 0).
+    QueueFull { depth: usize },
     /// Admitting would push the tenant past its in-flight node quota.
     QuotaExceeded { tenant: usize, quota: usize },
     /// The requested shape can never fit the machine (even rotated).
@@ -118,27 +119,10 @@ pub enum Outcome {
     Rejected(AdmissionError),
 }
 
-/// How the pending queue is ordered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Order {
-    /// Strict (arrival, id) order — the batch scheduler's order.
-    Arrival,
-    /// Fair share: tenants with less accumulated node-time go first
-    /// (usage snapshotted at admission; ties broken by arrival, id).
-    FairShare,
-}
-
-/// Occupancy thresholds (fractions of `pending_cap`) above which each
-/// priority class is shed. `Low` goes first, `High` last; a threshold
-/// of 1.0 means the class is only refused when the queue is full.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShedTiers(pub [f64; 3]);
-
-impl Default for ShedTiers {
-    fn default() -> ShedTiers {
-        ShedTiers([0.50, 0.75, 1.0])
-    }
-}
+/// Pending-queue occupancy, as a fraction of `pending_cap`, from which
+/// each priority class is shed: `Low` from half full, `Normal` from
+/// three quarters, `High` only when the queue is full.
+const SHED_TIERS: [f64; 3] = [0.50, 0.75, 1.0];
 
 /// Retry policy for fault-killed jobs: capped, jittered exponential
 /// backoff, and a budget after which the job is retired as `Failed`.
@@ -172,18 +156,15 @@ pub struct ServiceConfig {
     pub cols: usize,
     /// Placement scan policy (FCFS head-blocking vs aggressive backfill).
     pub policy: Policy,
-    /// Pending-queue order.
-    pub order: Order,
-    /// Submission queues; tenants hash onto shards round-robin.
-    pub shards: usize,
-    /// Bound on each shard's ingest buffer.
+    /// Ingest bound. Admission happens at arrival, so nothing ever
+    /// waits for it: the one value with an effect is 0, which refuses
+    /// every arrival as `QueueFull { depth: 0 }`.
     pub shard_cap: usize,
-    /// Bound on the central pending queue (shed tiers key off this).
+    /// Bound on admissions into the pending queue (the shed tiers key
+    /// off it). A fault-killed job re-enters the queue without the
+    /// check, and a crash kills at most one job, so the queue's
+    /// high-water mark is at most `pending_cap + nodes_failed`.
     pub pending_cap: usize,
-    /// Admission cadence. `Dur::ZERO` admits at arrival (the batch-
-    /// equivalent mode); otherwise shard buffers drain in batches on
-    /// this boundary, amortizing the placement scan.
-    pub admit_every: Dur,
     /// Failed placement probes per scan before giving up (bounds the
     /// cost of one `try_start` pass under deep queues). Only real
     /// allocator probes count; entries skipped via the shape cache or
@@ -193,7 +174,6 @@ pub struct ServiceConfig {
     /// awaiting retry). Override per tenant via quota updates.
     pub quota_default: usize,
     pub retry: RetryBudget,
-    pub shed: ShedTiers,
     /// Keep full per-job [`JobRecord`]s (memory ∝ jobs; tests and the
     /// equivalence gate need them, million-job benches do not).
     pub keep_records: bool,
@@ -206,20 +186,16 @@ impl ServiceConfig {
             rows,
             cols,
             policy: Policy::Backfill,
-            order: Order::Arrival,
-            shards: 8,
             shard_cap: 4096,
             pending_cap: 4096,
-            admit_every: Dur::ZERO,
             backfill_depth: 64,
             quota_default: usize::MAX,
             retry: RetryBudget::default(),
-            shed: ShedTiers::default(),
             keep_records: false,
         }
     }
 
-    /// No bounds, no batching, no quotas: the configuration under which
+    /// No bounds, no quotas: the configuration under which
     /// a zero-fault run is bit-identical to [`super::run_with_faults`].
     pub fn batch_equivalent(rows: usize, cols: usize, policy: Policy) -> ServiceConfig {
         ServiceConfig {
@@ -300,9 +276,16 @@ pub struct ServiceReport {
     pub mean_wait: Dur,
     pub p99_wait: Dur,
     pub max_wait: Dur,
-    /// High-water marks — proof the queues stayed bounded.
+    /// High-water mark of the pending queue — proof it stayed bounded
+    /// (by `pending_cap + nodes_failed`, see [`ServiceConfig::pending_cap`]).
     pub max_pending: usize,
-    pub max_shard_depth: usize,
+    /// Events handled: one Arrive per submission (arrivals are a cursor
+    /// beside the calendar, but count) plus every calendar pop. Each
+    /// placement schedules one Finish, popped even when a kill has made
+    /// it stale, and each retry one Retry; each node crash in the fault
+    /// plan and each quota update in the trace is one event. So every
+    /// run has `events == submitted + completed + jobs_killed +
+    /// retries + crashes + quota updates`.
     pub events: u64,
     pub node_time: NodeTime,
     /// Terminal state per submission, indexed by submission id.
@@ -325,8 +308,6 @@ enum Ev {
     /// Never on the calendar: the trace is sorted, so arrivals are a
     /// cursor beside it (see [`Svc::next_event`]).
     Arrive(usize),
-    /// Batched admission: drain shard `s`'s buffer into pending.
-    Admit(usize),
     /// Job index + attempt; stale attempts are ignored.
     Finish(usize, u32),
     Fault(usize),
@@ -411,10 +392,6 @@ impl ShapeTable {
     }
 }
 
-/// Pending-queue sort key: (usage snapshot, arrival, id). `Arrival`
-/// order zeroes the usage component.
-type Key = (u128, u64, u64);
-
 struct Svc<'a> {
     cfg: &'a ServiceConfig,
     subs: &'a [Submission],
@@ -428,14 +405,9 @@ struct Svc<'a> {
     /// to here.
     now: SimTime,
     space: MeshSpace,
-    /// Ingest buffers (submission indices, arrival order).
-    shard_buf: Vec<Vec<usize>>,
-    /// The buffer being drained by `flush_shard`; swapped, never freed.
-    flush_buf: Vec<usize>,
-    /// An Admit event is already scheduled for this shard.
-    shard_armed: Vec<bool>,
-    /// Ordered pending queue.
-    pending: Vec<(Key, usize)>,
+    /// Pending submission indices in ascending order. `subs` is sorted
+    /// by `(arrival, id)`, so this is arrival order, ties by id.
+    pending: Vec<usize>,
     running: Vec<RunningJob>,
     /// Job index → its position in `running`.
     slot_of: Vec<u32>,
@@ -446,9 +418,6 @@ struct Svc<'a> {
     /// Per-tenant state (dense by tenant id).
     quota: Vec<usize>,
     inflight_nodes: Vec<usize>,
-    used_node_ns: Vec<u128>,
-    /// Fair-share keys are stale (some tenant's usage changed).
-    fair_dirty: bool,
     /// Exact node-time integral up to `now`.
     acc: NodeTime,
     // --- counters ---
@@ -461,7 +430,6 @@ struct Svc<'a> {
     jobs_killed: u64,
     makespan: Dur,
     max_pending: usize,
-    max_shard_depth: usize,
     waits: Summary,
     wait_hist: Histogram,
     max_wait: Dur,
@@ -561,17 +529,11 @@ impl<'a> Svc<'a> {
         }
     }
 
-    /// Ordered insert into the pending queue (FIFO among equal keys).
+    /// Ordered insert into the pending queue.
     fn enqueue_pending(&mut self, idx: usize) {
-        let sub = &self.subs[idx];
-        let usage = match self.cfg.order {
-            Order::Arrival => 0,
-            Order::FairShare => self.used_node_ns[sub.tenant],
-        };
-        let key: Key = (usage, sub.arrival.nanos(), sub.id as u64);
-        let at = self.pending.partition_point(|(k, _)| *k <= key);
+        let at = self.pending.partition_point(|&i| i < idx);
         self.shapes.pending[self.shape_of[idx] as usize] += 1;
-        self.pending.insert(at, (key, idx));
+        self.pending.insert(at, idx);
         self.max_pending = self.max_pending.max(self.pending.len());
     }
 
@@ -580,9 +542,9 @@ impl<'a> Svc<'a> {
     fn retire_unrunnable(&mut self, fits: impl Fn(&Self, usize) -> bool) {
         let mut kept = 0;
         for at in 0..self.pending.len() {
-            let (key, idx) = self.pending[at];
+            let idx = self.pending[at];
             if fits(self, idx) {
-                self.pending[kept] = (key, idx);
+                self.pending[kept] = idx;
                 kept += 1;
             } else {
                 let sub = self.subs[idx];
@@ -594,8 +556,8 @@ impl<'a> Svc<'a> {
         self.pending.truncate(kept);
     }
 
-    /// Move one submission from its shard buffer through admission.
-    fn admit_one(&mut self, idx: usize, shard: usize) {
+    /// Admit an arrival into pending, or reject it with a typed error.
+    fn admit_one(&mut self, idx: usize) {
         let sub = self.subs[idx];
         let sid = self.shape_of[idx];
         if sid == UNFIT || self.shapes.dead[sid as usize] {
@@ -620,10 +582,9 @@ impl<'a> Svc<'a> {
         let full = depth >= self.cfg.pending_cap;
         let tiered = !full
             && self.cfg.pending_cap != usize::MAX
-            && (depth as f64 / self.cfg.pending_cap as f64)
-                >= self.cfg.shed.0[sub.priority.index()];
+            && (depth as f64 / self.cfg.pending_cap as f64) >= SHED_TIERS[sub.priority.index()];
         if full || tiered {
-            self.reject(idx, AdmissionError::QueueFull { shard, depth });
+            self.reject(idx, AdmissionError::QueueFull { depth });
             return;
         }
         self.inflight_nodes[sub.tenant] += nodes;
@@ -634,14 +595,6 @@ impl<'a> Svc<'a> {
         }
     }
 
-    fn flush_shard(&mut self, shard: usize) {
-        std::mem::swap(&mut self.shard_buf[shard], &mut self.flush_buf);
-        for at in 0..self.flush_buf.len() {
-            self.admit_one(self.flush_buf[at], shard);
-        }
-        self.flush_buf.clear();
-    }
-
     /// Start every pending job the policy allows. Faithful to the batch
     /// scheduler's scan (front-first, restart on success, FCFS breaks at
     /// the first refusal) with pure optimizations that cannot change
@@ -650,16 +603,6 @@ impl<'a> Svc<'a> {
     /// between frees, so a failed shape stays failed), and an early exit
     /// once no shape remaining in the queue could start.
     fn try_start(&mut self) {
-        if self.cfg.order == Order::FairShare && self.fair_dirty {
-            // Usage moved since the queue was last ordered: re-key every
-            // entry from current tenant usage and stable-sort, so tenants
-            // that consumed node-time sink behind fresher ones.
-            for (key, idx) in self.pending.iter_mut() {
-                key.0 = self.used_node_ns[self.subs[*idx].tenant];
-            }
-            self.pending.sort_by_key(|&(key, _)| key);
-            self.fair_dirty = false;
-        }
         let now = self.now;
         // Only real allocator probes consume the backfill budget; entries
         // whose shape already failed this epoch (or exceeds the free-node
@@ -679,7 +622,7 @@ impl<'a> Svc<'a> {
         let mut i = 0;
         let mut probes = 0usize;
         while i < self.pending.len() && probes < self.cfg.backfill_depth && startable > 0 {
-            let idx = self.pending[i].1;
+            let idx = self.pending[i];
             let (r, c) = self.subs[idx].shape;
             let sid = self.shape_of[idx] as usize;
             if !self.shapes.may_fit(sid, free) {
@@ -752,8 +695,6 @@ impl<'a> Svc<'a> {
         let nodes = sub.nodes();
         let work = (nodes as u128) * (sub.runtime.nanos() as u128);
         self.acc.useful += work;
-        self.used_node_ns[sub.tenant] += work;
-        self.fair_dirty = true;
         self.inflight_nodes[sub.tenant] -= nodes;
         self.makespan = self.makespan.max(now - SimTime::ZERO);
         self.release(entry.placement);
@@ -792,10 +733,7 @@ impl<'a> Svc<'a> {
             let idx = entry.idx;
             let sub = self.subs[idx];
             let nodes = sub.nodes();
-            let partial = (nodes as u128) * ((now - entry.started).nanos() as u128);
-            self.acc.lost_to_kills += partial;
-            self.used_node_ns[sub.tenant] += partial;
-            self.fair_dirty = true;
+            self.acc.lost_to_kills += (nodes as u128) * ((now - entry.started).nanos() as u128);
             self.release(sm);
             self.jobs_killed += 1;
             self.attempt_of[idx] += 1;
@@ -864,34 +802,10 @@ impl<'a> Svc<'a> {
     }
 
     fn on_arrive(&mut self, idx: usize) {
-        let sub = self.subs[idx];
-        let shard = if self.cfg.shards <= 1 {
-            0
+        if self.cfg.shard_cap == 0 {
+            self.reject(idx, AdmissionError::QueueFull { depth: 0 });
         } else {
-            sub.tenant % self.cfg.shards
-        };
-        if self.shard_buf[shard].len() >= self.cfg.shard_cap {
-            self.reject(
-                idx,
-                AdmissionError::QueueFull {
-                    shard,
-                    depth: self.shard_buf[shard].len(),
-                },
-            );
-            return;
-        }
-        self.shard_buf[shard].push(idx);
-        self.max_shard_depth = self.max_shard_depth.max(self.shard_buf[shard].len());
-        if self.cfg.admit_every == Dur::ZERO {
-            // Immediate admission: flush inline so the event sequence is
-            // exactly the batch scheduler's (no extra calendar entries).
-            self.flush_shard(shard);
-        } else if !self.shard_armed[shard] {
-            self.shard_armed[shard] = true;
-            let every = self.cfg.admit_every.nanos();
-            let now = self.now.nanos();
-            let boundary = now.div_ceil(every).saturating_mul(every);
-            self.q.schedule(SimTime(boundary), Ev::Admit(shard));
+            self.admit_one(idx);
         }
     }
 
@@ -905,8 +819,6 @@ impl<'a> Svc<'a> {
             .counter(t, "pending_jobs", now, self.pending.len() as f64);
         self.rec
             .counter(t, "running_jobs", now, self.running.len() as f64);
-        let shard_depth: usize = self.shard_buf.iter().map(Vec::len).sum();
-        self.rec.counter(t, "shard_depth", now, shard_depth as f64);
         self.rec
             .counter(t, "shed_total", now, self.shed.iter().sum::<u64>() as f64);
         self.rec.counter(t, "retries", now, self.retries as f64);
@@ -958,7 +870,6 @@ pub fn run_recorded(
         .chain(trace.quota_updates.iter().map(|&(_, t, _)| t))
         .max()
         .map_or(0, |t| t + 1);
-    let shards = cfg.shards.max(1);
 
     let rec_on = rec.is_enabled();
     let svc_track = if rec_on {
@@ -968,10 +879,9 @@ pub fn run_recorded(
     };
 
     // The calendar holds quota updates, faults and whatever the run
-    // schedules (a Finish per placement, Admit, Retry) — never arrivals.
-    let mut q: EventQueue<Ev> = EventQueue::with_capacity(
-        trace.quota_updates.len() + plan.len() + nodes_total.min(n) + shards,
-    );
+    // schedules (a Finish per placement, Retry) — never arrivals.
+    let mut q: EventQueue<Ev> =
+        EventQueue::with_capacity(trace.quota_updates.len() + plan.len() + nodes_total.min(n));
     let mut quota_updates = trace.quota_updates.clone();
     quota_updates.sort_by_key(|&(at, t, _)| (at, t));
     for &(at, tenant, quota) in &quota_updates {
@@ -992,9 +902,6 @@ pub fn run_recorded(
         arrived: 0,
         now: SimTime::ZERO,
         space: MeshSpace::new(cfg.rows, cfg.cols),
-        shard_buf: vec![Vec::new(); shards],
-        flush_buf: Vec::new(),
-        shard_armed: vec![false; shards],
         pending: Vec::new(),
         running: Vec::new(),
         slot_of: vec![NOT_RUNNING; n],
@@ -1004,8 +911,6 @@ pub fn run_recorded(
         records: vec![None; if cfg.keep_records { n } else { 0 }],
         quota: vec![cfg.quota_default; n_tenants],
         inflight_nodes: vec![0; n_tenants],
-        used_node_ns: vec![0; n_tenants],
-        fair_dirty: false,
         acc: NodeTime::default(),
         completed: 0,
         failed: 0,
@@ -1016,7 +921,6 @@ pub fn run_recorded(
         jobs_killed: 0,
         makespan: Dur::ZERO,
         max_pending: 0,
-        max_shard_depth: 0,
         waits: Summary::new(),
         // 10-second buckets out to 4 simulated hours of queueing; the
         // overflow bucket catches pathological waits.
@@ -1036,10 +940,6 @@ pub fn run_recorded(
             svc.integrate_to(at);
             match ev {
                 Ev::Arrive(i) => svc.on_arrive(i),
-                Ev::Admit(s) => {
-                    svc.shard_armed[s] = false;
-                    svc.flush_shard(s);
-                }
                 Ev::Finish(i, a) => svc.on_finish(i, a),
                 Ev::Fault(node) => svc.on_fault(node),
                 Ev::Retry(i, a) => svc.on_retry(i, a),
@@ -1104,7 +1004,6 @@ pub fn run_recorded(
         p99_wait: Dur::from_secs_f64(svc.wait_hist.quantile(0.99).unwrap_or(0.0)),
         max_wait: svc.max_wait,
         max_pending: svc.max_pending,
-        max_shard_depth: svc.max_shard_depth,
         // One Arrive per submission, though none went through the calendar.
         events: svc.q.events_processed() + svc.arrived as u64,
         node_time,
@@ -1292,7 +1191,6 @@ mod tests {
         let tr = service_workload(20_000, 200, 2.0, 16, 33, 3);
         let mut cfg = ServiceConfig::new(16, 33);
         cfg.pending_cap = 512;
-        cfg.shard_cap = 512;
         let r = run(&tr, &cfg);
         assert!(r.shed_total() > 0, "2x overload must shed");
         assert!(
@@ -1301,7 +1199,6 @@ mod tests {
             r.shed
         );
         assert!(r.max_pending <= 512, "pending stayed bounded");
-        assert!(r.max_shard_depth <= 512, "shards stayed bounded");
         // Conservation under shedding.
         let rejected = r
             .outcomes
@@ -1317,26 +1214,51 @@ mod tests {
     }
 
     #[test]
-    fn batched_admission_amortizes_but_keeps_totals() {
-        let tr = service_workload(5_000, 64, 0.8, 16, 33, 21);
-        let mut cfg = ServiceConfig::new(16, 33);
-        cfg.pending_cap = usize::MAX; // isolate batching from shedding
-        let immediate = run(&tr, &cfg);
-        cfg.admit_every = Dur::from_secs(30);
-        let batched = run(&tr, &cfg);
+    fn shed_tiers_refuse_low_then_normal_then_high() {
+        // One long job holds the 1x1 machine, so `depth` queued High
+        // fillers put the pending queue at that depth when the probe
+        // arrives.
+        let mut cfg = ServiceConfig::new(1, 1);
+        cfg.pending_cap = 8;
+        let probe = |depth: usize, priority: Priority| {
+            let mut subs = vec![sub(0, 0, (1, 1), 1_000, 0)];
+            for i in 1..=depth {
+                let filler = sub(i, 0, (1, 1), 1, i as u64);
+                subs.push(Submission {
+                    priority: Priority::High,
+                    ..filler
+                });
+            }
+            let id = depth + 1;
+            let probe = sub(id, 0, (1, 1), 1, id as u64);
+            subs.push(Submission { priority, ..probe });
+            run(&trace(subs), &cfg).outcomes[id]
+        };
+        for (priority, refused_from) in [
+            (Priority::Low, 4),
+            (Priority::Normal, 6),
+            (Priority::High, 8),
+        ] {
+            for depth in 0..=8 {
+                let expect = if depth < refused_from {
+                    Outcome::Completed
+                } else {
+                    Outcome::Rejected(AdmissionError::QueueFull { depth })
+                };
+                assert_eq!(
+                    probe(depth, priority),
+                    expect,
+                    "{priority:?} at depth {depth}"
+                );
+            }
+        }
+        // A zero ingest bound refuses every arrival before admission.
+        cfg.shard_cap = 0;
+        let r = run(&trace(vec![sub(0, 0, (1, 1), 10, 0)]), &cfg);
         assert_eq!(
-            batched.completed + batched.rejected_total() as usize + batched.failed,
-            tr.subs.len()
+            r.outcomes,
+            vec![Outcome::Rejected(AdmissionError::QueueFull { depth: 0 })]
         );
-        // Batching delays admission but never loses work under capacity.
-        assert_eq!(immediate.completed, batched.completed);
-        assert_eq!(immediate.completed, tr.subs.len());
-        // The batched run pays extra Admit calendar entries, but each one
-        // drains a whole shard buffer (bounded by the shard high-water
-        // mark), instead of one admission pass per arrival.
-        assert!(batched.events > immediate.events);
-        assert!(batched.max_shard_depth > 1, "buffers actually batched");
-        assert_eq!(immediate.max_shard_depth, 1);
     }
 
     #[test]
@@ -1532,7 +1454,7 @@ mod tests {
         let r = run(&tr, &cfg);
         assert!(matches!(
             r.outcomes[2],
-            Outcome::Rejected(AdmissionError::QueueFull { depth: 1, .. })
+            Outcome::Rejected(AdmissionError::QueueFull { depth: 1 })
         ));
         assert_eq!(
             r.events,
@@ -1556,34 +1478,6 @@ mod tests {
         );
         assert_eq!(r.outcomes[1], Outcome::Completed);
         assert_eq!(r.nodes_failed, 1);
-    }
-
-    #[test]
-    fn fair_share_order_interleaves_tenants() {
-        // Tenant 0 floods the queue first; fair share lets tenant 1's
-        // later submission overtake the backlog once tenant 0 has
-        // accumulated usage.
-        let mut subs = Vec::new();
-        for i in 0..8 {
-            subs.push(sub(i, 0, (4, 4), 100, 0)); // serialized: whole machine
-        }
-        subs.push(sub(8, 1, (4, 4), 100, 1));
-        let mut cfg = ServiceConfig::new(4, 4);
-        cfg.order = Order::FairShare;
-        cfg.keep_records = true;
-        let fair = run(&trace(subs.clone()), &cfg);
-        cfg.order = Order::Arrival;
-        let fifo = run(&trace(subs), &cfg);
-        let started = |r: &ServiceReport, id: usize| {
-            r.records.iter().find(|j| j.job.id == id).unwrap().started
-        };
-        assert!(
-            started(&fair, 8) < started(&fifo, 8),
-            "fair share admits the fresh tenant ahead of the backlog: {} vs {}",
-            started(&fair, 8),
-            started(&fifo, 8)
-        );
-        assert_eq!(fair.completed, 9);
     }
 
     #[test]

@@ -1,27 +1,30 @@
 //! Property tests for the scheduler service.
 //!
-//! Three families of invariants:
+//! Four families of invariants:
 //!
-//! 1. **Batch equivalence.** With immediate admission, no bounds, and no
-//!    faults, the service must replay the batch scheduler's schedule
-//!    bit-for-bit — same starts, finishes, and placements — across
-//!    random under-capacity workloads and both policies.
+//! 1. **Batch equivalence.** With no bounds and no faults, the service
+//!    must replay the batch scheduler's schedule bit-for-bit — same
+//!    starts, finishes, and placements — across random under-capacity
+//!    workloads and both policies.
 //! 2. **Conservation.** Under random fault plans, bounded queues, and
 //!    finite quotas: every submission reaches exactly one terminal
 //!    state, the terminal counts sum to the submission count, and the
 //!    integer node-time ledger balances exactly
-//!    (`useful + lost + dead + idle == total`, in `u128` node-ns).
+//!    (`useful + lost + dead + idle == total`, in `u128` node-ns). The
+//!    event count keeps its ledger (`ServiceReport::events`) and the
+//!    pending queue its bound (`pending_cap + nodes_failed`).
 //! 3. **Replay.** The same `(trace, config, plan)` triple reproduces the
 //!    same report, bit for bit, retries and jitter included.
 //! 4. **Tie order.** The service takes arrivals from a cursor beside the
 //!    calendar, an arrival winning every timestamp tie. On traces whose
 //!    times are all multiples of one grain — so arrivals collide with
-//!    finishes, faults, admission boundaries and quota updates at nearly
-//!    every event — the batch scheduler, which still pre-loads arrivals
-//!    into its heap, is the independent oracle for that rule.
+//!    finishes, faults and quota updates at nearly every event — the
+//!    batch scheduler, which still pre-loads arrivals into its heap, is
+//!    the independent oracle for that rule.
 
 use delta_mesh::sched::service::{
-    self, assert_batch_equivalent, service_workload, Outcome, ServiceConfig, ServiceTrace,
+    self, assert_batch_equivalent, service_workload, Outcome, ServiceConfig, ServiceReport,
+    ServiceTrace,
 };
 use delta_mesh::Policy;
 use des::faults::{FaultKind, FaultPlan, MtbfModel};
@@ -46,14 +49,17 @@ fn quantized_workload(n: usize, tenants: usize, seed: u64, grain_s: u64) -> Serv
 fn bounded_config(knobs: u64) -> ServiceConfig {
     let mut cfg = ServiceConfig::new(16, 33);
     cfg.pending_cap = [64usize, 256, 1024][(knobs % 3) as usize];
-    cfg.shard_cap = cfg.pending_cap;
-    cfg.shards = 1 + (knobs % 8) as usize;
     cfg.quota_default = [32usize, 128, usize::MAX][((knobs / 3) % 3) as usize];
     cfg.retry.budget = (knobs % 4) as u32;
-    if knobs.is_multiple_of(2) {
-        cfg.admit_every = Dur::from_secs(10);
-    }
     cfg
+}
+
+/// What `ServiceReport::events` must read: one Arrive per submission,
+/// one Finish per placement (completed or killed), one Retry per retry,
+/// and every crash and quota update the inputs put on the calendar.
+fn event_ledger(r: &ServiceReport, tr: &ServiceTrace, plan: &FaultPlan) -> u64 {
+    let inputs = plan.node_crashes().count() + tr.quota_updates.len();
+    (r.submitted + r.completed + inputs) as u64 + r.jobs_killed + r.retries
 }
 
 proptest! {
@@ -107,8 +113,10 @@ proptest! {
         prop_assert_eq!(failed, r.failed);
         prop_assert_eq!(rejected as u64, r.rejected_total());
 
-        // Bounded queues stayed bounded.
-        prop_assert!(r.max_shard_depth <= cfg.shard_cap);
+        // Admission holds the pending queue at its cap; only retries of
+        // killed jobs, at most one per failed node, re-enter past it.
+        prop_assert!(r.max_pending <= cfg.pending_cap.saturating_add(r.nodes_failed));
+        prop_assert_eq!(r.events, event_ledger(&r, &tr, &plan));
 
         // Node-time identity, exactly: busy + idle + dead == total, and
         // total is nodes x span to the nanosecond.
@@ -141,9 +149,9 @@ proptest! {
         assert_batch_equivalent(&tr, 16, 33, Policy::Backfill);
     }
 
-    /// With faults, batched admission and quota updates all landing on
-    /// the same grain, the report does not depend on how the trace was
-    /// laid out: submissions and quota updates pre-sorted or shuffled.
+    /// With faults and quota updates all landing on the same grain, the
+    /// report does not depend on how the trace was laid out: submissions
+    /// and quota updates pre-sorted or shuffled.
     #[test]
     fn tied_timestamps_ignore_trace_layout(
         n in 100usize..600,
@@ -173,7 +181,6 @@ proptest! {
         rng.shuffle(&mut shuffled.quota_updates);
 
         let mut cfg = bounded_config(seed);
-        cfg.admit_every = Dur(grain);
         cfg.keep_records = true;
         let a = service::run_with_faults(&sorted, &cfg, &plan);
         let b = service::run_with_faults(&shuffled, &cfg, &plan);
@@ -185,9 +192,10 @@ proptest! {
             (b.events, b.makespan, b.span, b.shed, b.quota_rejects, b.unrunnable)
         );
         prop_assert_eq!(
-            (a.retries, a.jobs_killed, a.nodes_failed, a.max_pending, a.max_shard_depth),
-            (b.retries, b.jobs_killed, b.nodes_failed, b.max_pending, b.max_shard_depth)
+            (a.retries, a.jobs_killed, a.nodes_failed, a.max_pending),
+            (b.retries, b.jobs_killed, b.nodes_failed, b.max_pending)
         );
+        prop_assert_eq!(a.events, event_ledger(&a, &sorted, &plan));
         prop_assert_eq!(
             (a.mean_wait, a.p99_wait, a.max_wait),
             (b.mean_wait, b.p99_wait, b.max_wait)
@@ -220,5 +228,6 @@ proptest! {
         prop_assert_eq!(a.jobs_killed, b.jobs_killed);
         prop_assert_eq!(a.node_time, b.node_time);
         prop_assert_eq!(a.events, b.events);
+        prop_assert_eq!(a.events, event_ledger(&a, &tr, &plan));
     }
 }
