@@ -23,10 +23,16 @@
 //!    to cede bandwidth, so it is pulled into `A` and the closure/fill
 //!    repeats. The loop terminates because `A` only grows.
 //!
-//! When `A` exceeds a configured fraction of the live roster the solver
+//! When `A` exceeds a configured fraction of the live roster *and* its
+//! links exceed the same fraction of the directed links, the solver
 //! falls back to one full re-solve (same code path, `A` = everyone,
-//! residual reset from raw capacity), keeping the worst case no worse
-//! than the legacy engine and flushing accumulated float drift.
+//! residual reset from raw capacity). A fill costs about rounds × links
+//! over its links, and the full one walks every directed link in set-up
+//! and commit: a closure that spreads over the network costs what the
+//! full fill costs, and taking the full fill keeps the worst case no
+//! worse than the legacy engine and flushes accumulated float drift. A
+//! crowd behind one slow bottleneck — however many entries — touches a
+//! few links and fills in a round or two, so it stays partial.
 //!
 //! Entries are *aggregates*: flows below a byte threshold on the same
 //! (src, dst, window) collapse into one entry with an integer weight.
@@ -51,7 +57,9 @@ use std::rc::Rc;
 pub enum SolverMode {
     /// Worklist-driven incremental updates, falling back to one full
     /// re-solve whenever the affected set exceeds `full_fraction` of the
-    /// live entries (0.0 = always full, 1.0 = never fall back).
+    /// live entries and its links exceed `full_fraction` of the directed
+    /// links (0.0 = full whenever the closure crosses a link, 1.0 = never
+    /// fall back).
     Incremental { full_fraction: f64 },
     /// Full progressive filling on every event — the legacy behaviour,
     /// kept as the benchmark baseline and as a cross-check.
@@ -632,14 +640,16 @@ impl Engine {
             SolverMode::Global => (true, 0.0),
         };
         let limit = frac * self.roster.len() as f64;
+        let dir_limit = frac * self.ndirs as f64;
         let (mut scan, mut lscan) = (0usize, 0usize);
         loop {
             // Closure: pull in everything a rate change can reach through
             // links that were saturated before the event. Entries and
             // links are two FIFO queues, so the order they are drained in
-            // does not change either sequence. `A` only grows: once it
-            // passes the fallback threshold the decision is final, and
-            // the full path below overwrites `dirty` and `touched_d`.
+            // does not change either sequence. `A` and its links only
+            // grow: once both pass the fallback threshold the decision is
+            // final, and the full path below overwrites `dirty` and
+            // `touched_d`.
             while !full && (scan < self.dirty.len() || lscan < self.touched_d.len()) {
                 if scan < self.dirty.len() {
                     let e = self.dirty[scan];
@@ -663,7 +673,7 @@ impl Engine {
                         }
                     }
                 }
-                full = self.dirty.len() as f64 > limit;
+                full = self.dirty.len() as f64 > limit && self.touched_d.len() as f64 > dir_limit;
             }
             if full {
                 // Bounded fallback: one re-solve of everyone from raw
@@ -1204,6 +1214,68 @@ mod tests {
         assert_eq!(eng.residual[d].to_bits(), along([3.0, 1.0, 2.0]));
         assert_ne!(along([3.0, 1.0, 2.0]), along([1.0, 2.0, 3.0]), "`on` order");
         assert_ne!(along([3.0, 1.0, 2.0]), along([2.0, 1.0, 3.0]), "reversed");
+    }
+
+    /// Opens one single-member entry per route of `roster` and resolves,
+    /// then opens `arrival` and resolves again, every resolve checked
+    /// against the reference solver: whether the arrival's resolve fell
+    /// back to a full re-solve.
+    fn arrival_falls_back(
+        net: &Net,
+        roster: &[&Rc<Route>],
+        arrival: &Rc<Route>,
+        full_fraction: f64,
+    ) -> bool {
+        let cfg = FlowConfig {
+            solver: SolverMode::Incremental { full_fraction },
+            verify: true,
+            ..FlowConfig::default()
+        };
+        let mut eng = Engine::new(net, &cfg);
+        for route in roster {
+            open(&mut eng, route, 1);
+        }
+        eng.resolve(net, SimTime::ZERO, &mut Vec::new());
+        let before = eng.stats.full_resolves;
+        open(&mut eng, arrival, 1);
+        eng.resolve(net, SimTime::ZERO, &mut Vec::new());
+        eng.stats.full_resolves > before
+    }
+
+    /// The fallback needs a closure wide in links as well as in entries.
+    /// `crowd`: eight flows share a 56 kb/s access link behind a gigabit
+    /// hub with six idle T3 spokes; a ninth arriving there pulls in all
+    /// of them (9 of 9 live entries) over 2 of 16 directed links, and
+    /// resolves partially. `spread`: on the a–b–c line an a→b arrival
+    /// reaches both saturated hops through the a→c flow (4 of 4 entries
+    /// over 2 of 4 directed links) and falls back. 0.0 still falls back
+    /// on both and 1.0 on neither.
+    #[test]
+    fn fallback_needs_a_closure_wide_in_links_too() {
+        let mut star = Net::new();
+        let d = star.add_site("d");
+        let h = star.add_site("h");
+        let p = star.add_site("p");
+        star.add_link(d, h, LinkClass::Gigabit, Dur::from_millis(1));
+        star.add_link(h, p, LinkClass::Regional56k, Dur::from_millis(1));
+        for i in 0..6 {
+            let x = star.add_site(format!("x{i}"));
+            star.add_link(h, x, LinkClass::T3, Dur::from_millis(1));
+        }
+        let r_dp = Rc::new(star.route(d, p).unwrap());
+        let crowd = [&r_dp; 8];
+        let (path, r_ac, r_ab) = line();
+        let r_bc = Rc::new(path.route(1, 2).unwrap());
+        let spread = [&r_ac, &r_ab, &r_bc];
+        for (frac, crowd_full, spread_full) in
+            [(0.25, false, true), (0.0, true, true), (1.0, false, false)]
+        {
+            let got = (
+                arrival_falls_back(&star, &crowd, &r_dp, frac),
+                arrival_falls_back(&path, &spread, &r_ab, frac),
+            );
+            assert_eq!(got, (crowd_full, spread_full), "full_fraction {frac}");
+        }
     }
 
     /// ≥ 200 seeded rosters through `resolve` (whose fill is

@@ -1,11 +1,13 @@
 //! The flow engine's scratch arrays grow to their high-water mark and
 //! stay there: repeating a consortium staging wave allocates almost
-//! nothing more, so no resolve allocates. One test per file: the
-//! counting allocator is process-wide.
+//! nothing more, so no resolve allocates — on the partial path alone (the
+//! default config, which never falls back on this traffic) and on both
+//! paths (`full_fraction` 0.05). One test per file: the counting
+//! allocator is process-wide.
 
 use des::rng::Rng;
 use des::time::{Dur, SimTime};
-use nren_netsim::{topologies, FlowSim, TransferSpec};
+use nren_netsim::{topologies, FlowConfig, FlowSim, SolverMode, TransferSpec};
 
 #[path = "../../mesh/tests/common/mod.rs"]
 mod common;
@@ -30,30 +32,43 @@ fn repeated_staging_waves_allocate_nothing_per_resolve() {
             TransferSpec::new(delta, dst, 8 * 32 * order, SimTime::from_secs_f64(t))
         })
         .collect();
-    let sim = FlowSim::new(&net);
-    // Each wave starts once the one before has drained, so every wave
-    // reaches the same peak and reuses what the first one allocated.
-    let period = sim.run_with_stats(wave.clone()).1.makespan.nanos() + 1_000_000_000;
-    let allocs = |waves: u64| {
-        let specs: Vec<TransferSpec> = (0..waves)
-            .flat_map(|w| {
-                wave.iter().map(move |s| TransferSpec {
-                    start: s.start + Dur::from_nanos(w * period),
-                    ..s.clone()
-                })
-            })
-            .collect();
-        let before = common::allocs();
-        let (records, stats) = sim.run_with_stats(specs);
-        let allocs = common::allocs() - before;
-        assert_eq!(records.len(), wave.len() * waves as usize);
-        assert!(stats.solver.full_resolves > 0, "{:?}", stats.solver);
-        allocs
+    let eager = FlowConfig {
+        solver: SolverMode::Incremental {
+            full_fraction: 0.05,
+        },
+        ..FlowConfig::default()
     };
-    let (one, four) = (allocs(1), allocs(4));
-    let per_flow = four.saturating_sub(one) as f64 / (3 * wave.len()) as f64;
-    assert!(
-        per_flow <= 0.1,
-        "{one} allocations for one wave, {four} for four: {per_flow} per added flow"
-    );
+    for cfg in [FlowConfig::default(), eager] {
+        let sim = FlowSim::with_config(&net, cfg);
+        // Each wave starts once the one before has drained, so every wave
+        // reaches the same peak and reuses what the first one allocated.
+        let period = sim.run_with_stats(wave.clone()).1.makespan.nanos() + 1_000_000_000;
+        let allocs = |waves: u64| {
+            let specs: Vec<TransferSpec> = (0..waves)
+                .flat_map(|w| {
+                    wave.iter().map(move |s| TransferSpec {
+                        start: s.start + Dur::from_nanos(w * period),
+                        ..s.clone()
+                    })
+                })
+                .collect();
+            let before = common::allocs();
+            let (records, stats) = sim.run_with_stats(specs);
+            let allocs = common::allocs() - before;
+            assert_eq!(records.len(), wave.len() * waves as usize);
+            (allocs, stats.solver)
+        };
+        let ((one, _), (four, solver)) = (allocs(1), allocs(4));
+        if cfg == eager {
+            let both = solver.full_resolves > 0 && solver.full_resolves < solver.resolves;
+            assert!(both, "{solver:?}");
+        } else {
+            assert_eq!(solver.full_resolves, 0, "{solver:?}");
+        }
+        let per_flow = four.saturating_sub(one) as f64 / (3 * wave.len()) as f64;
+        assert!(
+            per_flow <= 0.1,
+            "{cfg:?}: {one} allocations for one wave, {four} for four: {per_flow} per added flow"
+        );
+    }
 }

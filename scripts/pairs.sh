@@ -14,9 +14,11 @@
 # then run from its tree with the driver's command (BENCHMARK.json's
 # `command`, its `run_seconds` by default). Which side goes first
 # alternates pair by pair. Prints every run, each side's median and
-# quartiles, and how many pairs <rev-b> won on wall_s; a gain is claimed
-# only at wins >= 9/10 and medians further apart than <rev-a>'s
-# inter-quartile distance. The summary line ends `digests: equal` when
+# quartiles, the median and quartiles of the per-pair ratio b/a of the
+# first metric (its `b/a` row), and how many pairs <rev-b> won on
+# wall_s; a gain is claimed only at wins >= 9/10 and medians further
+# apart than <rev-a>'s inter-quartile distance. The summary line ends
+# `digests: equal` when
 # every run's result_digest is side a's first one, and
 # `digests: DIFFER (a <hex>, <side> <hex>)` naming the first run that
 # is not. With --layers the pairs are traced runs
@@ -81,13 +83,26 @@ run() {
         tee -a "$rows"
 }
 
-# Median and quartiles (linear interpolation between order statistics)
-# of column $2 over side $1's rows.
+# Lower quartile, median and upper quartile (linear interpolation
+# between order statistics) of the numbers on stdin, one a line.
+quartiles() {
+    sort -g | awk '{ v[NR] = $1 }
+        function q(p,   h, lo) { h = 1 + p * (NR - 1); lo = int(h); return v[lo] + (h - lo) * (v[lo < NR ? lo + 1 : lo] - v[lo]) }
+        END { printf "%.6g\t%.6g\t%.6g", q(0.25), q(0.5), q(0.75) }'
+}
+
+# Median and quartiles of column $2 over side $1's rows.
 summary() {
-    awk -F'\t' -v side="$1" -v col="$2" '$2 == side { print $col }' "$rows" | sort -g |
-        awk '{ v[NR] = $1 }
-             function q(p,   h, lo) { h = 1 + p * (NR - 1); lo = int(h); return v[lo] + (h - lo) * (v[lo < NR ? lo + 1 : lo] - v[lo]) }
-             END { printf "%.6g\t%.6g\t%.6g", q(0.25), q(0.5), q(0.75) }'
+    awk -F'\t' -v side="$1" -v col="$2" '$2 == side { print $col }' "$rows" | quartiles
+}
+
+# Median and quartiles of the per-pair ratio b/a of the first metric.
+# The host drifts between fast and slow phases for minutes at a time;
+# both runs of a pair share a phase, so the ratio does not mix phases
+# the way each side's own median does.
+ratio() {
+    awk -F'\t' '$2 == "a" { a[$1] = $3 } $2 == "b" { b[$1] = $3 }
+        END { for (p in a) if ((p in b) && a[p] > 0) print b[p] / a[p] }' "$rows" | quartiles
 }
 
 sha_a=$(resolve "$1")
@@ -116,6 +131,7 @@ for i in "${!metrics[@]}"; do
         printf '%s\t%s\t%s\n' "${metrics[$i]}" "$side" "$(summary "$side" $((i + 3)))"
     done
 done
+printf '%s\tb/a\t%s\n' "${metrics[0]}" "$(ratio)"
 awk -F'\t' -v first="${metrics[0]}" -v failed_col="$failed_col" '
     $2 == "a" { a[$1] = $3 } $2 == "b" { b[$1] = $3 } { failed[$2] += $failed_col }
     { digest = $(failed_col + 1); gsub(/"/, "", digest) }
