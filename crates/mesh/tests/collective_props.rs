@@ -1,28 +1,30 @@
 //! Property tests for the collective library: correctness of every
 //! data collective across random machine shapes, roots, and payloads.
+//!
+//! Each property is a plain loop over seeded cases: case `c` draws its
+//! inputs from `Rng::new(K ^ c)`, `K` being the constant in that test's
+//! `Rng::new` call, and prints them first, so a failure's last printed
+//! line names the case that replays it.
 
 use delta_mesh::{presets, Comm, Machine};
-use proptest::prelude::*;
+use des::rng::Rng;
 use std::sync::Arc;
 
 fn machine(rows: usize, cols: usize) -> Machine {
     Machine::new(presets::delta(rows, cols))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn bcast_delivers_exact_data(
-        rows in 1usize..4,
-        cols in 1usize..5,
-        root_sel in 0usize..20,
-        len in 1usize..40,
-        seed in 0u64..1000,
-    ) {
-        let p = rows * cols;
-        let root = root_sel % p;
-        let mut rng = des::rng::Rng::new(seed);
+/// Every member receives the root's exact data, for any shape, root
+/// and length (16 cases).
+#[test]
+fn bcast_delivers_exact_data() {
+    for case in 0..16 {
+        let mut rng = Rng::new(0xBCA5_0001 ^ case);
+        let rows = rng.range_u64(1, 3) as usize;
+        let cols = rng.range_u64(1, 4) as usize;
+        let root = rng.below((rows * cols) as u64) as usize;
+        let len = rng.range_u64(1, 39) as usize;
+        println!("case {case}: rows {rows} cols {cols} root {root} len {len}");
         let data: Vec<f64> = (0..len).map(|_| rng.range_f64(-5.0, 5.0)).collect();
         let expect = data.clone();
         let m = machine(rows, cols);
@@ -35,19 +37,21 @@ proptest! {
             }
         });
         for v in out {
-            prop_assert_eq!(&v, &expect);
+            assert_eq!(&v, &expect);
         }
     }
+}
 
-    #[test]
-    fn allreduce_sum_matches_reference(
-        rows in 1usize..4,
-        cols in 1usize..5,
-        len in 1usize..20,
-        seed in 0u64..1000,
-    ) {
+/// Every member holds the element-wise sum of all inputs (16 cases).
+#[test]
+fn allreduce_sum_matches_reference() {
+    for case in 0..16 {
+        let mut rng = Rng::new(0xA11D_0002 ^ case);
+        let rows = rng.range_u64(1, 3) as usize;
+        let cols = rng.range_u64(1, 4) as usize;
+        let len = rng.range_u64(1, 19) as usize;
+        println!("case {case}: rows {rows} cols {cols} len {len}");
         let p = rows * cols;
-        let mut rng = des::rng::Rng::new(seed);
         let inputs: Vec<Vec<f64>> = (0..p)
             .map(|_| (0..len).map(|_| rng.range_f64(-3.0, 3.0)).collect())
             .collect();
@@ -67,20 +71,22 @@ proptest! {
         });
         for v in out {
             for (a, b) in v.iter().zip(&reference) {
-                prop_assert!((a - b).abs() < 1e-10 * (1.0 + b.abs()), "{a} vs {b}");
+                assert!((a - b).abs() < 1e-10 * (1.0 + b.abs()), "{a} vs {b}");
             }
         }
     }
+}
 
-    #[test]
-    fn allgather_orders_blocks(
-        rows in 1usize..4,
-        cols in 1usize..5,
-        blk in 1usize..8,
-        seed in 0u64..500,
-    ) {
+/// Every member holds all blocks, in rank order (16 cases).
+#[test]
+fn allgather_orders_blocks() {
+    for case in 0..16 {
+        let mut rng = Rng::new(0xA119_0003 ^ case);
+        let rows = rng.range_u64(1, 3) as usize;
+        let cols = rng.range_u64(1, 4) as usize;
+        let blk = rng.range_u64(1, 7) as usize;
+        println!("case {case}: rows {rows} cols {cols} blk {blk}");
         let p = rows * cols;
-        let mut rng = des::rng::Rng::new(seed);
         let blocks: Vec<Vec<f64>> = (0..p)
             .map(|_| (0..blk).map(|_| rng.range_f64(0.0, 9.0)).collect())
             .collect();
@@ -94,18 +100,21 @@ proptest! {
             }
         });
         for v in out {
-            prop_assert_eq!(&v, &expect);
+            assert_eq!(&v, &expect);
         }
     }
+}
 
-    #[test]
-    fn alltoall_is_transpose(
-        rows in 1usize..3,
-        cols in 1usize..5,
-        seed in 0u64..500,
-    ) {
+/// Member `j` receives chunk `j` of every member `i`, in rank order
+/// (16 cases).
+#[test]
+fn alltoall_is_transpose() {
+    for case in 0..16 {
+        let mut rng = Rng::new(0xA112_0004 ^ case);
+        let rows = rng.range_u64(1, 2) as usize;
+        let cols = rng.range_u64(1, 4) as usize;
+        println!("case {case}: rows {rows} cols {cols}");
         let p = rows * cols;
-        let mut rng = des::rng::Rng::new(seed);
         // chunk[i][j][0] encodes (i, j) uniquely.
         let chunks: Vec<Vec<Vec<f64>>> = (0..p)
             .map(|i| {
@@ -125,19 +134,22 @@ proptest! {
         });
         for (j, got) in out.iter().enumerate() {
             for (i, chunk) in got.iter().enumerate() {
-                prop_assert_eq!(chunk, &reference[i][j], "member {} chunk {}", j, i);
+                assert_eq!(chunk, &reference[i][j], "member {} chunk {}", j, i);
             }
         }
     }
+}
 
-    #[test]
-    fn scan_prefixes_are_consistent(
-        rows in 1usize..4,
-        cols in 1usize..5,
-        seed in 0u64..500,
-    ) {
+/// Member `i` receives the sum of the values of members `0..=i`
+/// (16 cases).
+#[test]
+fn scan_prefixes_are_consistent() {
+    for case in 0..16 {
+        let mut rng = Rng::new(0x5CA2_0005 ^ case);
+        let rows = rng.range_u64(1, 3) as usize;
+        let cols = rng.range_u64(1, 4) as usize;
+        println!("case {case}: rows {rows} cols {cols}");
         let p = rows * cols;
-        let mut rng = des::rng::Rng::new(seed);
         let values: Vec<f64> = (0..p).map(|_| rng.range_f64(-2.0, 2.0)).collect();
         let vals = values.clone();
         let m = machine(rows, cols);
@@ -151,20 +163,23 @@ proptest! {
         let mut acc = 0.0;
         for (i, got) in out.iter().enumerate() {
             acc += values[i];
-            prop_assert!((got - acc).abs() < 1e-12, "member {i}: {got} vs {acc}");
+            assert!((got - acc).abs() < 1e-12, "member {i}: {got} vs {acc}");
         }
     }
+}
 
-    #[test]
-    fn reduce_and_allreduce_agree(
-        rows in 1usize..4,
-        cols in 1usize..4,
-        seed in 0u64..300,
-    ) {
+/// Only the root holds the reduction, and it equals what allreduce gives
+/// every member (16 cases).
+#[test]
+fn reduce_and_allreduce_agree() {
+    for case in 0..16 {
+        let mut rng = Rng::new(0x02ED_0006 ^ case);
+        let rows = rng.range_u64(1, 3) as usize;
+        let cols = rng.range_u64(1, 3) as usize;
         let p = rows * cols;
-        let mut rng = des::rng::Rng::new(seed);
+        let root = rng.below(p as u64) as usize;
+        println!("case {case}: rows {rows} cols {cols} root {root}");
         let values: Vec<f64> = (0..p).map(|_| rng.range_f64(-1.0, 1.0)).collect();
-        let root = (seed as usize) % p;
         let vals = values.clone();
         let m = machine(rows, cols);
         let (out, _) = m.run(move |node| {
@@ -178,12 +193,12 @@ proptest! {
         });
         let all_val = out[0].1;
         for (i, (red, all)) in out.iter().enumerate() {
-            prop_assert!((all - all_val).abs() < 1e-12);
+            assert!((all - all_val).abs() < 1e-12);
             if i == root {
                 let r = red.expect("root holds reduction");
-                prop_assert!((r - all).abs() < 1e-10, "{r} vs {all}");
+                assert!((r - all).abs() < 1e-10, "{r} vs {all}");
             } else {
-                prop_assert!(red.is_none());
+                assert!(red.is_none());
             }
         }
     }

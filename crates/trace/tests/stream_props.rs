@@ -8,11 +8,16 @@
 //!   the ring exactly once (retained, active, or counted as evicted).
 //! * Scrape-while-write: concurrent readers see monotone totals and
 //!   internally consistent snapshots while the writer is hot.
+//!
+//! The first two are plain loops over seeded cases: case `c` draws its
+//! inputs from `Rng::new(K ^ c)`, `K` being the constant in that test's
+//! `Rng::new` call, and prints them first, so a failure's last printed
+//! line names the case that replays it.
 
-use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use des::rng::Rng;
 use hpcc_trace::stream::{bucket_hi, bucket_of};
 use hpcc_trace::{Event, MemRecorder, Recorder, StreamRecorder};
 
@@ -26,36 +31,27 @@ fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
 
 /// Durations spanning the full dynamic range: mantissa scaled into an
 /// exponent sampled from `0..=max_exp`.
-fn durations(seed: &mut impl FnMut() -> u64, n: usize, max_exp: u32) -> Vec<u64> {
+fn durations(rng: &mut Rng, n: usize, max_exp: u32) -> Vec<u64> {
     (0..n)
         .map(|_| {
-            let exp = seed() % (max_exp as u64 + 1);
-            let mantissa = seed() % 1000;
+            let exp = rng.below(max_exp as u64 + 1);
+            let mantissa = rng.below(1000);
             (1u64 << exp).saturating_add(mantissa * (1u64 << exp) / 1000)
         })
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The streamed quantile is the upper edge of the bucket holding the
-    /// exact quantile (MemRecorder ground truth), hence within one
-    /// log-linear bucket — ≤12.5% relative error.
-    #[test]
-    fn stream_quantiles_match_mem_recorder_within_bucket_resolution(
-        n in 1usize..400,
-        max_exp in 0u32..50,
-        salt in 0u64..u64::MAX - 1,
-    ) {
-        let mut state = salt | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let durs = durations(&mut next, n, max_exp);
+/// The streamed quantile is the upper edge of the bucket holding the
+/// exact quantile (MemRecorder ground truth), hence within one
+/// log-linear bucket — ≤12.5% relative error (48 cases).
+#[test]
+fn stream_quantiles_match_mem_recorder_within_bucket_resolution() {
+    for case in 0..48 {
+        let mut rng = Rng::new(0x9A47_0001 ^ case);
+        let n = rng.range_u64(1, 399) as usize;
+        let max_exp = rng.below(50) as u32;
+        println!("case {case}: n {n} max_exp {max_exp}");
+        let durs = durations(&mut rng, n, max_exp);
 
         let stream = StreamRecorder::new();
         let mem = MemRecorder::new();
@@ -71,47 +67,53 @@ proptest! {
             events
                 .iter()
                 .map(|e| match e {
-                    Event::Span { start_ns, end_ns, .. } => end_ns - start_ns,
+                    Event::Span {
+                        start_ns, end_ns, ..
+                    } => end_ns - start_ns,
                     _ => unreachable!("only spans were emitted"),
                 })
                 .collect()
         });
         sorted.sort_unstable();
-        prop_assert_eq!(sorted.len(), durs.len());
+        assert_eq!(sorted.len(), durs.len());
 
         let snap = stream.metrics_snapshot();
-        prop_assert_eq!(snap.spans.len(), 1);
+        assert_eq!(snap.spans.len(), 1);
         let g = &snap.spans[0];
-        prop_assert_eq!(g.count, n as u64);
-        prop_assert_eq!(g.min_ns, *sorted.first().unwrap());
-        prop_assert_eq!(g.max_ns, *sorted.last().unwrap());
+        assert_eq!(g.count, n as u64);
+        assert_eq!(g.min_ns, *sorted.first().unwrap());
+        assert_eq!(g.max_ns, *sorted.last().unwrap());
 
         for (q, got) in [(0.5, g.p50_ns), (0.9, g.p90_ns), (0.99, g.p99_ns)] {
             let exact = exact_quantile(&sorted, q);
-            prop_assert_eq!(
-                got,
-                bucket_hi(bucket_of(exact)),
-                "q={} exact={} got={}", q, exact, got
-            );
+            let edge = bucket_hi(bucket_of(exact));
+            assert_eq!(got, edge, "q={q} exact={exact} got={got}");
             // Bucket resolution: upper edge overshoots by <= 12.5% + 1.
-            prop_assert!(got >= exact);
-            prop_assert!(
-                (got - exact) as f64 <= 0.125 * exact as f64 + 1.0,
-                "q={} exact={} got={} overshoots a bucket", q, exact, got
+            assert!(got >= exact);
+            let over = (got - exact) as f64;
+            assert!(
+                over <= 0.125 * exact as f64 + 1.0,
+                "q={q} exact={exact} got={got} overshoots a bucket"
             );
         }
     }
+}
 
-    /// Ledger identities hold for any mix of event kinds and any ring
-    /// geometry, with eviction forced by tiny rings.
-    #[test]
-    fn ledger_balances_for_any_mix_and_ring_geometry(
-        spans in 0u64..300,
-        counters in 0u64..300,
-        instants in 0u64..300,
-        chunk_cap in 1usize..33,
-        max_chunks in 1usize..5,
-    ) {
+/// Ledger identities hold for any mix of event kinds and any ring
+/// geometry, with eviction forced by tiny rings (48 cases).
+#[test]
+fn ledger_balances_for_any_mix_and_ring_geometry() {
+    for case in 0..48 {
+        let mut rng = Rng::new(0x1ED6_0002 ^ case);
+        let spans = rng.below(300);
+        let counters = rng.below(300);
+        let instants = rng.below(300);
+        let chunk_cap = rng.range_u64(1, 32) as usize;
+        let max_chunks = rng.range_u64(1, 4) as usize;
+        println!(
+            "case {case}: spans {spans} counters {counters} instants {instants} \
+             chunk_cap {chunk_cap} max_chunks {max_chunks}"
+        );
         let rec = StreamRecorder::with_ring(chunk_cap, max_chunks);
         let t = rec.track("p", "t");
         for i in 0..spans {
@@ -125,23 +127,23 @@ proptest! {
         }
         let snap = rec.metrics_snapshot();
         let total = spans + counters + instants;
-        prop_assert_eq!(snap.events_total, total);
+        assert_eq!(snap.events_total, total);
         // Aggregation ledger: every event aggregated exactly once.
-        prop_assert_eq!(
+        assert_eq!(
             snap.spans_total + snap.counters_total + snap.instants_total,
             total
         );
         // Ring ledger: emitted == retained + active + evicted (dropped).
-        prop_assert_eq!(
+        assert_eq!(
             snap.ring.retained_events + snap.ring.active_events + snap.ring.evicted_events,
             total
         );
         // Sequence window is consistent with the ledger.
-        prop_assert_eq!(snap.ring.next_seq, total);
-        prop_assert_eq!(snap.ring.oldest_seq, snap.ring.evicted_events);
+        assert_eq!(snap.ring.next_seq, total);
+        assert_eq!(snap.ring.oldest_seq, snap.ring.evicted_events);
         // A ring this small under this load must have dropped something.
         if total > (chunk_cap * (max_chunks + 1)) as u64 {
-            prop_assert!(snap.ring.evicted_events > 0);
+            assert!(snap.ring.evicted_events > 0);
         }
     }
 }
