@@ -63,7 +63,7 @@ pub struct MeshSpace {
     /// Nodes neither busy nor failed.
     free_count: usize,
     failed_count: usize,
-    /// One row bitmap of scratch for `allocate`'s scan.
+    /// A whole board of scratch (`rows × words`) for `allocate`'s scan.
     scan: Vec<u64>,
 }
 
@@ -115,7 +115,7 @@ impl MeshSpace {
             anchor: vec![NO_ALLOC; rows * cols],
             free_count: rows * cols,
             failed_count: 0,
-            scan: vec![0; words],
+            scan: vec![0; rows * words],
         }
     }
 
@@ -187,48 +187,57 @@ impl MeshSpace {
     }
 
     /// The row-major first `r × c` frame clear of failed nodes and, with
-    /// `with_busy`, of busy ones. `acc` is one row bitmap of scratch.
+    /// `with_busy`, of busy ones. `board` is a whole board of scratch
+    /// (`rows × words`).
     ///
-    /// For each top row in turn: OR the occupancy of its `r` rows and
-    /// invert — the columns free in all of them — then AND that with
-    /// itself shifted right until bit `j` says columns `j..j + c` are
-    /// all free (doubling, ⌈log₂ c⌉ steps). The first top row with a
-    /// non-zero mask, and that mask's lowest set bit, are the first hit
-    /// of a row-major scan over every position.
-    fn first_fit(&self, r: usize, c: usize, with_busy: bool, acc: &mut [u64]) -> Option<SubMesh> {
+    /// The occupancy is folded by doubling, first down the rows and then
+    /// along them. Copy it into `board`; OR each row with the one `s`
+    /// below, ascending, until row `t` holds the OR of rows `t..t + r`
+    /// (⌈log₂ r⌉ passes); invert the `rows − r + 1` top rows — bit `j`
+    /// of row `t` now says column `j` is free in all `r` rows — and AND
+    /// each with itself shifted right until bit `j` says columns
+    /// `j..j + c` are too (⌈log₂ c⌉ passes). ORs and ANDs commute, so bit
+    /// `j` of row `t` is set exactly when the frame fits at `(t, j)`, and
+    /// the first non-zero word in row-major order, at its lowest set bit,
+    /// is the first hit of a row-major scan over every position.
+    fn first_fit(&self, r: usize, c: usize, with_busy: bool, board: &mut [u64]) -> Option<SubMesh> {
         if r > self.rows || c > self.cols {
             return None;
         }
         let w = self.words;
-        for row in 0..=self.rows - r {
-            acc.fill(0);
-            for i in row..row + r {
-                for (k, a) in acc.iter_mut().enumerate() {
-                    *a |= self.failed[i * w + k];
-                    if with_busy {
-                        *a |= self.busy[i * w + k];
-                    }
-                }
-            }
-            for a in acc.iter_mut() {
-                *a = !*a;
-            }
-            let mut have = 1;
-            while have < c {
-                let s = have.min(c - have);
-                and_shr(acc, s);
-                have += s;
-            }
-            if let Some(k) = acc.iter().position(|&a| a != 0) {
-                return Some(SubMesh {
-                    row,
-                    col: k * 64 + acc[k].trailing_zeros() as usize,
-                    rows: r,
-                    cols: c,
-                });
-            }
+        for (b, (&f, &u)) in board.iter_mut().zip(self.failed.iter().zip(&self.busy)) {
+            *b = if with_busy { f | u } else { f };
         }
-        None
+        let mut have = 1;
+        while have < r {
+            let s = have.min(r - have);
+            // Rows `0..=rows - have - s` have room for a `have + s`
+            // window; each reads the row `s` below, which this ascending
+            // pass has not overwritten yet.
+            for k in 0..(self.rows - have - s + 1) * w {
+                board[k] |= board[k + s * w];
+            }
+            have += s;
+        }
+        let top = &mut board[..(self.rows - r + 1) * w];
+        for b in top.iter_mut() {
+            *b = !*b;
+        }
+        let mut have = 1;
+        while have < c {
+            let s = have.min(c - have);
+            for row in top.chunks_exact_mut(w) {
+                and_shr(row, s);
+            }
+            have += s;
+        }
+        let k = top.iter().position(|&b| b != 0)?;
+        Some(SubMesh {
+            row: k / w,
+            col: k % w * 64 + top[k].trailing_zeros() as usize,
+            rows: r,
+            cols: c,
+        })
     }
 
     /// [`MeshSpace::first_fit`] for the upright shape over the whole
@@ -239,21 +248,22 @@ impl MeshSpace {
         c: usize,
         rotate: bool,
         with_busy: bool,
-        acc: &mut [u64],
+        board: &mut [u64],
     ) -> Option<SubMesh> {
         assert!(r > 0 && c > 0);
-        match self.first_fit(r, c, with_busy, acc) {
-            None if rotate && r != c => self.first_fit(c, r, with_busy, acc),
+        match self.first_fit(r, c, with_busy, board) {
+            None if rotate && r != c => self.first_fit(c, r, with_busy, board),
             found => found,
         }
     }
 
     /// Set (`value`) or clear the busy bits of `sm`, one masked word-op
-    /// per row and word. Returns how many of its nodes have failed.
+    /// per word and row, the masks computed once per frame. Returns how
+    /// many of its nodes have failed.
     fn mark(&mut self, sm: &SubMesh, value: bool) -> usize {
         let mut dead = 0;
-        for i in sm.row..sm.row + sm.rows {
-            for (k, mask) in span_words(sm.col, sm.cols) {
+        for (k, mask) in span_words(sm.col, sm.cols) {
+            for i in sm.row..sm.row + sm.rows {
                 let at = i * self.words + k;
                 debug_assert_eq!(self.busy[at] & mask, if value { 0 } else { mask });
                 self.busy[at] ^= mask;
@@ -267,9 +277,9 @@ impl MeshSpace {
     /// With `rotate`, the transposed shape is tried when the upright one
     /// does not fit anywhere.
     pub fn allocate(&mut self, r: usize, c: usize, rotate: bool) -> Option<SubMesh> {
-        let mut acc = std::mem::take(&mut self.scan);
-        let found = self.find(r, c, rotate, true, &mut acc);
-        self.scan = acc;
+        let mut board = std::mem::take(&mut self.scan);
+        let found = self.find(r, c, rotate, true, &mut board);
+        self.scan = board;
         let sm = found?;
         let dead = self.mark(&sm, true);
         debug_assert_eq!(dead, 0, "a placement avoids failed nodes");
@@ -280,16 +290,16 @@ impl MeshSpace {
     }
 
     /// Would [`MeshSpace::allocate`] succeed right now? Same scan, no
-    /// mark. Off the hot path, so it brings its own scratch row.
+    /// mark. Off the hot path, so it brings its own scratch board.
     pub fn can_allocate(&self, r: usize, c: usize, rotate: bool) -> bool {
-        self.find(r, c, rotate, true, &mut vec![0; self.words])
+        self.find(r, c, rotate, true, &mut vec![0; self.busy.len()])
             .is_some()
     }
 
     /// Could the frame be placed if every allocation were released —
     /// does it fit the nodes that have not failed?
     pub(crate) fn fits_survivors(&self, r: usize, c: usize, rotate: bool) -> bool {
-        self.find(r, c, rotate, false, &mut vec![0; self.words])
+        self.find(r, c, rotate, false, &mut vec![0; self.busy.len()])
             .is_some()
     }
 
@@ -577,11 +587,21 @@ mod tests {
     /// Seeded allocate / free / fail / lookup sequences through the
     /// bitboard and the cell scan side by side: same answers and same
     /// observable state after every step. The meshes straddle the word
-    /// boundary (64, 65 columns) and span several words (130).
+    /// boundary (64, 65 columns), span several words (130), and are tall
+    /// enough (33, 40 rows) for the row folds to take strides of 16 and
+    /// 32 rows, on one-word and two-word boards.
     #[test]
     fn bitboard_matches_cell_scan_oracle() {
         use des::rng::Rng;
-        const MESHES: [(usize, usize); 5] = [(16, 33), (1, 1), (4, 64), (5, 65), (3, 130)];
+        const MESHES: [(usize, usize); 7] = [
+            (16, 33),
+            (1, 1),
+            (4, 64),
+            (5, 65),
+            (3, 130),
+            (33, 16),
+            (40, 70),
+        ];
         let mut sequences = 0;
         for (mi, &(rows, cols)) in MESHES.iter().enumerate() {
             for seed in 0..64u64 {

@@ -229,7 +229,9 @@ pub fn run_recorded(
                     i = 0;
                 }
                 None => {
-                    if space.is_fragmented_refusal(r, c, true) {
+                    // Refused: fragmented exactly when enough nodes are
+                    // free, so `is_fragmented_refusal`'s scan is not redone.
+                    if space.free_nodes() >= r * c {
                         *frag += 1;
                     }
                     match policy {
