@@ -742,18 +742,27 @@ pub fn ablations() -> String {
     )
 }
 
+/// The fault seed of RES-1 and OBS-1: `HPCC_FAULT_SEED`, 1992 when unset.
+/// A value that is not a seed stops the command with the error and exit
+/// status 2 rather than run a plan nobody asked for.
+fn fault_seed() -> u64 {
+    des::faults::seed_from_env(1992).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
+}
+
 /// RES-1: the fault model exercised end to end — Young's optimal
 /// checkpoint interval on the LU run, scheduler utilization under node
 /// crashes, and WAN flows surviving (or stalling on) link outages.
 /// Every number replays from the printed seed (`HPCC_FAULT_SEED`).
 pub fn resilience(smoke: bool) -> String {
     use delta_mesh::sched::{consortium_workload, run, run_with_faults, Policy};
-    use delta_mesh::{FaultPlan, MtbfModel};
-    use des::faults::seed_from_env;
+    use delta_mesh::FaultPlan;
     use des::time::Dur;
     use nren_netsim::{FlowOutcome, LinkFault};
 
-    let seed = seed_from_env(1992);
+    let seed = fault_seed();
     let mut out = String::new();
     out.push_str(&format!(
         "Exhibit RES-1 — Fault injection and recovery (seed {seed}; set HPCC_FAULT_SEED to vary)\n\n"
@@ -826,9 +835,8 @@ pub fn resilience(smoke: bool) -> String {
     let jobs = consortium_workload(njobs, 14, 90.0, 1992);
     let plan = FaultPlan::seeded(
         seed,
-        &MtbfModel::node_crashes(Dur::from_secs(sched_mtbf_s)),
+        Dur::from_secs(sched_mtbf_s),
         16 * 33,
-        0,
         Dur::from_secs(horizon_s),
     );
     let mut t = Table::new(
@@ -925,14 +933,13 @@ pub fn resilience(smoke: bool) -> String {
 /// busy-time breakdown).
 pub fn trace(smoke: bool) -> String {
     use delta_mesh::sched::{consortium_workload, run_recorded, Policy};
-    use delta_mesh::{FaultKind, FaultPlan, MtbfModel};
-    use des::faults::seed_from_env;
+    use delta_mesh::{FaultKind, FaultPlan};
     use des::time::Dur;
     use hpcc_trace::{MemRecorder, Recorder};
     use nren_netsim::LinkFault;
     use std::rc::Rc;
 
-    let seed = seed_from_env(1992);
+    let seed = fault_seed();
     let rec = Rc::new(MemRecorder::new());
     let mut out = String::new();
     out.push_str(&format!(
@@ -1005,9 +1012,8 @@ pub fn trace(smoke: bool) -> String {
     let jobs = consortium_workload(njobs, 14, 60.0, 1992);
     let splan = FaultPlan::seeded(
         seed,
-        &MtbfModel::node_crashes(Dur::from_secs(1_500_000)),
+        Dur::from_secs(1_500_000),
         16 * 33,
-        0,
         Dur::from_secs(4 * 3_600),
     );
     let sr = run_recorded(16, 33, jobs, Policy::Backfill, &splan, &*rec);

@@ -21,7 +21,7 @@
 
 use crate::timed;
 use delta_mesh::sched::service::{self, ServiceConfig, ServiceReport, ServiceTrace};
-use delta_mesh::{service_workload, FaultPlan, MtbfModel};
+use delta_mesh::{service_workload, FaultPlan};
 use des::time::Dur;
 use hpcc_core::{fnum, Table};
 
@@ -106,8 +106,8 @@ pub fn crashes_over_span(tr: &ServiceTrace, seed: u64, k: f64, nodes: usize) -> 
         .subs
         .last()
         .map_or(0.0, |s| s.arrival.nanos() as f64 / 1e9);
-    let mtbf = MtbfModel::node_crashes(Dur::from_secs_f64(k * span_s));
-    FaultPlan::seeded(seed, &mtbf, nodes, 0, Dur::from_secs_f64(span_s))
+    let mtbf = Dur::from_secs_f64(k * span_s);
+    FaultPlan::seeded(seed, mtbf, nodes, Dur::from_secs_f64(span_s))
 }
 
 fn measure(sc: &Scenario) -> SchedRow {

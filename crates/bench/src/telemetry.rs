@@ -27,7 +27,7 @@
 
 use crate::timed;
 use delta_mesh::sched::{consortium_workload, run_recorded, Policy};
-use delta_mesh::{presets, FaultKind, FaultPlan, Kernel, Machine, MtbfModel, Node};
+use delta_mesh::{presets, FaultKind, FaultPlan, Kernel, Machine, Node};
 use des::time::{Dur, SimTime};
 use hpcc_core::{fnum, Table};
 use hpcc_kernels::sim::lu2d;
@@ -260,9 +260,8 @@ fn sched_scenario(njobs: usize) -> TelemetryRow {
         let jobs = consortium_workload(njobs, 14, 60.0, 1992);
         let plan = FaultPlan::seeded(
             1992,
-            &MtbfModel::node_crashes(Dur::from_secs(1_500_000)),
+            Dur::from_secs(1_500_000),
             16 * 33,
-            0,
             Dur::from_secs(4 * 3_600),
         );
         format!(

@@ -1,12 +1,12 @@
 //! Capped exponential backoff with deterministic seeded jitter.
 //!
-//! Every retry loop in the simulators (the mesh's `send_with_retry`, the
-//! scheduler service's kill-and-retry path) shares this policy object so
-//! backoff behaviour is uniform and — crucially for replayable runs —
-//! fully determined by `(policy, stream, attempt)`. There is no hidden
-//! RNG state: the jitter for attempt `k` of stream `s` is a pure
-//! function, so a retry schedule can be recomputed offline and a run
-//! replays bit-for-bit from its seed.
+//! The scheduler service's kill-and-retry path waits out this schedule
+//! before a killed job re-enters the queue, and — crucially for
+//! replayable runs — the wait is fully determined by
+//! `(policy, stream, attempt)`. There is no hidden RNG state: the jitter
+//! for attempt `k` of stream `s` is a pure function, so a retry schedule
+//! can be recomputed offline and a run replays bit-for-bit from its
+//! seed.
 //!
 //! The schedule is the classic one: delay for attempt `k` (1-based)
 //! grows as `base * 2^(k-1)`, saturating at `cap`, then spread by a
@@ -19,10 +19,10 @@
 use crate::rng::Rng;
 use crate::time::Dur;
 
-/// Mix distinguishing words into one 64-bit stream key (SplitMix-style
-/// finalizer per word). Used to derive independent jitter streams from
-/// e.g. `(rank, dst, tag)` or a job id.
-pub fn mix64(words: &[u64]) -> u64 {
+/// Mix distinguishing words into one 64-bit key (SplitMix-style
+/// finalizer per word): [`Backoff::delay`] seeds its jitter draw from
+/// `(seed, stream, attempt)`.
+fn mix64(words: &[u64]) -> u64 {
     let mut h: u64 = 0x9E37_79B9_7F4A_7C15;
     for &w in words {
         let mut z = h ^ w.wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -50,16 +50,6 @@ pub struct Backoff {
 }
 
 impl Backoff {
-    /// A jitter-free schedule: `base * 2^(k-1)` capped at `cap`.
-    pub fn exponential(base: Dur, cap: Dur) -> Backoff {
-        Backoff {
-            base,
-            cap,
-            jitter: 0.0,
-            seed: 0,
-        }
-    }
-
     /// The exponential delay for 1-based `attempt`, capped, no jitter.
     pub fn raw_delay(&self, attempt: u32) -> Dur {
         assert!(attempt >= 1, "attempt numbering is 1-based");
@@ -86,25 +76,18 @@ impl Backoff {
     }
 }
 
-impl Default for Backoff {
-    /// 1 ms doubling to a 1 s cap, 10% jitter.
-    fn default() -> Backoff {
-        Backoff {
-            base: Dur::from_millis(1),
-            cap: Dur::from_secs(1),
-            jitter: 0.10,
-            seed: 0x5EED,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn raw_delay_doubles_then_caps() {
-        let b = Backoff::exponential(Dur::from_millis(1), Dur::from_millis(100));
+        let b = Backoff {
+            base: Dur::from_millis(1),
+            cap: Dur::from_millis(100),
+            jitter: 0.0,
+            seed: 0,
+        };
         assert_eq!(b.raw_delay(1), Dur::from_millis(1));
         assert_eq!(b.raw_delay(2), Dur::from_millis(2));
         assert_eq!(b.raw_delay(5), Dur::from_millis(16));
@@ -116,7 +99,12 @@ mod tests {
 
     #[test]
     fn zero_jitter_is_exact() {
-        let b = Backoff::exponential(Dur::from_micros(10), Dur::from_secs(1));
+        let b = Backoff {
+            base: Dur::from_micros(10),
+            cap: Dur::from_secs(1),
+            jitter: 0.0,
+            seed: 0,
+        };
         for attempt in 1..20 {
             assert_eq!(b.delay(7, attempt), b.raw_delay(attempt));
         }
@@ -146,8 +134,10 @@ mod tests {
     #[test]
     fn streams_and_seeds_decorrelate() {
         let b = Backoff {
+            base: Dur::from_millis(1),
+            cap: Dur::from_secs(1),
             jitter: 0.5,
-            ..Backoff::default()
+            seed: 0x5EED,
         };
         let same = (0..100u64)
             .filter(|&s| b.delay(s, 3) == b.delay(s + 1, 3))

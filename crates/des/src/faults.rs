@@ -4,10 +4,12 @@
 //! Touchstone Delta had a machine-level MTBF measured in hours — so the
 //! simulators accept a [`FaultPlan`]: a time-ordered script of node
 //! crashes, node slowdowns, and link outages to inject at simulated
-//! times. Plans are either written explicitly (scripted) or drawn from a
-//! seeded exponential inter-arrival [`MtbfModel`]; in both cases the
-//! plan is a plain sorted `Vec` computed up front, so any run is
-//! bit-identically replayable from `(seed, model)` or from the script.
+//! times. Plans are either written explicitly (scripted, any mix of the
+//! three kinds) or drawn by [`FaultPlan::seeded`]: permanent node
+//! crashes at one per-node MTBF, exponential (memoryless) times to
+//! failure. In both cases the plan is a plain sorted `Vec` computed up
+//! front, so any run is bit-identically replayable from
+//! `(seed, mtbf, nodes, horizon)` or from the script.
 //!
 //! The taxonomy:
 //! * **NodeCrash** — permanent fail-stop; the node's program is aborted.
@@ -22,6 +24,7 @@
 
 use crate::rng::Rng;
 use crate::time::{Dur, SimTime};
+use std::fmt;
 
 /// One kind of injected hardware fault.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,66 +48,10 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
-/// Exponential inter-arrival (memoryless) fault-rate model. All rates
-/// are per *entity* (per node, per link); `None` disables that class.
-#[derive(Debug, Clone)]
-pub struct MtbfModel {
-    /// Mean time between permanent crashes, per node.
-    pub node_mtbf: Option<Dur>,
-    /// Mean time between slowdown episodes, per node.
-    pub slow_mtbf: Option<Dur>,
-    /// Compute-time multiplier during a slowdown episode (> 1).
-    pub slow_factor: f64,
-    /// Length of one slowdown episode.
-    pub slow_duration: Dur,
-    /// Mean time between hard link failures, per link.
-    pub link_mtbf: Option<Dur>,
-    /// Repair time for a hard link failure.
-    pub link_repair: Dur,
-    /// Mean time between short link flaps, per link.
-    pub flap_mtbf: Option<Dur>,
-    /// Length of one flap.
-    pub flap_duration: Dur,
-}
-
-impl MtbfModel {
-    /// A model that never faults anything.
-    pub fn none() -> MtbfModel {
-        MtbfModel {
-            node_mtbf: None,
-            slow_mtbf: None,
-            slow_factor: 1.0,
-            slow_duration: Dur::ZERO,
-            link_mtbf: None,
-            link_repair: Dur::ZERO,
-            flap_mtbf: None,
-            flap_duration: Dur::ZERO,
-        }
-    }
-
-    /// Only permanent node crashes, at the given per-node MTBF.
-    pub fn node_crashes(mtbf: Dur) -> MtbfModel {
-        MtbfModel {
-            node_mtbf: Some(mtbf),
-            ..MtbfModel::none()
-        }
-    }
-
-    /// Only link outages: hard failures at `mtbf` repaired after `repair`.
-    pub fn link_outages(mtbf: Dur, repair: Dur) -> MtbfModel {
-        MtbfModel {
-            link_mtbf: Some(mtbf),
-            link_repair: repair,
-            ..MtbfModel::none()
-        }
-    }
-}
-
 /// A time-ordered script of faults to inject into one simulation run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,
-    seed: Option<u64>,
 }
 
 impl FaultPlan {
@@ -116,7 +63,7 @@ impl FaultPlan {
     /// Build a plan from explicit events (any order; sorted internally).
     pub fn scripted(mut events: Vec<FaultEvent>) -> FaultPlan {
         events.sort_by_key(|e| e.at);
-        FaultPlan { events, seed: None }
+        FaultPlan { events }
     }
 
     /// Append one scripted event, keeping the plan time-ordered.
@@ -125,92 +72,25 @@ impl FaultPlan {
         self.events.sort_by_key(|e| e.at);
     }
 
-    /// Draw a plan from `model` for a machine of `nodes` nodes and
-    /// `links` links over `[0, horizon)`. Fully determined by the
-    /// arguments: entity streams are forked from the seed in a fixed
-    /// order, so the same call always yields the same plan.
-    pub fn seeded(
-        seed: u64,
-        model: &MtbfModel,
-        nodes: usize,
-        links: usize,
-        horizon: Dur,
-    ) -> FaultPlan {
+    /// Permanent crashes of `nodes` nodes over `[0, horizon)`, each
+    /// node's time to failure drawn from an exponential of mean
+    /// `node_mtbf` (at most one crash a node: fail-stop). Fully
+    /// determined by the arguments: node `i` draws from the `i`-th fork
+    /// of `Rng::new(seed)`, so the same call always yields the same plan.
+    pub fn seeded(seed: u64, node_mtbf: Dur, nodes: usize, horizon: Dur) -> FaultPlan {
         let mut root = Rng::new(seed);
-        let hz = horizon.as_secs_f64();
+        let (mean, hz) = (node_mtbf.as_secs_f64(), horizon.as_secs_f64());
         let mut events = Vec::new();
-
-        // Permanent crashes: at most one per node (fail-stop).
-        if let Some(mtbf) = model.node_mtbf {
-            let mean = mtbf.as_secs_f64();
-            for node in 0..nodes {
-                let mut r = root.fork();
-                let t = r.exp(mean);
-                if t < hz {
-                    events.push(FaultEvent {
-                        at: SimTime::from_secs_f64(t),
-                        kind: FaultKind::NodeCrash { node },
-                    });
-                }
+        for node in 0..nodes {
+            let t = root.fork().exp(mean);
+            if t < hz {
+                events.push(FaultEvent {
+                    at: SimTime::from_secs_f64(t),
+                    kind: FaultKind::NodeCrash { node },
+                });
             }
         }
-
-        // Transient slowdown episodes: renewals per node.
-        if let Some(mtbf) = model.slow_mtbf {
-            let mean = mtbf.as_secs_f64();
-            let dur = model.slow_duration;
-            for node in 0..nodes {
-                let mut r = root.fork();
-                let mut t = r.exp(mean);
-                while t < hz {
-                    let at = SimTime::from_secs_f64(t);
-                    events.push(FaultEvent {
-                        at,
-                        kind: FaultKind::NodeSlow {
-                            node,
-                            factor: model.slow_factor,
-                            until: at + dur,
-                        },
-                    });
-                    t += dur.as_secs_f64() + r.exp(mean);
-                }
-            }
-        }
-
-        // Link outages: hard failures and flaps are renewals per link.
-        for (mtbf, repair) in [
-            (model.link_mtbf, model.link_repair),
-            (model.flap_mtbf, model.flap_duration),
-        ] {
-            let Some(mtbf) = mtbf else { continue };
-            let mean = mtbf.as_secs_f64();
-            for link in 0..links {
-                let mut r = root.fork();
-                let mut t = r.exp(mean);
-                while t < hz {
-                    let at = SimTime::from_secs_f64(t);
-                    events.push(FaultEvent {
-                        at,
-                        kind: FaultKind::LinkDown {
-                            link,
-                            until: at + repair,
-                        },
-                    });
-                    t += repair.as_secs_f64() + r.exp(mean);
-                }
-            }
-        }
-
-        events.sort_by_key(|e| e.at);
-        FaultPlan {
-            events,
-            seed: Some(seed),
-        }
-    }
-
-    /// The seed the plan was drawn from, if it was seeded.
-    pub fn seed(&self) -> Option<u64> {
-        self.seed
+        FaultPlan::scripted(events)
     }
 
     pub fn is_empty(&self) -> bool {
@@ -235,13 +115,39 @@ impl FaultPlan {
     }
 }
 
-/// Read the exhibit fault seed from `HPCC_FAULT_SEED`, falling back to
-/// `default`. This is how CI varies the seed across whole test runs to
-/// flush out seed-dependent nondeterminism.
-pub fn seed_from_env(default: u64) -> u64 {
-    match std::env::var("HPCC_FAULT_SEED") {
-        Ok(s) => s.trim().parse().unwrap_or(default),
-        Err(_) => default,
+/// The variable [`seed_from_env`] reads.
+const SEED_VAR: &str = "HPCC_FAULT_SEED";
+
+/// `HPCC_FAULT_SEED` holds something that is not a `u64`; carries the
+/// value as read.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SeedError(String);
+
+impl fmt::Display for SeedError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{SEED_VAR}={:?} is not a seed (an integer in 0..2^64)",
+            self.0
+        )
+    }
+}
+
+impl std::error::Error for SeedError {}
+
+/// Read the exhibit fault seed from `HPCC_FAULT_SEED`: `default` when
+/// it is unset or empty, an error when it does not parse. This is how
+/// CI varies the seed across whole test runs to flush out
+/// seed-dependent nondeterminism.
+pub fn seed_from_env(default: u64) -> Result<u64, SeedError> {
+    let value = std::env::var_os(SEED_VAR).map(|v| v.to_string_lossy().into_owned());
+    parse_seed(value.as_deref(), default)
+}
+
+fn parse_seed(value: Option<&str>, default: u64) -> Result<u64, SeedError> {
+    match value.map(str::trim) {
+        None | Some("") => Ok(default),
+        Some(v) => v.parse().map_err(|_| SeedError(v.to_string())),
     }
 }
 
@@ -249,37 +155,25 @@ pub fn seed_from_env(default: u64) -> u64 {
 mod tests {
     use super::*;
 
-    fn model() -> MtbfModel {
-        MtbfModel {
-            node_mtbf: Some(Dur::from_secs(40)),
-            slow_mtbf: Some(Dur::from_secs(90)),
-            slow_factor: 3.0,
-            slow_duration: Dur::from_secs(5),
-            link_mtbf: Some(Dur::from_secs(120)),
-            link_repair: Dur::from_secs(10),
-            flap_mtbf: Some(Dur::from_secs(60)),
-            flap_duration: Dur::from_millis(200),
-        }
-    }
-
     #[test]
     fn same_seed_same_plan() {
-        let a = FaultPlan::seeded(42, &model(), 64, 224, Dur::from_secs(100));
-        let b = FaultPlan::seeded(42, &model(), 64, 224, Dur::from_secs(100));
+        let a = FaultPlan::seeded(42, Dur::from_secs(40), 64, Dur::from_secs(100));
+        let b = FaultPlan::seeded(42, Dur::from_secs(40), 64, Dur::from_secs(100));
         assert!(!a.is_empty());
         assert_eq!(a, b);
     }
 
     #[test]
     fn different_seeds_differ() {
-        let a = FaultPlan::seeded(1, &model(), 64, 224, Dur::from_secs(100));
-        let b = FaultPlan::seeded(2, &model(), 64, 224, Dur::from_secs(100));
+        let a = FaultPlan::seeded(1, Dur::from_secs(40), 64, Dur::from_secs(100));
+        let b = FaultPlan::seeded(2, Dur::from_secs(40), 64, Dur::from_secs(100));
         assert_ne!(a, b);
     }
 
     #[test]
     fn events_are_time_ordered() {
-        let p = FaultPlan::seeded(7, &model(), 32, 100, Dur::from_secs(300));
+        let p = FaultPlan::seeded(7, Dur::from_secs(200), 32, Dur::from_secs(300));
+        assert!(p.len() > 1);
         for w in p.events().windows(2) {
             assert!(w[0].at <= w[1].at);
         }
@@ -287,13 +181,7 @@ mod tests {
 
     #[test]
     fn at_most_one_crash_per_node() {
-        let p = FaultPlan::seeded(
-            9,
-            &MtbfModel::node_crashes(Dur::from_secs(10)),
-            16,
-            0,
-            Dur::from_secs(1000),
-        );
+        let p = FaultPlan::seeded(9, Dur::from_secs(10), 16, Dur::from_secs(1000));
         let mut crashed = [false; 16];
         for (_, n) in p.node_crashes() {
             assert!(!crashed[n], "node {n} crashed twice");
@@ -305,11 +193,25 @@ mod tests {
         );
     }
 
+    /// The draw every seeded exhibit, example and test plan rests on:
+    /// node `i`'s crash time is the first exponential of fork `i`.
     #[test]
-    fn empty_model_empty_plan() {
-        let p = FaultPlan::seeded(3, &MtbfModel::none(), 528, 2048, Dur::from_secs(1000));
-        assert!(p.is_empty());
-        assert_eq!(p.len(), 0);
+    fn seeded_crashes_are_pinned() {
+        let p = FaultPlan::seeded(42, Dur::from_secs(100), 8, Dur::from_secs(100));
+        let got: Vec<(u64, usize)> = p.node_crashes().map(|(t, n)| (t.nanos(), n)).collect();
+        assert_eq!(
+            got,
+            [
+                (18_084_845_488, 3),
+                (41_598_357_651, 6),
+                (51_783_885_547, 2),
+                (67_776_387_792, 4),
+                (81_258_583_260, 5),
+                (81_683_159_217, 0),
+                (97_442_719_524, 1),
+            ]
+        );
+        assert_eq!(p.len(), got.len(), "crashes only");
     }
 
     #[test]
@@ -324,16 +226,22 @@ mod tests {
             FaultKind::NodeCrash { node: 0 },
         );
         assert_eq!(p.events()[0].at, SimTime::from_secs_f64(1.0));
-        assert_eq!(p.seed(), None);
     }
 
     #[test]
-    fn seed_env_fallback() {
-        // Not set in the test environment by default.
-        if std::env::var("HPCC_FAULT_SEED").is_err() {
-            assert_eq!(seed_from_env(1992), 1992);
-        } else {
-            let _ = seed_from_env(1992); // must not panic on any value
+    fn seed_parse_rejects_what_is_not_a_seed() {
+        assert_eq!(parse_seed(None, 1992), Ok(1992));
+        assert_eq!(
+            parse_seed(Some(""), 1992),
+            Ok(1992),
+            "empty counts as unset"
+        );
+        assert_eq!(parse_seed(Some(" 7\n"), 1992), Ok(7));
+        assert_eq!(parse_seed(Some("18446744073709551615"), 0), Ok(u64::MAX));
+        for bad in ["abc", "-1", "1e3", "18446744073709551616"] {
+            let err = parse_seed(Some(bad), 1992).expect_err(bad);
+            let msg = err.to_string();
+            assert!(msg.contains(SEED_VAR) && msg.contains(bad), "{msg}");
         }
     }
 }

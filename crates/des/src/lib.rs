@@ -27,7 +27,7 @@ pub mod time;
 pub use backoff::Backoff;
 pub use barrier::{host_cores, WindowBarrier};
 pub use exec::{yield_now, LaneTasks, TaskId};
-pub use faults::{seed_from_env, FaultEvent, FaultKind, FaultPlan, MtbfModel};
+pub use faults::{seed_from_env, FaultEvent, FaultKind, FaultPlan};
 pub use queue::EventQueue;
 pub use rng::Rng;
 pub use stats::{Histogram, Summary};

@@ -32,14 +32,14 @@ pub mod sim;
 pub mod topology;
 
 pub use collective::Comm;
-pub use des::faults::{FaultEvent, FaultKind, FaultPlan, MtbfModel};
+pub use des::faults::{FaultEvent, FaultKind, FaultPlan};
 pub use machine::{presets, Kernel, KernelEff, MachineConfig, NetModel, NodeModel, Switching};
 pub use partition::{LaneMap, MeshSpace, SubMesh};
 pub use sched::service::{
-    service_workload, AdmissionError, Outcome, Priority, RetryBudget, ServiceConfig, ServiceReport,
+    service_workload, AdmissionError, Outcome, Priority, ServiceConfig, ServiceReport,
     ServiceTrace, Submission,
 };
 pub use sched::{consortium_workload, Job, JobRecord, KilledAttempt, Policy, SchedReport};
 pub use shard::LaneStats;
-pub use sim::{CommError, F64s, FaultStats, Machine, Msg, Node, Payload, RetryPolicy, RunReport};
+pub use sim::{CommError, F64s, FaultStats, Machine, Msg, Node, Payload, RunReport};
 pub use topology::{LinkId, Topology};

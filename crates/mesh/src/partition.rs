@@ -4,8 +4,8 @@
 //! The Delta's NX space-shared the 16×33 mesh: each job got a contiguous
 //! rectangular sub-mesh. Allocation is the classic early-90s problem
 //! (first-fit frames, fragmentation); this module provides the occupancy
-//! grid, a first-fit allocator with optional rotation, and fragmentation
-//! diagnostics.
+//! grid, a first-fit allocator that places a frame rotated when it does
+//! not fit upright, and fragmentation diagnostics.
 
 use crate::topology::Topology;
 
@@ -241,18 +241,11 @@ impl MeshSpace {
     }
 
     /// [`MeshSpace::first_fit`] for the upright shape over the whole
-    /// mesh, then — with `rotate` — for the transposed one.
-    fn find(
-        &self,
-        r: usize,
-        c: usize,
-        rotate: bool,
-        with_busy: bool,
-        board: &mut [u64],
-    ) -> Option<SubMesh> {
+    /// mesh, then for the transposed one.
+    fn find(&self, r: usize, c: usize, with_busy: bool, board: &mut [u64]) -> Option<SubMesh> {
         assert!(r > 0 && c > 0);
         match self.first_fit(r, c, with_busy, board) {
-            None if rotate && r != c => self.first_fit(c, r, with_busy, board),
+            None if r != c => self.first_fit(c, r, with_busy, board),
             found => found,
         }
     }
@@ -274,11 +267,11 @@ impl MeshSpace {
     }
 
     /// First-fit allocation of an `r × c` frame, scanning row-major.
-    /// With `rotate`, the transposed shape is tried when the upright one
-    /// does not fit anywhere.
-    pub fn allocate(&mut self, r: usize, c: usize, rotate: bool) -> Option<SubMesh> {
+    /// The transposed `c × r` frame is tried when the upright one does
+    /// not fit anywhere.
+    pub fn allocate(&mut self, r: usize, c: usize) -> Option<SubMesh> {
         let mut board = std::mem::take(&mut self.scan);
-        let found = self.find(r, c, rotate, true, &mut board);
+        let found = self.find(r, c, true, &mut board);
         self.scan = board;
         let sm = found?;
         let dead = self.mark(&sm, true);
@@ -291,15 +284,15 @@ impl MeshSpace {
 
     /// Would [`MeshSpace::allocate`] succeed right now? Same scan, no
     /// mark. Off the hot path, so it brings its own scratch board.
-    pub fn can_allocate(&self, r: usize, c: usize, rotate: bool) -> bool {
-        self.find(r, c, rotate, true, &mut vec![0; self.busy.len()])
+    pub fn can_allocate(&self, r: usize, c: usize) -> bool {
+        self.find(r, c, true, &mut vec![0; self.busy.len()])
             .is_some()
     }
 
     /// Could the frame be placed if every allocation were released —
     /// does it fit the nodes that have not failed?
-    pub(crate) fn fits_survivors(&self, r: usize, c: usize, rotate: bool) -> bool {
-        self.find(r, c, rotate, false, &mut vec![0; self.busy.len()])
+    pub(crate) fn fits_survivors(&self, r: usize, c: usize) -> bool {
+        self.find(r, c, false, &mut vec![0; self.busy.len()])
             .is_some()
     }
 
@@ -321,8 +314,8 @@ impl MeshSpace {
     /// True when the request is refused even though enough *total* free
     /// nodes exist — external fragmentation, the metric the sub-mesh
     /// allocation literature of the era optimised.
-    pub fn is_fragmented_refusal(&self, r: usize, c: usize, rotate: bool) -> bool {
-        self.free_nodes() >= r * c && !self.can_allocate(r, c, rotate)
+    pub fn is_fragmented_refusal(&self, r: usize, c: usize) -> bool {
+        self.free_nodes() >= r * c && !self.can_allocate(r, c)
     }
 }
 
@@ -395,9 +388,9 @@ mod tests {
     #[test]
     fn allocates_and_frees() {
         let mut m = MeshSpace::new(4, 4);
-        let a = m.allocate(2, 2, false).unwrap();
+        let a = m.allocate(2, 2).unwrap();
         assert_eq!(m.free_nodes(), 12);
-        let b = m.allocate(2, 2, false).unwrap();
+        let b = m.allocate(2, 2).unwrap();
         assert!(!a.overlaps(&b));
         assert_eq!(m.free_nodes(), 8);
         m.free(a);
@@ -410,27 +403,34 @@ mod tests {
     #[test]
     fn first_fit_is_row_major_deterministic() {
         let mut m = MeshSpace::new(4, 4);
-        let a = m.allocate(2, 3, false).unwrap();
+        let a = m.allocate(2, 3).unwrap();
         assert_eq!((a.row, a.col), (0, 0));
-        let b = m.allocate(2, 3, false).unwrap();
+        let b = m.allocate(2, 3).unwrap();
         assert_eq!((b.row, b.col), (2, 0), "next frame below, row-major scan");
     }
 
     #[test]
     fn full_machine_fits_exactly() {
         let mut m = MeshSpace::new(16, 33);
-        let a = m.allocate(16, 33, false).unwrap();
+        let a = m.allocate(16, 33).unwrap();
         assert_eq!(a.nodes(), 528);
         assert_eq!(m.free_nodes(), 0);
-        assert!(m.allocate(1, 1, false).is_none());
+        assert!(m.allocate(1, 1).is_none());
     }
 
     #[test]
     fn rotation_rescues_tall_requests() {
+        // 6 rows cannot fit a 2-row mesh; the frame goes in sideways.
         let mut m = MeshSpace::new(2, 8);
-        assert!(m.allocate(6, 2, false).is_none(), "6 rows cannot fit");
-        let a = m.allocate(6, 2, true).unwrap();
-        assert_eq!((a.rows, a.cols), (2, 6), "rotated placement");
+        let a = m.allocate(6, 2).unwrap();
+        assert_eq!(
+            (a.row, a.col, a.rows, a.cols),
+            (0, 0, 2, 6),
+            "rotated placement"
+        );
+        // Upright first: a 1 × 2 frame that fits upright is not turned.
+        let b = m.allocate(1, 2).unwrap();
+        assert_eq!((b.row, b.col, b.rows, b.cols), (0, 6, 1, 2));
     }
 
     #[test]
@@ -439,18 +439,15 @@ mod tests {
         // but no contiguous 2x2 frame. First-fit 1x1s fill row-major, so
         // fill the board and free every other cell.
         let mut m = MeshSpace::new(4, 4);
-        let cells: Vec<SubMesh> = (0..16).map(|_| m.allocate(1, 1, false).unwrap()).collect();
+        let cells: Vec<SubMesh> = (0..16).map(|_| m.allocate(1, 1).unwrap()).collect();
         for cell in cells {
             if (cell.row + cell.col) % 2 == 1 {
                 m.free(cell);
             }
         }
         assert_eq!(m.free_nodes(), 8);
-        assert!(m.is_fragmented_refusal(2, 2, true));
-        assert!(
-            !m.is_fragmented_refusal(4, 4, true),
-            "not enough nodes anyway"
-        );
+        assert!(m.is_fragmented_refusal(2, 2));
+        assert!(!m.is_fragmented_refusal(4, 4), "not enough nodes anyway");
     }
 
     #[test]
@@ -468,14 +465,14 @@ mod tests {
     #[test]
     fn failed_nodes_stay_retired() {
         let mut m = MeshSpace::new(2, 2);
-        let a = m.allocate(2, 2, false).unwrap();
+        let a = m.allocate(2, 2).unwrap();
         assert_eq!(m.allocation_containing(3), Some(a));
         m.fail_node(3);
         m.free(a);
         assert_eq!(m.free_nodes(), 3, "failed node is not free");
         assert_eq!(m.failed_nodes(), 1);
-        assert!(m.allocate(2, 2, false).is_none(), "frame needs node 3");
-        let b = m.allocate(2, 1, false).unwrap();
+        assert!(m.allocate(2, 2).is_none(), "frame needs node 3");
+        let b = m.allocate(2, 1).unwrap();
         assert_eq!((b.row, b.col), (0, 0));
         assert_eq!(m.allocation_containing(1), None, "node 1 is free");
         m.fail_node(3); // idempotent
@@ -486,7 +483,7 @@ mod tests {
     #[should_panic(expected = "unallocated")]
     fn double_free_panics() {
         let mut m = MeshSpace::new(2, 2);
-        let a = m.allocate(1, 1, false).unwrap();
+        let a = m.allocate(1, 1).unwrap();
         m.free(a);
         m.free(a);
     }
@@ -540,12 +537,8 @@ mod tests {
             })
         }
 
-        fn find(&self, r: usize, c: usize, rotate: bool, with_busy: bool) -> Option<SubMesh> {
-            let shapes: &[(usize, usize)] = if rotate && r != c {
-                &[(r, c), (c, r)]
-            } else {
-                &[(r, c)]
-            };
+        fn find(&self, r: usize, c: usize, with_busy: bool) -> Option<SubMesh> {
+            let shapes: &[(usize, usize)] = if r != c { &[(r, c), (c, r)] } else { &[(r, c)] };
             for &(r, c) in shapes {
                 for row in 0..(self.rows + 1).saturating_sub(r) {
                     for col in 0..(self.cols + 1).saturating_sub(c) {
@@ -570,8 +563,8 @@ mod tests {
             }
         }
 
-        fn allocate(&mut self, r: usize, c: usize, rotate: bool) -> Option<SubMesh> {
-            let sm = self.find(r, c, rotate, true)?;
+        fn allocate(&mut self, r: usize, c: usize) -> Option<SubMesh> {
+            let sm = self.find(r, c, true)?;
             self.mark(&sm, true);
             self.allocated.push(sm);
             Some(sm)
@@ -605,7 +598,6 @@ mod tests {
         let mut sequences = 0;
         for (mi, &(rows, cols)) in MESHES.iter().enumerate() {
             for seed in 0..64u64 {
-                let rotate = seed % 2 == 0;
                 let mut rng = Rng::new(0xB17B0A2D ^ (mi as u64) << 32 ^ seed);
                 let mut fast = MeshSpace::new(rows, cols);
                 let mut slow = CellScan::new(rows, cols);
@@ -619,18 +611,15 @@ mod tests {
                     match rng.below(10) {
                         0..=4 => {
                             let (r, c) = (dim(&mut rng, rows), dim(&mut rng, cols));
-                            let want = slow.find(r, c, rotate, true).is_some();
-                            assert_eq!(fast.can_allocate(r, c, rotate), want);
-                            assert_eq!(fast.clone().allocate(r, c, rotate).is_some(), want);
+                            let want = slow.find(r, c, true).is_some();
+                            assert_eq!(fast.can_allocate(r, c), want);
+                            assert_eq!(fast.clone().allocate(r, c).is_some(), want);
+                            assert_eq!(fast.fits_survivors(r, c), slow.find(r, c, false).is_some());
                             assert_eq!(
-                                fast.fits_survivors(r, c, rotate),
-                                slow.find(r, c, rotate, false).is_some()
-                            );
-                            assert_eq!(
-                                fast.is_fragmented_refusal(r, c, rotate),
+                                fast.is_fragmented_refusal(r, c),
                                 slow.free_nodes() >= r * c && !want
                             );
-                            assert_eq!(fast.allocate(r, c, rotate), slow.allocate(r, c, rotate));
+                            assert_eq!(fast.allocate(r, c), slow.allocate(r, c));
                         }
                         5..=7 if !slow.allocated.is_empty() => {
                             let at = rng.below(slow.allocated.len() as u64) as usize;
@@ -666,7 +655,7 @@ mod tests {
     #[should_panic(expected = "unallocated")]
     fn freeing_a_frame_that_only_shares_an_anchor_panics() {
         let mut m = MeshSpace::new(4, 4);
-        let a = m.allocate(2, 2, false).unwrap();
+        let a = m.allocate(2, 2).unwrap();
         m.free(SubMesh { rows: 1, ..a });
     }
 

@@ -204,7 +204,7 @@ pub fn run_recorded(
         while i < queue.len() {
             let idx = queue[i];
             let (r, c) = jobs[idx].shape;
-            match space.allocate(r, c, true) {
+            match space.allocate(r, c) {
                 Some(sm) => {
                     queue.remove(i);
                     q.schedule(now + jobs[idx].runtime, Ev::Finish(idx, attempt_of[idx]));
@@ -355,7 +355,7 @@ pub fn run_recorded(
         debug_assert!(running.is_empty() && space.allocations().is_empty());
         queue.retain(|&idx| {
             let (r, c) = jobs[idx].shape;
-            let fits = space.can_allocate(r, c, true);
+            let fits = space.can_allocate(r, c);
             if !fits {
                 unrunnable.push(jobs[idx].id);
                 if rec_on {
@@ -618,16 +618,10 @@ mod tests {
 
     #[test]
     fn recorded_schedule_is_bit_identical_and_emits_job_spans() {
-        use des::faults::{FaultKind, MtbfModel};
+        use des::faults::FaultKind;
         use hpcc_trace::{Event, MemRecorder};
         let jobs = consortium_workload(40, 14, 45.0, 5);
-        let plan = FaultPlan::seeded(
-            4,
-            &MtbfModel::node_crashes(Dur::from_secs(3_000)),
-            16 * 33,
-            0,
-            Dur::from_secs(6_000),
-        );
+        let plan = FaultPlan::seeded(4, Dur::from_secs(3_000), 16 * 33, Dur::from_secs(6_000));
         let plain = run_with_faults(16, 33, jobs.clone(), Policy::Backfill, &plan);
         let rec = MemRecorder::new();
         let traced = run_recorded(16, 33, jobs.clone(), Policy::Backfill, &plan, &rec);
@@ -668,16 +662,9 @@ mod tests {
 
     #[test]
     fn faulty_run_replays_bit_identically_and_loses_utilization() {
-        use des::faults::MtbfModel;
         let jobs = consortium_workload(60, 14, 30.0, 11);
         let mk = || {
-            let plan = FaultPlan::seeded(
-                9,
-                &MtbfModel::node_crashes(Dur::from_secs(4_000)),
-                16 * 33,
-                0,
-                Dur::from_secs(8_000),
-            );
+            let plan = FaultPlan::seeded(9, Dur::from_secs(4_000), 16 * 33, Dur::from_secs(8_000));
             run_with_faults(16, 33, jobs.clone(), Policy::Backfill, &plan)
         };
         let a = mk();

@@ -124,28 +124,19 @@ pub enum Outcome {
 /// three quarters, `High` only when the queue is full.
 const SHED_TIERS: [f64; 3] = [0.50, 0.75, 1.0];
 
-/// Retry policy for fault-killed jobs: capped, jittered exponential
-/// backoff, and a budget after which the job is retired as `Failed`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryBudget {
-    /// Kills tolerated before the job is retired (0 = never retry).
-    pub budget: u32,
-    pub backoff: Backoff,
-}
+/// Kills a job survives: each of the first three sends it back to the
+/// queue after a backoff, the fourth retires it as [`Outcome::Failed`].
+const RETRY_BUDGET: u32 = 3;
 
-impl Default for RetryBudget {
-    fn default() -> RetryBudget {
-        RetryBudget {
-            budget: 3,
-            backoff: Backoff {
-                base: Dur::from_secs(1),
-                cap: Dur::from_secs(60),
-                jitter: 0.20,
-                seed: 0x5EED,
-            },
-        }
-    }
-}
+/// The wait before a killed job re-enters the queue: 1 s doubling to a
+/// 60 s cap, ±20 % jitter, streamed by job id so co-killed jobs do not
+/// retry in lockstep.
+const RETRY_BACKOFF: Backoff = Backoff {
+    base: Dur::from_secs(1),
+    cap: Dur::from_secs(60),
+    jitter: 0.20,
+    seed: 0x5EED,
+};
 
 /// Service configuration. [`ServiceConfig::new`] gives production-style
 /// bounds; [`ServiceConfig::batch_equivalent`] removes every limit so
@@ -173,7 +164,6 @@ pub struct ServiceConfig {
     /// Default per-tenant in-flight node quota (pending + running +
     /// awaiting retry). Override per tenant via quota updates.
     pub quota_default: usize,
-    pub retry: RetryBudget,
     /// Keep full per-job [`JobRecord`]s (memory ∝ jobs; tests and the
     /// equivalence gate need them, million-job benches do not).
     pub keep_records: bool,
@@ -190,7 +180,6 @@ impl ServiceConfig {
             pending_cap: 4096,
             backfill_depth: 64,
             quota_default: usize::MAX,
-            retry: RetryBudget::default(),
             keep_records: false,
         }
     }
@@ -636,7 +625,7 @@ impl<'a> Svc<'a> {
                     }
                 }
             }
-            match self.space.allocate(r, c, true) {
+            match self.space.allocate(r, c) {
                 Some(sm) => {
                     self.pending.remove(i);
                     self.shapes.pending[sid] -= 1;
@@ -745,7 +734,7 @@ impl<'a> Svc<'a> {
                 });
             }
             let kills = self.attempt_of[idx];
-            if kills > self.cfg.retry.budget {
+            if kills > RETRY_BUDGET {
                 // Retry budget exhausted: retire, release the quota.
                 self.inflight_nodes[sub.tenant] -= nodes;
                 self.failed += 1;
@@ -755,11 +744,9 @@ impl<'a> Svc<'a> {
                         .instant(self.svc_track, "fault", "job_failed", now.nanos());
                 }
             } else {
-                // Deterministic capped backoff + jitter, streamed by job
-                // id so co-killed jobs don't retry in lockstep.
                 self.retries += 1;
                 self.tenant_retries[sub.tenant] += 1;
-                let delay = self.cfg.retry.backoff.delay(idx as u64, kills);
+                let delay = RETRY_BACKOFF.delay(idx as u64, kills);
                 self.q.schedule(now + delay, Ev::Retry(idx, kills));
                 if self.rec_on {
                     self.rec
@@ -775,7 +762,7 @@ impl<'a> Svc<'a> {
         let mut newly_dead = false;
         for sid in 0..self.shapes.dims.len() {
             let (r, c) = self.shapes.dims[sid];
-            if self.shapes.pending[sid] > 0 && !self.space.fits_survivors(r, c, true) {
+            if self.shapes.pending[sid] > 0 && !self.space.fits_survivors(r, c) {
                 self.shapes.dead[sid] = true;
                 newly_dead = true;
             }
@@ -958,7 +945,7 @@ pub fn run_recorded(
         debug_assert!(svc.running.is_empty() && svc.space.allocations().is_empty());
         svc.retire_unrunnable(|svc, idx| {
             let (r, c) = svc.subs[idx].shape;
-            svc.space.can_allocate(r, c, true)
+            svc.space.can_allocate(r, c)
         });
         if svc.pending.is_empty() {
             break;
@@ -1121,7 +1108,7 @@ pub fn assert_batch_equivalent(trace: &ServiceTrace, rows: usize, cols: usize, p
 #[cfg(test)]
 mod tests {
     use super::*;
-    use des::faults::{FaultKind, MtbfModel};
+    use des::faults::FaultKind;
 
     fn sub(
         id: usize,
@@ -1170,13 +1157,7 @@ mod tests {
     fn deterministic_replay() {
         let tr = service_workload(2_000, 50, 1.4, 16, 33, 7);
         let cfg = ServiceConfig::new(16, 33);
-        let plan = FaultPlan::seeded(
-            11,
-            &MtbfModel::node_crashes(Dur::from_secs(50_000)),
-            528,
-            0,
-            Dur::from_secs(200_000),
-        );
+        let plan = FaultPlan::seeded(11, Dur::from_secs(50_000), 528, Dur::from_secs(200_000));
         let a = run_with_faults(&tr, &cfg, &plan);
         let b = run_with_faults(&tr, &cfg, &plan);
         assert_eq!(a.outcomes, b.outcomes);
@@ -1263,69 +1244,59 @@ mod tests {
 
     #[test]
     fn retry_after_kill_then_failed_after_budget() {
-        // A 1x1 job on a 1x4 strip: first-fit restarts it on the next
-        // surviving node after each kill, and we crash that node too,
-        // until the retry budget (2) is exhausted on the third kill.
-        let mut cfg = ServiceConfig::new(1, 4);
-        cfg.retry.budget = 2;
-        cfg.retry.backoff = Backoff::exponential(Dur::from_secs(1), Dur::from_secs(4));
-        cfg.keep_records = true;
+        // A 1x1 job on a 1x5 strip: first-fit restarts it on the next
+        // surviving node after each kill, and we crash that node too. The
+        // budget of 3 retries is spent on the first three kills; the
+        // fourth retires the job.
+        let cfg = ServiceConfig::new(1, 5);
         let tr = trace(vec![sub(0, 0, (1, 1), 1_000, 0)]);
         let mut plan = FaultPlan::none();
-        plan.push(
-            SimTime(10 * 1_000_000_000),
-            FaultKind::NodeCrash { node: 0 },
-        );
-        plan.push(
-            SimTime(20 * 1_000_000_000),
-            FaultKind::NodeCrash { node: 1 },
-        );
-        plan.push(
-            SimTime(30 * 1_000_000_000),
-            FaultKind::NodeCrash { node: 2 },
-        );
+        for node in 0..4 {
+            let at = SimTime((node as u64 + 1) * 10 * 1_000_000_000);
+            plan.push(at, FaultKind::NodeCrash { node });
+        }
         let r = run_with_faults(&tr, &cfg, &plan);
-        assert_eq!(r.jobs_killed, 3);
-        assert_eq!(r.retries, 2, "budget of 2 retries consumed");
+        assert_eq!(r.jobs_killed, 4);
+        assert_eq!(r.retries, 3, "budget of 3 retries consumed");
         assert_eq!(r.failed, 1);
         assert_eq!(r.completed, 0);
         assert_eq!(r.outcomes, vec![Outcome::Failed]);
         assert!(r.node_time.balanced());
         assert!(r.node_time.lost_to_kills > 0);
-        assert_eq!(r.nodes_failed, 3);
+        assert_eq!(r.nodes_failed, 4);
     }
 
     #[test]
     fn retry_backoff_is_capped_and_seeded() {
-        // A job killed once retries after base × jitter; the schedule
-        // replays exactly and respects the cap.
-        let mut cfg = ServiceConfig::new(4, 5);
-        cfg.retry.budget = 5;
-        cfg.retry.backoff = Backoff {
-            base: Dur::from_secs(100),
-            cap: Dur::from_secs(150),
-            jitter: 0.25,
-            seed: 9,
-        };
+        // The same strip with three kills, within the budget: the job
+        // completes on node 3, each restart exactly one seeded backoff
+        // after its kill.
+        let mut cfg = ServiceConfig::new(1, 5);
         cfg.keep_records = true;
-        // 4x4 job on a 4x5 machine: after node 0 dies the job still fits
-        // (columns 1..4), so the retry restarts rather than retiring.
-        let tr = trace(vec![sub(0, 0, (4, 4), 500, 0)]);
+        let tr = trace(vec![sub(0, 0, (1, 1), 1_000, 0)]);
         let mut plan = FaultPlan::none();
-        plan.push(
-            SimTime(50 * 1_000_000_000),
-            FaultKind::NodeCrash { node: 0 },
-        );
+        for node in 0..3 {
+            let at = SimTime((node as u64 + 1) * 10 * 1_000_000_000);
+            plan.push(at, FaultKind::NodeCrash { node });
+        }
         let a = run_with_faults(&tr, &cfg, &plan);
         let b = run_with_faults(&tr, &cfg, &plan);
-        assert_eq!(
-            a.records[0].started, b.records[0].started,
-            "seeded jitter replays"
-        );
-        let restart = a.records[0].started;
-        let expected = cfg.retry.backoff.delay(0, 1);
-        assert_eq!(restart, SimTime(50 * 1_000_000_000) + expected);
-        assert!(expected <= Dur::from_secs(150).mul_f64(1.25));
+        assert_eq!(a.outcomes, vec![Outcome::Completed]);
+        assert_eq!(a.records, b.records, "seeded jitter replays");
+        let rec = &a.records[0];
+        assert_eq!(rec.attempts.len(), 3);
+        assert_eq!(rec.placement.col, 3);
+        let mut starts = rec.attempts.iter().map(|k| k.started).skip(1);
+        for (k, killed) in (1..).zip(rec.attempts.iter().map(|k| k.killed)) {
+            let wait = RETRY_BACKOFF.delay(0, k);
+            let raw = RETRY_BACKOFF.raw_delay(k);
+            assert!(wait >= raw.mul_f64(0.8) && wait <= raw.mul_f64(1.2));
+            assert_eq!(starts.next().unwrap_or(rec.started), killed + wait);
+        }
+        // Within the budget the waits double from 1 s; a longer chain
+        // would stop doubling at the 60 s cap.
+        assert_eq!(RETRY_BACKOFF.raw_delay(RETRY_BUDGET), Dur::from_secs(4));
+        assert_eq!(RETRY_BACKOFF.raw_delay(7), Dur::from_secs(60));
     }
 
     #[test]
@@ -1486,13 +1457,7 @@ mod tests {
         let tr = service_workload(3_000, 12, 1.6, 16, 33, 5);
         let mut cfg = ServiceConfig::new(16, 33);
         cfg.pending_cap = 256;
-        let plan = FaultPlan::seeded(
-            4,
-            &MtbfModel::node_crashes(Dur::from_secs(40_000)),
-            528,
-            0,
-            Dur::from_secs(80_000),
-        );
+        let plan = FaultPlan::seeded(4, Dur::from_secs(40_000), 528, Dur::from_secs(80_000));
         let plain = run_with_faults(&tr, &cfg, &plan);
         let rec = MemRecorder::new();
         let traced = run_recorded(&tr, &cfg, &plan, &rec);

@@ -761,7 +761,7 @@ mod tests {
     use super::*;
     use crate::machine::{presets, Kernel};
     use crate::sim::{FaultStats, Machine};
-    use des::faults::MtbfModel;
+    use des::rng::Rng;
 
     /// Ring exchange with a compute phase per step: every lane boundary
     /// carries mailbox traffic both ways (the rank wrap-around included).
@@ -801,12 +801,29 @@ mod tests {
         let (n, links) = (cfg.nodes(), cfg.topology.links());
         let program = |node| ring_step(node, n);
         // Faults land inside the fault-free run's span: about one node in
-        // five dies while its neighbours are still exchanging.
+        // five dies while its neighbours are still exchanging, and in
+        // another plan a few links go down for a quarter of it.
         let clean = FaultPlan::none();
         let span = run_in(1, &cfg, 2, &clean, &program).1.elapsed;
-        let crashes = FaultPlan::seeded(0xC0FFEE, &MtbfModel::node_crashes(span * 4), n, 0, span);
-        let outages = MtbfModel::link_outages(span * 8, span / 4);
-        let outages = FaultPlan::seeded(0xFACADE, &outages, 0, links, span);
+        let mut rng = Rng::new(0xC0FFEE);
+        let mut crashes = FaultPlan::none();
+        for _ in 0..n / 5 {
+            let at = SimTime::ZERO + span.mul_f64(rng.next_f64());
+            let node = rng.below(n as u64) as usize;
+            crashes.push(at, FaultKind::NodeCrash { node });
+        }
+        let mut outages = FaultPlan::none();
+        for _ in 0..links / 8 {
+            let at = SimTime::ZERO + span.mul_f64(rng.next_f64());
+            let link = rng.below(links as u64) as usize;
+            outages.push(
+                at,
+                FaultKind::LinkDown {
+                    link,
+                    until: at + span / 4,
+                },
+            );
+        }
         let mut stranding = FaultPlan::none();
         stranding.push(
             SimTime::ZERO + span / 2,

@@ -24,7 +24,6 @@ use crate::machine::{Kernel, MachineConfig};
 use crate::partition::LaneMap;
 use crate::topology::LinkId;
 use bytes::Bytes;
-use des::backoff::{mix64, Backoff};
 use des::faults::{FaultKind, FaultPlan};
 use des::time::{Dur, SimTime};
 use des::EventQueue;
@@ -439,8 +438,6 @@ pub struct FaultStats {
     pub messages_lost: u64,
     /// `recv_timeout` deadlines that expired.
     pub timeouts: u64,
-    /// Retries performed by `send_with_retry`.
-    pub retries: u64,
     /// Survivor tasks aborted at shutdown because faults left them
     /// waiting on peers that can no longer answer.
     pub orphaned_tasks: u64,
@@ -468,7 +465,6 @@ impl Counters {
         self.faults.link_faults += o.faults.link_faults;
         self.faults.messages_lost += o.faults.messages_lost;
         self.faults.timeouts += o.faults.timeouts;
-        self.faults.retries += o.faults.retries;
         self.faults.orphaned_tasks += o.faults.orphaned_tasks;
     }
 }
@@ -1018,15 +1014,6 @@ impl Node {
         }
     }
 
-    /// Emit a point event on this node's trace track, stamped now.
-    fn trace_instant(&self, cat: &'static str, name: &str) {
-        let core = self.core.borrow();
-        if core.rec_on {
-            core.rec
-                .instant(core.node_track[self.rank], cat, name, core.q.now().nanos());
-        }
-    }
-
     /// The machine this program is running on. A refcount bump, not a
     /// deep copy — node programs may call this per query.
     pub fn machine(&self) -> Rc<MachineConfig> {
@@ -1065,42 +1052,6 @@ impl Node {
             core.rec.span(track, "send", &core.label, t0.nanos(), t1);
         }
         sent
-    }
-
-    /// Retrying send with capped, jittered exponential backoff in
-    /// virtual time. Transient errors (partition — a detour may appear
-    /// when a link is repaired) are retried; a crashed destination is
-    /// permanent and returned immediately.
-    ///
-    /// The backoff is deterministic: jitter streams are keyed on
-    /// `(rank, dst, tag)`, so the same run replays bit-for-bit while
-    /// distinct senders caught by the same outage decorrelate instead
-    /// of retrying in lockstep.
-    pub async fn send_with_retry(
-        &self,
-        dst: usize,
-        tag: u64,
-        payload: Payload,
-        policy: RetryPolicy,
-    ) -> Result<(), CommError> {
-        let stream = mix64(&[self.rank as u64, dst as u64, tag]);
-        let mut last = CommError::Unreachable {
-            from: self.rank,
-            to: dst,
-        };
-        for attempt in 0..policy.max_attempts.max(1) {
-            if attempt > 0 {
-                self.core.borrow_mut().counters.faults.retries += 1;
-                self.trace_instant("fault", "retry");
-                self.delay(policy.backoff.delay(stream, attempt)).await;
-            }
-            match self.try_send(dst, tag, payload.clone()).await {
-                Ok(()) => return Ok(()),
-                Err(e @ CommError::NodeFailed(_)) => return Err(e),
-                Err(e) => last = e,
-            }
-        }
-        Err(last)
     }
 
     /// Has `rank` suffered a permanent crash? (The NX failure-detector
@@ -1308,35 +1259,6 @@ fn kernel_label(k: Kernel) -> &'static str {
     }
 }
 
-/// Backoff schedule for [`Node::send_with_retry`]: a capped exponential
-/// [`Backoff`] with deterministic seeded jitter. The old uncapped
-/// doubling schedule could sleep past any simulated horizon once
-/// `max_attempts` grew; the cap bounds every single delay and the
-/// seeded jitter keeps retry storms decorrelated without sacrificing
-/// replayability.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Total attempts, including the first (minimum 1).
-    pub max_attempts: u32,
-    /// Delay schedule between attempts.
-    pub backoff: Backoff,
-}
-
-impl Default for RetryPolicy {
-    /// 4 attempts; 1 ms doubling to a 100 ms cap with 10% jitter.
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 4,
-            backoff: Backoff {
-                base: Dur::from_millis(1),
-                cap: Dur::from_millis(100),
-                jitter: 0.10,
-                seed: 0x5EED,
-            },
-        }
-    }
-}
-
 /// Handle to a posted non-blocking receive. Await [`RecvRequest::wait`]
 /// to take the message; [`RecvRequest::ready`] polls without blocking.
 pub struct RecvRequest {
@@ -1473,7 +1395,7 @@ impl Machine {
     /// (which routes through here with a [`NullRecorder`]); with an
     /// enabled one, every node gets a trace track of its
     /// compute/send/recv/blocked/delay intervals, every channel a track
-    /// of its occupancy windows, faults and retries land as instants,
+    /// of its occupancy windows, faults land as instants,
     /// and the dispatch loop samples event-queue/executor depth onto a
     /// "des" track.
     pub fn run_recorded<T, F, Fut>(
@@ -2170,141 +2092,6 @@ mod tests {
     }
 
     #[test]
-    fn send_with_retry_survives_a_flap() {
-        // Link 0->1 flaps down for 2 ms on a 1x2 line; the retrying
-        // sender backs off past the repair and gets through.
-        let m = Machine::new(presets::delta(1, 2));
-        let mut r = Vec::new();
-        m.config().topology.route(0, 1, &mut r);
-        let mut plan = FaultPlan::none();
-        plan.push(
-            SimTime::ZERO,
-            FaultKind::LinkDown {
-                link: r[0],
-                until: SimTime::from_secs_f64(0.002),
-            },
-        );
-        let (out, report) = m.run_with_faults(&plan, |node| async move {
-            match node.rank() {
-                0 => node
-                    .send_with_retry(1, 1, Payload::Virtual(64), RetryPolicy::default())
-                    .await
-                    .is_ok(),
-                1 => {
-                    node.recv(Some(0), Some(1)).await;
-                    true
-                }
-                _ => true,
-            }
-        });
-        assert_eq!(out, vec![Some(true), Some(true)]);
-        assert!(report.faults.retries >= 1);
-        assert!(
-            report.faults.messages_lost >= 1,
-            "first attempt was dropped"
-        );
-    }
-
-    #[test]
-    fn send_with_retry_backoff_is_capped() {
-        // Destination crashed from t=0... no: a crashed node returns
-        // immediately. Keep the link down for the whole run instead, so
-        // every attempt fails Unreachable and the full backoff schedule
-        // is consumed. With jitter off, the elapsed time is exactly the
-        // sum of capped delays — the uncapped schedule would sleep
-        // 1+2+4+...+2^9 ms, the capped one 1+2+4+4+... ms.
-        let policy = RetryPolicy {
-            max_attempts: 10,
-            backoff: Backoff::exponential(Dur::from_millis(1), Dur::from_millis(4)),
-        };
-        let m = Machine::new(presets::delta(1, 2));
-        let mut r = Vec::new();
-        m.config().topology.route(0, 1, &mut r);
-        let mut plan = FaultPlan::none();
-        plan.push(
-            SimTime::ZERO,
-            FaultKind::LinkDown {
-                link: r[0],
-                until: SimTime::MAX,
-            },
-        );
-        let (out, report) = m.run_with_faults(&plan, |node| async move {
-            match node.rank() {
-                0 => {
-                    let t0 = node.now();
-                    let res = node
-                        .send_with_retry(1, 1, Payload::Virtual(64), policy)
-                        .await;
-                    assert!(matches!(res, Err(CommError::Unreachable { .. })));
-                    (node.now() - t0).nanos()
-                }
-                _ => 0,
-            }
-        });
-        // 9 backoffs: 1 + 2 + then seven capped at 4 ms = 31 ms, plus
-        // 10 local send-overhead charges; no jitter, so exact.
-        let backoffs: u64 = (1..10u32)
-            .map(|a| policy.backoff.delay(mix64(&[0, 1, 1]), a).nanos())
-            .sum();
-        assert_eq!(backoffs, Dur::from_millis(31).nanos());
-        let overhead = 10 * m.config().net.send_overhead.nanos();
-        assert_eq!(out[0], Some(backoffs + overhead));
-        assert_eq!(report.faults.retries, 9);
-    }
-
-    #[test]
-    fn send_with_retry_jitter_is_deterministic() {
-        // Same machine, same flap, jittered policy: two runs must agree
-        // bit-for-bit, and a different seed must move the retry clock.
-        let elapsed = |seed: u64| {
-            let policy = RetryPolicy {
-                max_attempts: 6,
-                backoff: Backoff {
-                    base: Dur::from_millis(1),
-                    cap: Dur::from_millis(8),
-                    jitter: 0.40,
-                    seed,
-                },
-            };
-            let m = Machine::new(presets::delta(1, 2));
-            let mut r = Vec::new();
-            m.config().topology.route(0, 1, &mut r);
-            let mut plan = FaultPlan::none();
-            plan.push(
-                SimTime::ZERO,
-                FaultKind::LinkDown {
-                    link: r[0],
-                    until: SimTime::from_secs_f64(0.003),
-                },
-            );
-            let (out, report) = m.run_with_faults(&plan, |node| async move {
-                match node.rank() {
-                    0 => {
-                        let ok = node
-                            .send_with_retry(1, 1, Payload::Virtual(64), policy)
-                            .await
-                            .is_ok();
-                        assert!(ok, "flap repaired within the schedule");
-                        node.now().nanos()
-                    }
-                    1 => {
-                        node.recv(Some(0), Some(1)).await;
-                        node.now().nanos()
-                    }
-                    _ => 0,
-                }
-            });
-            assert!(report.faults.retries >= 1);
-            out
-        };
-        let a = elapsed(7);
-        let b = elapsed(7);
-        assert_eq!(a, b, "seeded jitter replays bit-for-bit");
-        let c = elapsed(8);
-        assert_ne!(a, c, "a different seed shifts the retry schedule");
-    }
-
-    #[test]
     fn slowdown_stretches_compute() {
         let flops = 1.0e9;
         let m = tiny();
@@ -2347,45 +2134,69 @@ mod tests {
 
     #[test]
     fn fault_run_replays_bit_identically() {
-        let model = des::MtbfModel {
-            node_mtbf: Some(Dur::from_secs(2)),
-            slow_mtbf: Some(Dur::from_secs(3)),
-            slow_factor: 2.0,
-            slow_duration: Dur::from_millis(500),
-            link_mtbf: Some(Dur::from_secs(4)),
-            link_repair: Dur::from_millis(200),
-            flap_mtbf: None,
-            flap_duration: Dur::ZERO,
-        };
-        let run = |seed: u64| {
-            let m = Machine::new(presets::delta(2, 3));
-            let plan = des::FaultPlan::seeded(
-                seed,
-                &model,
-                m.config().nodes(),
-                m.config().topology.links(),
-                Dur::from_secs(10),
-            );
-            let (out, r) = m.run_with_faults(&plan, |node| async move {
-                let n = node.nranks();
-                for round in 0..50u64 {
-                    let next = (node.rank() + 1) % n;
-                    node.send(next, round, Payload::Virtual(4096)).await;
-                    let got = node
-                        .recv_timeout(None, Some(round), Dur::from_millis(50))
-                        .await;
-                    if got.is_err() {
-                        break;
-                    }
-                    node.compute(Kernel::Stencil, 1e6).await;
+        let m = Machine::new(presets::delta(2, 3));
+        let ring = |node: Node| async move {
+            let n = node.nranks();
+            for round in 0..50u64 {
+                let next = (node.rank() + 1) % n;
+                node.send(next, round, Payload::Virtual(4096)).await;
+                let got = node
+                    .recv_timeout(None, Some(round), Dur::from_millis(50))
+                    .await;
+                if got.is_err() {
+                    break;
                 }
-                node.now()
-            });
+                node.compute(Kernel::Stencil, 1e6).await;
+            }
+            node.now()
+        };
+        // Two of each kind at drawn times and targets, all inside the
+        // first of the fault-free run's 50 rounds: any of them makes a
+        // neighbour's receive time out and the ring wind down, so a later
+        // fault might find no program left to strike.
+        let round = m.run(ring).1.elapsed / 50;
+        let (nodes, links) = (
+            m.config().nodes() as u64,
+            m.config().topology.links() as u64,
+        );
+        let mut rng = des::Rng::new(1234);
+        let mut plan = FaultPlan::none();
+        for _ in 0..2 {
+            let at = SimTime::ZERO + round.mul_f64(rng.next_f64());
+            let node = rng.below(nodes) as usize;
+            let until = at + round * 10;
+            plan.push(
+                at,
+                FaultKind::NodeSlow {
+                    node,
+                    factor: 2.0,
+                    until,
+                },
+            );
+            let at = SimTime::ZERO + round.mul_f64(rng.next_f64());
+            let link = rng.below(links) as usize;
+            plan.push(
+                at,
+                FaultKind::LinkDown {
+                    link,
+                    until: at + round * 5,
+                },
+            );
+            let at = SimTime::ZERO + round.mul_f64(rng.next_f64());
+            let node = rng.below(nodes) as usize;
+            plan.push(at, FaultKind::NodeCrash { node });
+        }
+        let run = || {
+            let (out, r) = m.run_with_faults(&plan, ring);
             (out, r.elapsed, r.events, r.faults)
         };
-        assert_eq!(run(1234), run(1234), "same seed, same trace");
-        let (_, _, _, faults) = run(1234);
-        assert!(faults.any(), "the plan actually injected something");
+        let first = run();
+        assert_eq!(first, run(), "same plan, same trace");
+        let f = first.3;
+        assert!(
+            f.node_crashes > 0 && f.slowdowns > 0 && f.link_faults > 0,
+            "every kind struck: {f:?}"
+        );
     }
 
     #[test]

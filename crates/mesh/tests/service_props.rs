@@ -33,7 +33,7 @@ use delta_mesh::sched::service::{
     ServiceTrace,
 };
 use delta_mesh::Policy;
-use des::faults::{FaultKind, FaultPlan, MtbfModel};
+use des::faults::{FaultKind, FaultPlan};
 use des::rng::Rng;
 use des::time::{Dur, SimTime};
 
@@ -50,12 +50,11 @@ fn quantized_workload(n: usize, tenants: usize, seed: u64, grain_s: u64) -> Serv
 }
 
 /// A service config with every production limit engaged, derived from
-/// the case seed so cap/quota/retry corners all get visited.
+/// the case seed so cap/quota corners all get visited.
 fn bounded_config(knobs: u64) -> ServiceConfig {
     let mut cfg = ServiceConfig::new(16, 33);
     cfg.pending_cap = [64usize, 256, 1024][(knobs % 3) as usize];
     cfg.quota_default = [32usize, 128, usize::MAX][((knobs / 3) % 3) as usize];
-    cfg.retry.budget = (knobs % 4) as u32;
     cfg
 }
 
@@ -88,6 +87,7 @@ fn service_matches_batch_bit_for_bit() {
 /// identity holds exactly under random fault plans (10 cases).
 #[test]
 fn conservation_under_faults_and_limits() {
+    let mut retries = 0;
     for case in 0..10 {
         let mut rng = Rng::new(0xC025_0002 ^ case);
         let n = rng.range_u64(200, 1_999) as usize;
@@ -99,9 +99,8 @@ fn conservation_under_faults_and_limits() {
         let cfg = bounded_config(seed ^ load_pct);
         let plan = FaultPlan::seeded(
             fault_seed,
-            &MtbfModel::node_crashes(Dur::from_secs(60_000)),
+            Dur::from_secs(60_000),
             16 * 33,
-            0,
             Dur::from_secs(100_000),
         );
         let r = service::run_with_faults(&tr, &cfg, &plan);
@@ -145,7 +144,9 @@ fn conservation_under_faults_and_limits() {
             .map(|s| (s.nodes() as u128) * (s.runtime.nanos() as u128))
             .sum();
         assert_eq!(r.node_time.useful, expect_useful);
+        retries += r.retries;
     }
+    assert!(retries > 0, "the cases retried {retries} killed jobs");
 }
 
 /// Whole-grain traces replay the batch scheduler bit-for-bit: the
@@ -251,6 +252,7 @@ fn tied_timestamps_ignore_trace_layout() {
 /// (10 cases).
 #[test]
 fn service_replays_bit_identically() {
+    let mut retries = 0;
     for case in 0..10 {
         let mut rng = Rng::new(0x2E91_0005 ^ case);
         let n = rng.range_u64(200, 999) as usize;
@@ -261,9 +263,8 @@ fn service_replays_bit_identically() {
         let cfg = bounded_config(seed);
         let plan = FaultPlan::seeded(
             fault_seed,
-            &MtbfModel::node_crashes(Dur::from_secs(40_000)),
+            Dur::from_secs(40_000),
             16 * 33,
-            0,
             Dur::from_secs(80_000),
         );
         let a = service::run_with_faults(&tr, &cfg, &plan);
@@ -277,5 +278,7 @@ fn service_replays_bit_identically() {
         assert_eq!(a.node_time, b.node_time);
         assert_eq!(a.events, b.events);
         assert_eq!(a.events, event_ledger(&a, &tr, &plan));
+        retries += a.retries;
     }
+    assert!(retries > 0, "the cases retried {retries} killed jobs");
 }

@@ -86,6 +86,9 @@ pub enum FlowError {
     },
     /// Source and destination are the same site.
     SelfTransfer { index: usize, site: String },
+    /// Link fault `index` names a link the net does not have, or is not
+    /// repaired after it goes down.
+    InvalidFault { index: usize },
 }
 
 impl fmt::Display for FlowError {
@@ -98,6 +101,10 @@ impl fmt::Display for FlowError {
             FlowError::SelfTransfer { index, site } => {
                 write!(f, "transfer #{index} is a self-transfer at {site}")
             }
+            FlowError::InvalidFault { index } => write!(
+                f,
+                "link fault #{index} names no link of the net or is not repaired after its outage"
+            ),
         }
     }
 }
@@ -467,7 +474,9 @@ impl<'a> FlowSim<'a> {
     /// links); flows whose endpoints are partitioned park until a repair
     /// reconnects them, and finish as [`FlowOutcome::Stalled`] if none
     /// does. Active flows keep their detour after a repair — routes stay
-    /// pinned, as 1992 static routing did.
+    /// pinned, as 1992 static routing did. A spec that [`FlowSim::check`]
+    /// rejects, or a fault on a link the net does not have or repaired
+    /// no later than it goes down, is an `Err` before any event runs.
     pub fn run_with_faults(
         &self,
         specs: Vec<TransferSpec>,
@@ -490,6 +499,13 @@ impl<'a> FlowSim<'a> {
         // the cache, whose mask (all links up) is the loop's initial one.
         let mut cache = RouteCache::new();
         self.check_cached(&specs, &mut cache)?;
+        let links = self.net.links().len();
+        if let Some(index) = faults
+            .iter()
+            .position(|f| f.link >= links || f.down_at >= f.up_at)
+        {
+            return Err(FlowError::InvalidFault { index });
+        }
         let rec_on = rec.is_enabled();
         let flow_track: Vec<TrackId> = if rec_on {
             specs
@@ -532,8 +548,6 @@ impl<'a> FlowSim<'a> {
         let mut last_full_resolves = 0u64;
         let mut trans: Vec<Transition> = Vec::with_capacity(2 * faults.len());
         for f in faults {
-            assert!(f.link < self.net.links().len(), "fault on link {}", f.link);
-            assert!(f.down_at < f.up_at, "repair must follow the outage");
             trans.push(Transition {
                 at: f.down_at,
                 link: f.link,
@@ -1150,6 +1164,33 @@ mod tests {
             .try_run(vec![TransferSpec::new(c, c, 100, SimTime::ZERO)])
             .unwrap_err();
         assert!(matches!(err, FlowError::SelfTransfer { index: 0, .. }));
+    }
+
+    #[test]
+    fn invalid_fault_is_rejected_up_front() {
+        let mut net = Net::new();
+        let a = net.add_site("CalTech");
+        let c = net.add_site("JPL");
+        net.add_link(a, c, LinkClass::T1, Dur::from_millis(1));
+        let sim = FlowSim::new(&net);
+        let spec = || vec![TransferSpec::new(a, c, 100, SimTime::ZERO)];
+        let t = SimTime::from_secs_f64;
+        let ok = LinkFault {
+            link: 0,
+            down_at: t(1.0),
+            up_at: t(2.0),
+        };
+        let no_link = LinkFault { link: 1, ..ok };
+        let backwards = LinkFault {
+            up_at: t(1.0),
+            ..ok
+        };
+        for (faults, index) in [([ok, no_link], 1), ([backwards, ok], 0)] {
+            let err = sim.run_with_faults(spec(), &faults).unwrap_err();
+            assert_eq!(err, FlowError::InvalidFault { index });
+            assert!(err.to_string().contains(&format!("#{index}")), "{err}");
+        }
+        assert!(sim.run_with_faults(spec(), &[ok]).is_ok());
     }
 
     #[test]

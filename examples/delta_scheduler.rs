@@ -12,9 +12,9 @@ fn main() {
     // --- The allocation problem in miniature. -----------------------------
     let mut space = MeshSpace::new(16, 33);
     println!("The Delta: {} nodes as a 16x33 mesh.", space.total_nodes());
-    let a = space.allocate(8, 8, true).unwrap();
-    let b = space.allocate(16, 16, true).unwrap();
-    let c = space.allocate(4, 8, true).unwrap();
+    let a = space.allocate(8, 8).unwrap();
+    let b = space.allocate(16, 16).unwrap();
+    let c = space.allocate(4, 8).unwrap();
     println!(
         "three jobs placed at ({},{}), ({},{}), ({},{}); {} nodes still free",
         a.row,
@@ -25,7 +25,7 @@ fn main() {
         c.col,
         space.free_nodes()
     );
-    let refused = space.allocate(16, 33, true).is_none();
+    let refused = space.allocate(16, 33).is_none();
     println!(
         "a full-machine request is {} — fragmentation in action\n",
         if refused { "refused" } else { "granted" }

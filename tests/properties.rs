@@ -373,30 +373,21 @@ fn lu_residual_small_all_block_sizes() {
     );
 }
 
-/// Any seeded fault plan replays bit-identically: same seed, same model,
+/// Any seeded crash plan replays bit-identically: same seed, same MTBF,
 /// same horizon give the identical, time-ordered event list, and another
 /// seed does not replay a non-empty plan (24 cases).
 #[test]
 fn fault_plans_replay_bit_identically() {
-    use delta_mesh::{FaultPlan, MtbfModel};
+    use delta_mesh::FaultPlan;
     for case in 0..24 {
         let mut rng = Rng::new(0xFA17_000F ^ case);
         let seed = rng.below(10_000);
         let node_mtbf_s = rng.range_u64(1, 4_999);
-        let link_mtbf_s = rng.range_u64(1, 4_999);
         let horizon_s = rng.range_u64(1, 1_999);
-        println!(
-            "case {case}: seed {seed} node_mtbf_s {node_mtbf_s} \
-             link_mtbf_s {link_mtbf_s} horizon_s {horizon_s}"
-        );
+        println!("case {case}: seed {seed} node_mtbf_s {node_mtbf_s} horizon_s {horizon_s}");
 
-        let model = MtbfModel {
-            node_mtbf: Some(Dur::from_secs(node_mtbf_s)),
-            link_mtbf: Some(Dur::from_secs(link_mtbf_s)),
-            link_repair: Dur::from_secs(5),
-            ..MtbfModel::none()
-        };
-        let mk = || FaultPlan::seeded(seed, &model, 12, 17, Dur::from_secs(horizon_s));
+        let (mtbf, horizon) = (Dur::from_secs(node_mtbf_s), Dur::from_secs(horizon_s));
+        let mk = || FaultPlan::seeded(seed, mtbf, 12, horizon);
         let a = mk();
         let b = mk();
         assert_eq!(a.len(), b.len());
@@ -408,7 +399,7 @@ fn fault_plans_replay_bit_identically() {
 
         // A different seed must not replay the same non-empty plan.
         if !a.is_empty() {
-            let c = FaultPlan::seeded(seed ^ 0x5eed, &model, 12, 17, Dur::from_secs(horizon_s));
+            let c = FaultPlan::seeded(seed ^ 0x5eed, mtbf, 12, horizon);
             assert!(a.events() != c.events() || c.is_empty());
         }
     }
@@ -418,14 +409,13 @@ fn fault_plans_replay_bit_identically() {
 /// identical report: faults do not break determinism (24 cases).
 #[test]
 fn faulted_mesh_runs_replay_bit_identically() {
-    use delta_mesh::{presets, FaultPlan, Machine, MtbfModel};
+    use delta_mesh::{presets, FaultPlan, Machine};
     for case in 0..24 {
         let mut rng = Rng::new(0xFA17_0010 ^ case);
         let seed = rng.below(2_000);
         println!("case {case}: seed {seed}");
 
-        let model = MtbfModel::node_crashes(Dur::from_secs(2));
-        let plan = FaultPlan::seeded(seed, &model, 6, 7, Dur::from_secs(30));
+        let plan = FaultPlan::seeded(seed, Dur::from_secs(2), 6, Dur::from_secs(30));
         let m = Machine::new(presets::delta(2, 3));
         let go = || {
             m.run_with_faults(&plan, |node| async move {
