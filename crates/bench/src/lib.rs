@@ -98,7 +98,7 @@ pub const STANDALONE: &[(&str, Run)] = &[
 
 /// Every `report` subcommand: dispatch, `all` and the usage message are
 /// all read from these two tables.
-pub fn commands() -> impl Iterator<Item = &'static (&'static str, Run)> {
+fn commands() -> impl Iterator<Item = &'static (&'static str, Run)> {
     ALL.iter().chain(STANDALONE)
 }
 

@@ -214,7 +214,7 @@ pub fn snapshot() -> (Vec<NetRow>, Vec<NetRow>) {
 }
 
 /// The upgrade-story table `report bench-net` prints.
-pub fn upgrade_table(rows: &[NetRow]) -> Table {
+fn upgrade_table(rows: &[NetRow]) -> Table {
     let mut t = Table::new(
         "Exhibit NET-1 — WAN upgrade story (modern fabrics, WAN tier swept)",
         &["WAN tier", "Flows", "Makespan s", "MB/s", "Events"],
@@ -232,7 +232,7 @@ pub fn upgrade_table(rows: &[NetRow]) -> Table {
 }
 
 /// The scale-sweep table `report bench-net` prints.
-pub fn scale_table(rows: &[NetRow]) -> Table {
+fn scale_table(rows: &[NetRow]) -> Table {
     let mut t = Table::new(
         "Exhibit NET-1 — flow-engine scaling (128-host fat-tree fan-out)",
         &[

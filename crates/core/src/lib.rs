@@ -29,4 +29,4 @@ pub mod timeline;
 pub use exhibits::{by_id, registry, Exhibit, ExhibitKind};
 pub use funding::{FiscalYear, FundingTable, Money};
 pub use program::{Agency, Component, APPROACH, AUTHORITY, GOALS};
-pub use report::{fnum, Align, Table};
+pub use report::{fnum, Table};

@@ -50,12 +50,6 @@ impl Agency {
             Agency::Nist => "DOC/NIST",
         }
     }
-
-    /// Inverse of [`Agency::label`] — lets report tooling parse exhibit
-    /// rows back into the enum.
-    pub fn from_label(label: &str) -> Option<Agency> {
-        Agency::ALL.into_iter().find(|a| a.label() == label)
-    }
 }
 
 /// The four components of the federal program (columns of T4-2).
@@ -94,17 +88,6 @@ impl Component {
             Component::Asta => "Advanced Software Technology and Algorithms",
             Component::Nren => "National Research and Education Network",
             Component::Brhr => "Basic Research and Human Resources",
-        }
-    }
-
-    /// Which crate of this repository reproduces the component's
-    /// technical substance.
-    pub fn reproduced_by(self) -> &'static str {
-        match self {
-            Component::Hpcs => "delta-mesh (Touchstone-class multicomputer simulator)",
-            Component::Asta => "hpcc-kernels (Grand Challenge kernels, host + simulated)",
-            Component::Nren => "nren-netsim (WAN flow simulator, consortium topologies)",
-            Component::Brhr => "hpcc-core (program model, documentation, examples)",
         }
     }
 }
@@ -152,24 +135,9 @@ mod tests {
     }
 
     #[test]
-    fn every_component_is_reproduced_somewhere() {
-        for c in Component::ALL {
-            assert!(!c.reproduced_by().is_empty());
-        }
-    }
-
-    #[test]
     fn goals_and_approach_present() {
         assert_eq!(GOALS.len(), 3);
         assert_eq!(APPROACH.len(), 4);
         assert!(AUTHORITY.contains("102-194"));
-    }
-
-    #[test]
-    fn agency_labels_round_trip() {
-        for a in Agency::ALL {
-            assert_eq!(Agency::from_label(a.label()), Some(a));
-        }
-        assert_eq!(Agency::from_label("KGB"), None);
     }
 }

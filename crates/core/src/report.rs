@@ -3,19 +3,12 @@
 
 use std::fmt;
 
-/// Column alignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Align {
-    Left,
-    Right,
-}
-
-/// A simple monospace table.
+/// A simple monospace table: the first column left-aligned, the rest
+/// right-aligned.
 #[derive(Debug, Clone)]
 pub struct Table {
     title: String,
     headers: Vec<String>,
-    aligns: Vec<Align>,
     rows: Vec<Vec<String>>,
     /// Indices of rows to print after a separator (e.g. totals).
     footer_from: Option<usize>,
@@ -26,31 +19,15 @@ impl Table {
         Table {
             title: title.into(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
-            aligns: headers
-                .iter()
-                .enumerate()
-                .map(|(i, _)| if i == 0 { Align::Left } else { Align::Right })
-                .collect(),
             rows: Vec::new(),
             footer_from: None,
         }
-    }
-
-    /// Override the default (first column left, rest right) alignment.
-    pub fn aligns(mut self, aligns: &[Align]) -> Table {
-        assert_eq!(aligns.len(), self.headers.len());
-        self.aligns = aligns.to_vec();
-        self
     }
 
     pub fn row(&mut self, cells: &[String]) -> &mut Table {
         assert_eq!(cells.len(), self.headers.len(), "row width");
         self.rows.push(cells.to_vec());
         self
-    }
-
-    pub fn row_strs(&mut self, cells: &[&str]) -> &mut Table {
-        self.row(&cells.iter().map(|s| s.to_string()).collect::<Vec<_>>())
     }
 
     /// Everything added after this call prints below a separator line.
@@ -82,9 +59,10 @@ impl fmt::Display for Table {
             (0..ncols)
                 .map(|i| {
                     let c = &cells[i];
-                    match self.aligns[i] {
-                        Align::Left => format!(" {c:<width$} ", width = widths[i]),
-                        Align::Right => format!(" {c:>width$} ", width = widths[i]),
+                    if i == 0 {
+                        format!(" {c:<width$} ", width = widths[i])
+                    } else {
+                        format!(" {c:>width$} ", width = widths[i])
                     }
                 })
                 .collect::<Vec<_>>()
@@ -112,6 +90,12 @@ pub fn fnum(x: f64, d: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Table {
+        fn row_strs(&mut self, cells: &[&str]) -> &mut Table {
+            self.row(&cells.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+        }
+    }
 
     #[test]
     fn renders_headers_rows_and_footer() {

@@ -110,20 +110,20 @@ pub fn activities(agency: Agency, component: Component) -> &'static [&'static st
     }
 }
 
-/// Agencies with at least one activity under `component`.
-pub fn agencies_in(component: Component) -> Vec<Agency> {
-    Agency::ALL
-        .into_iter()
-        .filter(|&a| !activities(a, component).is_empty())
-        .collect()
-}
-
 /// Footnote on the exhibit.
 pub const FOOTNOTE: &str = "Department of Education participation expected in FY 1993";
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Agencies with at least one activity under `component`.
+    fn agencies_in(component: Component) -> Vec<Agency> {
+        Agency::ALL
+            .into_iter()
+            .filter(|&a| !activities(a, component).is_empty())
+            .collect()
+    }
 
     #[test]
     fn every_agency_has_some_responsibility() {

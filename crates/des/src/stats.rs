@@ -2,12 +2,11 @@
 
 use crate::time::Dur;
 
-/// Welford's online mean/variance plus min/max.
-#[derive(Debug, Clone, Default)]
+/// Welford's online mean plus sum, min and max.
+#[derive(Debug, Clone)]
 pub struct Summary {
     n: u64,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
     sum: f64,
@@ -18,7 +17,6 @@ impl Summary {
         Summary {
             n: 0,
             mean: 0.0,
-            m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
             sum: 0.0,
@@ -30,7 +28,6 @@ impl Summary {
         self.sum += x;
         let d = x - self.mean;
         self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
     }
@@ -53,19 +50,6 @@ impl Summary {
         } else {
             self.mean
         }
-    }
-
-    /// Sample variance (n−1 denominator); 0 for fewer than two samples.
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
     }
 
     pub fn min(&self) -> f64 {
@@ -98,11 +82,18 @@ impl Summary {
         let delta = other.mean - self.mean;
         let n = n1 + n2;
         self.mean += delta * n2 / n;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / n;
         self.n += other.n;
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
+    }
+}
+
+/// The empty summary, as [`Summary::new`]: min and max start at ±∞, so
+/// the first sample sets both.
+impl Default for Summary {
+    fn default() -> Self {
+        Summary::new()
     }
 }
 
@@ -211,14 +202,6 @@ impl Histogram {
         &self.buckets
     }
 
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
     /// Approximate quantile by linear scan (`q` in `[0, 1]`).
     /// `None` when the histogram holds no samples — an empty histogram has
     /// no quantiles, and the old `lo` fallback silently read as "0.0".
@@ -289,7 +272,6 @@ mod tests {
         }
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 32.0 / 7.0).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
         assert_eq!(s.sum(), 40.0);
@@ -299,9 +281,19 @@ mod tests {
     fn empty_summary_is_zeroes() {
         let s = Summary::new();
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
         assert_eq!(s.min(), 0.0);
         assert_eq!(s.max(), 0.0);
+    }
+
+    #[test]
+    fn default_summary_tracks_min_and_max() {
+        let mut s = Summary::default();
+        s.add(5.0);
+        s.add(7.0);
+        assert_eq!((s.min(), s.max()), (5.0, 7.0));
+        let mut s = Summary::default();
+        s.add(-3.0);
+        assert_eq!((s.min(), s.max()), (-3.0, -3.0));
     }
 
     #[test]
@@ -322,7 +314,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), whole.count());
         assert!((a.mean() - whole.mean()).abs() < 1e-10);
-        assert!((a.variance() - whole.variance()).abs() < 1e-10);
         assert_eq!(a.min(), whole.min());
         assert_eq!(a.max(), whole.max());
     }
@@ -336,8 +327,8 @@ mod tests {
         assert_eq!(h.bucket(0), 2); // 0.0, 0.5
         assert_eq!(h.bucket(1), 1); // 1.0
         assert_eq!(h.bucket(9), 1); // 9.99
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
+        assert_eq!(h.underflow, 1);
+        assert_eq!(h.overflow, 2);
         assert_eq!(h.count(), 7);
     }
 
@@ -380,8 +371,8 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), whole.count());
         assert_eq!(a.buckets(), whole.buckets());
-        assert_eq!(a.overflow(), whole.overflow());
-        assert_eq!(a.underflow(), whole.underflow());
+        assert_eq!(a.overflow, whole.overflow);
+        assert_eq!(a.underflow, whole.underflow);
         assert_eq!(a.quantile(0.5), whole.quantile(0.5));
     }
 

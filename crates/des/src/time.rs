@@ -87,11 +87,6 @@ impl Dur {
     }
 
     #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / NS_PER_US as f64
-    }
-
-    #[inline]
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / NS_PER_MS as f64
     }

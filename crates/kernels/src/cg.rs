@@ -234,13 +234,6 @@ impl SpmvPlan {
         self.n
     }
 
-    /// Packed entries (including padding lanes) — the plan's memory
-    /// footprint in entry units; `≥ nnz`, with equality when every row
-    /// in a block has the same length.
-    pub fn packed_entries(&self) -> usize {
-        self.vals.len()
-    }
-
     /// y = A·x through the packed plan, sequential.
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
         self.spmv_with(x, y, 1);
@@ -523,7 +516,8 @@ mod tests {
             let n = a.n();
             let x: Vec<f64> = (0..n).map(|_| rng.range_f64(-8.0, 8.0)).collect();
             let plan = SpmvPlan::new(a);
-            assert!(plan.packed_entries() >= a.nnz());
+            // Padding lanes make the packed plan at least as long as nnz.
+            assert!(plan.vals.len() >= a.nnz());
             let mut yr = vec![0.0; n];
             let mut yp = vec![f64::NAN; n];
             let mut ypp = vec![f64::NAN; n];

@@ -52,7 +52,7 @@ impl Cpx {
     }
 
     #[inline]
-    pub fn conj(self) -> Cpx {
+    fn conj(self) -> Cpx {
         Cpx::new(self.re, -self.im)
     }
 
@@ -66,7 +66,7 @@ impl Cpx {
     }
 
     /// e^{iθ}.
-    pub fn cis(theta: f64) -> Cpx {
+    fn cis(theta: f64) -> Cpx {
         Cpx::new(theta.cos(), theta.sin())
     }
 }
@@ -165,11 +165,6 @@ pub fn ifft(x: &mut [Cpx]) {
 /// engine (bit-identical to the SIMD path; asserted by property tests).
 pub fn fft_portable(x: &mut [Cpx]) {
     fft_dir(x, false, false);
-}
-
-/// [`ifft`] on the portable scalar engine.
-pub fn ifft_portable(x: &mut [Cpx]) {
-    fft_dir(x, true, false);
 }
 
 fn fft_dir(x: &mut [Cpx], inverse: bool, use_simd: bool) {
@@ -350,12 +345,6 @@ pub fn fft2d(data: &mut Vec<Cpx>, n: usize, parallel: bool) {
     rows_then_columns(data, n, parallel, fft);
 }
 
-/// Inverse 2-D FFT.
-#[allow(clippy::ptr_arg)] // the published signature takes the `Vec`
-pub fn ifft2d(data: &mut Vec<Cpx>, n: usize, parallel: bool) {
-    rows_then_columns(data, n, parallel, ifft);
-}
-
 fn rows_then_columns(data: &mut [Cpx], n: usize, parallel: bool, transform: fn(&mut [Cpx])) {
     assert_eq!(data.len(), n * n);
     let workers = crate::workers(parallel);
@@ -477,7 +466,7 @@ mod tests {
         let mut par = orig.clone();
         fft2d(&mut par, n, true);
         assert_eq!(seq, par, "row-parallel 2-D FFT must be bit-identical");
-        ifft2d(&mut seq, n, false);
+        rows_then_columns(&mut seq, n, false, ifft);
         for (a, b) in seq.iter().zip(&orig) {
             assert!(close(*a, *b, 1e-9));
         }
@@ -535,7 +524,7 @@ mod tests {
             fft_portable(&mut portable);
             assert_eq!(auto, portable, "forward n={n}");
             ifft(&mut auto);
-            ifft_portable(&mut portable);
+            fft_dir(&mut portable, true, false);
             assert_eq!(auto, portable, "inverse n={n}");
         }
     }

@@ -10,7 +10,8 @@
 //!   node programs to reproduce the paper's Touchstone Delta numbers.
 //!
 //! Kernel families and the Grand Challenge lines they stand in for:
-//! * [`lu`]/[`linpack`] — the LINPACK benchmark (the Delta exhibit),
+//! * [`lu`] — the LINPACK benchmark's factor and solve (the Delta
+//!   exhibit runs them as [`sim::lu1d`] / [`sim::lu2d`]),
 //! * [`cfd`]/[`multigrid`] — computational aerosciences (NASA/CAS),
 //! * [`shallow`] — ocean/atmosphere modelling (NOAA),
 //! * [`nbody`] — space sciences,
@@ -21,7 +22,6 @@ pub mod cfd;
 pub mod cg;
 pub mod fft;
 pub mod gemm;
-pub mod linpack;
 pub mod lu;
 pub mod mat;
 pub mod matmul;

@@ -262,16 +262,16 @@ impl Multigrid {
     }
 }
 
-/// Work per V-cycle in smoothing-equivalent grid-point updates
-/// (≈ (pre+post+const) · 4/3 · n² for the geometric level sum).
-pub fn vcycle_points(n: usize, cfg: &MgConfig) -> f64 {
-    (cfg.pre + cfg.post + 1) as f64 * 4.0 / 3.0 * (n * n) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::f64::consts::PI;
+
+    /// Work per V-cycle in smoothing-equivalent grid-point updates
+    /// (≈ (pre+post+const) · 4/3 · n² for the geometric level sum).
+    fn vcycle_points(n: usize, cfg: &MgConfig) -> f64 {
+        (cfg.pre + cfg.post + 1) as f64 * 4.0 / 3.0 * (n * n) as f64
+    }
 
     #[test]
     fn hierarchy_depth() {

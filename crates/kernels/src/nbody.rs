@@ -278,12 +278,6 @@ pub fn energy(bodies: &[Body], eps: f64) -> f64 {
     e
 }
 
-/// FLOPs of one direct-summation force evaluation over n bodies
-/// (~20 per directed pair).
-pub fn direct_flops(n: usize) -> f64 {
-    20.0 * (n as f64) * (n as f64 - 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -152,13 +152,6 @@ impl Shallow {
         self.dt
     }
 
-    /// Simulated physical time elapsed, seconds.
-    pub fn sim_time(&self) -> f64 {
-        // Leapfrog: first step advances dt, every later one 2·dt worth of
-        // state per pair; steps × dt is the conventional accounting.
-        self.steps_taken as f64 * self.dt
-    }
-
     /// Advance one leapfrog step. `parallel` shares each sweep's rows out
     /// over [`des::host_cores`] workers, bit-identical to the sequential
     /// sweep.
@@ -426,22 +419,6 @@ impl Shallow {
     pub fn total_mass(&self) -> f64 {
         self.p.iter().sum::<f64>() * self.dx * self.dy
     }
-
-    /// Kinetic energy diagnostic ½ Σ p·(u²+v²) (cell-centred average).
-    pub fn kinetic_energy(&self) -> f64 {
-        let m = self.m;
-        let mut e = 0.0;
-        for i in 0..m {
-            let ip = (i + 1) % m;
-            for j in 0..m {
-                let jp = (j + 1) % m;
-                let uu = 0.5 * (self.u[i * m + j] + self.u[ip * m + j]);
-                let vv = 0.5 * (self.v[i * m + j] + self.v[i * m + jp]);
-                e += 0.5 * self.p[i * m + j] * (uu * uu + vv * vv);
-            }
-        }
-        e
-    }
 }
 
 /// Row `r` of a flat row-major `m × m` array.
@@ -592,6 +569,24 @@ pub fn step_flops(m: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Shallow {
+        /// Kinetic energy diagnostic ½ Σ p·(u²+v²) (cell-centred average).
+        fn kinetic_energy(&self) -> f64 {
+            let m = self.m;
+            let mut e = 0.0;
+            for i in 0..m {
+                let ip = (i + 1) % m;
+                for j in 0..m {
+                    let jp = (j + 1) % m;
+                    let uu = 0.5 * (self.u[i * m + j] + self.u[ip * m + j]);
+                    let vv = 0.5 * (self.v[i * m + j] + self.v[i * m + jp]);
+                    e += 0.5 * self.p[i * m + j] * (uu * uu + vv * vv);
+                }
+            }
+            e
+        }
+    }
 
     #[test]
     fn mass_is_conserved_to_roundoff() {

@@ -8,14 +8,11 @@
 //!   the host solver, plus a timing-only variant,
 //! * [`fftsim`] — transpose-based distributed FFT timing model,
 //! * [`summa`] — SUMMA dense matmul timing model,
-//! * [`cgsim`] — distributed conjugate gradient (the allreduce-tax story),
-//! * [`shallow_sim`] — distributed shallow water with real arithmetic,
-//!   verified bit-for-bit against the host model.
+//! * [`cgsim`] — distributed conjugate gradient (the allreduce-tax story).
 
 pub mod cgsim;
 pub mod fftsim;
 pub mod lu1d;
 pub mod lu2d;
-pub mod shallow_sim;
 pub mod stencil;
 pub mod summa;

@@ -74,7 +74,7 @@ pub struct KernelEff {
 
 impl KernelEff {
     /// Efficiencies representative of tuned i860 libraries (NX/BLAS).
-    pub fn i860() -> KernelEff {
+    fn i860() -> KernelEff {
         KernelEff {
             dgemm: 0.58,
             daxpy: 0.16,
@@ -89,7 +89,7 @@ impl KernelEff {
     }
 
     /// i860XP (Paragon) — slightly better memory system.
-    pub fn i860xp() -> KernelEff {
+    fn i860xp() -> KernelEff {
         KernelEff {
             dgemm: 0.62,
             daxpy: 0.20,
@@ -99,45 +99,6 @@ impl KernelEff {
             spmv: 0.12,
             fft: 0.34,
             nbody: 0.48,
-            scalar: 0.10,
-        }
-    }
-
-    /// Efficiencies *measured* on this repo's own kernel engine — the
-    /// calibration loop the simulator's per-kernel treatment exists
-    /// for. Numbers are from `report bench-kernels` (EXPERIMENTS.md,
-    /// KERN-2) on the AVX2 development host: peak =
-    /// 2.1 GHz × 16 DP FLOP/cycle (two 4-wide FMA ports) = 33.6
-    /// GFLOP/s, and each fraction below is a measured sustained rate
-    /// over that peak:
-    ///
-    /// * `dgemm` 0.68 — packed BLIS-style GEMM, 22.9 GF/s at n=2048.
-    /// * `dtrsm` 0.38 — packed AVX2 row-block TRSM, ~12.8 GF/s inside
-    ///   `lu_factor_recorded`'s trsm spans.
-    /// * `panel` 0.24 — recursive packed panel factorisation, ~8 GF/s.
-    /// * `stencil` 0.18 — fused shallow-water sweep, 6.1 GF/s.
-    /// * `fft` 0.16 — cache-oblivious AVX2 FFT, 5.5 GF/s at n=2^20.
-    /// * `spmv` 0.11 — interleaved SpMV plan, L2-resident x, 3.7 GF/s.
-    /// * `scalar` 0.10 — compiled blocked loops without the packed
-    ///   engine (`matmul_blocked48` runs at ~6 GF/s; generic scalar
-    ///   code sits below that).
-    /// * `daxpy` 0.06 — streaming vector ops, DRAM-bandwidth bound.
-    /// * `nbody` 0.45 — estimate; not yet measured by `bench-kernels`.
-    ///
-    /// Thirty-five years after the i860, the *shape* of the profile is
-    /// unchanged — dense BLAS3 near peak, indirect/streaming kernels an
-    /// order of magnitude below — which is exactly the spread the
-    /// paper's "peak vs LINPACK vs application" story turns on.
-    pub fn avx2_measured() -> KernelEff {
-        KernelEff {
-            dgemm: 0.68,
-            daxpy: 0.06,
-            dtrsm: 0.38,
-            panel: 0.24,
-            stencil: 0.18,
-            spmv: 0.11,
-            fft: 0.16,
-            nbody: 0.45,
             scalar: 0.10,
         }
     }
@@ -157,7 +118,7 @@ impl KernelEff {
         }
     }
 
-    pub fn for_kernel(&self, k: Kernel) -> f64 {
+    fn for_kernel(&self, k: Kernel) -> f64 {
         match k {
             Kernel::Dgemm => self.dgemm,
             Kernel::Daxpy => self.daxpy,
@@ -232,13 +193,6 @@ impl NetModel {
         }
     }
 
-    /// The classic half-performance message length n_1/2: bytes at which
-    /// achieved bandwidth is half the asymptotic channel rate.
-    pub fn n_half(&self, hops: usize) -> u64 {
-        let t0 = (self.wire_latency + self.per_hop * hops as u64).as_secs_f64();
-        (t0 * self.bandwidth) as u64
-    }
-
     /// Conservative-simulation lookahead: a lower bound on the virtual
     /// time between a send being issued and the message arriving at any
     /// node in another lane (≥ one hop away). A message sent at time `t`
@@ -280,12 +234,8 @@ impl MachineConfig {
     }
 
     /// Total memory across nodes.
-    pub fn total_memory(&self) -> u64 {
-        self.memory_per_node() * self.nodes() as u64
-    }
-
-    pub fn memory_per_node(&self) -> u64 {
-        self.node.memory_bytes
+    fn total_memory(&self) -> u64 {
+        self.node.memory_bytes * self.nodes() as u64
     }
 
     /// Largest LINPACK order that fits: the n×n matrix plus workspace
@@ -380,36 +330,6 @@ pub mod presets {
         m
     }
 
-    /// The AVX2 development host this repo's kernels are measured on,
-    /// as a machine model: one 2.1 GHz core with two 4-wide FMA ports
-    /// (33.6 GFLOP/s peak), kernel efficiencies calibrated from
-    /// EXPERIMENTS.md KERN-2 ([`KernelEff::avx2_measured`]). Closes the
-    /// loop between the simulator and the engine: a modelled kernel
-    /// time on this preset is checkable against a wall-clock run.
-    pub fn avx2_host() -> MachineConfig {
-        MachineConfig {
-            name: "AVX2 host (calibrated)".to_string(),
-            topology: Topology::Full { n: 1 },
-            node: NodeModel {
-                peak_flops: 33.6e9,
-                memory_bytes: 4096 * MB,
-                eff: KernelEff::avx2_measured(),
-                // Streaming copy bandwidth of the host's DRAM.
-                mem_bw: 12.0e9,
-            },
-            net: NetModel {
-                switching: Switching::Wormhole,
-                // Loopback-class costs: a single-node preset only uses
-                // these for self-sends.
-                send_overhead: Dur::from_micros(1),
-                recv_overhead: Dur::from_micros(1),
-                wire_latency: Dur::from_nanos(100),
-                per_hop: Dur::ZERO,
-                bandwidth: 10.0e9,
-            },
-        }
-    }
-
     /// An idealised machine: Delta nodes on a zero-latency full crossbar
     /// at 100% kernel efficiency — the "speed of light" ablation bound.
     pub fn ideal(n: usize) -> MachineConfig {
@@ -502,14 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn n_half_is_positive_and_sane() {
-        let net = delta_528().net;
-        let nh = net.n_half(8);
-        // ~10 µs of latency at 25 MB/s is a few hundred bytes.
-        assert!(nh > 50 && nh < 5_000, "n_1/2 = {nh}");
-    }
-
-    #[test]
     fn machine_series_ordering() {
         // The DARPA series improves monotonically: Gamma -> Delta -> Paragon.
         let gamma = ipsc860(7);
@@ -520,31 +432,6 @@ mod tests {
         assert!(gamma.net.send_overhead > delta.net.send_overhead);
         assert!(delta.net.send_overhead > paragon.net.send_overhead);
         assert!(paragon.node.peak_flops > delta.node.peak_flops);
-    }
-
-    #[test]
-    fn avx2_host_matches_bench_calibration() {
-        let m = avx2_host();
-        assert_eq!(m.nodes(), 1);
-        // Peak is the host's 2.1 GHz × 16 DP FLOP/cycle.
-        assert!((m.peak_flops() - 33.6e9).abs() < 1.0);
-        // Sustained dgemm reproduces the measured 22.9 GF/s within the
-        // calibration's rounding (±1 GF/s).
-        assert!((m.node.sustained(Kernel::Dgemm) - 22.9e9).abs() < 1.0e9);
-        // The measured profile keeps the canonical ordering: dense
-        // BLAS3 fastest, indirect/streaming kernels far below.
-        let e = &m.node.eff;
-        assert!(e.dgemm > e.dtrsm && e.dtrsm > e.panel);
-        assert!(e.panel > e.stencil && e.stencil > e.fft);
-        assert!(e.fft > e.spmv && e.spmv > e.daxpy);
-        // A modelled n=2048 LU trailing update (dgemm class) is within
-        // a factor-of-two of the measured 288 ms wall time — the
-        // feedback loop the preset exists for.
-        let t = m
-            .node
-            .compute_time(Kernel::Dgemm, 2.0 / 3.0 * 2048f64.powi(3));
-        let secs = t.as_secs_f64();
-        assert!(secs > 0.15 && secs < 0.6, "modelled LU {secs:.3}s");
     }
 
     #[test]

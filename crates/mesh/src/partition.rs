@@ -23,12 +23,6 @@ impl SubMesh {
         self.rows * self.cols
     }
 
-    /// Global node ids covered, row-major.
-    pub fn node_ids(&self, mesh_cols: usize) -> impl Iterator<Item = usize> + '_ {
-        let (r0, c0, rs, cs) = (self.row, self.col, self.rows, self.cols);
-        (0..rs).flat_map(move |r| (0..cs).map(move |c| (r0 + r) * mesh_cols + c0 + c))
-    }
-
     pub fn overlaps(&self, other: &SubMesh) -> bool {
         self.row < other.row + other.rows
             && other.row < self.row + self.rows
@@ -116,14 +110,6 @@ impl MeshSpace {
             free_count: rows * cols,
             failed_count: 0,
             scan: vec![0; rows * words],
-        }
-    }
-
-    /// Build from a machine topology (must be a mesh).
-    pub fn for_topology(topo: &Topology) -> MeshSpace {
-        match *topo {
-            Topology::Mesh2D { rows, cols } => MeshSpace::new(rows, cols),
-            _ => panic!("space sharing needs a 2-D mesh"),
         }
     }
 
@@ -310,13 +296,6 @@ impl MeshSpace {
         }
         self.free_count += sm.nodes() - self.mark(&sm, false);
     }
-
-    /// True when the request is refused even though enough *total* free
-    /// nodes exist — external fragmentation, the metric the sub-mesh
-    /// allocation literature of the era optimised.
-    pub fn is_fragmented_refusal(&self, r: usize, c: usize) -> bool {
-        self.free_nodes() >= r * c && !self.can_allocate(r, c)
-    }
 }
 
 /// Static assignment of nodes to parallel simulation lanes.
@@ -385,6 +364,14 @@ impl LaneMap {
 mod tests {
     use super::*;
 
+    impl SubMesh {
+        /// Global node ids covered, row-major.
+        fn node_ids(&self, mesh_cols: usize) -> impl Iterator<Item = usize> + '_ {
+            let (r0, c0, rs, cs) = (self.row, self.col, self.rows, self.cols);
+            (0..rs).flat_map(move |r| (0..cs).map(move |c| (r0 + r) * mesh_cols + c0 + c))
+        }
+    }
+
     #[test]
     fn allocates_and_frees() {
         let mut m = MeshSpace::new(4, 4);
@@ -446,8 +433,8 @@ mod tests {
             }
         }
         assert_eq!(m.free_nodes(), 8);
-        assert!(m.is_fragmented_refusal(2, 2));
-        assert!(!m.is_fragmented_refusal(4, 4), "not enough nodes anyway");
+        assert!(!m.can_allocate(2, 2), "8 free nodes, no free 2x2 frame");
+        assert!(m.can_allocate(1, 1));
     }
 
     #[test]
@@ -615,10 +602,6 @@ mod tests {
                             assert_eq!(fast.can_allocate(r, c), want);
                             assert_eq!(fast.clone().allocate(r, c).is_some(), want);
                             assert_eq!(fast.fits_survivors(r, c), slow.find(r, c, false).is_some());
-                            assert_eq!(
-                                fast.is_fragmented_refusal(r, c),
-                                slow.free_nodes() >= r * c && !want
-                            );
                             assert_eq!(fast.allocate(r, c), slow.allocate(r, c));
                         }
                         5..=7 if !slow.allocated.is_empty() => {

@@ -71,11 +71,6 @@ impl JobRecord {
     pub fn wait(&self) -> Dur {
         self.started - self.job.arrival
     }
-
-    /// How many times this job was killed and re-queued.
-    pub fn requeues(&self) -> usize {
-        self.attempts.len()
-    }
 }
 
 /// Aggregate outcome of one scheduling run.
@@ -229,8 +224,8 @@ pub fn run_recorded(
                     i = 0;
                 }
                 None => {
-                    // Refused: fragmented exactly when enough nodes are
-                    // free, so `is_fragmented_refusal`'s scan is not redone.
+                    // Refused: external fragmentation exactly when enough
+                    // nodes are free in total.
                     if space.free_nodes() >= r * c {
                         *frag += 1;
                     }
@@ -590,7 +585,7 @@ mod tests {
         assert_eq!(r.nodes_failed, 1);
         assert_eq!(r.jobs, 1, "job re-ran after the kill");
         let rec = &r.records[0];
-        assert_eq!(rec.requeues(), 1);
+        assert_eq!(rec.attempts.len(), 1, "killed and re-queued once");
         assert_eq!(rec.attempts[0].killed, SimTime(40 * 1_000_000_000));
         assert_eq!(
             rec.finished,

@@ -83,7 +83,7 @@ impl Submission {
     }
 
     /// The batch-scheduler view of this submission (`partner` = tenant).
-    pub fn as_job(&self) -> Job {
+    fn as_job(&self) -> Job {
         Job {
             id: self.id,
             shape: self.shape,

@@ -169,7 +169,7 @@ impl Payload {
     }
 
     /// Borrow the doubles, or report the mismatched payload kind.
-    pub fn try_as_f64s(&self) -> Result<&[f64], CommError> {
+    fn try_as_f64s(&self) -> Result<&[f64], CommError> {
         match self {
             Payload::F64(v) => Ok(v),
             other => Err(CommError::PayloadType {
@@ -179,7 +179,7 @@ impl Payload {
     }
 
     /// Take the doubles, or report the mismatched payload kind.
-    pub fn try_into_f64s(self) -> Result<F64s, CommError> {
+    fn try_into_f64s(self) -> Result<F64s, CommError> {
         match self {
             Payload::F64(v) => Ok(v),
             other => Err(CommError::PayloadType {
@@ -188,8 +188,7 @@ impl Payload {
         }
     }
 
-    /// Borrow the doubles; panics on a non-F64 payload. Use
-    /// [`Payload::try_as_f64s`] where the caller can recover.
+    /// Borrow the doubles; panics on a non-F64 payload.
     pub fn as_f64s(&self) -> &[f64] {
         match self.try_as_f64s() {
             Ok(v) => v,
@@ -197,8 +196,8 @@ impl Payload {
         }
     }
 
-    /// Take the doubles; panics on a non-F64 payload. Use
-    /// [`Payload::try_into_f64s`] where the caller can recover.
+    /// Take the doubles; panics on a non-F64 payload.
+    /// [`Node::recv_f64s_timeout`] reports the mismatch as a typed error.
     pub fn into_f64s(self) -> F64s {
         match self.try_into_f64s() {
             Ok(v) => v,
@@ -1181,6 +1180,8 @@ impl Node {
     /// immediately, so a message arriving while the node computes is
     /// captured without the unexpected-message queue. Await the returned
     /// request to take the message (receiver overhead is charged then).
+    /// No kernel in this workspace posts one; it is kept because the
+    /// Delta's NX message-passing API offered it, beside `crecv`.
     pub fn irecv(&self, src: Option<usize>, tag: Option<u64>) -> RecvRequest {
         let mut core = self.core.borrow_mut();
         let mbox = &mut core.mailbox[self.rank];

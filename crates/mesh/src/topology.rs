@@ -136,14 +136,6 @@ impl Topology {
         }
     }
 
-    /// Mesh coordinates of a node (mesh only).
-    pub fn mesh_coords(&self, node: usize) -> Option<(usize, usize)> {
-        match *self {
-            Topology::Mesh2D { cols, .. } => Some((node / cols, node % cols)),
-            _ => None,
-        }
-    }
-
     /// The outgoing channels of `node` as `(neighbour, link)` pairs, in a
     /// fixed order (mesh: east, west, south, north; hypercube: bit order;
     /// full: node order). The fixed order is what keeps detour routing

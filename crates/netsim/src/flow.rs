@@ -58,11 +58,6 @@ impl FlowRecord {
     pub fn duration(&self) -> Dur {
         self.finished - self.started
     }
-
-    /// Mean achieved rate, bytes/s.
-    pub fn avg_rate(&self) -> f64 {
-        self.spec.bytes as f64 / self.duration().as_secs_f64().max(1e-12)
-    }
 }
 
 /// A scheduled outage of one (undirected) link: down at `down_at`,
@@ -257,20 +252,6 @@ impl NetStats {
         }
         self.carried[dir] / (net.capacity(dir) * secs)
     }
-
-    /// The `k` busiest directed links as (dir, bytes), descending.
-    pub fn busiest(&self, k: usize) -> Vec<(usize, f64)> {
-        let mut v: Vec<(usize, f64)> = self
-            .carried
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|(_, b)| *b > 0.0)
-            .collect();
-        v.sort_by(|a, b| b.1.total_cmp(&a.1));
-        v.truncate(k);
-        v
-    }
 }
 
 /// Indexed min-heap of entry completion timers: one node per armed
@@ -436,16 +417,10 @@ impl<'a> FlowSim<'a> {
 
     /// Run the transfer batch to completion; records are returned in the
     /// order the specs were given. Panics (with the [`FlowError`]
-    /// message) if any spec is unroutable — use [`FlowSim::try_run`] for
-    /// a recoverable error.
+    /// message) if any spec is unroutable — [`FlowSim::run_with_faults`]
+    /// with no outages returns the error instead.
     pub fn run(&self, specs: Vec<TransferSpec>) -> Vec<FlowRecord> {
         self.run_with_stats(specs).0
-    }
-
-    /// Like [`FlowSim::run`], returning `Err` instead of panicking when
-    /// a spec names a disconnected or degenerate site pair.
-    pub fn try_run(&self, specs: Vec<TransferSpec>) -> Result<Vec<FlowRecord>, FlowError> {
-        self.try_run_with_stats(specs).map(|(records, _)| records)
     }
 
     /// Like [`FlowSim::run`], also returning per-link carriage stats.
@@ -943,6 +918,22 @@ mod tests {
     use super::*;
     use crate::link::LinkClass;
 
+    impl NetStats {
+        /// The `k` busiest directed links as (dir, bytes), descending.
+        fn busiest(&self, k: usize) -> Vec<(usize, f64)> {
+            let mut v: Vec<(usize, f64)> = self
+                .carried
+                .iter()
+                .copied()
+                .enumerate()
+                .filter(|(_, b)| *b > 0.0)
+                .collect();
+            v.sort_by(|a, b| b.1.total_cmp(&a.1));
+            v.truncate(k);
+            v
+        }
+    }
+
     fn dumbbell() -> (Net, SiteId, SiteId, SiteId, SiteId) {
         // a --\            /-- c
         //      m1 == T1 == m2
@@ -1145,7 +1136,7 @@ mod tests {
         net.add_link(a, c, LinkClass::T1, Dur::from_millis(1));
         let sim = FlowSim::new(&net);
         let err = sim
-            .try_run(vec![
+            .try_run_with_stats(vec![
                 TransferSpec::new(a, c, 100, SimTime::ZERO),
                 TransferSpec::new(a, b, 100, SimTime::ZERO),
             ])
@@ -1161,7 +1152,7 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("CalTech") && msg.contains("island"), "{msg}");
         let err = sim
-            .try_run(vec![TransferSpec::new(c, c, 100, SimTime::ZERO)])
+            .try_run_with_stats(vec![TransferSpec::new(c, c, 100, SimTime::ZERO)])
             .unwrap_err();
         assert!(matches!(err, FlowError::SelfTransfer { index: 0, .. }));
     }

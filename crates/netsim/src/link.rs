@@ -33,7 +33,7 @@ pub enum LinkClass {
 
 impl LinkClass {
     /// Line rate in bits per second.
-    pub fn bits_per_sec(self) -> f64 {
+    fn bits_per_sec(self) -> f64 {
         match self {
             LinkClass::Regional56k => 56.0e3,
             LinkClass::T1 => 1.544e6,
@@ -81,22 +81,6 @@ impl LinkClass {
             LinkClass::Gig400 => "400G Ethernet",
         }
     }
-
-    /// The modern fabric tiers the NET-1 exhibit sweeps, slowest first —
-    /// the T1→T3→gigabit upgrade story replayed at 2020s line rates.
-    pub fn modern_tiers() -> [LinkClass; 3] {
-        [LinkClass::Gigabit, LinkClass::Gig100, LinkClass::Gig400]
-    }
-
-    /// All classes that appear on the consortium figure, slowest first.
-    pub fn consortium_classes() -> [LinkClass; 4] {
-        [
-            LinkClass::Regional56k,
-            LinkClass::T1,
-            LinkClass::T3,
-            LinkClass::HippiSonet800,
-        ]
-    }
 }
 
 /// A site (network endpoint) id.
@@ -143,7 +127,7 @@ mod tests {
 
     #[test]
     fn modern_tiers_replay_the_upgrade_ratios() {
-        let [gig, g100, g400] = LinkClass::modern_tiers();
+        let [gig, g100, g400] = [LinkClass::Gigabit, LinkClass::Gig100, LinkClass::Gig400];
         // Gigabit→100G is a ~100x jump, larger than the T1→T3 29x the
         // paper celebrates; 100G→400G is the incremental follow-on.
         assert!((g100.bits_per_sec() / gig.bits_per_sec() - 100.0).abs() < 1e-6);
@@ -163,7 +147,13 @@ mod tests {
 
     #[test]
     fn payload_rate_below_line_rate() {
-        for c in LinkClass::consortium_classes() {
+        // Every class on the consortium figure.
+        for c in [
+            LinkClass::Regional56k,
+            LinkClass::T1,
+            LinkClass::T3,
+            LinkClass::HippiSonet800,
+        ] {
             assert!(c.bytes_per_sec() * 8.0 < c.bits_per_sec());
             assert!(c.bytes_per_sec() * 8.0 > 0.8 * c.bits_per_sec());
         }

@@ -73,24 +73,8 @@ pub fn visualization_feasibility(
     frame_bytes: u64,
     fps: f64,
 ) -> (f64, f64, bool) {
-    let mut cache = RouteCache::new();
-    visualization_feasibility_cached(net, &mut cache, delta, viewer, frame_bytes, fps)
-}
-
-/// [`visualization_feasibility`] against a shared [`RouteCache`]: the
-/// route (and the bottleneck capacity memoized on it at construction)
-/// is interned, so sweeping many viewer sites runs Dijkstra once per
-/// pair instead of re-walking the route per query.
-pub fn visualization_feasibility_cached(
-    net: &Net,
-    cache: &mut RouteCache,
-    delta: SiteId,
-    viewer: SiteId,
-    frame_bytes: u64,
-    fps: f64,
-) -> (f64, f64, bool) {
     let required = frame_bytes as f64 * fps;
-    let achievable = cache
+    let achievable = RouteCache::new()
         .route(net, delta, viewer, &[])
         .map(|r| r.bottleneck)
         .unwrap_or(0.0);
@@ -188,12 +172,6 @@ mod tests {
         assert!(ok, "HIPPI handles {req} <= {ach}");
         let (_, _, ok) = visualization_feasibility(&net, delta, darpa, 1_000_000, 24.0);
         assert!(!ok, "T1 cannot carry 24 MB/s");
-        // The cached form interns the route: second query is a hit.
-        let mut cache = crate::graph::RouteCache::new();
-        let a = visualization_feasibility_cached(&net, &mut cache, delta, jpl, 1_000_000, 24.0);
-        let b = visualization_feasibility_cached(&net, &mut cache, delta, jpl, 1_000_000, 24.0);
-        assert_eq!(a, b);
-        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
     }
 
     #[test]

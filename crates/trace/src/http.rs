@@ -27,9 +27,9 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::stream::StreamRecorder;
 
@@ -39,7 +39,6 @@ use crate::stream::StreamRecorder;
 pub struct TelemetryServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    requests: Arc<AtomicU64>,
     accept: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -51,9 +50,7 @@ impl TelemetryServer {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let requests = Arc::new(AtomicU64::new(0));
         let stop2 = Arc::clone(&stop);
-        let requests2 = Arc::clone(&requests);
         let in_flight = Arc::new(AtomicUsize::new(0));
         let accept = std::thread::Builder::new()
             .name("hpcc-telemetry".into())
@@ -68,7 +65,6 @@ impl TelemetryServer {
                         continue;
                     };
                     let rec = Arc::clone(&rec);
-                    let requests = Arc::clone(&requests2);
                     // One short-lived thread per connection; handlers
                     // only read atomics and Arc-cloned chunks.
                     let _ = std::thread::Builder::new()
@@ -80,7 +76,6 @@ impl TelemetryServer {
                             // its connection end finds the slot free.
                             let mut sock = sock;
                             let _slot = slot;
-                            requests.fetch_add(1, Ordering::Relaxed);
                             let _ = handle(&mut sock, &rec);
                         });
                 }
@@ -88,7 +83,6 @@ impl TelemetryServer {
         Ok(TelemetryServer {
             addr: local,
             stop,
-            requests,
             accept: Some(accept),
         })
     }
@@ -96,11 +90,6 @@ impl TelemetryServer {
     /// The bound address (resolves the ephemeral port).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Requests accepted so far.
-    pub fn requests(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
     }
 
     /// Stop accepting and join the accept thread. In-flight connection
@@ -216,19 +205,14 @@ fn refuse(mut sock: TcpStream) {
 }
 
 fn handle(sock: &mut TcpStream, rec: &StreamRecorder) -> std::io::Result<()> {
-    sock.set_read_timeout(Some(Duration::from_secs(5)))?;
     sock.set_write_timeout(Some(Duration::from_secs(5)))?;
-    // Read until the end of the request head. Bodies are ignored: every
-    // endpoint is a GET.
-    let mut buf = Vec::with_capacity(512);
-    let mut chunk = [0u8; 512];
-    while !terminated(&buf) && buf.len() <= MAX_HEAD {
-        let n = sock.read(&mut chunk)?;
-        if n == 0 {
-            break;
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    }
+    // The whole head has one deadline: a peer trickling a byte at a time
+    // gives up its slot as soon as an idle one does.
+    let buf = match read_head(sock, Instant::now() + Duration::from_secs(5)) {
+        Ok(buf) => buf,
+        Err(e) if timed_out(&e) => return respond(sock, 408, "text/plain", "request timeout\n"),
+        Err(e) => return Err(e),
+    };
     match route(&buf) {
         Ok(Route::Healthz) => respond(sock, 200, "text/plain", "ok\n"),
         Ok(Route::Metrics) => respond(
@@ -245,12 +229,43 @@ fn handle(sock: &mut TcpStream, rec: &StreamRecorder) -> std::io::Result<()> {
     }
 }
 
+/// Read until the end of the request head, the peer's end of stream, or
+/// past [`MAX_HEAD`] bytes; every read waits only for the time left
+/// before `deadline`. Bodies are ignored: every endpoint is a GET.
+fn read_head(sock: &mut TcpStream, deadline: Instant) -> std::io::Result<Vec<u8>> {
+    let mut buf = Vec::with_capacity(512);
+    let mut chunk = [0u8; 512];
+    while !terminated(&buf) && buf.len() <= MAX_HEAD {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        sock.set_read_timeout(Some(left))?;
+        let n = sock.read(&mut chunk)?;
+        if n == 0 {
+            break;
+        }
+        buf.extend_from_slice(&chunk[..n]);
+    }
+    Ok(buf)
+}
+
+/// A read that ran out of time: Unix reports a socket timeout as
+/// `WouldBlock`, Windows as `TimedOut`.
+fn timed_out(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    )
+}
+
 fn respond(sock: &mut TcpStream, status: u16, ctype: &str, body: &str) -> std::io::Result<()> {
     let reason = match status {
         200 => "OK",
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         431 => "Request Header Fields Too Large",
         503 => "Service Unavailable",
         _ => "Error",
@@ -343,7 +358,6 @@ mod tests {
         let (code, _) = get(addr, "/trace?since=xyz").unwrap();
         assert_eq!(code, 400);
 
-        assert!(srv.requests() >= 5);
         srv.stop();
     }
 
@@ -540,5 +554,38 @@ mod tests {
             snap.ring.retained_events + snap.ring.active_events + snap.ring.evicted_events
         );
         srv.stop();
+    }
+
+    #[test]
+    fn trickled_head_times_out_at_one_deadline() {
+        // A byte every 50 ms never trips a per-read timeout of 300 ms;
+        // the head's one deadline ends the read all the same.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut server, _) = listener.accept().unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let trickler = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::SeqCst) && client.write_all(b"G").is_ok() {
+                    std::thread::sleep(Duration::from_millis(50));
+                }
+            })
+        };
+        let start = Instant::now();
+        let err = read_head(&mut server, start + Duration::from_millis(300)).unwrap_err();
+        let took = start.elapsed();
+        stop.store(true, Ordering::SeqCst);
+        trickler.join().unwrap();
+        assert!(timed_out(&err), "{err:?}");
+        assert!(took >= Duration::from_millis(300), "{took:?}");
+        assert!(took < Duration::from_secs(3), "{took:?}");
+
+        // A whole head within the deadline reads as before.
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut server, _) = listener.accept().unwrap();
+        client.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+        let head = read_head(&mut server, Instant::now() + Duration::from_secs(5)).unwrap();
+        assert_eq!(route(&head), Ok(Route::Healthz));
     }
 }

@@ -345,10 +345,6 @@ impl<'a> WallTrack<'a> {
         }
     }
 
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Wall-clock nanoseconds since this track's origin (0 when disabled).
     pub fn now_ns(&self) -> u64 {
         if !self.enabled {
@@ -440,7 +436,7 @@ mod tests {
     fn wall_track_disabled_never_reads_clock() {
         let r = NullRecorder;
         let w = WallTrack::new(&r, "host", "gemm");
-        assert!(!w.enabled());
+        assert!(!w.enabled);
         assert_eq!(w.now_ns(), 0);
         w.span_from("phase", "pack_a", 0);
     }

@@ -34,7 +34,7 @@ pub struct NodeBreakdown {
 
 impl NodeBreakdown {
     /// Sum of the non-idle interval categories.
-    pub fn busy_ns(&self) -> u64 {
+    fn busy_ns(&self) -> u64 {
         self.compute_ns
             + self.send_ns
             + self.recv_ns
