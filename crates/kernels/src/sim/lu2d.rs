@@ -63,18 +63,16 @@ fn local_count(from: usize, n: usize, nb: usize, p: usize, coord: usize) -> usiz
 }
 
 /// Latency of a `p`-way recursive-doubling allreduce of `bytes` on the
-/// machine, approximated with average-distance hops.
+/// machine, approximated with uncontended messages over average-distance
+/// hops in the machine's switching mode.
 fn allreduce_latency(cfg: &MachineConfig, p: usize, bytes: u64) -> Dur {
     if p <= 1 {
         return Dur::ZERO;
     }
     let rounds = (p as f64).log2().ceil() as u64;
     let avg_hops = (cfg.topology.diameter() / 2).max(1);
-    let per_msg = cfg.net.send_overhead
-        + cfg.net.wire_latency
-        + cfg.net.per_hop * avg_hops as u64
-        + Dur::from_secs_f64(bytes as f64 / cfg.net.bandwidth)
-        + cfg.net.recv_overhead;
+    let per_msg =
+        cfg.net.send_overhead + cfg.net.transfer_time(bytes, avg_hops) + cfg.net.recv_overhead;
     per_msg * rounds
 }
 
@@ -352,6 +350,15 @@ pub fn resilience_sweep(
 mod tests {
     use super::*;
     use delta_mesh::presets;
+
+    /// The pivot allreduce is timed in the machine's switching mode:
+    /// store-and-forward pays the serialisation at every hop.
+    #[test]
+    fn allreduce_follows_the_switching_mode() {
+        let wormhole = allreduce_latency(&presets::delta(8, 8), 8, 16);
+        let stored = allreduce_latency(&presets::delta_store_and_forward(8, 8), 8, 16);
+        assert!(stored > wormhole, "{stored} vs {wormhole}");
+    }
 
     #[test]
     fn grid_choice_near_square() {

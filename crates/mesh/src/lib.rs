@@ -24,6 +24,7 @@
 //! ```
 
 pub mod collective;
+mod fabric;
 pub mod machine;
 pub mod partition;
 pub mod sched;

@@ -163,7 +163,7 @@ pub enum Switching {
 }
 
 /// Network cost model (per-message, link-occupancy semantics — see
-/// `sim.rs` for the wormhole approximation).
+/// `fabric.rs` for how a message holds its channels).
 #[derive(Debug, Clone)]
 pub struct NetModel {
     /// Message switching discipline.
@@ -183,29 +183,33 @@ pub struct NetModel {
 impl NetModel {
     /// Uncontended one-way time for `bytes` over `hops` hops.
     pub fn transfer_time(&self, bytes: u64, hops: usize) -> Dur {
-        let serial = Dur::from_secs_f64(bytes as f64 / self.bandwidth);
         match self.switching {
-            Switching::Wormhole => self.wire_latency + self.per_hop * hops as u64 + serial,
+            Switching::Wormhole => self.wire_latency + self.hold(bytes, hops),
             Switching::StoreAndForward => {
                 // The whole message is retransmitted at every hop.
-                self.wire_latency + (self.per_hop + serial) * hops.max(1) as u64
+                self.wire_latency + self.hold(bytes, 1) * hops.max(1) as u64
             }
         }
     }
 
+    /// How long `bytes` hold a path of `hops` channels once the header
+    /// is on it: the routers' per-hop delay plus the serialisation time.
+    pub(crate) fn hold(&self, bytes: u64, hops: usize) -> Dur {
+        self.per_hop * hops as u64 + Dur::from_secs_f64(bytes as f64 / self.bandwidth)
+    }
+
     /// Conservative-simulation lookahead: a lower bound on the virtual
     /// time between a send being issued and the message arriving at any
-    /// node in another lane (≥ one hop away). A message sent at time `t`
-    /// can never arrive before `t + lookahead()`, so a lane that has
-    /// advanced to `T` cannot be affected by remote events until
+    /// node in another lane (≥ one hop away) — the send overhead plus an
+    /// empty message's one-hop transfer. A message sent at time `t` can
+    /// never arrive before `t + lookahead()`, so a lane that has advanced
+    /// to `T` cannot be affected by remote events until
     /// `T + lookahead()` — the window width of the sharded engine.
     ///
     /// Floored at 1 ns so the window is never empty (the `ideal` preset
     /// has near-zero overheads).
     pub fn lookahead(&self) -> Dur {
-        Dur((self.send_overhead + self.wire_latency + self.per_hop)
-            .0
-            .max(1))
+        (self.send_overhead + self.transfer_time(0, 1)).max(Dur(1))
     }
 }
 

@@ -301,14 +301,15 @@ impl MeshSpace {
 /// Static assignment of nodes to parallel simulation lanes.
 ///
 /// A lane is a shard of the discrete-event engine: one event calendar,
-/// one executor, one contiguous block of node ids. For a 2-D mesh the
-/// blocks are whole rows, which matters because XY routing (column
-/// first, then row) keeps every intra-lane route on intra-lane links —
-/// only messages whose endpoints live in different lanes cross a lane
-/// boundary. For other topologies the blocks are plain id ranges.
+/// one executor, one fabric, one contiguous block of node ids. The
+/// blocks are cut so that a fault-free route between two nodes of a lane
+/// uses only channels whose source node is in the lane: whole rows of a
+/// mesh (XY routing), subcubes of a hypercube (e-cube routing), id
+/// ranges of a crossbar. A detour around a failed channel may still
+/// leave the block ([`crate::shard`]'s modelling concession).
 ///
 /// The requested lane count is clamped so every lane is non-empty
-/// (≤ rows for a mesh, ≤ nodes otherwise).
+/// (≤ rows for a mesh, ≤ nodes otherwise; a power of two for a cube).
 #[derive(Debug, Clone)]
 pub struct LaneMap {
     /// `starts[l]..starts[l + 1]` is lane `l`'s node range.
@@ -324,7 +325,10 @@ impl LaneMap {
             _ => nodes,
         };
         let per_unit = nodes / units;
-        let lanes = lanes.clamp(1, units);
+        let mut lanes = lanes.clamp(1, units);
+        if let Topology::Hypercube { .. } = topo {
+            lanes = 1 << lanes.ilog2();
+        }
         // Balanced contiguous blocks: lane l gets units [l*u/L, (l+1)*u/L).
         let starts: Vec<usize> = (0..=lanes)
             .map(|l| (l * units / lanes) * per_unit)
@@ -702,5 +706,44 @@ mod tests {
         assert_eq!(map.total_nodes(), 128);
         assert_eq!(map.range(0), 0..32);
         assert_eq!(map.lane_of(127), 3);
+    }
+
+    /// The lane cut the sharded engine relies on: a fault-free route
+    /// between two nodes of one lane never uses a channel whose source
+    /// node another lane owns (that lane holds its reservations).
+    #[test]
+    fn same_lane_routes_stay_on_the_lanes_channels() {
+        let topos = [
+            Topology::Mesh2D { rows: 6, cols: 5 },
+            Topology::Mesh2D { rows: 1, cols: 4 },
+            Topology::Hypercube { dim: 3 },
+            Topology::Hypercube { dim: 5 },
+            Topology::Full { n: 7 },
+        ];
+        let (mut route, mut nbrs) = (Vec::new(), Vec::new());
+        for topo in &topos {
+            let mut source = vec![0; topo.links()];
+            for node in 0..topo.nodes() {
+                topo.neighbours(node, &mut nbrs);
+                for &(_, link) in &nbrs {
+                    source[link] = node;
+                }
+            }
+            for lanes in 1..=8 {
+                let map = LaneMap::new(topo, lanes);
+                for a in 0..topo.nodes() {
+                    for b in map.range(map.lane_of(a)) {
+                        topo.route(a, b, &mut route);
+                        for &l in &route {
+                            assert_eq!(
+                                map.lane_of(source[l]),
+                                map.lane_of(a),
+                                "{topo:?} at {lanes} lanes: {a}->{b} uses channel {l}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

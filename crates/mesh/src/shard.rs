@@ -85,13 +85,16 @@
 //!
 //! ## Modelling concession
 //!
-//! Intra-lane messages keep the full link-occupancy contention model.
-//! Cross-lane messages are timed analytically (sender overhead plus the
-//! uncontended transfer time) and ignore link outages: boundary traffic
-//! sees no channel contention. With row-block lanes and XY routing,
-//! every route between same-lane nodes stays on same-lane channels, so
-//! the concession applies exactly to the traffic that crosses a lane
-//! boundary and to nothing else.
+//! Each lane's fabric (`fabric.rs`) times a message between two of its
+//! nodes with the full link-occupancy model. A message to another lane
+//! is timed as an idle fabric would time it, with no channel contention
+//! and no link outage; alone on the machine, it arrives as it would at
+//! one lane. Fault-free, a route between two nodes of a lane uses only
+//! channels that lane owns ([`LaneMap`]), so the concession applies
+//! exactly to the traffic that crosses a lane boundary. Under link
+//! faults it does not: a same-lane detour may cross another lane's
+//! channels, whose outages this lane does not see and whose reservations
+//! it does not share. Hence every lane's fabric keeps every channel.
 
 use crate::machine::MachineConfig;
 use crate::partition::LaneMap;
@@ -539,7 +542,10 @@ fn finish<T>(lane: Lane<T>) -> LaneOut<T> {
     LaneOut {
         range: lane.range,
         results,
-        counters: core.counters.clone(),
+        counters: Counters {
+            link_busy: core.fabric.busy,
+            ..core.counters
+        },
         now: core.q.now(),
         events: core.q.events_processed(),
     }
@@ -873,6 +879,38 @@ mod tests {
             assert_eq!(lane_out, out, "workers={workers}");
             assert_eq!(lane_report.faults, report.faults, "workers={workers}");
             assert_eq!(lane_report.elapsed, report.elapsed, "workers={workers}");
+        }
+    }
+
+    /// The modelling concession costs a lone message nothing: timed as an
+    /// idle fabric would time it, a send to another lane arrives when it
+    /// would at one lane, in both switching modes.
+    #[test]
+    fn lone_cross_lane_message_arrives_as_at_one_lane() {
+        for cfg in [presets::delta(8, 4), presets::delta_store_and_forward(8, 4)] {
+            let m = Machine::new(cfg);
+            // Rows 4..8: another lane than rank 0's at two and four lanes.
+            for dst in [16, 22, 31] {
+                let program = |node: Node| async move {
+                    match node.rank() {
+                        0 => node.send_virtual(dst, 1, 4096).await,
+                        r if r == dst => return node.recv(Some(0), Some(1)).await.arrived_at,
+                        _ => {}
+                    }
+                    SimTime::ZERO
+                };
+                let (one, _, _) = m.run_sharded_stats(1, &FaultPlan::none(), program);
+                for lanes in [2, 4] {
+                    let (out, _, stats) = m.run_sharded_stats(lanes, &FaultPlan::none(), program);
+                    assert_eq!(
+                        stats.mail_msgs,
+                        1,
+                        "{}: 0->{dst} crosses lanes",
+                        m.config().name
+                    );
+                    assert_eq!(out, one, "{} at {lanes} lanes: 0->{dst}", m.config().name);
+                }
+            }
         }
     }
 

@@ -3,15 +3,12 @@
 //!
 //! ## Network model
 //!
-//! Messages are timed with a *link-occupancy* approximation of wormhole
-//! switching: a message from `src` to `dst` follows the topology's
-//! deterministic route; it starts when every channel on the path is free
-//! (and the wire latency has elapsed), then holds the whole path for
-//! `per_hop·hops + bytes/bandwidth`. This captures the two behaviours that
-//! matter at the scale of the paper's claims — pipelined transfers whose
-//! time is dominated by `bytes/bw`, and head-of-line contention when
-//! routes share channels — while staying fast enough to sweep 1000-node
-//! machines.
+//! A send is injected after the sender's software overhead. A message to
+//! another node of the same lane then reserves its route in the lane's
+//! `Fabric` (`fabric.rs`: link occupancy, both switching modes, outage
+//! detours); one to a node of another lane of a sharded run is timed as
+//! that fabric would time it idle (`NetModel::transfer_time`) and
+//! handed to that lane at the window's end ([`crate::shard`]).
 //!
 //! ## Compute model
 //!
@@ -20,6 +17,7 @@
 //! (validated numerics at small scale) or `Payload::Virtual` byte counts
 //! (paper-scale runs where only timing matters).
 
+use crate::fabric::Fabric;
 use crate::machine::{Kernel, MachineConfig};
 use crate::partition::LaneMap;
 use crate::topology::LinkId;
@@ -468,11 +466,9 @@ impl Counters {
     }
 }
 
-/// Per-lane view of the machine held by the sharded runtime. A lane owns
-/// a contiguous block of node ids ([`LaneMap`]); messages between two
-/// nodes of the same lane go through the full link-occupancy model,
-/// messages to another lane are timed analytically (contention-free) and
-/// handed over through the lane mailbox at the end of the window.
+/// Per-lane view of the machine held by the sharded runtime: the lane
+/// owns a contiguous block of node ids ([`LaneMap`]) and hands messages
+/// to other lanes through its outbox at the end of the window.
 pub(crate) struct ShardState {
     /// This core's lane index.
     pub(crate) lane: usize,
@@ -491,7 +487,7 @@ pub(crate) struct SimCore {
     /// Shared with the owning [`Machine`] and every [`Node`] handle —
     /// the config is immutable for the whole run, so nobody clones it.
     pub(crate) cfg: Rc<MachineConfig>,
-    link_busy_until: Vec<SimTime>,
+    pub(crate) fabric: Fabric,
     mailbox: Vec<VecDeque<Msg>>,
     pending: Vec<VecDeque<PendingRecv>>,
     /// The blocking recv each rank is parked in, as `(src, tag)` — only
@@ -499,7 +495,6 @@ pub(crate) struct SimCore {
     blocked: Vec<Option<(Option<usize>, Option<u64>)>>,
     timers: WaitTable<()>,
     recvs: WaitTable<RecvResult>,
-    route_buf: Vec<LinkId>,
     /// Reused buffer for formatted trace-span names.
     label: String,
     pub(crate) counters: Counters,
@@ -507,11 +502,6 @@ pub(crate) struct SimCore {
     failed: Vec<bool>,
     /// Active slowdown per node: `(factor, until)`.
     slow: Vec<(f64, SimTime)>,
-    /// Channels currently out of service. `down_links` counts them so
-    /// the fault-free fast path is a single integer compare.
-    down: Vec<bool>,
-    down_until: Vec<SimTime>,
-    down_links: usize,
     next_token: u64,
     /// Trace sink. Pure observer: it is handed timestamps the simulator
     /// already computed and never feeds anything back, so a disabled
@@ -519,9 +509,8 @@ pub(crate) struct SimCore {
     rec: Rc<dyn Recorder>,
     /// Cached `rec.is_enabled()` — the fast path is one bool test.
     rec_on: bool,
-    /// Trace track per node rank / per channel (empty when disabled).
+    /// Trace track per node rank (empty when disabled).
     node_track: Vec<TrackId>,
-    link_track: Vec<TrackId>,
     /// `Some` when this core is one lane of a sharded run; `None` for the
     /// lone lane of the single-queue engine, which owns every node and
     /// never takes a cross-lane branch.
@@ -538,7 +527,6 @@ impl SimCore {
         cap: usize,
     ) -> SimCore {
         let n = cfg.nodes();
-        let links = cfg.topology.links();
         let rec_on = rec.is_enabled();
         let node_track = if rec_on {
             (0..n)
@@ -547,13 +535,8 @@ impl SimCore {
         } else {
             Vec::new()
         };
-        let link_track = if rec_on {
-            (0..links)
-                .map(|l| rec.track(names::MESH_LINKS, &format!("chan {l}")))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        // Channel tracks come after the node tracks.
+        let fabric = Fabric::new(Rc::clone(&cfg), &rec);
         // A send, and a receive that found no buffered copy to pay for,
         // arm the node's one timer at exactly the configured overhead:
         // those wakes take the calendar's FIFO lanes instead of its heap.
@@ -562,25 +545,20 @@ impl SimCore {
         SimCore {
             q,
             cfg,
-            link_busy_until: vec![SimTime::ZERO; links],
+            fabric,
             mailbox: (0..n).map(|_| VecDeque::new()).collect(),
             pending: (0..n).map(|_| VecDeque::new()).collect(),
             blocked: vec![None; n],
             timers: Waits::table(),
             recvs: Waits::table(),
-            route_buf: Vec::new(),
             label: String::new(),
             counters: Counters::default(),
             failed: vec![false; n],
             slow: vec![(1.0, SimTime::ZERO); n],
-            down: vec![false; links],
-            down_until: vec![SimTime::ZERO; links],
-            down_links: 0,
             next_token: 0,
             rec,
             rec_on,
             node_track,
-            link_track,
             shard: None,
         }
     }
@@ -595,11 +573,29 @@ impl SimCore {
         }
     }
 
-    /// Compute the arrival time of a message injected now and reserve the
-    /// channels along its route. A message addressed to a dead node, or
-    /// with every route crossing a failed channel, is dropped (fail-stop
-    /// hardware gives the sender no synchronous acknowledgement; the
-    /// returned error models the NX failure-detector oracle).
+    /// The lane owning `node`, if not this one.
+    fn remote_lane(&self, node: usize) -> Option<usize> {
+        let sh = self.shard.as_ref()?;
+        let lane = sh.map.lane_of(node);
+        (lane != sh.lane).then_some(lane)
+    }
+
+    /// The NX failure-detector oracle for `node` of lane `remote`. A
+    /// remote node's fail-stop state is a pure function of the fault
+    /// plan and the clock: no cross-lane traffic is needed to answer.
+    fn has_failed(&self, node: usize, remote: Option<usize>) -> bool {
+        match (&self.shard, remote) {
+            (Some(sh), Some(_)) => sh.crash_time[node] <= self.q.now(),
+            _ => self.failed[node],
+        }
+    }
+
+    /// Send a message now: time its arrival, then schedule its delivery
+    /// or hand it to `dst`'s lane, which an idle fabric times (the
+    /// modelling concession of [`crate::shard`]). A message to a dead
+    /// node, or with every route down, is dropped: fail-stop hardware
+    /// gives the sender no acknowledgement, the returned error models
+    /// the NX failure-detector oracle.
     fn inject(
         &mut self,
         src: usize,
@@ -607,114 +603,36 @@ impl SimCore {
         tag: u64,
         payload: Payload,
     ) -> Result<(), CommError> {
-        if let Some(sh) = &self.shard {
-            let dlane = sh.map.lane_of(dst);
-            if dlane != sh.lane {
-                return self.inject_remote(dlane, src, dst, tag, payload);
-            }
-        }
         let now = self.q.now();
         let bytes = payload.len_bytes();
         self.counters.messages += 1;
         self.counters.bytes += bytes;
-
-        if self.failed[dst] {
-            self.counters.faults.messages_lost += 1;
-            if self.rec_on {
-                self.rec
-                    .instant(self.node_track[src], "fault", "msg_lost", now.nanos());
-            }
-            return Err(CommError::NodeFailed(dst));
-        }
-
-        let arrival = if src == dst {
+        let remote = self.remote_lane(dst);
+        // The message enters the network after the software send path.
+        let injected = now + self.cfg.net.send_overhead;
+        let arrival = if self.has_failed(dst, remote) {
+            Err(CommError::NodeFailed(dst))
+        } else if src == dst {
             // Local copy through memory; never touches the network.
-            now + Dur::from_micros(1) + Dur::from_secs_f64(bytes as f64 / self.cfg.node.mem_bw)
+            Ok(now + Dur::from_micros(1) + Dur::from_secs_f64(bytes as f64 / self.cfg.node.mem_bw))
+        } else if remote.is_some() {
+            let hops = self.cfg.topology.hops(src, dst);
+            Ok(injected + self.cfg.net.transfer_time(bytes, hops))
         } else {
-            let net = &self.cfg.net;
-            let mut route = std::mem::take(&mut self.route_buf);
-            if self.down_links == 0 {
-                self.cfg.topology.route(src, dst, &mut route);
-            } else if !self
-                .cfg
-                .topology
-                .route_avoiding(src, dst, &self.down, &mut route)
-            {
-                self.route_buf = route;
+            self.fabric
+                .reserve(src, dst, bytes, injected, &mut self.label)
+        };
+        let arrival = match arrival {
+            Ok(at) => at,
+            Err(e) => {
                 self.counters.faults.messages_lost += 1;
                 if self.rec_on {
                     self.rec
                         .instant(self.node_track[src], "fault", "msg_lost", now.nanos());
                 }
-                return Err(CommError::Unreachable { from: src, to: dst });
+                return Err(e);
             }
-            // The first byte reaches the wire only after the sender's
-            // software send path and the router setup have run.
-            let injected = now + net.send_overhead + net.wire_latency;
-            let serial = Dur::from_secs_f64(bytes as f64 / net.bandwidth);
-            if self.rec_on {
-                // One name for every channel-occupancy span of the message.
-                self.label.clear();
-                let _ = write!(self.label, "{src}->{dst}");
-            }
-            let end = match net.switching {
-                crate::machine::Switching::Wormhole => {
-                    // The whole path is reserved once and held for the
-                    // pipelined transfer.
-                    let mut start = injected;
-                    for &l in &route {
-                        if self.link_busy_until[l] > start {
-                            start = self.link_busy_until[l];
-                        }
-                    }
-                    let dur = net.per_hop * route.len() as u64 + serial;
-                    let end = start + dur;
-                    for &l in &route {
-                        self.link_busy_until[l] = end;
-                    }
-                    self.counters.link_busy += dur * route.len() as u64;
-                    if self.rec_on {
-                        // Channel-occupancy spans: the whole path holds the
-                        // reservation window the model just computed.
-                        for &l in &route {
-                            self.rec.span(
-                                self.link_track[l],
-                                "link",
-                                &self.label,
-                                start.nanos(),
-                                end.nanos(),
-                            );
-                        }
-                    }
-                    end
-                }
-                crate::machine::Switching::StoreAndForward => {
-                    // The message is fully buffered and retransmitted at
-                    // every hop; each channel is held for its own copy.
-                    let mut at = injected;
-                    for &l in &route {
-                        let start = at.max(self.link_busy_until[l]);
-                        let end = start + net.per_hop + serial;
-                        self.link_busy_until[l] = end;
-                        self.counters.link_busy += net.per_hop + serial;
-                        if self.rec_on {
-                            self.rec.span(
-                                self.link_track[l],
-                                "link",
-                                &self.label,
-                                start.nanos(),
-                                end.nanos(),
-                            );
-                        }
-                        at = end;
-                    }
-                    at
-                }
-            };
-            self.route_buf = route;
-            end
         };
-
         let msg = Msg {
             src,
             tag,
@@ -722,51 +640,10 @@ impl SimCore {
             sent_at: now,
             arrived_at: arrival,
         };
-        self.q.schedule(arrival, Event::Deliver { dst, msg });
-        Ok(())
-    }
-
-    /// Inject a message whose destination lives in another lane. The
-    /// arrival time is computed analytically — sender overhead plus the
-    /// uncontended transfer time — rather than through link reservation:
-    /// cross-lane traffic sees no channel contention and ignores link
-    /// outages, the modelling concession that buys lane independence
-    /// (the send-side latency floor is exactly the engine's lookahead,
-    /// so the arrival always lands at or past the window horizon). The
-    /// message is buffered in the lane outbox; the window runtime moves
-    /// it to the destination lane's calendar at the next horizon.
-    fn inject_remote(
-        &mut self,
-        dlane: usize,
-        src: usize,
-        dst: usize,
-        tag: u64,
-        payload: Payload,
-    ) -> Result<(), CommError> {
-        let now = self.q.now();
-        let bytes = payload.len_bytes();
-        self.counters.messages += 1;
-        self.counters.bytes += bytes;
-        let sh = self.shard.as_mut().expect("remote inject on sharded core");
-        if sh.crash_time[dst] <= now {
-            // Same fail-stop oracle as the local path: the destination is
-            // already dead, the message is dropped on the floor.
-            self.counters.faults.messages_lost += 1;
-            return Err(CommError::NodeFailed(dst));
+        match (remote, &mut self.shard) {
+            (Some(lane), Some(sh)) => sh.outbox[lane].push((dst, msg)),
+            _ => self.q.schedule(arrival, Event::Deliver { dst, msg }),
         }
-        let net = &self.cfg.net;
-        let hops = self.cfg.topology.hops(src, dst);
-        let arrival = now + net.send_overhead + net.transfer_time(bytes, hops);
-        sh.outbox[dlane].push((
-            dst,
-            Msg {
-                src,
-                tag,
-                payload,
-                sent_at: now,
-                arrived_at: arrival,
-            },
-        ));
         Ok(())
     }
 
@@ -790,7 +667,7 @@ impl SimCore {
                 None => Dispatched::Nothing,
             },
             Event::LinkUp { link } => {
-                self.link_up(link);
+                self.fabric.link_up(link, self.q.now());
                 Dispatched::Nothing
             }
             Event::RecvDeadline { dst, token, after } => self.deadline(dst, token, after),
@@ -908,31 +785,9 @@ impl SimCore {
             }
             FaultKind::LinkDown { link, until } => {
                 self.counters.faults.link_faults += 1;
-                if self.rec_on {
-                    self.rec
-                        .instant(self.link_track[link], "fault", "down", self.q.now().nanos());
-                }
-                // Overlapping outages: keep the latest repair time; the
-                // LinkUp for the earlier outage then arrives early and is
-                // ignored by the `down_until` check.
-                self.down_until[link] = self.down_until[link].max(until);
-                if !self.down[link] {
-                    self.down[link] = true;
-                    self.down_links += 1;
-                }
+                self.fabric.link_down(link, until, self.q.now());
                 self.q.schedule(until, Event::LinkUp { link });
                 None
-            }
-        }
-    }
-
-    fn link_up(&mut self, link: LinkId) {
-        if self.down[link] && self.q.now() >= self.down_until[link] {
-            self.down[link] = false;
-            self.down_links -= 1;
-            if self.rec_on {
-                self.rec
-                    .instant(self.link_track[link], "fault", "up", self.q.now().nanos());
             }
         }
     }
@@ -1057,15 +912,7 @@ impl Node {
     /// oracle: fail-stop faults are detected immediately and reliably.)
     pub fn peer_failed(&self, rank: usize) -> bool {
         let core = self.core.borrow();
-        if let Some(sh) = &core.shard {
-            if sh.map.lane_of(rank) != sh.lane {
-                // A remote peer's fail-stop state is a pure function of
-                // the fault plan and the clock — no cross-lane traffic
-                // needed to answer the oracle deterministically.
-                return sh.crash_time[rank] <= core.q.now();
-            }
-        }
-        core.failed[rank]
+        core.has_failed(rank, core.remote_lane(rank))
     }
 
     /// Convenience: send a slice of doubles.
@@ -1416,30 +1263,20 @@ impl Machine {
 
     /// Run one program per node on the sharded conservative-parallel
     /// engine under a [`FaultPlan`] (`FaultPlan::none()` for a clean
-    /// run): the mesh is split into `lanes` contiguous row blocks
-    /// ([`crate::partition::LaneMap`]), each with its own event calendar
-    /// and executor, synchronized by bounded-lag windows whose width is
-    /// the network's cross-lane [`crate::machine::NetModel::lookahead`].
+    /// run): the machine is split into `lanes` contiguous node blocks
+    /// ([`crate::partition::LaneMap`]), each with its own event calendar,
+    /// executor and fabric, synchronized by bounded-lag windows whose
+    /// width is the network's cross-lane
+    /// [`crate::machine::NetModel::lookahead`]. [`crate::shard`] states
+    /// the determinism contract and the modelling concession: a message
+    /// between lanes is timed uncontended, so per-event timestamps may
+    /// differ from the single-lane schedule.
     ///
     /// `lanes <= 1` (or a machine too small to split) is the single-queue
     /// engine — bit-identical to [`Machine::run`] by construction, since
-    /// it *is* that call: one unsharded lane, no horizon. Multi-lane runs
-    /// go through the same dispatch loop ([`crate::shard`]); they keep
-    /// exact link-occupancy timing inside each lane and time cross-lane
-    /// messages analytically (uncontended), so final results are
-    /// lane-count-invariant for timing-insensitive programs while
-    /// per-event timestamps may differ from the single-lane schedule.
-    /// One thread per lane drives them when the host has more than one
-    /// CPU (the calling thread takes lane 0), the calling thread drives
-    /// them all otherwise; the worker count cannot change the answer. A
-    /// node program that panics takes the run down with that panic on
-    /// either.
-    ///
-    /// This is the lane-parallel counterpart of
-    /// [`Machine::run_with_faults`]: node crashes and slowdowns are
-    /// applied by the lane owning the node, link outages by the lane
-    /// owning the channel's source node; cross-lane messages check the
-    /// destination's precomputed crash schedule instead of shared state.
+    /// it *is* that call. Node crashes and slowdowns are applied by the
+    /// lane owning the node, link outages by the lane owning the
+    /// channel's source node.
     ///
     /// Also returns the lane-runtime diagnostics
     /// ([`crate::shard::LaneStats`]): windows executed, per-lane event
