@@ -19,8 +19,10 @@
 //! Packing turns both operand streams into unit-stride loads, and the
 //! MR×NR register tile turns ~2 memory operations per FLOP (the naive
 //! and cache-blocked kernels) into ~(MR+NR)/(2·MR·NR). The microkernel
-//! is written so LLVM auto-vectorises it; on x86-64 an AVX2+FMA clone is
-//! selected at runtime via `is_x86_feature_detected!`.
+//! is written so LLVM auto-vectorises it; on x86-64 a clone compiled with
+//! AVX2 enabled is selected at runtime via
+//! [`crate::simd::avx2_fma_available`]. It multiplies and adds separately:
+//! Rust never contracts `a*b + c` into an FMA.
 //!
 //! ## Determinism
 //!
@@ -174,8 +176,9 @@ unsafe fn microkernel_avx2(
     nr_eff: usize,
     sub: bool,
 ) {
-    // Same source as the portable body; compiled with AVX2+FMA enabled so
-    // LLVM emits 256-bit FMAs for the tile update.
+    // Same source as the portable body, compiled with AVX2 enabled so the
+    // tile update runs on 256-bit registers. Rust never contracts
+    // `a*b + c`, so LLVM emits separate multiplies and adds, not FMAs.
     microkernel_body(kcs, ap, bp, c_tile, ldc, mr_eff, nr_eff, sub);
 }
 
@@ -192,13 +195,10 @@ fn microkernel(
     sub: bool,
 ) {
     #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            // SAFETY: feature presence checked at runtime.
-            unsafe {
-                return microkernel_avx2(kcs, ap, bp, c_tile, ldc, mr_eff, nr_eff, sub);
-            }
+    if crate::simd::avx2_fma_available() {
+        // SAFETY: feature presence checked at runtime.
+        unsafe {
+            return microkernel_avx2(kcs, ap, bp, c_tile, ldc, mr_eff, nr_eff, sub);
         }
     }
     microkernel_body(kcs, ap, bp, c_tile, ldc, mr_eff, nr_eff, sub);

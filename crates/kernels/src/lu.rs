@@ -14,8 +14,8 @@
 //!   `(n-k) × kb` buffer and factored there by *recursive* width
 //!   splitting: each half's own trailing update is a BLAS3
 //!   [`crate::gemm::dgemm_update`] on the packed buffer, so only the
-//!   narrow `PANEL_BASE`-column base case runs rank-1 loops (and those
-//!   are compiled with AVX2 enabled). Pivot swaps touch the 1–2 KB
+//!   narrow `PANEL_BASE`-column base case runs rank-1 loops (portable
+//!   code on every host). Pivot swaps touch the 1–2 KB
 //!   packed rows; the untouched matrix columns get one deferred
 //!   `laswp`-style sweep afterwards — bit-identical values, a fraction
 //!   of the memory traffic.
@@ -85,10 +85,10 @@ pub fn lu_factor_par(a: &mut Mat, nb: usize) -> Result<Vec<usize>, Singular> {
     )
 }
 
-/// [`lu_factor`] with the AVX2 panel/TRSM paths disabled — the portable
+/// [`lu_factor`] with the AVX2 TRSM path disabled — the portable
 /// scalar engine. Exposed for the SIMD-equivalence property tests and
 /// non-x86 debugging; same pivoting contract, residual-equivalent
-/// factors (the SIMD paths fuse multiply-adds, so last-bit rounding may
+/// factors (the SIMD TRSM fuses multiply-adds, so last-bit rounding may
 /// differ).
 pub fn lu_factor_portable(a: &mut Mat, nb: usize) -> Result<Vec<usize>, Singular> {
     lu_factor_impl(a, nb, 1, false, None)
@@ -141,7 +141,7 @@ fn lu_factor_impl(
                 dst.copy_from_slice(row);
             }
             let mut lp = vec![0usize; kb];
-            factor_panel(&mut panel, rows, kb, use_simd, &mut lp).map_err(|j| Singular(k + j))?;
+            factor_panel(&mut panel, rows, kb, &mut lp).map_err(|j| Singular(k + j))?;
             for (r, src) in panel.chunks_exact(kb).enumerate() {
                 am[(k + r) * ncols + k..(k + r) * ncols + k + kb].copy_from_slice(src);
             }
@@ -209,14 +209,8 @@ fn lu_factor_impl(
 /// (row-major, leading dimension `w`) with partial pivoting.
 /// `lp[j]` receives the panel-local row swapped at step `j`. On a zero
 /// or non-finite pivot column, returns its panel-local index.
-fn factor_panel(
-    p: &mut [f64],
-    rows: usize,
-    w: usize,
-    use_simd: bool,
-    lp: &mut [usize],
-) -> Result<(), usize> {
-    factor_range(p, rows, w, 0, w, use_simd, lp)
+fn factor_panel(p: &mut [f64], rows: usize, w: usize, lp: &mut [usize]) -> Result<(), usize> {
+    factor_range(p, rows, w, 0, w, lp)
 }
 
 /// Recursive width splitting over panel columns `[c0, c0+wc)`: factor
@@ -229,24 +223,13 @@ fn factor_range(
     w: usize,
     c0: usize,
     wc: usize,
-    use_simd: bool,
     lp: &mut [usize],
 ) -> Result<(), usize> {
     if wc <= PANEL_BASE {
-        return if use_simd {
-            // SAFETY: dispatch guarded by `avx2_fma_available`.
-            #[cfg(target_arch = "x86_64")]
-            unsafe {
-                factor_base_avx2(p, rows, w, c0, wc, lp)
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            factor_base(p, rows, w, c0, wc, lp)
-        } else {
-            factor_base(p, rows, w, c0, wc, lp)
-        };
+        return factor_base(p, rows, w, c0, wc, lp);
     }
     let w1 = wc / 2;
-    factor_range(p, rows, w, c0, w1, use_simd, lp)?;
+    factor_range(p, rows, w, c0, w1, lp)?;
     // Small TRSM inside the panel: unit-lower (w1×w1 at (c0,c0)) onto
     // the right-half rows c0..c0+w1 — a few KB, runs out of cache.
     for jj in c0 + 1..c0 + w1 {
@@ -276,7 +259,7 @@ fn factor_range(
         c0 + w1,
         false,
     );
-    factor_range(p, rows, w, c0 + w1, wc - w1, use_simd, lp)
+    factor_range(p, rows, w, c0 + w1, wc - w1, lp)
 }
 
 /// Right-looking rank-1 base case on packed panel columns `[c0, c0+wc)`.
@@ -326,21 +309,6 @@ fn factor_base(
         }
     }
     Ok(())
-}
-
-/// [`factor_base`] compiled with AVX2+FMA enabled so LLVM vectorises the
-/// packed rank-1 inner loops (contiguous ≤`PANEL_BASE`-wide rows).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn factor_base_avx2(
-    p: &mut [f64],
-    rows: usize,
-    w: usize,
-    c0: usize,
-    wc: usize,
-    lp: &mut [usize],
-) -> Result<(), usize> {
-    factor_base(p, rows, w, c0, wc, lp)
 }
 
 /// Borrow two distinct packed rows `i < j`: (shared `i`, mutable `j`).

@@ -8,10 +8,12 @@
 //! * allreduce — recursive doubling with non-power-of-two fold;
 //! * allgather — ring (bandwidth-optimal for equal blocks);
 //! * alltoall — p−1 pairwise exchange steps;
-//! * gather / scatter — linear to/from the root.
+//! * gather — linear to the root.
 //!
-//! Every data collective has a `*_virtual` twin that moves timing-only
-//! byte counts for paper-scale modelling.
+//! Each schedule is written once. For paper-scale modelling the
+//! `*_virtual` calls run it on a timing-only [`Payload::Virtual`] byte
+//! count: the same sends and receives, no arithmetic. The one virtual-only
+//! algorithm is the long-message broadcast (scatter + ring allgather).
 
 use crate::machine::Kernel;
 use crate::sim::{F64s, Node, Payload};
@@ -301,39 +303,23 @@ impl Comm {
 
     /// Element-wise sum allreduce.
     pub async fn allreduce_sum(&self, data: &[f64]) -> Vec<f64> {
-        self.allreduce_with(data.to_vec(), |a, b| {
-            for (x, y) in a.iter_mut().zip(b.iter()) {
-                *x += y;
-            }
-        })
-        .await
+        let sum = self.allreduce_with(Payload::from_f64s(data)).await;
+        sum.into_f64s().to_vec()
     }
 
-    /// Max-with-location allreduce (ties go to the lower location), the
-    /// primitive LINPACK pivot search is built on.
-    pub async fn allreduce_max_loc(&self, value: f64, loc: u64) -> (f64, u64) {
-        let out = self
-            .allreduce_with(vec![value, loc as f64], |a, b| {
-                let better = b[0] > a[0] || (b[0] == a[0] && b[1] < a[1]);
-                if better {
-                    a[0] = b[0];
-                    a[1] = b[1];
-                }
-            })
-            .await;
-        (out[0], out[1] as u64)
+    /// Timing-only allreduce of `bytes` per message: the same schedule as
+    /// [`Comm::allreduce_sum`], with no arithmetic.
+    pub async fn allreduce_virtual(&self, bytes: u64) {
+        self.allreduce_with(Payload::Virtual(bytes)).await;
     }
 
-    /// Generic commutative-associative allreduce via recursive doubling,
-    /// with the MPICH-style fold for non-power-of-two sizes.
-    pub async fn allreduce_with(
-        &self,
-        mut data: Vec<f64>,
-        combine: impl Fn(&mut Vec<f64>, &[f64]),
-    ) -> Vec<f64> {
+    /// Recursive-doubling allreduce with the MPICH-style fold for
+    /// non-power-of-two sizes. Each member sends its running value `acc`;
+    /// [`Comm::absorb`] decides what an arriving one does to it.
+    async fn allreduce_with(&self, mut acc: Payload) -> Payload {
         let p = self.size();
         if p == 1 {
-            return data;
+            return acc;
         }
         let tag = self.next_coll_tag();
         let pof2 = 1usize << p.ilog2();
@@ -344,7 +330,7 @@ impl Comm {
         let newrank: isize = if self.me < 2 * rem {
             if self.me % 2 == 1 {
                 self.node
-                    .send(self.members[self.me - 1], tag, Payload::from_f64s(&data))
+                    .send(self.members[self.me - 1], tag, acc.clone())
                     .await;
                 -1
             } else {
@@ -352,8 +338,7 @@ impl Comm {
                     .node
                     .recv(Some(self.members[self.me + 1]), Some(tag))
                     .await;
-                self.node.compute(Kernel::Daxpy, data.len() as f64).await;
-                combine(&mut data, &msg.payload.into_f64s());
+                self.absorb(&mut acc, msg.payload).await;
                 (self.me / 2) as isize
             }
         } else {
@@ -367,18 +352,13 @@ impl Comm {
             while mask < pof2 {
                 let partner = to_real(nr ^ mask);
                 self.node
-                    .send(
-                        self.members[partner],
-                        tag + mask as u64,
-                        Payload::from_f64s(&data),
-                    )
+                    .send(self.members[partner], tag + mask as u64, acc.clone())
                     .await;
                 let msg = self
                     .node
                     .recv(Some(self.members[partner]), Some(tag + mask as u64))
                     .await;
-                self.node.compute(Kernel::Daxpy, data.len() as f64).await;
-                combine(&mut data, &msg.payload.into_f64s());
+                self.absorb(&mut acc, msg.payload).await;
                 mask <<= 1;
             }
         }
@@ -387,100 +367,31 @@ impl Comm {
         if self.me < 2 * rem {
             if self.me.is_multiple_of(2) {
                 self.node
-                    .send(self.members[self.me + 1], tag, Payload::from_f64s(&data))
+                    .send(self.members[self.me + 1], tag, acc.clone())
                     .await;
             } else {
                 let msg = self
                     .node
                     .recv(Some(self.members[self.me - 1]), Some(tag))
                     .await;
-                data = msg.payload.into_f64s().to_vec();
+                acc = msg.payload;
             }
         }
         // Reserve every per-round tag offset we may have consumed.
         self.seq.set(self.seq.get() + p as u64 + 1);
-        data
+        acc
     }
 
-    /// Timing-only allreduce of `bytes` per message (recursive-doubling
-    /// shape, power-of-two portion only — adequate for cost modelling).
-    pub async fn allreduce_virtual(&self, bytes: u64) {
-        let p = self.size();
-        if p == 1 {
-            return;
+    /// Add an arriving contribution into `acc`, charged as a
+    /// `Kernel::Daxpy`; a timing-only `acc` ignores it.
+    async fn absorb(&self, acc: &mut Payload, arrived: Payload) {
+        if let Payload::F64(mine) = acc {
+            let other = arrived.into_f64s();
+            assert_eq!(other.len(), mine.len(), "allreduce length mismatch");
+            self.node.compute(Kernel::Daxpy, mine.len() as f64).await;
+            let sum: Vec<f64> = mine.iter().zip(other.iter()).map(|(x, y)| x + y).collect();
+            *acc = Payload::from_f64s(&sum);
         }
-        let tag = self.next_coll_tag();
-        let pof2 = 1usize << p.ilog2();
-        let rem = p - pof2;
-        let newrank: isize = if self.me < 2 * rem {
-            if self.me % 2 == 1 {
-                self.node
-                    .send(self.members[self.me - 1], tag, Payload::Virtual(bytes))
-                    .await;
-                -1
-            } else {
-                self.node
-                    .recv(Some(self.members[self.me + 1]), Some(tag))
-                    .await;
-                (self.me / 2) as isize
-            }
-        } else {
-            (self.me - rem) as isize
-        };
-        if let Ok(nr) = usize::try_from(newrank) {
-            let to_real = |v: usize| if v < rem { 2 * v } else { v + rem };
-            let mut mask = 1usize;
-            while mask < pof2 {
-                let partner = to_real(nr ^ mask);
-                self.node
-                    .send(
-                        self.members[partner],
-                        tag + mask as u64,
-                        Payload::Virtual(bytes),
-                    )
-                    .await;
-                self.node
-                    .recv(Some(self.members[partner]), Some(tag + mask as u64))
-                    .await;
-                mask <<= 1;
-            }
-        }
-        if self.me < 2 * rem {
-            if self.me.is_multiple_of(2) {
-                self.node
-                    .send(self.members[self.me + 1], tag, Payload::Virtual(bytes))
-                    .await;
-            } else {
-                self.node
-                    .recv(Some(self.members[self.me - 1]), Some(tag))
-                    .await;
-            }
-        }
-        self.seq.set(self.seq.get() + p as u64 + 1);
-    }
-
-    /// Element-wise min allreduce.
-    pub async fn allreduce_min(&self, data: &[f64]) -> Vec<f64> {
-        self.allreduce_with(data.to_vec(), |a, b| {
-            for (x, y) in a.iter_mut().zip(b.iter()) {
-                if *y < *x {
-                    *x = *y;
-                }
-            }
-        })
-        .await
-    }
-
-    /// Element-wise max allreduce.
-    pub async fn allreduce_max(&self, data: &[f64]) -> Vec<f64> {
-        self.allreduce_with(data.to_vec(), |a, b| {
-            for (x, y) in a.iter_mut().zip(b.iter()) {
-                if *y > *x {
-                    *x = *y;
-                }
-            }
-        })
-        .await
     }
 
     /// Inclusive prefix-sum scan in member order: member `i` receives
@@ -509,7 +420,7 @@ impl Comm {
         acc
     }
 
-    // ----- gather / allgather / scatter / alltoall --------------------------
+    // ----- gather / allgather / alltoall ------------------------------------
 
     /// Linear gather of equal-length blocks to `root`, concatenated in
     /// member order.
@@ -580,73 +491,49 @@ impl Comm {
         out
     }
 
-    /// Scatter equal-length chunks from `root`; member `i` gets chunk `i`.
-    pub async fn scatter(&self, root: usize, chunks: Option<&[Vec<f64>]>) -> Vec<f64> {
-        let p = self.size();
-        let tag = self.next_coll_tag();
-        let mine = if self.me == root {
-            let chunks = chunks.expect("scatter root must supply chunks");
-            assert_eq!(chunks.len(), p, "scatter needs one chunk per member");
-            for (i, c) in chunks.iter().enumerate() {
-                if i != root {
-                    self.node
-                        .send(self.members[i], tag + i as u64, Payload::from_f64s(c))
-                        .await;
-                }
-            }
-            chunks[root].clone()
-        } else {
-            let msg = self
-                .node
-                .recv(Some(self.members[root]), Some(tag + self.me as u64))
-                .await;
-            msg.payload.into_f64s().to_vec()
-        };
-        self.seq.set(self.seq.get() + p as u64);
-        mine
-    }
-
     /// Pairwise-exchange all-to-all: member `i`'s chunk `j` ends up as
     /// member `j`'s result chunk `i`. Chunks may have differing lengths.
     pub async fn alltoall(&self, chunks: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
         let p = self.size();
         assert_eq!(chunks.len(), p, "alltoall needs one chunk per member");
-        let tag = self.next_coll_tag();
         let mut out: Vec<Vec<f64>> = vec![Vec::new(); p];
         out[self.me] = chunks[self.me].clone();
-        for k in 1..p {
-            let to = (self.me + k) % p;
-            let from = (self.me + p - k) % p;
-            self.node
-                .send(
-                    self.members[to],
-                    tag + k as u64,
-                    Payload::from_f64s(&chunks[to]),
-                )
-                .await;
-            let msg = self
-                .node
-                .recv(Some(self.members[from]), Some(tag + k as u64))
-                .await;
-            out[from] = msg.payload.into_f64s().to_vec();
-        }
-        self.seq.set(self.seq.get() + p as u64);
+        self.alltoall_with(
+            |to| Payload::from_f64s(&chunks[to]),
+            |from, chunk| out[from] = chunk.into_f64s().to_vec(),
+        )
+        .await;
         out
     }
 
-    /// Timing-only all-to-all of `bytes` per pair.
+    /// Timing-only all-to-all of `bytes` per pair: the same schedule as
+    /// [`Comm::alltoall`].
     pub async fn alltoall_virtual(&self, bytes: u64) {
+        self.alltoall_with(|_| Payload::Virtual(bytes), |_, _| {})
+            .await;
+    }
+
+    /// p−1 pairwise exchange steps: at step `k` a member sends
+    /// `chunk(to)` to the member `k` ahead and hands what arrives from the
+    /// member `k` behind to `arrived(from, payload)`.
+    async fn alltoall_with(
+        &self,
+        chunk: impl Fn(usize) -> Payload,
+        mut arrived: impl FnMut(usize, Payload),
+    ) {
         let p = self.size();
         let tag = self.next_coll_tag();
         for k in 1..p {
             let to = (self.me + k) % p;
             let from = (self.me + p - k) % p;
             self.node
-                .send(self.members[to], tag + k as u64, Payload::Virtual(bytes))
+                .send(self.members[to], tag + k as u64, chunk(to))
                 .await;
-            self.node
+            let msg = self
+                .node
                 .recv(Some(self.members[from]), Some(tag + k as u64))
                 .await;
+            arrived(from, msg.payload);
         }
         self.seq.set(self.seq.get() + p as u64);
     }
@@ -716,41 +603,6 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_max_loc_picks_max_and_lowest_tie() {
-        let out = on9(|comm| {
-            Box::pin(async move {
-                // Ranks 3 and 7 tie for the max; lowest loc (3) must win.
-                let v = if comm.me() == 3 || comm.me() == 7 {
-                    10.0
-                } else {
-                    comm.me() as f64
-                };
-                comm.allreduce_max_loc(v, comm.me() as u64).await
-            })
-        });
-        for (val, loc) in out {
-            assert_eq!(val, 10.0);
-            assert_eq!(loc, 3);
-        }
-    }
-
-    #[test]
-    fn allreduce_min_max() {
-        let out = on9(|comm| {
-            Box::pin(async move {
-                let me = comm.me() as f64;
-                let mn = comm.allreduce_min(&[me, -me]).await;
-                let mx = comm.allreduce_max(&[me, -me]).await;
-                (mn, mx)
-            })
-        });
-        for (mn, mx) in out {
-            assert_eq!(mn, vec![0.0, -8.0]);
-            assert_eq!(mx, vec![8.0, 0.0]);
-        }
-    }
-
-    #[test]
     fn scan_is_inclusive_prefix_sum() {
         let out = on9(|comm| {
             Box::pin(async move {
@@ -789,20 +641,6 @@ mod tests {
         let expect: Vec<f64> = (0..9).map(|i| i as f64 * 100.0).collect();
         for v in out {
             assert_eq!(v, expect);
-        }
-    }
-
-    #[test]
-    fn scatter_distributes_chunks() {
-        let out = on9(|comm| {
-            Box::pin(async move {
-                let chunks: Option<Vec<Vec<f64>>> =
-                    (comm.me() == 1).then(|| (0..comm.size()).map(|i| vec![i as f64; 2]).collect());
-                comm.scatter(1, chunks.as_deref()).await
-            })
-        });
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(v, &vec![i as f64; 2]);
         }
     }
 
@@ -898,16 +736,73 @@ mod tests {
     }
 
     #[test]
-    fn virtual_collectives_advance_time() {
-        let m = Machine::new(presets::delta(2, 4));
-        let (_, report) = m.run(|node| async move {
-            let comm = Comm::world(&node);
-            comm.bcast_virtual(0, 1 << 20).await;
-            comm.allreduce_virtual(64).await;
-            comm.alltoall_virtual(4096).await;
+    fn collective_timing_is_pinned() {
+        // `(elapsed ns, events, messages, bytes)` of one collective alone on
+        // a Delta of p = 1, 2, 3, 5, 6, 8, 9 nodes; 3, 5, 6 and 9 take the
+        // non-power-of-two fold. A real and a timing-only run of equal
+        // bytes share one schedule: only the allreduce's sums add time.
+        let shapes = [(1, 1), (1, 2), (1, 3), (1, 5), (2, 3), (2, 4), (3, 3)];
+        type Op = fn(Comm) -> std::pin::Pin<Box<dyn std::future::Future<Output = ()>>>;
+        let cost = |op: Op| -> Vec<(u64, u64, u64, u64)> {
+            shapes
+                .iter()
+                .map(|&(r, c)| {
+                    let m = Machine::new(presets::delta(r, c));
+                    let (_, rep) = m.run(move |node| op(Comm::world(&node)));
+                    (rep.elapsed.nanos(), rep.events, rep.messages, rep.bytes)
+                })
+                .collect()
+        };
+        let allreduce_virtual =
+            cost(|comm| Box::pin(async move { comm.allreduce_virtual(64).await }));
+        let allreduce_sum = cost(|comm| {
+            Box::pin(async move {
+                comm.allreduce_sum(&[comm.me() as f64; 8]).await;
+            })
         });
-        assert!(report.elapsed > Dur::ZERO);
-        assert!(report.messages > 0);
+        let alltoall_virtual =
+            cost(|comm| Box::pin(async move { comm.alltoall_virtual(4096).await }));
+        let alltoall = cost(|comm| {
+            Box::pin(async move {
+                let chunks = (0..comm.size()).map(|j| vec![j as f64; 512]).collect();
+                comm.alltoall(chunks).await;
+            })
+        });
+        assert_eq!(
+            allreduce_virtual,
+            [
+                (0, 0, 0, 0),
+                (82_860, 6, 2, 128),
+                (238_884, 12, 4, 256),
+                (312_048, 30, 10, 640),
+                (322_644, 36, 12, 768),
+                (252_040, 72, 24, 1536),
+                (385_212, 78, 26, 1664),
+            ]
+        );
+        assert_eq!(
+            allreduce_sum,
+            [
+                (0, 0, 0, 0),
+                (83_685, 8, 2, 128),
+                (240_534, 15, 4, 256),
+                (314_523, 39, 10, 640),
+                (325_119, 46, 12, 768),
+                (254_515, 96, 24, 1536),
+                (388_512, 103, 26, 1664),
+            ]
+        );
+        let pairwise = [
+            (0, 0, 0, 0),
+            (244_140, 6, 2, 8192),
+            (488_880, 18, 6, 24_576),
+            (1_227_540, 60, 20, 81_920),
+            (1_222_500, 90, 30, 122_880),
+            (1_960_560, 168, 56, 229_376),
+            (1_957_320, 216, 72, 294_912),
+        ];
+        assert_eq!(alltoall_virtual, pairwise);
+        assert_eq!(alltoall, pairwise);
     }
 
     #[test]

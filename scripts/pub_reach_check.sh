@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Every `pub fn` / `pub const fn` in crates/*/src must be reached: its name
-# appears as a word in some file other than the ones that define it (under
-# crates/, src/, examples/, tests/ or benchmark/src/), or it is listed in
-# scripts/pub_reach_allow.txt as `name  reason`. An allow entry whose name
-# is now reached, or no longer defined, is stale and fails too.
+# Every `pub fn` in crates/*/src (`pub const fn`, `pub async fn` and
+# `pub unsafe fn` too) must be reached: its name appears as a word in some
+# file other than the ones that define it (under crates/, src/, examples/,
+# tests/ or benchmark/src/), or it is listed in scripts/pub_reach_allow.txt
+# as `name  reason`. An allow entry whose name is now reached, or no longer
+# defined, is stale and fails too.
 #
 # Limit: the check is by name only. A mention in another file's comment or
 # doc counts as reached, and so does an unrelated item of the same name.
@@ -14,7 +15,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 # `file name` for each definition, then `file word` for every word.
-defs=$(grep -rHoE '^[[:space:]]*pub (const )?fn [A-Za-z_][A-Za-z0-9_]*' crates/*/src |
+defs=$(grep -rHoE '^[[:space:]]*pub ((const|async|unsafe) )*fn [A-Za-z_][A-Za-z0-9_]*' crates/*/src |
     awk -F: '{ n = split($2, w, " "); print $1, w[n] }' | sort -u)
 words=$(grep -rHowE '[A-Za-z_][A-Za-z0-9_]*' --include='*.rs' \
     crates src examples tests benchmark/src | awk -F: '{ print $1, $2 }' | sort -u)
