@@ -428,7 +428,7 @@ pub fn grand_challenges() -> String {
             std::hint::black_box(hpcc_kernels::matmul::matmul_blocked(&a, &b, 48));
         });
         let tp = time(&mut || {
-            std::hint::black_box(hpcc_kernels::matmul::matmul_par(&a, &b));
+            std::hint::black_box(hpcc_kernels::gemm::gemm_par(&a, &b));
         });
         t.row(&[
             "Matmul (dense LA)".into(),

@@ -131,7 +131,7 @@ fn gemm_rows(n: usize) -> Vec<PerfRow> {
     let mut rng = Rng::new(1);
     let a = Mat::random(n, n, &mut rng);
     let b = Mat::random(n, n, &mut rng);
-    let flops = matmul::matmul_flops(n, n, n);
+    let flops = gemm::gemm_flops(n, n, n);
     let mut rows = Vec::new();
     if n <= 512 {
         rows.push(PerfRow::measure("matmul_blocked48", n, 1, flops, || {
@@ -227,7 +227,7 @@ fn lu_rows(n: usize, reps: usize, gemm_ref: bool) -> Vec<PerfRow> {
         ));
     }
     if gemm_ref {
-        let flops = matmul::matmul_flops(n, n, n);
+        let flops = gemm::gemm_flops(n, n, n);
         rows.push(PerfRow::new("gemm", n, 1, flops, gemm_best));
     }
     rows

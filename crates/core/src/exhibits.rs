@@ -247,11 +247,6 @@ pub fn registry() -> &'static [Exhibit] {
     ]
 }
 
-/// Find an exhibit by id.
-pub fn by_id(id: &str) -> Option<&'static Exhibit> {
-    registry().iter().find(|e| e.id == id)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,12 +278,7 @@ mod tests {
             assert!(!e.report_cmd.is_empty(), "{}", e.id);
             assert!(!e.modules.is_empty(), "{}", e.id);
         }
-    }
-
-    #[test]
-    fn lookup_by_id() {
-        assert!(by_id("T4-3a").is_some());
-        assert!(by_id("nope").is_none());
-        assert_eq!(by_id("T4-4b").unwrap().report_cmd, "delta-linpack");
+        let t4_4b = registry().iter().find(|e| e.id == "T4-4b").unwrap();
+        assert_eq!(t4_4b.report_cmd, "delta-linpack");
     }
 }

@@ -26,7 +26,7 @@ pub mod report;
 pub mod responsibilities;
 pub mod timeline;
 
-pub use exhibits::{by_id, registry, Exhibit, ExhibitKind};
+pub use exhibits::{registry, Exhibit, ExhibitKind};
 pub use funding::{FiscalYear, FundingTable, Money};
 pub use program::{Agency, Component, APPROACH, AUTHORITY, GOALS};
 pub use report::{fnum, Table};

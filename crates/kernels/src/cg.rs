@@ -36,8 +36,7 @@
 //! `n − 1`.
 //!
 //! The parallel variant deals the same blocks out to its workers in
-//! contiguous bands and is bit-identical at any worker count, matching
-//! `spmv_par`'s per-row determinism.
+//! contiguous bands and is bit-identical at any worker count.
 //!
 //! ## The CG loop
 //!
@@ -147,16 +146,6 @@ impl Csr {
         for (i, yi) in y.iter_mut().enumerate() {
             *yi = self.row_dot(i, x);
         }
-    }
-
-    /// y = A·x, rows shared out over [`des::host_cores`] workers
-    /// (bit-identical to sequential).
-    pub fn spmv_par(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.n);
-        assert_eq!(y.len(), self.n);
-        par::for_each(y, 1, crate::workers(true), |i, yi| {
-            yi[0] = self.row_dot(i, x);
-        });
     }
 }
 
@@ -440,17 +429,6 @@ mod tests {
         a.spmv(&x, &mut ax);
         a.spmv(&yv, &mut ay);
         assert!((dot(&yv, &ax) - dot(&x, &ay)).abs() < 1e-10);
-    }
-
-    #[test]
-    fn spmv_par_matches_sequential() {
-        let a = Csr::poisson2d(20);
-        let x: Vec<f64> = (0..a.n()).map(|i| ((i * 7) % 13) as f64).collect();
-        let mut ys = vec![0.0; a.n()];
-        let mut yp = vec![0.0; a.n()];
-        a.spmv(&x, &mut ys);
-        a.spmv_par(&x, &mut yp);
-        assert_eq!(ys, yp);
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {

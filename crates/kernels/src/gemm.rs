@@ -36,7 +36,6 @@
 //! equivalence on awkward shapes.
 
 use crate::mat::Mat;
-use hpcc_trace::{names, Recorder, WallTrack};
 use std::cell::RefCell;
 
 /// Microkernel tile height (rows of C per register tile).
@@ -221,11 +220,7 @@ fn gemm_packed(
     kdim: usize,
     sub: bool,
     workers: usize,
-    trace: Option<&WallTrack<'_>>,
 ) {
-    // The wall-clock hook is host-thread-only: tracing forces the
-    // sequential sweep (the parallel path would need a Sync recorder).
-    debug_assert!(trace.is_none() || workers == 1);
     if m == 0 || n == 0 {
         return;
     }
@@ -245,11 +240,7 @@ fn gemm_packed(
             let mut pc = 0;
             while pc < kdim {
                 let kcs = KC.min(kdim - pc);
-                let t_pack = trace.map(WallTrack::now_ns);
                 pack_b(b, pc, kcs, jc, nc, &mut bp_buf);
-                if let (Some(t), Some(t0)) = (trace, t_pack) {
-                    t.span_from("pack", "pack_b", t0);
-                }
                 let bp: &[f64] = &bp_buf;
                 let a_strip = &apacked[m_pad * pc..m_pad * pc + m_pad * kcs];
 
@@ -285,11 +276,7 @@ fn gemm_packed(
                 // One worker or one panel (m <= MC) runs the sweep inline,
                 // which is what makes `lu_factor_par` never slower than
                 // `lu_factor` on a single-core host.
-                let t_kern = trace.map(WallTrack::now_ns);
                 par::for_each(c, MC * ldc, workers, update_panel);
-                if let (Some(t), Some(t0)) = (trace, t_kern) {
-                    t.span_from("kernel", "microkernel", t0);
-                }
                 pc += kcs;
             }
             jc += nc;
@@ -299,25 +286,16 @@ fn gemm_packed(
 
 /// `C = A·B` through the packed engine. Sequential.
 pub fn gemm(a: &Mat, b: &Mat) -> Mat {
-    gemm_impl(a, b, 1, None)
+    gemm_impl(a, b, 1)
 }
 
 /// `C = A·B` through the packed engine, its row panels shared out over
 /// [`des::host_cores`] workers. Bit-identical to [`gemm`].
 pub fn gemm_par(a: &Mat, b: &Mat) -> Mat {
-    gemm_impl(a, b, crate::workers(true), None)
+    gemm_impl(a, b, crate::workers(true))
 }
 
-/// [`gemm`] under a [`Recorder`]: pack and microkernel phases land as
-/// wall-clock spans on a `host / gemm` track. Sequential (the hook is
-/// not `Sync`), and bit-identical to [`gemm`] — the recorder only reads
-/// the clock around phases that run either way.
-pub fn gemm_recorded(a: &Mat, b: &Mat, rec: &dyn Recorder) -> Mat {
-    let wt = WallTrack::new(rec, names::HOST, "gemm");
-    gemm_impl(a, b, 1, Some(&wt))
-}
-
-fn gemm_impl(a: &Mat, b: &Mat, workers: usize, trace: Option<&WallTrack<'_>>) -> Mat {
+fn gemm_impl(a: &Mat, b: &Mat, workers: usize) -> Mat {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
     let (m, kdim, n) = (a.rows(), a.cols(), b.cols());
     let mut c = Mat::zeros(m, n);
@@ -326,7 +304,6 @@ fn gemm_impl(a: &Mat, b: &Mat, workers: usize, trace: Option<&WallTrack<'_>>) ->
     }
     PACK_A.with(|pa| {
         let mut ap = pa.borrow_mut();
-        let t_pack = trace.map(WallTrack::now_ns);
         pack_a(
             View {
                 data: a.as_slice(),
@@ -337,9 +314,6 @@ fn gemm_impl(a: &Mat, b: &Mat, workers: usize, trace: Option<&WallTrack<'_>>) ->
             kdim,
             &mut ap,
         );
-        if let (Some(t), Some(t0)) = (trace, t_pack) {
-            t.span_from("pack", "pack_a", t0);
-        }
         let ldc = n;
         gemm_packed(
             &ap,
@@ -356,7 +330,6 @@ fn gemm_impl(a: &Mat, b: &Mat, workers: usize, trace: Option<&WallTrack<'_>>) ->
             kdim,
             false,
             workers,
-            trace,
         );
     });
     c
@@ -369,29 +342,10 @@ fn gemm_impl(a: &Mat, b: &Mat, workers: usize, trace: Option<&WallTrack<'_>>) ->
 /// `ldb` with its logical block at column `b_col`.
 ///
 /// A is packed (into a reused thread-local buffer) before C is touched,
-/// so the in-place aliasing of the LU layout is safe. `parallel` shares
-/// the rows of C out over [`des::host_cores`] workers.
+/// so the in-place aliasing of the LU layout is safe. The rows of C are
+/// shared out over `workers` workers.
 #[allow(clippy::too_many_arguments)]
-pub fn dgemm_update(
-    ac: &mut [f64],
-    ld: usize,
-    a_col: usize,
-    c_col: usize,
-    m: usize,
-    n: usize,
-    kdim: usize,
-    b: &[f64],
-    ldb: usize,
-    b_col: usize,
-    parallel: bool,
-) {
-    let workers = crate::workers(parallel);
-    dgemm_update_with(ac, ld, a_col, c_col, m, n, kdim, b, ldb, b_col, workers);
-}
-
-/// [`dgemm_update`] on `workers` workers.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn dgemm_update_with(
+pub(crate) fn dgemm_update(
     ac: &mut [f64],
     ld: usize,
     a_col: usize,
@@ -434,13 +388,11 @@ pub(crate) fn dgemm_update_with(
             kdim,
             true,
             workers,
-            None,
         );
     });
 }
 
-/// FLOP count of an (m×k)·(k×n) multiply (same convention as
-/// [`crate::matmul::matmul_flops`]).
+/// FLOP count of an (m×k)·(k×n) multiply.
 pub fn gemm_flops(m: usize, k: usize, n: usize) -> f64 {
     2.0 * m as f64 * k as f64 * n as f64
 }
@@ -519,7 +471,7 @@ mod tests {
         let seq = gemm(&a, &b);
         assert_eq!(seq, gemm_par(&a, &b));
         for workers in [2, 3, 7] {
-            assert_eq!(seq, gemm_impl(&a, &b, workers, None), "{workers} workers");
+            assert_eq!(seq, gemm_impl(&a, &b, workers), "{workers} workers");
         }
     }
 
@@ -542,7 +494,7 @@ mod tests {
         let ac0 = ac.clone();
 
         let ab = matmul_naive(&a, &b);
-        dgemm_update(&mut ac, ld, 0, kdim, m, n, kdim, b.as_slice(), n, 0, false);
+        dgemm_update(&mut ac, ld, 0, kdim, m, n, kdim, b.as_slice(), n, 0, 1);
         let mut ac_par = ac0.clone();
         dgemm_update(
             &mut ac_par,
@@ -555,12 +507,12 @@ mod tests {
             b.as_slice(),
             n,
             0,
-            true,
+            crate::workers(true),
         );
         assert_eq!(ac, ac_par, "update must be deterministic across modes");
         for workers in [2, 3, 7] {
             let mut ac_w = ac0.clone();
-            dgemm_update_with(
+            dgemm_update(
                 &mut ac_w,
                 ld,
                 0,
@@ -591,34 +543,6 @@ mod tests {
     #[test]
     fn flop_count_matches_matmul() {
         assert_eq!(gemm_flops(10, 20, 30), 12_000.0);
-    }
-
-    #[test]
-    fn recorded_gemm_is_bit_identical_and_emits_phase_spans() {
-        use hpcc_trace::{Event, MemRecorder};
-        let mut rng = Rng::new(23);
-        let a = Mat::random(70, 40, &mut rng);
-        let b = Mat::random(40, 50, &mut rng);
-        let plain = gemm(&a, &b);
-        let rec = MemRecorder::new();
-        let traced = gemm_recorded(&a, &b, &rec);
-        assert_eq!(plain, traced);
-        let (mut packs, mut kernels) = (0usize, 0usize);
-        rec.with(|_, events| {
-            for e in events {
-                if let Event::Span { cat, .. } = e {
-                    match *cat {
-                        "pack" => packs += 1,
-                        "kernel" => kernels += 1,
-                        _ => {}
-                    }
-                }
-            }
-        });
-        assert!(packs >= 2, "pack_a + at least one pack_b, got {packs}");
-        assert!(kernels >= 1, "microkernel sweep span");
-        // A disabled recorder emits nothing and still matches.
-        assert_eq!(gemm_recorded(&a, &b, &hpcc_trace::NullRecorder), plain);
     }
 
     /// Can this host run two FMA streams at once? The microkernel's

@@ -13,8 +13,8 @@
 //! * **Panel** — columns `[k, k+kb)` are packed into a contiguous
 //!   `(n-k) × kb` buffer and factored there by *recursive* width
 //!   splitting: each half's own trailing update is a BLAS3
-//!   [`crate::gemm::dgemm_update`] on the packed buffer, so only the
-//!   narrow `PANEL_BASE`-column base case runs rank-1 loops (portable
+//!   `dgemm_update` on the packed buffer, so only the narrow
+//!   `PANEL_BASE`-column base case runs rank-1 loops (portable
 //!   code on every host). Pivot swaps touch the 1–2 KB
 //!   packed rows; the untouched matrix columns get one deferred
 //!   `laswp`-style sweep afterwards — bit-identical values, a fraction
@@ -38,7 +38,6 @@
 use crate::gemm;
 use crate::mat::Mat;
 use crate::simd;
-use hpcc_trace::{names, Recorder, WallTrack};
 
 /// Block width below which the packed panel is factored by right-looking
 /// rank-1 updates (the recursion base). Chosen so the base case's
@@ -67,7 +66,7 @@ impl std::error::Error for Singular {}
 /// In-place LU with partial pivoting. Returns the pivot vector:
 /// `piv[j]` is the row swapped with row `j` at step `j`.
 pub fn lu_factor(a: &mut Mat, nb: usize) -> Result<Vec<usize>, Singular> {
-    lu_factor_impl(a, nb, 1, simd::avx2_fma_available(), None)
+    lu_factor_impl(a, nb, 1, simd::avx2_fma_available())
 }
 
 /// Parallel variant: the trailing update's row panels are shared out
@@ -76,13 +75,7 @@ pub fn lu_factor(a: &mut Mat, nb: usize) -> Result<Vec<usize>, Singular> {
 /// and with one worker (or one panel) the update is the same sequential
 /// sweep.
 pub fn lu_factor_par(a: &mut Mat, nb: usize) -> Result<Vec<usize>, Singular> {
-    lu_factor_impl(
-        a,
-        nb,
-        crate::workers(true),
-        simd::avx2_fma_available(),
-        None,
-    )
+    lu_factor_impl(a, nb, crate::workers(true), simd::avx2_fma_available())
 }
 
 /// [`lu_factor`] with the AVX2 TRSM path disabled — the portable
@@ -91,21 +84,7 @@ pub fn lu_factor_par(a: &mut Mat, nb: usize) -> Result<Vec<usize>, Singular> {
 /// factors (the SIMD TRSM fuses multiply-adds, so last-bit rounding may
 /// differ).
 pub fn lu_factor_portable(a: &mut Mat, nb: usize) -> Result<Vec<usize>, Singular> {
-    lu_factor_impl(a, nb, 1, false, None)
-}
-
-/// [`lu_factor`] under a [`Recorder`]: each block step's panel
-/// factorisation (pack + recursive factor + write-back + deferred row
-/// swaps), packed triangular solve, and trailing update land as
-/// wall-clock spans on a `host / lu` track. Sequential, bit-identical
-/// to [`lu_factor`].
-pub fn lu_factor_recorded(
-    a: &mut Mat,
-    nb: usize,
-    rec: &dyn Recorder,
-) -> Result<Vec<usize>, Singular> {
-    let wt = WallTrack::new(rec, names::HOST, "lu");
-    lu_factor_impl(a, nb, 1, simd::avx2_fma_available(), Some(&wt))
+    lu_factor_impl(a, nb, 1, false)
 }
 
 fn lu_factor_impl(
@@ -113,7 +92,6 @@ fn lu_factor_impl(
     nb: usize,
     workers: usize,
     use_simd: bool,
-    trace: Option<&WallTrack<'_>>,
 ) -> Result<Vec<usize>, Singular> {
     let n = a.rows();
     assert_eq!(n, a.cols(), "LU needs a square matrix");
@@ -130,7 +108,6 @@ fn lu_factor_impl(
         let rows = n - k;
 
         // --- Panel: pack, factor recursively, write back, laswp. ---
-        let t_panel = trace.map(WallTrack::now_ns);
         {
             let ncols = a.cols();
             let am = a.as_mut_slice();
@@ -161,17 +138,10 @@ fn lu_factor_impl(
                 }
             }
         }
-        if let (Some(t), Some(t0)) = (trace, t_panel) {
-            t.span_from("panel", "panel", t0);
-        }
 
         if k + kb < n {
             // --- U12 = L11^{-1} A12 (unit lower triangular solve). ---
-            let t_trsm = trace.map(WallTrack::now_ns);
             trsm_rowblock(a, k, kb, use_simd, &mut tri);
-            if let (Some(t), Some(t0)) = (trace, t_trsm) {
-                t.span_from("trsm", "trsm", t0);
-            }
 
             // --- A22 -= L21 · U12 (the dgemm that dominates). ---
             // Split the backing storage at row k+kb: `upper` holds U12
@@ -182,8 +152,7 @@ fn lu_factor_impl(
             let ncols = a.cols();
             let split = (k + kb) * ncols;
             let (upper, lower) = a.as_mut_slice().split_at_mut(split);
-            let t_update = trace.map(WallTrack::now_ns);
-            gemm::dgemm_update_with(
+            gemm::dgemm_update(
                 lower,
                 ncols,
                 k,
@@ -196,9 +165,6 @@ fn lu_factor_impl(
                 k + kb,
                 workers,
             );
-            if let (Some(t), Some(t0)) = (trace, t_update) {
-                t.span_from("update", "update", t0);
-            }
         }
         k += kb;
     }
@@ -257,7 +223,7 @@ fn factor_range(
         &upper[c0 * w..],
         w,
         c0 + w1,
-        false,
+        1,
     );
     factor_range(p, rows, w, c0 + w1, wc - w1, lp)
 }
@@ -628,7 +594,7 @@ mod tests {
             for workers in [2, 3, 7] {
                 let mut fw = a.clone();
                 let simd = simd::avx2_fma_available();
-                let pw = lu_factor_impl(&mut fw, nb, workers, simd, None).unwrap();
+                let pw = lu_factor_impl(&mut fw, nb, workers, simd).unwrap();
                 assert_eq!(
                     (ps.as_slice(), &fs),
                     (pw.as_slice(), &fw),
@@ -694,54 +660,5 @@ mod tests {
     #[test]
     fn linpack_flop_convention() {
         assert_eq!(linpack_flops(100), 2.0 * 1e6 / 3.0 + 2.0 * 1e4);
-    }
-
-    #[test]
-    fn recorded_lu_is_bit_identical_and_emits_phase_spans() {
-        use hpcc_trace::{Event, MemRecorder};
-        let mut rng = Rng::new(53);
-        let a = Mat::random(64, 64, &mut rng);
-        let mut plain = a.clone();
-        let p_plain = lu_factor(&mut plain, 16).unwrap();
-        let rec = MemRecorder::new();
-        let mut traced = a.clone();
-        let p_traced = lu_factor_recorded(&mut traced, 16, &rec).unwrap();
-        assert_eq!(p_plain, p_traced);
-        assert_eq!(plain, traced, "recording must not perturb the factors");
-        let mut cats: Vec<&'static str> = Vec::new();
-        rec.with(|_, events| {
-            for e in events {
-                if let Event::Span { cat, .. } = e {
-                    cats.push(cat);
-                }
-            }
-        });
-        // 4 block steps: 4 panels, 3 trsm+update pairs.
-        assert_eq!(cats.iter().filter(|c| **c == "panel").count(), 4);
-        assert_eq!(cats.iter().filter(|c| **c == "trsm").count(), 3);
-        assert_eq!(cats.iter().filter(|c| **c == "update").count(), 3);
-    }
-
-    #[test]
-    fn recorded_lu_emits_spans_for_wide_panels_too() {
-        use hpcc_trace::{Event, MemRecorder};
-        let mut rng = Rng::new(59);
-        let a = Mat::random(100, 100, &mut rng);
-        let rec = MemRecorder::new();
-        let mut traced = a.clone();
-        lu_factor_recorded(&mut traced, 32, &rec).unwrap();
-        let mut cats: Vec<&'static str> = Vec::new();
-        rec.with(|_, events| {
-            for e in events {
-                if let Event::Span { cat, .. } = e {
-                    cats.push(cat);
-                }
-            }
-        });
-        // 4 block steps (32·3 + 4): the recursive panel and packed TRSM
-        // still land under the same phase categories.
-        assert_eq!(cats.iter().filter(|c| **c == "panel").count(), 4);
-        assert_eq!(cats.iter().filter(|c| **c == "trsm").count(), 3);
-        assert_eq!(cats.iter().filter(|c| **c == "update").count(), 3);
     }
 }

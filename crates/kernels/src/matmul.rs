@@ -1,11 +1,9 @@
-//! Dense matrix multiply: naive, cache-blocked, and parallel.
+//! Dense matrix multiply baselines: naive and cache-blocked.
 //!
-//! The BLAS3 kernel is the engine of everything else (LU trailing
-//! updates). `matmul_naive` and `matmul_blocked` are the reference and
-//! cache-blocked baselines; `matmul_par` routes through the packed
-//! register-blocked engine in [`crate::gemm`].
+//! `matmul_naive` is the correctness oracle and `matmul_blocked` the
+//! cache-blocked baseline; the fast sequential and parallel multiplies
+//! are the packed register-blocked engine in [`crate::gemm`].
 
-use crate::gemm;
 use crate::mat::Mat;
 
 /// Naive triple loop (i-k-j order, so the inner loop is stride-1).
@@ -54,21 +52,10 @@ pub fn matmul_blocked(a: &Mat, b: &Mat, bs: usize) -> Mat {
     c
 }
 
-/// Parallel multiply through the packed engine: MC-row panels of
-/// C are independent, so [`gemm::gemm_par`] parallelises over them while
-/// keeping the accumulation order fixed (bit-identical to sequential).
-pub fn matmul_par(a: &Mat, b: &Mat) -> Mat {
-    gemm::gemm_par(a, b)
-}
-
-/// FLOP count of an (m×k)·(k×n) multiply.
-pub fn matmul_flops(m: usize, k: usize, n: usize) -> f64 {
-    2.0 * m as f64 * k as f64 * n as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::gemm_par;
     use des::rng::Rng;
 
     #[test]
@@ -108,7 +95,7 @@ mod tests {
         let a = Mat::random(40, 30, &mut rng);
         let b = Mat::random(30, 50, &mut rng);
         let naive = matmul_naive(&a, &b);
-        let par = matmul_par(&a, &b);
+        let par = gemm_par(&a, &b);
         assert!(naive.dist(&par) < 1e-12);
     }
 
@@ -116,13 +103,8 @@ mod tests {
     fn rectangular_shapes() {
         let a = Mat::from_rows(&[&[1.0, 0.0, 2.0]]);
         let b = Mat::from_rows(&[&[1.0], &[1.0], &[1.0]]);
-        let c = matmul_par(&a, &b);
+        let c = gemm_par(&a, &b);
         assert_eq!((c.rows(), c.cols()), (1, 1));
         assert_eq!(c[(0, 0)], 3.0);
-    }
-
-    #[test]
-    fn flop_count() {
-        assert_eq!(matmul_flops(10, 20, 30), 12_000.0);
     }
 }

@@ -7,8 +7,7 @@
 //! * broadcast / reduce — binomial tree;
 //! * allreduce — recursive doubling with non-power-of-two fold;
 //! * allgather — ring (bandwidth-optimal for equal blocks);
-//! * alltoall — p−1 pairwise exchange steps;
-//! * gather — linear to the root.
+//! * alltoall — p−1 pairwise exchange steps.
 //!
 //! Each schedule is written once. For paper-scale modelling the
 //! `*_virtual` calls run it on a timing-only [`Payload::Virtual`] byte
@@ -420,41 +419,7 @@ impl Comm {
         acc
     }
 
-    // ----- gather / allgather / alltoall ------------------------------------
-
-    /// Linear gather of equal-length blocks to `root`, concatenated in
-    /// member order.
-    pub async fn gather(&self, root: usize, data: &[f64]) -> Option<Vec<f64>> {
-        let p = self.size();
-        let tag = self.next_coll_tag();
-        if self.me != root {
-            self.node
-                .send(
-                    self.members[root],
-                    tag + self.me as u64,
-                    Payload::from_f64s(data),
-                )
-                .await;
-            self.seq.set(self.seq.get() + p as u64);
-            return None;
-        }
-        let mut out = vec![0.0; data.len() * p];
-        out[root * data.len()..(root + 1) * data.len()].copy_from_slice(data);
-        for i in 0..p {
-            if i == root {
-                continue;
-            }
-            let msg = self
-                .node
-                .recv(Some(self.members[i]), Some(tag + i as u64))
-                .await;
-            let block = msg.payload.into_f64s();
-            assert_eq!(block.len(), data.len(), "gather length mismatch");
-            out[i * data.len()..(i + 1) * data.len()].copy_from_slice(&block);
-        }
-        self.seq.set(self.seq.get() + p as u64);
-        Some(out)
-    }
+    // ----- allgather / alltoall ---------------------------------------------
 
     /// Ring allgather of equal-length blocks; result concatenated in
     /// member order on every member.
@@ -614,20 +579,6 @@ mod tests {
             let tri = (i * (i + 1) / 2) as f64;
             assert_eq!(v, &vec![(i + 1) as f64, tri], "member {i}");
         }
-    }
-
-    #[test]
-    fn gather_concatenates_in_order() {
-        let out = on9(|comm| {
-            Box::pin(async move {
-                let me = comm.me() as f64;
-                comm.gather(0, &[me, -me]).await
-            })
-        });
-        let at_root = out[0].as_ref().unwrap();
-        let expect: Vec<f64> = (0..9).flat_map(|i| [i as f64, -(i as f64)]).collect();
-        assert_eq!(at_root, &expect);
-        assert!(out[1..].iter().all(|o| o.is_none()));
     }
 
     #[test]

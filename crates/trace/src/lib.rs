@@ -1,9 +1,9 @@
 //! `hpcc-trace` — structured tracing & metrics for the HPCC simulators.
 //!
-//! The simulators (the Delta mesh, the NREN flow model, the scheduler) and
-//! the host kernels emit *spans* (an interval on a track), *instants*
-//! (a point event) and *counters* (a sampled value) through the [`Recorder`]
-//! trait. Three recorders ship here:
+//! The simulators (the Delta mesh, the NREN flow model, the scheduler)
+//! emit *spans* (an interval on a track), *instants* (a point event) and
+//! *counters* (a sampled value) through the [`Recorder`] trait. Three
+//! recorders ship here:
 //!
 //! * [`NullRecorder`] — every hook is a no-op behind a single `is_enabled()`
 //!   branch. All pre-existing entry points route through it, so an
@@ -33,10 +33,7 @@
 //! its own row in the viewer. Track-name conventions used by the simulators
 //! live in [`names`]; the summary exporter keys off them.
 //!
-//! Simulator timestamps are exact integer nanoseconds of virtual time.
-//! Host-kernel tracks ([`WallTrack`]) use real wall-clock nanoseconds from a
-//! per-track origin instead; both kinds coexist in one trace as separate
-//! processes.
+//! Timestamps are exact integer nanoseconds of virtual time.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -119,8 +116,6 @@ pub mod names {
     /// aggregate track; counters are events, windows, and cross-lane
     /// mailbox traffic (`delta_mesh::LaneStats`).
     pub const DES_LANES: &str = "des lanes";
-    /// Host-side kernel tracks (wall-clock time base).
-    pub const HOST: &str = "host";
 }
 
 /// One buffered event.
@@ -318,59 +313,6 @@ impl Recorder for MemRecorder {
     }
 }
 
-/// Wall-clock track for host-side kernels: anchors `std::time::Instant`
-/// elapsed nanoseconds to a trace track. When the recorder is disabled the
-/// clock is never read, so the traced kernel variants cost one branch.
-pub struct WallTrack<'a> {
-    rec: &'a dyn Recorder,
-    track: TrackId,
-    enabled: bool,
-    origin: std::time::Instant,
-}
-
-impl<'a> WallTrack<'a> {
-    /// Create (or reuse) the track `(process, thread)` on `rec`.
-    pub fn new(rec: &'a dyn Recorder, process: &str, thread: &str) -> WallTrack<'a> {
-        let enabled = rec.is_enabled();
-        let track = if enabled {
-            rec.track(process, thread)
-        } else {
-            0
-        };
-        WallTrack {
-            rec,
-            track,
-            enabled,
-            origin: std::time::Instant::now(),
-        }
-    }
-
-    /// Wall-clock nanoseconds since this track's origin (0 when disabled).
-    pub fn now_ns(&self) -> u64 {
-        if !self.enabled {
-            return 0;
-        }
-        self.origin.elapsed().as_nanos() as u64
-    }
-
-    /// Emit a span from `start_ns` (a prior [`WallTrack::now_ns`]) to now.
-    pub fn span_from(&self, cat: &'static str, name: &str, start_ns: u64) {
-        if !self.enabled {
-            return;
-        }
-        let end = self.now_ns().max(start_ns);
-        self.rec.span(self.track, cat, name, start_ns, end);
-    }
-
-    /// Emit a counter sample stamped now.
-    pub fn counter(&self, name: &'static str, value: f64) {
-        if !self.enabled {
-            return;
-        }
-        self.rec.counter(self.track, name, self.now_ns(), value);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -430,30 +372,5 @@ mod tests {
         assert_eq!(ev[0].ts_ns(), 10);
         assert!(matches!(ev[1], Event::Instant { at_ns: 15, .. }));
         assert!(matches!(ev[2], Event::Counter { value, .. } if value == 2.5));
-    }
-
-    #[test]
-    fn wall_track_disabled_never_reads_clock() {
-        let r = NullRecorder;
-        let w = WallTrack::new(&r, "host", "gemm");
-        assert!(!w.enabled);
-        assert_eq!(w.now_ns(), 0);
-        w.span_from("phase", "pack_a", 0);
-    }
-
-    #[test]
-    fn wall_track_emits_monotone_spans() {
-        let r = MemRecorder::new();
-        let w = WallTrack::new(&r, "host", "lu");
-        let t0 = w.now_ns();
-        w.span_from("phase", "panel", t0);
-        let ev = r.events();
-        assert_eq!(ev.len(), 1);
-        match &ev[0] {
-            Event::Span {
-                start_ns, end_ns, ..
-            } => assert!(start_ns <= end_ns),
-            other => panic!("expected span, got {other:?}"),
-        }
     }
 }
