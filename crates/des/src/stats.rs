@@ -97,37 +97,6 @@ impl Default for Summary {
     }
 }
 
-/// Why two histograms could not be merged: their bucket geometries
-/// (origin, bucket width, bucket count) differ, so bucket `i` of one
-/// covers a different value range than bucket `i` of the other and a
-/// count-wise merge would silently misfile every sample.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GeometryMismatch {
-    pub self_lo: f64,
-    pub self_width: f64,
-    pub self_buckets: usize,
-    pub other_lo: f64,
-    pub other_width: f64,
-    pub other_buckets: usize,
-}
-
-impl std::fmt::Display for GeometryMismatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "histogram geometries differ: [{}, w={}, n={}] vs [{}, w={}, n={}]",
-            self.self_lo,
-            self.self_width,
-            self.self_buckets,
-            self.other_lo,
-            self.other_width,
-            self.other_buckets
-        )
-    }
-}
-
-impl std::error::Error for GeometryMismatch {}
-
 /// Fixed-width linear histogram with overflow bucket.
 #[derive(Debug, Clone)]
 pub struct Histogram {
@@ -154,8 +123,7 @@ impl Histogram {
     /// Rebuild a histogram from pre-aggregated bucket counts covering
     /// `[lo, hi)` — the bridge used by streaming recorders that keep
     /// their counts in atomic cells and only materialize a `Histogram`
-    /// at scrape time (for [`Histogram::try_merge`] and
-    /// [`Histogram::quantile`]).
+    /// at scrape time (for [`Histogram::quantile`]).
     pub fn from_counts(lo: f64, hi: f64, counts: &[u64]) -> Histogram {
         assert!(hi > lo && !counts.is_empty());
         Histogram {
@@ -225,38 +193,28 @@ impl Histogram {
         Some(self.lo + self.buckets.len() as f64 * self.width)
     }
 
-    /// Merge another histogram into this one, or report exactly how the
-    /// geometries disagree. On `Err` this histogram is unchanged.
-    pub fn try_merge(&mut self, other: &Histogram) -> Result<(), GeometryMismatch> {
-        if self.lo != other.lo
-            || self.width != other.width
-            || self.buckets.len() != other.buckets.len()
-        {
-            return Err(GeometryMismatch {
-                self_lo: self.lo,
-                self_width: self.width,
-                self_buckets: self.buckets.len(),
-                other_lo: other.lo,
-                other_width: other.width,
-                other_buckets: other.buckets.len(),
-            });
-        }
+    /// Merge another histogram into this one. Both must share the same
+    /// geometry (`lo`, bucket width, bucket count): bucket `i` of one
+    /// covering a different range than bucket `i` of the other would
+    /// misfile every sample, so a mismatch panics and names both.
+    pub fn merge(&mut self, other: &Histogram) {
+        assert!(
+            self.lo == other.lo
+                && self.width == other.width
+                && self.buckets.len() == other.buckets.len(),
+            "histogram geometries differ: [{}, w={}, n={}] vs [{}, w={}, n={}]",
+            self.lo,
+            self.width,
+            self.buckets.len(),
+            other.lo,
+            other.width,
+            other.buckets.len()
+        );
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a += b;
         }
         self.overflow += other.overflow;
         self.underflow += other.underflow;
-        Ok(())
-    }
-
-    /// Merge another histogram into this one. Both must share the same
-    /// geometry (`lo`, bucket width, bucket count); panics otherwise —
-    /// use [`Histogram::try_merge`] when the geometries come from
-    /// untrusted or independently-configured sources.
-    pub fn merge(&mut self, other: &Histogram) {
-        if let Err(e) = self.try_merge(other) {
-            panic!("{e}");
-        }
     }
 }
 
@@ -377,7 +335,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "geometries differ")]
+    #[should_panic(expected = "histogram geometries differ: [0, w=2, n=25] vs [0, w=2.4, n=25]")]
     fn histogram_merge_rejects_mismatched_geometry() {
         let mut a = Histogram::new(0.0, 50.0, 25);
         let b = Histogram::new(0.0, 60.0, 25);
@@ -385,27 +343,10 @@ mod tests {
     }
 
     #[test]
-    fn try_merge_reports_both_geometries_and_leaves_self_intact() {
-        let mut a = Histogram::new(0.0, 50.0, 25);
-        a.add(10.0);
-        let mut b = Histogram::new(0.0, 60.0, 30);
-        b.add(10.0);
-        let err = a.try_merge(&b).unwrap_err();
-        assert_eq!(err.self_lo, 0.0);
-        assert_eq!(err.self_buckets, 25);
-        assert_eq!(err.other_buckets, 30);
-        assert_eq!(err.other_width, 2.0);
-        assert!(err.to_string().contains("geometries differ"));
-        // a must be untouched by the failed merge.
-        assert_eq!(a.count(), 1);
-        assert_eq!(a.bucket(5), 1);
-    }
-
-    #[test]
     fn merged_empty_histograms_still_have_no_quantiles() {
         let mut a = Histogram::new(0.0, 100.0, 10);
         let b = Histogram::new(0.0, 100.0, 10);
-        a.try_merge(&b).unwrap();
+        a.merge(&b);
         assert_eq!(a.count(), 0);
         assert_eq!(a.quantile(0.5), None);
         assert_eq!(a.quantile(1.0), None);
@@ -426,7 +367,7 @@ mod tests {
         }
         // And the rebuilt histogram merges with the original geometry.
         let mut m = rebuilt.clone();
-        m.try_merge(&h).unwrap();
+        m.merge(&h);
         assert_eq!(m.count(), 2 * h.count());
     }
 }

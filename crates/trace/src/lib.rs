@@ -16,9 +16,10 @@
 //!   plain-text metrics summary ([`MemRecorder::metrics_summary`]: p50/p99
 //!   latency histograms, top-k hottest links, per-node blocked-time
 //!   breakdown).
-//! * [`StreamRecorder`] — aggregates online behind atomics and keeps a
-//!   bounded ring of recent events, so a [`TelemetryServer`] can serve
-//!   `/metrics` and `/trace` while the simulation is hot (see [`stream`]).
+//! * [`StreamRecorder`] — aggregates online, one lock per event, into
+//!   atomic cells readers load without waiting, and keeps a bounded ring
+//!   of recent events, so a [`TelemetryServer`] can serve `/metrics` and
+//!   `/trace` while the simulation is hot (see [`stream`]).
 //!
 //! The two enabled recorders share one data model: the private `Tracks`
 //! registry interns tracks and assigns their Chrome rows, and [`chrome`]

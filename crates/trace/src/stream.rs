@@ -8,16 +8,14 @@
 //!
 //! * **Span cells** — one per (track, category): a log-linear histogram of
 //!   span durations held in plain `AtomicU64` bucket counters, plus
-//!   count/sum/min/max. The writer does a handful of relaxed `fetch_add`s
-//!   per span; readers load the counters without ever stopping the writer.
-//!   At scrape time the cells of one (process, category) group are
-//!   materialized as [`des::stats::Histogram`]s over bucket-index space
-//!   (via `Histogram::from_counts`) and combined with
-//!   `Histogram::try_merge` — same geometry by construction, and the typed
-//!   [`des::stats::GeometryMismatch`] error surfaces any drift instead of
-//!   silently misfiling counts.
+//!   count/sum/min/max. Readers load the counters without ever stopping
+//!   the writer. At scrape time the bucket counts of one (process,
+//!   category) group are summed into one array and materialized once as a
+//!   [`des::stats::Histogram`] over bucket-index space (via
+//!   `Histogram::from_counts`), whose quantile edges decode back to
+//!   nanoseconds.
 //! * **Counter cells** — one per (track, name): last sampled value (bit
-//!   cast through `AtomicU64`), sample count, running min/max.
+//!   cast through `AtomicU64`), sample count, running max.
 //! * **Instant cells** — one per (track, category, name): occurrence count.
 //! * **Event ring** — a bounded deque of immutable chunks of recent events
 //!   for live trace tailing (`/trace?since=<seq>`). The writer appends to
@@ -29,21 +27,30 @@
 //!
 //! ## Perturbation budget
 //!
-//! The writer-side cost per event is: one `RwLock` read lock held across
-//! a ≤8-entry linear cell probe and the cell's 1–5 relaxed atomic RMWs
-//! (the cells live in the registry, so the update runs under the guard
-//! that found them — no `Arc` to clone and drop), two more for the
-//! totals, and one uncontended `Mutex` push into the active ring chunk.
-//! Only the first event of a (track, category) takes the write lock, to
-//! insert its cell. There are no allocations on the hot path (ring names
-//! are inlined up to `SmallName::CAP` = 31 bytes, then truncated) and
-//! readers never take a lock the writer's per-event path needs
-//! exclusively: scrapes share the registry's read lock, load atomics and
-//! clone `Arc`s of frozen chunks. A reader holds that lock only while it
-//! builds its answer in memory (≈ 0.2 ms per 1,024 `/trace` events),
-//! never across socket I/O, so all it can delay is the insertion of a new
-//! cell or track. Like every recorder, it is a pure observer — recorded
-//! runs stay bit-identical to unrecorded ones (asserted in exhibit OBS-2).
+//! An event costs one `Mutex`: the writer lock, which guards the ring's
+//! active chunk and the writer's own per-track index of the cells. Under
+//! it the writer probes its index (≤ 8 entries a track), updates the cell
+//! and the totals with relaxed loads and stores — the lock serialises
+//! writers, so no read-modify-write is needed — and appends the event.
+//! The cells are `Arc`s held by the index and by the registry the readers
+//! scan; the writer only dereferences its own, so no `Arc` is cloned or
+//! dropped per event. Only a (track, key)'s first event takes the
+//! registry's write lock, to insert its cell, and never while it holds
+//! the writer lock. Every `chunk_cap` events the active chunk is
+//! published and the next one starts in the buffer of an evicted chunk
+//! no reader still holds, when there is one, so the steady-state writer
+//! allocates one `Arc` a chunk and nothing else (ring names are inlined
+//! up to `SmallName::CAP` = 31 bytes, then truncated).
+//!
+//! Readers take the registry's read lock, load atomics and clone `Arc`s
+//! of frozen chunks. Of the writer lock they take only the moment
+//! `ring_ledger` needs to count; the lock on the published chunks, which
+//! `/trace` takes, the writer takes once a chunk. A reader holds the
+//! registry lock only while it builds its answer in memory (≈ 0.2 ms per
+//! 1,024 `/trace` events), never across socket I/O, so all it can delay
+//! is the insertion of a new cell or track. Like every recorder, it is a
+//! pure observer — recorded runs stay bit-identical to unrecorded ones
+//! (asserted in exhibit OBS-2).
 //!
 //! ## Accounting ledger
 //!
@@ -57,10 +64,10 @@
 //!
 //! Both identities are exposed on `/metrics` and property-tested.
 
-use std::collections::{HashMap, VecDeque};
-use std::fmt::Write as _;
+use std::collections::VecDeque;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 use des::stats::Histogram;
 
@@ -100,6 +107,18 @@ pub fn bucket_hi(i: usize) -> u64 {
     let minor = i % MINORS;
     let hi = ((MINORS + minor + 1) as u128) << major;
     (hi - 1).min(u64::MAX as u128) as u64
+}
+
+/// `a += by` where only the writer lock's holder writes `a`: a relaxed
+/// load and store, no read-modify-write. Readers still see every value
+/// whole, and each counter only moves forward (wrapping on overflow, as
+/// an atomic add would).
+#[inline]
+fn bump(a: &AtomicU64, by: u64) {
+    a.store(
+        a.load(Ordering::Relaxed).wrapping_add(by),
+        Ordering::Relaxed,
+    );
 }
 
 /// Inline string for ring events: the hot path must not allocate. Longer
@@ -161,19 +180,32 @@ pub(crate) struct Chunk {
     events: Vec<RingEvent>,
 }
 
+/// Everything an event changes that is not an atomic, behind the one
+/// lock a writer takes per event.
+struct Writer {
+    /// The ring's active chunk; readers never see it until it is frozen.
+    chunk: Chunk,
+    /// The writer's own index of the registry's cells, by track id.
+    cells: Vec<TrackCells>,
+    /// The emptied buffer of an evicted chunk no reader held, for the
+    /// next chunk.
+    spare: Option<Vec<RingEvent>>,
+}
+
+/// The frozen chunks, oldest first, and how many events were evicted
+/// before them. Chunks are evicted in sequence order from 0, so
+/// `evicted` is also the oldest retained sequence number.
+struct Published {
+    chunks: VecDeque<Arc<Chunk>>,
+    evicted: u64,
+}
+
 struct Ring {
-    /// Writer-side buffer; readers never lock it.
-    active: Mutex<Chunk>,
-    /// Frozen chunks, oldest first. Readers clone `Arc`s out under a
-    /// briefly-held lock; the writer locks it once per `chunk_cap`
-    /// events to publish.
-    published: Mutex<VecDeque<Arc<Chunk>>>,
+    /// Readers clone `Arc`s out under this briefly-held lock; the writer
+    /// takes it once per `chunk_cap` events to publish.
+    published: Mutex<Published>,
     chunk_cap: usize,
     max_chunks: usize,
-    evicted: AtomicU64,
-    /// Sequence number of the oldest event still retained (first
-    /// published chunk, or the active chunk when none are published).
-    oldest: AtomicU64,
 }
 
 /// Ring accounting snapshot.
@@ -194,77 +226,65 @@ pub struct RingLedger {
 impl Ring {
     fn new(chunk_cap: usize, max_chunks: usize) -> Ring {
         Ring {
-            active: Mutex::new(Chunk {
-                base_seq: 0,
-                events: Vec::with_capacity(chunk_cap),
+            published: Mutex::new(Published {
+                chunks: VecDeque::with_capacity(max_chunks + 1),
+                evicted: 0,
             }),
-            published: Mutex::new(VecDeque::with_capacity(max_chunks + 1)),
             chunk_cap,
             max_chunks,
-            evicted: AtomicU64::new(0),
-            oldest: AtomicU64::new(0),
         }
     }
 
-    fn push(&self, ev: RingEvent) {
-        let mut active = self.active.lock().expect("ring active");
-        active.events.push(ev);
-        if active.events.len() >= self.chunk_cap {
-            self.freeze(active);
-        }
-    }
-
-    /// Publish the active chunk even if partially full (phase boundaries,
-    /// end of run) so tail readers see everything emitted so far.
-    fn flush(&self) {
-        let active = self.active.lock().expect("ring active");
-        if !active.events.is_empty() {
-            self.freeze(active);
-        }
-    }
-
-    /// Swap a fresh buffer in for the active chunk and publish the old
-    /// one; chunks past `max_chunks` are evicted, oldest first, and counted.
-    fn freeze(&self, mut active: MutexGuard<'_, Chunk>) {
+    /// Publish the writer's active chunk and start the next one in the
+    /// spare buffer, or a new one; chunks past `max_chunks` are evicted,
+    /// oldest first, and counted. Runs under the writer lock, which is
+    /// taken before `published` here as in `ledger`.
+    fn freeze(&self, w: &mut Writer) {
+        let events = w
+            .spare
+            .take()
+            .unwrap_or_else(|| Vec::with_capacity(self.chunk_cap));
         let next = Chunk {
-            base_seq: active.base_seq + active.events.len() as u64,
-            events: Vec::with_capacity(self.chunk_cap),
+            base_seq: w.chunk.base_seq + w.chunk.events.len() as u64,
+            events,
         };
-        let chunk = Arc::new(std::mem::replace(&mut *active, next));
-        drop(active);
+        let chunk = Arc::new(std::mem::replace(&mut w.chunk, next));
         let mut pubs = self.published.lock().expect("ring published");
-        pubs.push_back(chunk);
-        while pubs.len() > self.max_chunks {
-            let gone = pubs.pop_front().expect("nonempty");
-            self.evicted
-                .fetch_add(gone.events.len() as u64, Ordering::Relaxed);
-            self.oldest
-                .store(gone.base_seq + gone.events.len() as u64, Ordering::Relaxed);
+        pubs.chunks.push_back(chunk);
+        while pubs.chunks.len() > self.max_chunks {
+            let gone = pubs.chunks.pop_front().expect("nonempty");
+            pubs.evicted += gone.events.len() as u64;
+            if let Ok(Chunk { mut events, .. }) = Arc::try_unwrap(gone) {
+                events.clear();
+                w.spare = Some(events);
+            }
         }
     }
 
-    /// Snapshot the published chunks overlapping `since..`.
-    fn read_since(&self, since: u64) -> Vec<Arc<Chunk>> {
+    /// Snapshot the published chunks overlapping `since..`, and the
+    /// oldest retained sequence number, from one critical section.
+    fn read_since(&self, since: u64) -> (Vec<Arc<Chunk>>, u64) {
         let pubs = self.published.lock().expect("ring published");
-        pubs.iter()
+        let chunks = pubs
+            .chunks
+            .iter()
             .filter(|c| c.base_seq + c.events.len() as u64 > since)
             .cloned()
-            .collect()
+            .collect();
+        (chunks, pubs.evicted)
     }
 
-    fn ledger(&self) -> RingLedger {
-        // Lock order: active then published — same as the writer's
-        // `freeze`, so a concurrent snapshot cannot deadlock and the
-        // two counts come from one consistent cut.
-        let active = self.active.lock().expect("ring active");
+    /// The ledger, counted under the writer lock `w` comes from, so the
+    /// active and published counts come from one consistent cut.
+    fn ledger(&self, w: &Writer) -> RingLedger {
         let pubs = self.published.lock().expect("ring published");
-        let retained: u64 = pubs.iter().map(|c| c.events.len() as u64).sum();
+        let retained: u64 = pubs.chunks.iter().map(|c| c.events.len() as u64).sum();
         RingLedger {
             retained_events: retained,
-            active_events: active.events.len() as u64,
-            evicted_events: self.evicted.load(Ordering::Relaxed),
-            next_seq: active.base_seq + active.events.len() as u64,
-            oldest_seq: self.oldest.load(Ordering::Relaxed),
+            active_events: w.chunk.events.len() as u64,
+            evicted_events: pubs.evicted,
+            next_seq: w.chunk.base_seq + w.chunk.events.len() as u64,
+            oldest_seq: pubs.evicted,
         }
     }
 }
@@ -291,25 +311,18 @@ impl Default for SpanCell {
 }
 
 impl SpanCell {
+    /// Only the writer lock's holder calls this (see [`bump`]).
     #[inline]
     fn add(&self, dur_ns: u64) {
-        self.buckets[bucket_of(dur_ns)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_ns.fetch_add(dur_ns, Ordering::Relaxed);
-        self.min_ns.fetch_min(dur_ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(dur_ns, Ordering::Relaxed);
-    }
-
-    /// Materialize the atomic buckets as a `des::stats::Histogram` over
-    /// bucket-index space `[0, NBUCKETS)` — fixed geometry, so every
-    /// cell's histogram merges with every other's.
-    fn to_histogram(&self) -> Histogram {
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        Histogram::from_counts(0.0, NBUCKETS as f64, &counts)
+        bump(&self.buckets[bucket_of(dur_ns)], 1);
+        bump(&self.count, 1);
+        bump(&self.sum_ns, dur_ns);
+        if dur_ns < self.min_ns.load(Ordering::Relaxed) {
+            self.min_ns.store(dur_ns, Ordering::Relaxed);
+        }
+        if dur_ns > self.max_ns.load(Ordering::Relaxed) {
+            self.max_ns.store(dur_ns, Ordering::Relaxed);
+        }
     }
 }
 
@@ -331,34 +344,64 @@ impl Default for CounterCell {
 }
 
 impl CounterCell {
+    /// Only the writer lock's holder calls this (see [`bump`]).
     #[inline]
     fn sample(&self, value: f64) {
         self.last_bits.store(value.to_bits(), Ordering::Relaxed);
-        self.samples.fetch_add(1, Ordering::Relaxed);
-        // Monotone max via CAS: counters are sampled rarely enough that
-        // the loop almost never retries.
-        let mut cur = self.max_bits.load(Ordering::Relaxed);
-        while value > f64::from_bits(cur) {
-            match self.max_bits.compare_exchange_weak(
-                cur,
-                value.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(now) => cur = now,
-            }
+        bump(&self.samples, 1);
+        if value > f64::from_bits(self.max_bits.load(Ordering::Relaxed)) {
+            self.max_bits.store(value.to_bits(), Ordering::Relaxed);
         }
     }
 }
 
 /// Per-track cell directory. Categories/counter names per track are few
-/// (≤ ~8), so a linear probe over a small Vec beats hashing.
+/// (≤ ~8), so a linear probe over a small Vec beats hashing. The registry
+/// and the writer's index each keep one per track, holding the same
+/// `Arc`s.
 #[derive(Default)]
 struct TrackCells {
-    spans: Vec<(&'static str, SpanCell)>,
-    counters: Vec<(&'static str, CounterCell)>,
-    instants: Vec<((&'static str, SmallName), AtomicU64)>,
+    spans: Vec<(&'static str, Arc<SpanCell>)>,
+    counters: Vec<(&'static str, Arc<CounterCell>)>,
+    instants: Vec<((&'static str, SmallName), Arc<AtomicU64>)>,
+}
+
+/// Picks one kind's directory out of a track's cells.
+type Dir<K, C> = fn(&mut TrackCells) -> &mut Vec<(K, Arc<C>)>;
+
+/// The cell keyed `key` in `dir` of `track`'s cells, if there is one.
+fn find<K: PartialEq + 'static, C: 'static>(
+    cells: &mut [TrackCells],
+    track: TrackId,
+    key: K,
+    dir: Dir<K, C>,
+) -> Option<&C> {
+    let dir = dir(cells.get_mut(track as usize)?);
+    dir.iter().find(|(k, _)| *k == key).map(|(_, cell)| &**cell)
+}
+
+/// The cell keyed `key` in `dir` of `track`'s cells, inserting `make()`
+/// when there is none; `true` when it was inserted.
+fn find_or_insert<K: PartialEq + 'static, C: 'static>(
+    cells: &mut Vec<TrackCells>,
+    track: TrackId,
+    key: K,
+    dir: Dir<K, C>,
+    make: impl FnOnce() -> Arc<C>,
+) -> (&Arc<C>, bool) {
+    let idx = track as usize;
+    if cells.len() <= idx {
+        cells.resize_with(idx + 1, TrackCells::default);
+    }
+    let dir = dir(&mut cells[idx]);
+    let (at, fresh) = match dir.iter().position(|(k, _)| *k == key) {
+        Some(at) => (at, false),
+        None => {
+            dir.push((key, make()));
+            (dir.len() - 1, true)
+        }
+    };
+    (&dir[at].1, fresh)
 }
 
 #[derive(Default)]
@@ -422,6 +465,7 @@ pub struct MetricsSnapshot {
 /// between the simulation thread and any number of HTTP reader threads.
 pub struct StreamRecorder {
     reg: RwLock<Registry>,
+    writer: Mutex<Writer>,
     ring: Ring,
     events_total: AtomicU64,
     spans_total: AtomicU64,
@@ -447,6 +491,14 @@ impl StreamRecorder {
         assert!(chunk_cap > 0 && max_chunks > 0);
         StreamRecorder {
             reg: RwLock::new(Registry::default()),
+            writer: Mutex::new(Writer {
+                chunk: Chunk {
+                    base_seq: 0,
+                    events: Vec::with_capacity(chunk_cap),
+                },
+                cells: Vec::new(),
+                spare: None,
+            }),
             ring: Ring::new(chunk_cap, max_chunks),
             events_total: AtomicU64::new(0),
             spans_total: AtomicU64::new(0),
@@ -460,7 +512,10 @@ impl StreamRecorder {
     /// chunk publication is otherwise automatic every `chunk_cap`
     /// events).
     pub fn flush_ring(&self) {
-        self.ring.flush();
+        let mut w = self.writer.lock().expect("writer");
+        if !w.chunk.events.is_empty() {
+            self.ring.freeze(&mut w);
+        }
     }
 
     /// Total events emitted through the recorder so far.
@@ -470,7 +525,7 @@ impl StreamRecorder {
 
     /// Ring accounting (retained / active / evicted / seq window).
     pub fn ring_ledger(&self) -> RingLedger {
-        self.ring.ledger()
+        self.ring.ledger(&self.writer.lock().expect("writer"))
     }
 
     /// Registered tracks, in id order.
@@ -478,71 +533,94 @@ impl StreamRecorder {
         self.reg.read().expect("registry").tracks.rows().to_vec()
     }
 
-    /// Apply `update` to the cell keyed `key` in the directory `dir` picks
-    /// out of `track`'s cells, under the registry guard: the read guard
-    /// when the cell exists (every event but a key's first), the write
-    /// guard to insert it.
-    fn with_cell<K: Copy + PartialEq, C: Default>(
+    /// Record one event under the writer lock: apply `update` to the cell
+    /// keyed `key` in `dir` of `track`'s cells, count the event in `total`
+    /// and `events_total`, and append `ev` to the ring.
+    fn record<K: Copy + PartialEq + 'static, C: Default + 'static>(
         &self,
         track: TrackId,
         key: K,
-        dir: impl Fn(&TrackCells) -> &Vec<(K, C)>,
-        dir_mut: impl Fn(&mut TrackCells) -> &mut Vec<(K, C)>,
+        dir: Dir<K, C>,
         update: impl Fn(&C),
+        total: &AtomicU64,
+        ev: RingEvent,
     ) {
-        let idx = track as usize;
-        let hit = |dir: &Vec<(K, C)>| {
-            let cell = dir.iter().find(|(k, _)| *k == key);
-            cell.map(|(_, cell)| update(cell)).is_some()
-        };
-        let reg = self.reg.read().expect("registry");
-        if reg.cells.get(idx).is_some_and(|tc| hit(dir(tc))) {
-            return;
+        let mut w = self.writer.lock().expect("writer");
+        if let Some(cell) = find(&mut w.cells, track, key, dir) {
+            update(cell);
+        } else {
+            // A key's first event. Its cell is found or inserted in the
+            // registry with the writer lock dropped, since `trace_chunk`
+            // takes the registry before the ring; a racing writer may
+            // insert it first. A cell this event inserts is updated before
+            // the registry shows it: no reader sees it empty, and no other
+            // writer can reach it yet.
+            drop(w);
+            let (cell, fresh) = {
+                let mut reg = self.reg.write().expect("registry");
+                let (cell, fresh) = find_or_insert(&mut reg.cells, track, key, dir, || {
+                    let cell = C::default();
+                    update(&cell);
+                    Arc::new(cell)
+                });
+                (Arc::clone(cell), fresh)
+            };
+            w = self.writer.lock().expect("writer");
+            let (cell, _) = find_or_insert(&mut w.cells, track, key, dir, || cell);
+            if !fresh {
+                update(cell);
+            }
         }
-        drop(reg);
-        let mut reg = self.reg.write().expect("registry");
-        if reg.cells.len() <= idx {
-            reg.cells.resize_with(idx + 1, TrackCells::default);
-        }
-        let dir = dir_mut(&mut reg.cells[idx]);
-        // Probe again: another writer may have inserted it in between.
-        if !hit(dir) {
-            dir.push((key, C::default()));
-            hit(dir);
+        bump(total, 1);
+        bump(&self.events_total, 1);
+        w.chunk.events.push(ev);
+        if w.chunk.events.len() >= self.ring.chunk_cap {
+            self.ring.freeze(&mut w);
         }
     }
 
-    /// Aggregate snapshot: per-(process, category) span quantiles (via
-    /// `Histogram::try_merge` across that group's cells), counter and
-    /// instant series, the self-accounting totals, and the ring ledger.
+    /// Aggregate snapshot: per-(process, category) span quantiles (from
+    /// the group's summed bucket counts), counter and instant series, the
+    /// self-accounting totals, and the ring ledger.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let reg = self.reg.read().expect("registry");
-        struct Group {
-            hist: Histogram,
+        struct Group<'r> {
+            process: &'r str,
+            category: &'static str,
+            counts: Vec<u64>,
             count: u64,
             sum_ns: u64,
             min_ns: u64,
             max_ns: u64,
         }
-        let mut groups: HashMap<(String, &'static str), Group> = HashMap::new();
+        let reg = self.reg.read().expect("registry");
+        // Groups are few (processes × categories), so a linear probe.
+        let mut groups: Vec<Group> = Vec::new();
         let mut counters = Vec::new();
         let mut instants = Vec::new();
         // A track's cells appear with its first event; cells under an id
         // nobody registered have no (process, thread) to be served as.
         for (track, tc) in reg.tracks.rows().iter().zip(&reg.cells) {
-            for (cat, cell) in &tc.spans {
-                let g = groups
-                    .entry((track.process.clone(), cat))
-                    .or_insert_with(|| Group {
-                        hist: Histogram::from_counts(0.0, NBUCKETS as f64, &vec![0; NBUCKETS]),
-                        count: 0,
-                        sum_ns: 0,
-                        min_ns: u64::MAX,
-                        max_ns: 0,
-                    });
-                g.hist
-                    .try_merge(&cell.to_histogram())
-                    .expect("stream cells share one geometry");
+            for (category, cell) in &tc.spans {
+                let key = (track.process.as_str(), *category);
+                let at = match groups.iter().position(|g| (g.process, g.category) == key) {
+                    Some(at) => at,
+                    None => {
+                        groups.push(Group {
+                            process: key.0,
+                            category: key.1,
+                            counts: vec![0; NBUCKETS],
+                            count: 0,
+                            sum_ns: 0,
+                            min_ns: u64::MAX,
+                            max_ns: 0,
+                        });
+                        groups.len() - 1
+                    }
+                };
+                let g = &mut groups[at];
+                for (n, b) in g.counts.iter_mut().zip(cell.buckets.iter()) {
+                    *n += b.load(Ordering::Relaxed);
+                }
                 g.count += cell.count.load(Ordering::Relaxed);
                 g.sum_ns += cell.sum_ns.load(Ordering::Relaxed);
                 g.min_ns = g.min_ns.min(cell.min_ns.load(Ordering::Relaxed));
@@ -568,18 +646,20 @@ impl StreamRecorder {
                 });
             }
         }
-        let mut spans: Vec<SpanGroup> = groups
-            .into_iter()
-            .map(|((process, category), g)| {
+        groups.sort_by(|a, b| (a.process, a.category).cmp(&(b.process, b.category)));
+        let spans = groups
+            .iter()
+            .map(|g| {
+                // Bucket-index space `[0, NBUCKETS)`: bucket `i` is `[i, i + 1)`.
+                let hist = Histogram::from_counts(0.0, NBUCKETS as f64, &g.counts);
                 let q = |p: f64| -> u64 {
-                    g.hist
-                        .quantile(p)
+                    hist.quantile(p)
                         .map(|edge| bucket_hi((edge as usize).saturating_sub(1).min(NBUCKETS - 1)))
                         .unwrap_or(0)
                 };
                 SpanGroup {
-                    process,
-                    category,
+                    process: g.process.to_string(),
+                    category: g.category,
                     count: g.count,
                     sum_ns: g.sum_ns,
                     min_ns: if g.count == 0 { 0 } else { g.min_ns },
@@ -590,7 +670,6 @@ impl StreamRecorder {
                 }
             })
             .collect();
-        spans.sort_by(|a, b| (&a.process, a.category).cmp(&(&b.process, b.category)));
 
         let tracks = reg.tracks.rows().len() as u64;
         drop(reg);
@@ -602,39 +681,36 @@ impl StreamRecorder {
             spans_total: self.spans_total.load(Ordering::Relaxed),
             counters_total: self.counters_total.load(Ordering::Relaxed),
             instants_total: self.instants_total.load(Ordering::Relaxed),
-            ring: self.ring.ledger(),
+            ring: self.ring_ledger(),
             tracks,
         }
     }
 
     /// Render the snapshot in the Prometheus text exposition format
-    /// (version 0.0.4) — what `GET /metrics` serves.
+    /// (version 0.0.4) — what `GET /metrics` serves. Labels and values
+    /// are written straight into the answer, not built as strings first.
     pub fn prometheus_text(&self) -> String {
         let snap = self.metrics_snapshot();
         let mut out = String::with_capacity(4096);
-        let secs = |ns: u64| ns as f64 / 1e9;
+        let secs = |ns: u64| Sample(ns as f64 / 1e9);
 
         out.push_str(
             "# HELP hpcc_span_latency_seconds Span durations per (process, category).\n\
              # TYPE hpcc_span_latency_seconds summary\n",
         );
         for g in &snap.spans {
-            let labels = format!(
-                "process=\"{}\",category=\"{}\"",
-                escape_label(&g.process),
-                escape_label(g.category)
-            );
+            let labels = Labels([("process", &g.process), ("category", g.category)]);
             for (q, v) in [(0.5, g.p50_ns), (0.9, g.p90_ns), (0.99, g.p99_ns)] {
                 let _ = writeln!(
                     out,
                     "hpcc_span_latency_seconds{{{labels},quantile=\"{q}\"}} {}",
-                    fmt_f64(secs(v))
+                    secs(v)
                 );
             }
             let _ = writeln!(
                 out,
                 "hpcc_span_latency_seconds_sum{{{labels}}} {}",
-                fmt_f64(secs(g.sum_ns))
+                secs(g.sum_ns)
             );
             let _ = writeln!(
                 out,
@@ -648,29 +724,24 @@ impl StreamRecorder {
              # TYPE hpcc_counter_last gauge\n",
         );
         for c in &snap.counters {
-            let labels = format!(
-                "process=\"{}\",track=\"{}\",name=\"{}\"",
-                escape_label(&c.process),
-                escape_label(&c.thread),
-                escape_label(c.name)
+            let _ = writeln!(
+                out,
+                "hpcc_counter_last{{{}}} {}",
+                counter_labels(c),
+                Sample(c.last)
             );
-            let _ = writeln!(out, "hpcc_counter_last{{{labels}}} {}", fmt_f64(c.last));
         }
         out.push_str(
             "# HELP hpcc_counter_max High-water mark per counter track.\n\
              # TYPE hpcc_counter_max gauge\n",
         );
-        for c in &snap.counters {
-            if c.samples == 0 {
-                continue;
-            }
-            let labels = format!(
-                "process=\"{}\",track=\"{}\",name=\"{}\"",
-                escape_label(&c.process),
-                escape_label(&c.thread),
-                escape_label(c.name)
+        for c in snap.counters.iter().filter(|c| c.samples > 0) {
+            let _ = writeln!(
+                out,
+                "hpcc_counter_max{{{}}} {}",
+                counter_labels(c),
+                Sample(c.max)
             );
-            let _ = writeln!(out, "hpcc_counter_max{{{labels}}} {}", fmt_f64(c.max));
         }
 
         out.push_str(
@@ -678,15 +749,13 @@ impl StreamRecorder {
              # TYPE hpcc_instants_total counter\n",
         );
         for i in &snap.instants {
-            let _ = writeln!(
-                out,
-                "hpcc_instants_total{{process=\"{}\",track=\"{}\",category=\"{}\",name=\"{}\"}} {}",
-                escape_label(&i.process),
-                escape_label(&i.thread),
-                escape_label(i.category),
-                escape_label(&i.name),
-                i.count
-            );
+            let labels = Labels([
+                ("process", &i.process),
+                ("track", &i.thread),
+                ("category", i.category),
+                ("name", &i.name),
+            ]);
+            let _ = writeln!(out, "hpcc_instants_total{{{labels}}} {}", i.count);
         }
 
         out.push_str(
@@ -727,11 +796,10 @@ impl StreamRecorder {
     /// as a standalone Perfetto-loadable JSON object with track metadata.
     /// Returns the JSON and the `next` cursor to poll from. Events the
     /// reader missed to eviction are reported in the `lagged` field, not
-    /// silently skipped.
+    /// silently skipped: `lagged` + the events sent == `next` − `since`.
     pub fn trace_chunk(&self, since: u64, max_events: usize) -> (String, u64) {
         let reg = self.reg.read().expect("registry");
-        let chunks = self.ring.read_since(since);
-        let oldest = self.ring.ledger().oldest_seq;
+        let (chunks, oldest) = self.ring.read_since(since);
         let lagged = oldest.saturating_sub(since);
 
         let held: usize = chunks.iter().map(|chunk| chunk.events.len()).sum();
@@ -784,60 +852,52 @@ impl Recorder for StreamRecorder {
     fn span(&self, track: TrackId, cat: &'static str, name: &str, start_ns: u64, end_ns: u64) {
         debug_assert!(start_ns <= end_ns, "span ends before it starts");
         let dur_ns = end_ns - start_ns;
-        self.with_cell(
+        self.record(
             track,
             cat,
-            |tc| &tc.spans,
             |tc| &mut tc.spans,
             |cell: &SpanCell| cell.add(dur_ns),
+            &self.spans_total,
+            RingEvent {
+                track,
+                cat,
+                name: SmallName::new(name),
+                kind: RingKind::Span { start_ns, end_ns },
+            },
         );
-        self.spans_total.fetch_add(1, Ordering::Relaxed);
-        self.events_total.fetch_add(1, Ordering::Relaxed);
-        self.ring.push(RingEvent {
-            track,
-            cat,
-            name: SmallName::new(name),
-            kind: RingKind::Span { start_ns, end_ns },
-        });
     }
 
     fn instant(&self, track: TrackId, cat: &'static str, name: &str, at_ns: u64) {
         let name = SmallName::new(name);
-        self.with_cell(
+        self.record(
             track,
             (cat, name),
-            |tc| &tc.instants,
             |tc| &mut tc.instants,
-            |count: &AtomicU64| {
-                count.fetch_add(1, Ordering::Relaxed);
+            |count: &AtomicU64| bump(count, 1),
+            &self.instants_total,
+            RingEvent {
+                track,
+                cat,
+                name,
+                kind: RingKind::Instant { at_ns },
             },
         );
-        self.instants_total.fetch_add(1, Ordering::Relaxed);
-        self.events_total.fetch_add(1, Ordering::Relaxed);
-        self.ring.push(RingEvent {
-            track,
-            cat,
-            name,
-            kind: RingKind::Instant { at_ns },
-        });
     }
 
     fn counter(&self, track: TrackId, name: &'static str, at_ns: u64, value: f64) {
-        self.with_cell(
+        self.record(
             track,
             name,
-            |tc| &tc.counters,
             |tc| &mut tc.counters,
             |cell: &CounterCell| cell.sample(value),
+            &self.counters_total,
+            RingEvent {
+                track,
+                cat: "counter",
+                name: SmallName::new(name),
+                kind: RingKind::Counter { at_ns, value },
+            },
         );
-        self.counters_total.fetch_add(1, Ordering::Relaxed);
-        self.events_total.fetch_add(1, Ordering::Relaxed);
-        self.ring.push(RingEvent {
-            track,
-            cat: "counter",
-            name: SmallName::new(name),
-            kind: RingKind::Counter { at_ns, value },
-        });
     }
 }
 
@@ -862,32 +922,60 @@ impl Recorder for Arc<StreamRecorder> {
     }
 }
 
-/// Prometheus label-value escaping: backslash, double quote, newline.
-fn escape_label(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
+/// Prometheus label pairs `key="value",…`, each value escaped as it is
+/// written (backslash, double quote, newline): no string is built per
+/// label.
+struct Labels<'a, const N: usize>([(&'static str, &'a str); N]);
+
+impl<const N: usize> fmt::Display for Labels<'_, N> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, (key, value)) in self.0.iter().enumerate() {
+            if i > 0 {
+                f.write_char(',')?;
+            }
+            write!(f, "{key}=\"")?;
+            let mut rest = *value;
+            while let Some(at) = rest.bytes().position(|b| matches!(b, b'\\' | b'"' | b'\n')) {
+                f.write_str(&rest[..at])?;
+                f.write_str(match rest.as_bytes()[at] {
+                    b'\\' => "\\\\",
+                    b'"' => "\\\"",
+                    _ => "\\n",
+                })?;
+                rest = &rest[at + 1..];
+            }
+            f.write_str(rest)?;
+            f.write_char('"')?;
         }
+        Ok(())
     }
-    out
 }
 
-/// Prometheus sample value: decimal, never scientific with a bare `e`
-/// issue — Rust's `{}` for f64 is fine, but NaN/inf must be spelled the
-/// Prometheus way.
-fn fmt_f64(v: f64) -> String {
-    if v.is_nan() {
-        "NaN".to_string()
-    } else if v == f64::INFINITY {
-        "+Inf".to_string()
-    } else if v == f64::NEG_INFINITY {
-        "-Inf".to_string()
-    } else {
-        format!("{v}")
+/// The labels of one counter series.
+fn counter_labels(c: &CounterSeries) -> Labels<'_, 3> {
+    Labels([
+        ("process", &c.process),
+        ("track", &c.thread),
+        ("name", c.name),
+    ])
+}
+
+/// A Prometheus sample value: Rust's `{}` for a finite `f64`, and NaN and
+/// the infinities spelled the Prometheus way.
+struct Sample(f64);
+
+impl fmt::Display for Sample {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let v = self.0;
+        if v.is_nan() {
+            f.write_str("NaN")
+        } else if v == f64::INFINITY {
+            f.write_str("+Inf")
+        } else if v == f64::NEG_INFINITY {
+            f.write_str("-Inf")
+        } else {
+            write!(f, "{v}")
+        }
     }
 }
 
@@ -1069,6 +1157,48 @@ mod tests {
                 "bad sample value in line: {line}"
             );
         }
+    }
+
+    /// Writers serialised by the writer lock lose no update: three
+    /// writers on one cell leave bucket counts that sum to its count, and
+    /// an exact count, sum, min and max.
+    #[test]
+    fn many_writers_keep_every_bucket() {
+        const WRITERS: u64 = 3;
+        const N: u64 = 400_000;
+        let dur = |w: u64, i: u64| 1 + (i * 31 + w) % 5_000;
+        let r = StreamRecorder::with_ring(64, 4);
+        let t = r.track("p", "t");
+        let start = std::sync::Barrier::new(WRITERS as usize);
+        std::thread::scope(|scope| {
+            for w in 0..WRITERS {
+                let (r, start) = (&r, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..N {
+                        r.span(t, "c", "s", 0, dur(w, i));
+                    }
+                });
+            }
+        });
+        let w = r.writer.lock().unwrap();
+        let cell = &w.cells[t as usize].spans[0].1;
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let buckets: u64 = cell.buckets.iter().map(load).sum();
+        let sum: u64 = (0..WRITERS)
+            .flat_map(|w| (0..N).map(move |i| dur(w, i)))
+            .sum();
+        assert_eq!(
+            (buckets, load(&cell.count), load(&cell.sum_ns)),
+            (WRITERS * N, WRITERS * N, sum)
+        );
+        assert_eq!((load(&cell.min_ns), load(&cell.max_ns)), (1, 5_000));
+    }
+
+    #[test]
+    fn labels_are_escaped_as_written() {
+        let labels = Labels([("process", "a\\b"), ("name", "say \"hi\"\n")]);
+        assert_eq!(labels.to_string(), r#"process="a\\b",name="say \"hi\"\n""#);
     }
 
     #[test]

@@ -7,19 +7,21 @@
 //! * Accounting: every emitted event is aggregated exactly once and is in
 //!   the ring exactly once (retained, active, or counted as evicted).
 //! * Scrape-while-write: concurrent readers see monotone totals and
-//!   internally consistent snapshots while the writer is hot.
+//!   internally consistent snapshots while several writers are hot, and
+//!   every cell ends exact; a `/trace` tail counts each event once while
+//!   the ring evicts under it.
 //!
 //! The first two are plain loops over seeded cases: case `c` draws its
 //! inputs from `Rng::new(K ^ c)`, `K` being the constant in that test's
 //! `Rng::new` call, and prints them first, so a failure's last printed
 //! line names the case that replays it.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 
 use des::rng::Rng;
 use hpcc_trace::stream::{bucket_hi, bucket_of};
-use hpcc_trace::{Event, MemRecorder, Recorder, StreamRecorder};
+use hpcc_trace::{json, Event, MemRecorder, Recorder, StreamRecorder};
 
 /// Exact quantile with `des::stats::Histogram`'s rank rule: the
 /// `ceil(q*n)`-th smallest value (1-indexed).
@@ -148,38 +150,58 @@ fn ledger_balances_for_any_mix_and_ring_geometry() {
     }
 }
 
-/// Concurrent scrape-while-write: readers hammer every read surface while
-/// a writer streams events. Totals must be monotone across scrapes and
-/// the final ledger exact.
+/// One writer's share of the concurrent tests: span, counter and instant
+/// in turn, then the next track. Every writer takes the same cells in the
+/// same order, so concurrent writers keep meeting on one cell. The shares
+/// are deterministic, so a single-threaded replay of all writers gives
+/// the aggregates a concurrent run must end with.
+fn write_share(rec: &StreamRecorder, tracks: &[u32], writer: u64, n: u64) {
+    for i in 0..n {
+        let t = tracks[(i / 3 % tracks.len() as u64) as usize];
+        let x = (i * 7_919 + writer * 104_729) % 1_000_003;
+        match i % 3 {
+            0 => rec.span(t, "compute", "k", i, i + x),
+            1 => rec.counter(t, "q", i, x as f64),
+            _ => rec.instant(t, "f", "x", i),
+        }
+    }
+}
+
+/// Concurrent scrape-while-write: three writers share every cell while
+/// readers hammer every read surface. Totals must be monotone across
+/// scrapes, and at the end each cell must hold exactly what a
+/// single-threaded replay of the same events holds — count, sum, min,
+/// max and quantiles of every span cell, samples and max of every
+/// counter, every instant count — and both ledgers must balance.
 #[test]
 fn concurrent_scrapes_see_monotone_consistent_state() {
-    const N: u64 = 30_000;
+    const WRITERS: u64 = 3;
+    const PER_WRITER: u64 = 50_000;
+    const N: u64 = WRITERS * PER_WRITER;
+    // One process per track, so each span group is one cell.
+    let procs = ["p0", "p1", "p2", "p3"];
     let rec = Arc::new(StreamRecorder::with_ring(256, 8));
-    let t = rec.track("mesh nodes", "node 0");
-    let done = Arc::new(AtomicBool::new(false));
+    let tracks: Vec<u32> = procs.iter().map(|p| rec.track(p, "t")).collect();
+    let writing = Arc::new(AtomicUsize::new(WRITERS as usize));
+    let start = Barrier::new(WRITERS as usize);
 
     std::thread::scope(|scope| {
-        {
-            let rec = Arc::clone(&rec);
-            let done = Arc::clone(&done);
+        for w in 0..WRITERS {
+            let (rec, tracks, writing) = (Arc::clone(&rec), &tracks, Arc::clone(&writing));
+            let start = &start;
             scope.spawn(move || {
-                for i in 0..N {
-                    match i % 3 {
-                        0 => rec.span(t, "compute", "k", i, i + 10),
-                        1 => rec.counter(t, "q", i, i as f64),
-                        _ => rec.instant(t, "f", "x", i),
-                    }
-                }
-                done.store(true, Ordering::SeqCst);
+                start.wait();
+                write_share(&rec, tracks, w, PER_WRITER);
+                writing.fetch_sub(1, Ordering::SeqCst);
             });
         }
         for _ in 0..3 {
             let rec = Arc::clone(&rec);
-            let done = Arc::clone(&done);
+            let writing = Arc::clone(&writing);
             scope.spawn(move || {
                 let mut last_total = 0u64;
                 let mut cursor = 0u64;
-                while !done.load(Ordering::SeqCst) {
+                while writing.load(Ordering::SeqCst) > 0 {
                     let snap = rec.metrics_snapshot();
                     assert!(
                         snap.events_total >= last_total,
@@ -210,6 +232,90 @@ fn concurrent_scrapes_see_monotone_consistent_state() {
         snap.ring.retained_events + snap.ring.active_events + snap.ring.evicted_events,
         N
     );
+    assert_eq!(snap.ring.next_seq, N);
+
+    let replay = StreamRecorder::with_ring(256, 8);
+    let replay_tracks: Vec<u32> = procs.iter().map(|p| replay.track(p, "t")).collect();
+    for w in 0..WRITERS {
+        write_share(&replay, &replay_tracks, w, PER_WRITER);
+    }
+    let want = replay.metrics_snapshot();
+    assert_eq!(snap.spans.len(), procs.len());
+    for (got, want) in snap.spans.iter().zip(&want.spans) {
+        assert_eq!(
+            (got.count, got.sum_ns, got.min_ns, got.max_ns),
+            (want.count, want.sum_ns, want.min_ns, want.max_ns),
+            "span cell of {}",
+            want.process
+        );
+        assert_eq!(
+            (got.p50_ns, got.p90_ns, got.p99_ns),
+            (want.p50_ns, want.p90_ns, want.p99_ns),
+            "span quantiles of {}",
+            want.process
+        );
+    }
+    assert_eq!(snap.counters.len(), procs.len());
+    for (got, want) in snap.counters.iter().zip(&want.counters) {
+        assert_eq!(
+            (got.samples, got.max),
+            (want.samples, want.max),
+            "{}",
+            want.process
+        );
+    }
+    assert_eq!(snap.instants.len(), procs.len());
+    for (got, want) in snap.instants.iter().zip(&want.instants) {
+        assert_eq!(got.count, want.count, "{}", want.process);
+    }
+}
+
+/// `/trace` sends each event once: on every read, the events it sends
+/// plus the events it reports `lagged` are exactly `next - since`, while
+/// a writer streams through a ring so small that it evicts a chunk every
+/// 16 events. The reader makes a fixed number of reads; the writer runs
+/// until the reader is done or has failed.
+#[test]
+fn trace_chunks_count_each_event_once_while_the_ring_evicts() {
+    /// Stops the writer when the reader ends, also by a failed assertion.
+    struct Stop<'a>(&'a AtomicBool);
+    impl Drop for Stop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+    const READS: u64 = 10_000;
+    let rec = StreamRecorder::with_ring(16, 2);
+    let t = rec.track("p", "t");
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut i = 0;
+            while !done.load(Ordering::Relaxed) {
+                rec.span(t, "c", "s", i, i + 1);
+                i += 1;
+            }
+        });
+        let _stop = Stop(&done);
+        let mut since = 0u64;
+        for read in 0..READS {
+            let (body, next) = rec.trace_chunk(since, 1024);
+            let doc = json::parse(&body).expect("a chunk is valid JSON");
+            let lagged = doc.get("lagged").and_then(json::Value::as_f64).unwrap() as u64;
+            let rows = doc
+                .get("traceEvents")
+                .and_then(json::Value::as_arr)
+                .unwrap()
+                .filter(|e| e.get("ph").and_then(json::Value::as_str).as_deref() == Some("X"))
+                .count() as u64;
+            assert_eq!(
+                lagged + rows,
+                next - since,
+                "read {read}: since {since} next {next} lagged {lagged} rows {rows}"
+            );
+            since = next;
+        }
+    });
 }
 
 /// The pure-observer contract at the API level: a recorded lu2d-style
