@@ -6,7 +6,9 @@
 //! all --smoke` hands it to the one of them it runs (`resilience`).
 //!
 //! `report all --out <path>` writes the concatenated exhibits to a file
-//! instead of stdout (used to regenerate `report_all.txt`).
+//! instead of stdout (used to regenerate `report_all.txt`). Either way
+//! `report all` prints each exhibit's host seconds to stderr, never into
+//! the exhibits' text.
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -16,7 +18,9 @@ fn main() {
     if cmd == "all" {
         let mut buf = String::new();
         for (name, run) in hpcc_bench::ALL {
-            buf.push_str(&format!("=== {name} ===\n\n{}\n", run.call(smoke)));
+            let (secs, out) = hpcc_bench::timed(|| run.call(smoke));
+            eprintln!("{name}: {secs:.2} s");
+            buf.push_str(&format!("=== {name} ===\n\n{out}\n"));
         }
         let out_path = args
             .iter()

@@ -8,7 +8,7 @@
 use delta_mesh::{presets, Machine};
 use hpcc_core::{fnum, Agency, Component, FiscalYear, FundingTable, Table};
 use hpcc_kernels::sim::{fftsim, lu2d, stencil};
-use nren_netsim::{topologies, FlowSim, LinkClass, TransferSpec};
+use nren_netsim::{topologies, FlowSim, LinkClass, Net, SiteId, TransferSpec};
 
 use des::time::SimTime;
 
@@ -630,11 +630,28 @@ pub fn scheduler() -> String {
     )
 }
 
+/// Seeded node crashes on the 16x33 Delta at an MTBF of `k ×` the
+/// arrival span of `tr`, over that span: about `528 / k` nodes die while
+/// the stream is live, not in the drain tail.
+fn crashes_over_span(
+    tr: &delta_mesh::sched::service::ServiceTrace,
+    k: f64,
+) -> delta_mesh::FaultPlan {
+    use des::time::Dur;
+    let span_s = tr
+        .subs
+        .last()
+        .map_or(0.0, |s| s.arrival.nanos() as f64 / 1e9);
+    let mtbf = Dur::from_secs_f64(k * span_s);
+    delta_mesh::FaultPlan::seeded(1992, mtbf, 16 * 33, Dur::from_secs_f64(span_s))
+}
+
 /// SCHED-1: the long-running scheduler *service* on the same 528-node
 /// Delta — admission control, per-tenant quotas, priority shed tiers,
 /// and seeded retry/backoff across three operating regimes. Every
-/// number is deterministic (fixed seeds); the wall-clock companion at a
-/// million submissions is `report bench-sched`.
+/// number is deterministic (fixed seeds). The same three regimes, timed
+/// and checked on every pass, are the `sched_stream` workload of
+/// `benchmark/`.
 pub fn sched_service() -> String {
     use delta_mesh::sched::service::{self, ServiceConfig};
     use delta_mesh::{service_workload, FaultPlan};
@@ -658,9 +675,7 @@ pub fn sched_service() -> String {
     // (~528/k of the machine dies mid-run); `None` runs fault-free.
     let mut run = |name: &str, n: usize, load: f64, cfg: &ServiceConfig, mtbf: Option<f64>| {
         let tr = service_workload(n, 64, load, 16, 33, 1992);
-        let plan = mtbf.map_or_else(FaultPlan::none, |k| {
-            crate::schedperf::crashes_over_span(&tr, 1992, k, 16 * 33)
-        });
+        let plan = mtbf.map_or_else(FaultPlan::none, |k| crashes_over_span(&tr, k));
         let r = service::run_with_faults(&tr, cfg, &plan);
         t.row(&[
             name.into(),
@@ -874,11 +889,9 @@ pub fn resilience(smoke: bool) -> String {
 
     // --- 3. WAN link outages: re-route or stall. ---
     let net = topologies::delta_consortium();
-    let delta = net.site(topologies::DELTA_SITE).unwrap();
-    let jpl = net.site("JPL").unwrap();
+    let (jpl, delta, first_link) = staging_path(&net);
     let sim = FlowSim::new(&net);
     let spec = TransferSpec::new(jpl, delta, 200 << 20, SimTime::ZERO);
-    let first_link = net.route(jpl, delta).unwrap().dirs[0] / 2;
     let quiet = sim.run(vec![spec.clone()])[0].duration().as_secs_f64();
     let mut t = Table::new(
         "WAN outage on the JPL -> Delta staging path (200 MB transfer)",
@@ -922,6 +935,19 @@ pub fn resilience(smoke: bool) -> String {
          and report Stalled — not a crash — when it partitions them.\n",
     );
     out
+}
+
+/// The JPL -> Delta staging path of RES-1, OBS-1 and OBS-2's WAN
+/// scenario on `net` (the built-in `delta_consortium`): the two sites
+/// and the link its first hop crosses.
+pub(crate) fn staging_path(net: &Net) -> (SiteId, SiteId, usize) {
+    let path = (|| {
+        let (jpl, delta) = (net.site("JPL")?, net.site(topologies::DELTA_SITE)?);
+        Some((jpl, delta, net.route(jpl, delta)?.dirs[0] / 2))
+    })();
+    // The consortium topology is built in: both sites exist and JPL
+    // reaches the Delta in one or more hops.
+    path.expect("delta_consortium links JPL to the Delta")
 }
 
 /// OBS-1: the tracing layer exercised end to end — a faulted LU-2D on
@@ -984,11 +1010,9 @@ pub fn trace(smoke: bool) -> String {
 
     // --- 2. WAN staging transfer under an outage (repaired at 30 s). ---
     let net = topologies::delta_consortium();
-    let delta = net.site(topologies::DELTA_SITE).unwrap();
-    let jpl = net.site("JPL").unwrap();
+    let (jpl, delta, first_link) = staging_path(&net);
     let sim = FlowSim::new(&net);
     let spec = TransferSpec::new(jpl, delta, 200 << 20, SimTime::ZERO);
-    let first_link = net.route(jpl, delta).unwrap().dirs[0] / 2;
     let fault = LinkFault {
         link: first_link,
         down_at: SimTime::from_secs_f64(0.5),

@@ -4,20 +4,20 @@
 //! * [`exhibits`] builds each exhibit's reproduction as a printable
 //!   report (used by the `report` binary, the integration tests, and
 //!   EXPERIMENTS.md).
-//! * [`perf`], [`desperf`], [`schedperf`], [`netperf`] and [`telemetry`]
-//!   are the full-size scale exhibits: wall-clock tables at sizes the
-//!   repeatable benchmark (`benchmark/`, the one harness that measures
-//!   for the record) does not reach, with their timing gates asserted.
-//!   They print and write nothing.
+//! * [`perf`], [`desperf`], [`netperf`] and [`telemetry`] are the
+//!   full-size scale exhibits: wall-clock tables at sizes the repeatable
+//!   benchmark (`benchmark/`, the one harness that measures for the
+//!   record) does not reach. The gated ones print every gate's verdict
+//!   under their tables. They write nothing.
 //! * [`ALL`] and [`STANDALONE`] are the `report` binary's command set.
 
 pub mod desperf;
 pub mod exhibits;
 pub mod netperf;
 pub mod perf;
-pub mod schedperf;
 pub mod telemetry;
 
+use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Wall seconds of one call of `f` (never zero), with its result.
@@ -27,14 +27,43 @@ pub fn timed<R>(f: impl FnOnce() -> R) -> (f64, R) {
     (t.elapsed().as_secs_f64().max(1e-9), out)
 }
 
-/// Fastest of `reps` timed calls of `f`, with the result of the first.
-/// No separate warm-up: a cold first call is just a rep that loses.
-pub fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
-    let (mut best, first) = timed(&mut f);
-    for _ in 1..reps {
-        best = best.min(timed(&mut f).0);
+/// Fastest time per side over `reps` rounds. A round calls every side
+/// once, starting one side later than the round before, so a slow drift
+/// of the host's speed lands on all sides alike. A side returns the
+/// seconds it measured ([`timed`] around its work, so set-up such as
+/// cloning an input stays untimed). No separate warm-up: a cold first
+/// call is just a rep that loses.
+pub(crate) fn best_of<const N: usize>(
+    reps: usize,
+    sides: [&mut dyn FnMut() -> f64; N],
+) -> [f64; N] {
+    let mut best = [f64::MAX; N];
+    for rep in 0..reps {
+        for k in rep..rep + N {
+            best[k % N] = best[k % N].min(sides[k % N]());
+        }
     }
-    (best, first)
+    best
+}
+
+/// One gate of a scale exhibit: whether it held, and what it measured
+/// against which bound.
+pub(crate) type Gate = (bool, String);
+
+/// A gated scale exhibit's output: `tables`, then one `gate …: ok` or
+/// `gate …: FAILED` line per gate. When any gate failed it panics
+/// (exit 101) with all of that, so a failing run still shows every row
+/// and every gate.
+pub(crate) fn gated(tables: String, gates: Vec<Gate>) -> String {
+    let mut out = tables + "\n";
+    for (ok, line) in &gates {
+        let _ = writeln!(out, "gate {line}: {}", if *ok { "ok" } else { "FAILED" });
+    }
+    if gates.iter().all(|(ok, _)| *ok) {
+        out
+    } else {
+        panic!("{out}")
+    }
 }
 
 /// How a `report` command is produced.
@@ -90,7 +119,6 @@ pub const STANDALONE: &[(&str, Run)] = &[
     ("trace", Sized(exhibits::trace)),
     ("bench-kernels", Plain(perf::report)),
     ("bench-des", Plain(desperf::report)),
-    ("bench-sched", Plain(schedperf::report)),
     ("bench-net", Plain(netperf::report)),
     ("telemetry", Plain(telemetry::report)),
     ("prom-sample", Plain(telemetry::prom_sample)),
@@ -154,13 +182,47 @@ mod tests {
     }
 
     #[test]
-    fn best_of_returns_the_first_result_and_a_positive_time() {
-        let mut calls = 0;
-        let (secs, first) = best_of(3, || {
-            calls += 1;
-            calls
-        });
-        assert_eq!((first, calls), (1, 3));
-        assert!(secs > 0.0);
+    fn best_of_rotates_the_sides_and_keeps_each_fastest() {
+        let order = &std::cell::RefCell::new(String::new());
+        let side = |name: char, secs: [f64; 3]| {
+            let mut rep = 0;
+            move || {
+                order.borrow_mut().push(name);
+                rep += 1;
+                secs[rep - 1]
+            }
+        };
+        let best = best_of(
+            3,
+            [
+                &mut side('a', [3.0, 1.0, 2.0]),
+                &mut side('b', [0.5, 4.0, 5.0]),
+            ],
+        );
+        assert_eq!(best, [1.0, 0.5]);
+        assert_eq!(*order.borrow(), "abbaab");
+    }
+
+    /// What `f` panicked with; fails the test if it returned.
+    pub(crate) fn panic_text(f: impl FnOnce() -> String + std::panic::UnwindSafe) -> String {
+        let payload = std::panic::catch_unwind(f).expect_err("a failed gate must panic");
+        *payload
+            .downcast::<String>()
+            .expect("panic message is a String")
+    }
+
+    #[test]
+    fn gated_prints_every_gate_and_fails_on_any() {
+        let pass = vec![(true, "a 1.0x (>= 1x)".to_string())];
+        assert_eq!(
+            gated("T\n".into(), pass.clone()),
+            "T\n\ngate a 1.0x (>= 1x): ok\n"
+        );
+        let fail = [pass, vec![(false, "b 0.5x (>= 1x)".to_string())]].concat();
+        let text = panic_text(|| gated("T\n".into(), fail));
+        assert_eq!(
+            text,
+            "T\n\ngate a 1.0x (>= 1x): ok\ngate b 0.5x (>= 1x): FAILED\n"
+        );
     }
 }

@@ -1,8 +1,8 @@
 //! Exhibit OBS-2, the live-telemetry scale table: the streaming
 //! recorder and its HTTP front door under load. `report telemetry`
-//! prints it and asserts the gates below. The recorder at steady state
-//! beside live readers, sized for repeated passes, is the
-//! `telemetry_live` workload of `benchmark/`.
+//! prints it and the verdict of each gate below, and fails when one
+//! fails. The recorder at steady state beside live readers, sized for
+//! repeated passes, is the `telemetry_live` workload of `benchmark/`.
 //!
 //! * the synthetic pump sustains the target recorder events/sec with
 //!   four concurrent `/metrics` + `/trace` scrapers attached,
@@ -25,7 +25,7 @@
 //! runtime exporting its lane diagnostics as first-class
 //! [`hpcc_trace::names::DES_LANES`] counters.
 
-use crate::timed;
+use crate::{best_of, gated, timed, Gate};
 use delta_mesh::sched::{consortium_workload, run_recorded, Policy};
 use delta_mesh::{presets, FaultKind, FaultPlan, Kernel, Machine, Node};
 use des::time::{Dur, SimTime};
@@ -33,7 +33,7 @@ use hpcc_core::{fnum, Table};
 use hpcc_kernels::sim::lu2d;
 use hpcc_trace::{http, names, NullRecorder, Recorder, StreamRecorder, TelemetryServer};
 use nren_netsim::{topologies, FlowSim, LinkFault};
-use std::fmt::Write as _;
+use std::cell::OnceCell;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -176,29 +176,23 @@ const OVERHEAD_REPS: usize = 5;
 /// recorded run under `scrapers` concurrent readers for the scrape
 /// stats and the identity assertion.
 fn engine_scenario(name: &'static str, run: impl Fn(Rc<dyn Recorder>) -> String) -> TelemetryRow {
-    let (mut t_null, mut t_rec) = (f64::MAX, f64::MAX);
-    let mut base: Option<String> = None;
-    for rep in 0..OVERHEAD_REPS {
-        // Both sides in one rep, the first alternating (as in
-        // `perf::lu_rows`): a slow drift of the host's speed then lands
-        // on both instead of on whichever side was timed second.
-        for recorded in [rep % 2 == 1, rep % 2 == 0] {
-            let (t, out) = timed(|| {
-                run(if recorded {
-                    Rc::new(Arc::new(StreamRecorder::new()))
-                } else {
-                    Rc::new(NullRecorder)
-                })
-            });
-            let best = if recorded { &mut t_rec } else { &mut t_null };
-            *best = best.min(t);
-            match &base {
-                Some(b) => assert_eq!(*b, out, "{name}: recording perturbed the simulation"),
-                None => base = Some(out),
-            }
+    // Every run, recorded or not, must reproduce the first one's outcome.
+    let base = OnceCell::new();
+    let timed_run = |recorder: fn() -> Rc<dyn Recorder>| {
+        let (t, out) = timed(|| run(recorder()));
+        if let Err(out) = base.set(out) {
+            assert_eq!(
+                base.get(),
+                Some(&out),
+                "{name}: recording perturbed the simulation"
+            );
         }
-    }
-    let base = base.expect("at least one rep");
+        t
+    };
+    let mut null = || timed_run(|| Rc::new(NullRecorder));
+    let mut recorded = || timed_run(|| Rc::new(Arc::new(StreamRecorder::new())));
+    let [t_null, t_rec] = best_of(OVERHEAD_REPS, [&mut null, &mut recorded]);
+    let base = base.into_inner().expect("at least one rep");
 
     let scrapers = 2;
     let rec = Arc::new(StreamRecorder::new());
@@ -277,12 +271,10 @@ fn sched_scenario(njobs: usize) -> TelemetryRow {
 fn wan_scenario(horizon_s: f64) -> TelemetryRow {
     engine_scenario("wan-faulted", move |rec| {
         let net = topologies::delta_consortium();
-        let delta = net.site(topologies::DELTA_SITE).unwrap();
-        let jpl = net.site("JPL").unwrap();
         let sim = FlowSim::new(&net);
         let mut rng = des::rng::Rng::new(0x1992);
         let specs = nren_netsim::workload::poisson_traffic(&net, &mut rng, 12.0, 80.0e6, horizon_s);
-        let first_link = net.route(jpl, delta).unwrap().dirs[0] / 2;
+        let (_, _, first_link) = crate::exhibits::staging_path(&net);
         let fault = LinkFault {
             link: first_link,
             down_at: SimTime::from_secs_f64(0.5),
@@ -332,51 +324,14 @@ pub fn snapshot() -> Vec<TelemetryRow> {
     ]
 }
 
-/// Assert the acceptance gates; panics on violation, returns the
-/// summary lines printed under the table.
-pub fn gates(rows: &[TelemetryRow]) -> String {
-    let mut s = String::new();
+/// The acceptance gates, one verdict each.
+fn gates(rows: &[TelemetryRow]) -> Vec<Gate> {
     let pump = rows
         .iter()
         .find(|r| r.scenario == "pump")
         .expect("pump row");
     let floor = 1.0e6;
-    assert!(
-        pump.events_per_sec >= floor,
-        "pump sustained {:.0} events/sec < {floor:.0} floor",
-        pump.events_per_sec
-    );
-    assert!(
-        pump.scrapes >= pump.scrapers as u64,
-        "scrapers starved: {} scrapes from {}",
-        pump.scrapes,
-        pump.scrapers
-    );
-    let _ = writeln!(
-        s,
-        "gate: pump {:.2} M events/s with {} live scrapers (floor {:.2} M) — ok",
-        pump.events_per_sec / 1e6,
-        pump.scrapers,
-        floor / 1e6
-    );
-
-    for r in rows {
-        assert_eq!(
-            r.unaccounted, 0,
-            "{}: {} events unaccounted — the ledger must balance",
-            r.scenario, r.unaccounted
-        );
-        assert!(r.identical, "{}: recorded run diverged", r.scenario);
-    }
-    let _ = writeln!(
-        s,
-        "gate: every scenario balanced its ledger (0 unaccounted events) — ok"
-    );
-    let _ = writeln!(
-        s,
-        "gate: recorded engine runs bit-identical to NullRecorder twins — ok"
-    );
-
+    let unaccounted: u64 = rows.iter().map(|r| r.unaccounted).sum();
     // Overhead budget. Two regimes, gated separately:
     //
     // * metrics regime (sched, wan, sharded lanes) — counters and
@@ -394,29 +349,41 @@ pub fn gates(rows: &[TelemetryRow]) -> String {
         .filter(|r| !matches!(r.scenario, "pump" | "lu2d-faulted"))
         .collect();
     let agg: f64 = metrics.iter().map(|r| r.overhead_pct).sum::<f64>() / metrics.len() as f64;
-    assert!(
-        agg <= 10.0,
-        "mean metrics-regime recording overhead {agg:.1}% exceeds the 10% budget"
-    );
-    let _ = writeln!(
-        s,
-        "gate: metrics-regime overhead {agg:.1}% (mean of sched/wan/sharded) <= 10% — ok"
-    );
     let lu = rows
         .iter()
         .find(|r| r.scenario == "lu2d-faulted")
         .expect("lu2d row");
-    assert!(
-        lu.overhead_pct <= 150.0,
-        "trace-regime overhead {:.1}% exceeds the 150% bound",
-        lu.overhead_pct
-    );
-    let _ = writeln!(
-        s,
-        "gate: trace-regime (per-message spans) overhead {:.1}% <= 150% — ok",
-        lu.overhead_pct
-    );
-    s
+    vec![
+        (
+            pump.events_per_sec >= floor && pump.scrapes >= pump.scrapers as u64,
+            format!(
+                "pump {:.2} M events/s with {} live scrapers, {} scrapes (floor {:.2} M, a scrape each)",
+                pump.events_per_sec / 1e6,
+                pump.scrapers,
+                pump.scrapes,
+                floor / 1e6
+            ),
+        ),
+        (
+            unaccounted == 0,
+            format!("every scenario balanced its ledger ({unaccounted} unaccounted events)"),
+        ),
+        (
+            rows.iter().all(|r| r.identical),
+            "recorded engine runs bit-identical to NullRecorder twins".into(),
+        ),
+        (
+            agg <= 10.0,
+            format!("metrics-regime overhead {agg:.1}% (mean of sched/wan/sharded) <= 10%"),
+        ),
+        (
+            lu.overhead_pct <= 150.0,
+            format!(
+                "trace-regime (per-message spans) overhead {:.1}% <= 150%",
+                lu.overhead_pct
+            ),
+        ),
+    ]
 }
 
 /// The table `report telemetry` prints.
@@ -455,10 +422,11 @@ pub fn table(rows: &[TelemetryRow]) -> Table {
     t
 }
 
-/// `report telemetry`: measure, enforce the [`gates`], print.
+/// `report telemetry`: measure, print the table and every gate's
+/// verdict, fail if a gate failed.
 pub fn report() -> String {
     let rows = snapshot();
-    format!("{}\n{}", table(&rows), gates(&rows))
+    gated(table(&rows).to_string(), gates(&rows))
 }
 
 /// `report prom-sample`: one deterministic `/metrics` exposition from a
@@ -483,6 +451,47 @@ pub fn prom_sample() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::panic_text;
+
+    /// Rows that pass every gate but the trace regime's (160%): the
+    /// failure carries the whole table and every other gate's line.
+    #[test]
+    fn a_failed_gate_still_prints_the_table_and_every_gate() {
+        let row = |scenario, events_per_sec, overhead_pct| TelemetryRow {
+            scenario,
+            events: 1_000,
+            wall_ms: 1.0,
+            events_per_sec,
+            scrapers: 2,
+            scrapes: 40,
+            scrape_p50_ms: 0.5,
+            scrape_p99_ms: 2.0,
+            ring_evicted: 0,
+            unaccounted: 0,
+            overhead_pct,
+            identical: true,
+        };
+        let rows = vec![
+            row("pump", 9.0e6, 0.0),
+            row("lu2d-faulted", 1e6, 160.0),
+            row("sched-faulted", 1e5, 4.0),
+            row("wan-faulted", 1e5, 6.0),
+            row("sharded-mesh", 1e5, 5.0),
+        ];
+        let text = panic_text(|| gated(table(&rows).to_string(), gates(&rows)));
+        assert!(text.starts_with(&table(&rows).to_string()), "{text}");
+        assert!(text.contains("Exhibit OBS-2"));
+        for line in [
+            "gate pump 9.00 M events/s with 2 live scrapers, 40 scrapes (floor 1.00 M, a scrape each): ok",
+            "gate every scenario balanced its ledger (0 unaccounted events): ok",
+            "gate recorded engine runs bit-identical to NullRecorder twins: ok",
+            "gate metrics-regime overhead 5.0% (mean of sched/wan/sharded) <= 10%: ok",
+            "gate trace-regime (per-message spans) overhead 160.0% <= 150%: FAILED",
+        ] {
+            assert!(text.contains(&format!("\n{line}\n")), "no `{line}` in:\n{text}");
+        }
+        assert_eq!(text.matches("\ngate ").count(), 5);
+    }
 
     /// The scrape harness measures and the ledger check catches nothing
     /// on a quiet recorder.

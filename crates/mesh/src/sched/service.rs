@@ -30,8 +30,7 @@
 //! Admission happens at arrival and adds no calendar entry, so
 //! under-capacity zero-fault runs replay the batch scheduler's event
 //! sequence exactly: [`assert_batch_equivalent`] checks the schedules
-//! bit-for-bit and is run by the property tests (`service_props.rs`)
-//! and `hpcc-bench`'s `schedperf` unit test.
+//! bit-for-bit and is run by the property tests (`service_props.rs`).
 //!
 //! Accounting is exact: node-time is integrated in integer node-ns over
 //! every event, so `useful + lost_to_kills + dead + idle == total` is an
@@ -1078,8 +1077,7 @@ pub fn service_workload(
 /// the service must produce bit-for-bit the schedule the batch
 /// scheduler produces on the equivalent job list — same starts, same
 /// finishes, same placements, same makespan. Panics on any divergence.
-/// Run by the property tests (`service_props.rs`) and `hpcc-bench`'s
-/// `schedperf` unit test.
+/// Run by the property tests (`service_props.rs`).
 pub fn assert_batch_equivalent(trace: &ServiceTrace, rows: usize, cols: usize, policy: Policy) {
     let cfg = ServiceConfig::batch_equivalent(rows, cols, policy);
     let svc = run(trace, &cfg);
