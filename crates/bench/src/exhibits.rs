@@ -233,7 +233,7 @@ pub fn mpp_series() -> String {
 /// T4-5a: the consortium network — per-partner connectivity to the Delta.
 pub fn consortium_net() -> String {
     let net = topologies::delta_consortium();
-    let delta = net.site(topologies::DELTA_SITE).unwrap();
+    let delta = site(&net, topologies::DELTA_SITE);
     let sim = FlowSim::new(&net);
     let mut t = Table::new(
         "Exhibit T4-5a — Delta Consortium partners: connectivity to the Delta",
@@ -302,8 +302,8 @@ pub fn nren_upgrade() -> String {
     for class in [LinkClass::T1, LinkClass::T3, LinkClass::Gigabit] {
         let net = topologies::nsfnet(class);
         let sim = FlowSim::new(&net);
-        let a = net.site("Palo Alto").unwrap();
-        let b = net.site("College Park").unwrap();
+        let a = site(&net, "Palo Alto");
+        let b = site(&net, "College Park");
         let plain = sim
             .single_flow_time(&TransferSpec::new(a, b, bytes, SimTime::ZERO))
             .unwrap()
@@ -333,8 +333,8 @@ pub fn nren_upgrade() -> String {
 pub fn casa() -> String {
     let net = topologies::casa_testbed();
     let sim = FlowSim::new(&net);
-    let caltech = net.site(topologies::DELTA_SITE).unwrap();
-    let lanl = net.site("Los Alamos").unwrap();
+    let caltech = site(&net, topologies::DELTA_SITE);
+    let lanl = site(&net, "Los Alamos");
     let bytes: u64 = 1 << 30; // a 1 GB remote-visualisation field
     let mut t = Table::new(
         "Exhibit T4-5c — CASA HIPPI/SONET (800 Mb/s) testbed: Caltech -> Los Alamos, 1 GB",
@@ -399,8 +399,11 @@ pub fn cas() -> String {
 }
 
 /// GC-1: host-parallel Grand Challenge kernels (parallel vs sequential).
+/// Each cell is one timed call; every row but multigrid's times one
+/// kernel on one worker against itself on every host core.
 pub fn grand_challenges() -> String {
-    use std::time::Instant;
+    use crate::timed;
+    use std::hint::black_box;
     let mut t = Table::new(
         "GC-1 — Grand Challenge kernels on the host (sequential vs parallel)",
         &[
@@ -412,31 +415,26 @@ pub fn grand_challenges() -> String {
         ],
     );
     let threads = des::host_cores();
-
-    let time = |f: &mut dyn FnMut()| {
-        let s = Instant::now();
-        f();
-        s.elapsed().as_secs_f64() * 1e3
+    // Seconds of the sequential and of the parallel call.
+    let mut row = |kernel: &str, size: &str, seq: f64, par: f64| {
+        t.row(&[
+            kernel.into(),
+            size.into(),
+            fnum(seq * 1e3, 1),
+            fnum(par * 1e3, 1),
+            fnum(seq / par, 2),
+        ]);
     };
 
     // Dense matmul (LINPACK substrate).
     {
+        use hpcc_kernels::gemm::{gemm, gemm_par};
         let mut rng = des::rng::Rng::new(1);
         let a = hpcc_kernels::mat::Mat::random(384, 384, &mut rng);
         let b = hpcc_kernels::mat::Mat::random(384, 384, &mut rng);
-        let ts = time(&mut || {
-            std::hint::black_box(hpcc_kernels::matmul::matmul_blocked(&a, &b, 48));
-        });
-        let tp = time(&mut || {
-            std::hint::black_box(hpcc_kernels::gemm::gemm_par(&a, &b));
-        });
-        t.row(&[
-            "Matmul (dense LA)".into(),
-            "384^2".into(),
-            fnum(ts, 1),
-            fnum(tp, 1),
-            fnum(ts / tp, 2),
-        ]);
+        let ts = timed(|| black_box(gemm(&a, &b))).0;
+        let tp = timed(|| black_box(gemm_par(&a, &b))).0;
+        row("Matmul (dense LA)", "384^2", ts, tp);
     }
     // CFD Jacobi sweeps.
     {
@@ -447,15 +445,9 @@ pub fn grand_challenges() -> String {
             u.set_boundary(|x, y| x + y);
             jacobi(&mut u, &rhs, 0.0, 150, par);
         };
-        let ts = time(&mut || run(false));
-        let tp = time(&mut || run(true));
-        t.row(&[
-            "Jacobi (aerosciences)".into(),
-            "512^2 x150".into(),
-            fnum(ts, 1),
-            fnum(tp, 1),
-            fnum(ts / tp, 2),
-        ]);
+        let ts = timed(|| run(false)).0;
+        let tp = timed(|| run(true)).0;
+        row("Jacobi (aerosciences)", "512^2 x150", ts, tp);
     }
     // Shallow water.
     {
@@ -464,33 +456,17 @@ pub fn grand_challenges() -> String {
             let mut sw = Shallow::new(256);
             sw.run(60, par);
         };
-        let ts = time(&mut || run(false));
-        let tp = time(&mut || run(true));
-        t.row(&[
-            "Shallow water (ocean/atmos)".into(),
-            "256^2 x60".into(),
-            fnum(ts, 1),
-            fnum(tp, 1),
-            fnum(ts / tp, 2),
-        ]);
+        let ts = timed(|| run(false)).0;
+        let tp = timed(|| run(true)).0;
+        row("Shallow water (ocean/atmos)", "256^2 x60", ts, tp);
     }
     // N-body.
     {
         use hpcc_kernels::nbody::*;
         let bodies = random_cluster(3000, 5);
-        let ts = time(&mut || {
-            std::hint::black_box(accel_direct(&bodies, 0.05));
-        });
-        let tp = time(&mut || {
-            std::hint::black_box(accel_direct_par(&bodies, 0.05));
-        });
-        t.row(&[
-            "N-body direct (space sci)".into(),
-            "3000".into(),
-            fnum(ts, 1),
-            fnum(tp, 1),
-            fnum(ts / tp, 2),
-        ]);
+        let ts = timed(|| black_box(accel_direct(&bodies, 0.05))).0;
+        let tp = timed(|| black_box(accel_direct_par(&bodies, 0.05))).0;
+        row("N-body direct (space sci)", "3000", ts, tp);
     }
     // 2-D FFT.
     {
@@ -498,25 +474,18 @@ pub fn grand_challenges() -> String {
         let orig: Vec<Cpx> = (0..512 * 512)
             .map(|i| Cpx::new((i as f64 * 0.001).sin(), 0.0))
             .collect();
-        let ts = time(&mut || {
+        let run = |par: bool| {
             let mut d = orig.clone();
-            fft2d(&mut d, 512, false);
-            std::hint::black_box(d);
-        });
-        let tp = time(&mut || {
-            let mut d = orig.clone();
-            fft2d(&mut d, 512, true);
-            std::hint::black_box(d);
-        });
-        t.row(&[
-            "2-D FFT (earth/space)".into(),
-            "512^2".into(),
-            fnum(ts, 1),
-            fnum(tp, 1),
-            fnum(ts / tp, 2),
-        ]);
+            fft2d(&mut d, 512, par);
+            black_box(d);
+        };
+        let ts = timed(|| run(false)).0;
+        let tp = timed(|| run(true)).0;
+        row("2-D FFT (earth/space)", "512^2", ts, tp);
     }
-    // Multigrid (the algorithm story: same machine, better math).
+    // Multigrid (the algorithm story: same machine, better math). SOR
+    // sits under "Seq" and multigrid under "Par", both on one worker:
+    // the speed-up is algorithmic, not parallel.
     {
         use hpcc_kernels::multigrid::{MgConfig, Multigrid};
         use std::f64::consts::PI;
@@ -525,11 +494,8 @@ pub fn grand_challenges() -> String {
             tol: 1e-8,
             ..MgConfig::default()
         };
-        let tm = time(&mut || {
-            let mut mg = Multigrid::new(255, cfg);
-            std::hint::black_box(mg.solve(rhs).1);
-        });
-        let ts = time(&mut || {
+        let tm = timed(|| black_box(Multigrid::new(255, cfg).solve(rhs).1)).0;
+        let ts = timed(|| {
             let mut u = hpcc_kernels::cfd::Grid::new(255);
             let mut r = hpcc_kernels::cfd::Grid::new(255);
             let h = 1.0 / 256.0;
@@ -538,36 +504,23 @@ pub fn grand_challenges() -> String {
                     r.set(i, j, rhs(i as f64 * h, j as f64 * h));
                 }
             }
-            std::hint::black_box(hpcc_kernels::cfd::sor(&mut u, &r, None, 1e-8, 200_000));
-        });
-        t.row(&[
-            "Multigrid vs SOR (aerosci)".into(),
-            "255^2".into(),
-            fnum(ts, 1),
-            fnum(tm, 1),
-            fnum(ts / tm, 2),
-        ]);
+            black_box(hpcc_kernels::cfd::sor(&mut u, &r, None, 1e-8, 200_000));
+        })
+        .0;
+        row("Multigrid vs SOR (algorithmic)", "255^2", ts, tm);
     }
     // Sparse CG.
     {
         use hpcc_kernels::cg::*;
         let a = Csr::poisson2d(200);
         let b = vec![1.0; a.n()];
-        let ts = time(&mut || {
+        let run = |par: bool| {
             let mut x = vec![0.0; a.n()];
-            std::hint::black_box(cg(&a, &b, &mut x, 1e-8, 600, false));
-        });
-        let tp = time(&mut || {
-            let mut x = vec![0.0; a.n()];
-            std::hint::black_box(cg(&a, &b, &mut x, 1e-8, 600, true));
-        });
-        t.row(&[
-            "Sparse CG (energy)".into(),
-            "200^2 grid".into(),
-            fnum(ts, 1),
-            fnum(tp, 1),
-            fnum(ts / tp, 2),
-        ]);
+            black_box(cg(&a, &b, &mut x, 1e-8, 600, par));
+        };
+        let ts = timed(|| run(false)).0;
+        let tp = timed(|| run(true)).0;
+        row("Sparse CG (energy)", "200^2 grid", ts, tp);
     }
     format!(
         "{t}\nHost threads: {threads}. Shape check: compute-dense kernels (matmul,\n\
@@ -935,6 +888,13 @@ pub fn resilience(smoke: bool) -> String {
          and report Stalled — not a crash — when it partitions them.\n",
     );
     out
+}
+
+/// Site `name` of `net`, one of the built-in topologies.
+fn site(net: &Net, name: &str) -> SiteId {
+    // Every name looked up here is a site of the built-in topology it is
+    // looked up in, so a miss is a typo in this file.
+    net.site(name).expect("built-in topology has the site")
 }
 
 /// The JPL -> Delta staging path of RES-1, OBS-1 and OBS-2's WAN

@@ -1,16 +1,18 @@
 //! Exhibit KERN-2, the host-kernel scale table: measured GFLOP/s for the
 //! packed GEMM engine and every kernel the v2 engine accelerates — LU up
-//! to n = 2048, a 2^20-point FFT, SpMV/CG and the shallow-water sweep —
-//! each against its scalar seed baseline. `report bench-kernels` prints
-//! the table and the verdict of each perf gate (`gates`), and fails when
-//! one fails. The cache-resident sizes are the `kernels` workload of
-//! `benchmark/`, which is where regressions are caught; this table is
-//! the near-peak claim.
+//! to n = 2048 at its default block, a 2^20-point FFT, SpMV/CG and the
+//! shallow-water sweep. Each row is there because a gate reads it: LU
+//! against itself on every core and against the same-run GEMM, and FFT,
+//! SpMV and shallow water against their scalar seed baselines.
+//! `report bench-kernels` prints the table and the verdict of each perf
+//! gate (`gates`), and fails when one fails. The cache-resident sizes are
+//! the `kernels` workload of `benchmark/`, which is where regressions are
+//! caught; this table is the near-peak claim.
 
 use crate::{best_of, gated, timed, Gate};
 use des::rng::Rng;
 use hpcc_core::{fnum, Table};
-use hpcc_kernels::{cg, fft, gemm, lu, mat::Mat, matmul, shallow};
+use hpcc_kernels::{cg, fft, gemm, lu, mat::Mat, shallow};
 
 /// One measured kernel configuration.
 pub struct PerfRow {
@@ -53,111 +55,27 @@ impl PerfRow {
     }
 }
 
-/// The seed's LU trailing update (row-oriented axpy loops, no packing),
-/// kept here as the perf baseline the engine is measured against. Same
-/// pivoting and panel code as `lu::lu_factor`, so the timing difference
-/// is purely the BLAS3 update.
-fn lu_factor_rowupdate(a: &mut Mat, nb: usize) -> Result<Vec<usize>, lu::Singular> {
-    let n = a.rows();
-    let mut piv = vec![0usize; n];
-    let mut k = 0;
-    while k < n {
-        let kb = nb.min(n - k);
-        for j in k..k + kb {
-            let mut p = j;
-            let mut best = a[(j, j)].abs();
-            for i in j + 1..n {
-                let v = a[(i, j)].abs();
-                if v > best {
-                    best = v;
-                    p = i;
-                }
-            }
-            if best == 0.0 || !best.is_finite() {
-                return Err(lu::Singular(j));
-            }
-            piv[j] = p;
-            a.swap_rows(j, p);
-            let inv = 1.0 / a[(j, j)];
-            for i in j + 1..n {
-                a[(i, j)] *= inv;
-            }
-            for i in j + 1..n {
-                let lij = a[(i, j)];
-                if lij != 0.0 {
-                    for c in j + 1..k + kb {
-                        a[(i, c)] -= lij * a[(j, c)];
-                    }
-                }
-            }
-        }
-        if k + kb < n {
-            for j in k + 1..k + kb {
-                for i in k..j {
-                    let lji = a[(j, i)];
-                    if lji != 0.0 {
-                        let ncols = a.cols();
-                        let (top, bot) = a.as_mut_slice().split_at_mut(j * ncols);
-                        let ri = &top[i * ncols..(i + 1) * ncols];
-                        let rj = &mut bot[..ncols];
-                        for c in k + kb..n {
-                            rj[c] -= lji * ri[c];
-                        }
-                    }
-                }
-            }
-            let ncols = a.cols();
-            let split = (k + kb) * ncols;
-            let (upper, lower) = a.as_mut_slice().split_at_mut(split);
-            for row in lower.chunks_mut(ncols) {
-                for l in k..k + kb {
-                    let lil = row[l];
-                    if lil != 0.0 {
-                        let urow = &upper[l * ncols..(l + 1) * ncols];
-                        for c in k + kb..ncols {
-                            row[c] -= lil * urow[c];
-                        }
-                    }
-                }
-            }
-        }
-        k += kb;
-    }
-    Ok(piv)
-}
-
-/// GEMM at order `n`: the seed's blocked loop (small `n` only), the
-/// packed engine, sequential and on every host core.
+/// GEMM at order `n`: the packed engine, sequential and on every host
+/// core.
 fn gemm_rows(n: usize) -> Vec<PerfRow> {
     let mut rng = Rng::new(1);
     let a = Mat::random(n, n, &mut rng);
     let b = Mat::random(n, n, &mut rng);
     let flops = gemm::gemm_flops(n, n, n);
-    let mut rows = Vec::new();
-    if n <= 512 {
-        rows.push(PerfRow::measure("matmul_blocked48", n, 1, flops, || {
-            std::hint::black_box(matmul::matmul_blocked(&a, &b, 48));
-        }));
-    }
-    rows.push(PerfRow::measure("gemm", n, 1, flops, || {
-        std::hint::black_box(gemm::gemm(&a, &b));
-    }));
-    rows.push(PerfRow::measure(
-        "gemm_par",
-        n,
-        des::host_cores(),
-        flops,
-        || {
+    vec![
+        PerfRow::measure("gemm", n, 1, flops, || {
+            std::hint::black_box(gemm::gemm(&a, &b));
+        }),
+        PerfRow::measure("gemm_par", n, des::host_cores(), flops, || {
             std::hint::black_box(gemm::gemm_par(&a, &b));
-        },
-    ));
-    rows
+        }),
+    ]
 }
 
-/// LU at order `n`: the seed row-update baseline, then sequential vs
-/// parallel at the seed block (nb=64) and the v2 default
-/// ([`lu::DEFAULT_NB`]), `reps` interleaved reps each. `gemm_ref` adds
-/// the same-order GEMM row the lu/gemm gate compares against.
+/// LU at order `n` and the block size every caller uses
+/// ([`lu::DEFAULT_NB`]), sequential vs parallel, `reps` interleaved reps
+/// each. `gemm_ref` adds the same-order GEMM row the lu/gemm gate
+/// compares against.
 fn lu_rows(n: usize, reps: usize, gemm_ref: bool) -> Vec<PerfRow> {
     let mut rng = Rng::new(2);
     let a = Mat::random(n, n, &mut rng);
@@ -167,38 +85,34 @@ fn lu_rows(n: usize, reps: usize, gemm_ref: bool) -> Vec<PerfRow> {
     // The factorisation is in-place, so every timed call gets a fresh
     // clone made outside the timed region.
     type Factor = fn(&mut Mat, usize) -> Result<Vec<usize>, lu::Singular>;
-    let factor = |f: Factor, nb: usize| {
+    let factor = |f: Factor| {
         let mut m = a.clone();
-        timed(|| std::hint::black_box(f(&mut m, nb).unwrap())).0
+        timed(|| std::hint::black_box(f(&mut m, lu::DEFAULT_NB).unwrap())).0
     };
-    let [legacy] = best_of(2, [&mut || factor(lu_factor_rowupdate, 64)]);
-    let mut rows = vec![PerfRow::new("lu_legacy_nb64", n, 1, flops, legacy)];
-    let gemm_b = gemm_ref.then(|| Mat::random(n, n, &mut rng));
-    for (nb, seq_name, par_name) in [
-        (64usize, "lu_factor_nb64", "lu_factor_par_nb64"),
-        (lu::DEFAULT_NB, "lu_factor", "lu_factor_par"),
-    ] {
-        // Warm-up, untimed. The par-never-slower gate compares the two
-        // LU rows, and the lu/gemm gate compares `lu_factor` with the
-        // GEMM reference, so they are timed in one interleaved rep
-        // loop: a slow drift of the host (the usual few-percent wobble)
-        // then hits every side alike. The GEMM side runs at the default
-        // nb only.
-        factor(lu::lu_factor, nb);
-        let b = gemm_b.as_ref().filter(|_| nb == lu::DEFAULT_NB);
-        let [seq, par, gemm] = best_of(
-            reps,
-            [
-                &mut || factor(lu::lu_factor, nb),
-                &mut || factor(lu::lu_factor_par, nb),
-                &mut || b.map_or(0.0, |b| timed(|| std::hint::black_box(gemm::gemm(&a, b))).0),
-            ],
-        );
-        rows.push(PerfRow::new(seq_name, n, 1, flops, seq));
-        rows.push(PerfRow::new(par_name, n, des::host_cores(), flops, par));
-        if b.is_some() {
-            rows.push(PerfRow::new("gemm", n, 1, gemm::gemm_flops(n, n, n), gemm));
-        }
+    // Warm-up, untimed. The par-never-slower gate compares the two LU
+    // rows, and the lu/gemm gate compares `lu_factor` with the GEMM
+    // reference, so they are timed in one interleaved rep loop: a slow
+    // drift of the host (the usual few-percent wobble) then hits every
+    // side alike.
+    factor(lu::lu_factor);
+    let b = gemm_ref.then(|| Mat::random(n, n, &mut rng));
+    let [seq, par, gemm] = best_of(
+        reps,
+        [
+            &mut || factor(lu::lu_factor),
+            &mut || factor(lu::lu_factor_par),
+            &mut || {
+                b.as_ref()
+                    .map_or(0.0, |b| timed(|| std::hint::black_box(gemm::gemm(&a, b))).0)
+            },
+        ],
+    );
+    let mut rows = vec![
+        PerfRow::new("lu_factor", n, 1, flops, seq),
+        PerfRow::new("lu_factor_par", n, des::host_cores(), flops, par),
+    ];
+    if gemm_ref {
+        rows.push(PerfRow::new("gemm", n, 1, gemm::gemm_flops(n, n, n), gemm));
     }
     rows
 }
@@ -329,23 +243,21 @@ fn gates(rows: &[PerfRow]) -> Vec<Gate> {
             .min_by(|a, b| a.ms.total_cmp(&b.ms))
             .unwrap_or_else(|| panic!("gate: no {kernel} row at n={n}"))
     };
-    let mut gates = Vec::new();
-    for (seq, par) in [
-        ("lu_factor_nb64", "lu_factor_par_nb64"),
-        ("lu_factor", "lu_factor_par"),
-    ] {
-        for r in rows.iter().filter(|r| r.kernel == seq) {
-            let p = best(par, r.n);
-            gates.push((
+    let mut gates: Vec<Gate> = rows
+        .iter()
+        .filter(|r| r.kernel == "lu_factor")
+        .map(|r| {
+            let p = best("lu_factor_par", r.n);
+            (
                 p.ms <= r.ms * 1.10,
                 format!(
-                    "{par}/{seq} at n={}: {:.2}x the time (<= 1.10x)",
+                    "lu_factor_par/lu_factor at n={}: {:.2}x the time (<= 1.10x)",
                     r.n,
                     p.ms / r.ms
                 ),
-            ));
-        }
-    }
+            )
+        })
+        .collect();
     let ratio = best("lu_factor", LU_GATE_N).gflops / best("gemm", LU_GATE_N).gflops;
     gates.push((
         ratio >= 0.80,
@@ -410,10 +322,8 @@ mod tests {
             gflops,
         };
         let mut rows = vec![row("gemm", LU_GATE_N, 1.0, 10.0)];
-        for n in [512, LU_GATE_N] {
+        for n in [512, 1024, LU_GATE_N] {
             rows.extend([
-                row("lu_factor_nb64", n, 10.0, 6.0),
-                row("lu_factor_par_nb64", n, 10.5, 5.8),
                 row("lu_factor", n, 10.0, 7.0),
                 row("lu_factor_par", n, 6.0, 11.0),
             ]);
@@ -429,9 +339,8 @@ mod tests {
         assert!(text.starts_with(&table(&rows).to_string()), "{text}");
         assert!(text.contains("Exhibit KERN-2"));
         for line in [
-            "gate lu_factor_par_nb64/lu_factor_nb64 at n=512: 1.05x the time (<= 1.10x): ok",
-            "gate lu_factor_par_nb64/lu_factor_nb64 at n=2048: 1.05x the time (<= 1.10x): ok",
             "gate lu_factor_par/lu_factor at n=512: 0.60x the time (<= 1.10x): ok",
+            "gate lu_factor_par/lu_factor at n=1024: 0.60x the time (<= 1.10x): ok",
             "gate lu_factor_par/lu_factor at n=2048: 0.60x the time (<= 1.10x): ok",
             "gate lu/gemm at n=2048: 70% of the packed GEMM rate (>= 80%): FAILED",
             "gate fft/fft_baseline at n=1048576: 2.00x (>= 1.5x): ok",
@@ -443,27 +352,12 @@ mod tests {
                 "no `{line}` in:\n{text}"
             );
         }
-        assert_eq!(text.matches("\ngate ").count(), 8);
+        assert_eq!(text.matches("\ngate ").count(), 7);
     }
 
-    #[test]
-    fn legacy_baseline_matches_engine_lu() {
-        let mut rng = Rng::new(3);
-        let a = Mat::random(90, 90, &mut rng);
-        let mut legacy = a.clone();
-        let mut engine = a.clone();
-        let pl = lu_factor_rowupdate(&mut legacy, 16).unwrap();
-        let pe = lu::lu_factor(&mut engine, 16).unwrap();
-        assert_eq!(pl, pe, "same pivots");
-        assert!(
-            legacy.dist(&engine) < 1e-10,
-            "dist {}",
-            legacy.dist(&engine)
-        );
-    }
-
-    /// Every row builder at a size that runs in milliseconds: the labels
-    /// the gates look up are all produced, and the table carries them.
+    /// Every row builder at a size that runs in milliseconds prints
+    /// exactly the labels the gates look up, plus `gemm_par` and
+    /// `cg_iter`, and the table carries every row.
     #[test]
     fn row_builders_label_what_the_gates_read() {
         let mut rows = gemm_rows(48);
@@ -471,12 +365,10 @@ mod tests {
         rows.extend(fft_rows(1 << 8));
         rows.extend(spmv_rows(8));
         rows.extend(shallow_rows(16));
-        for kernel in [
-            "matmul_blocked48",
+        let labels: std::collections::BTreeSet<_> = rows.iter().map(|r| r.kernel).collect();
+        let expected: std::collections::BTreeSet<_> = [
+            "gemm",
             "gemm_par",
-            "lu_legacy_nb64",
-            "lu_factor_nb64",
-            "lu_factor_par_nb64",
             "lu_factor",
             "lu_factor_par",
             "fft_baseline",
@@ -486,9 +378,9 @@ mod tests {
             "cg_iter",
             "shallow_baseline",
             "shallow_step",
-        ] {
-            assert!(rows.iter().any(|r| r.kernel == kernel), "no {kernel} row");
-        }
+        ]
+        .into();
+        assert_eq!(labels, expected);
         assert_eq!(rows.iter().filter(|r| r.kernel == "gemm").count(), 2);
         for r in rows.iter().filter(|r| r.kernel.contains("_par")) {
             assert_eq!(r.threads, des::host_cores(), "{}", r.kernel);

@@ -1,8 +1,8 @@
-//! Dense matrix multiply baselines: naive and cache-blocked.
+//! The dense matrix multiply oracle.
 //!
-//! `matmul_naive` is the correctness oracle and `matmul_blocked` the
-//! cache-blocked baseline; the fast sequential and parallel multiplies
-//! are the packed register-blocked engine in [`crate::gemm`].
+//! `matmul_naive` is the plain triple loop every fast multiply is checked
+//! against; the sequential and parallel multiplies themselves are the
+//! packed register-blocked engine in [`crate::gemm`].
 
 use crate::mat::Mat;
 
@@ -18,34 +18,6 @@ pub fn matmul_naive(a: &Mat, b: &Mat) -> Mat {
             let crow = c.row_mut(i);
             for j in 0..n {
                 crow[j] += aik * brow[j];
-            }
-        }
-    }
-    c
-}
-
-/// Cache-blocked version with a square tile of `bs`.
-pub fn matmul_blocked(a: &Mat, b: &Mat, bs: usize) -> Mat {
-    assert_eq!(a.cols(), b.rows());
-    assert!(bs > 0);
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut c = Mat::zeros(m, n);
-    for ii in (0..m).step_by(bs) {
-        let iend = (ii + bs).min(m);
-        for ll in (0..k).step_by(bs) {
-            let lend = (ll + bs).min(k);
-            for jj in (0..n).step_by(bs) {
-                let jend = (jj + bs).min(n);
-                for i in ii..iend {
-                    for l in ll..lend {
-                        let aik = a[(i, l)];
-                        let brow = b.row(l);
-                        let crow = c.row_mut(i);
-                        for j in jj..jend {
-                            crow[j] += aik * brow[j];
-                        }
-                    }
-                }
             }
         }
     }
@@ -73,20 +45,6 @@ mod tests {
         let a = Mat::random(7, 7, &mut rng);
         let c = matmul_naive(&a, &Mat::identity(7));
         assert!(a.dist(&c) < 1e-14);
-    }
-
-    #[test]
-    fn blocked_matches_naive_all_shapes() {
-        let mut rng = Rng::new(11);
-        for (m, k, n) in [(5, 7, 9), (16, 16, 16), (33, 17, 5), (1, 8, 1)] {
-            let a = Mat::random(m, k, &mut rng);
-            let b = Mat::random(k, n, &mut rng);
-            let naive = matmul_naive(&a, &b);
-            for bs in [1, 3, 8, 64] {
-                let blk = matmul_blocked(&a, &b, bs);
-                assert!(naive.dist(&blk) < 1e-12, "m={m} k={k} n={n} bs={bs}");
-            }
-        }
     }
 
     #[test]
