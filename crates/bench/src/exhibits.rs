@@ -5,12 +5,18 @@
 //! a laptop while still exercising the paper-scale configuration (528
 //! nodes, order 25,000) for the headline exhibit.
 
-use delta_mesh::{presets, Machine};
+use delta_mesh::sched::{consortium_workload, run_recorded, Policy, SchedReport};
+use delta_mesh::{presets, FaultKind, FaultPlan, Machine, MachineConfig};
+use hpcc_core::consortium::delta_facts::LINPACK_ORDER;
 use hpcc_core::{fnum, Agency, Component, FiscalYear, FundingTable, Table};
-use hpcc_kernels::sim::{fftsim, lu2d, stencil};
-use nren_netsim::{topologies, FlowSim, LinkClass, Net, SiteId, TransferSpec};
+use hpcc_kernels::sim::lu2d::{self, Lu2dResult};
+use hpcc_kernels::sim::{fftsim, stencil};
+use hpcc_trace::Recorder;
+use nren_netsim::{topologies, FlowSim, LinkClass, LinkFault, Net, SiteId, TransferSpec};
+use std::rc::Rc;
+use std::sync::OnceLock;
 
-use des::time::SimTime;
+use des::time::{Dur, SimTime};
 
 /// T4-1: goals, authority, approach.
 pub fn goals() -> String {
@@ -147,11 +153,23 @@ pub fn delta_peak() -> String {
     t.to_string()
 }
 
+/// LU-2D at order `n`, panel width 32, on the 528-node Delta. The
+/// paper's order is simulated once per process: T4-4b, F-T4-4c's 25,000
+/// row and F-T4-4d's Delta row all print that one run.
+fn delta_lu2d(n: usize) -> Lu2dResult {
+    static PAPER_ORDER: OnceLock<Lu2dResult> = OnceLock::new();
+    let run = || lu2d::run(&Machine::new(presets::delta_528()), n, 32);
+    if n == LINPACK_ORDER {
+        PAPER_ORDER.get_or_init(run).clone()
+    } else {
+        run()
+    }
+}
+
 /// T4-4b: the headline — simulated LINPACK at order 25,000 on 528 nodes.
 pub fn delta_linpack() -> String {
     use hpcc_core::consortium::delta_facts as facts;
-    let machine = Machine::new(presets::delta_528());
-    let r = lu2d::run(&machine, facts::LINPACK_ORDER, 32);
+    let r = delta_lu2d(LINPACK_ORDER);
     let mut t = Table::new(
         "Exhibit T4-4b — LINPACK on the Touchstone Delta (simulated)",
         &["Quantity", "Paper", "Simulated"],
@@ -179,13 +197,12 @@ pub fn delta_linpack() -> String {
 
 /// F-T4-4c: GFLOPS vs order sweep on the 528-node Delta.
 pub fn linpack_sweep() -> String {
-    let machine = Machine::new(presets::delta_528());
     let mut t = Table::new(
         "Figure F-T4-4c — Simulated Delta LINPACK vs matrix order",
         &["Order", "GFLOPS", "Efficiency %", "Time (s)"],
     );
     for n in [2_000, 5_000, 10_000, 15_000, 20_000, 25_000, 30_000] {
-        let r = lu2d::run(&machine, n, 32);
+        let r = delta_lu2d(n);
         t.row(&[
             n.to_string(),
             fnum(r.gflops, 2),
@@ -209,22 +226,21 @@ pub fn mpp_series() -> String {
             "Order",
         ],
     );
-    let runs: Vec<(Machine, usize)> = vec![
-        (Machine::new(presets::ipsc860(7)), 8_000),
-        (Machine::new(presets::delta_528()), 25_000),
-        (Machine::new(presets::paragon(16, 33)), 25_000),
-        (Machine::new(presets::ideal(528)), 25_000),
+    let lu = |cfg: MachineConfig, n| (lu2d::run(&Machine::new(cfg.clone()), n, 32), cfg);
+    let runs = [
+        lu(presets::ipsc860(7), 8_000),
+        (delta_lu2d(LINPACK_ORDER), presets::delta_528()),
+        lu(presets::paragon(16, 33), LINPACK_ORDER),
+        lu(presets::ideal(528), LINPACK_ORDER),
     ];
-    for (m, n) in runs {
-        let peak = m.config().peak_flops() / 1e9;
-        let r = lu2d::run(&m, n, 32);
+    for (r, cfg) in runs {
         t.row(&[
-            m.config().name.clone(),
-            m.config().nodes().to_string(),
-            fnum(peak, 1),
+            cfg.name.clone(),
+            cfg.nodes().to_string(),
+            fnum(cfg.peak_flops() / 1e9, 1),
             fnum(r.gflops, 1),
             fnum(r.efficiency * 100.0, 1),
-            n.to_string(),
+            r.n.to_string(),
         ]);
     }
     t.to_string()
@@ -398,11 +414,16 @@ pub fn cas() -> String {
     out
 }
 
+/// Interleaved reps per GC-1 row; each cell is its side's fastest.
+const GC_REPS: usize = 5;
+
 /// GC-1: host-parallel Grand Challenge kernels (parallel vs sequential).
-/// Each cell is one timed call; every row but multigrid's times one
-/// kernel on one worker against itself on every host core.
+/// Each row's `run(par)` returns the seconds of one call, set-up such as
+/// building a grid untimed; `best_of` times its two sides interleaved.
+/// Every row but multigrid's times one kernel on one worker against
+/// itself on every host core.
 pub fn grand_challenges() -> String {
-    use crate::timed;
+    use crate::{best_of, timed};
     use std::hint::black_box;
     let mut t = Table::new(
         "GC-1 — Grand Challenge kernels on the host (sequential vs parallel)",
@@ -415,8 +436,8 @@ pub fn grand_challenges() -> String {
         ],
     );
     let threads = des::host_cores();
-    // Seconds of the sequential and of the parallel call.
-    let mut row = |kernel: &str, size: &str, seq: f64, par: f64| {
+    let mut row = |kernel: &str, size: &str, run: &dyn Fn(bool) -> f64| {
+        let [seq, par] = best_of(GC_REPS, [&mut || run(false), &mut || run(true)]);
         t.row(&[
             kernel.into(),
             size.into(),
@@ -432,41 +453,33 @@ pub fn grand_challenges() -> String {
         let mut rng = des::rng::Rng::new(1);
         let a = hpcc_kernels::mat::Mat::random(384, 384, &mut rng);
         let b = hpcc_kernels::mat::Mat::random(384, 384, &mut rng);
-        let ts = timed(|| black_box(gemm(&a, &b))).0;
-        let tp = timed(|| black_box(gemm_par(&a, &b))).0;
-        row("Matmul (dense LA)", "384^2", ts, tp);
+        row("Matmul (dense LA)", "384^2", &|par| {
+            timed(|| black_box(if par { gemm_par(&a, &b) } else { gemm(&a, &b) })).0
+        });
     }
     // CFD Jacobi sweeps.
     {
         use hpcc_kernels::cfd::{jacobi, Grid};
         let rhs = Grid::new(512);
-        let run = |par: bool| {
+        row("Jacobi (aerosciences)", "512^2 x150", &|par| {
             let mut u = Grid::new(512);
             u.set_boundary(|x, y| x + y);
-            jacobi(&mut u, &rhs, 0.0, 150, par);
-        };
-        let ts = timed(|| run(false)).0;
-        let tp = timed(|| run(true)).0;
-        row("Jacobi (aerosciences)", "512^2 x150", ts, tp);
+            timed(|| jacobi(&mut u, &rhs, 0.0, 150, par)).0
+        });
     }
     // Shallow water.
-    {
-        use hpcc_kernels::shallow::Shallow;
-        let run = |par: bool| {
-            let mut sw = Shallow::new(256);
-            sw.run(60, par);
-        };
-        let ts = timed(|| run(false)).0;
-        let tp = timed(|| run(true)).0;
-        row("Shallow water (ocean/atmos)", "256^2 x60", ts, tp);
-    }
+    row("Shallow water (ocean/atmos)", "256^2 x60", &|par| {
+        let mut sw = hpcc_kernels::shallow::Shallow::new(256);
+        timed(|| sw.run(60, par)).0
+    });
     // N-body.
     {
         use hpcc_kernels::nbody::*;
         let bodies = random_cluster(3000, 5);
-        let ts = timed(|| black_box(accel_direct(&bodies, 0.05))).0;
-        let tp = timed(|| black_box(accel_direct_par(&bodies, 0.05))).0;
-        row("N-body direct (space sci)", "3000", ts, tp);
+        row("N-body direct (space sci)", "3000", &|par| {
+            let accel = if par { accel_direct_par } else { accel_direct };
+            timed(|| black_box(accel(&bodies, 0.05))).0
+        });
     }
     // 2-D FFT.
     {
@@ -474,19 +487,16 @@ pub fn grand_challenges() -> String {
         let orig: Vec<Cpx> = (0..512 * 512)
             .map(|i| Cpx::new((i as f64 * 0.001).sin(), 0.0))
             .collect();
-        let run = |par: bool| {
+        row("2-D FFT (earth/space)", "512^2", &|par| {
             let mut d = orig.clone();
-            fft2d(&mut d, 512, par);
-            black_box(d);
-        };
-        let ts = timed(|| run(false)).0;
-        let tp = timed(|| run(true)).0;
-        row("2-D FFT (earth/space)", "512^2", ts, tp);
+            timed(|| fft2d(black_box(&mut d), 512, par)).0
+        });
     }
     // Multigrid (the algorithm story: same machine, better math). SOR
     // sits under "Seq" and multigrid under "Par", both on one worker:
     // the speed-up is algorithmic, not parallel.
     {
+        use hpcc_kernels::cfd::{sor, Grid};
         use hpcc_kernels::multigrid::{MgConfig, Multigrid};
         use std::f64::consts::PI;
         let rhs = |x: f64, y: f64| -2.0 * PI * PI * (PI * x).sin() * (PI * y).sin();
@@ -494,38 +504,37 @@ pub fn grand_challenges() -> String {
             tol: 1e-8,
             ..MgConfig::default()
         };
-        let tm = timed(|| black_box(Multigrid::new(255, cfg).solve(rhs).1)).0;
-        let ts = timed(|| {
-            let mut u = hpcc_kernels::cfd::Grid::new(255);
-            let mut r = hpcc_kernels::cfd::Grid::new(255);
-            let h = 1.0 / 256.0;
-            for i in 0..257 {
-                for j in 0..257 {
-                    r.set(i, j, rhs(i as f64 * h, j as f64 * h));
-                }
+        let mut r = Grid::new(255);
+        let h = 1.0 / 256.0;
+        for i in 0..257 {
+            for j in 0..257 {
+                r.set(i, j, rhs(i as f64 * h, j as f64 * h));
             }
-            black_box(hpcc_kernels::cfd::sor(&mut u, &r, None, 1e-8, 200_000));
-        })
-        .0;
-        row("Multigrid vs SOR (algorithmic)", "255^2", ts, tm);
+        }
+        row("Multigrid vs SOR (algorithmic)", "255^2", &|multigrid| {
+            let mut u = Grid::new(255);
+            if multigrid {
+                timed(|| black_box(Multigrid::new(255, cfg).solve(rhs).1)).0
+            } else {
+                timed(|| black_box(sor(&mut u, &r, None, 1e-8, 200_000))).0
+            }
+        });
     }
     // Sparse CG.
     {
         use hpcc_kernels::cg::*;
         let a = Csr::poisson2d(200);
         let b = vec![1.0; a.n()];
-        let run = |par: bool| {
+        row("Sparse CG (energy)", "200^2 grid", &|par| {
             let mut x = vec![0.0; a.n()];
-            black_box(cg(&a, &b, &mut x, 1e-8, 600, par));
-        };
-        let ts = timed(|| run(false)).0;
-        let tp = timed(|| run(true)).0;
-        row("Sparse CG (energy)", "200^2 grid", ts, tp);
+            timed(|| black_box(cg(&a, &b, &mut x, 1e-8, 600, par))).0
+        });
     }
     format!(
-        "{t}\nHost threads: {threads}. Shape check: compute-dense kernels (matmul,\n\
-         n-body) approach the thread count; memory-bound kernels (Jacobi, CG)\n\
-         plateau well below it — the 1992 ASTA lesson, reproduced on 2026 hardware.\n"
+        "{t}\nHost threads: {threads}; each cell is the fastest of {GC_REPS} interleaved reps.\n\
+         Shape check: compute-dense kernels (matmul, n-body) approach the\n\
+         thread count; memory-bound kernels (Jacobi, CG) plateau well below\n\
+         it — the 1992 ASTA lesson, reproduced on 2026 hardware.\n"
     )
 }
 
@@ -553,7 +562,7 @@ pub fn fft_scaling() -> String {
 /// T4-4e: "ACQUIRE AND UTILIZE" — space-sharing the Delta among the
 /// consortium partners: FCFS vs backfill on the 16×33 mesh.
 pub fn scheduler() -> String {
-    use delta_mesh::sched::{consortium_workload, run, Policy};
+    use delta_mesh::sched::run;
     let jobs = consortium_workload(300, 14, 90.0, 1992);
     let mut t = Table::new(
         "Exhibit T4-4e — Space-sharing the Delta (300 consortium jobs, 14 partners)",
@@ -586,17 +595,13 @@ pub fn scheduler() -> String {
 /// Seeded node crashes on the 16x33 Delta at an MTBF of `k ×` the
 /// arrival span of `tr`, over that span: about `528 / k` nodes die while
 /// the stream is live, not in the drain tail.
-fn crashes_over_span(
-    tr: &delta_mesh::sched::service::ServiceTrace,
-    k: f64,
-) -> delta_mesh::FaultPlan {
-    use des::time::Dur;
+fn crashes_over_span(tr: &delta_mesh::sched::service::ServiceTrace, k: f64) -> FaultPlan {
     let span_s = tr
         .subs
         .last()
         .map_or(0.0, |s| s.arrival.nanos() as f64 / 1e9);
     let mtbf = Dur::from_secs_f64(k * span_s);
-    delta_mesh::FaultPlan::seeded(1992, mtbf, 16 * 33, Dur::from_secs_f64(span_s))
+    FaultPlan::seeded(1992, mtbf, 16 * 33, Dur::from_secs_f64(span_s))
 }
 
 /// SCHED-1: the long-running scheduler *service* on the same 528-node
@@ -607,7 +612,7 @@ fn crashes_over_span(
 /// `benchmark/`.
 pub fn sched_service() -> String {
     use delta_mesh::sched::service::{self, ServiceConfig};
-    use delta_mesh::{service_workload, FaultPlan};
+    use delta_mesh::service_workload;
 
     let mut t = Table::new(
         "Exhibit SCHED-1 — Scheduler service under steady load, 2x overload, and faults",
@@ -685,7 +690,7 @@ pub fn ablations() -> String {
             "LINPACK n=4000, 64n (GF)",
         ],
     );
-    let bcast_ms = |cfg: delta_mesh::MachineConfig| {
+    let bcast_ms = |cfg: MachineConfig| {
         let m = Machine::new(cfg);
         let (_, r) = m.run(|node| async move {
             let comm = Comm::world(&node);
@@ -693,7 +698,7 @@ pub fn ablations() -> String {
         });
         r.elapsed.as_secs_f64() * 1e3
     };
-    let lu_gf = |cfg: delta_mesh::MachineConfig| lu2d::run(&Machine::new(cfg), 4_000, 32).gflops;
+    let lu_gf = |cfg: MachineConfig| lu2d::run(&Machine::new(cfg), 4_000, 32).gflops;
     t.row(&[
         "wormhole (production)".into(),
         fnum(bcast_ms(presets::delta(8, 8)), 2),
@@ -724,11 +729,9 @@ fn fault_seed() -> u64 {
 /// checkpoint interval on the LU run, scheduler utilization under node
 /// crashes, and WAN flows surviving (or stalling on) link outages.
 /// Every number replays from the printed seed (`HPCC_FAULT_SEED`).
-pub fn resilience(smoke: bool) -> String {
-    use delta_mesh::sched::{consortium_workload, run, run_with_faults, Policy};
-    use delta_mesh::FaultPlan;
-    use des::time::Dur;
-    use nren_netsim::{FlowOutcome, LinkFault};
+pub fn resilience() -> String {
+    use delta_mesh::sched::{run, run_with_faults};
+    use nren_netsim::FlowOutcome;
 
     let seed = fault_seed();
     let mut out = String::new();
@@ -737,11 +740,7 @@ pub fn resilience(smoke: bool) -> String {
     ));
 
     // --- 1. Checkpoint interval vs MTBF on the LU run (Young 1974). ---
-    let (mesh, n, nb, trials) = if smoke {
-        ((2, 4), 1_200, 32, 8)
-    } else {
-        ((4, 4), 4_000, 64, 48)
-    };
+    let (mesh, n, nb, trials) = ((4, 4), 4_000, 64, 48);
     let machine = Machine::new(presets::delta(mesh.0, mesh.1));
     // Price one checkpoint, then sweep intervals around Young's optimum.
     let probe = lu2d::run_checkpointed(&machine, n, nb, 4);
@@ -795,17 +794,13 @@ pub fn resilience(smoke: bool) -> String {
     // --- 2. Space-sharing under node crashes. ---
     // Per-node MTBF chosen so the 528-node machine sees a crash every
     // half hour or so — a Delta-era hazard rate, not a meltdown.
-    let (njobs, sched_mtbf_s, horizon_s) = if smoke {
-        (80, 1_500_000, 4 * 3_600)
-    } else {
-        (300, 4_000_000, 12 * 3_600)
-    };
+    let njobs = 300;
     let jobs = consortium_workload(njobs, 14, 90.0, 1992);
     let plan = FaultPlan::seeded(
         seed,
-        Dur::from_secs(sched_mtbf_s),
+        Dur::from_secs(4_000_000),
         16 * 33,
-        Dur::from_secs(horizon_s),
+        Dur::from_secs(12 * 3_600),
     );
     let mut t = Table::new(
         format!("Scheduler under node crashes — {njobs} consortium jobs, 16x33 mesh"),
@@ -855,11 +850,7 @@ pub fn resilience(smoke: bool) -> String {
         ("outage, repaired at 30 s", SimTime::from_secs_f64(30.0)),
         ("outage, never repaired", SimTime::MAX),
     ] {
-        let fault = LinkFault {
-            link: first_link,
-            down_at: SimTime::from_secs_f64(0.5),
-            up_at,
-        };
+        let fault = staging_outage(first_link, up_at);
         let (outcomes, _) = sim.run_with_faults(vec![spec.clone()], &[fault]).unwrap();
         match &outcomes[0] {
             FlowOutcome::Completed(r) => {
@@ -910,34 +901,26 @@ pub(crate) fn staging_path(net: &Net) -> (SiteId, SiteId, usize) {
     path.expect("delta_consortium links JPL to the Delta")
 }
 
-/// OBS-1: the tracing layer exercised end to end — a faulted LU-2D on
-/// the mesh, the JPL -> Delta staging transfer under a WAN outage, and a
-/// scheduler burst under node crashes, all recorded into one trace.
-/// Writes `TRACE_chrome.json` (load in Perfetto / chrome://tracing: one
-/// row per mesh node, channel, WAN flow, and link) and
-/// `TRACE_summary.txt` (latency histograms, hottest links, per-node
-/// busy-time breakdown).
-pub fn trace(smoke: bool) -> String {
-    use delta_mesh::sched::{consortium_workload, run_recorded, Policy};
-    use delta_mesh::{FaultKind, FaultPlan};
-    use des::time::Dur;
-    use hpcc_trace::{MemRecorder, Recorder};
-    use nren_netsim::LinkFault;
-    use std::rc::Rc;
+/// The outage RES-1, OBS-1 and OBS-2 put on the staging path's first-hop
+/// `link` (the third value of [`staging_path`]): down at 0.5 s, up at
+/// `up_at`.
+pub(crate) fn staging_outage(link: usize, up_at: SimTime) -> LinkFault {
+    LinkFault {
+        link,
+        down_at: SimTime::from_secs_f64(0.5),
+        up_at,
+    }
+}
 
-    let seed = fault_seed();
-    let rec = Rc::new(MemRecorder::new());
-    let mut out = String::new();
-    out.push_str(&format!(
-        "Exhibit OBS-1 — End-to-end trace (seed {seed}; load TRACE_chrome.json in Perfetto)\n\n"
-    ));
-
-    // --- 1. Faulted LU-2D on the mesh under full recording. ---
-    let (mesh, n, nb) = if smoke {
-        ((2, 4), 1_200, 32)
-    } else {
-        ((4, 4), 2_500, 32)
-    };
+/// The faulted LU-2D of OBS-1 and OBS-2: order `n`, panel width `nb` on
+/// a `mesh.0`×`mesh.1` Delta with link 0 down from 0.01 to 0.05 s and the
+/// last node 4× slow from 0.02 to 0.2 s, recorded into `rec`.
+pub(crate) fn faulted_lu2d(
+    mesh: (usize, usize),
+    n: usize,
+    nb: usize,
+    rec: Rc<dyn Recorder>,
+) -> lu2d::CkptRun {
     let machine = Machine::new(presets::delta(mesh.0, mesh.1));
     let mut plan = FaultPlan::none();
     plan.push(
@@ -955,7 +938,44 @@ pub fn trace(smoke: bool) -> String {
             until: SimTime::from_secs_f64(0.2),
         },
     );
-    let lu = lu2d::run_traced(&machine, n, nb, &plan, Rc::clone(&rec) as Rc<dyn Recorder>);
+    lu2d::run_traced(&machine, n, nb, &plan, rec)
+}
+
+/// The crash burst of OBS-1 and OBS-2: `njobs` consortium jobs (14
+/// partners, 60 s apart on average) backfilled on the 16x33 Delta while
+/// nodes crash under fault seed `seed` (per-node MTBF 1,500,000 s over
+/// 4 h), recorded into `rec`.
+pub(crate) fn crash_burst(njobs: usize, seed: u64, rec: &dyn Recorder) -> SchedReport {
+    let jobs = consortium_workload(njobs, 14, 60.0, 1992);
+    let plan = FaultPlan::seeded(
+        seed,
+        Dur::from_secs(1_500_000),
+        16 * 33,
+        Dur::from_secs(4 * 3_600),
+    );
+    run_recorded(16, 33, jobs, Policy::Backfill, &plan, rec)
+}
+
+/// OBS-1: the tracing layer exercised end to end — a faulted LU-2D on
+/// the mesh, the JPL -> Delta staging transfer under a WAN outage, and a
+/// scheduler burst under node crashes, all recorded into one trace.
+/// Writes `TRACE_chrome.json` (load in Perfetto / chrome://tracing: one
+/// row per mesh node, channel, WAN flow, and link) and
+/// `TRACE_summary.txt` (latency histograms, hottest links, per-node
+/// busy-time breakdown).
+pub fn trace() -> String {
+    use hpcc_trace::MemRecorder;
+
+    let seed = fault_seed();
+    let rec = Rc::new(MemRecorder::new());
+    let mut out = String::new();
+    out.push_str(&format!(
+        "Exhibit OBS-1 — End-to-end trace (seed {seed}; load TRACE_chrome.json in Perfetto)\n\n"
+    ));
+
+    // --- 1. Faulted LU-2D on the mesh under full recording. ---
+    let (mesh, n, nb) = ((4, 4), 2_500, 32);
+    let lu = faulted_lu2d(mesh, n, nb, Rc::clone(&rec) as Rc<dyn Recorder>);
     let elapsed_ns = lu.result.report.elapsed.nanos();
     // The invariant the acceptance test pins: every node's busy + idle
     // time sums exactly to the simulated elapsed time.
@@ -973,11 +993,7 @@ pub fn trace(smoke: bool) -> String {
     let (jpl, delta, first_link) = staging_path(&net);
     let sim = FlowSim::new(&net);
     let spec = TransferSpec::new(jpl, delta, 200 << 20, SimTime::ZERO);
-    let fault = LinkFault {
-        link: first_link,
-        down_at: SimTime::from_secs_f64(0.5),
-        up_at: SimTime::from_secs_f64(30.0),
-    };
+    let fault = staging_outage(first_link, SimTime::from_secs_f64(30.0));
     let (outcomes, _) = sim
         .run_with_faults_recorded(vec![spec], &[fault], &*rec)
         .unwrap();
@@ -992,15 +1008,8 @@ pub fn trace(smoke: bool) -> String {
     }
 
     // --- 3. Scheduler burst under node crashes. ---
-    let njobs = if smoke { 60 } else { 200 };
-    let jobs = consortium_workload(njobs, 14, 60.0, 1992);
-    let splan = FaultPlan::seeded(
-        seed,
-        Dur::from_secs(1_500_000),
-        16 * 33,
-        Dur::from_secs(4 * 3_600),
-    );
-    let sr = run_recorded(16, 33, jobs, Policy::Backfill, &splan, &*rec);
+    let njobs = 200;
+    let sr = crash_burst(njobs, seed, &*rec);
     out.push_str(&format!(
         "Scheduler: {njobs} jobs, backfill, {} killed by crashes, \
          utilization {:.1}%.\n\n",

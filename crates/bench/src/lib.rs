@@ -66,88 +66,84 @@ pub(crate) fn gated(tables: String, gates: Vec<Gate>) -> String {
     }
 }
 
-/// How a `report` command is produced.
-#[derive(Clone, Copy)]
-pub enum Run {
-    Plain(fn() -> String),
-    /// Takes `--smoke`: a CI-sized variant of the same exhibit.
-    Sized(fn(smoke: bool) -> String),
-}
-use Run::{Plain, Sized};
+/// A `report` command: its name and what it prints.
+type Entry = (&'static str, fn() -> String);
 
-impl Run {
-    /// Produce the command's output; `smoke` reaches only the commands
-    /// that take it.
-    pub fn call(self, smoke: bool) -> String {
-        match self {
-            Plain(f) => f(),
-            Sized(f) => f(smoke),
-        }
-    }
-}
-
-/// The commands `report all` concatenates, in order: deterministic apart
-/// from host wall-clock columns, no file written, minutes in total.
-pub const ALL: &[(&str, Run)] = &[
-    ("index", Plain(exhibits::index)),
-    ("goals", Plain(exhibits::goals)),
-    ("responsibilities", Plain(exhibits::responsibilities)),
-    ("funding", Plain(exhibits::funding)),
-    ("components", Plain(exhibits::components)),
-    ("delta-peak", Plain(exhibits::delta_peak)),
-    ("delta-linpack", Plain(exhibits::delta_linpack)),
-    ("linpack-sweep", Plain(exhibits::linpack_sweep)),
-    ("mpp-series", Plain(exhibits::mpp_series)),
-    ("consortium-net", Plain(exhibits::consortium_net)),
-    ("nren-upgrade", Plain(exhibits::nren_upgrade)),
-    ("casa", Plain(exhibits::casa)),
-    ("cas", Plain(exhibits::cas)),
-    ("grand-challenges", Plain(exhibits::grand_challenges)),
-    ("fft-scaling", Plain(exhibits::fft_scaling)),
-    ("scheduler", Plain(exhibits::scheduler)),
-    ("sched-service", Plain(exhibits::sched_service)),
-    ("resilience", Sized(exhibits::resilience)),
-    ("ablations", Plain(exhibits::ablations)),
-    ("kernel-profile", Plain(exhibits::kernel_profile)),
-    ("timeline", Plain(exhibits::timeline)),
+/// The commands `report all` concatenates, in order. Each is a function
+/// of its seeds and the models alone, so `report all` reproduces the
+/// committed `report_all.txt` byte for byte. No file written, minutes in
+/// total.
+pub const ALL: &[Entry] = &[
+    ("index", exhibits::index),
+    ("goals", exhibits::goals),
+    ("responsibilities", exhibits::responsibilities),
+    ("funding", exhibits::funding),
+    ("components", exhibits::components),
+    ("delta-peak", exhibits::delta_peak),
+    ("delta-linpack", exhibits::delta_linpack),
+    ("linpack-sweep", exhibits::linpack_sweep),
+    ("mpp-series", exhibits::mpp_series),
+    ("consortium-net", exhibits::consortium_net),
+    ("nren-upgrade", exhibits::nren_upgrade),
+    ("casa", exhibits::casa),
+    ("cas", exhibits::cas),
+    ("fft-scaling", exhibits::fft_scaling),
+    ("scheduler", exhibits::scheduler),
+    ("sched-service", exhibits::sched_service),
+    ("resilience", exhibits::resilience),
+    ("ablations", exhibits::ablations),
+    ("kernel-profile", exhibits::kernel_profile),
+    ("timeline", exhibits::timeline),
 ];
 
 /// Commands run only by name: `trace` writes `TRACE_*` files into the
-/// CWD, the scale exhibits take minutes of host-dependent wall clock,
+/// CWD, `grand-challenges` and the scale exhibits time the host,
 /// `prom-sample` is lint input for CI.
-pub const STANDALONE: &[(&str, Run)] = &[
-    ("trace", Sized(exhibits::trace)),
-    ("bench-kernels", Plain(perf::report)),
-    ("bench-des", Plain(desperf::report)),
-    ("bench-net", Plain(netperf::report)),
-    ("telemetry", Plain(telemetry::report)),
-    ("prom-sample", Plain(telemetry::prom_sample)),
+pub const STANDALONE: &[Entry] = &[
+    ("trace", exhibits::trace),
+    ("grand-challenges", exhibits::grand_challenges),
+    ("bench-kernels", perf::report),
+    ("bench-des", desperf::report),
+    ("bench-net", netperf::report),
+    ("telemetry", telemetry::report),
+    ("prom-sample", telemetry::prom_sample),
 ];
 
-/// Every `report` subcommand: dispatch, `all` and the usage message are
-/// all read from these two tables.
-fn commands() -> impl Iterator<Item = &'static (&'static str, Run)> {
+/// Every `report` subcommand: dispatch and the usage message are both
+/// read from these two tables.
+fn commands() -> impl Iterator<Item = &'static Entry> {
     ALL.iter().chain(STANDALONE)
 }
 
-/// Run subcommand `name`; `None` if there is no such command or it was
-/// given a `--smoke` it does not take.
-pub fn run(name: &str, smoke: bool) -> Option<String> {
-    match commands().find(|(n, _)| *n == name)?.1 {
-        Plain(_) if smoke => None,
-        run => Some(run.call(smoke)),
+/// What one `report` invocation runs.
+pub enum Command {
+    /// Every command of [`ALL`], in order.
+    All,
+    /// One command of either table.
+    One(fn() -> String),
+}
+
+/// Parse `report`'s arguments (the program name excluded): none runs
+/// `index`, one runs `all` or the command it names. Anything else, an
+/// unknown name or a second argument, is `None`.
+pub fn parse<S: AsRef<str>>(args: &[S]) -> Option<Command> {
+    let name = match args {
+        [] => "index",
+        [name] => name.as_ref(),
+        _ => return None,
+    };
+    if name == "all" {
+        return Some(Command::All);
     }
+    commands()
+        .find(|(n, _)| *n == name)
+        .map(|&(_, f)| Command::One(f))
 }
 
 /// The command list as the usage message prints it.
 pub fn usage() -> String {
-    let names: Vec<String> = commands()
-        .map(|(name, run)| match run {
-            Plain(_) => name.to_string(),
-            Sized(_) => format!("{name} [--smoke]"),
-        })
-        .collect();
-    format!("all [--out <path>], {}", names.join(", "))
+    let names: Vec<&str> = commands().map(|(name, _)| *name).collect();
+    format!("all, {}", names.join(", "))
 }
 
 #[cfg(test)]
@@ -167,18 +163,40 @@ mod tests {
     }
 
     #[test]
-    fn command_names_are_unique_and_only_two_take_smoke() {
+    fn command_names_are_unique_and_all_reads_no_host_clock() {
         let names: Vec<&str> = commands().map(|(name, _)| *name).collect();
         for (i, name) in names.iter().enumerate() {
             assert!(!names[..i].contains(name), "duplicate command {name}");
             assert_ne!(*name, "all", "`all` is the driver, not a command");
         }
+        for (name, _) in ALL {
+            let host_timed =
+                *name == "grand-challenges" || *name == "telemetry" || name.starts_with("bench-");
+            assert!(!host_timed, "`report all` runs host-timed `{name}`");
+        }
         let usage = usage();
-        assert!(usage.contains("resilience [--smoke]") && usage.contains("trace [--smoke]"));
-        assert_eq!(usage.matches("--smoke").count(), 2);
-        assert!(run("goals", true).is_none(), "goals took --smoke");
-        assert!(run("goals", false).is_some());
-        assert!(run("bogus", false).is_none());
+        assert!(names.iter().all(|name| usage.contains(name)), "{usage}");
+    }
+
+    #[test]
+    fn report_takes_one_command_name_and_nothing_else() {
+        let refused: [&[&str]; 5] = [
+            &["trace", "--smoke"],
+            &["all", "--out", "x"],
+            &["--smoke"],
+            &["bogus"],
+            &["goals", "goals"],
+        ];
+        for args in refused {
+            assert!(parse(args).is_none(), "{args:?} accepted");
+        }
+        assert!(matches!(parse(&["all"]), Some(Command::All)));
+        let runs = |args: &[&str], want: fn() -> String| match parse(args) {
+            Some(Command::One(f)) => assert_eq!(f(), want(), "{args:?}"),
+            _ => panic!("{args:?} refused"),
+        };
+        runs(&["goals"], exhibits::goals);
+        runs(&[], exhibits::index);
     }
 
     #[test]

@@ -56,19 +56,22 @@ impl PerfRow {
 }
 
 /// GEMM at order `n`: the packed engine, sequential and on every host
-/// core.
-fn gemm_rows(n: usize) -> Vec<PerfRow> {
+/// core, `reps` interleaved reps each.
+fn gemm_rows(n: usize, reps: usize) -> Vec<PerfRow> {
     let mut rng = Rng::new(1);
     let a = Mat::random(n, n, &mut rng);
     let b = Mat::random(n, n, &mut rng);
     let flops = gemm::gemm_flops(n, n, n);
+    let [seq, par] = best_of(
+        reps,
+        [
+            &mut || timed(|| std::hint::black_box(gemm::gemm(&a, &b))).0,
+            &mut || timed(|| std::hint::black_box(gemm::gemm_par(&a, &b))).0,
+        ],
+    );
     vec![
-        PerfRow::measure("gemm", n, 1, flops, || {
-            std::hint::black_box(gemm::gemm(&a, &b));
-        }),
-        PerfRow::measure("gemm_par", n, des::host_cores(), flops, || {
-            std::hint::black_box(gemm::gemm_par(&a, &b));
-        }),
+        PerfRow::new("gemm", n, 1, flops, seq),
+        PerfRow::new("gemm_par", n, des::host_cores(), flops, par),
     ]
 }
 
@@ -211,8 +214,8 @@ const SHALLOW_M: usize = 512;
 /// rest of the v2 engine against its scalar seed baselines.
 pub fn snapshot() -> Vec<PerfRow> {
     let mut rows = Vec::new();
-    for n in [512, 1024] {
-        rows.extend(gemm_rows(n));
+    for (n, reps) in [(512, 4), (1024, 3)] {
+        rows.extend(gemm_rows(n, reps));
     }
     for (n, reps) in [(512, 6), (1024, 5), (LU_GATE_N, 3)] {
         rows.extend(lu_rows(n, reps, n == LU_GATE_N));
@@ -360,7 +363,7 @@ mod tests {
     /// `cg_iter`, and the table carries every row.
     #[test]
     fn row_builders_label_what_the_gates_read() {
-        let mut rows = gemm_rows(48);
+        let mut rows = gemm_rows(48, 1);
         rows.extend(lu_rows(96, 1, true));
         rows.extend(fft_rows(1 << 8));
         rows.extend(spmv_rows(8));

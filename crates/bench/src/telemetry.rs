@@ -25,14 +25,13 @@
 //! runtime exporting its lane diagnostics as first-class
 //! [`hpcc_trace::names::DES_LANES`] counters.
 
+use crate::exhibits::{crash_burst, faulted_lu2d, staging_outage, staging_path};
 use crate::{best_of, gated, timed, Gate};
-use delta_mesh::sched::{consortium_workload, run_recorded, Policy};
-use delta_mesh::{presets, FaultKind, FaultPlan, Kernel, Machine, Node};
-use des::time::{Dur, SimTime};
+use delta_mesh::{presets, FaultPlan, Kernel, Machine, Node};
+use des::time::SimTime;
 use hpcc_core::{fnum, Table};
-use hpcc_kernels::sim::lu2d;
 use hpcc_trace::{http, names, NullRecorder, Recorder, StreamRecorder, TelemetryServer};
-use nren_netsim::{topologies, FlowSim, LinkFault};
+use nren_netsim::{topologies, FlowSim};
 use std::cell::OnceCell;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -220,48 +219,21 @@ fn engine_scenario(name: &'static str, run: impl Fn(Rc<dyn Recorder>) -> String)
     }
 }
 
-/// Faulted LU-2D (the OBS-1 scenario shapes) of order `n`, panel width
-/// `nb`, on a `mesh.0`×`mesh.1` Delta through the streaming recorder.
+/// OBS-1's faulted LU-2D of order `n`, panel width `nb`, on a
+/// `mesh.0`×`mesh.1` Delta through the streaming recorder.
 fn lu2d_scenario(mesh: (usize, usize), n: usize, nb: usize) -> TelemetryRow {
     engine_scenario("lu2d-faulted", move |rec| {
-        let machine = Machine::new(presets::delta(mesh.0, mesh.1));
-        let mut plan = FaultPlan::none();
-        plan.push(
-            SimTime::from_secs_f64(0.01),
-            FaultKind::LinkDown {
-                link: 0,
-                until: SimTime::from_secs_f64(0.05),
-            },
-        );
-        plan.push(
-            SimTime::from_secs_f64(0.02),
-            FaultKind::NodeSlow {
-                node: mesh.0 * mesh.1 - 1,
-                factor: 4.0,
-                until: SimTime::from_secs_f64(0.2),
-            },
-        );
-        format!("{:?}", lu2d::run_traced(&machine, n, nb, &plan, rec))
+        format!("{:?}", faulted_lu2d(mesh, n, nb, rec))
     })
 }
 
-/// The multi-tenant scheduler under MTBF node crashes. Sized so the
+/// OBS-1's scheduler crash burst at fault seed 1992. Sized so the
 /// placement-search work per job dwarfs the handful of counters and
 /// lifecycle spans each job records — one-time track interning
 /// amortizes away above ~100 jobs.
 fn sched_scenario(njobs: usize) -> TelemetryRow {
     engine_scenario("sched-faulted", move |rec| {
-        let jobs = consortium_workload(njobs, 14, 60.0, 1992);
-        let plan = FaultPlan::seeded(
-            1992,
-            Dur::from_secs(1_500_000),
-            16 * 33,
-            Dur::from_secs(4 * 3_600),
-        );
-        format!(
-            "{:?}",
-            run_recorded(16, 33, jobs, Policy::Backfill, &plan, &*rec)
-        )
+        format!("{:?}", crash_burst(njobs, 1992, &*rec))
     })
 }
 
@@ -274,12 +246,8 @@ fn wan_scenario(horizon_s: f64) -> TelemetryRow {
         let sim = FlowSim::new(&net);
         let mut rng = des::rng::Rng::new(0x1992);
         let specs = nren_netsim::workload::poisson_traffic(&net, &mut rng, 12.0, 80.0e6, horizon_s);
-        let (_, _, first_link) = crate::exhibits::staging_path(&net);
-        let fault = LinkFault {
-            link: first_link,
-            down_at: SimTime::from_secs_f64(0.5),
-            up_at: SimTime::from_secs_f64(30.0),
-        };
+        let (_, _, first_link) = staging_path(&net);
+        let fault = staging_outage(first_link, SimTime::from_secs_f64(30.0));
         format!(
             "{:?}",
             sim.run_with_faults_recorded(specs, &[fault], &*rec)

@@ -1,6 +1,7 @@
 //! The exhibit registry: every table and figure in the deck, what kind
-//! of content it carries, and which module/binary of this repository
-//! regenerates it. `hpcc-bench`'s `report` binary walks this registry.
+//! of content it carries, and which `report` command regenerates it.
+//! `hpcc-bench`'s `report` binary walks this registry; DESIGN.md's
+//! exhibit table names the modules behind each exhibit.
 
 /// What kind of content the exhibit carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,8 +23,6 @@ pub struct Exhibit {
     pub kind: ExhibitKind,
     /// `report` subcommand that regenerates it.
     pub report_cmd: &'static str,
-    /// Modules implementing the pieces.
-    pub modules: &'static [&'static str],
 }
 
 /// Every exhibit in the deck, in page order, plus the derived series
@@ -35,119 +34,102 @@ pub fn registry() -> &'static [Exhibit] {
             title: "Federal program goal and objectives",
             kind: ExhibitKind::Narrative,
             report_cmd: "goals",
-            modules: &["hpcc_core::program::GOALS"],
         },
         Exhibit {
             id: "T4-1b",
             title: "Presidential commitment (P.L. 102-194)",
             kind: ExhibitKind::Narrative,
             report_cmd: "goals",
-            modules: &["hpcc_core::program::AUTHORITY"],
         },
         Exhibit {
             id: "T4-2",
             title: "Federal HPCC program responsibilities (agency × component matrix)",
             kind: ExhibitKind::Figure,
             report_cmd: "responsibilities",
-            modules: &["hpcc_core::responsibilities"],
         },
         Exhibit {
             id: "T4-3a",
             title: "Federal HPCC program funding FY 92-93 (dollars in millions)",
             kind: ExhibitKind::Table,
             report_cmd: "funding",
-            modules: &["hpcc_core::funding::FundingTable"],
         },
         Exhibit {
             id: "T4-3b",
             title: "Funding by program component (HPCS/ASTA/NREN/BRHR)",
             kind: ExhibitKind::Figure,
             report_cmd: "components",
-            modules: &["hpcc_core::funding::FundingTable::component_split"],
         },
         Exhibit {
             id: "T4-3c",
             title: "Approach (testbeds, application software teams, technology transfer)",
             kind: ExhibitKind::Narrative,
             report_cmd: "goals",
-            modules: &["hpcc_core::program::APPROACH"],
         },
         Exhibit {
             id: "T4-4a",
             title: "Touchstone Delta: peak 32 GFLOPS from 528 numeric processors",
             kind: ExhibitKind::Table,
             report_cmd: "delta-peak",
-            modules: &["delta_mesh::presets::delta_528"],
         },
         Exhibit {
             id: "T4-4b",
             title: "Touchstone Delta: 13 GFLOPS LINPACK at order 25,000",
             kind: ExhibitKind::Table,
             report_cmd: "delta-linpack",
-            modules: &["hpcc_kernels::sim::lu2d", "delta_mesh"],
         },
         Exhibit {
             id: "F-T4-4c",
             title: "LINPACK GFLOPS vs matrix order (derived sweep)",
             kind: ExhibitKind::Figure,
             report_cmd: "linpack-sweep",
-            modules: &["hpcc_kernels::sim::lu2d"],
         },
         Exhibit {
             id: "F-T4-4d",
             title: "DARPA Touchstone series: iPSC/860 → Delta → Paragon",
             kind: ExhibitKind::Figure,
             report_cmd: "mpp-series",
-            modules: &["delta_mesh::presets", "hpcc_kernels::sim::lu2d"],
         },
         Exhibit {
             id: "T4-5a",
             title: "Delta Consortium partners network (6 link classes)",
             kind: ExhibitKind::Figure,
             report_cmd: "consortium-net",
-            modules: &["nren_netsim::topologies::delta_consortium"],
         },
         Exhibit {
             id: "F-T4-5b",
             title: "NREN backbone upgrade: T1 → T3 → gigabit (derived sweep)",
             kind: ExhibitKind::Figure,
             report_cmd: "nren-upgrade",
-            modules: &["nren_netsim::topologies::nsfnet"],
         },
         Exhibit {
             id: "T4-5c",
             title: "CASA HIPPI/SONET 800 Mb/s gigabit testbed",
             kind: ExhibitKind::Table,
             report_cmd: "casa",
-            modules: &["nren_netsim::topologies::casa_testbed"],
         },
         Exhibit {
             id: "T4-5d",
             title: "Concurrent Supercomputer Consortium membership",
             kind: ExhibitKind::Narrative,
             report_cmd: "consortium-net",
-            modules: &["hpcc_core::consortium::CSC_MEMBERS"],
         },
         Exhibit {
             id: "T4-6",
             title: "CAS consortium: purposes and private-sector participants",
             kind: ExhibitKind::Narrative,
             report_cmd: "cas",
-            modules: &["hpcc_core::consortium", "hpcc_kernels::cfd"],
         },
         Exhibit {
             id: "T4-4e",
             title: "'Acquire and utilize': space-sharing the Delta (FCFS vs backfill)",
             kind: ExhibitKind::Table,
             report_cmd: "scheduler",
-            modules: &["delta_mesh::partition", "delta_mesh::sched"],
         },
         Exhibit {
             id: "AB-1",
             title: "Ablation: wormhole vs store-and-forward; broadcast algorithms",
             kind: ExhibitKind::Table,
             report_cmd: "ablations",
-            modules: &["delta_mesh::machine::Switching", "delta_mesh::collective"],
         },
         Exhibit {
             id: "RES-1",
@@ -155,13 +137,6 @@ pub fn registry() -> &'static [Exhibit] {
                     crashes, WAN outages",
             kind: ExhibitKind::Table,
             report_cmd: "resilience",
-            modules: &[
-                "des::faults",
-                "delta_mesh::sim",
-                "delta_mesh::sched",
-                "nren_netsim::flow",
-                "hpcc_kernels::sim::lu2d",
-            ],
         },
         Exhibit {
             id: "SCHED-1",
@@ -169,11 +144,6 @@ pub fn registry() -> &'static [Exhibit] {
                     retry/backoff under overload and faults",
             kind: ExhibitKind::Table,
             report_cmd: "sched-service",
-            modules: &[
-                "delta_mesh::sched::service",
-                "des::backoff",
-                "delta_mesh::partition",
-            ],
         },
         Exhibit {
             id: "NET-1",
@@ -182,25 +152,12 @@ pub fn registry() -> &'static [Exhibit] {
                     fabrics",
             kind: ExhibitKind::Table,
             report_cmd: "bench-net",
-            modules: &[
-                "nren_netsim::engine",
-                "nren_netsim::flow",
-                "nren_netsim::topologies",
-                "nren_netsim::workload",
-            ],
         },
         Exhibit {
             id: "OBS-1",
             title: "End-to-end trace: faulted LU-2D, WAN staging, scheduler (Perfetto)",
             kind: ExhibitKind::Figure,
             report_cmd: "trace",
-            modules: &[
-                "hpcc_trace",
-                "delta_mesh::sim",
-                "delta_mesh::sched",
-                "nren_netsim::flow",
-                "hpcc_kernels::sim::lu2d",
-            ],
         },
         Exhibit {
             id: "OBS-2",
@@ -208,41 +165,24 @@ pub fn registry() -> &'static [Exhibit] {
                     Chrome-trace chunks over HTTP under concurrent scrapers",
             kind: ExhibitKind::Table,
             report_cmd: "telemetry",
-            modules: &[
-                "hpcc_trace::stream",
-                "hpcc_trace::http",
-                "delta_mesh::shard",
-                "delta_mesh::sched",
-                "nren_netsim::flow",
-                "hpcc_kernels::sim::lu2d",
-            ],
         },
         Exhibit {
             id: "GC-0",
             title: "ASTA kernel profile on the simulated Delta (who scales, who doesn't)",
             kind: ExhibitKind::Figure,
             report_cmd: "kernel-profile",
-            modules: &["hpcc_kernels::sim"],
         },
         Exhibit {
             id: "TL-1",
             title: "Program timeline and out-year gaps (teraops, gigabit)",
             kind: ExhibitKind::Narrative,
             report_cmd: "timeline",
-            modules: &["hpcc_core::timeline"],
         },
         Exhibit {
             id: "GC-1",
             title: "Grand Challenge kernels: host-parallel speedups (ASTA column)",
             kind: ExhibitKind::Figure,
             report_cmd: "grand-challenges",
-            modules: &[
-                "hpcc_kernels::cfd",
-                "hpcc_kernels::shallow",
-                "hpcc_kernels::nbody",
-                "hpcc_kernels::fft",
-                "hpcc_kernels::cg",
-            ],
         },
     ]
 }
@@ -276,7 +216,6 @@ mod tests {
     fn every_table_and_figure_has_a_report_command() {
         for e in registry() {
             assert!(!e.report_cmd.is_empty(), "{}", e.id);
-            assert!(!e.modules.is_empty(), "{}", e.id);
         }
         let t4_4b = registry().iter().find(|e| e.id == "T4-4b").unwrap();
         assert_eq!(t4_4b.report_cmd, "delta-linpack");

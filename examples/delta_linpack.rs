@@ -39,10 +39,15 @@ fn main() {
     println!("paper claims : 13.0 GFLOPS (40.6% of peak)");
 
     // --- 3. The scaling story behind the number. --------------------------
+    // The last point is the headline run above, not a second simulation.
     println!("\nefficiency vs matrix order (why bigger was better):");
-    for n in [5_000, 10_000, 20_000, 25_000] {
-        let r = lu2d::run(&delta, n, 32);
-        let bar = "#".repeat((r.efficiency * 60.0) as usize);
-        println!("  n={n:6}  {:5.1}%  {bar}", r.efficiency * 100.0);
+    for n in [5_000, 10_000, 20_000, r.n] {
+        let efficiency = if n == r.n {
+            r.efficiency
+        } else {
+            lu2d::run(&delta, n, 32).efficiency
+        };
+        let bar = "#".repeat((efficiency * 60.0) as usize);
+        println!("  n={n:6}  {:5.1}%  {bar}", efficiency * 100.0);
     }
 }
