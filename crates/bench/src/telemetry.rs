@@ -399,15 +399,20 @@ pub fn report() -> String {
 
 /// `report prom-sample`: one deterministic `/metrics` exposition from a
 /// small recorded scenario — exactly what a live `TelemetryServer` would
-/// serve. CI lints this output for Prometheus text-format essentials.
+/// serve. Two node tracks share the `mesh nodes` process, so its span
+/// group sums both. CI lints this output for Prometheus text-format
+/// essentials and pins its bytes (`scripts/prom_sample.sha256`).
 pub fn prom_sample() -> String {
     let rec = StreamRecorder::new();
     let compute = rec.track(names::MESH_NODES, "node 0");
     let solver = rec.track(names::WAN_SOLVER, "engine");
+    let peer = rec.track(names::MESH_NODES, "node 1");
     let mut t = 0u64;
     for i in 0u64..64 {
         let dur = 1_000 + i * i * 500;
         rec.span(compute, "compute", "dgefa panel", t, t + dur);
+        rec.span(peer, "compute", "dgefa panel", t, t + dur / 3);
+        rec.span(peer, "send", "panel bcast", t + dur / 3, t + dur / 2);
         t += dur + 250;
     }
     rec.counter(solver, "full_resolves", t, 17.0);

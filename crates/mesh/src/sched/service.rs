@@ -1466,7 +1466,7 @@ mod tests {
         assert!(
             rec.tracks()
                 .iter()
-                .any(|t| t.process == names::SCHED_SVC && t.thread.starts_with("tenant ")),
+                .any(|t| &*t.process == names::SCHED_SVC && t.thread.starts_with("tenant ")),
             "per-tenant tracks exist"
         );
     }

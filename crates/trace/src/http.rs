@@ -14,21 +14,23 @@
 //!   fall behind the ring window get a `lagged` count, never silent gaps.
 //! * `GET /healthz` — liveness probe (`200 ok`).
 //!
-//! One thread per connection (scrapers are few and connections are
-//! `Connection: close`), all of them strictly readers: a scrape loads
-//! atomic cells and clones `Arc`s of frozen ring chunks, so any number of
-//! concurrent dashboard readers leave the simulation thread's fast path
-//! untouched. At most `MAX_CONNECTIONS` of those threads exist at once;
-//! a connection beyond that is answered `503` from the accept thread.
+//! The accept thread hands each `Connection: close` connection to a
+//! reused worker, a free one or else a new one: sequential scrapes keep
+//! one worker, and none waits behind another's idle peer. Workers only
+//! read: a scrape loads atomic cells and clones `Arc`s of frozen ring
+//! chunks, so concurrent readers leave the simulation thread's fast path
+//! untouched. At most `MAX_CONNECTIONS` connections, and so workers, are
+//! in flight; the accept thread answers `503` past that.
 //!
 //! Parsing is apart from socket I/O: `route` maps the bytes of a request
 //! head to an endpoint or a refusal, so hostile heads are fuzzed without a
 //! socket. [`get`] is the matching minimal client.
 
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::stream::StreamRecorder;
@@ -38,7 +40,7 @@ use crate::stream::StreamRecorder;
 /// thread.
 pub struct TelemetryServer {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    pool: Arc<Pool>,
     accept: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -49,40 +51,24 @@ impl TelemetryServer {
     pub fn start(rec: Arc<StreamRecorder>, addr: &str) -> std::io::Result<TelemetryServer> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let in_flight = Arc::new(AtomicUsize::new(0));
+        let pool = Arc::new(Pool::default());
+        let pool2 = Arc::clone(&pool);
         let accept = std::thread::Builder::new()
             .name("hpcc-telemetry".into())
             .spawn(move || {
                 for conn in listener.incoming() {
-                    if stop2.load(Ordering::SeqCst) {
+                    if pool2.jobs.lock().expect("pool").stop {
                         break;
                     }
                     let Ok(sock) = conn else { continue };
-                    let Some(slot) = Slot::take(&in_flight) else {
+                    if let Err(sock) = pool2.hand_off(sock, &rec) {
                         refuse(sock);
-                        continue;
-                    };
-                    let rec = Arc::clone(&rec);
-                    // One short-lived thread per connection; handlers
-                    // only read atomics and Arc-cloned chunks.
-                    let _ = std::thread::Builder::new()
-                        .name("hpcc-telemetry-conn".into())
-                        .spawn(move || {
-                            // Locals drop in reverse: the slot is given
-                            // back, also by a panicking handler, before
-                            // the socket closes, so a client that has seen
-                            // its connection end finds the slot free.
-                            let mut sock = sock;
-                            let _slot = slot;
-                            let _ = handle(&mut sock, &rec);
-                        });
+                    }
                 }
             })?;
         Ok(TelemetryServer {
             addr: local,
-            stop,
+            pool,
             accept: Some(accept),
         })
     }
@@ -92,14 +78,15 @@ impl TelemetryServer {
         self.addr
     }
 
-    /// Stop accepting and join the accept thread. In-flight connection
-    /// threads finish their (short) responses on their own.
+    /// Stop accepting and join the accept thread. Idle workers exit; busy
+    /// ones finish their (short) responses, queued ones too, on their own.
     pub fn stop(mut self) {
         self.shutdown();
     }
 
     fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.pool.jobs.lock().expect("pool").stop = true;
+        self.pool.ready.notify_all();
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         if let Some(h) = self.accept.take() {
@@ -116,29 +103,79 @@ impl Drop for TelemetryServer {
     }
 }
 
-/// Connection threads alive at once, at most. A handler holds its slot
-/// for as long as its peer keeps it waiting (up to the socket timeouts),
-/// so without the cap idle connections could pile up threads.
+/// Connections in flight (queued or being served) at once, at most. A
+/// worker serves one for as long as its peer keeps it waiting (up to the
+/// socket timeouts), so without the cap idle peers could pile up workers.
 const MAX_CONNECTIONS: usize = 64;
 
-/// One of the [`MAX_CONNECTIONS`] slots, given back on drop.
-struct Slot(Arc<AtomicUsize>);
-
-impl Slot {
-    /// A free slot, if there is one. Only the accept thread takes slots,
-    /// so the check cannot race another taker.
-    fn take(in_flight: &Arc<AtomicUsize>) -> Option<Slot> {
-        if in_flight.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
-            return None;
-        }
-        in_flight.fetch_add(1, Ordering::SeqCst);
-        Some(Slot(Arc::clone(in_flight)))
-    }
+/// The accepted connections no worker has taken yet, and the workers.
+#[derive(Default)]
+struct Pool {
+    jobs: Mutex<Jobs>,
+    /// Signalled once per queued connection, and for every worker at stop.
+    ready: Condvar,
 }
 
-impl Drop for Slot {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
+#[derive(Default)]
+struct Jobs {
+    queue: VecDeque<TcpStream>,
+    /// Workers serving a connection; with the queue, the slots taken.
+    busy: usize,
+    /// Workers waiting, or spawned and not yet waiting: never fewer than
+    /// the queued connections.
+    free: usize,
+    stop: bool,
+}
+
+impl Pool {
+    /// Queue `sock` for a free worker, or for a new one when every worker
+    /// is serving, so a connection never waits behind another's peer.
+    /// Past the cap, `sock` comes back to be refused.
+    fn hand_off(
+        self: &Arc<Pool>,
+        sock: TcpStream,
+        rec: &Arc<StreamRecorder>,
+    ) -> Result<(), TcpStream> {
+        let mut jobs = self.jobs.lock().expect("pool");
+        if jobs.queue.len() + jobs.busy >= MAX_CONNECTIONS {
+            return Err(sock);
+        }
+        jobs.queue.push_back(sock);
+        if jobs.free >= jobs.queue.len() {
+            self.ready.notify_one();
+            return Ok(());
+        }
+        let (pool, rec) = (Arc::clone(self), Arc::clone(rec));
+        let worker = std::thread::Builder::new()
+            .name("hpcc-telemetry-conn".into())
+            .spawn(move || pool.work(&rec));
+        match worker {
+            Ok(_) => jobs.free += 1,
+            Err(_) => drop(jobs.queue.pop_back()),
+        }
+        Ok(())
+    }
+
+    /// A worker: serve queued connections one at a time until the server
+    /// stops.
+    fn work(&self, rec: &StreamRecorder) {
+        let mut jobs = self.jobs.lock().expect("pool");
+        loop {
+            let waiting = |jobs: &mut Jobs| jobs.queue.is_empty() && !jobs.stop;
+            jobs = self.ready.wait_while(jobs, waiting).expect("pool");
+            let Some(mut sock) = jobs.queue.pop_front() else {
+                return;
+            };
+            (jobs.free, jobs.busy) = (jobs.free - 1, jobs.busy + 1);
+            drop(jobs);
+            let _ = catch_unwind(AssertUnwindSafe(|| handle(&mut sock, rec)));
+            // Free again and the slot given back, also after a panic,
+            // before the socket closes: a client that has seen its
+            // connection end finds both, so sequential ones keep one worker.
+            jobs = self.jobs.lock().expect("pool");
+            (jobs.free, jobs.busy) = (jobs.free + 1, jobs.busy - 1);
+            drop(sock);
+        }
     }
 }
 
@@ -308,6 +345,7 @@ pub fn get(addr: SocketAddr, path: &str) -> std::io::Result<(u16, String)> {
 mod tests {
     use super::*;
     use crate::Recorder;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn server_with_data() -> (TelemetryServer, Arc<StreamRecorder>) {
         let rec = Arc::new(StreamRecorder::new());
@@ -505,6 +543,25 @@ mod tests {
         let mut over = TcpStream::connect(addr).unwrap();
         over.read_to_string(&mut raw).unwrap();
         assert!(raw.starts_with("HTTP/1.1 503 "), "{raw}");
+        drop(idle);
+        srv.stop();
+    }
+
+    /// A peer that connects and sends nothing keeps its worker for up to
+    /// the 5 s head deadline; the connection after it is served at once,
+    /// by a worker of its own.
+    #[test]
+    fn an_idle_peer_does_not_hold_up_the_next_connection() {
+        let (srv, _rec) = server_with_data();
+        let idle = TcpStream::connect(srv.addr()).unwrap();
+        let start = Instant::now();
+        let (code, body) = get(srv.addr(), "/healthz").unwrap();
+        let took = start.elapsed();
+        assert_eq!((code, body.as_str()), (200, "ok\n"));
+        assert!(
+            took < Duration::from_secs(1),
+            "{took:?} behind an idle peer"
+        );
         drop(idle);
         srv.stop();
     }

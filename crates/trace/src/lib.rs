@@ -38,6 +38,7 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 pub mod chrome;
 pub mod http;
@@ -166,11 +167,12 @@ impl Event {
     }
 }
 
-/// A registered (process, thread) row.
+/// A registered (process, thread) row. Copies share the two names, so a
+/// `/metrics` series labelled with them allocates none.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Track {
-    pub process: String,
-    pub thread: String,
+    pub process: Arc<str>,
+    pub thread: Arc<str>,
 }
 
 /// The track registry of both enabled recorders: interns (process,
@@ -207,8 +209,8 @@ impl Tracks {
         threads.insert(thread.to_string(), id);
         self.ids.push((*pid, threads.len() as u32));
         self.rows.push(Track {
-            process: process.to_string(),
-            thread: thread.to_string(),
+            process: process.into(),
+            thread: thread.into(),
         });
         id
     }
@@ -337,7 +339,7 @@ mod tests {
         assert_eq!(a, a2);
         assert_ne!(a, b);
         assert_eq!(r.track_count(), 2);
-        assert_eq!(r.tracks()[a as usize].thread, "node 0");
+        assert_eq!(&*r.tracks()[a as usize].thread, "node 0");
     }
 
     /// Interleaved process registration: pids follow first appearance,

@@ -6,14 +6,14 @@
 //! `StreamRecorder` instead aggregates *online* and keeps only a bounded
 //! tail of raw events:
 //!
-//! * **Span cells** — one per (track, category): a log-linear histogram of
-//!   span durations held in plain `AtomicU64` bucket counters, plus
-//!   count/sum/min/max. Readers load the counters without ever stopping
-//!   the writer. At scrape time the bucket counts of one (process,
-//!   category) group are summed into one array and materialized once as a
-//!   [`des::stats::Histogram`] over bucket-index space (via
-//!   `Histogram::from_counts`), whose quantile edges decode back to
-//!   nanoseconds.
+//! * **Span cells** — one per (process, category) group, the only level
+//!   `/metrics` serves, written by every track of the process: a
+//!   log-linear histogram of span durations held in plain `AtomicU64`
+//!   bucket counters, plus count/sum/min/max. Readers load the counters
+//!   without ever stopping the writer. At scrape time a group's bucket
+//!   counts are materialized once as a [`des::stats::Histogram`] over
+//!   bucket-index space (via `Histogram::from_counts`), whose quantile
+//!   edges decode back to nanoseconds.
 //! * **Counter cells** — one per (track, name): last sampled value (bit
 //!   cast through `AtomicU64`), sample count, running max.
 //! * **Instant cells** — one per (track, category, name): occurrence count.
@@ -29,28 +29,29 @@
 //!
 //! An event costs one `Mutex`: the writer lock, which guards the ring's
 //! active chunk and the writer's own per-track index of the cells. Under
-//! it the writer probes its index (≤ 8 entries a track), updates the cell
-//! and the totals with relaxed loads and stores — the lock serialises
-//! writers, so no read-modify-write is needed — and appends the event.
-//! The cells are `Arc`s held by the index and by the registry the readers
-//! scan; the writer only dereferences its own, so no `Arc` is cloned or
-//! dropped per event. Only a (track, key)'s first event takes the
-//! registry's write lock, to insert its cell, and never while it holds
-//! the writer lock. Every `chunk_cap` events the active chunk is
-//! published and the next one starts in the buffer of an evicted chunk
-//! no reader still holds, when there is one, so the steady-state writer
-//! allocates one `Arc` a chunk and nothing else (ring names are inlined
-//! up to `SmallName::CAP` = 31 bytes, then truncated).
+//! it the writer probes its index (≤ 8 entries a track; a span's entry
+//! points at its group's cell), updates the cell and the totals with
+//! relaxed loads and stores — the lock serialises writers, so no
+//! read-modify-write is needed — and appends the event. The cells are
+//! `Arc`s held by the index and by the registry the readers scan; the
+//! writer only dereferences its own, so no `Arc` is cloned or dropped per
+//! event. Only a (track, key)'s first event takes the registry's write
+//! lock, to find its cell (a span's group's) or insert it, and never
+//! while it holds the writer lock. Every `chunk_cap` events the active
+//! chunk is published and the next one starts in the buffer of an
+//! evicted chunk no reader still holds, when there is one, so the
+//! steady-state writer allocates one `Arc` a chunk and nothing else (ring
+//! names are inlined up to `SmallName::CAP` = 31 bytes, then truncated).
 //!
 //! Readers take the registry's read lock, load atomics and clone `Arc`s
 //! of frozen chunks. Of the writer lock they take only the moment
 //! `ring_ledger` needs to count; the lock on the published chunks, which
 //! `/trace` takes, the writer takes once a chunk. A reader holds the
-//! registry lock only while it builds its answer in memory (≈ 0.2 ms per
-//! 1,024 `/trace` events), never across socket I/O, so all it can delay
-//! is the insertion of a new cell or track. Like every recorder, it is a
-//! pure observer — recorded runs stay bit-identical to unrecorded ones
-//! (asserted in exhibit OBS-2).
+//! registry lock only while it builds its answer in memory (≈ 0.1 ms per
+//! 1,024 `/trace` events, 0.04 ms a `/metrics` on `telemetry_live`), never
+//! across socket I/O, so all it can delay is the insertion of a new cell
+//! or track. Like every recorder, it is a pure observer — recorded runs
+//! stay bit-identical to unrecorded ones (asserted in exhibit OBS-2).
 //!
 //! ## Accounting ledger
 //!
@@ -121,11 +122,11 @@ fn bump(a: &AtomicU64, by: u64) {
     );
 }
 
-/// Inline string for ring events: the hot path must not allocate. Longer
-/// names are truncated at a char boundary — the aggregation cells (which
-/// key on category, not name) are unaffected.
+/// Inline string for ring events and instant keys: the hot path must not
+/// allocate. Longer names are truncated at a char boundary — the span and
+/// counter cells (which key on category and counter name) are unaffected.
 #[derive(Clone, Copy, PartialEq)]
-pub(crate) struct SmallName {
+pub struct SmallName {
     len: u8,
     bytes: [u8; SmallName::CAP],
 }
@@ -146,7 +147,7 @@ impl SmallName {
         }
     }
 
-    pub(crate) fn as_str(&self) -> &str {
+    pub fn as_str(&self) -> &str {
         std::str::from_utf8(&self.bytes[..self.len as usize]).expect("truncated on char boundary")
     }
 }
@@ -289,7 +290,7 @@ impl Ring {
     }
 }
 
-/// Online histogram + scalar moments for one (track, category).
+/// Online histogram + scalar moments for one (process, category) group.
 struct SpanCell {
     buckets: Box<[AtomicU64]>,
     count: AtomicU64,
@@ -358,7 +359,7 @@ impl CounterCell {
 /// Per-track cell directory. Categories/counter names per track are few
 /// (≤ ~8), so a linear probe over a small Vec beats hashing. The registry
 /// and the writer's index each keep one per track, holding the same
-/// `Arc`s.
+/// `Arc`s; the registry's `spans` stay empty (its span cells are groups).
 #[derive(Default)]
 struct TrackCells {
     spans: Vec<(&'static str, Arc<SpanCell>)>,
@@ -368,6 +369,10 @@ struct TrackCells {
 
 /// Picks one kind's directory out of a track's cells.
 type Dir<K, C> = fn(&mut TrackCells) -> &mut Vec<(K, Arc<C>)>;
+
+/// The registry's cell for a (track, key), inserted when there is none
+/// (`true`): [`Registry::own`] or [`Registry::group`].
+type Home<K, C> = fn(&mut Registry, TrackId, K, Dir<K, C>) -> (Arc<C>, bool);
 
 /// The cell keyed `key` in `dir` of `track`'s cells, if there is one.
 fn find<K: PartialEq + 'static, C: 'static>(
@@ -409,13 +414,51 @@ struct Registry {
     tracks: Tracks,
     /// Indexed by track id; a track's entry appears with its first event.
     cells: Vec<TrackCells>,
+    /// One span cell per (process, category), the only level `/metrics`
+    /// serves, in first-event order.
+    groups: Vec<(Arc<str>, &'static str, Arc<SpanCell>)>,
+}
+
+impl Registry {
+    /// A counter's or an instant's cell: its track's own.
+    fn own<K: PartialEq + 'static, C: Default + 'static>(
+        &mut self,
+        track: TrackId,
+        key: K,
+        dir: Dir<K, C>,
+    ) -> (Arc<C>, bool) {
+        let (cell, fresh) = find_or_insert(&mut self.cells, track, key, dir, Arc::default);
+        (Arc::clone(cell), fresh)
+    }
+
+    /// A span's cell: the one its track's process shares for `cat`. Spans
+    /// on a track id nobody registered (yet) get a cell no group holds:
+    /// they count in the totals and are served in no group.
+    fn group(
+        &mut self,
+        track: TrackId,
+        cat: &'static str,
+        _: Dir<&str, SpanCell>,
+    ) -> (Arc<SpanCell>, bool) {
+        let Some(row) = self.tracks.rows().get(track as usize) else {
+            return (Arc::default(), true);
+        };
+        let key = (&*row.process, cat);
+        if let Some((_, _, cell)) = self.groups.iter().find(|(p, c, _)| (&**p, *c) == key) {
+            return (Arc::clone(cell), false);
+        }
+        let cell = Arc::<SpanCell>::default();
+        let group = (Arc::clone(&row.process), cat, Arc::clone(&cell));
+        self.groups.push(group);
+        (cell, true)
+    }
 }
 
 /// Aggregated view of one (process, category) span group, as served on
 /// `/metrics`.
 #[derive(Debug, Clone)]
 pub struct SpanGroup {
-    pub process: String,
+    pub process: Arc<str>,
     pub category: &'static str,
     pub count: u64,
     pub sum_ns: u64,
@@ -429,8 +472,8 @@ pub struct SpanGroup {
 /// One counter series on `/metrics`.
 #[derive(Debug, Clone)]
 pub struct CounterSeries {
-    pub process: String,
-    pub thread: String,
+    pub process: Arc<str>,
+    pub thread: Arc<str>,
     pub name: &'static str,
     pub last: f64,
     pub max: f64,
@@ -440,10 +483,10 @@ pub struct CounterSeries {
 /// One instant-count series on `/metrics`.
 #[derive(Debug, Clone)]
 pub struct InstantSeries {
-    pub process: String,
-    pub thread: String,
+    pub process: Arc<str>,
+    pub thread: Arc<str>,
     pub category: &'static str,
-    pub name: String,
+    pub name: SmallName,
     pub count: u64,
 }
 
@@ -534,13 +577,16 @@ impl StreamRecorder {
     }
 
     /// Record one event under the writer lock: apply `update` to the cell
-    /// keyed `key` in `dir` of `track`'s cells, count the event in `total`
-    /// and `events_total`, and append `ev` to the ring.
+    /// keyed `key` in `dir` of `track`'s cells, which `home` finds in the
+    /// registry on the key's first event, count the event in `total` and
+    /// `events_total`, and append `ev` to the ring.
+    #[allow(clippy::too_many_arguments)]
     fn record<K: Copy + PartialEq + 'static, C: Default + 'static>(
         &self,
         track: TrackId,
         key: K,
         dir: Dir<K, C>,
+        home: Home<K, C>,
         update: impl Fn(&C),
         total: &AtomicU64,
         ev: RingEvent,
@@ -558,12 +604,11 @@ impl StreamRecorder {
             drop(w);
             let (cell, fresh) = {
                 let mut reg = self.reg.write().expect("registry");
-                let (cell, fresh) = find_or_insert(&mut reg.cells, track, key, dir, || {
-                    let cell = C::default();
+                let (cell, fresh) = home(&mut reg, track, key, dir);
+                if fresh {
                     update(&cell);
-                    Arc::new(cell)
-                });
-                (Arc::clone(cell), fresh)
+                }
+                (cell, fresh)
             };
             w = self.writer.lock().expect("writer");
             let (cell, _) = find_or_insert(&mut w.cells, track, key, dir, || cell);
@@ -580,96 +625,68 @@ impl StreamRecorder {
     }
 
     /// Aggregate snapshot: per-(process, category) span quantiles (from
-    /// the group's summed bucket counts), counter and instant series, the
-    /// self-accounting totals, and the ring ledger.
+    /// the group cell's bucket counts), counter and instant series, the
+    /// self-accounting totals, and the ring ledger. Labels share the
+    /// registry's names: no series allocates a string.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        struct Group<'r> {
-            process: &'r str,
-            category: &'static str,
-            counts: Vec<u64>,
-            count: u64,
-            sum_ns: u64,
-            min_ns: u64,
-            max_ns: u64,
-        }
         let reg = self.reg.read().expect("registry");
-        // Groups are few (processes × categories), so a linear probe.
-        let mut groups: Vec<Group> = Vec::new();
-        let mut counters = Vec::new();
-        let mut instants = Vec::new();
-        // A track's cells appear with its first event; cells under an id
-        // nobody registered have no (process, thread) to be served as.
-        for (track, tc) in reg.tracks.rows().iter().zip(&reg.cells) {
-            for (category, cell) in &tc.spans {
-                let key = (track.process.as_str(), *category);
-                let at = match groups.iter().position(|g| (g.process, g.category) == key) {
-                    Some(at) => at,
-                    None => {
-                        groups.push(Group {
-                            process: key.0,
-                            category: key.1,
-                            counts: vec![0; NBUCKETS],
-                            count: 0,
-                            sum_ns: 0,
-                            min_ns: u64::MAX,
-                            max_ns: 0,
-                        });
-                        groups.len() - 1
-                    }
-                };
-                let g = &mut groups[at];
-                for (n, b) in g.counts.iter_mut().zip(cell.buckets.iter()) {
-                    *n += b.load(Ordering::Relaxed);
-                }
-                g.count += cell.count.load(Ordering::Relaxed);
-                g.sum_ns += cell.sum_ns.load(Ordering::Relaxed);
-                g.min_ns = g.min_ns.min(cell.min_ns.load(Ordering::Relaxed));
-                g.max_ns = g.max_ns.max(cell.max_ns.load(Ordering::Relaxed));
-            }
-            for (name, cell) in &tc.counters {
-                counters.push(CounterSeries {
-                    process: track.process.clone(),
-                    thread: track.thread.clone(),
-                    name,
-                    last: f64::from_bits(cell.last_bits.load(Ordering::Relaxed)),
-                    max: f64::from_bits(cell.max_bits.load(Ordering::Relaxed)),
-                    samples: cell.samples.load(Ordering::Relaxed),
-                });
-            }
-            for ((cat, name), cell) in &tc.instants {
-                instants.push(InstantSeries {
-                    process: track.process.clone(),
-                    thread: track.thread.clone(),
-                    category: cat,
-                    name: name.as_str().to_string(),
-                    count: cell.load(Ordering::Relaxed),
-                });
-            }
-        }
-        groups.sort_by(|a, b| (a.process, a.category).cmp(&(b.process, b.category)));
-        let spans = groups
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        // One array of bucket counts, refilled for each group.
+        let mut counts = vec![0; NBUCKETS];
+        let mut spans: Vec<SpanGroup> = reg
+            .groups
             .iter()
-            .map(|g| {
+            .map(|(process, category, cell)| {
+                for (n, b) in counts.iter_mut().zip(cell.buckets.iter()) {
+                    *n = load(b);
+                }
                 // Bucket-index space `[0, NBUCKETS)`: bucket `i` is `[i, i + 1)`.
-                let hist = Histogram::from_counts(0.0, NBUCKETS as f64, &g.counts);
+                let hist = Histogram::from_counts(0.0, NBUCKETS as f64, &counts);
                 let q = |p: f64| -> u64 {
                     hist.quantile(p)
                         .map(|edge| bucket_hi((edge as usize).saturating_sub(1).min(NBUCKETS - 1)))
                         .unwrap_or(0)
                 };
+                let count = load(&cell.count);
                 SpanGroup {
-                    process: g.process.to_string(),
-                    category: g.category,
-                    count: g.count,
-                    sum_ns: g.sum_ns,
-                    min_ns: if g.count == 0 { 0 } else { g.min_ns },
-                    max_ns: g.max_ns,
+                    process: Arc::clone(process),
+                    category,
+                    count,
+                    sum_ns: load(&cell.sum_ns),
+                    min_ns: if count == 0 { 0 } else { load(&cell.min_ns) },
+                    max_ns: load(&cell.max_ns),
                     p50_ns: q(0.50),
                     p90_ns: q(0.90),
                     p99_ns: q(0.99),
                 }
             })
             .collect();
+        spans.sort_by(|a, b| (&a.process, a.category).cmp(&(&b.process, b.category)));
+        let mut counters = Vec::new();
+        let mut instants = Vec::new();
+        // A track's cells appear with its first event; cells under an id
+        // nobody registered have no (process, thread) to be served as.
+        for (track, tc) in reg.tracks.rows().iter().zip(&reg.cells) {
+            for (name, cell) in &tc.counters {
+                counters.push(CounterSeries {
+                    process: Arc::clone(&track.process),
+                    thread: Arc::clone(&track.thread),
+                    name,
+                    last: f64::from_bits(load(&cell.last_bits)),
+                    max: f64::from_bits(load(&cell.max_bits)),
+                    samples: load(&cell.samples),
+                });
+            }
+            for &((category, name), ref cell) in &tc.instants {
+                instants.push(InstantSeries {
+                    process: Arc::clone(&track.process),
+                    thread: Arc::clone(&track.thread),
+                    category,
+                    name,
+                    count: load(cell),
+                });
+            }
+        }
 
         let tracks = reg.tracks.rows().len() as u64;
         drop(reg);
@@ -753,7 +770,7 @@ impl StreamRecorder {
                 ("process", &i.process),
                 ("track", &i.thread),
                 ("category", i.category),
-                ("name", &i.name),
+                ("name", i.name.as_str()),
             ]);
             let _ = writeln!(out, "hpcc_instants_total{{{labels}}} {}", i.count);
         }
@@ -856,6 +873,7 @@ impl Recorder for StreamRecorder {
             track,
             cat,
             |tc| &mut tc.spans,
+            Registry::group,
             |cell: &SpanCell| cell.add(dur_ns),
             &self.spans_total,
             RingEvent {
@@ -873,6 +891,7 @@ impl Recorder for StreamRecorder {
             track,
             (cat, name),
             |tc| &mut tc.instants,
+            Registry::own,
             |count: &AtomicU64| bump(count, 1),
             &self.instants_total,
             RingEvent {
@@ -889,6 +908,7 @@ impl Recorder for StreamRecorder {
             track,
             name,
             |tc| &mut tc.counters,
+            Registry::own,
             |cell: &CounterCell| cell.sample(value),
             &self.counters_total,
             RingEvent {

@@ -69,10 +69,10 @@ fn node_breakdown(tracks: &[Track], events: &[Event], elapsed_ns: u64) -> Vec<No
     let mut rows: Vec<NodeBreakdown> = tracks
         .iter()
         .enumerate()
-        .filter(|(_, t)| t.process == names::MESH_NODES)
+        .filter(|(_, t)| &*t.process == names::MESH_NODES)
         .map(|(id, t)| NodeBreakdown {
             track: id as TrackId,
-            thread: t.thread.clone(),
+            thread: t.thread.to_string(),
             compute_ns: 0,
             send_ns: 0,
             recv_ns: 0,
@@ -126,7 +126,7 @@ fn inferred_elapsed(tracks: &[Track], events: &[Event]) -> u64 {
     let sim = |id: TrackId| {
         tracks.get(id as usize).is_some_and(|t| {
             matches!(
-                t.process.as_str(),
+                &*t.process,
                 names::MESH_NODES | names::MESH_LINKS | names::DES
             )
         })
@@ -169,7 +169,7 @@ fn render(tracks: &[Track], events: &[Event], sim_elapsed_ns: Option<u64>) -> St
     // (process, category): [0, that group's max span), 256 buckets, µs.
     // A single global ceiling would flatten µs-scale mesh spans into
     // bucket 0 next to hour-scale scheduler waits.
-    type Key = (String, &'static str);
+    type Key = (std::sync::Arc<str>, &'static str);
     let key_of = |track: TrackId, cat: &'static str| -> Option<Key> {
         tracks.get(track as usize).map(|t| (t.process.clone(), cat))
     };
@@ -272,7 +272,7 @@ fn render(tracks: &[Track], events: &[Event], sim_elapsed_ns: Option<u64>) -> St
         {
             if tracks
                 .get(*track as usize)
-                .is_some_and(|t| t.process == names::MESH_LINKS)
+                .is_some_and(|t| &*t.process == names::MESH_LINKS)
             {
                 *link_busy.entry(*track).or_insert(0) += end_ns - start_ns;
             }

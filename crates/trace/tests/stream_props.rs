@@ -16,6 +16,7 @@
 //! `Rng::new` call, and prints them first, so a failure's last printed
 //! line names the case that replays it.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
@@ -97,6 +98,93 @@ fn stream_quantiles_match_mem_recorder_within_bucket_resolution() {
                 over <= 0.125 * exact as f64 + 1.0,
                 "q={q} exact={exact} got={got} overshoots a bucket"
             );
+        }
+    }
+}
+
+/// One span cell per (process, category) serves every track of the
+/// process: for random tracks spread over three processes and four
+/// categories, each group's count, sum, min and max equal the exact ones
+/// of a `MemRecorder` fed the same events, and its p50/p90/p99 the upper
+/// edge of the bucket holding the exact quantile. Spans on a track id
+/// nobody registered count in `spans_total` and `events_total` and in no
+/// group, and make no group of an empty process name (32 cases).
+#[test]
+fn span_groups_match_mem_recorder_across_tracks() {
+    const PROCS: [&str; 3] = ["mesh nodes", "mesh links", "sched"];
+    const CATS: [&str; 4] = ["compute", "send", "recv", "wait"];
+    for case in 0..32 {
+        let mut rng = Rng::new(0x62_0003 ^ case);
+        let ntracks = rng.range_u64(1, 12);
+        let nspans = rng.range_u64(1, 600);
+        let orphans = rng.below(20);
+        let max_exp = rng.below(40) as u32;
+        println!(
+            "case {case}: tracks {ntracks} spans {nspans} orphans {orphans} max_exp {max_exp}"
+        );
+        let stream = StreamRecorder::with_ring(64, 4);
+        let mem = MemRecorder::new();
+        let tracks: Vec<(u32, u32)> = (0..ntracks)
+            .map(|i| {
+                let process = *rng.choose(&PROCS);
+                let thread = format!("track {i}");
+                (stream.track(process, &thread), mem.track(process, &thread))
+            })
+            .collect();
+        for d in durations(&mut rng, nspans as usize, max_exp) {
+            let &(ts, tm) = rng.choose(&tracks);
+            let cat = *rng.choose(&CATS);
+            stream.span(ts, cat, "k", 0, d);
+            mem.span(tm, cat, "k", 0, d);
+        }
+        let unregistered = ntracks as u32 + 3;
+        for i in 0..orphans {
+            stream.span(unregistered, "compute", "k", 0, 1 + i);
+        }
+
+        // Ground truth: the buffered events grouped by (process, category),
+        // in the order `/metrics` serves them.
+        let mut want: BTreeMap<(String, &str), Vec<u64>> = BTreeMap::new();
+        mem.with(|rows, events| {
+            for e in events {
+                if let Event::Span {
+                    track,
+                    cat,
+                    start_ns,
+                    end_ns,
+                    ..
+                } = e
+                {
+                    let process = rows[*track as usize].process.to_string();
+                    want.entry((process, *cat))
+                        .or_default()
+                        .push(end_ns - start_ns);
+                }
+            }
+        });
+        let snap = stream.metrics_snapshot();
+        assert_eq!(
+            (snap.spans_total, snap.events_total),
+            (nspans + orphans, nspans + orphans)
+        );
+        assert_eq!(snap.spans.len(), want.len());
+        for (g, ((process, cat), durs)) in snap.spans.iter().zip(&mut want) {
+            durs.sort_unstable();
+            assert_eq!((&*g.process, g.category), (process.as_str(), *cat));
+            assert_eq!(
+                (g.count, g.sum_ns, g.min_ns, g.max_ns),
+                (
+                    durs.len() as u64,
+                    durs.iter().sum(),
+                    durs[0],
+                    durs[durs.len() - 1]
+                ),
+                "group ({process}, {cat})"
+            );
+            for (q, got) in [(0.5, g.p50_ns), (0.9, g.p90_ns), (0.99, g.p99_ns)] {
+                let exact = exact_quantile(durs, q);
+                assert_eq!(got, bucket_hi(bucket_of(exact)), "({process}, {cat}) q={q}");
+            }
         }
     }
 }
