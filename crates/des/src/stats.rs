@@ -120,21 +120,6 @@ impl Histogram {
         }
     }
 
-    /// Rebuild a histogram from pre-aggregated bucket counts covering
-    /// `[lo, hi)` — the bridge used by streaming recorders that keep
-    /// their counts in atomic cells and only materialize a `Histogram`
-    /// at scrape time (for [`Histogram::quantile`]).
-    pub fn from_counts(lo: f64, hi: f64, counts: &[u64]) -> Histogram {
-        assert!(hi > lo && !counts.is_empty());
-        Histogram {
-            lo,
-            width: (hi - lo) / counts.len() as f64,
-            buckets: counts.to_vec(),
-            overflow: 0,
-            underflow: 0,
-        }
-    }
-
     /// Lower edge of bucket 0.
     pub fn lo(&self) -> f64 {
         self.lo
@@ -350,24 +335,5 @@ mod tests {
         assert_eq!(a.count(), 0);
         assert_eq!(a.quantile(0.5), None);
         assert_eq!(a.quantile(1.0), None);
-    }
-
-    #[test]
-    fn from_counts_round_trips_geometry_and_quantiles() {
-        let mut h = Histogram::new(0.0, 64.0, 32);
-        for i in 0..640 {
-            h.add((i % 64) as f64);
-        }
-        let rebuilt = Histogram::from_counts(0.0, 64.0, h.buckets());
-        assert_eq!(rebuilt.lo(), h.lo());
-        assert_eq!(rebuilt.width(), h.width());
-        assert_eq!(rebuilt.count(), h.count());
-        for q in [0.1, 0.5, 0.9, 0.99] {
-            assert_eq!(rebuilt.quantile(q), h.quantile(q));
-        }
-        // And the rebuilt histogram merges with the original geometry.
-        let mut m = rebuilt.clone();
-        m.merge(&h);
-        assert_eq!(m.count(), 2 * h.count());
     }
 }

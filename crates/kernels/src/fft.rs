@@ -4,33 +4,33 @@
 //! ## Engine v2
 //!
 //! The seed transform ([`fft_baseline`]) is iterative Cooley–Tukey with
-//! incrementally-computed twiddles: every butterfly pays a complex
-//! multiply just to step the twiddle, the late passes stride across the
-//! whole array, and nothing vectorises. The v2 engine keeps the same
-//! butterfly network (bit-reversal + DIT passes) but:
+//! incrementally-computed twiddles, a per-element bit-reversal swap and
+//! one strided pass over the whole array per stage. The v2 engine keeps
+//! the same butterfly network and every butterfly's arithmetic, but:
 //!
-//! * **Twiddle plan** — per-stage twiddle tables (`n−1` entries total)
-//!   computed once per length and cached in a thread-local plan cache,
-//!   so `fft2d`'s row and column passes (and every CG/bench repeat)
-//!   share one table. Direct `cis` evaluation per entry also drops the
-//!   accumulated rounding of the incremental recurrence.
-//! * **Cache-oblivious recursion** — on bit-reversed data the butterfly
-//!   network factors as: transform the two halves, then one combine
-//!   pass. Recursing depth-first keeps every sub-block resident while
-//!   all of its passes run; only `log₂(n/LEAF)` combine passes touch
-//!   more than L1. The arithmetic (and result) is identical to the
-//!   iterative schedule — blocks are independent — just reordered.
-//! * **AVX2 butterflies** — butterflies run two complex lanes per
-//!   256-bit register (`re,im,re,im` layout): complex multiply via
-//!   `movedup`/`permute`/`addsub` (exactly the scalar formula, no FMA,
-//!   so SIMD and portable passes are bit-identical), runtime-dispatched
-//!   with [`crate::simd::avx2_fma_available`]. Inverse transforms
-//!   conjugate the twiddle at load time with a sign-mask XOR.
+//! * **Twiddle plan** — per-stage tables (`n−1` entries), computed once
+//!   per length by direct `cis` and cached per thread, so `fft2d`'s row
+//!   and column passes and every repeat share one table.
+//! * **Tiled bit reversal** — COBRA-style: 8 × 8 tiles of whole 128-byte
+//!   rows trade places through a stack buffer, in place.
+//! * **Cache-oblivious recursion, two stages a pass** — on bit-reversed
+//!   data a block's transform is its four quarters' transforms, then two
+//!   stages that join them; depth-first, every block finishes while
+//!   resident and each pass over memory does two stages in registers
+//!   (`LEAF`-point leaves start with their first one or two stages per
+//!   2- or 4-point block). Blocks are independent, so the reordering
+//!   changes no bit.
+//! * **AVX2 butterflies** — two complex lanes per 256-bit register;
+//!   the complex multiply via `movedup`/`permute`/`addsub` is exactly
+//!   the scalar formula (no FMA), so SIMD and portable passes are
+//!   bit-identical; runtime-dispatched with
+//!   [`crate::simd::avx2_fma_available`]. Inverse transforms conjugate
+//!   the twiddle at load time with a sign-mask XOR.
 //!
 //! `fft`/`ifft` dispatch automatically; `fft_portable` pins the scalar
-//! pass (property tests assert it matches the SIMD path bit-for-bit);
-//! `fft_baseline` is the seed implementation, kept as the bench
-//! baseline and accuracy anchor.
+//! pass; `fft_baseline` is the seed implementation, kept as the bench
+//! baseline and accuracy anchor. The tests hold every entry point to the
+//! engine before tiling and fusing, bit for bit.
 
 use crate::simd;
 use std::cell::RefCell;
@@ -112,17 +112,11 @@ struct FftPlan {
 
 impl FftPlan {
     fn build(n: usize) -> FftPlan {
-        let mut stages = Vec::new();
-        let mut len = 4;
-        while len <= n {
-            let half = len / 2;
-            let mut tw = Vec::with_capacity(half);
-            for k in 0..half {
-                tw.push(Cpx::cis(-std::f64::consts::TAU * k as f64 / len as f64));
-            }
-            stages.push(tw);
-            len <<= 1;
-        }
+        let stage = |len: usize| {
+            let w = |k: usize| Cpx::cis(-std::f64::consts::TAU * k as f64 / len as f64);
+            (0..len / 2).map(w).collect()
+        };
+        let stages = (2..=n.trailing_zeros()).map(|s| stage(1 << s)).collect();
         FftPlan { stages }
     }
 
@@ -173,14 +167,7 @@ fn fft_dir(x: &mut [Cpx], inverse: bool, use_simd: bool) {
     if n <= 1 {
         return;
     }
-    // Bit-reversal permutation.
-    let bits = n.trailing_zeros();
-    for i in 0..n {
-        let j = i.reverse_bits() >> (usize::BITS - bits);
-        if i < j {
-            x.swap(i, j);
-        }
-    }
+    bit_reverse(x);
     let plan = plan_for(n);
     recurse(x, &plan, inverse, use_simd);
     if inverse {
@@ -191,95 +178,159 @@ fn fft_dir(x: &mut [Cpx], inverse: bool, use_simd: bool) {
     }
 }
 
-/// Depth-first butterfly passes over one bit-reversed block: halves
-/// first (so they finish while L1-resident), then the block's own
-/// combine pass. Identical arithmetic to the iterative schedule.
+/// Bit-reversal permutation in place, by tiles (COBRA, Carter & Gatlin):
+/// index `(a, m, c)`, `a` and `c` of `q ≤ 3` bits, goes to `(rev c, rev
+/// m, rev a)`, so the tile of `t` rows of `t` points with middle bits `m`
+/// trades places, transposed, with tile `rev m`, through a stack buffer.
+fn bit_reverse(x: &mut [Cpx]) {
+    let rev = |v: usize, b| v.reverse_bits().checked_shr(usize::BITS - b).unwrap_or(0);
+    let bits = x.len().trailing_zeros();
+    let q = (bits / 2).min(3);
+    let (mid, t, row) = (bits - 2 * q, 1 << q, x.len() >> q);
+    let rq: [usize; 8] = std::array::from_fn(|v| rev(v, q));
+    let mut buf = [Cpx::ZERO; 64];
+    for m in 0..1 << mid {
+        let r = rev(m, mid);
+        if r < m {
+            continue;
+        }
+        let (tm, tr) = (m * t, r * t);
+        for a in 0..t {
+            buf[a * t..][..t].copy_from_slice(&x[a * row + tr..][..t]);
+        }
+        if r != m {
+            for a in 0..t {
+                for c in 0..t {
+                    x[a * row + tr + c] = x[rq[c] * row + tm + rq[a]];
+                }
+            }
+        }
+        for a in 0..t {
+            for c in 0..t {
+                x[a * row + tm + c] = buf[rq[c] * t + rq[a]];
+            }
+        }
+    }
+}
+
+/// Depth-first passes over one bit-reversed block: its four quarters
+/// first (each finishes while cache-resident; leaves hold `LEAF / 2` or
+/// `LEAF` points), then the block's own two stages in one combine.
 fn recurse(x: &mut [Cpx], plan: &FftPlan, inverse: bool, use_simd: bool) {
     let m = x.len();
     if m <= LEAF {
         leaf_passes(x, plan, inverse, use_simd);
         return;
     }
-    let (lo, hi) = x.split_at_mut(m / 2);
-    recurse(lo, plan, inverse, use_simd);
-    recurse(hi, plan, inverse, use_simd);
-    combine(x, plan.table(m), inverse, use_simd);
+    for quarter in x.chunks_exact_mut(m / 4) {
+        recurse(quarter, plan, inverse, use_simd);
+    }
+    combine(x, plan.table(m / 2), plan.table(m), inverse, use_simd);
 }
 
-/// All passes of an ≤ LEAF-sized block, iteratively: the twiddle-free
-/// `len = 2` pass, then one combine per block per stage.
+/// All passes of an ≤ LEAF-sized block: the first stage, or the first
+/// two, per 2- or 4-point block in registers, whichever leaves an even
+/// number of stages, then two stages per combine.
 fn leaf_passes(x: &mut [Cpx], plan: &FftPlan, inverse: bool, use_simd: bool) {
     let m = x.len();
-    for p in (0..m).step_by(2) {
-        let (a, b) = (x[p], x[p + 1]);
-        x[p] = a + b;
-        x[p + 1] = a - b;
-    }
-    let mut len = 4;
-    while len <= m {
-        let tw = plan.table(len);
-        for block in x.chunks_exact_mut(len) {
-            combine(block, tw, inverse, use_simd);
+    let mut len = match m.trailing_zeros() % 2 {
+        1 => first_stages::<2>(x, plan, inverse),
+        _ => first_stages::<4>(x, plan, inverse),
+    };
+    while len < m {
+        let (t1, t2) = (plan.table(2 * len), plan.table(4 * len));
+        for block in x.chunks_exact_mut(4 * len) {
+            combine(block, t1, t2, inverse, use_simd);
         }
-        len <<= 1;
+        len *= 4;
     }
 }
 
-/// One combine pass: butterflies `(x[k], x[k+h]) ← (a + w_k·b, a − w_k·b)`
-/// between the two transformed halves of `x`.
-fn combine(x: &mut [Cpx], tw: &[Cpx], inverse: bool, use_simd: bool) {
+/// The stages up to `len = S` of every `S`-point block, in registers, in
+/// the order of one pass per stage: the twiddle-free `len = 2`
+/// butterflies, then the plan's. Returns `S`, the blocks' new length.
+#[inline(always)]
+fn first_stages<const S: usize>(x: &mut [Cpx], plan: &FftPlan, inverse: bool) -> usize {
+    for block in x.chunks_exact_mut(S) {
+        let mut v: [Cpx; S] = block.try_into().expect("S-point block");
+        for p in (0..S).step_by(2) {
+            (v[p], v[p + 1]) = (v[p] + v[p + 1], v[p] - v[p + 1]);
+        }
+        let mut len = 4;
+        while len <= S {
+            let (h, tw) = (len / 2, plan.table(len));
+            for base in (0..S).step_by(len) {
+                for k in 0..h {
+                    let w = if inverse { tw[k].conj() } else { tw[k] };
+                    let (a, b) = (v[base + k], v[base + k + h] * w);
+                    (v[base + k], v[base + k + h]) = (a + b, a - b);
+                }
+            }
+            len <<= 1;
+        }
+        block.copy_from_slice(&v);
+    }
+    S
+}
+
+/// Two stages over `x`, four transformed quarters of `q` points: with
+/// `t1` within each half, with `t2` across them. Each group `(k, k+q,
+/// k+2q, k+3q)` runs its four butterflies `(a, b) ← (a + w·b, a − w·b)`.
+fn combine(x: &mut [Cpx], t1: &[Cpx], t2: &[Cpx], inverse: bool, use_simd: bool) {
     if use_simd {
         #[cfg(target_arch = "x86_64")]
         {
-            // SAFETY: dispatch guarded by `avx2_fma_available`; `x` is a
-            // whole block (len ≥ 4, so h = len/2 ≥ 2 lanes per step).
-            unsafe { combine_avx2(x, tw, inverse) };
+            // SAFETY: dispatch guarded by `avx2_fma_available`; quarters
+            // hold at least 2 points, one register's worth.
+            unsafe { combine_avx2(x, t1, t2, inverse) };
             return;
         }
     }
-    let h = x.len() / 2;
-    let (lo, hi) = x.split_at_mut(h);
-    for k in 0..h {
-        let w = if inverse { tw[k].conj() } else { tw[k] };
-        let a = lo[k];
-        let b = hi[k] * w;
-        lo[k] = a + b;
-        hi[k] = a - b;
+    let q = x.len() / 4;
+    let w = |t: &[Cpx], k: usize| if inverse { t[k].conj() } else { t[k] };
+    let bfly = |a: Cpx, b: Cpx, w: Cpx| (a + b * w, a - b * w);
+    for k in 0..q {
+        let (p0, p1) = bfly(x[k], x[k + q], w(t1, k));
+        let (p2, p3) = bfly(x[k + 2 * q], x[k + 3 * q], w(t1, k));
+        (x[k], x[k + 2 * q]) = bfly(p0, p2, w(t2, k));
+        (x[k + q], x[k + 3 * q]) = bfly(p1, p3, w(t2, k + q));
     }
 }
 
-/// AVX2 combine: two complex lanes per register. The complex multiply
-/// (`movedup`/`permute`/`addsub`) evaluates exactly the scalar formula
-/// `(br·wr − bi·wi, br·wi + bi·wr)` — no FMA, no reassociation — so
-/// this path is bit-identical to [`combine`]'s scalar loop.
+/// AVX2 [`combine`], two complex lanes per register: `w·b` is exactly
+/// the scalar `(br·wr − bi·wi, br·wi + bi·wr)`, no FMA, no reassociation.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn combine_avx2(x: &mut [Cpx], tw: &[Cpx], inverse: bool) {
+unsafe fn combine_avx2(x: &mut [Cpx], t1: &[Cpx], t2: &[Cpx], inverse: bool) {
     use std::arch::x86_64::*;
-    let h = x.len() / 2;
-    // XOR mask flipping the imaginary lanes' sign conjugates the
-    // twiddles for the inverse transform; all-zero for forward (XOR
-    // with +0.0 preserves every bit pattern).
+    #[inline(always)]
+    unsafe fn bfly(a: __m256d, b: __m256d, w: __m256d) -> (__m256d, __m256d) {
+        let wre = _mm256_movedup_pd(w); // (wr, wr) per lane
+        let wim = _mm256_permute_pd(w, 0xF); // (wi, wi)
+        let bsw = _mm256_permute_pd(b, 0x5); // (bi, br)
+        let bw = _mm256_addsub_pd(_mm256_mul_pd(b, wre), _mm256_mul_pd(bsw, wim));
+        (_mm256_add_pd(a, bw), _mm256_sub_pd(a, bw))
+    }
+    // Flips the imaginary sign (inverse) or no bit at all (forward).
     let conj = if inverse {
         _mm256_set_pd(-0.0, 0.0, -0.0, 0.0)
     } else {
         _mm256_setzero_pd()
     };
-    let lo = x.as_mut_ptr() as *mut f64;
-    let hi = lo.add(2 * h);
-    let twp = tw.as_ptr() as *const f64;
+    let p = x.as_mut_ptr() as *mut f64;
+    let (t1, t2) = (t1.as_ptr() as *const f64, t2.as_ptr() as *const f64);
+    let q = x.len() / 2; // a quarter, in f64s
     let mut k = 0;
-    while k < 2 * h {
-        let w = _mm256_xor_pd(_mm256_loadu_pd(twp.add(k)), conj);
-        let a = _mm256_loadu_pd(lo.add(k));
-        let b = _mm256_loadu_pd(hi.add(k));
-        // b·w: (br·wr − bi·wi, br·wi + bi·wr) per lane pair.
-        let wre = _mm256_movedup_pd(w); // (wr, wr, wr, wr) per lane pair
-        let wim = _mm256_permute_pd(w, 0xF); // (wi, wi, ...)
-        let bsw = _mm256_permute_pd(b, 0x5); // (bi, br, ...)
-        let bw = _mm256_addsub_pd(_mm256_mul_pd(b, wre), _mm256_mul_pd(bsw, wim));
-        _mm256_storeu_pd(lo.add(k), _mm256_add_pd(a, bw));
-        _mm256_storeu_pd(hi.add(k), _mm256_sub_pd(a, bw));
+    while k < q {
+        let ld = |o: usize| _mm256_loadu_pd(p.add(k + o));
+        let tw = |t: *const f64, o: usize| _mm256_xor_pd(_mm256_loadu_pd(t.add(k + o)), conj);
+        let (p0, p1) = bfly(ld(0), ld(q), tw(t1, 0));
+        let (p2, p3) = bfly(ld(2 * q), ld(3 * q), tw(t1, 0));
+        let (y0, y2) = bfly(p0, p2, tw(t2, 0));
+        let (y1, y3) = bfly(p1, p3, tw(t2, q));
+        for (o, y) in [(0, y0), (q, y1), (2 * q, y2), (3 * q, y3)] {
+            _mm256_storeu_pd(p.add(k + o), y);
+        }
         k += 4;
     }
 }
@@ -354,10 +405,16 @@ fn rows_then_columns(data: &mut [Cpx], n: usize, parallel: bool, transform: fn(&
     }
 }
 
+/// Transpose in place by 8 × 8 tiles, so a tile's column side is 8
+/// rows touched 8 points at a time, not a row-length stride per point.
 fn transpose(data: &mut [Cpx], n: usize) {
-    for i in 0..n {
-        for j in i + 1..n {
-            data.swap(i * n + j, j * n + i);
+    for ib in (0..n).step_by(8) {
+        for jb in (ib..n).step_by(8) {
+            for i in ib..n.min(ib + 8) {
+                for j in jb.max(i + 1)..n.min(jb + 8) {
+                    data.swap(i * n + j, j * n + i);
+                }
+            }
         }
     }
 }
@@ -373,6 +430,94 @@ mod tests {
 
     fn close(a: Cpx, b: Cpx, tol: f64) -> bool {
         (a.re - b.re).abs() < tol && (a.im - b.im).abs() < tol
+    }
+
+    /// The engine before tiling and fusing, scalar: a per-element swap
+    /// loop, then the depth-first passes with a plain `len = 2` pass and
+    /// one pass per stage, each twiddle evaluated as the plan evaluates
+    /// it but apart from the plan. The oracle every output bit of
+    /// `fft_dir` is held to, as `netsim` holds `fill` to `fill_reference`.
+    fn fft_reference(x: &mut [Cpx], inverse: bool) {
+        let n = x.len();
+        let bits = n.trailing_zeros();
+        for i in 0..n {
+            let j = i.reverse_bits() >> (usize::BITS - bits);
+            if i < j {
+                x.swap(i, j);
+            }
+        }
+        recurse_reference(x, inverse);
+        if inverse {
+            let inv = 1.0 / n as f64;
+            for v in x.iter_mut() {
+                *v = v.scale(inv);
+            }
+        }
+    }
+
+    fn recurse_reference(x: &mut [Cpx], inverse: bool) {
+        let m = x.len();
+        if m > LEAF {
+            let (lo, hi) = x.split_at_mut(m / 2);
+            recurse_reference(lo, inverse);
+            recurse_reference(hi, inverse);
+            combine_reference(x, inverse);
+            return;
+        }
+        for p in (0..m).step_by(2) {
+            let (a, b) = (x[p], x[p + 1]);
+            x[p] = a + b;
+            x[p + 1] = a - b;
+        }
+        let mut len = 4;
+        while len <= m {
+            for block in x.chunks_exact_mut(len) {
+                combine_reference(block, inverse);
+            }
+            len <<= 1;
+        }
+    }
+
+    fn combine_reference(x: &mut [Cpx], inverse: bool) {
+        let (len, h) = (x.len(), x.len() / 2);
+        for k in 0..h {
+            let w = Cpx::cis(-std::f64::consts::TAU * k as f64 / len as f64);
+            let w = if inverse { w.conj() } else { w };
+            let a = x[k];
+            let b = x[k + h] * w;
+            x[k] = a + b;
+            x[k + h] = a - b;
+        }
+    }
+
+    fn bits_of(x: &[Cpx]) -> Vec<(u64, u64)> {
+        x.iter().map(|v| (v.re.to_bits(), v.im.to_bits())).collect()
+    }
+
+    /// `fft`, `ifft` and `fft_portable` against the reference engine, bit
+    /// for bit: every power of two from 2 to 2^16, and 2^20 once.
+    #[test]
+    fn every_entry_point_matches_the_reference_engine_bit_for_bit() {
+        let mut rng = des::rng::Rng::new(0xFF7_0B17);
+        for bits in (1..=16).chain([20]) {
+            let n = 1usize << bits;
+            let orig: Vec<Cpx> = (0..n)
+                .map(|_| Cpx::new(rng.next_f64() - 0.5, rng.next_f64() - 0.5))
+                .collect();
+            let mut want = orig.clone();
+            fft_reference(&mut want, false);
+            let mut got = orig.clone();
+            fft(&mut got);
+            assert!(bits_of(&got) == bits_of(&want), "fft n={n}");
+            let mut got = orig.clone();
+            fft_portable(&mut got);
+            assert!(bits_of(&got) == bits_of(&want), "fft_portable n={n}");
+            let mut want = orig.clone();
+            fft_reference(&mut want, true);
+            let mut got = orig;
+            ifft(&mut got);
+            assert!(bits_of(&got) == bits_of(&want), "ifft n={n}");
+        }
     }
 
     #[test]
@@ -469,6 +614,24 @@ mod tests {
         rows_then_columns(&mut seq, n, false, ifft);
         for (a, b) in seq.iter().zip(&orig) {
             assert!(close(*a, *b, 1e-9));
+        }
+    }
+
+    #[test]
+    fn tiled_transpose_matches_the_element_loop() {
+        for n in [1usize, 7, 64, 512] {
+            let orig: Vec<Cpx> = (0..n * n)
+                .map(|i| Cpx::new(i as f64, -(i as f64)))
+                .collect();
+            let mut want = orig.clone();
+            for i in 0..n {
+                for j in i + 1..n {
+                    want.swap(i * n + j, j * n + i);
+                }
+            }
+            let mut got = orig;
+            transpose(&mut got, n);
+            assert_eq!(got, want, "n={n}");
         }
     }
 

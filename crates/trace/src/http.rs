@@ -20,7 +20,9 @@
 //! read: a scrape loads atomic cells and clones `Arc`s of frozen ring
 //! chunks, so concurrent readers leave the simulation thread's fast path
 //! untouched. At most `MAX_CONNECTIONS` connections, and so workers, are
-//! in flight; the accept thread answers `503` past that.
+//! in flight; the accept thread answers `503` past that. Stopping closes
+//! the queued connections, shuts down the ones being served and joins
+//! every thread, so nothing holds the recorder afterwards.
 //!
 //! Parsing is apart from socket I/O: `route` maps the bytes of a request
 //! head to an endpoint or a refusal, so hostile heads are fuzzed without a
@@ -28,7 +30,7 @@
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -36,8 +38,7 @@ use std::time::{Duration, Instant};
 use crate::stream::StreamRecorder;
 
 /// Handle for a running telemetry endpoint. Dropping the handle stops
-/// the server just as [`TelemetryServer::stop`] does: it joins the accept
-/// thread.
+/// the server just as [`TelemetryServer::stop`] does.
 pub struct TelemetryServer {
     addr: SocketAddr,
     pool: Arc<Pool>,
@@ -78,19 +79,32 @@ impl TelemetryServer {
         self.addr
     }
 
-    /// Stop accepting and join the accept thread. Idle workers exit; busy
-    /// ones finish their (short) responses, queued ones too, on their own.
+    /// Stop serving: close the queued connections, shut down the ones
+    /// being served (an idle peer is not waited out), and join the accept
+    /// thread and every worker. Once this returns no thread of the server
+    /// holds the recorder.
     pub fn stop(mut self) {
         self.shutdown();
     }
 
     fn shutdown(&mut self) {
-        self.pool.jobs.lock().expect("pool").stop = true;
+        let mut jobs = self.pool.jobs.lock().expect("pool");
+        jobs.stop = true;
+        jobs.queue.clear();
+        for sock in jobs.serving.iter().flatten() {
+            let _ = sock.shutdown(Shutdown::Both);
+        }
+        drop(jobs);
         self.pool.ready.notify_all();
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         if let Some(h) = self.accept.take() {
             let _ = h.join();
+        }
+        // No worker is spawned once `stop` is set, so the list is whole.
+        let workers = std::mem::take(&mut self.pool.jobs.lock().expect("pool").workers);
+        for w in workers {
+            let _ = w.join();
         }
     }
 }
@@ -125,19 +139,23 @@ struct Jobs {
     /// the queued connections.
     free: usize,
     stop: bool,
+    /// Per worker, by spawn order: a handle on the socket it is serving,
+    /// for `stop` to shut down.
+    serving: Vec<Option<TcpStream>>,
+    workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl Pool {
     /// Queue `sock` for a free worker, or for a new one when every worker
     /// is serving, so a connection never waits behind another's peer.
-    /// Past the cap, `sock` comes back to be refused.
+    /// Past the cap or once stopped, `sock` comes back to be refused.
     fn hand_off(
         self: &Arc<Pool>,
         sock: TcpStream,
         rec: &Arc<StreamRecorder>,
     ) -> Result<(), TcpStream> {
         let mut jobs = self.jobs.lock().expect("pool");
-        if jobs.queue.len() + jobs.busy >= MAX_CONNECTIONS {
+        if jobs.stop || jobs.queue.len() + jobs.busy >= MAX_CONNECTIONS {
             return Err(sock);
         }
         jobs.queue.push_back(sock);
@@ -145,20 +163,24 @@ impl Pool {
             self.ready.notify_one();
             return Ok(());
         }
-        let (pool, rec) = (Arc::clone(self), Arc::clone(rec));
+        let (pool, rec, id) = (Arc::clone(self), Arc::clone(rec), jobs.workers.len());
         let worker = std::thread::Builder::new()
             .name("hpcc-telemetry-conn".into())
-            .spawn(move || pool.work(&rec));
+            .spawn(move || pool.work(id, &rec));
         match worker {
-            Ok(_) => jobs.free += 1,
+            Ok(worker) => {
+                jobs.free += 1;
+                jobs.workers.push(worker);
+                jobs.serving.push(None);
+            }
             Err(_) => drop(jobs.queue.pop_back()),
         }
         Ok(())
     }
 
-    /// A worker: serve queued connections one at a time until the server
-    /// stops.
-    fn work(&self, rec: &StreamRecorder) {
+    /// Worker `id`: serve queued connections one at a time until the
+    /// server stops.
+    fn work(&self, id: usize, rec: &StreamRecorder) {
         let mut jobs = self.jobs.lock().expect("pool");
         loop {
             let waiting = |jobs: &mut Jobs| jobs.queue.is_empty() && !jobs.stop;
@@ -167,6 +189,7 @@ impl Pool {
                 return;
             };
             (jobs.free, jobs.busy) = (jobs.free - 1, jobs.busy + 1);
+            jobs.serving[id] = sock.try_clone().ok();
             drop(jobs);
             let _ = catch_unwind(AssertUnwindSafe(|| handle(&mut sock, rec)));
             // Free again and the slot given back, also after a panic,
@@ -174,6 +197,7 @@ impl Pool {
             // connection end finds both, so sequential ones keep one worker.
             jobs = self.jobs.lock().expect("pool");
             (jobs.free, jobs.busy) = (jobs.free + 1, jobs.busy - 1);
+            jobs.serving[id] = None;
             drop(sock);
         }
     }
@@ -564,6 +588,28 @@ mod tests {
         );
         drop(idle);
         srv.stop();
+    }
+
+    /// `stop` with a silent peer being served: its socket is shut down,
+    /// not waited out, and every worker is joined before `stop` returns.
+    #[test]
+    fn stop_waits_for_the_workers_and_not_for_idle_peers() {
+        let (srv, rec) = server_with_data();
+        let idle = TcpStream::connect(srv.addr()).unwrap();
+        // Connections are accepted in order: once this one is answered,
+        // the silent one has been handed to a worker.
+        let (code, _) = get(srv.addr(), "/healthz").unwrap();
+        assert_eq!(code, 200);
+        let start = Instant::now();
+        srv.stop();
+        let took = start.elapsed();
+        assert_eq!(
+            Arc::strong_count(&rec),
+            1,
+            "a server thread still holds the recorder"
+        );
+        assert!(took < Duration::from_secs(1), "stop took {took:?}");
+        drop(idle);
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //!   `/metrics` serves, written by every track of the process: a
 //!   log-linear histogram of span durations held in plain `AtomicU64`
 //!   bucket counters, plus count/sum/min/max. Readers load the counters
-//!   without ever stopping the writer. At scrape time a group's bucket
-//!   counts are materialized once as a [`des::stats::Histogram`] over
-//!   bucket-index space (via `Histogram::from_counts`), whose quantile
-//!   edges decode back to nanoseconds.
+//!   without ever stopping the writer. At scrape time one cumulative
+//!   scan of a group's bucket counts finds p50, p90 and p99 by the edge
+//!   rule of [`des::stats::Histogram::quantile`], and each bucket decodes
+//!   back to nanoseconds.
 //! * **Counter cells** — one per (track, name): last sampled value (bit
 //!   cast through `AtomicU64`), sample count, running max.
 //! * **Instant cells** — one per (track, category, name): occurrence count.
@@ -70,8 +70,6 @@ use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use des::stats::Histogram;
-
 use crate::{chrome, Recorder, Track, TrackId, Tracks};
 
 /// Sub-buckets per power of two in the log-linear histogram.
@@ -108,6 +106,24 @@ pub fn bucket_hi(i: usize) -> u64 {
     let minor = i % MINORS;
     let hi = ((MINORS + minor + 1) as u128) << major;
     (hi - 1).min(u64::MAX as u128) as u64
+}
+
+/// The bucket holding each quantile `ps[j]` (ascending) of the bucket
+/// counts `counts`, in one cumulative scan: the first bucket whose
+/// running count reaches `⌈p · total⌉`, the rule of
+/// [`des::stats::Histogram::quantile`]. Empty counts read bucket 0.
+fn quantile_buckets<const K: usize>(counts: &[u64], ps: [f64; K]) -> [usize; K] {
+    let total = counts.iter().sum::<u64>() as f64;
+    let mut found = [counts.len() - 1; K];
+    let (mut j, mut acc) = (0, 0);
+    for (i, &c) in counts.iter().enumerate() {
+        acc += c;
+        while j < K && acc >= (ps[j] * total).ceil() as u64 {
+            found[j] = i;
+            j += 1;
+        }
+    }
+    found
 }
 
 /// `a += by` where only the writer lock's holder writes `a`: a relaxed
@@ -632,7 +648,7 @@ impl StreamRecorder {
         let reg = self.reg.read().expect("registry");
         let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
         // One array of bucket counts, refilled for each group.
-        let mut counts = vec![0; NBUCKETS];
+        let mut counts = [0; NBUCKETS];
         let mut spans: Vec<SpanGroup> = reg
             .groups
             .iter()
@@ -640,13 +656,8 @@ impl StreamRecorder {
                 for (n, b) in counts.iter_mut().zip(cell.buckets.iter()) {
                     *n = load(b);
                 }
-                // Bucket-index space `[0, NBUCKETS)`: bucket `i` is `[i, i + 1)`.
-                let hist = Histogram::from_counts(0.0, NBUCKETS as f64, &counts);
-                let q = |p: f64| -> u64 {
-                    hist.quantile(p)
-                        .map(|edge| bucket_hi((edge as usize).saturating_sub(1).min(NBUCKETS - 1)))
-                        .unwrap_or(0)
-                };
+                let [p50_ns, p90_ns, p99_ns] =
+                    quantile_buckets(&counts, [0.50, 0.90, 0.99]).map(bucket_hi);
                 let count = load(&cell.count);
                 SpanGroup {
                     process: Arc::clone(process),
@@ -655,9 +666,9 @@ impl StreamRecorder {
                     sum_ns: load(&cell.sum_ns),
                     min_ns: if count == 0 { 0 } else { load(&cell.min_ns) },
                     max_ns: load(&cell.max_ns),
-                    p50_ns: q(0.50),
-                    p90_ns: q(0.90),
-                    p99_ns: q(0.99),
+                    p50_ns,
+                    p90_ns,
+                    p99_ns,
                 }
             })
             .collect();
@@ -1035,6 +1046,44 @@ mod tests {
         // Strict monotonicity of bucket_hi over all buckets.
         for i in 1..NBUCKETS {
             assert!(bucket_hi(i) > bucket_hi(i - 1), "bucket_hi plateau at {i}");
+        }
+    }
+
+    /// The scan against `Histogram::quantile` over bucket-index space
+    /// (bucket `i` is `[i, i + 1)`, its quantile edge `i + 1`), on seeded
+    /// bucket vectors: empty, one bucket, sparse and dense ones, and
+    /// counts whose running total lands exactly on a quantile's target.
+    #[test]
+    fn quantile_scan_matches_histogram_quantile() {
+        use des::stats::Histogram;
+        const PS: [f64; 5] = [0.0, 0.5, 0.9, 0.99, 1.0];
+        let mut rng = des::rng::Rng::new(0x9_5CA7);
+        for case in 0..64u64 {
+            let len = 1 + rng.below(40) as usize;
+            let mut counts = vec![0u64; len];
+            match case % 4 {
+                0 => {}
+                1 => counts[rng.below(len as u64) as usize] = 1 + rng.below(5),
+                2 => counts
+                    .iter_mut()
+                    .for_each(|c| *c = rng.below(3) * rng.below(4)),
+                // Ten in each of ten buckets: p50 and p90 land exactly on
+                // a bucket's last count, with empty buckets after it.
+                _ => (0..len.min(10)).for_each(|i| counts[i * len / 10] = 10),
+            }
+            let mut hist = Histogram::new(0.0, len as f64, len);
+            for (i, &c) in counts.iter().enumerate() {
+                (0..c).for_each(|_| hist.add(i as f64 + 0.5));
+            }
+            let want = PS.map(|p| {
+                hist.quantile(p)
+                    .map_or(0, |edge| (edge as usize).saturating_sub(1).min(len - 1))
+            });
+            assert_eq!(
+                quantile_buckets(&counts, PS),
+                want,
+                "case {case}: {counts:?}"
+            );
         }
     }
 

@@ -14,10 +14,13 @@
 # then run from its tree with the driver's command (BENCHMARK.json's
 # `command`, its `run_seconds` by default). Which side goes first
 # alternates pair by pair. Prints every run, each side's median and
-# quartiles, the median and quartiles of the per-pair ratio b/a of the
-# first metric (its `b/a` row), and how many pairs <rev-b> won on
-# wall_s; a gain is claimed only at wins >= 9/10 and medians further
-# apart than <rev-a>'s inter-quartile distance. The summary line ends
+# quartiles and the median and quartiles of the per-pair ratio b/a (its
+# `b/a` row) of every metric, then, for each end-to-end metric, how many
+# pairs have a b/a worse than its `bound` in BENCHMARK.json (so a
+# breach on a workload the change does not touch shows in the pairs),
+# and how many pairs <rev-b> won on the first metric; a
+# gain is claimed only at wins >= 9/10 and medians further apart than
+# <rev-a>'s inter-quartile distance. The summary line ends
 # `digests: equal` when
 # every run's result_digest is side a's first one, and
 # `digests: DIFFER (a <hex>, <side> <hex>)` naming the first run that
@@ -96,13 +99,13 @@ summary() {
     awk -F'\t' -v side="$1" -v col="$2" '$2 == side { print $col }' "$rows" | quartiles
 }
 
-# Median and quartiles of the per-pair ratio b/a of the first metric.
-# The host drifts between fast and slow phases for minutes at a time;
-# both runs of a pair share a phase, so the ratio does not mix phases
-# the way each side's own median does.
-ratio() {
-    awk -F'\t' '$2 == "a" { a[$1] = $3 } $2 == "b" { b[$1] = $3 }
-        END { for (p in a) if ((p in b) && a[p] > 0) print b[p] / a[p] }' "$rows" | quartiles
+# The per-pair ratios b/a of column $1, one a line. The host drifts
+# between fast and slow phases for minutes at a time; both runs of a pair
+# share a phase, so the ratio does not mix phases the way each side's
+# own median does.
+ratios() {
+    awk -F'\t' -v col="$1" '$2 == "a" { a[$1] = $col } $2 == "b" { b[$1] = $col }
+        END { for (p in a) if ((p in b) && a[p] > 0) print b[p] / a[p] }' "$rows"
 }
 
 sha_a=$(resolve "$1")
@@ -130,8 +133,18 @@ for i in "${!metrics[@]}"; do
     for side in a b; do
         printf '%s\t%s\t%s\n' "${metrics[$i]}" "$side" "$(summary "$side" $((i + 3)))"
     done
+    printf '%s\tb/a\t%s\n' "${metrics[$i]}" "$(ratios $((i + 3)) | quartiles)"
 done
-printf '%s\tb/a\t%s\n' "${metrics[0]}" "$(ratio)"
+[ "$trace" = 1 ] || printf '\nmetric\tbound\tpairs beyond it\n'
+for i in "${!metrics[@]}"; do
+    spec=$(jq -r --arg m "${metrics[$i]}" \
+        '.end_to_end[] | select(.name == $m) | "\(.bound) \(.better)"' BENCHMARK.json)
+    [ -n "$spec" ] || continue # a per-layer metric has no bound
+    read -r bound better <<<"$spec"
+    ratios $((i + 3)) | awk -v m="${metrics[$i]}" -v bound="$bound" -v better="$better" '
+        { n++; if (better == "lower" ? $1 > 1 + bound : $1 < 1 - bound) k++ }
+        END { printf "%s\t%s\t%d of %d\n", m, bound, k, n }'
+done
 awk -F'\t' -v first="${metrics[0]}" -v failed_col="$failed_col" '
     $2 == "a" { a[$1] = $3 } $2 == "b" { b[$1] = $3 } { failed[$2] += $failed_col }
     { digest = $(failed_col + 1); gsub(/"/, "", digest) }
