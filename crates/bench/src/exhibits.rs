@@ -5,13 +5,13 @@
 //! a laptop while still exercising the paper-scale configuration (528
 //! nodes, order 25,000) for the headline exhibit.
 
-use delta_mesh::sched::{consortium_workload, run_recorded, Policy, SchedReport};
+use delta_mesh::sched::{consortium_workload, run_recorded, Policy};
 use delta_mesh::{presets, FaultKind, FaultPlan, Machine, MachineConfig};
 use hpcc_core::consortium::delta_facts::LINPACK_ORDER;
 use hpcc_core::{fnum, Agency, Component, FiscalYear, FundingTable, Table};
 use hpcc_kernels::sim::lu2d::{self, Lu2dResult};
 use hpcc_kernels::sim::{fftsim, stencil};
-use hpcc_trace::Recorder;
+use hpcc_trace::{names, Recorder, StreamRecorder};
 use nren_netsim::{topologies, FlowSim, LinkClass, LinkFault, Net, SiteId, TransferSpec};
 use std::rc::Rc;
 use std::sync::OnceLock;
@@ -414,130 +414,6 @@ pub fn cas() -> String {
     out
 }
 
-/// Interleaved reps per GC-1 row; each cell is its side's fastest.
-const GC_REPS: usize = 5;
-
-/// GC-1: host-parallel Grand Challenge kernels (parallel vs sequential).
-/// Each row's `run(par)` returns the seconds of one call, set-up such as
-/// building a grid untimed; `best_of` times its two sides interleaved.
-/// Every row but multigrid's times one kernel on one worker against
-/// itself on every host core.
-pub fn grand_challenges() -> String {
-    use crate::{best_of, timed};
-    use std::hint::black_box;
-    let mut t = Table::new(
-        "GC-1 — Grand Challenge kernels on the host (sequential vs parallel)",
-        &[
-            "Kernel (Grand Challenge)",
-            "Size",
-            "Seq (ms)",
-            "Par (ms)",
-            "Speedup",
-        ],
-    );
-    let threads = des::host_cores();
-    let mut row = |kernel: &str, size: &str, run: &dyn Fn(bool) -> f64| {
-        let [seq, par] = best_of(GC_REPS, [&mut || run(false), &mut || run(true)]);
-        t.row(&[
-            kernel.into(),
-            size.into(),
-            fnum(seq * 1e3, 1),
-            fnum(par * 1e3, 1),
-            fnum(seq / par, 2),
-        ]);
-    };
-
-    // Dense matmul (LINPACK substrate).
-    {
-        use hpcc_kernels::gemm::{gemm, gemm_par};
-        let mut rng = des::rng::Rng::new(1);
-        let a = hpcc_kernels::mat::Mat::random(384, 384, &mut rng);
-        let b = hpcc_kernels::mat::Mat::random(384, 384, &mut rng);
-        row("Matmul (dense LA)", "384^2", &|par| {
-            timed(|| black_box(if par { gemm_par(&a, &b) } else { gemm(&a, &b) })).0
-        });
-    }
-    // CFD Jacobi sweeps.
-    {
-        use hpcc_kernels::cfd::{jacobi, Grid};
-        let rhs = Grid::new(512);
-        row("Jacobi (aerosciences)", "512^2 x150", &|par| {
-            let mut u = Grid::new(512);
-            u.set_boundary(|x, y| x + y);
-            timed(|| jacobi(&mut u, &rhs, 0.0, 150, par)).0
-        });
-    }
-    // Shallow water.
-    row("Shallow water (ocean/atmos)", "256^2 x60", &|par| {
-        let mut sw = hpcc_kernels::shallow::Shallow::new(256);
-        timed(|| sw.run(60, par)).0
-    });
-    // N-body.
-    {
-        use hpcc_kernels::nbody::*;
-        let bodies = random_cluster(3000, 5);
-        row("N-body direct (space sci)", "3000", &|par| {
-            let accel = if par { accel_direct_par } else { accel_direct };
-            timed(|| black_box(accel(&bodies, 0.05))).0
-        });
-    }
-    // 2-D FFT.
-    {
-        use hpcc_kernels::fft::*;
-        let orig: Vec<Cpx> = (0..512 * 512)
-            .map(|i| Cpx::new((i as f64 * 0.001).sin(), 0.0))
-            .collect();
-        row("2-D FFT (earth/space)", "512^2", &|par| {
-            let mut d = orig.clone();
-            timed(|| fft2d(black_box(&mut d), 512, par)).0
-        });
-    }
-    // Multigrid (the algorithm story: same machine, better math). SOR
-    // sits under "Seq" and multigrid under "Par", both on one worker:
-    // the speed-up is algorithmic, not parallel.
-    {
-        use hpcc_kernels::cfd::{sor, Grid};
-        use hpcc_kernels::multigrid::{MgConfig, Multigrid};
-        use std::f64::consts::PI;
-        let rhs = |x: f64, y: f64| -2.0 * PI * PI * (PI * x).sin() * (PI * y).sin();
-        let cfg = MgConfig {
-            tol: 1e-8,
-            ..MgConfig::default()
-        };
-        let mut r = Grid::new(255);
-        let h = 1.0 / 256.0;
-        for i in 0..257 {
-            for j in 0..257 {
-                r.set(i, j, rhs(i as f64 * h, j as f64 * h));
-            }
-        }
-        row("Multigrid vs SOR (algorithmic)", "255^2", &|multigrid| {
-            let mut u = Grid::new(255);
-            if multigrid {
-                timed(|| black_box(Multigrid::new(255, cfg).solve(rhs).1)).0
-            } else {
-                timed(|| black_box(sor(&mut u, &r, None, 1e-8, 200_000))).0
-            }
-        });
-    }
-    // Sparse CG.
-    {
-        use hpcc_kernels::cg::*;
-        let a = Csr::poisson2d(200);
-        let b = vec![1.0; a.n()];
-        row("Sparse CG (energy)", "200^2 grid", &|par| {
-            let mut x = vec![0.0; a.n()];
-            timed(|| black_box(cg(&a, &b, &mut x, 1e-8, 600, par))).0
-        });
-    }
-    format!(
-        "{t}\nHost threads: {threads}; each cell is the fastest of {GC_REPS} interleaved reps.\n\
-         Shape check: compute-dense kernels (matmul, n-body) approach the\n\
-         thread count; memory-bound kernels (Jacobi, CG) plateau well below\n\
-         it — the 1992 ASTA lesson, reproduced on 2026 hardware.\n"
-    )
-}
-
 /// A simulated-FFT appendix for the ASTA communication-bound story.
 pub fn fft_scaling() -> String {
     let mut t = Table::new(
@@ -888,10 +764,10 @@ fn site(net: &Net, name: &str) -> SiteId {
     net.site(name).expect("built-in topology has the site")
 }
 
-/// The JPL -> Delta staging path of RES-1, OBS-1 and OBS-2's WAN
-/// scenario on `net` (the built-in `delta_consortium`): the two sites
-/// and the link its first hop crosses.
-pub(crate) fn staging_path(net: &Net) -> (SiteId, SiteId, usize) {
+/// The JPL -> Delta staging path of RES-1 and OBS-1 on `net` (the
+/// built-in `delta_consortium`): the two sites and the link its first
+/// hop crosses.
+fn staging_path(net: &Net) -> (SiteId, SiteId, usize) {
     let path = (|| {
         let (jpl, delta) = (net.site("JPL")?, net.site(topologies::DELTA_SITE)?);
         Some((jpl, delta, net.route(jpl, delta)?.dirs[0] / 2))
@@ -901,59 +777,15 @@ pub(crate) fn staging_path(net: &Net) -> (SiteId, SiteId, usize) {
     path.expect("delta_consortium links JPL to the Delta")
 }
 
-/// The outage RES-1, OBS-1 and OBS-2 put on the staging path's first-hop
+/// The outage RES-1 and OBS-1 put on the staging path's first-hop
 /// `link` (the third value of [`staging_path`]): down at 0.5 s, up at
 /// `up_at`.
-pub(crate) fn staging_outage(link: usize, up_at: SimTime) -> LinkFault {
+fn staging_outage(link: usize, up_at: SimTime) -> LinkFault {
     LinkFault {
         link,
         down_at: SimTime::from_secs_f64(0.5),
         up_at,
     }
-}
-
-/// The faulted LU-2D of OBS-1 and OBS-2: order `n`, panel width `nb` on
-/// a `mesh.0`×`mesh.1` Delta with link 0 down from 0.01 to 0.05 s and the
-/// last node 4× slow from 0.02 to 0.2 s, recorded into `rec`.
-pub(crate) fn faulted_lu2d(
-    mesh: (usize, usize),
-    n: usize,
-    nb: usize,
-    rec: Rc<dyn Recorder>,
-) -> lu2d::CkptRun {
-    let machine = Machine::new(presets::delta(mesh.0, mesh.1));
-    let mut plan = FaultPlan::none();
-    plan.push(
-        SimTime::from_secs_f64(0.01),
-        FaultKind::LinkDown {
-            link: 0,
-            until: SimTime::from_secs_f64(0.05),
-        },
-    );
-    plan.push(
-        SimTime::from_secs_f64(0.02),
-        FaultKind::NodeSlow {
-            node: mesh.0 * mesh.1 - 1,
-            factor: 4.0,
-            until: SimTime::from_secs_f64(0.2),
-        },
-    );
-    lu2d::run_traced(&machine, n, nb, &plan, rec)
-}
-
-/// The crash burst of OBS-1 and OBS-2: `njobs` consortium jobs (14
-/// partners, 60 s apart on average) backfilled on the 16x33 Delta while
-/// nodes crash under fault seed `seed` (per-node MTBF 1,500,000 s over
-/// 4 h), recorded into `rec`.
-pub(crate) fn crash_burst(njobs: usize, seed: u64, rec: &dyn Recorder) -> SchedReport {
-    let jobs = consortium_workload(njobs, 14, 60.0, 1992);
-    let plan = FaultPlan::seeded(
-        seed,
-        Dur::from_secs(1_500_000),
-        16 * 33,
-        Dur::from_secs(4 * 3_600),
-    );
-    run_recorded(16, 33, jobs, Policy::Backfill, &plan, rec)
 }
 
 /// OBS-1: the tracing layer exercised end to end — a faulted LU-2D on
@@ -973,9 +805,27 @@ pub fn trace() -> String {
         "Exhibit OBS-1 — End-to-end trace (seed {seed}; load TRACE_chrome.json in Perfetto)\n\n"
     ));
 
-    // --- 1. Faulted LU-2D on the mesh under full recording. ---
+    // --- 1. Faulted LU-2D on the mesh under full recording: link 0 down
+    // from 0.01 to 0.05 s, the last node 4x slow from 0.02 to 0.2 s. ---
     let (mesh, n, nb) = ((4, 4), 2_500, 32);
-    let lu = faulted_lu2d(mesh, n, nb, Rc::clone(&rec) as Rc<dyn Recorder>);
+    let machine = Machine::new(presets::delta(mesh.0, mesh.1));
+    let mut plan = FaultPlan::none();
+    plan.push(
+        SimTime::from_secs_f64(0.01),
+        FaultKind::LinkDown {
+            link: 0,
+            until: SimTime::from_secs_f64(0.05),
+        },
+    );
+    plan.push(
+        SimTime::from_secs_f64(0.02),
+        FaultKind::NodeSlow {
+            node: mesh.0 * mesh.1 - 1,
+            factor: 4.0,
+            until: SimTime::from_secs_f64(0.2),
+        },
+    );
+    let lu = lu2d::run_traced(&machine, n, nb, &plan, Rc::clone(&rec) as Rc<dyn Recorder>);
     let elapsed_ns = lu.result.report.elapsed.nanos();
     // The invariant the acceptance test pins: every node's busy + idle
     // time sums exactly to the simulated elapsed time.
@@ -1007,9 +857,18 @@ pub fn trace() -> String {
         nren_netsim::FlowOutcome::Stalled { .. } => out.push_str("WAN: transfer stalled.\n"),
     }
 
-    // --- 3. Scheduler burst under node crashes. ---
+    // --- 3. Scheduler burst under node crashes: consortium jobs (14
+    // partners, 60 s apart on average) backfilled on the 16x33 Delta,
+    // per-node MTBF 1,500,000 s over 4 h. ---
     let njobs = 200;
-    let sr = crash_burst(njobs, seed, &*rec);
+    let jobs = consortium_workload(njobs, 14, 60.0, 1992);
+    let plan = FaultPlan::seeded(
+        seed,
+        Dur::from_secs(1_500_000),
+        16 * 33,
+        Dur::from_secs(4 * 3_600),
+    );
+    let sr = run_recorded(16, 33, jobs, Policy::Backfill, &plan, &*rec);
     out.push_str(&format!(
         "Scheduler: {njobs} jobs, backfill, {} killed by crashes, \
          utilization {:.1}%.\n\n",
@@ -1038,6 +897,30 @@ pub fn trace() -> String {
         rec.track_count()
     ));
     out
+}
+
+/// `report prom-sample`: one deterministic `/metrics` exposition from a
+/// small recorded scenario — exactly what a live `TelemetryServer` would
+/// serve. Two node tracks share the `mesh nodes` process, so its span
+/// group sums both. CI lints this output for Prometheus text-format
+/// essentials and pins its bytes (`scripts/prom_sample.sha256`).
+pub fn prom_sample() -> String {
+    let rec = StreamRecorder::new();
+    let compute = rec.track(names::MESH_NODES, "node 0");
+    let solver = rec.track(names::WAN_SOLVER, "engine");
+    let peer = rec.track(names::MESH_NODES, "node 1");
+    let mut t = 0u64;
+    for i in 0u64..64 {
+        let dur = 1_000 + i * i * 500;
+        rec.span(compute, "compute", "dgefa panel", t, t + dur);
+        rec.span(peer, "compute", "dgefa panel", t, t + dur / 3);
+        rec.span(peer, "send", "panel bcast", t + dur / 3, t + dur / 2);
+        t += dur + 250;
+    }
+    rec.counter(solver, "full_resolves", t, 17.0);
+    rec.counter(solver, "dirty", t, 3.0);
+    rec.instant(compute, "fault", "node crash", t);
+    rec.prometheus_text()
 }
 
 /// ASTA kernel profile: efficiency of each simulated kernel class on the
@@ -1183,6 +1066,6 @@ mod tests {
     }
 
     // The heavyweight exhibits (delta_linpack, linpack_sweep, mpp_series,
-    // consortium_net, cas, grand_challenges) are covered by integration
+    // consortium_net, cas) are covered by integration
     // tests and the report binary to keep unit-test time bounded.
 }

@@ -146,25 +146,10 @@ pub fn registry() -> &'static [Exhibit] {
             report_cmd: "sched-service",
         },
         Exhibit {
-            id: "NET-1",
-            title: "Incremental max-min flow engine: the T1->T3->gigabit upgrade story \
-                    at modern tiers, and 1M concurrent flows on fat-tree/dragonfly \
-                    fabrics",
-            kind: ExhibitKind::Table,
-            report_cmd: "bench-net",
-        },
-        Exhibit {
             id: "OBS-1",
             title: "End-to-end trace: faulted LU-2D, WAN staging, scheduler (Perfetto)",
             kind: ExhibitKind::Figure,
             report_cmd: "trace",
-        },
-        Exhibit {
-            id: "OBS-2",
-            title: "Live telemetry service: streaming recorder, Prometheus /metrics and \
-                    Chrome-trace chunks over HTTP under concurrent scrapers",
-            kind: ExhibitKind::Table,
-            report_cmd: "telemetry",
         },
         Exhibit {
             id: "GC-0",
@@ -177,12 +162,6 @@ pub fn registry() -> &'static [Exhibit] {
             title: "Program timeline and out-year gaps (teraops, gigabit)",
             kind: ExhibitKind::Narrative,
             report_cmd: "timeline",
-        },
-        Exhibit {
-            id: "GC-1",
-            title: "Grand Challenge kernels: host-parallel speedups (ASTA column)",
-            kind: ExhibitKind::Figure,
-            report_cmd: "grand-challenges",
         },
     ]
 }

@@ -35,10 +35,6 @@ impl Table {
         self.footer_from = Some(self.rows.len());
         self
     }
-
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
 }
 
 impl fmt::Display for Table {

@@ -396,11 +396,6 @@ pub fn cg(
     }
 }
 
-/// FLOPs of one CG iteration: one SpMV (2·nnz) plus 5 vector ops (2n each).
-pub fn cg_iter_flops(n: usize, nnz: usize) -> f64 {
-    2.0 * nnz as f64 + 10.0 * n as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -661,13 +656,5 @@ mod tests {
         let r: Vec<f64> = ax.iter().zip(&b).map(|(p, q)| p - q).collect();
         let true_residual = norm2(&r) / norm2(&b);
         assert!(true_residual < 1e-7, "true residual {true_residual}");
-    }
-
-    #[test]
-    fn flops_accounting() {
-        let a = Csr::poisson2d(10);
-        let f = cg_iter_flops(a.n(), a.nnz());
-        assert!(f > 0.0);
-        assert_eq!(f, 2.0 * a.nnz() as f64 + 10.0 * 100.0);
     }
 }

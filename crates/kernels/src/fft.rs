@@ -3,9 +3,10 @@
 //!
 //! ## Engine v2
 //!
-//! The seed transform ([`fft_baseline`]) is iterative Cooley–Tukey with
-//! incrementally-computed twiddles, a per-element bit-reversal swap and
-//! one strided pass over the whole array per stage. The v2 engine keeps
+//! The seed transform (`fft_baseline`, kept in the tests) is iterative
+//! Cooley–Tukey with incrementally-computed twiddles, a per-element
+//! bit-reversal swap and one strided pass over the whole array per
+//! stage. The v2 engine keeps
 //! the same butterfly network and every butterfly's arithmetic, but:
 //!
 //! * **Twiddle plan** — per-stage tables (`n−1` entries), computed once
@@ -28,9 +29,8 @@
 //!   the twiddle at load time with a sign-mask XOR.
 //!
 //! `fft`/`ifft` dispatch automatically; `fft_portable` pins the scalar
-//! pass; `fft_baseline` is the seed implementation, kept as the bench
-//! baseline and accuracy anchor. The tests hold every entry point to the
-//! engine before tiling and fusing, bit for bit.
+//! pass. The tests hold every entry point to the engine before tiling
+//! and fusing, bit for bit, and to the seed transform within round-off.
 
 use crate::simd;
 use std::cell::RefCell;
@@ -335,58 +335,6 @@ unsafe fn combine_avx2(x: &mut [Cpx], t1: &[Cpx], t2: &[Cpx], inverse: bool) {
     }
 }
 
-/// The seed transform: iterative Cooley–Tukey with incrementally
-/// stepped twiddles. Kept as the scalar bench baseline and an
-/// independent accuracy anchor for the v2 engine.
-pub fn fft_baseline(x: &mut [Cpx]) {
-    fft_dir_baseline(x, false);
-}
-
-/// Inverse of [`fft_baseline`] (includes the 1/n scaling).
-pub fn ifft_baseline(x: &mut [Cpx]) {
-    fft_dir_baseline(x, true);
-}
-
-fn fft_dir_baseline(x: &mut [Cpx], inverse: bool) {
-    let n = x.len();
-    assert!(n.is_power_of_two(), "FFT length must be a power of two");
-    if n <= 1 {
-        return;
-    }
-    // Bit-reversal permutation.
-    let bits = n.trailing_zeros();
-    for i in 0..n {
-        let j = i.reverse_bits() >> (usize::BITS - bits);
-        if i < j {
-            x.swap(i, j);
-        }
-    }
-    // Butterfly passes.
-    let sign = if inverse { 1.0 } else { -1.0 };
-    let mut len = 2;
-    while len <= n {
-        let ang = sign * std::f64::consts::TAU / len as f64;
-        let wlen = Cpx::cis(ang);
-        for start in (0..n).step_by(len) {
-            let mut w = Cpx::new(1.0, 0.0);
-            for k in 0..len / 2 {
-                let a = x[start + k];
-                let b = x[start + k + len / 2] * w;
-                x[start + k] = a + b;
-                x[start + k + len / 2] = a - b;
-                w = w * wlen;
-            }
-        }
-        len <<= 1;
-    }
-    if inverse {
-        let inv = 1.0 / n as f64;
-        for v in x.iter_mut() {
-            *v = v.scale(inv);
-        }
-    }
-}
-
 /// 2-D FFT of an n×n row-major grid: FFT all rows, transpose, FFT all
 /// rows again, transpose back. `parallel` shares the rows out over
 /// [`des::host_cores`] workers; every row (and, via the transpose, every
@@ -430,6 +378,57 @@ mod tests {
 
     fn close(a: Cpx, b: Cpx, tol: f64) -> bool {
         (a.re - b.re).abs() < tol && (a.im - b.im).abs() < tol
+    }
+
+    /// The seed transform: iterative Cooley–Tukey with incrementally
+    /// stepped twiddles, an independent accuracy anchor for the v2 engine.
+    fn fft_baseline(x: &mut [Cpx]) {
+        fft_dir_baseline(x, false);
+    }
+
+    /// Inverse of [`fft_baseline`] (includes the 1/n scaling).
+    fn ifft_baseline(x: &mut [Cpx]) {
+        fft_dir_baseline(x, true);
+    }
+
+    fn fft_dir_baseline(x: &mut [Cpx], inverse: bool) {
+        let n = x.len();
+        assert!(n.is_power_of_two(), "FFT length must be a power of two");
+        if n <= 1 {
+            return;
+        }
+        // Bit-reversal permutation.
+        let bits = n.trailing_zeros();
+        for i in 0..n {
+            let j = i.reverse_bits() >> (usize::BITS - bits);
+            if i < j {
+                x.swap(i, j);
+            }
+        }
+        // Butterfly passes.
+        let sign = if inverse { 1.0 } else { -1.0 };
+        let mut len = 2;
+        while len <= n {
+            let ang = sign * std::f64::consts::TAU / len as f64;
+            let wlen = Cpx::cis(ang);
+            for start in (0..n).step_by(len) {
+                let mut w = Cpx::new(1.0, 0.0);
+                for k in 0..len / 2 {
+                    let a = x[start + k];
+                    let b = x[start + k + len / 2] * w;
+                    x[start + k] = a + b;
+                    x[start + k + len / 2] = a - b;
+                    w = w * wlen;
+                }
+            }
+            len <<= 1;
+        }
+        if inverse {
+            let inv = 1.0 / n as f64;
+            for v in x.iter_mut() {
+                *v = v.scale(inv);
+            }
+        }
     }
 
     /// The engine before tiling and fusing, scalar: a per-element swap
@@ -666,8 +665,10 @@ mod tests {
                 assert!(close(*p, *q, 1e-9 * scale), "n={n}");
             }
             ifft(&mut a);
-            for (p, q) in a.iter().zip(&orig) {
+            ifft_baseline(&mut b);
+            for ((p, q), r) in a.iter().zip(&orig).zip(&b) {
                 assert!(close(*p, *q, 1e-10), "n={n} roundtrip");
+                assert!(close(*p, *r, 1e-10), "n={n} inverse");
             }
         }
     }

@@ -50,12 +50,12 @@ fn pair_accel(xi: f64, yi: f64, xj: f64, yj: f64, mj: f64, eps2: f64) -> (f64, f
 }
 
 /// Direct-summation accelerations, sequential.
-pub fn accel_direct(bodies: &[Body], eps: f64) -> Vec<(f64, f64)> {
+fn accel_direct(bodies: &[Body], eps: f64) -> Vec<(f64, f64)> {
     accel_direct_with(bodies, eps, 1)
 }
 
 /// Direct-summation accelerations, the target bodies shared out over
-/// [`des::host_cores`] workers. Bit-identical to [`accel_direct`].
+/// [`des::host_cores`] workers. Bit-identical to the sequential sum.
 pub fn accel_direct_par(bodies: &[Body], eps: f64) -> Vec<(f64, f64)> {
     accel_direct_with(bodies, eps, crate::workers(true))
 }

@@ -4,11 +4,10 @@
 //! the GEMM microkernel: a portable scalar body that is the semantic
 //! reference, an `#[target_feature(enable = "avx2", "fma")]` clone, and a
 //! runtime `is_x86_feature_detected!` dispatch. Each kernel also keeps
-//! its portable path reachable (`*_portable` / `*_baseline` entry
-//! points) so the property tests can drive both paths on one host and
-//! assert their agreement — bit-identical for element-wise kernels that
-//! never reassociate or fuse, residual-bounded for FMA-fused inner
-//! products.
+//! its portable path reachable (`*_portable` entry points) so the
+//! property tests can drive both paths on one host and assert their
+//! agreement — bit-identical for element-wise kernels that never
+//! reassociate or fuse, residual-bounded for FMA-fused inner products.
 
 /// True when the AVX2+FMA fast paths may be taken on this host.
 ///

@@ -21,7 +21,7 @@
 //! Every run of the mesh engine is `drive`: a worker owns a slice of
 //! lanes and takes them through the round *work → flush → barrier →
 //! drain + publish → barrier → decide* — two barrier waits per window.
-//! The host's core count picks the worker count ([`workers_for`]): all
+//! The host's core count picks the worker count (`workers_for`): all
 //! lanes on the calling thread on one CPU (a one-party barrier never
 //! blocks); otherwise one thread per lane — the calling thread drives
 //! lane 0 and a scoped thread each of the others, so a run never has
@@ -116,7 +116,7 @@ use std::sync::Mutex;
 /// than one CPU, everything on the calling thread otherwise (OS threads
 /// would only add context switches there). The core count is
 /// [`des::host_cores`], read once per process.
-pub fn workers_for(lanes: usize) -> usize {
+fn workers_for(lanes: usize) -> usize {
     if des::host_cores() > 1 {
         lanes
     } else {
@@ -598,9 +598,7 @@ fn assemble<T>(
 
 /// Lane-runtime diagnostics for one run: window count, event
 /// throughput per lane, and cross-lane mailbox traffic. Returned by
-/// [`crate::sim::Machine::run_sharded_stats`] and exportable as
-/// [`hpcc_trace::names::DES_LANES`] track counters via
-/// [`LaneStats::emit`].
+/// [`crate::sim::Machine::run_sharded_stats`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaneStats {
     /// Lanes the machine was split into (1 = the single-queue engine).
@@ -621,26 +619,6 @@ impl LaneStats {
     /// efficiency figure (higher = less barrier overhead per event).
     pub fn events_per_round(&self) -> f64 {
         self.events as f64 / self.rounds.max(1) as f64
-    }
-
-    /// Record the lane diagnostics as counters at `at_ns`: an aggregate
-    /// `engine` track (rounds, events, mailbox traffic, events/round)
-    /// plus one track per lane, all under
-    /// [`hpcc_trace::names::DES_LANES`].
-    pub fn emit(&self, rec: &dyn hpcc_trace::Recorder, at_ns: u64) {
-        if !rec.is_enabled() {
-            return;
-        }
-        let agg = rec.track(hpcc_trace::names::DES_LANES, "engine");
-        rec.counter(agg, "lanes", at_ns, self.lanes as f64);
-        rec.counter(agg, "rounds", at_ns, self.rounds as f64);
-        rec.counter(agg, "events", at_ns, self.events as f64);
-        rec.counter(agg, "mail_msgs", at_ns, self.mail_msgs as f64);
-        rec.counter(agg, "events_per_round", at_ns, self.events_per_round());
-        for (lane, &ev) in self.per_lane_events.iter().enumerate() {
-            let t = rec.track(hpcc_trace::names::DES_LANES, &format!("lane {lane}"));
-            rec.counter(t, "events", at_ns, ev as f64);
-        }
     }
 }
 

@@ -30,9 +30,10 @@
 //! over its links, and the full one walks every directed link in set-up
 //! and commit: a closure that spreads over the network costs what the
 //! full fill costs, and taking the full fill keeps the worst case no
-//! worse than the legacy engine and flushes accumulated float drift. A
-//! crowd behind one slow bottleneck — however many entries — touches a
-//! few links and fills in a round or two, so it stays partial.
+//! worse than a full re-solve on every event and flushes accumulated
+//! float drift. A crowd behind one slow bottleneck — however many
+//! entries — touches a few links and fills in a round or two, so it
+//! stays partial.
 //!
 //! Entries are *aggregates*: flows below a byte threshold on the same
 //! (src, dst, window) collapse into one entry with an integer weight.
@@ -52,40 +53,29 @@ use crate::link::SiteId;
 use des::time::{Dur, SimTime};
 use std::rc::Rc;
 
-/// How [`crate::flow::FlowSim`] recomputes the fair allocation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SolverMode {
-    /// Worklist-driven incremental updates, falling back to one full
-    /// re-solve whenever the affected set exceeds `full_fraction` of the
-    /// live entries and its links exceed `full_fraction` of the directed
-    /// links (0.0 = full whenever the closure crosses a link, 1.0 = never
-    /// fall back).
-    Incremental { full_fraction: f64 },
-    /// Full progressive filling on every event — the legacy behaviour,
-    /// kept as the benchmark baseline and as a cross-check.
-    Global,
-}
-
 /// Configuration for [`crate::flow::FlowSim`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowConfig {
-    pub solver: SolverMode,
+    /// The solver updates the allocation incrementally, falling back to
+    /// one full re-solve whenever the affected set exceeds this fraction
+    /// of the live entries and its links exceed it of the directed links
+    /// (0.0 = full whenever the closure crosses a link, 1.0 = never fall
+    /// back).
+    pub full_fraction: f64,
     /// Flows strictly smaller than this many bytes aggregate with other
     /// small flows on the same (src, dst, window). 0 disables.
     pub aggregate_below: u64,
     /// After every resolve, re-derive the allocation with the reference
     /// [`maxmin_rates`] and assert each flow matches within 1e-9
-    /// relative. Expensive — for tests (`flow_props.rs`, `hpcc-bench`'s
-    /// `netperf` unit tests).
+    /// relative. Expensive — for tests and the benchmark workloads'
+    /// verification.
     pub verify: bool,
 }
 
 impl Default for FlowConfig {
     fn default() -> FlowConfig {
         FlowConfig {
-            solver: SolverMode::Incremental {
-                full_fraction: 0.25,
-            },
+            full_fraction: 0.25,
             aggregate_below: 0,
             verify: false,
         }
@@ -99,7 +89,7 @@ pub struct SolverStats {
     pub events: u64,
     /// Resolves that had a non-empty affected set.
     pub resolves: u64,
-    /// Resolves that fell back to (or ran as) a full re-solve.
+    /// Resolves that fell back to a full re-solve.
     pub full_resolves: u64,
     /// Sum of affected-set sizes across resolves.
     pub entries_touched: u64,
@@ -217,7 +207,7 @@ struct LinkList {
 
 /// The materialised allocation state for one simulation run.
 pub(crate) struct Engine {
-    mode: SolverMode,
+    full_fraction: f64,
     verify: bool,
     ndirs: usize,
     /// Directed-link capacity, bytes/s (mirrors `Net::capacity`).
@@ -278,7 +268,7 @@ impl Engine {
         let ndirs = net.dir_links();
         let cap_v: Vec<f64> = (0..ndirs).map(|d| net.capacity(d)).collect();
         Engine {
-            mode: cfg.solver,
+            full_fraction: cfg.full_fraction,
             verify: cfg.verify,
             ndirs,
             cap_v,
@@ -635,12 +625,9 @@ impl Engine {
         self.seeds_e.clear();
         self.seeds_d.clear();
 
-        let (mut full, frac) = match self.mode {
-            SolverMode::Incremental { full_fraction } => (false, full_fraction),
-            SolverMode::Global => (true, 0.0),
-        };
-        let limit = frac * self.roster.len() as f64;
-        let dir_limit = frac * self.ndirs as f64;
+        let mut full = false;
+        let limit = self.full_fraction * self.roster.len() as f64;
+        let dir_limit = self.full_fraction * self.ndirs as f64;
         let (mut scan, mut lscan) = (0usize, 0usize);
         loop {
             // Closure: pull in everything a rate change can reach through
@@ -1190,7 +1177,7 @@ mod tests {
         let (net, _, r_ab) = line();
         let r_bc = Rc::new(net.route(1, 2).unwrap());
         let cfg = FlowConfig {
-            solver: SolverMode::Global,
+            full_fraction: 0.0,
             verify: true,
             ..FlowConfig::default()
         };
@@ -1227,7 +1214,7 @@ mod tests {
         full_fraction: f64,
     ) -> bool {
         let cfg = FlowConfig {
-            solver: SolverMode::Incremental { full_fraction },
+            full_fraction,
             verify: true,
             ..FlowConfig::default()
         };
@@ -1280,7 +1267,8 @@ mod tests {
 
     /// ≥ 200 seeded rosters through `resolve` (whose fill is
     /// `fill_checked` here): weights > 1, window caps, empty routes,
-    /// never-fall-back incremental, default incremental and global. The
+    /// `full_fraction` 1.0 (never fall back), 0.25 (the default) and 0.0
+    /// (fall back whenever the closure crosses a link). The
     /// last 80 open with a tie: entries on one route, one of them capped
     /// at exactly the route's fair share, so the cap and the saturating
     /// bottleneck freeze in the same round.
@@ -1293,19 +1281,13 @@ mod tests {
             topologies::delta_consortium(),
             topologies::fat_tree(4, LinkClass::Gigabit, LinkClass::Gig100, "t.").net,
         ];
-        let modes = [
-            SolverMode::Incremental { full_fraction: 1.0 },
-            SolverMode::Incremental {
-                full_fraction: 0.25,
-            },
-            SolverMode::Global,
-        ];
+        let fractions = [1.0, 0.25, 0.0];
         let (mut full, mut partial) = (0, 0);
         for seed in 0..320u64 {
             let mut rng = Rng::new(seed);
             let net = &nets[seed as usize % nets.len()];
             let cfg = FlowConfig {
-                solver: modes[(seed / 3) as usize % modes.len()],
+                full_fraction: fractions[(seed / 3) as usize % fractions.len()],
                 verify: true,
                 ..FlowConfig::default()
             };

@@ -365,8 +365,8 @@ impl<'a> FlowSim<'a> {
         }
     }
 
-    /// Pick the solver mode, short-flow aggregation threshold, and the
-    /// reference cross-check (see [`FlowConfig`]).
+    /// Pick the full re-solve fraction, the short-flow aggregation
+    /// threshold and the reference cross-check (see [`FlowConfig`]).
     pub fn with_config(net: &'a Net, cfg: FlowConfig) -> FlowSim<'a> {
         FlowSim { net, cfg }
     }

@@ -28,10 +28,10 @@ pub mod link;
 pub mod topologies;
 pub mod workload;
 
-pub use engine::{FlowConfig, SolverMode, SolverStats};
+pub use engine::{FlowConfig, SolverStats};
 pub use flow::{
     maxmin_rates, FlowError, FlowOutcome, FlowRecord, FlowSim, LinkFault, NetStats, TransferSpec,
 };
 pub use graph::{DirLinkId, Net, Route, RouteCache, RouteStats};
 pub use link::{Link, LinkClass, SiteId};
-pub use topologies::{dragonfly, fabric_to_wan, fat_tree, Fabric};
+pub use topologies::{dragonfly, fat_tree, Fabric};

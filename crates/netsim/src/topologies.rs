@@ -155,8 +155,8 @@ fn us(v: u64) -> Dur {
 /// `fabric ≥ host × k/2`, which the 100G/400G pairing provides for
 /// k ≤ 8. `k` must be even and ≥ 2.
 ///
-/// Site names are prefixed with `tag` so a fabric can be grafted into a
-/// larger net (see [`fabric_to_wan`]) without name collisions.
+/// Site names are prefixed with `tag` so a fabric can be copied into a
+/// larger net without name collisions.
 pub fn fat_tree(k: usize, host: LinkClass, fabric: LinkClass, tag: &str) -> Fabric {
     assert!(
         k >= 2 && k.is_multiple_of(2),
@@ -258,49 +258,6 @@ pub fn dragonfly(
         hosts,
         switches,
     }
-}
-
-/// One scenario spanning NIC → datacenter fabric → NREN: a k-ary
-/// fat-tree ("west", at Palo Alto) and a dragonfly ("east", at College
-/// Park) grafted onto the 13-site NSFnet backbone running at `wan`
-/// class. Each fabric's first switches gate onto the backbone site over
-/// two `gateway`-class links. Returns the composed net plus both host
-/// lists (west, east).
-pub fn fabric_to_wan(
-    k: usize,
-    wan: LinkClass,
-    gateway: LinkClass,
-) -> (Net, Vec<SiteId>, Vec<SiteId>) {
-    let mut net = nsfnet(wan);
-    let west = fat_tree(k, LinkClass::Gig100, LinkClass::Gig400, "W.");
-    let east = dragonfly(
-        4,
-        4,
-        k.max(2) / 2,
-        LinkClass::Gig100,
-        LinkClass::Gig400,
-        "E.",
-    );
-    let w_hosts = graft(&mut net, &west, "Palo Alto", gateway);
-    let e_hosts = graft(&mut net, &east, "College Park", gateway);
-    (net, w_hosts, e_hosts)
-}
-
-/// Copy `fab` into `net`, then tie its first two switches to `at` with
-/// `gateway`-class links. Returns the host ids remapped into `net`.
-fn graft(net: &mut Net, fab: &Fabric, at: &str, gateway: LinkClass) -> Vec<SiteId> {
-    let base = net.sites();
-    for s in 0..fab.net.sites() {
-        net.add_site(fab.net.name(s).to_string());
-    }
-    for l in fab.net.links() {
-        net.add_link(base + l.a, base + l.b, l.class, l.latency);
-    }
-    let hub = net.site(at).expect("WAN attachment site exists");
-    for &sw in fab.switches.iter().take(2) {
-        net.add_link(hub, base + sw, gateway, us(50));
-    }
-    fab.hosts.iter().map(|&h| base + h).collect()
 }
 
 /// The CASA gigabit testbed on its own: four sites, HIPPI/SONET.
@@ -428,20 +385,6 @@ mod tests {
         let route = fab.net.route(a, b).unwrap();
         // host->router, <=1 local, global, <=1 local, router->host.
         assert!(route.hops() <= 5, "{} hops", route.hops());
-    }
-
-    #[test]
-    fn fabric_to_wan_spans_nic_to_nren() {
-        let (net, west, east) = fabric_to_wan(4, LinkClass::Gigabit, LinkClass::Gig100);
-        assert!(!west.is_empty() && !east.is_empty());
-        let r = net.route(west[0], east[0]).unwrap();
-        // Coast-to-coast: through the west fabric, across the backbone,
-        // into the east fabric — bottlenecked by the WAN class.
-        assert!(r.hops() >= 5, "crosses fabric + WAN: {} hops", r.hops());
-        assert_eq!(r.bottleneck, LinkClass::Gigabit.bytes_per_sec());
-        // Intra-fabric traffic never touches the WAN bottleneck.
-        let rw = net.route(west[0], *west.last().unwrap()).unwrap();
-        assert_eq!(rw.bottleneck, LinkClass::Gig100.bytes_per_sec());
     }
 
     #[test]

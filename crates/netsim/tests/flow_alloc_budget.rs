@@ -7,7 +7,7 @@
 
 use des::rng::Rng;
 use des::time::{Dur, SimTime};
-use nren_netsim::{topologies, FlowConfig, FlowSim, SolverMode, TransferSpec};
+use nren_netsim::{topologies, FlowConfig, FlowSim, TransferSpec};
 
 #[path = "../../mesh/tests/common/mod.rs"]
 mod common;
@@ -33,9 +33,7 @@ fn repeated_staging_waves_allocate_nothing_per_resolve() {
         })
         .collect();
     let eager = FlowConfig {
-        solver: SolverMode::Incremental {
-            full_fraction: 0.05,
-        },
+        full_fraction: 0.05,
         ..FlowConfig::default()
     };
     for cfg in [FlowConfig::default(), eager] {

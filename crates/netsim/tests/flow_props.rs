@@ -2,14 +2,14 @@
 //! random arrival/completion/fault sequences, the materialised rates
 //! must match the reference global `maxmin_rates` re-solve within 1e-9
 //! relative (`FlowConfig::verify` asserts this inside the engine), and
-//! the observable outcomes must not depend on solver mode or short-flow
-//! aggregation.
+//! the observable outcomes must not depend on the full re-solve
+//! fraction or short-flow aggregation.
 
 use des::rng::Rng;
 use des::time::SimTime;
 use nren_netsim::{
     dragonfly, fat_tree, topologies, workload, FlowConfig, FlowOutcome, FlowSim, LinkClass,
-    LinkFault, RouteCache, SolverMode, TransferSpec,
+    LinkFault, RouteCache, TransferSpec,
 };
 
 fn random_faults(rng: &mut Rng, links: usize, n: usize, horizon_s: f64) -> Vec<LinkFault> {
@@ -37,7 +37,7 @@ fn incremental_equals_reference_on_random_sequences() {
         let specs = workload::poisson_traffic(&net, &mut rng, 4.0, 2e6, 20.0);
         let faults = random_faults(&mut rng, net.links().len(), 3, 20.0);
         let cfg = FlowConfig {
-            solver: SolverMode::Incremental { full_fraction: 0.5 },
+            full_fraction: 0.5,
             aggregate_below: 0,
             verify: true,
         };
@@ -68,7 +68,7 @@ fn incremental_equals_reference_with_aggregation_and_windows() {
         }
         let faults = random_faults(&mut rng, net.links().len(), 2, 10.0);
         let cfg = FlowConfig {
-            solver: SolverMode::Incremental { full_fraction: 0.5 },
+            full_fraction: 0.5,
             aggregate_below: 1 << 20,
             verify: true,
         };
@@ -89,33 +89,33 @@ fn finish_times(outcomes: &[FlowOutcome]) -> Vec<(bool, f64)> {
         .collect()
 }
 
-/// Solver mode is an implementation detail: Global (full re-solve every
-/// event) and Incremental must produce the same schedule up to float
-/// residue (sub-microsecond on multi-second transfers).
+/// The fallback fraction is an implementation detail: the default
+/// (0.25) and 0.0 (a full re-solve whenever a closure crosses a link),
+/// every resolve of each checked against the reference solver, produce
+/// the same schedule up to float residue (sub-microsecond on
+/// multi-second transfers).
 #[test]
-fn global_and_incremental_modes_agree() {
+fn fallback_fraction_does_not_change_the_schedule() {
     let net = topologies::nsfnet(LinkClass::T3);
     for seed in 40..46u64 {
         let mut rng = Rng::new(seed);
         let specs = workload::poisson_traffic(&net, &mut rng, 5.0, 2e6, 15.0);
         let faults = random_faults(&mut rng, net.links().len(), 2, 15.0);
-        let run = |solver| {
+        let run = |full_fraction| {
             let cfg = FlowConfig {
-                solver,
+                full_fraction,
                 aggregate_below: 0,
-                verify: false,
+                verify: true,
             };
             FlowSim::with_config(&net, cfg)
                 .run_with_faults(specs.clone(), &faults)
                 .unwrap()
         };
-        let (ginc, _) = run(SolverMode::Incremental {
-            full_fraction: 0.25,
-        });
-        let (gfull, _) = run(SolverMode::Global);
-        for (i, (a, b)) in finish_times(&ginc)
+        let (partial, _) = run(0.25);
+        let (fallback, _) = run(0.0);
+        for (i, (a, b)) in finish_times(&partial)
             .iter()
-            .zip(finish_times(&gfull))
+            .zip(finish_times(&fallback))
             .enumerate()
         {
             assert_eq!(a.0, b.0, "seed {seed} flow {i}: outcome kind diverged");
@@ -140,9 +140,7 @@ fn aggregation_preserves_the_schedule() {
         let specs = workload::poisson_traffic(&net, &mut rng, 8.0, 3e5, 10.0);
         let run = |aggregate_below| {
             let cfg = FlowConfig {
-                solver: SolverMode::Incremental {
-                    full_fraction: 0.25,
-                },
+                full_fraction: 0.25,
                 aggregate_below,
                 verify: false,
             };
@@ -166,9 +164,7 @@ fn fabric_runs_are_replayable_bit_for_bit() {
     let mut rng = Rng::new(9);
     let specs = workload::fan_out_traffic(&fab.hosts, 4, &mut rng, 400, 1e6, SimTime::ZERO);
     let cfg = FlowConfig {
-        solver: SolverMode::Incremental {
-            full_fraction: 0.25,
-        },
+        full_fraction: 0.25,
         aggregate_below: 1 << 20,
         verify: true,
     };

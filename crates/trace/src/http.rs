@@ -341,8 +341,8 @@ fn respond(sock: &mut TcpStream, status: u16, ctype: &str, body: &str) -> std::i
     sock.flush()
 }
 
-/// Blocking `GET` against a telemetry server — the minimal client the
-/// tests and the `report telemetry` scrapers share. Returns (status, body);
+/// Blocking `GET` against a telemetry server — the minimal client this
+/// module's tests scrape with. Returns (status, body);
 /// a response without a parseable status line reads as status 0.
 pub fn get(addr: SocketAddr, path: &str) -> std::io::Result<(u16, String)> {
     let mut sock = TcpStream::connect(addr)?;

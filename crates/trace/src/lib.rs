@@ -114,10 +114,6 @@ pub mod names {
     /// The WAN flow solver; counters are affected-set (dirty) sizes
     /// per incremental resolve plus cumulative full-resolve fallbacks.
     pub const WAN_SOLVER: &str = "wan solver";
-    /// Sharded-DES lane runtime: one track per event lane plus an
-    /// aggregate track; counters are events, windows, and cross-lane
-    /// mailbox traffic (`delta_mesh::LaneStats`).
-    pub const DES_LANES: &str = "des lanes";
 }
 
 /// One buffered event.

@@ -51,7 +51,8 @@
 //! 1,024 `/trace` events, 0.04 ms a `/metrics` on `telemetry_live`), never
 //! across socket I/O, so all it can delay is the insertion of a new cell
 //! or track. Like every recorder, it is a pure observer — recorded runs
-//! stay bit-identical to unrecorded ones (asserted in exhibit OBS-2).
+//! stay bit-identical to unrecorded ones (asserted by
+//! `cross_crate::recorders_observe_without_perturbing`).
 //!
 //! ## Accounting ledger
 //!

@@ -2,7 +2,8 @@
 # Non-test line count of the workspace crates, for simplicity claims: for
 # every crates/*/src/**/*.rs file, the lines above its first column-0
 # `#[cfg(test)]`, or the whole file when there is none. Blank lines and
-# comments count. Prints one row per crate (package name) and a total.
+# comments count. Prints one row per crate (package name) and a total,
+# then the prose: one row per top-level *.md file and a Markdown total.
 #
 # Usage: scripts/loc.sh   (from anywhere; report only, always exits 0)
 set -euo pipefail
@@ -19,3 +20,10 @@ for dir in crates/*/; do
     total=$((total + n))
 done
 printf '%-14s %6d\n' total "$total"
+md=0
+for f in *.md; do
+    n=$(wc -l <"$f")
+    printf '%-14s %6d\n' "$f" "$n"
+    md=$((md + n))
+done
+printf '%-14s %6d\n' markdown "$md"

@@ -10,9 +10,12 @@
 # A revision is anything `git rev-parse` takes; `.` is the working tree
 # as `git stash create` sees it (tracked and staged files, so `git add`
 # new ones first). Each revision is exported once to
-# target/pairs/<tree>/tree and built into its own target/pairs/<tree>/target,
-# then run from its tree with the driver's command (BENCHMARK.json's
-# `command`, its `run_seconds` by default). Which side goes first
+# target/pairs/<key>/tree and built into its own target/pairs/<key>/target,
+# <key> hashing the trees of what the benchmark build reads (benchmark/,
+# crates/, vendor/ and the root Cargo.toml), so a revision that differs
+# from a built one only elsewhere (Markdown, say) reuses its build.
+# Each side then runs from its tree with BENCHMARK.json's `command`
+# (its `run_seconds` by default). Which side goes first
 # alternates pair by pair. Prints every run, each side's median and
 # quartiles and the median and quartiles of the per-pair ratio b/a (its
 # `b/a` row) of every metric, then, for each end-to-end metric, how many
@@ -60,9 +63,13 @@ resolve() {
 }
 
 # Export and build one revision; leaves its directory in $dir, named by
-# the tree so that an unchanged working tree is exported and built once.
+# the build inputs' trees so that unchanged inputs are exported and built
+# once.
 prepare() {
-    dir=$PWD/target/pairs/$(git rev-parse "$1^{tree}")
+    local key
+    key=$(git rev-parse "$1:benchmark" "$1:crates" "$1:vendor" "$1:Cargo.toml" |
+        git hash-object --stdin)
+    dir=$PWD/target/pairs/$key
     if [ ! -d "$dir/tree" ]; then
         mkdir -p "$dir/tree"
         git archive "$1" | tar -x -C "$dir/tree"

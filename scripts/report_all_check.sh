@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Regenerate `report all` and diff it against the committed
 # report_all.txt. Every exhibit `report all` runs is a function of its
-# seeds and the models alone (the host-timed ones run only by name), so
-# a change meant to keep results must keep these bytes.
+# seeds and the models alone, so a change meant to keep results must
+# keep these bytes.
 #
 #   scripts/report_all_check.sh        # builds the report binary; ~1.5 min of exhibits
 #

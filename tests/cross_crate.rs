@@ -191,13 +191,14 @@ fn network_dominates_t1_partner_workflow() {
 /// fan-out (routing-heavy) and an NSFnet churn through a mid-run outage
 /// (fill-, re-key- and re-route-heavy) finish every flow at the same
 /// nanosecond under the default config, with every resolve checked
-/// against the reference solver, and with a full re-solve on every event.
+/// against the reference solver, and with a full re-solve whenever a
+/// closure crosses a link (`full_fraction` 0.0).
 #[test]
 fn wan_engine_schedule_is_independent_of_solver_path() {
     use des::time::SimTime;
     use nren_netsim::{
         fat_tree, topologies, workload, FlowConfig, FlowOutcome, FlowSim, LinkClass, LinkFault,
-        Net, SolverMode, TransferSpec,
+        Net, TransferSpec,
     };
 
     let fab = fat_tree(4, LinkClass::Gigabit, LinkClass::Gig100, "t.");
@@ -229,8 +230,8 @@ fn wan_engine_schedule_is_independent_of_solver_path() {
         verify: true,
         ..default
     };
-    let global = FlowConfig {
-        solver: SolverMode::Global,
+    let fallback = FlowConfig {
+        full_fraction: 0.0,
         ..default
     };
     for (net, specs, faults) in [
@@ -240,7 +241,7 @@ fn wan_engine_schedule_is_independent_of_solver_path() {
         let want = finishes(net, default, specs, faults);
         assert!(want.len() >= 200);
         assert_eq!(finishes(net, verified, specs, faults), want);
-        assert_eq!(finishes(net, global, specs, faults), want);
+        assert_eq!(finishes(net, fallback, specs, faults), want);
     }
 }
 
@@ -251,12 +252,12 @@ fn wan_engine_schedule_is_independent_of_solver_path() {
 /// so the default solver never falls back; at `full_fraction` 0.05 it
 /// takes both paths. Every flow finishes at the same nanosecond under
 /// the default config, with every resolve checked against the reference
-/// solver, at 0.05 and with a full re-solve on every event — and
-/// checking changes none of the solver's counters.
+/// solver and at 0.05 — and checking changes none of the solver's
+/// counters.
 #[test]
 fn consortium_staging_matches_the_reference_solver() {
     use des::time::SimTime;
-    use nren_netsim::{topologies, FlowConfig, FlowSim, SolverMode, TransferSpec};
+    use nren_netsim::{topologies, FlowConfig, FlowSim, TransferSpec};
 
     let net = topologies::delta_consortium();
     let delta = net.site(topologies::DELTA_SITE).unwrap();
@@ -282,18 +283,11 @@ fn consortium_staging_matches_the_reference_solver() {
         verify: true,
         ..default
     });
-    let (global, _) = run(FlowConfig {
-        solver: SolverMode::Global,
-        ..default
-    });
     let (eager, eager_stats) = run(FlowConfig {
-        solver: SolverMode::Incremental {
-            full_fraction: 0.05,
-        },
+        full_fraction: 0.05,
         ..default
     });
     assert_eq!(verified, want);
-    assert_eq!(global, want);
     assert_eq!(eager, want);
     assert_eq!(format!("{verified_stats:?}"), format!("{stats:?}"));
     assert_eq!(stats.full_resolves, 0, "{stats:?}");
@@ -432,14 +426,10 @@ fn recorders_observe_without_perturbing() {
 
 /// The host kernels' fast paths against their references, at sizes the
 /// crate's own tests do not share: the packed SpMV plan equals the CSR
-/// row loop bit for bit, CG agrees with a dense LU solve, and the
-/// vectorised shallow-water step equals the seed sweeps bit for bit on
-/// a *cloned* model (a clone carries no work arrays; its first step
-/// sizes them).
+/// row loop bit for bit, and CG agrees with a dense LU solve.
 #[test]
 fn kernels_fast_paths_agree_with_their_references() {
     use hpcc_kernels::cg::{cg, Csr, SpmvPlan};
-    use hpcc_kernels::shallow::Shallow;
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
 
     let a = Csr::poisson2d(13);
@@ -467,19 +457,6 @@ fn kernels_fast_paths_agree_with_their_references() {
     for (p, q) in x.iter().zip(&lu_solve(&dense, &piv, &b)) {
         assert!((p - q).abs() < 1e-10, "{p} vs {q}");
     }
-
-    let mut sea = Shallow::new(16);
-    let mut reference = sea.clone();
-    sea.step(false); // `sea` has its work arrays now; its clone will not
-    reference.step_baseline(false);
-    let mut sea = sea.clone();
-    for _ in 1..8 {
-        sea.step(false);
-        reference.step_baseline(false);
-    }
-    assert_eq!(bits(&sea.p), bits(&reference.p));
-    assert_eq!(bits(&sea.u), bits(&reference.u));
-    assert_eq!(bits(&sea.v), bits(&reference.v));
 }
 
 /// The scheduler's two implementations on one small stream: under
