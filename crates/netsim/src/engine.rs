@@ -11,15 +11,24 @@
 //!
 //! 1. seeds a worklist with the changed entries and the directed links
 //!    they touch (an arrival, completion, reroute or link flap),
-//! 2. closes the set transitively: any *pre-event saturated* link pulls
-//!    every entry crossing it into the affected set `A`, and those
-//!    entries' links join the frontier — rate changes can only propagate
-//!    through saturated links, so the closure is exact,
+//! 2. closes the set transitively through bottlenecks: a *pre-event
+//!    saturated* link pulls into the affected set `A` the entries at its
+//!    top rate (within `post_check`'s 1e-9 relative tolerance), and those
+//!    entries' links join the frontier. Max-min fairness gives every
+//!    entry a bottleneck — a saturated link on which no entry gets more —
+//!    or its window cap (Bertsekas & Gallager, *Data Networks*). An entry
+//!    below a link's top is held to its rate by another link or by its
+//!    cap; it can only speed up if that other link gains capacity, which
+//!    happens only when an entry crossing it changes — that link is then
+//!    touched, and the entry sits at its top there, so it is pulled in
+//!    there. If the new level on the link drops below the entry's rate,
+//!    step 4 pulls it in,
 //! 3. re-runs weighted progressive filling over `A` with the boundary
 //!    (all other entries) frozen at their current rates — their load is
 //!    subtracted from link capacity up front,
 //! 4. post-checks every touched link that ended saturated: a boundary
-//!    entry running *above* the fill level of such a link would have had
+//!    entry running *above* the fill level of such a link — one that
+//!    step 2 left out below the link's old top included — would have had
 //!    to cede bandwidth, so it is pulled into `A` and the closure/fill
 //!    repeats. The loop terminates because `A` only grows.
 //!
@@ -57,10 +66,11 @@ use std::rc::Rc;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowConfig {
     /// The solver updates the allocation incrementally, falling back to
-    /// one full re-solve whenever the affected set exceeds this fraction
-    /// of the live entries and its links exceed it of the directed links
-    /// (0.0 = full whenever the closure crosses a link, 1.0 = never fall
-    /// back).
+    /// one full re-solve whenever the affected set — the entries a change
+    /// reaches through the links that bottleneck them — exceeds this
+    /// fraction of the live entries and its links exceed it of the
+    /// directed links (0.0 = full whenever the closure crosses a link,
+    /// 1.0 = never fall back).
     pub full_fraction: f64,
     /// Flows strictly smaller than this many bytes aggregate with other
     /// small flows on the same (src, dst, window). 0 disables.
@@ -631,12 +641,12 @@ impl Engine {
         let (mut scan, mut lscan) = (0usize, 0usize);
         loop {
             // Closure: pull in everything a rate change can reach through
-            // links that were saturated before the event. Entries and
-            // links are two FIFO queues, so the order they are drained in
-            // does not change either sequence. `A` and its links only
-            // grow: once both pass the fallback threshold the decision is
-            // final, and the full path below overwrites `dirty` and
-            // `touched_d`.
+            // the links, saturated before the event, that bottleneck it
+            // (module doc, step 2). Entries and links are two FIFO
+            // queues, so the order they are drained in does not change
+            // either sequence. `A` and its links only grow: once both
+            // pass the fallback threshold the decision is final, and the
+            // full path below overwrites `dirty` and `touched_d`.
             while !full && (scan < self.dirty.len() || lscan < self.touched_d.len()) {
                 if scan < self.dirty.len() {
                     let e = self.dirty[scan];
@@ -651,9 +661,17 @@ impl Engine {
                     let d = self.touched_d[lscan];
                     lscan += 1;
                     if self.sat[d] {
+                        // Only the entries `d` bottlenecks can move with
+                        // it: those at its top rate, under `post_check`'s
+                        // tolerance. The rest are held lower elsewhere.
+                        let top = self.on[d]
+                            .iter()
+                            .map(|&(m, _)| self.entries[m as usize].rate)
+                            .fold(f64::NEG_INFINITY, f64::max);
+                        let floor = top - 1e-9 * top.abs().max(1.0);
                         for &(m, _) in &self.on[d] {
                             let m = m as usize;
-                            if self.e_stamp[m] != st {
+                            if self.e_stamp[m] != st && self.entries[m].rate >= floor {
                                 self.e_stamp[m] = st;
                                 self.dirty.push(m);
                             }
@@ -1263,6 +1281,71 @@ mod tests {
             );
             assert_eq!(got, (crowd_full, spread_full), "full_fraction {frac}");
         }
+    }
+
+    /// a –T3– b –T1– c, never falling back, every resolve checked against
+    /// the reference solver: `x` (a→c) is held to T1 by b–c and `y` (a→b)
+    /// takes the rest of a–b, so a→b is saturated with `y` at its top.
+    fn t3_then_t1() -> (Net, Engine, Rc<Route>, EntryId, EntryId) {
+        let mut net = Net::new();
+        let a = net.add_site("a");
+        let b = net.add_site("b");
+        let c = net.add_site("c");
+        net.add_link(a, b, LinkClass::T3, Dur::from_millis(1));
+        net.add_link(b, c, LinkClass::T1, Dur::from_millis(1));
+        let r_ac = Rc::new(net.route(a, c).unwrap());
+        let r_ab = Rc::new(net.route(a, b).unwrap());
+        let cfg = FlowConfig {
+            full_fraction: 1.0,
+            verify: true,
+            ..FlowConfig::default()
+        };
+        let mut eng = Engine::new(&net, &cfg);
+        let x = open(&mut eng, &r_ac, 1);
+        let y = open(&mut eng, &r_ab, 1);
+        eng.resolve(&net, SimTime::ZERO, &mut Vec::new());
+        let (t1, t3) = (LinkClass::T1.bytes_per_sec(), LinkClass::T3.bytes_per_sec());
+        assert!(eng.sat[r_ab.dirs[0]]);
+        assert_eq!((eng.rate(x), eng.rate(y)), (t1, t3 - t1));
+        (net, eng, r_ab, x, y)
+    }
+
+    /// An a→b arrival changes a→b, which `x` crosses below its top: `x`
+    /// stays out of the affected set (the arrival and `y` make it), where
+    /// pulling in every entry on a saturated link took all three.
+    #[test]
+    fn closure_leaves_out_entries_bottlenecked_elsewhere() {
+        let (net, mut eng, r_ab, x, y) = t3_then_t1();
+        let z = open(&mut eng, &r_ab, 1);
+        eng.resolve(&net, SimTime::ZERO, &mut Vec::new());
+        assert_eq!((eng.stats.last_dirty, eng.on[r_ab.dirs[0]].len()), (2, 3));
+        assert_eq!(eng.rate(x), LinkClass::T1.bytes_per_sec());
+        assert_eq!(eng.rate(y), eng.rate(z));
+    }
+
+    /// Thirty a→b members arrive: the closure leaves `x` out, but the new
+    /// level on a→b, (T3 − T1) / 31, is below its T1 rate, so `post_check`
+    /// pulls it in and all 32 flows get T3 / 32. When the crowd leaves,
+    /// the closure through a→b (all three at its top) gives `x` and `y`
+    /// their old rates back.
+    #[test]
+    fn post_check_catches_an_entry_the_new_level_undercuts() {
+        let (net, mut eng, r_ab, x, y) = t3_then_t1();
+        let crowd = open(&mut eng, &r_ab, 30);
+        eng.resolve(&net, SimTime::ZERO, &mut Vec::new());
+        let (t1, t3) = (LinkClass::T1.bytes_per_sec(), LinkClass::T3.bytes_per_sec());
+        assert_eq!(eng.stats.last_dirty, 3);
+        for e in [x, y, crowd] {
+            assert!((eng.rate(e) - t3 / 32.0).abs() <= 1e-9 * t3, "entry {e}");
+        }
+        while eng.member_count(crowd) > 0 {
+            eng.pop_member(crowd);
+        }
+        eng.remove_entry(crowd, SimTime::ZERO);
+        eng.resolve(&net, SimTime::ZERO, &mut Vec::new());
+        assert_eq!(eng.stats.last_dirty, 2);
+        assert!((eng.rate(x) - t1).abs() <= 1e-9 * t3);
+        assert!((eng.rate(y) - (t3 - t1)).abs() <= 1e-9 * t3);
     }
 
     /// ≥ 200 seeded rosters through `resolve` (whose fill is

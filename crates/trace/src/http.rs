@@ -26,13 +26,13 @@
 //!
 //! Parsing is apart from socket I/O: `route` maps the bytes of a request
 //! head to an endpoint or a refusal, so hostile heads are fuzzed without a
-//! socket. [`get`] is the matching minimal client.
+//! socket. The tests scrape with a matching minimal client, `get`.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::stream::StreamRecorder;
@@ -58,7 +58,7 @@ impl TelemetryServer {
             .name("hpcc-telemetry".into())
             .spawn(move || {
                 for conn in listener.incoming() {
-                    if pool2.jobs.lock().expect("pool").stop {
+                    if pool2.lock().stop {
                         break;
                     }
                     let Ok(sock) = conn else { continue };
@@ -88,7 +88,7 @@ impl TelemetryServer {
     }
 
     fn shutdown(&mut self) {
-        let mut jobs = self.pool.jobs.lock().expect("pool");
+        let mut jobs = self.pool.lock();
         jobs.stop = true;
         jobs.queue.clear();
         for sock in jobs.serving.iter().flatten() {
@@ -102,7 +102,7 @@ impl TelemetryServer {
             let _ = h.join();
         }
         // No worker is spawned once `stop` is set, so the list is whole.
-        let workers = std::mem::take(&mut self.pool.jobs.lock().expect("pool").workers);
+        let workers = std::mem::take(&mut self.pool.lock().workers);
         for w in workers {
             let _ = w.join();
         }
@@ -146,6 +146,16 @@ struct Jobs {
 }
 
 impl Pool {
+    /// The pool state, also after a thread panicked holding the lock. No
+    /// critical section can stop halfway through an update of `Jobs` (each
+    /// is a few counter and list steps, and a handler runs outside the
+    /// lock under `catch_unwind`), so a poisoned lock still guards a
+    /// consistent state, and one panic must not take the accept thread
+    /// and every worker down with it.
+    fn lock(&self) -> MutexGuard<'_, Jobs> {
+        self.jobs.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Queue `sock` for a free worker, or for a new one when every worker
     /// is serving, so a connection never waits behind another's peer.
     /// Past the cap or once stopped, `sock` comes back to be refused.
@@ -154,7 +164,7 @@ impl Pool {
         sock: TcpStream,
         rec: &Arc<StreamRecorder>,
     ) -> Result<(), TcpStream> {
-        let mut jobs = self.jobs.lock().expect("pool");
+        let mut jobs = self.lock();
         if jobs.stop || jobs.queue.len() + jobs.busy >= MAX_CONNECTIONS {
             return Err(sock);
         }
@@ -181,10 +191,14 @@ impl Pool {
     /// Worker `id`: serve queued connections one at a time until the
     /// server stops.
     fn work(&self, id: usize, rec: &StreamRecorder) {
-        let mut jobs = self.jobs.lock().expect("pool");
+        let mut jobs = self.lock();
         loop {
             let waiting = |jobs: &mut Jobs| jobs.queue.is_empty() && !jobs.stop;
-            jobs = self.ready.wait_while(jobs, waiting).expect("pool");
+            // Recovered from poison as in `Pool::lock`.
+            jobs = self
+                .ready
+                .wait_while(jobs, waiting)
+                .unwrap_or_else(PoisonError::into_inner);
             let Some(mut sock) = jobs.queue.pop_front() else {
                 return;
             };
@@ -195,7 +209,7 @@ impl Pool {
             // Free again and the slot given back, also after a panic,
             // before the socket closes: a client that has seen its
             // connection end finds both, so sequential ones keep one worker.
-            jobs = self.jobs.lock().expect("pool");
+            jobs = self.lock();
             (jobs.free, jobs.busy) = (jobs.free + 1, jobs.busy - 1);
             jobs.serving[id] = None;
             drop(sock);
@@ -341,35 +355,35 @@ fn respond(sock: &mut TcpStream, status: u16, ctype: &str, body: &str) -> std::i
     sock.flush()
 }
 
-/// Blocking `GET` against a telemetry server — the minimal client this
-/// module's tests scrape with. Returns (status, body);
-/// a response without a parseable status line reads as status 0.
-pub fn get(addr: SocketAddr, path: &str) -> std::io::Result<(u16, String)> {
-    let mut sock = TcpStream::connect(addr)?;
-    sock.set_read_timeout(Some(Duration::from_secs(10)))?;
-    // One write: a server refusing the connection reads it in one piece.
-    sock.write_all(
-        format!("GET {path} HTTP/1.1\r\nHost: hpcc\r\nConnection: close\r\n\r\n").as_bytes(),
-    )?;
-    let mut raw = String::new();
-    sock.read_to_string(&mut raw)?;
-    let status = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    Ok((status, body))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Recorder;
     use std::sync::atomic::{AtomicBool, Ordering};
+
+    /// Blocking `GET` against a telemetry server, the minimal client
+    /// these tests scrape with. Returns (status, body); a response
+    /// without a parseable status line reads as status 0.
+    fn get(addr: SocketAddr, path: &str) -> std::io::Result<(u16, String)> {
+        let mut sock = TcpStream::connect(addr)?;
+        sock.set_read_timeout(Some(Duration::from_secs(10)))?;
+        // One write: a server refusing the connection reads it in one piece.
+        sock.write_all(
+            format!("GET {path} HTTP/1.1\r\nHost: hpcc\r\nConnection: close\r\n\r\n").as_bytes(),
+        )?;
+        let mut raw = String::new();
+        sock.read_to_string(&mut raw)?;
+        let status = raw
+            .split_whitespace()
+            .nth(1)
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0);
+        let body = raw
+            .split_once("\r\n\r\n")
+            .map(|(_, b)| b.to_string())
+            .unwrap_or_default();
+        Ok((status, body))
+    }
 
     fn server_with_data() -> (TelemetryServer, Arc<StreamRecorder>) {
         let rec = Arc::new(StreamRecorder::new());

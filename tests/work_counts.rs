@@ -56,9 +56,35 @@ fn nsfnet_churn_solver_counts() {
     let (fallback, fallback_stats) = run(0.0);
     assert_eq!(partial, fallback, "the schedule depends on the fraction");
     assert_eq!(specs.len(), 600);
-    // The outage and the T3 backbone's shared hops make most closures
-    // wide: the default still falls back on 827 of its 1,201 resolves,
-    // and touches 0.80x the entries a fallback on every crossing does.
-    assert_eq!(counts(&partial_stats), (1_201, 827, 41_756), "default");
+    // The outage and the T3 backbone's shared hops still make many
+    // closures wide: the default falls back on 517 of its 1,201 resolves,
+    // and touches 0.50x the entries a fallback on every crossing does.
+    assert_eq!(counts(&partial_stats), (1_201, 517, 26_081), "default");
     assert_eq!(counts(&fallback_stats), (1_201, 1_161, 52_299), "0.0");
+}
+
+/// The `campaign` staging shape at the default `full_fraction`: the 300
+/// Delta → partner results of
+/// `cross_crate::consortium_staging_matches_the_reference_solver` at seed
+/// 1992 (exponential gaps of mean 50 ms, 8·32·n bytes for n drawn from
+/// 512, 768 and 1,024, partners in turn). Every closure stays narrow in
+/// links, so no resolve falls back.
+#[test]
+fn consortium_staging_solver_counts() {
+    use nren_netsim::TransferSpec;
+    let net = topologies::delta_consortium();
+    let delta = net.site(topologies::DELTA_SITE).unwrap();
+    let partners = topologies::partner_sites(&net);
+    let mut rng = Rng::new(1992);
+    let mut t = 0.0;
+    let specs: Vec<TransferSpec> = (0..300)
+        .map(|k| {
+            t += rng.exp(0.05);
+            let n = [512, 768, 1024][rng.below(3) as usize];
+            let dst = partners[k % partners.len()];
+            TransferSpec::new(delta, dst, 8 * 32 * n, SimTime::from_secs_f64(t))
+        })
+        .collect();
+    let (_, stats) = FlowSim::with_config(&net, FlowConfig::default()).run_with_stats(specs);
+    assert_eq!(counts(&stats.solver), (600, 0, 12_455));
 }
